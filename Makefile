@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke clean
+.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke perf-smoke clean
 
 all:
 	dune build @all
@@ -120,6 +120,15 @@ heal-smoke:
 	grep -q "pre-crash records served bit-for-bit after recovery" _build/heal-smoke.out
 	grep -q "byte-identical across runs" _build/heal-smoke.out
 	! grep -q "FAIL" _build/heal-smoke.out
+
+# Benchmark-workload probe: one short run of the Table 1 migrate
+# workload (default transformers run as copy plans) and one of the lazy
+# ministore migration (custom transformers on the interpreter).  A run
+# whose output check fails (e.g. "every Change object transformed",
+# "sampled objects hold") exits non-zero and fails the target.
+perf-smoke:
+	dune exec perf/main.exe -- run migrate --seed 1 --seconds 1
+	dune exec perf/main.exe -- run store-lazy --seed 1 --seconds 1
 
 clean:
 	dune clean

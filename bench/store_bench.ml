@@ -100,7 +100,8 @@ let populate vm ~n =
   let payload = VM.State.alloc_string vm "bench-payload" in
   let heap = vm.VM.State.heap in
   let buckets = VM.Value.to_ref (VM.State.jtoc_get vm buckets_slot) in
-  let nb = VM.Value.to_int (VM.Heap.array_length heap buckets) in
+  (* the array length word is a raw count, not a tagged int *)
+  let nb = VM.Heap.array_length heap buckets in
   for i = 0 to n - 1 do
     let key = 1_000_000 + i in
     let o = VM.State.alloc_object vm rec_cls in
@@ -118,7 +119,25 @@ let populate vm ~n =
       (VM.Value.of_ref o)
   done;
   let count = VM.Value.to_int (VM.State.jtoc_get vm count_slot) in
-  VM.State.jtoc_set vm count_slot (VM.Value.of_int (count + n))
+  VM.State.jtoc_set vm count_slot (VM.Value.of_int (count + n));
+  (* Store.find looks a key up in chain [key % buckets.length] only:
+     every populated record must sit in that chain, or GET misses it *)
+  let found = ref 0 in
+  for b = 0 to nb - 1 do
+    let r =
+      ref (VM.Heap.get heap ~addr:buckets ~off:(VM.Heap.array_header_words + b))
+    in
+    while not (VM.Value.is_null !r) do
+      let o = VM.Value.to_ref !r in
+      let key = VM.Value.to_int (VM.Heap.get heap ~addr:o ~off:2) in
+      if key >= 1_000_000 && key < 1_000_000 + n && key mod nb = b then
+        incr found;
+      r := VM.Heap.get heap ~addr:o ~off:5
+    done
+  done;
+  if !found <> n then
+    failwith
+      (Printf.sprintf "store populate: %d of %d keys findable by GET" !found n)
 
 (* Boot a ministore 1.0 sized for [n] records: ~6 words per record in
    from-space, 7 (new layout) + 6 (retained old copy) in to-space, plus

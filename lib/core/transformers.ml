@@ -8,7 +8,8 @@
    - a default class transformer [jvolveClass] (empty: unchanged statics
      are carried over by the updater) and a default object transformer
      [jvolveObject] that copies same-name same-type fields and leaves new
-     or changed fields at their default values.
+     or changed fields at their default values (the updater runs an
+     unmodified default as a copy plan, see [default_field_pairs]).
 
    The bundle compiles in the compiler's Transformer mode, which ignores
    access modifiers and allows assignment to final fields — the paper's
@@ -63,7 +64,12 @@ let stubs_for spec : CF.Cls.t list =
 
 (* --- default transformer source ---------------------------------------- *)
 
-let default_object_body spec ~(cls : string) : string =
+(* The fields the default object transformer copies, in new-layout
+   order: every new field whose old namesake has the same type after
+   [map_old_ty].  New or changed fields keep their default value.  The
+   generated [jvolveObject] source and the updater's copy plan are both
+   read off this list. *)
+let default_field_pairs spec (cls : string) : string list =
   let oldp = CF.Cls.program_of_list spec.Spec.old_program in
   let newp = CF.Cls.program_of_list spec.Spec.new_program in
   match (CF.Cls.find_class oldp cls, CF.Cls.find_class newp cls) with
@@ -78,12 +84,20 @@ let default_object_body spec ~(cls : string) : string =
       |> List.filter_map (fun (f : CF.Cls.field) ->
              match List.assoc_opt f.CF.Cls.fd_name old_fields with
              | Some oty when CF.Types.equal_ty oty f.CF.Cls.fd_ty ->
-                 Some
-                   (Printf.sprintf "    to.%s = from.%s;" f.CF.Cls.fd_name
-                      f.CF.Cls.fd_name)
-             | _ -> None (* new or changed field: keep the default value *))
-      |> String.concat "\n"
-  | _ -> ""
+                 Some f.CF.Cls.fd_name
+             | _ -> None)
+  | _ -> []
+
+let default_object_body spec ~(cls : string) : string =
+  default_field_pairs spec cls
+  |> List.map (fun f -> Printf.sprintf "    to.%s = from.%s;" f f)
+  |> String.concat "\n"
+
+(* Does this class's [jvolveObject] run the generated default body?  Only
+   then may the updater execute it as a copy plan instead. *)
+let object_default spec (cls : string) : bool =
+  spec.Spec.transformer_src = None
+  && not (List.mem_assoc cls spec.Spec.object_overrides)
 
 (* The transformer methods an update's layout closure requires: the
    contract [generate_source] fulfils and admission control checks

@@ -35,6 +35,19 @@ val transformer_method_sigs : Spec.t -> (string * CF.Types.ty list) list
     for this update: a [jvolveClass]/[jvolveObject] pair per
     layout-closure class. *)
 
+val default_field_pairs : Spec.t -> string -> string list
+(** The fields the default [jvolveObject] of a class copies, in
+    new-layout order: each name [f] is the pair [to.f = from.f], for
+    every new field whose old namesake has the same type after
+    {!map_old_ty}.  {!generate_source} prints the default body from this
+    list and the updater compiles its copy plan from it, so the two
+    cannot drift apart.  Empty when the class is missing from either
+    program. *)
+
+val object_default : Spec.t -> string -> bool
+(** Whether the class's [jvolveObject] is the generated default: no
+    complete custom [transformer_src] and no [object_overrides] entry. *)
+
 val generate_source : Spec.t -> string
 (** The [JvolveTransformers] MiniJava source: defaults with the spec's
     overrides spliced in. *)

@@ -269,16 +269,48 @@ let invalidate_stale_code vm (r : Safepoint.restricted) : int =
 
 (* --- transformer phase --------------------------------------------------- *)
 
+(* How one (new class, old class) pair is transformed.  A class whose
+   [jvolveObject] is the UPT's generated default runs as a [Copy]: the
+   flattened (old offset, new offset) word pairs of
+   [Transformers.default_field_pairs], resolved the way the JIT resolves
+   the default body's getfield/putfield.  Custom transformers stay
+   [Interpreted], in the sandbox. *)
+type obj_transformer = Copy of int array | Interpreted of Rt.rt_method
+
+(* The object transformers of one update, shared by the eager phase and
+   the lazy window. *)
+type obj_transformers = {
+  ot_spec : Spec.t;
+  ot_rc : Rt.rt_class; (* the installed JvolveTransformers class *)
+  (* (new cid, old cid) -> transformer: the paper's suggested "caching
+     the lookup" optimization for the reflective dispatch *)
+  ot_cache : (int * int, obj_transformer) Hashtbl.t;
+  ot_interp : bool; (* some class's object transformer is interpreted *)
+  mutable ot_planned : int; (* pairs run as copy plans *)
+  mutable ot_interpreted : int; (* pairs run on the interpreter *)
+}
+
+let obj_transformers (spec : Spec.t) transformer_rc =
+  {
+    ot_spec = spec;
+    ot_rc = transformer_rc;
+    ot_cache = Hashtbl.create 8;
+    ot_interp =
+      List.exists
+        (fun cls -> not (Transformers.object_default spec cls))
+        spec.Spec.diff.Diff.class_updates_closure;
+    ot_planned = 0;
+    ot_interpreted = 0;
+  }
+
 type transform_ctx = {
   log : int array; (* flattened (old, new) pairs; registered as GC roots *)
   n_pairs : int;
   status : int array; (* 0 = pending, 1 = in progress, 2 = done *)
-  mutable index : (int, int) Hashtbl.t; (* new addr -> pair index *)
+  (* new addr -> pair index, built on the first [force_transform] *)
+  mutable index : (int, int) Hashtbl.t;
   mutable index_gc_count : int;
-  transformer_rc : Rt.rt_class;
-  (* (new cid, old cid) -> jvolveObject method: the paper's suggested
-     "caching the lookup" optimization for the reflective dispatch *)
-  method_cache : (int * int, Rt.rt_method) Hashtbl.t;
+  objs : obj_transformers;
   carrier : State.vthread; (* reused for every transformer invocation *)
   sandbox : State.sandbox; (* fuel accounting + write restriction *)
 }
@@ -363,6 +395,100 @@ let find_transformer_method (transformer_rc : Rt.rt_class) ~name ~params =
          && List.length m.Rt.m_sig.CF.Types.params = List.length params
          && List.for_all2 CF.Types.equal_ty m.Rt.m_sig.CF.Types.params params)
 
+let find_object_method vm (objs : obj_transformers) ~new_cid ~old_cid =
+  let new_cls = Rt.class_by_id vm.State.reg new_cid in
+  let old_cls = Rt.class_by_id vm.State.reg old_cid in
+  match
+    find_transformer_method objs.ot_rc ~name:"jvolveObject"
+      ~params:[ CF.Types.TRef new_cls.Rt.name; CF.Types.TRef old_cls.Rt.name ]
+  with
+  | Some m -> m
+  | None ->
+      uerr "no jvolveObject(%s, %s) in transformer class" new_cls.Rt.name
+        old_cls.Rt.name
+
+let object_transformer vm (objs : obj_transformers) ~new_cid ~old_cid =
+  match Hashtbl.find_opt objs.ot_cache (new_cid, old_cid) with
+  | Some t -> t
+  | None ->
+      let new_cls = Rt.class_by_id vm.State.reg new_cid in
+      let t =
+        if Transformers.object_default objs.ot_spec new_cls.Rt.name then begin
+          let old_cls = Rt.class_by_id vm.State.reg old_cid in
+          let offset (cls : Rt.rt_class) f =
+            match Rt.find_field_info cls f with
+            | Some fi -> fi.Rt.fi_offset
+            | None -> uerr "copy plan: no field %s.%s" cls.Rt.name f
+          in
+          Copy
+            (Transformers.default_field_pairs objs.ot_spec new_cls.Rt.name
+            |> List.concat_map (fun f -> [ offset old_cls f; offset new_cls f ])
+            |> Array.of_list)
+        end
+        else Interpreted (find_object_method vm objs ~new_cid ~old_cid)
+      in
+      Hashtbl.replace objs.ot_cache (new_cid, old_cid) t;
+      t
+
+(* Run [jvolveObject(new, old)] for one pair, with [sb] installed as the
+   VM's sandbox: a fresh fuel budget, the transformer.* fault points, and
+   writes restricted to the object set.  A copy plan takes the same
+   checks as the interpreted default would — the fault draws in the same
+   order and one step through the interpreter's fuel gate — before its
+   word copy.  [invoke] calls an interpreted method; [on_trap] reports a
+   trap at the pair's site. *)
+let transform_object vm (objs : obj_transformers) (sb : State.sandbox) ~invoke
+    ~on_trap ~new_addr ~old_addr =
+  let heap = vm.State.heap in
+  let new_cid = Heap.class_id heap new_addr in
+  let old_cid = Heap.class_id heap old_addr in
+  let t = object_transformer vm objs ~new_cid ~old_cid in
+  sb.State.sb_steps <- 0;
+  try
+    consult_transformer_faults vm sb ~bad_target:(Some old_addr);
+    match t with
+    | Copy plan ->
+        objs.ot_planned <- objs.ot_planned + 1;
+        Interp.charge_fuel vm;
+        for k = 0 to (Array.length plan / 2) - 1 do
+          Heap.set heap ~addr:new_addr ~off:plan.((2 * k) + 1)
+            (Heap.get heap ~addr:old_addr ~off:plan.(2 * k))
+        done
+    | Interpreted m ->
+        objs.ot_interpreted <- objs.ot_interpreted + 1;
+        let saved_guard = sb.State.sb_guard in
+        sb.State.sb_guard <- true;
+        Fun.protect
+          ~finally:(fun () -> sb.State.sb_guard <- saved_guard)
+          (fun () ->
+            ignore
+              (invoke m [| Value.of_ref new_addr; Value.of_ref old_addr |]))
+  with Interp.Sync_trap e | Interp.Trap e ->
+    let m =
+      match t with
+      | Interpreted m -> m
+      | Copy _ -> find_object_method vm objs ~new_cid ~old_cid
+    in
+    on_trap
+      {
+        ts_method = Rt.method_qname objs.ot_rc m;
+        ts_class = (Rt.class_by_id vm.State.reg new_cid).Rt.name;
+        ts_object = new_addr;
+      }
+      e
+
+(* Reuse the carrier thread when it is free; recursive transforms (via
+   the Jvolve.transform native) arrive while the carrier is mid-call and
+   need their own thread. *)
+let eager_invoke vm ctx m args =
+  if ctx.carrier.State.frames = [] then Interp.call_on vm ctx.carrier m args
+  else Interp.call_sync vm m args
+
+(* Publish how many pairs ran as copy plans and how many interpreted. *)
+let count_pairs obs (objs : obj_transformers) =
+  Jv_obs.Obs.incr ~by:objs.ot_planned obs "core.update.planned_pairs";
+  Jv_obs.Obs.incr ~by:objs.ot_interpreted obs "core.update.interpreted_pairs"
+
 let rec run_pair vm ctx i =
   match ctx.status.(i) with
   | 2 -> ()
@@ -372,64 +498,10 @@ let rec run_pair vm ctx i =
       uerr "cyclic object-transformer dependency detected; aborting update"
   | _ ->
       ctx.status.(i) <- 1;
-      let old_addr = Value.to_ref ctx.log.(2 * i)
-      and new_addr = Value.to_ref ctx.log.((2 * i) + 1) in
-      let new_cid = Heap.class_id vm.State.heap new_addr in
-      let old_cid = Heap.class_id vm.State.heap old_addr in
-      let m =
-        match Hashtbl.find_opt ctx.method_cache (new_cid, old_cid) with
-        | Some m -> m
-        | None -> (
-            let new_cls = Rt.class_by_id vm.State.reg new_cid in
-            let old_cls = Rt.class_by_id vm.State.reg old_cid in
-            match
-              find_transformer_method ctx.transformer_rc ~name:"jvolveObject"
-                ~params:
-                  [
-                    CF.Types.TRef new_cls.Rt.name;
-                    CF.Types.TRef old_cls.Rt.name;
-                  ]
-            with
-            | Some m ->
-                Hashtbl.replace ctx.method_cache (new_cid, old_cid) m;
-                m
-            | None ->
-                uerr "no jvolveObject(%s, %s) in transformer class"
-                  new_cls.Rt.name old_cls.Rt.name)
-      in
-      let site =
-        {
-          ts_method = Rt.method_qname ctx.transformer_rc m;
-          ts_class = (Rt.class_by_id vm.State.reg new_cid).Rt.name;
-          ts_object = new_addr;
-        }
-      in
-      (* reuse the carrier thread when it is free; recursive transforms
-         (via the Jvolve.transform native) arrive while the carrier is
-         mid-call and need their own thread *)
-      let invoke m args =
-        if ctx.carrier.State.frames = [] then Interp.call_on vm ctx.carrier m args
-        else Interp.call_sync vm m args
-      in
-      let sb = ctx.sandbox in
-      (* fresh fuel per invocation; writes restricted to the object set *)
-      let saved_guard = sb.State.sb_guard in
-      sb.State.sb_steps <- 0;
-      (try
-         consult_transformer_faults vm sb ~bad_target:(Some old_addr);
-         sb.State.sb_guard <- true;
-         ignore
-           (invoke m [| Value.of_ref new_addr; Value.of_ref old_addr |]);
-         sb.State.sb_guard <- saved_guard
-       with
-      | Interp.Sync_trap e | Interp.Trap e ->
-          sb.State.sb_guard <- saved_guard;
-          fail_transformer vm site e
-      | e ->
-          sb.State.sb_guard <- saved_guard;
-          raise e);
-      (* the transformer may have allocated and moved the heap *)
-      refresh_index ctx vm;
+      transform_object vm ctx.objs ctx.sandbox ~invoke:(eager_invoke vm ctx)
+        ~on_trap:(fail_transformer vm)
+        ~old_addr:(Value.to_ref ctx.log.(2 * i))
+        ~new_addr:(Value.to_ref ctx.log.((2 * i) + 1));
       ctx.status.(i) <- 2
 
 and force_transform vm ctx addr =
@@ -439,30 +511,32 @@ and force_transform vm ctx addr =
   | None -> () (* not an object under transformation: no-op *)
 
 (* Class transformers run with a fresh fuel budget but no write guard:
-   (re)initializing statics legitimately reaches arbitrary objects. *)
-let run_class_transformers vm (spec : Spec.t) ctx =
+   (re)initializing statics legitimately reaches arbitrary objects.  The
+   eager phase and the lazy commit differ only in [invoke] and
+   [on_trap]. *)
+let run_class_transformers vm (objs : obj_transformers) (sb : State.sandbox)
+    ~invoke ~on_trap =
   List.iter
     (fun cname ->
       match
-        find_transformer_method ctx.transformer_rc ~name:"jvolveClass"
+        find_transformer_method objs.ot_rc ~name:"jvolveClass"
           ~params:[ CF.Types.TRef cname ]
       with
       | None -> uerr "no jvolveClass(%s) in transformer class" cname
       | Some m -> (
-          let site =
-            {
-              ts_method = Rt.method_qname ctx.transformer_rc m;
-              ts_class = cname;
-              ts_object = 0;
-            }
-          in
-          ctx.sandbox.State.sb_steps <- 0;
+          sb.State.sb_steps <- 0;
           try
-            consult_transformer_faults vm ctx.sandbox ~bad_target:None;
-            ignore (Interp.call_on vm ctx.carrier m [| Value.null |])
+            consult_transformer_faults vm sb ~bad_target:None;
+            ignore (invoke m [| Value.null |])
           with Interp.Sync_trap e | Interp.Trap e ->
-            fail_transformer vm site e))
-    spec.Spec.diff.Diff.class_updates_closure
+            on_trap
+              {
+                ts_method = Rt.method_qname objs.ot_rc m;
+                ts_class = cname;
+                ts_object = 0;
+              }
+              e))
+    objs.ot_spec.Spec.diff.Diff.class_updates_closure
 
 (* --- inverse-update replay (guard revert) -------------------------------
 
@@ -575,10 +649,8 @@ let unload_transformer vm (rc : Rt.rt_class) =
 type lazy_via = L_barrier | L_sweep | L_force
 
 type lazy_ctx = {
-  lz_spec : Spec.t; (* for recomputing the restricted set at rollback *)
   lz_txn : Txn.t; (* open until finalize or rollback *)
-  lz_transformer_rc : Rt.rt_class;
-  lz_method_cache : (int * int, Rt.rt_method) Hashtbl.t;
+  lz_objs : obj_transformers; (* its spec recomputes the restricted set *)
   lz_carrier : State.vthread;
   lz_sandbox : State.sandbox; (* active only around invocations *)
   lz_scratch : int array; (* one rooted slot for sweeper/force targets *)
@@ -622,6 +694,14 @@ let lazy_invoke vm (ctx : lazy_ctx) (m : Rt.rt_method) args =
   end
   else Interp.call_sync vm m args
 
+let lazy_on_trap vm (ctx : lazy_ctx) site e =
+  (* a nested transform aborted inside this invocation: the carrier
+     surfaced it as a generic blocked-call trap — keep the inner typed
+     cause instead *)
+  match ctx.lz_abort with
+  | Some (c, m') -> raise (Update_failure (c, m'))
+  | None -> fail_transformer vm site e
+
 (* Run jvolveObject(new, old) for one freshly made pair.  Unlike the
    eager phase the sandbox is installed only for the duration of the
    invocation — app code between barrier hits must not be fuel-charged
@@ -629,61 +709,21 @@ let lazy_invoke vm (ctx : lazy_ctx) (m : Rt.rt_method) args =
    the transformer's own temporaries are writable. *)
 let lazy_run_transformer vm (ctx : lazy_ctx) ~new_addr ~old_copy =
   let heap = vm.State.heap in
-  let new_cid = Heap.class_id heap new_addr in
-  let old_cid = Heap.class_id heap old_copy in
-  let m =
-    match Hashtbl.find_opt ctx.lz_method_cache (new_cid, old_cid) with
-    | Some m -> m
-    | None -> (
-        let new_cls = Rt.class_by_id vm.State.reg new_cid in
-        let old_cls = Rt.class_by_id vm.State.reg old_cid in
-        match
-          find_transformer_method ctx.lz_transformer_rc ~name:"jvolveObject"
-            ~params:
-              [ CF.Types.TRef new_cls.Rt.name; CF.Types.TRef old_cls.Rt.name ]
-        with
-        | Some m ->
-            Hashtbl.replace ctx.lz_method_cache (new_cid, old_cid) m;
-            m
-        | None ->
-            uerr "no jvolveObject(%s, %s) in transformer class"
-              new_cls.Rt.name old_cls.Rt.name)
-  in
-  let site =
-    {
-      ts_method = Rt.method_qname ctx.lz_transformer_rc m;
-      ts_class = (Rt.class_by_id vm.State.reg new_cid).Rt.name;
-      ts_object = new_addr;
-    }
-  in
   let sb = ctx.lz_sandbox in
   let saved_sandbox = vm.State.sandbox in
-  let saved_guard = sb.State.sb_guard in
   let saved_wm = sb.State.sb_watermark in
   let saved_wm_gc = sb.State.sb_watermark_gc in
   vm.State.sandbox <- Some sb;
-  sb.State.sb_steps <- 0;
   sb.State.sb_watermark <- heap.Heap.free;
   sb.State.sb_watermark_gc <- heap.Heap.gc_count;
   Fun.protect
     ~finally:(fun () ->
       vm.State.sandbox <- saved_sandbox;
-      sb.State.sb_guard <- saved_guard;
       sb.State.sb_watermark <- saved_wm;
       sb.State.sb_watermark_gc <- saved_wm_gc)
     (fun () ->
-      try
-        consult_transformer_faults vm sb ~bad_target:(Some old_copy);
-        sb.State.sb_guard <- true;
-        ignore
-          (lazy_invoke vm ctx m [| Value.of_ref new_addr; Value.of_ref old_copy |])
-      with Interp.Sync_trap e | Interp.Trap e -> (
-        (* a nested transform aborted inside this invocation: the carrier
-           surfaced it as a generic blocked-call trap — keep the inner
-           typed cause instead *)
-        match ctx.lz_abort with
-        | Some (c, m') -> raise (Update_failure (c, m'))
-        | None -> fail_transformer vm site e))
+      transform_object vm ctx.lz_objs sb ~invoke:(lazy_invoke vm ctx)
+        ~on_trap:(lazy_on_trap vm ctx) ~new_addr ~old_addr:old_copy)
 
 (* Transform the object referenced by [slots.(idx)] if it is still
    pending, chase an already-installed marker, and rewrite the slot.
@@ -738,7 +778,9 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
            instead of recursing *)
         heap.Heap.space.(addr + Heap.off_gc) <- Heap.make_lazy_fwd new_addr;
         lazy_log_append vm ctx ~old_copy ~new_addr;
-        State.sandbox_allow vm ctx.lz_sandbox new_addr;
+        (* only an interpreted transformer writes through the guard *)
+        if ctx.lz_objs.ot_interp then
+          State.sandbox_allow vm ctx.lz_sandbox new_addr;
         slots.(idx) <- Value.of_ref new_addr;
         li.State.li_transformed <- li.State.li_transformed + 1;
         (match via with
@@ -878,7 +920,7 @@ let lazy_detach vm (ctx : lazy_ctx) =
 let lazy_finalize vm (ctx : lazy_ctx) =
   let li = ctx.lz_info in
   lazy_detach vm ctx;
-  unload_transformer vm ctx.lz_transformer_rc;
+  unload_transformer vm ctx.lz_objs.ot_rc;
   let trimmed = Array.sub li.State.li_log 0 li.State.li_log_len in
   (match vm.State.guard_retained with
   | Some g when g == li.State.li_log ->
@@ -901,12 +943,15 @@ let lazy_finalize vm (ctx : lazy_ctx) =
   let obs = vm.State.obs in
   Jv_obs.Obs.incr obs "core.lazy.drained";
   Jv_obs.Obs.observe_int obs "core.lazy.transformed" li.State.li_transformed;
+  count_pairs obs ctx.lz_objs;
   Jv_obs.Obs.emit obs ~scope:"core.lazy" "lazy.drained"
     [
       ("transformed", Jv_obs.Obs.Int li.State.li_transformed);
       ("barrier_hits", Jv_obs.Obs.Int li.State.li_barrier_hits);
       ("swept", Jv_obs.Obs.Int li.State.li_swept);
       ("chases", Jv_obs.Obs.Int li.State.li_chases);
+      ("planned", Jv_obs.Obs.Int ctx.lz_objs.ot_planned);
+      ("interpreted", Jv_obs.Obs.Int ctx.lz_objs.ot_interpreted);
     ]
 
 (* Copy same-named fields from each inverse pair's new-layout snapshot
@@ -959,7 +1004,7 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
     | Some (c, r) -> (c, r)
     | None -> (C_generic, "lazy window rollback")
   in
-  let restricted = Safepoint.compute vm ctx.lz_spec in
+  let restricted = Safepoint.compute vm ctx.lz_objs.ot_spec in
   match Safepoint.check vm restricted with
   | Safepoint.Blocked stuck when not force ->
       ignore (Safepoint.install_barriers stuck : int);
@@ -975,7 +1020,7 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
       let obs = vm.State.obs in
       let t0 = now () in
       lazy_detach vm ctx;
-      unload_transformer vm ctx.lz_transformer_rc;
+      unload_transformer vm ctx.lz_objs.ot_rc;
       (* the guard window (if any) rode on this log and dies with it *)
       (match vm.State.guard_retained with
       | Some g when g == li.State.li_log ->
@@ -1087,37 +1132,14 @@ let rec lazy_drain_now (ctx : lazy_ctx) vm =
    barrier live, since they dereference old-epoch statics and force
    transforms as they go (the paper's eager islands inside the lazy
    window). *)
-let run_class_transformers_lazy vm (spec : Spec.t) (ctx : lazy_ctx) =
-  List.iter
-    (fun cname ->
-      match
-        find_transformer_method ctx.lz_transformer_rc ~name:"jvolveClass"
-          ~params:[ CF.Types.TRef cname ]
-      with
-      | None -> uerr "no jvolveClass(%s) in transformer class" cname
-      | Some m ->
-          let site =
-            {
-              ts_method = Rt.method_qname ctx.lz_transformer_rc m;
-              ts_class = cname;
-              ts_object = 0;
-            }
-          in
-          let sb = ctx.lz_sandbox in
-          let saved_sandbox = vm.State.sandbox in
-          vm.State.sandbox <- Some sb;
-          sb.State.sb_steps <- 0;
-          Fun.protect
-            ~finally:(fun () -> vm.State.sandbox <- saved_sandbox)
-            (fun () ->
-              try
-                consult_transformer_faults vm sb ~bad_target:None;
-                ignore (lazy_invoke vm ctx m [| Value.null |])
-              with Interp.Sync_trap e | Interp.Trap e -> (
-                match ctx.lz_abort with
-                | Some (c, m') -> raise (Update_failure (c, m'))
-                | None -> fail_transformer vm site e)))
-    spec.Spec.diff.Diff.class_updates_closure
+let run_class_transformers_lazy vm (ctx : lazy_ctx) =
+  let saved_sandbox = vm.State.sandbox in
+  vm.State.sandbox <- Some ctx.lz_sandbox;
+  Fun.protect
+    ~finally:(fun () -> vm.State.sandbox <- saved_sandbox)
+    (fun () ->
+      run_class_transformers vm ctx.lz_objs ctx.lz_sandbox
+        ~invoke:(lazy_invoke vm ctx) ~on_trap:(lazy_on_trap vm ctx))
 
 (* --- the driver ----------------------------------------------------------- *)
 
@@ -1259,10 +1281,8 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
       carrier.State.tstate <- State.T_done;
       let lctx =
         {
-          lz_spec = spec;
           lz_txn = txn;
-          lz_transformer_rc = transformer_rc;
-          lz_method_cache = Hashtbl.create 8;
+          lz_objs = obj_transformers spec transformer_rc;
           lz_carrier = carrier;
           lz_sandbox = sb;
           lz_scratch = scratch;
@@ -1290,12 +1310,14 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
          forcing through the barrier whatever objects they touch *)
       phase := P_transform;
       Faults.point faults "updater.transform";
-      run_class_transformers_lazy vm spec lctx;
+      run_class_transformers_lazy vm lctx;
       let t_transform = now () in
       Jv_obs.Obs.emit obs ~scope:"core.update" "phase.transform.done"
         [
           ("ms", Jv_obs.Obs.Float ((t_transform -. t_gc) *. 1000.0));
           ("pairs", Jv_obs.Obs.Int (li.State.li_log_len / 2));
+          ("planned", Jv_obs.Obs.Int lctx.lz_objs.ot_planned);
+          ("interpreted", Jv_obs.Obs.Int lctx.lz_objs.ot_interpreted);
           ("steps", Jv_obs.Obs.Int sb.State.sb_total_steps);
         ];
       if vm.State.config.verify_heap then begin
@@ -1370,17 +1392,18 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
         status = Array.make (max 1 (Array.length gcres.Gc.update_log / 2)) 0;
         index = Hashtbl.create 16;
         index_gc_count = -1;
-        transformer_rc;
-        method_cache = Hashtbl.create 8;
+        objs = obj_transformers spec transformer_rc;
         carrier = Interp.make_carrier vm;
         sandbox = sb;
       }
     in
     vm.State.extra_roots <- ctx.log :: vm.State.extra_roots;
-    (* every new-layout object in the log is a legitimate write target *)
-    for i = 0 to ctx.n_pairs - 1 do
-      State.sandbox_allow vm sb (Value.to_ref ctx.log.((2 * i) + 1))
-    done;
+    (* every new-layout object in the log is a legitimate write target;
+       only an interpreted transformer writes through the guard *)
+    if ctx.objs.ot_interp then
+      for i = 0 to ctx.n_pairs - 1 do
+        State.sandbox_allow vm sb (Value.to_ref ctx.log.((2 * i) + 1))
+      done;
     vm.State.force_transform <-
       Some (fun vm addr -> force_transform vm ctx addr);
     let finish_transformers ~keep_log () =
@@ -1395,8 +1418,8 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
     in
     (try
        Faults.point faults "updater.transform";
-       build_index ctx vm;
-       run_class_transformers vm spec ctx;
+       run_class_transformers vm ctx.objs sb ~invoke:(eager_invoke vm ctx)
+         ~on_trap:(fail_transformer vm);
        for i = 0 to ctx.n_pairs - 1 do
          Faults.point faults "updater.transform";
          run_pair vm ctx i
@@ -1420,12 +1443,17 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
           ]
     | _ -> ());
     let t_transform = now () in
+    (* interpreted transformers charge a step per instruction, copy
+       plans one step per pair *)
     Jv_obs.Obs.observe_int obs "core.update.transformer_steps"
       sb.State.sb_total_steps;
+    count_pairs obs ctx.objs;
     Jv_obs.Obs.emit obs ~scope:"core.update" "phase.transform.done"
       [
         ("ms", Jv_obs.Obs.Float ((t_transform -. t_gc) *. 1000.0));
         ("pairs", Jv_obs.Obs.Int ctx.n_pairs);
+        ("planned", Jv_obs.Obs.Int ctx.objs.ot_planned);
+        ("interpreted", Jv_obs.Obs.Int ctx.objs.ot_interpreted);
         ("steps", Jv_obs.Obs.Int sb.State.sb_total_steps);
       ];
     (* 7.5: the post-transform heap integrity walk.  The old copies in

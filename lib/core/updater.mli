@@ -135,12 +135,23 @@ val apply :
     the fields the forward update dropped are restored from the retained
     forward log, and the [guard.revert] fault point is consulted first.
 
-    Transformers run sandboxed: each invocation gets a fresh fuel budget
+    Class transformers, and object transformers from a custom
+    [transformer_src] or an [object_overrides] body, run on the
+    interpreter, sandboxed: each invocation gets a fresh fuel budget
     ([State.config.transformer_fuel]) and object transformers may only
     write the objects under transformation plus their own fresh
-    allocations.  The [transformer.loop] / [transformer.throw] /
-    [transformer.badwrite] fault points drive each failure mode through
-    the corresponding enforcement path.  With
+    allocations.  A class's generated default [jvolveObject] instead runs
+    as a copy plan compiled from {!Transformers.default_field_pairs}: a
+    plain word copy that still consults the same fault points in the same
+    order and charges one fuel step, so it fails exactly where the
+    interpreted default would.  The [transformer.loop] /
+    [transformer.throw] / [transformer.badwrite] fault points drive each
+    failure mode through the corresponding enforcement path.  The
+    [phase.transform.done] event reports [planned] and [interpreted]
+    pair counts (counters [core.update.planned_pairs] /
+    [core.update.interpreted_pairs]); [core.update.transformer_steps]
+    counts a step per interpreted instruction and one per planned pair.
+    With
     [State.config.verify_heap] set, a full {!Jv_vm.Heapverify} walk runs
     after the transform phase ([P_verify]; failure aborts) and again
     after any rollback (failure clears [a_rolled_back]). *)

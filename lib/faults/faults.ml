@@ -22,7 +22,8 @@
      COUNT  := max times the rule may fire (default unlimited)
 
    A POINT is matched exactly, or by prefix when the rule's point ends in
-   '*' (e.g. "updater.*").  Examples:
+   '*' (e.g. "updater.*"); either way it must name a registered point
+   ([points]).  Examples:
 
      updater.transform=raise@0.2       20% of transformer pairs throw
      updater.load=kill x1              first load phase kills the VM
@@ -66,11 +67,32 @@ let create ?(seed = 42) () =
 let seed t = t.seed
 let set_obs t sink = t.obs <- Some sink
 
+(* Every point the stack consults.  A rule must name one of them, or
+   end in '*' with a prefix of at least one, so a mistyped plan is
+   refused instead of silently arming nothing. *)
+let points =
+  [
+    "updater.load"; "updater.gc"; "updater.transform"; "updater.osr";
+    "transformer.loop"; "transformer.throw"; "transformer.badwrite";
+    "guard.trap"; "guard.probe"; "guard.latency"; "guard.trip";
+    "guard.revert"; "vm.crash"; "supervisor.restart"; "net.link";
+    "net.connect"; "simnet.partition";
+  ]
+
+let split_point point =
+  let n = String.length point in
+  if n > 0 && point.[n - 1] = '*' then (String.sub point 0 (n - 1), true)
+  else (point, false)
+
+let known point =
+  match split_point point with
+  | name, false -> List.mem name points
+  | prefix, true -> List.exists (String.starts_with ~prefix) points
+
 let arm t ~point ?(rate = 1.0) ?(max_fires = max_int) action =
-  let prefix = String.length point > 0 && point.[String.length point - 1] = '*' in
-  let name =
-    if prefix then String.sub point 0 (String.length point - 1) else point
-  in
+  if not (known point) then
+    invalid_arg (Printf.sprintf "Faults.arm: unknown fault point %S" point);
+  let name, prefix = split_point point in
   t.rules <-
     t.rules
     @ [
@@ -222,6 +244,8 @@ let parse_rule t s =
       in
       if rate < 0.0 then Error (Printf.sprintf "rule %S: bad rate" s)
       else if point = "" then Error (Printf.sprintf "rule %S: empty point" s)
+      else if not (known point) then
+        Error (Printf.sprintf "rule %S: unknown fault point %S" s point)
       else
         let action =
           match String.trim rhs with

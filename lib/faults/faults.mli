@@ -35,9 +35,16 @@ val set_obs : t -> Jv_obs.Obs.t -> unit
 (** Every fire emits a [fault.fired] event (scope ["faults"]) and bumps
     the [faults.fired] counter on this sink. *)
 
+val points : string list
+(** The registry: every injection point the stack consults. *)
+
+val known : string -> bool
+(** Whether a rule's point names a registered point, or ends in ['*']
+    with a prefix of at least one. *)
+
 val arm : t -> point:string -> ?rate:float -> ?max_fires:int -> action -> unit
 (** Append a rule.  [rate] defaults to 1.0 (always), [max_fires] to
-    unlimited. *)
+    unlimited.  Raises [Invalid_argument] for a point {!known} refuses. *)
 
 val clear : t -> unit
 
@@ -54,7 +61,8 @@ val draw_int : t -> int -> int
 (** One draw in [0, bound); raises [Invalid_argument] if [bound <= 0]. *)
 
 val parse : ?seed:int -> string -> (t, string) result
-(** Parse a plan string (syntax above) into a fresh plan. *)
+(** Parse a plan string (syntax above) into a fresh plan; a rule whose
+    point is not {!known} is an error. *)
 
 val to_string : t -> string
 (** Round-trip a plan back to its string form. *)

@@ -22,6 +22,11 @@ val guard_write : State.t -> addr:int -> what:string -> unit
     store to [addr] (exposed so the updater's fault injection can push a
     simulated bad write through the same gate). *)
 
+val charge_fuel : State.t -> unit
+(** Charge one step against the active sandbox's fuel budget; raises
+    {!Trap} once the invocation's budget is spent (exposed so the
+    updater's copy plans pay through the same gate). *)
+
 val retry_pending : State.t -> State.vthread -> unit
 (** Re-run the native call a blocked thread is parked on (called by the
     scheduler once the block reason looks ready). *)

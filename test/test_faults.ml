@@ -181,9 +181,11 @@ let parse_roundtrip () =
 let schedule_is_deterministic () =
   let schedule seed =
     let p = Faults.create ~seed () in
-    Faults.arm p ~point:"x" ~rate:0.3 Faults.Raise;
+    Faults.arm p ~point:"updater.transform" ~rate:0.3 Faults.Raise;
     List.init 200 (fun _ ->
-        match Faults.check (Some p) "x" with Some _ -> '1' | None -> '0')
+        match Faults.check (Some p) "updater.transform" with
+        | Some _ -> '1'
+        | None -> '0')
   in
   Alcotest.(check bool)
     "same seed, same schedule" true
@@ -191,6 +193,81 @@ let schedule_is_deterministic () =
   Alcotest.(check bool)
     "different seed, different schedule" true
     (schedule 5 <> schedule 6)
+
+(* --- the point registry ---------------------------------------------------- *)
+
+(* A typo used to arm nothing and pass silently; now it is refused by the
+   parser and by [arm], while prefix rules over real points still parse. *)
+let typo_is_rejected () =
+  (match Faults.parse "updater.transfrom=raise" with
+  | Ok _ -> Alcotest.fail "a mistyped point parsed"
+  | Error e ->
+      Alcotest.(check bool)
+        "error names the point" true
+        (Helpers.contains e "updater.transfrom"));
+  (match Faults.parse "updatr.*=raise" with
+  | Ok _ -> Alcotest.fail "a prefix matching no point parsed"
+  | Error _ -> ());
+  (match Faults.parse "updater.*=raise@0.2,net.link=drop" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "a valid plan was refused: %s" e);
+  match
+    Faults.arm (Faults.create ()) ~point:"transformer.lop" Faults.Raise
+  with
+  | () -> Alcotest.fail "arm accepted a mistyped point"
+  | exception Invalid_argument _ -> ()
+
+(* The first string literal after each Faults.point / check / link call
+   in lib/: the points the stack consults. *)
+let points_named_in_lib () =
+  let rec files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.concat_map (fun f ->
+           let p = Filename.concat dir f in
+           if Sys.is_directory p then files p
+           else if Filename.check_suffix p ".ml" then [ p ]
+           else [])
+  in
+  let rec index_of line sub i =
+    if i + String.length sub > String.length line then None
+    else if String.sub line i (String.length sub) = sub then Some i
+    else index_of line sub (i + 1)
+  in
+  let point_in line needle =
+    match index_of line needle 0 with
+    | None -> None
+    | Some i -> (
+        match String.index_from_opt line i '"' with
+        | None -> None
+        | Some q ->
+            Option.map
+              (fun q' -> String.sub line (q + 1) (q' - q - 1))
+              (String.index_from_opt line (q + 1) '"'))
+  in
+  files "../lib"
+  |> List.concat_map (fun f ->
+         In_channel.with_open_bin f In_channel.input_all
+         |> String.split_on_char '\n')
+  |> List.concat_map (fun line ->
+         List.filter_map (point_in line)
+           [ "Faults.point "; "Faults.check "; "Faults.link " ])
+  |> List.sort_uniq compare
+
+let registry_covers_lib () =
+  let named = points_named_in_lib () in
+  Alcotest.(check bool)
+    "the scan found the updater's points" true
+    (List.mem "updater.transform" named && List.length named >= 10);
+  List.iter
+    (fun p ->
+      if not (List.mem p Faults.points) then
+        Alcotest.failf "lib/ consults %S, which is not registered" p)
+    named;
+  List.iter
+    (fun p ->
+      if not (List.mem p named) then
+        Alcotest.failf "registered point %S is consulted nowhere in lib/" p)
+    Faults.points
 
 (* --- differential: Jvolve vs hotswap vs indirection -------------------- *)
 
@@ -344,6 +421,10 @@ let suite =
     Alcotest.test_case "plan parser round-trips" `Quick parse_roundtrip;
     Alcotest.test_case "schedules are seed-deterministic" `Quick
       schedule_is_deterministic;
+    Alcotest.test_case "a mistyped fault point is rejected" `Quick
+      typo_is_rejected;
+    Alcotest.test_case "the point registry covers lib/" `Quick
+      registry_covers_lib;
     Alcotest.test_case "differential: jvolve = hotswap = indirection" `Quick
       differential_no_fault;
   ]

@@ -611,9 +611,18 @@ let diff_drive vm (d : A.Experience.app_desc) buf =
         (diff_session vm ~port script))
     d.A.Experience.d_loads
 
-(* One rung, one mode: boot at [from_version], drive, update, drive. *)
-let diff_rung ?(confree = true) ~lazy_mode ~warmup (d : A.Experience.app_desc)
-    (from_version, to_version) : string =
+(* The spec's own generated transformer source, handed over as a
+   complete custom source: the same bundle, but every object transformer
+   then runs on the interpreter instead of as a copy plan. *)
+let all_interpreted (spec : J.Spec.t) =
+  let src = J.Transformers.generate_source spec in
+  { spec with J.Spec.transformer_src = Some src }
+
+(* One rung, one mode: boot at [from_version], drive, update, drive.
+   [interpret] runs every object transformer on the interpreter
+   ([all_interpreted]).  Returns the transcript and the VM. *)
+let diff_run ?(confree = true) ?(interpret = false) ~lazy_mode ~warmup
+    (d : A.Experience.app_desc) (from_version, to_version) =
   let config =
     if lazy_mode then
       {
@@ -640,6 +649,7 @@ let diff_rung ?(confree = true) ~lazy_mode ~warmup (d : A.Experience.app_desc)
            (A.Patching.source d.A.Experience.d_versioned ~version:to_version))
       ()
   in
+  let spec = if interpret then all_interpreted spec else spec in
   let h = J.Jvolve.update_now ~timeout_rounds:400 vm spec in
   Buffer.add_string buf
     (if J.Jvolve.succeeded h then "update: applied\n" else "update: refused\n");
@@ -663,7 +673,21 @@ let diff_rung ?(confree = true) ~lazy_mode ~warmup (d : A.Experience.app_desc)
       QCheck.Test.fail_reportf "%s %s->%s: lazy heap fails verification"
         d.A.Experience.d_name from_version to_version
   end;
-  Buffer.contents buf
+  (Buffer.contents buf, vm)
+
+let diff_rung ?confree ~lazy_mode ~warmup d rung =
+  fst (diff_run ?confree ~lazy_mode ~warmup d rung)
+
+let ladder_rungs (d : A.Experience.app_desc) =
+  List.map
+    (fun ((fv, _), (tv, _)) -> (fv, tv))
+    (A.Patching.update_pairs d.A.Experience.d_versioned)
+
+(* The live heap, word for word, after a full collection. *)
+let heap_words vm =
+  ignore (VM.Gc.collect vm);
+  let h = vm.VM.State.heap in
+  Array.sub h.VM.Heap.space 0 h.VM.Heap.free
 
 let lazy_eager_differential =
   QCheck.Test.make ~name:"lazy and eager updates are indistinguishable"
@@ -685,6 +709,165 @@ let lazy_eager_differential =
                (A.Patching.update_pairs d.A.Experience.d_versioned)))
         A.Experience.all_apps;
       true)
+
+(* --- copy plans vs the interpreter over the app ladders -----------------------
+
+   Every rung of every ladder, updated on two fresh VMs: once with the
+   spec as given, so default object transformers run as copy plans, and
+   once with the generated source handed over as a complete custom
+   source — the same bundle, but every transformer then runs on the
+   interpreter.  Transcripts must be byte-identical and the live heaps
+   equal word for word, eagerly and lazily. *)
+
+let planned_pairs vm =
+  Jv_obs.Obs.counter_value vm.VM.State.obs "core.update.planned_pairs"
+
+let plan_interp_differential =
+  QCheck.Test.make ~name:"copy plans and the interpreter agree" ~count:1
+    QCheck.(make Gen.(int_range 0 10))
+    (fun warmup ->
+      let planned = ref 0 in
+      List.iter
+        (fun (d : A.Experience.app_desc) ->
+          List.iter
+            (fun rung ->
+              List.iter
+                (fun lazy_mode ->
+                  let where =
+                    Printf.sprintf "%s %s->%s (%s)" d.A.Experience.d_name
+                      (fst rung) (snd rung)
+                      (if lazy_mode then "lazy" else "eager")
+                  in
+                  let plan, vm_p = diff_run ~lazy_mode ~warmup d rung in
+                  let interp, vm_i =
+                    diff_run ~interpret:true ~lazy_mode ~warmup d rung
+                  in
+                  if not (String.equal plan interp) then
+                    QCheck.Test.fail_reportf
+                      "%s: transcripts diverge\n--- plan ---\n%s\n--- \
+                       interpreted ---\n%s"
+                      where plan interp;
+                  if heap_words vm_p <> heap_words vm_i then
+                    QCheck.Test.fail_reportf "%s: heaps differ" where;
+                  if planned_pairs vm_i <> 0 then
+                    QCheck.Test.fail_reportf "%s: a custom source ran a plan"
+                      where;
+                  planned := !planned + planned_pairs vm_p)
+                [ false; true ])
+            (ladder_rungs d))
+        A.Experience.all_apps;
+      if !planned = 0 then
+        QCheck.Test.fail_reportf "no rung ran a copy plan: nothing compared";
+      true)
+
+(* The paper's Table 1 update at small scale: [Change] gains a field and
+   its default transformer copies the rest, on both paths. *)
+let table1_v1 =
+  {|
+class Holder { int x; }
+class Change { int a; int b; int c; Holder r1; Holder r2; Holder r3; }
+class NoChange { int a; int b; int c; Holder r1; Holder r2; Holder r3; }
+class Root { static Change[] cs; static NoChange[] ns; }
+class Main {
+  static void main() { while (true) { Thread.sleep(10); } }
+}
+|}
+
+let table1_v2 =
+  A.Patching.patch table1_v1
+    [ ("class Change { int a;", "class Change { int d; int a;") ]
+
+let table1_case ~interpret ~lazy_mode () =
+  let n = 1000 in
+  let config = { Helpers.test_config with VM.State.lazy_update = lazy_mode } in
+  let vm = VM.Vm.create ~config () in
+  let old_program = Jv_lang.Compile.compile_program table1_v1 in
+  VM.Vm.boot vm old_program;
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  VM.Vm.run vm ~rounds:2;
+  let reg = vm.VM.State.reg and heap = vm.VM.State.heap in
+  let static name =
+    match VM.Rt.find_static_info reg (VM.Rt.require_class reg "Root") name with
+    | Some si -> si.VM.Rt.si_slot
+    | None -> Alcotest.failf "no static Root.%s" name
+  in
+  let off cls f =
+    match VM.Rt.find_field_info (VM.Rt.require_class reg cls) f with
+    | Some fi -> fi.VM.Rt.fi_offset
+    | None -> Alcotest.failf "no field %s.%s" cls f
+  in
+  (* object i of each class holds a=i b=2i c=3i, written straight into
+     the heap (the heap is large enough that nothing collects here) *)
+  List.iter
+    (fun (cls, arr) ->
+      let slot = static arr in
+      VM.State.jtoc_set vm slot
+        (VM.Value.of_ref (VM.State.alloc_array vm ~len:n));
+      for i = 0 to n - 1 do
+        let o = VM.State.alloc_object vm (VM.Rt.require_class reg cls) in
+        List.iter
+          (fun (f, k) ->
+            VM.Heap.set heap ~addr:o ~off:(off cls f) (VM.Value.of_int (k * i)))
+          [ ("a", 1); ("b", 2); ("c", 3) ];
+        VM.Heap.set heap
+          ~addr:(VM.Value.to_ref (VM.State.jtoc_get vm slot))
+          ~off:(VM.Heap.array_header_words + i)
+          (VM.Value.of_ref o)
+      done)
+    [ ("Change", "cs"); ("NoChange", "ns") ];
+  let spec =
+    J.Spec.make ~version_tag:"t1" ~old_program
+      ~new_program:(Jv_lang.Compile.compile_program table1_v2)
+      ()
+  in
+  let spec = if interpret then all_interpreted spec else spec in
+  let h = J.Jvolve.update_now ~timeout_rounds:50 vm spec in
+  if not (J.Jvolve.succeeded h) then
+    Alcotest.failf "update refused: %s"
+      (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome);
+  (match vm.VM.State.lazy_drain with
+  | Some drain -> Alcotest.(check bool) "lazy window drained" true (drain vm)
+  | None -> ());
+  let obs = vm.VM.State.obs in
+  Alcotest.(check (pair int int))
+    "(planned, interpreted) pairs"
+    (if interpret then (0, n) else (n, 0))
+    ( Jv_obs.Obs.counter_value obs "core.update.planned_pairs",
+      Jv_obs.Obs.counter_value obs "core.update.interpreted_pairs" );
+  List.iter
+    (fun (cls, arr, want) ->
+      for i = 0 to n - 1 do
+        let o =
+          VM.Value.to_ref
+            (VM.Heap.get heap
+               ~addr:(VM.Value.to_ref (VM.State.jtoc_get vm (static arr)))
+               ~off:(VM.Heap.array_header_words + i))
+        in
+        let get (f, _) =
+          VM.Value.to_int (VM.Heap.get heap ~addr:o ~off:(off cls f))
+        in
+        let got = List.map get want in
+        if got <> List.map (fun (_, k) -> k * i) want then
+          Alcotest.failf "%s %d holds %s" cls i
+            (String.concat " "
+               (List.map2
+                  (fun (f, _) v -> Printf.sprintf "%s=%d" f v)
+                  want got))
+      done)
+    [
+      ("Change", "cs", [ ("a", 1); ("b", 2); ("c", 3); ("d", 0) ]);
+      ("NoChange", "ns", [ ("a", 1); ("b", 2); ("c", 3) ]);
+    ];
+  heap_words vm
+
+let table1_both_paths () =
+  List.iter
+    (fun lazy_mode ->
+      let plan = table1_case ~interpret:false ~lazy_mode () in
+      let interp = table1_case ~interpret:true ~lazy_mode () in
+      Alcotest.(check bool)
+        "plan and interpreter heaps equal" true (plan = interp))
+    [ false; true ]
 
 (* --- con-freeness differential over the app ladders --------------------------
 
@@ -773,6 +956,9 @@ let suite =
     QCheck_alcotest.to_alcotest admitted_specs_verify;
     QCheck_alcotest.to_alcotest rollout_converges;
     QCheck_alcotest.to_alcotest lazy_eager_differential;
+    QCheck_alcotest.to_alcotest plan_interp_differential;
+    Alcotest.test_case "table 1 update: copy plan = interpreter" `Quick
+      table1_both_paths;
     QCheck_alcotest.to_alcotest confree_differential;
     Alcotest.test_case "heapverify auto-collects stale copies" `Quick
       verifier_autocollects_stale_copies;

@@ -19,6 +19,7 @@ module VM = Jv_vm
 module J = Jvolve_core
 module F = Jv_fleet
 module CF = Jv_classfile
+module Faults = Jv_faults.Faults
 
 let compile = Jv_lang.Compile.compile_program
 
@@ -332,6 +333,90 @@ let throwing_transformer_aborts () =
         (J.Updater.cause_to_string c));
   check_contained "trap" vm before a
 
+(* --- the fault gauntlet on the copy path ---------------------------------
+
+   With defaults only, Payload's object transformer runs as a copy plan,
+   not on the interpreter.  Each transformer.* fault must still abort
+   through the same enforcement path, typed, with the site naming the
+   class and the object.  The class transformer consults loop and throw
+   once before the object pair does; a rate-0.5 rule under a seed whose
+   first draw misses and second hits fires on the pair instead. *)
+let copy_path_fault ~point =
+  let seed =
+    if point = "transformer.badwrite" then 1
+    else
+      let rec find s =
+        let p = Faults.create ~seed:s () in
+        let d1 = Faults.draw p in
+        let d2 = Faults.draw p in
+        if d1 >= 0.5 && d2 < 0.5 then s else find (s + 1)
+      in
+      find 1
+  in
+  let plan = Faults.create ~seed () in
+  Faults.arm plan ~point
+    ~rate:(if point = "transformer.badwrite" then 1.0 else 0.5)
+    ~max_fires:1 Faults.Raise;
+  plan
+
+let copy_path_gauntlet () =
+  List.iteri
+    (fun k (point, want) ->
+      let config =
+        {
+          Helpers.test_config with
+          VM.State.transformer_fuel = 20_000;
+          verify_heap = true;
+        }
+      in
+      let vm = boot_payload ~config sandbox_v1 in
+      VM.Vm.run vm ~rounds:10;
+      let spec =
+        J.Spec.make
+          ~version_tag:(Printf.sprintf "c%d" k)
+          ~old_program:(compile sandbox_v1) ~new_program:(compile sandbox_v2)
+          ()
+      in
+      let before = live_count vm in
+      let plan = copy_path_fault ~point in
+      VM.Vm.set_faults vm (Some plan);
+      let h = J.Jvolve.update_now ~timeout_rounds:200 vm spec in
+      VM.Vm.set_faults vm None;
+      Alcotest.(check int) (point ^ ": fired once") 1 (Faults.fired plan);
+      match h.J.Jvolve.h_outcome with
+      | J.Jvolve.Aborted a ->
+          let site =
+            match (a.J.Updater.a_cause, want) with
+            | J.Updater.C_fuel_exhausted (s, steps), `Fuel ->
+                Alcotest.(check bool)
+                  (point ^ ": steps passed the budget") true (steps > 20_000);
+                s
+            | J.Updater.C_transformer_trap (s, _), `Trap
+            | J.Updater.C_sandbox_violation (s, _), `Sandbox ->
+                s
+            | c, _ ->
+                Alcotest.failf "%s: wrong cause %s" point
+                  (J.Updater.cause_to_string c)
+          in
+          Alcotest.(check string)
+            (point ^ ": site names the class")
+            "Payload" site.J.Updater.ts_class;
+          Alcotest.(check bool)
+            (point ^ ": site names the object") true
+            (site.J.Updater.ts_object > 0);
+          Alcotest.(check bool)
+            (point ^ ": site names jvolveObject") true
+            (Helpers.contains site.J.Updater.ts_method "jvolveObject");
+          check_contained point vm before a
+      | o ->
+          Alcotest.failf "%s should abort the update, got %s" point
+            (J.Jvolve.outcome_to_string o))
+    [
+      ("transformer.loop", `Fuel);
+      ("transformer.throw", `Trap);
+      ("transformer.badwrite", `Sandbox);
+    ]
+
 (* --- the heap integrity verifier ----------------------------------------- *)
 
 let boxes_v1 =
@@ -502,6 +587,8 @@ let suite =
       stray_write_is_trapped;
     Alcotest.test_case "sandbox: throwing transformer aborts" `Quick
       throwing_transformer_aborts;
+    Alcotest.test_case "copy path: transformer faults abort typed" `Quick
+      copy_path_gauntlet;
     Alcotest.test_case "verifier: corrupted ref field sinks the update"
       `Quick verifier_catches_corruption;
     Alcotest.test_case "fleet: unreliable rollback is quarantined" `Quick
