@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke perf-smoke clean
+.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke perf-smoke clean
 
 all:
 	dune build @all
@@ -129,6 +129,24 @@ heal-smoke:
 	grep -q "pre-crash records served bit-for-bit after recovery" _build/heal-smoke.out
 	grep -q "byte-identical across runs" _build/heal-smoke.out
 	! grep -q "FAIL" _build/heal-smoke.out
+
+# Indirection-baseline probe: the steady-state overhead section must
+# show the JDrums/DVM-style tax where it belongs — zero dereference
+# checks on the Jvolve-mode miniweb row, a nonzero count on the
+# indirection-mode row — and the lazily updated minimail row must have
+# migrated at least one object on first touch; the design-space example
+# must apply the same update through the baseline.
+baseline-smoke:
+	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe overhead \
+	  | tee _build/baseline-smoke.out
+	grep -Eq "^miniweb, Jvolve mode \(no checks\) +[0-9]+ +0$$" \
+	  _build/baseline-smoke.out
+	grep -Eq "^miniweb, indirection mode, no update in flight +[0-9]+ +[1-9][0-9]*$$" \
+	  _build/baseline-smoke.out
+	grep -Eq "^minimail, indirection mode, lazy update applied +[0-9]+ +\([1-9][0-9]* migrated\)$$" \
+	  _build/baseline-smoke.out
+	dune exec examples/baseline_comparison.exe | tee _build/baseline-example.out
+	grep -q "objects migrated on first touch" _build/baseline-example.out
 
 # Benchmark-workload probe: one short run of the Table 1 migrate
 # workload (default transformers run as copy plans) and one of the lazy

@@ -7,7 +7,7 @@
 
      1. normal (Jvolve) mode — no dereference checks;
      2. indirection mode, no update in flight — every getfield / putfield
-        / invokevirtual pays the handle-table check (the persistent tax);
+        / invokevirtual pays the dereference check (the persistent tax);
      3. indirection mode with a lazy update applied mid-run — checks plus
         on-demand object migration.
 
@@ -69,14 +69,14 @@ let run_lazy ~target =
       ()
   in
   let prepared = J.Transformers.prepare spec in
-  let st =
+  let () =
     (* lazy systems have no barrier machinery: retry between rounds until
        the restricted methods happen to be off stack (idle here) *)
     let rec attempt k =
       if k = 0 then failwith "lazy update never reached a safe point"
       else
         match B.Indirection.apply vm prepared with
-        | Ok st -> st
+        | Ok () -> ()
         | Error _ ->
             VM.Vm.run vm ~rounds:5;
             attempt (k - 1)
@@ -94,7 +94,7 @@ let run_lazy ~target =
   let wall = Support.now () -. t0 in
   let reqs = w.A.Workload.completed_requests in
   A.Workload.detach vm w;
-  (float_of_int reqs /. wall, st.B.Indirection.transformed)
+  (float_of_int reqs /. wall, B.Indirection.migrated vm)
 
 let update_phase_breakdown () =
   (* one representative update; report the paper's phase claims *)

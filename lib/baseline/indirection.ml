@@ -2,136 +2,47 @@
    Virtual Machine (paper §5).
 
    Instead of Jvolve's eager stop-the-world GC pass, objects are migrated
-   *on first dereference*: every getfield/putfield/invokevirtual consults a
-   handle table (and, while an update is pending, transforms stale objects
-   on the fly).  The per-dereference check is the cost the paper's design
-   eliminates: it persists during steady-state execution even when no
-   update is in flight, whereas Jvolve's updated programs run at full
+   *on first dereference*.  The migration is the updater's lazy update
+   window: an [indirection_mode] VM commits every update lazily and
+   never sweeps in the background, so an old object is transformed (by
+   the update's own object transformers) only when a
+   getfield/putfield/invokevirtual reaches it, and later touches chase
+   its lazy-forward marker.  What makes it the baseline is the tax:
+   every dereference pays a check, update or no update
+   ([State.deref_checks]), whereas Jvolve's updated programs run at full
    speed.
 
    Requires a VM created with [indirection_mode = true]; the [overhead]
-   benchmark contrasts the two modes.  Lazy transformation applies the
-   *default* field-copying transformer (lazy custom transformers are
-   unsound in general — stateful program actions after the update can
-   invalidate transformer assumptions, one of the drawbacks the paper
-   notes in §3.5). *)
+   benchmark contrasts the two modes. *)
 
-module CF = Jv_classfile
 module State = Jv_vm.State
-module Rt = Jv_vm.Rt
-module Heap = Jv_vm.Heap
-module Value = Jv_vm.Value
 module J = Jvolve_core
 
-type lazy_state = {
-  pending : (int, int) Hashtbl.t; (* old cid -> new cid *)
-  field_map : (int, (int * int) list) Hashtbl.t;
-      (* old cid -> (old offset, new offset) pairs for same-name same-type
-         fields *)
-  max_new_words : int; (* reservation bound so transforms never move [addr] *)
-  mutable transformed : int;
-}
-
-exception Lazy_error of string
-
-(* Build the old->new field copy map for one class pair. *)
-let build_field_map spec (old_rc : Rt.rt_class) (new_rc : Rt.rt_class) =
-  Array.to_list old_rc.Rt.instance_fields
-  |> List.filter_map (fun (ofi : Rt.field_info) ->
-         let mapped = J.Transformers.map_old_ty spec ofi.Rt.fi_ty in
-         Array.to_list new_rc.Rt.instance_fields
-         |> List.find_map (fun (nfi : Rt.field_info) ->
-                if
-                  String.equal ofi.Rt.fi_name nfi.Rt.fi_name
-                  && CF.Types.equal_ty mapped nfi.Rt.fi_ty
-                then Some (ofi.Rt.fi_offset, nfi.Rt.fi_offset)
-                else None))
-
-(* Transform [fr.ostack.(idx)]'s object to its new class, registering the
-   redirect in the handle table.  The reference lives in a root slot, so
-   the up-front reservation below may collect safely. *)
-let transform_slot vm st (fr : State.frame) idx =
-  (* reserve before decoding the address: ensure_free may collect and move
-     the object, but the slot is a root and gets rewritten *)
-  State.ensure_free vm st.max_new_words;
-  let addr = Value.to_ref fr.State.ostack.(idx) in
-  let cid = Heap.class_id vm.State.heap addr in
-  match Hashtbl.find_opt st.pending cid with
-  | None -> ()
-  | Some new_cid ->
-      let new_rc = Rt.class_by_id vm.State.reg new_cid in
-      let new_addr = State.alloc_object vm new_rc in
-      (match Hashtbl.find_opt st.field_map cid with
-      | Some pairs ->
-          List.iter
-            (fun (o, n) ->
-              Heap.set vm.State.heap ~addr:new_addr ~off:n
-                (Heap.get vm.State.heap ~addr ~off:o))
-            pairs
-      | None -> ());
-      Hashtbl.replace vm.State.handle_table addr new_addr;
-      st.transformed <- st.transformed + 1;
-      fr.State.ostack.(idx) <- Value.of_ref new_addr
-
-let make_hook st : State.t -> State.frame -> int -> unit =
- fun vm fr idx ->
-  let w = fr.State.ostack.(idx) in
-  match Hashtbl.find_opt vm.State.handle_table (Value.to_ref w) with
-  | Some n -> fr.State.ostack.(idx) <- Value.of_ref n
-  | None -> transform_slot vm st fr idx
-
-(* Apply an update lazily.  Class metadata is installed eagerly (that part
-   is unavoidable in any design); object migration happens on demand via
-   the dereference hook.  The caller is responsible for quiescence of
-   *changed methods* — like Jvolve, lazy systems still must not run old
-   code against new signatures — so this uses the same safe-point check,
-   but needs no GC pause. *)
-let apply vm (prepared : J.Transformers.prepared) : (lazy_state, string) result
-    =
+(* Apply an update lazily.  Class metadata is installed at once (that
+   part is unavoidable in any design); object migration happens on
+   demand.  Lazy systems must still not run old code against new
+   signatures, so this uses the same safe-point check as Jvolve, but has
+   no barrier machinery to wait for one: a blocked check fails. *)
+let apply vm (prepared : J.Transformers.prepared) : (unit, string) result =
   if not vm.State.config.indirection_mode then
-    Error "VM was not created with indirection_mode (no handle checks)"
+    Error "VM was not created with indirection_mode (no dereference checks)"
   else
-    let spec = prepared.J.Transformers.p_spec in
-    let restricted = J.Safepoint.compute vm spec in
+    let restricted = J.Safepoint.compute vm prepared.J.Transformers.p_spec in
     match J.Safepoint.check vm restricted with
     | J.Safepoint.Blocked stuck ->
         Error
           ("restricted methods on stack: "
           ^ J.Safepoint.describe_blockers vm restricted stuck)
-    | J.Safepoint.Safe osr_frames ->
-        let olds = J.Updater.rename_old_classes vm spec in
-        let news = J.Updater.install_new_classes vm spec in
-        J.Updater.carry_over_statics vm spec olds news;
-        J.Updater.swap_method_bodies vm spec;
-        ignore (J.Updater.invalidate_stale_code vm restricted);
-        List.iter
-          (fun fr ->
-            try Jv_vm.Osr.replace_frame vm fr
-            with Jv_vm.Osr.Osr_failed e -> raise (Lazy_error e))
-          osr_frames;
-        let st =
-          {
-            pending = Hashtbl.create 16;
-            field_map = Hashtbl.create 16;
-            max_new_words = 64;
-            transformed = 0;
-          }
-        in
-        let max_words = ref 64 in
-        List.iter
-          (fun (name, (old_rc : Rt.rt_class)) ->
-            match List.assoc_opt name news with
-            | Some new_rc ->
-                Hashtbl.replace st.pending old_rc.Rt.cid new_rc.Rt.cid;
-                Hashtbl.replace st.field_map old_rc.Rt.cid
-                  (build_field_map spec old_rc new_rc);
-                if new_rc.Rt.size_words > !max_words then
-                  max_words := new_rc.Rt.size_words
-            | None -> ())
-          olds;
-        let st = { st with max_new_words = !max_words } in
-        vm.State.lazy_hook <- Some (make_hook st);
-        Ok st
+    | J.Safepoint.Safe osr_frames -> (
+        match J.Updater.apply vm prepared ~restricted ~osr_frames with
+        | Ok _ -> Ok ()
+        | Error a -> Error (J.Updater.abort_to_string a))
+
+(* Objects migrated so far by the open update window (0 when none). *)
+let migrated vm =
+  match vm.State.lazy_info with
+  | Some li -> li.State.li_transformed
+  | None -> 0
 
 (* Steady-state instrumentation: how many dereference checks has this VM
    paid for?  (Nonzero even with no update in flight — that is the

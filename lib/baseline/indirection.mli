@@ -1,29 +1,23 @@
 (** The lazy, indirection-based baseline, modeled on JDrums and the
     Dynamic Virtual Machine (paper §5): objects migrate on first
-    dereference through a handle table, so every dereference pays a
-    check — update or no update.  Requires a VM created with
-    [indirection_mode = true].  Lazy transformation applies the default
-    field-copying transformer only (custom lazy transformers are unsound
-    in general — paper §3.5). *)
-
-module Rt = Jv_vm.Rt
-
-type lazy_state = {
-  pending : (int, int) Hashtbl.t;  (** old class id -> new class id *)
-  field_map : (int, (int * int) list) Hashtbl.t;
-      (** old class id -> (old offset, new offset) copy pairs *)
-  max_new_words : int;
-  mutable transformed : int;  (** objects migrated so far *)
-}
-
-exception Lazy_error of string
+    dereference, and every dereference pays a check — update or no
+    update.  Migration runs on the updater's lazy update window, which
+    an [indirection_mode] VM opens for every update and never sweeps in
+    the background.  Requires a VM created with
+    [indirection_mode = true]. *)
 
 val apply :
-  Jv_vm.State.t -> Jvolve_core.Transformers.prepared ->
-  (lazy_state, string) result
-(** Install the new class metadata eagerly and arm the dereference hook;
-    objects migrate on demand.  Fails (rather than waiting) if restricted
-    methods are on stack — lazy systems have no barrier machinery. *)
+  Jv_vm.State.t -> Jvolve_core.Transformers.prepared -> (unit, string) result
+(** Commit the update as a lazy window ({!Jvolve_core.Updater.apply}):
+    metadata installs at once, objects migrate when touched, and a
+    window left open by an earlier update is drained first.  Fails
+    (rather than waiting) if restricted methods are on stack — lazy
+    systems have no barrier machinery — and reports a rolled-back abort
+    as [Error]. *)
+
+val migrated : Jv_vm.State.t -> int
+(** Objects the open update window has migrated so far (0 with no
+    window open). *)
 
 val deref_checks : Jv_vm.State.t -> int
 (** How many dereference checks this VM has paid for (the baseline's

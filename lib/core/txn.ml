@@ -186,20 +186,24 @@ let restore_statics (vm : State.t) txn =
   done;
   vm.State.jtoc_n <- txn.tx_jtoc_n
 
+(* The new object -> pristine old copy table of an update log, decoded
+   to addresses for [Gc.collect ~redirect]. *)
+let redirect_of_log (update_log : int array) =
+  let redirect = Hashtbl.create (max 16 (Array.length update_log)) in
+  for i = 0 to (Array.length update_log / 2) - 1 do
+    Hashtbl.replace redirect
+      (Value.to_ref update_log.((2 * i) + 1))
+      (Value.to_ref update_log.(2 * i))
+  done;
+  redirect
+
 (* Undo the transforming collection: redirect every reference that landed
    on a new-layout object back to its pristine old copy.  [update_log]
    must hold current addresses (it was an extra root until the caller
    unregistered it; no collection may run in between). *)
 let rollback_heap (vm : State.t) (update_log : int array) =
-  if Array.length update_log > 0 then begin
-    let redirect = Hashtbl.create (max 16 (Array.length update_log)) in
-    for i = 0 to (Array.length update_log / 2) - 1 do
-      let old_copy = Value.to_ref update_log.(2 * i)
-      and new_obj = Value.to_ref update_log.((2 * i) + 1) in
-      Hashtbl.replace redirect new_obj old_copy
-    done;
-    ignore (Gc.collect ~redirect vm)
-  end
+  if Array.length update_log > 0 then
+    ignore (Gc.collect ~redirect:(redirect_of_log update_log) vm)
 
 let rollback ?(update_log = [||]) (vm : State.t) txn =
   restore_metadata vm txn;

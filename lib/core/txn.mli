@@ -29,6 +29,11 @@ val release_retained : State.t -> unit
 (** Close the guard window: unroot the retained log (if any) and run a
     plain collection so the old copies die.  Idempotent. *)
 
+val redirect_of_log : int array -> (int, int) Hashtbl.t
+(** The new object → pristine old copy addresses of a flattened update
+    log: the [redirect] a rollback collection ({!Jv_vm.Gc.collect})
+    chases.  The log must hold current addresses. *)
+
 val rollback : ?update_log:int array -> State.t -> t -> unit
 (** Restore metadata and statics, then — when [update_log] is non-empty,
     i.e. the transforming collection already ran — undo the heap pass by

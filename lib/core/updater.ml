@@ -269,12 +269,23 @@ let invalidate_stale_code vm (r : Safepoint.restricted) : int =
 
 (* --- transformer phase --------------------------------------------------- *)
 
-(* How one (new class, old class) pair is transformed.  A class whose
-   [jvolveObject] is the UPT's generated default runs as a [Copy]: the
-   flattened (old offset, new offset) word pairs of
+(* The generated default [jvolveObject] of one class pair as flattened
+   (old offset, new offset) word pairs: the fields of
    [Transformers.default_field_pairs], resolved the way the JIT resolves
-   the default body's getfield/putfield.  Custom transformers stay
-   [Interpreted], in the sandbox. *)
+   the default body's getfield/putfield. *)
+let copy_plan spec ~(old_cls : Rt.rt_class) ~(new_cls : Rt.rt_class) =
+  let offset (cls : Rt.rt_class) f =
+    match Rt.find_field_info cls f with
+    | Some fi -> fi.Rt.fi_offset
+    | None -> uerr "copy plan: no field %s.%s" cls.Rt.name f
+  in
+  Transformers.default_field_pairs spec new_cls.Rt.name
+  |> List.concat_map (fun f -> [ offset old_cls f; offset new_cls f ])
+  |> Array.of_list
+
+(* How one (new class, old class) pair is transformed.  A class whose
+   [jvolveObject] is the UPT's generated default runs as a [Copy] of its
+   [copy_plan]; custom transformers stay [Interpreted], in the sandbox. *)
 type obj_transformer = Copy of int array | Interpreted of Rt.rt_method
 
 (* The object transformers of one update, shared by the eager phase and
@@ -413,18 +424,11 @@ let object_transformer vm (objs : obj_transformers) ~new_cid ~old_cid =
   | None ->
       let new_cls = Rt.class_by_id vm.State.reg new_cid in
       let t =
-        if Transformers.object_default objs.ot_spec new_cls.Rt.name then begin
-          let old_cls = Rt.class_by_id vm.State.reg old_cid in
-          let offset (cls : Rt.rt_class) f =
-            match Rt.find_field_info cls f with
-            | Some fi -> fi.Rt.fi_offset
-            | None -> uerr "copy plan: no field %s.%s" cls.Rt.name f
-          in
+        if Transformers.object_default objs.ot_spec new_cls.Rt.name then
           Copy
-            (Transformers.default_field_pairs objs.ot_spec new_cls.Rt.name
-            |> List.concat_map (fun f -> [ offset old_cls f; offset new_cls f ])
-            |> Array.of_list)
-        end
+            (copy_plan objs.ot_spec
+               ~old_cls:(Rt.class_by_id vm.State.reg old_cid)
+               ~new_cls)
         else Interpreted (find_object_method vm objs ~new_cid ~old_cid)
       in
       Hashtbl.replace objs.ot_cache (new_cid, old_cid) t;
@@ -630,7 +634,9 @@ let unload_transformer vm (rc : Rt.rt_class) =
    transformed on first access — the interpreter's read barrier hands
    every dereferenced reference slot to [transform_slot] — while the
    scheduler's incremental sweeper drains the remainder a bounded number
-   of objects per round.
+   of objects per round.  An [indirection_mode] VM (the JDrums/DVM
+   baseline, lib/baseline) commits every update this way but never
+   sweeps: its window stays open until the next update drains it.
 
    A transformed original is overwritten with a lazy-forward marker
    ([Heap.make_lazy_fwd]) pointing at its new-layout replacement; its
@@ -751,14 +757,8 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
     match Hashtbl.find_opt li.State.li_plan cid with
     | None -> ()
     | Some new_cid ->
-        let old_cls = Rt.class_by_id vm.State.reg cid in
         let new_cls = Rt.class_by_id vm.State.reg new_cid in
-        let old_size =
-          if old_cls.Rt.is_array then
-            Heap.array_header_words
-            + heap.Heap.space.(addr + Heap.off_array_len)
-          else old_cls.Rt.size_words
-        in
+        let old_size = Gc.obj_size vm heap.Heap.space addr in
         (* both allocations must land without an intervening collection,
            so the blit source cannot move between them *)
         State.ensure_free vm (new_cls.Rt.size_words + old_size);
@@ -858,12 +858,7 @@ let sweep_pass vm (ctx : lazy_ctx) ~budget =
   do
     let addr = ctx.lz_cursor in
     let cid = heap.Heap.space.(addr + Heap.off_class) in
-    let cls = Rt.class_by_id vm.State.reg cid in
-    let size =
-      if cls.Rt.is_array then
-        Heap.array_header_words + heap.Heap.space.(addr + Heap.off_array_len)
-      else cls.Rt.size_words
-    in
+    let size = Gc.obj_size vm heap.Heap.space addr in
     let gcw = heap.Heap.space.(addr + Heap.off_gc) in
     if Heap.is_plain_tag gcw && Hashtbl.mem li.State.li_plan cid then begin
       ctx.lz_scratch.(0) <- Value.of_ref addr;
@@ -888,17 +883,10 @@ let scrub_copy_tags vm =
   let scan = ref 1 in
   while !scan < heap.Heap.free do
     let addr = !scan in
-    let cid = heap.Heap.space.(addr + Heap.off_class) in
-    let cls = Rt.class_by_id vm.State.reg cid in
-    let size =
-      if cls.Rt.is_array then
-        Heap.array_header_words + heap.Heap.space.(addr + Heap.off_array_len)
-      else cls.Rt.size_words
-    in
     let gcw = heap.Heap.space.(addr + Heap.off_gc) in
     if Heap.is_copy_tag gcw then
       heap.Heap.space.(addr + Heap.off_gc) <- Heap.copy_tag_epoch gcw;
-    scan := addr + size
+    scan := addr + Gc.obj_size vm heap.Heap.space addr
   done
 
 (* Detach the window's hooks and per-window resources (shared by
@@ -954,32 +942,37 @@ let lazy_finalize vm (ctx : lazy_ctx) =
       ("interpreted", Jv_obs.Obs.Int ctx.lz_objs.ot_interpreted);
     ]
 
-(* Copy same-named fields from each inverse pair's new-layout snapshot
-   into its zeroed old-layout replacement — the default inverse
-   transformation, applied to objects the app allocated as new-version
-   instances during the window (they are in no update log, so the
-   rollback's redirect cannot restore them). *)
-let lazy_untransform_defaults vm (inv_log : int array) =
+(* The default inverse transformation, applied to objects the app
+   allocated as new-version instances during the window (they are in no
+   update log, so the rollback's redirect cannot restore them): each
+   inverse pair's zeroed old-layout replacement gets back exactly the
+   fields the forward default would have copied — the [copy_plan] run in
+   reverse, from the new-layout snapshot.  A field whose type changed
+   stays at its default. *)
+let lazy_untransform_defaults vm spec (inv_log : int array) =
   let heap = vm.State.heap in
   let reg = vm.State.reg in
+  let plans = Hashtbl.create 8 in
   for i = 0 to (Array.length inv_log / 2) - 1 do
     let snap = Value.to_ref inv_log.(2 * i)
     and restored = Value.to_ref inv_log.((2 * i) + 1) in
-    let new_cls = Rt.class_by_id reg (Heap.class_id heap snap) in
-    let old_cls = Rt.class_by_id reg (Heap.class_id heap restored) in
-    Array.iter
-      (fun (ofi : Rt.field_info) ->
-        Array.iter
-          (fun (nfi : Rt.field_info) ->
-            if
-              String.equal ofi.Rt.fi_name nfi.Rt.fi_name
-              && CF.Types.is_reference ofi.Rt.fi_ty
-                 = CF.Types.is_reference nfi.Rt.fi_ty
-            then
-              Heap.set heap ~addr:restored ~off:ofi.Rt.fi_offset
-                (Heap.get heap ~addr:snap ~off:nfi.Rt.fi_offset))
-          new_cls.Rt.instance_fields)
-      old_cls.Rt.instance_fields
+    let key = (Heap.class_id heap snap, Heap.class_id heap restored) in
+    let plan =
+      match Hashtbl.find_opt plans key with
+      | Some p -> p
+      | None ->
+          let p =
+            copy_plan spec
+              ~old_cls:(Rt.class_by_id reg (snd key))
+              ~new_cls:(Rt.class_by_id reg (fst key))
+          in
+          Hashtbl.replace plans key p;
+          p
+    in
+    for k = 0 to (Array.length plan / 2) - 1 do
+      Heap.set heap ~addr:restored ~off:plan.(2 * k)
+        (Heap.get heap ~addr:snap ~off:plan.((2 * k) + 1))
+    done
   done
 
 (* The post-transform heap integrity walk.  The old copies among the
@@ -1090,18 +1083,13 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
       vm.State.lazy_info <- None;
       (* 1: the combined redirect + inverse-transform collection (still
          on new metadata) *)
-      let redirect = Hashtbl.create (max 16 (Array.length trimmed)) in
-      for i = 0 to (Array.length trimmed / 2) - 1 do
-        Hashtbl.replace redirect
-          (Value.to_ref trimmed.((2 * i) + 1))
-          (Value.to_ref trimmed.(2 * i))
-      done;
+      let redirect = Txn.redirect_of_log trimmed in
       let inv_plan = Hashtbl.create 16 in
       Hashtbl.iter
         (fun old_cid new_cid -> Hashtbl.replace inv_plan new_cid old_cid)
         li.State.li_plan;
       let invres = Gc.collect ~plan:inv_plan ~redirect vm in
-      lazy_untransform_defaults vm invres.Gc.update_log;
+      lazy_untransform_defaults vm ctx.lz_objs.ot_spec invres.Gc.update_log;
       (* 2: the copies the redirect restored are live again *)
       scrub_copy_tags vm;
       (* 3: metadata + statics back to the snapshot (no heap pass: step 1
@@ -1138,7 +1126,10 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
       true
 
 (* The per-round hook (State.lazy_sweep): roll back if aborting, else
-   sweep one budget's worth and finalize on completion. *)
+   sweep one budget's worth and finalize on completion.  An
+   [indirection_mode] VM does not sweep: its objects migrate only when
+   dereferenced, and its window stays open until the next update drains
+   it. *)
 let lazy_round (ctx : lazy_ctx) vm =
   match ctx.lz_abort with
   | Some _ ->
@@ -1146,8 +1137,10 @@ let lazy_round (ctx : lazy_ctx) vm =
       ignore
         (lazy_rollback vm ctx ~force:(ctx.lz_abort_attempts > 200) : bool)
   | None ->
-      let budget = max 1 vm.State.config.lazy_sweep_budget in
-      if sweep_pass vm ctx ~budget then lazy_finalize vm ctx
+      if not vm.State.config.indirection_mode then begin
+        let budget = max 1 vm.State.config.lazy_sweep_budget in
+        if sweep_pass vm ctx ~budget then lazy_finalize vm ctx
+      end
 
 (* Synchronous drain (State.lazy_drain): force every residual transform
    now — a new update, or the guard's inverse update, needs the window
@@ -1230,7 +1223,10 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
   let spec = p.Transformers.p_spec in
   (* a guard revert must be eager: the inverse replay reads restored
      objects immediately after the transforming collection *)
-  let lazy_mode = vm.State.config.lazy_update && replay = None in
+  let lazy_mode =
+    (vm.State.config.lazy_update || vm.State.config.indirection_mode)
+    && replay = None
+  in
   let lazy_ctx_r = ref None in
   let faults = vm.State.faults in
   let obs = vm.State.obs in

@@ -3,7 +3,6 @@
     with its update log. *)
 
 module State = Jv_vm.State
-module Rt = Jv_vm.Rt
 
 exception Update_error of string
 
@@ -82,25 +81,8 @@ val abort_to_string : abort -> string
 exception Update_failure of cause * string
 (** A failure inside [apply] that carries a typed cause. *)
 
-(** The individual steps, exposed for the baseline updaters (hotswap and
-    lazy indirection reuse the metadata phases without the GC pass): *)
-
-val rename_old_classes : State.t -> Spec.t -> (string * Rt.rt_class) list
-(** Rename superseded classes to their [v<tag>_] stubs, strip their
-    methods, invalidate their compiled code.  Returns (original name,
-    runtime class) pairs. *)
-
-val install_new_classes : State.t -> Spec.t -> (string * Rt.rt_class) list
-(** Install the new versions of updated classes and all added classes. *)
-
-val carry_over_statics :
-  State.t ->
-  Spec.t ->
-  (string * Rt.rt_class) list ->
-  (string * Rt.rt_class) list ->
-  unit
-(** Unchanged (same name, mapped-same type) static fields keep their
-    values; superseded slots are cleared. *)
+(** The body-swap steps, exposed for the HotSwap baseline (it reuses
+    them without a safe point, a transaction or a heap pass): *)
 
 val swap_method_bodies : State.t -> Spec.t -> unit
 (** Method-body updates: replace bytecode in place, invalidate compiled
@@ -127,6 +109,13 @@ val apply :
     points — rolls the VM back to the pre-update snapshot and returns
     [Error abort].  A [Faults.Killed] injection additionally marks the VM
     killed ([State.killed]) after the rollback.
+
+    With [State.config.lazy_update], or on an [indirection_mode] VM, the
+    commit runs no transforming collection: it opens a lazy update
+    window in which old objects are transformed on first dereference
+    (and, except in [indirection_mode], by a background sweeper), and
+    the transaction stays open until the window drains or rolls back.
+    A window still open from an earlier update is drained first.
 
     [retain_log] commits through {!Txn.commit_retaining}: the update log
     stays GC-rooted and published as [State.guard_retained] until the

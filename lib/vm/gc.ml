@@ -49,10 +49,7 @@ let collect ?plan ?redirect (vm : State.t) : result =
   let from = Heap.flip heap in
   let copied = ref 0 in
   let transformed = ref 0 in
-  let log = Buffer.create 64 in
-  (* the log is built as ints in a resizable buffer-of-pairs *)
   let log_old = ref [] in
-  ignore log;
   let bump nwords =
     match Heap.alloc_raw heap ~nwords with
     | Some a -> a
@@ -82,12 +79,7 @@ let collect ?plan ?redirect (vm : State.t) : result =
     end
     else begin
       let cid = from.(addr + Heap.off_class) in
-      let cls = Rt.class_by_id vm.State.reg cid in
-      let size =
-        if cls.Rt.is_array then
-          Heap.array_header_words + from.(addr + Heap.off_array_len)
-        else cls.Rt.size_words
-      in
+      let size = obj_size vm from addr in
       match
         match plan with
         | None -> None
@@ -142,17 +134,6 @@ let collect ?plan ?redirect (vm : State.t) : result =
       | None -> ())
     vm.State.threads;
   List.iter (fun a -> forward_array a 0 (Array.length a)) vm.State.extra_roots;
-  (* the indirection baseline's handle table maps addresses to addresses *)
-  if Hashtbl.length vm.State.handle_table > 0 then begin
-    let pairs =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) vm.State.handle_table []
-    in
-    Hashtbl.reset vm.State.handle_table;
-    List.iter
-      (fun (k, v) ->
-        Hashtbl.replace vm.State.handle_table (forward k) (forward v))
-      pairs
-  end;
   (* --- Cheney scan --- *)
   let scan = ref 1 in
   while !scan < heap.Heap.free do

@@ -23,11 +23,15 @@ type result = {
           while transformers run *)
 }
 
+val obj_size : State.t -> int array -> int -> int
+(** [obj_size vm space addr]: the size in words, header included, of the
+    object at [addr] in [space] (a semi-space array). *)
+
 val collect :
   ?plan:transform_plan -> ?redirect:(int, int) Hashtbl.t -> State.t -> result
 (** Roots: the JTOC, every thread frame's locals and live operand stack,
-    pending native arguments, [State.extra_roots] arrays (rewritten in
-    place), and the indirection baseline's handle table.
+    pending native arguments, and [State.extra_roots] arrays (rewritten
+    in place).  A lazy-forward marker forwards to its replacement.
 
     [redirect] (new addr → old-copy addr, decoded from an update log) is
     the updater's transaction rollback: forwarding chases the redirect

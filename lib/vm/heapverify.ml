@@ -134,11 +134,7 @@ let run_once ~stale_ok ~guard_pending ~lazy_pending (vm : State.t) :
     end
     else begin
       let cls = reg.Rt.classes.(cid) in
-      let size =
-        if cls.Rt.is_array then
-          Heap.array_header_words + Heap.array_length heap addr
-        else cls.Rt.size_words
-      in
+      let size = Gc.obj_size vm heap.Heap.space addr in
       if size < Heap.header_words || addr + size > heap.Heap.free then begin
         flag addr cls.Rt.name "object size %d words breaks the heap walk"
           size;

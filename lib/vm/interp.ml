@@ -21,25 +21,15 @@ type slice_end = S_parked | S_blocked | S_finished | S_trapped of string
 
 let max_frames = 4096
 
-(* Per-dereference indirection check (the JDrums/DVM baseline; paper §5).
-   Translates the reference *in place* on the operand stack so that it
-   remains a GC root while the lazy hook possibly allocates a replacement
-   object.  In normal (Jvolve) mode this code never runs: the whole point
-   of the paper's eager GC-based update is that steady-state execution
-   pays no per-dereference tax. *)
-let deref_check_slot vm (fr : State.frame) idx =
-  if vm.State.config.indirection_mode && idx >= 0 then begin
-    vm.State.deref_checks <- vm.State.deref_checks + 1;
-    let w = fr.State.ostack.(idx) in
-    if Value.is_ref w then
-      match vm.State.lazy_hook with
-      | Some hook -> hook vm fr idx
-      | None -> (
-          if Hashtbl.length vm.State.handle_table > 0 then
-            match Hashtbl.find_opt vm.State.handle_table (Value.to_ref w) with
-            | Some n -> fr.State.ostack.(idx) <- Value.of_ref n
-            | None -> ())
-  end
+(* The per-dereference check of the JDrums/DVM baseline (paper §5): an
+   [indirection_mode] VM counts every getfield/putfield/invokevirtual,
+   update or no update.  Migrating objects is the lazy read barrier's
+   job below; this is only the tax.  In normal (Jvolve) mode it costs
+   one flag test: the point of the paper's eager GC-based update is that
+   steady-state execution pays no per-dereference check. *)
+let deref_check vm =
+  if vm.State.config.indirection_mode then
+    vm.State.deref_checks <- vm.State.deref_checks + 1
 
 (* Raised by the lazy-update read barrier when the window is aborting (a
    residual transformer trapped): the current instruction has not
@@ -53,7 +43,7 @@ exception Lazy_abort
    rewriting the operand-stack slot in place (the slot stays a GC root
    while the transformer allocates).  With no window open the cost is a
    single [None] check — steady state still pays no per-dereference tax,
-   unlike the JDrums-style [indirection_mode] baseline above. *)
+   unlike the JDrums-style [indirection_mode] count above. *)
 let lazy_check_slot vm (fr : State.frame) idx =
   match vm.State.lazy_barrier with
   | None -> ()
@@ -273,13 +263,13 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                fr.State.pc <- (if c then fr.State.pc + 1 else target)
            | M_goto target -> fr.State.pc <- target
            | M_getfield off ->
-               deref_check_slot vm fr (fr.State.sp - 1);
+               deref_check vm;
                lazy_check_slot vm fr (fr.State.sp - 1);
                let addr = ref_addr "getfield" (State.pop_op fr) in
                State.push_op fr (Heap.get heap ~addr ~off);
                next ()
            | M_putfield off ->
-               deref_check_slot vm fr (fr.State.sp - 2);
+               deref_check vm;
                lazy_check_slot vm fr (fr.State.sp - 2);
                let v = State.pop_op fr in
                let addr = ref_addr "putfield" (State.pop_op fr) in
@@ -295,7 +285,7 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
            | M_invokevirtual (slot, argc) ->
                let recv_idx = fr.State.sp - argc in
                if recv_idx < 0 then trap "operand stack underflow at call";
-               deref_check_slot vm fr recv_idx;
+               deref_check vm;
                lazy_check_slot vm fr recv_idx;
                let addr = ref_addr "virtual call" fr.State.ostack.(recv_idx) in
                let cls = Rt.class_by_id reg (Heap.class_id heap addr) in

@@ -98,7 +98,9 @@ let progress_possible vm =
   vm.State.killed = None
   && (vm.State.dsu_attempt <> None
   || vm.State.guard_tick <> None (* an open guard window still needs rounds *)
-  || vm.State.lazy_sweep <> None (* an open lazy window still drains *)
+  (* an open lazy window still drains (an indirection-mode one only when
+     its objects are touched) *)
+  || (vm.State.lazy_sweep <> None && not vm.State.config.indirection_mode)
   || List.exists
        (fun (t : State.vthread) ->
          match t.State.tstate with

@@ -12,7 +12,10 @@ type config = {
   heap_words : int; (* words per semi-space *)
   opt_threshold : int; (* invocations before opt recompilation *)
   quantum : int; (* machine instructions per scheduler slice *)
-  indirection_mode : bool; (* baseline: per-dereference handle checks *)
+  indirection_mode : bool;
+      (* the JDrums/DVM-style baseline: every getfield/putfield/
+         invokevirtual pays a check, and every update commits lazily with
+         no background sweep, so objects migrate only when touched *)
   inline_max_code : int; (* max callee bytecode length to inline *)
   inline_depth : int; (* max nesting of inlined bodies *)
   opt_osr : bool;
@@ -180,12 +183,6 @@ type t = {
   (* installed during the transformer phase so the [Jvolve.transform]
      native can force an object's transformer to run *)
   mutable force_transform : (t -> int -> unit) option;
-  (* lazy-update baseline (JDrums-style): consulted on every dereference
-     when [indirection_mode] is set.  Receives the frame and operand-stack
-     slot index holding the reference and rewrites the slot to the
-     up-to-date reference, transforming the object on first touch.  Slot-
-     based so the reference stays a GC root while the hook allocates. *)
-  mutable lazy_hook : (t -> frame -> int -> unit) option;
   (* --- lazy update window (epoch-tagged heap) ----------------------- *)
   (* read barrier, installed while a lazy update window is open: receives
      a rooted word array (an operand stack or a scratch root) and the
@@ -216,8 +213,9 @@ type t = {
   mutable opt_compile_count : int;
   mutable osr_count : int;
   mutable instr_count : int;
-  mutable deref_checks : int; (* indirection-baseline trap count *)
-  handle_table : (int, int) Hashtbl.t; (* indirection-baseline redirects *)
+  (* dereferences an [indirection_mode] VM has paid its check on: the
+     baseline's steady-state tax, counted with or without an update *)
+  mutable deref_checks : int;
   mutable trap_log : (int * string) list;
   (* --- per-epoch error attribution (post-commit guard window) ------- *)
   (* every interpreter trap / app-level error response is charged to the
@@ -278,7 +276,6 @@ let create ?(config = default_config) () =
     dsu_attempt = None;
     barrier_fired = false;
     force_transform = None;
-    lazy_hook = None;
     lazy_barrier = None;
     lazy_sweep = None;
     lazy_drain = None;
@@ -292,7 +289,6 @@ let create ?(config = default_config) () =
     osr_count = 0;
     instr_count = 0;
     deref_checks = 0;
-    handle_table = Hashtbl.create 64;
     trap_log = [];
     traps_by_epoch = Hashtbl.create 8;
     app_errors_by_epoch = Hashtbl.create 8;

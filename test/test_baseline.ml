@@ -1,5 +1,6 @@
 (* Baseline DSU systems: the method-body-only (HotSwap/E&C) updater and the
-   lazy indirection-based (JDrums/DVM-style) updater. *)
+   lazy indirection-based (JDrums/DVM-style) updater, which runs on the
+   updater's lazy update window. *)
 
 module VM = Jv_vm
 module J = Jvolve_core
@@ -134,20 +135,18 @@ let lazy_migrates_on_touch () =
       ~new_program:(compile lazy_src_v2) ()
   in
   let prepared = J.Transformers.prepare spec in
-  let st =
-    match B.Indirection.apply vm prepared with
-    | Ok st -> st
-    | Error e -> Alcotest.failf "lazy apply failed: %s" e
-  in
-  Alcotest.(check int) "nothing migrated yet" 0 st.B.Indirection.transformed;
+  (match B.Indirection.apply vm prepared with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "lazy apply failed: %s" e);
+  Alcotest.(check int) "nothing migrated yet" 0 (B.Indirection.migrated vm);
   (* touching Box one migrates it (field values preserved) but not two *)
   Alcotest.(check int) "readOne" 12 (call_reader vm "readOne");
-  Alcotest.(check int) "one migrated" 1 st.B.Indirection.transformed;
+  Alcotest.(check int) "one migrated" 1 (B.Indirection.migrated vm);
   Alcotest.(check int) "readTwo" 34 (call_reader vm "readTwo");
-  Alcotest.(check int) "both migrated" 2 st.B.Indirection.transformed;
-  (* subsequent touches hit the handle table, no re-migration *)
+  Alcotest.(check int) "both migrated" 2 (B.Indirection.migrated vm);
+  (* subsequent touches chase the lazy-forward marker, no re-migration *)
   Alcotest.(check int) "readOne again" 12 (call_reader vm "readOne");
-  Alcotest.(check int) "still two" 2 st.B.Indirection.transformed;
+  Alcotest.(check int) "still two" 2 (B.Indirection.migrated vm);
   (* the tax is real: dereference checks accumulated *)
   Alcotest.(check bool) "deref checks counted" true
     (B.Indirection.deref_checks vm > 0)
@@ -173,14 +172,113 @@ let lazy_survives_gc () =
       ~new_program:(compile lazy_src_v2) ()
   in
   (match B.Indirection.apply vm (J.Transformers.prepare spec) with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error e -> Alcotest.failf "apply: %s" e);
   Alcotest.(check int) "readOne" 12 (call_reader vm "readOne");
   (* a collection moves both the old object and its migrated copy; the
-     handle table must be rewritten *)
+     original's lazy-forward marker must still lead to the copy *)
   ignore (VM.Vm.gc vm);
   Alcotest.(check int) "readOne after GC" 12 (call_reader vm "readOne");
   Alcotest.(check int) "readTwo after GC" 34 (call_reader vm "readTwo")
+
+(* --- chained hops of one class ---------------------------------------- *)
+
+(* [Box] gains a field in front of the others at every hop, so [a] and
+   [b] move each time: a reader that sees a stale layout reads the wrong
+   words. *)
+let chain_src fields =
+  Printf.sprintf
+    {|
+class Box { %s }
+class Store { static Box one; static Box two; }
+class Reader {
+  static int readOne() { return Store.one.a * 10 + Store.one.b; }
+  static int readTwo() { return Store.two.a * 10 + Store.two.b; }
+}
+class Main {
+  static void main() {
+    Store.one = new Box();
+    Store.one.a = 1; Store.one.b = 2;
+    Store.two = new Box();
+    Store.two.a = 3; Store.two.b = 4;
+    for (int i = 0; i < 200; i = i + 1) { Thread.yieldNow(); }
+  }
+}
+|}
+    (String.concat " " (List.map (Printf.sprintf "int %s;") fields))
+
+let chained_hops_read_through () =
+  let layouts = [ [ "a"; "b" ]; [ "c"; "a"; "b" ]; [ "d"; "c"; "a"; "b" ] ] in
+  let vm = boot ~config:indirection_config (chain_src (List.hd layouts)) in
+  VM.Vm.run vm ~rounds:5;
+  let hop tag from_fields to_fields =
+    let spec =
+      J.Spec.make ~version_tag:tag
+        ~old_program:(compile (chain_src from_fields))
+        ~new_program:(compile (chain_src to_fields))
+        ()
+    in
+    match B.Indirection.apply vm (J.Transformers.prepare spec) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "hop %s: %s" tag e
+  in
+  (* between the hops only Store.one is touched: Store.two is still on
+     the first layout when the second hop commits *)
+  hop "1" (List.nth layouts 0) (List.nth layouts 1);
+  Alcotest.(check int) "readOne after hop 1" 12 (call_reader vm "readOne");
+  hop "2" (List.nth layouts 1) (List.nth layouts 2);
+  Alcotest.(check int) "readOne after hop 2" 12 (call_reader vm "readOne");
+  Alcotest.(check int) "readTwo after hop 2" 34 (call_reader vm "readTwo");
+  ignore (VM.Vm.gc vm);
+  Alcotest.(check int) "readTwo after GC" 34 (call_reader vm "readTwo");
+  let r = VM.Heapverify.run vm in
+  if not r.VM.Heapverify.hv_ok then
+    Alcotest.failf "heap after two hops: %d issue(s): %s"
+      r.VM.Heapverify.hv_total_issues
+      (String.concat "; "
+         (List.map VM.Heapverify.issue_to_string r.VM.Heapverify.hv_issues))
+
+(* --- a failed migration rolls the update back ------------------------- *)
+
+let failed_migration_rolls_back () =
+  let vm = Test_lazy.boot_boxes ~config:indirection_config () in
+  (match B.Indirection.apply vm (J.Transformers.prepare (Test_lazy.boxes_spec ()))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "apply: %s" e);
+  (* the reader's very next touch of a Box runs its transformer, which
+     throws: the whole window must roll back to the old version *)
+  let plan = Jv_faults.Faults.create ~seed:7 () in
+  Jv_faults.Faults.arm plan ~point:"transformer.throw" ~max_fires:1
+    Jv_faults.Faults.Raise;
+  VM.Vm.set_faults vm (Some plan);
+  let budget = ref 200 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  VM.Vm.set_faults vm None;
+  Alcotest.(check bool) "window closed" true (vm.VM.State.lazy_info = None);
+  Alcotest.(check int) "rolled back once" 1
+    (Jv_obs.Obs.counter_value vm.VM.State.obs "core.lazy.rollbacks");
+  let printed () =
+    String.split_on_char '
+' (String.trim (VM.Vm.output vm))
+    |> List.filter (fun l -> l <> "")
+  in
+  let before = List.length (printed ()) in
+  VM.Vm.run vm ~rounds:20;
+  let lines = printed () in
+  (* no thread stayed parked behind the aborted window *)
+  Alcotest.(check bool) "reader kept printing" true
+    (List.length lines > before);
+  List.iter
+    (fun l ->
+      if l <> Printf.sprintf "s=%d" (Test_lazy.hot_sum Test_lazy.n_boxes) then
+        Alcotest.failf "wrong sum after rollback: %S" l)
+    lines;
+  let r = VM.Heapverify.run vm in
+  Alcotest.(check bool) "heap verifies" true r.VM.Heapverify.hv_ok
 
 let suite =
   [
@@ -194,4 +292,8 @@ let suite =
     Alcotest.test_case "lazy requires indirection mode" `Quick
       lazy_requires_indirection_mode;
     Alcotest.test_case "lazy survives GC" `Quick lazy_survives_gc;
+    Alcotest.test_case "lazy chained hops read through" `Quick
+      chained_hops_read_through;
+    Alcotest.test_case "lazy failed migration rolls back" `Quick
+      failed_migration_rolls_back;
   ]

@@ -338,6 +338,101 @@ let guard_revert_half_transformed () =
   Alcotest.(check (list string))
     "store answers bit-for-bit as before the migration" before after
 
+(* --- a window rollback copies back only what the default copies ------- *)
+
+(* [Box.s] changes type (String -> Tag) and [Maker.make] stores a fresh
+   box in a heap array every iteration: in the window that box is a
+   new-layout [Box] holding a Tag.  Rolling the window back turns it into
+   an old-layout box; [s] must not come back as a String field holding a
+   Tag. *)
+let retyped_src ~v2 =
+  Printf.sprintf
+    {|
+class Tag { int t; }
+class Box { int a; %s s; }
+class Keeper { static Box[] all; static Box[] fresh; }
+class Maker {
+  static void make(int i) {
+    Box b = new Box();
+    b.a = i;
+    b.s = %s;
+    Keeper.fresh[0] = b;
+  }
+}
+class Probe {
+  static int freshA() {
+    Box b = Keeper.fresh[0];
+    if (b.s == null) { return b.a; }
+    return -1;
+  }
+}
+class Main {
+  static void main() {
+    Keeper.all = new Box[%d];
+    Keeper.fresh = new Box[1];
+    for (int i = 0; i < %d; i = i + 1) {
+      Box b = new Box();
+      b.a = i;
+      Keeper.all[i] = b;
+    }
+    for (int j = 1; j < 100000; j = j + 1) {
+      Maker.make(j);
+      Thread.yieldNow();
+    }
+  }
+}
+|}
+    (if v2 then "Tag" else "String")
+    (if v2 then "new Tag()" else {|"x"|})
+    n_boxes n_boxes
+
+let rollback_drops_retyped_field () =
+  let compile v2 = Jv_lang.Compile.compile_program (retyped_src ~v2) in
+  let vm = VM.Vm.create ~config:(lazy_config ~budget:1 ()) () in
+  VM.Vm.boot vm (compile false);
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  VM.Vm.run vm ~rounds:5;
+  let spec =
+    J.Spec.make ~version_tag:"rt" ~old_program:(compile false)
+      ~new_program:(compile true) ()
+  in
+  (match (J.Jvolve.update_now ~timeout_rounds:100 vm spec).J.Jvolve.h_outcome with
+  | J.Jvolve.Applied _ -> ()
+  | o ->
+      Alcotest.failf "lazy update did not apply: %s"
+        (J.Jvolve.outcome_to_string o));
+  (* a few iterations on the new version while the crawling sweeper
+     leaves the old boxes pending *)
+  VM.Vm.run vm ~rounds:3;
+  ignore (lazy_info vm);
+  let plan = Faults.create ~seed:5 () in
+  Faults.arm plan ~point:"transformer.throw" ~max_fires:1 Faults.Raise;
+  VM.Vm.set_faults vm (Some plan);
+  let budget = ref 3000 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  VM.Vm.set_faults vm None;
+  Alcotest.(check int) "rolled back" 1
+    (Obs.counter_value vm.VM.State.obs "core.lazy.rollbacks");
+  let r = VM.Heapverify.run vm in
+  if not r.VM.Heapverify.hv_ok then
+    Alcotest.failf "heap after rollback: %s"
+      (String.concat "; "
+         (List.map VM.Heapverify.issue_to_string r.VM.Heapverify.hv_issues));
+  (* the in-window box kept its [a] and lost its Tag *)
+  let probe =
+    let cls = VM.Rt.require_class vm.VM.State.reg "Probe" in
+    match
+      VM.Rt.resolve_method vm.VM.State.reg cls "freshA"
+        { Jv_classfile.Types.params = []; ret = Jv_classfile.Types.TInt }
+    with
+    | Some m -> VM.Value.to_int (VM.Interp.call_sync vm m [||])
+    | None -> Alcotest.fail "no Probe.freshA"
+  in
+  Alcotest.(check bool) "fresh box: a restored, s null" true (probe > 0)
+
 let suite =
   [
     Alcotest.test_case "lazy barrier transforms exactly once" `Quick
@@ -348,4 +443,6 @@ let suite =
       `Quick residual_trap_rolls_back;
     Alcotest.test_case "guard revert over a half-transformed heap" `Quick
       guard_revert_half_transformed;
+    Alcotest.test_case "rollback drops a retyped field" `Quick
+      rollback_drops_retyped_field;
   ]
