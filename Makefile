@@ -94,11 +94,16 @@ store-smoke:
 # Lazy-update probe: under config.lazy_update the commit pause must not
 # scale with the heap — the 1M-record ministore migration must commit
 # within 2x the 10k-record pause (records migrate on first access and by
-# the background sweeper instead of inside the pause) — and a guarded
-# lazy migration must revert cleanly when tripped mid-sweep.
+# the background sweeper instead of inside the pause) — the 10k-record
+# window, drained synchronously after its commit, must close with its
+# row reading "drained": every record went through its sandboxed custom
+# transformer (a refused write or trap would read ROLLBACK, a drain that
+# never finishes would hang the target) — and a guarded lazy migration
+# must revert cleanly when tripped mid-sweep.
 lazy-smoke:
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe -- store --lazy | tee _build/lazy-smoke.out
 	grep -q "lazy pause flat: PASS" _build/lazy-smoke.out
+	grep -Eq "^ *10000 .* drained$$" _build/lazy-smoke.out
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe -- guard --lazy | tee _build/lazy-guard-smoke.out
 	grep -q "lazy pause flat: PASS" _build/lazy-guard-smoke.out
 

@@ -296,7 +296,6 @@ type obj_transformers = {
   (* (new cid, old cid) -> transformer: the paper's suggested "caching
      the lookup" optimization for the reflective dispatch *)
   ot_cache : (int * int, obj_transformer) Hashtbl.t;
-  ot_interp : bool; (* some class's object transformer is interpreted *)
   mutable ot_planned : int; (* pairs run as copy plans *)
   mutable ot_interpreted : int; (* pairs run on the interpreter *)
 }
@@ -306,10 +305,6 @@ let obj_transformers (spec : Spec.t) transformer_rc =
     ot_spec = spec;
     ot_rc = transformer_rc;
     ot_cache = Hashtbl.create 8;
-    ot_interp =
-      List.exists
-        (fun cls -> not (Transformers.object_default spec cls))
-        spec.Spec.diff.Diff.class_updates_closure;
     ot_planned = 0;
     ot_interpreted = 0;
   }
@@ -318,12 +313,9 @@ type transform_ctx = {
   log : int array; (* flattened (old, new) pairs; registered as GC roots *)
   n_pairs : int;
   status : int array; (* 0 = pending, 1 = in progress, 2 = done *)
-  (* new addr -> pair index, built on the first [force_transform] *)
-  mutable index : (int, int) Hashtbl.t;
-  mutable index_gc_count : int;
   objs : obj_transformers;
   carrier : State.vthread; (* reused for every transformer invocation *)
-  sandbox : State.sandbox; (* fuel accounting + write restriction *)
+  sandbox : State.sandbox; (* fuel, write restriction, the log's index *)
 }
 
 (* The transformer.* fault points simulate the three ways a bad
@@ -388,17 +380,6 @@ let fail_transformer vm (site : transformer_site) msg =
   in
   raise (Update_failure (cause, reason))
 
-let build_index ctx vm =
-  let h = Hashtbl.create (max 16 ctx.n_pairs) in
-  for i = 0 to ctx.n_pairs - 1 do
-    Hashtbl.replace h (Value.to_ref ctx.log.((2 * i) + 1)) i
-  done;
-  ctx.index <- h;
-  ctx.index_gc_count <- vm.State.heap.Heap.gc_count
-
-let refresh_index ctx vm =
-  if vm.State.heap.Heap.gc_count <> ctx.index_gc_count then build_index ctx vm
-
 let find_transformer_method (transformer_rc : Rt.rt_class) ~name ~params =
   Array.to_seq transformer_rc.Rt.methods
   |> Seq.find (fun (m : Rt.rt_method) ->
@@ -436,11 +417,12 @@ let object_transformer vm (objs : obj_transformers) ~new_cid ~old_cid =
 
 (* Run [jvolveObject(new, old)] for one pair, with [sb] installed as the
    VM's sandbox: a fresh fuel budget, the transformer.* fault points, and
-   writes restricted to the object set.  A copy plan takes the same
-   checks as the interpreted default would — the fault draws in the same
-   order and one step through the interpreter's fuel gate — before its
-   word copy.  [invoke] calls an interpreted method; [on_trap] reports a
-   trap at the pair's site. *)
+   writes restricted to the update log's new objects, [new_addr] first
+   (the pair in flight).  A copy plan takes the same checks as the
+   interpreted default would — the fault draws in the same order and one
+   step through the interpreter's fuel gate — before its word copy.
+   [invoke] calls an interpreted method; [on_trap] reports a trap at the
+   pair's site. *)
 let transform_object vm (objs : obj_transformers) (sb : State.sandbox) ~invoke
     ~on_trap ~new_addr ~old_addr =
   let heap = vm.State.heap in
@@ -460,13 +442,24 @@ let transform_object vm (objs : obj_transformers) (sb : State.sandbox) ~invoke
         done
     | Interpreted m ->
         objs.ot_interpreted <- objs.ot_interpreted + 1;
+        (* a forced transform nests here: restore the outer pair's guard
+           and target on either exit *)
         let saved_guard = sb.State.sb_guard in
+        let saved_target = sb.State.sb_target in
+        let saved_target_gc = sb.State.sb_target_gc in
+        let restore () =
+          sb.State.sb_guard <- saved_guard;
+          sb.State.sb_target <- saved_target;
+          sb.State.sb_target_gc <- saved_target_gc
+        in
         sb.State.sb_guard <- true;
-        Fun.protect
-          ~finally:(fun () -> sb.State.sb_guard <- saved_guard)
-          (fun () ->
-            ignore
-              (invoke m [| Value.of_ref new_addr; Value.of_ref old_addr |]))
+        sb.State.sb_target <- new_addr;
+        sb.State.sb_target_gc <- heap.Heap.gc_count;
+        (match invoke m [| Value.of_ref new_addr; Value.of_ref old_addr |] with
+        | _ -> restore ()
+        | exception e ->
+            restore ();
+            raise e)
   with Interp.Sync_trap e | Interp.Trap e ->
     let m =
       match t with
@@ -509,8 +502,7 @@ let rec run_pair vm ctx i =
       ctx.status.(i) <- 2
 
 and force_transform vm ctx addr =
-  refresh_index ctx vm;
-  match Hashtbl.find_opt ctx.index addr with
+  match Hashtbl.find_opt (State.sandbox_index vm ctx.sandbox) addr with
   | Some i -> run_pair vm ctx i
   | None -> () (* not an object under transformation: no-op *)
 
@@ -668,9 +660,9 @@ type lazy_ctx = {
 }
 
 (* The window's log grows pair by pair (the eager path gets its size from
-   the collection up front).  The grown array replaces the old one both
-   as a GC root and, when a guard window already rides on this log, as
-   the retained publication. *)
+   the collection up front).  The grown array replaces the old one as a
+   GC root, as the sandbox's allowed set and, when a guard window already
+   rides on this log, as the retained publication. *)
 let lazy_log_append vm (ctx : lazy_ctx) ~old_copy ~new_addr =
   let li = ctx.lz_info in
   if li.State.li_log_len + 2 > Array.length li.State.li_log then begin
@@ -685,7 +677,8 @@ let lazy_log_append vm (ctx : lazy_ctx) ~old_copy ~new_addr =
   end;
   li.State.li_log.(li.State.li_log_len) <- Value.of_ref old_copy;
   li.State.li_log.(li.State.li_log_len + 1) <- Value.of_ref new_addr;
-  li.State.li_log_len <- li.State.li_log_len + 2
+  li.State.li_log_len <- li.State.li_log_len + 2;
+  State.sandbox_set_log ctx.lz_sandbox li.State.li_log li.State.li_log_len
 
 (* The carrier outlives the commit pause (transformers keep running at
    barrier hits for the life of the window), and the scheduler reaps it
@@ -719,17 +712,22 @@ let lazy_run_transformer vm (ctx : lazy_ctx) ~new_addr ~old_copy =
   let saved_sandbox = vm.State.sandbox in
   let saved_wm = sb.State.sb_watermark in
   let saved_wm_gc = sb.State.sb_watermark_gc in
+  let restore () =
+    vm.State.sandbox <- saved_sandbox;
+    sb.State.sb_watermark <- saved_wm;
+    sb.State.sb_watermark_gc <- saved_wm_gc
+  in
   vm.State.sandbox <- Some sb;
   sb.State.sb_watermark <- heap.Heap.free;
   sb.State.sb_watermark_gc <- heap.Heap.gc_count;
-  Fun.protect
-    ~finally:(fun () ->
-      vm.State.sandbox <- saved_sandbox;
-      sb.State.sb_watermark <- saved_wm;
-      sb.State.sb_watermark_gc <- saved_wm_gc)
-    (fun () ->
-      transform_object vm ctx.lz_objs sb ~invoke:(lazy_invoke vm ctx)
-        ~on_trap:(lazy_on_trap vm ctx) ~new_addr ~old_addr:old_copy)
+  match
+    transform_object vm ctx.lz_objs sb ~invoke:(lazy_invoke vm ctx)
+      ~on_trap:(lazy_on_trap vm ctx) ~new_addr ~old_addr:old_copy
+  with
+  | () -> restore ()
+  | exception e ->
+      restore ();
+      raise e
 
 (* Transform the object referenced by [slots.(idx)] if it is still
    pending, chase an already-installed marker, and rewrite the slot.
@@ -753,62 +751,62 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
   end
   else if Heap.is_copy_tag gcw then () (* pristine update-log copy *)
   else
-    let cid = heap.Heap.space.(addr + Heap.off_class) in
-    match Hashtbl.find_opt li.State.li_plan cid with
-    | None -> ()
-    | Some new_cid ->
-        let new_cls = Rt.class_by_id vm.State.reg new_cid in
-        let old_size = Gc.obj_size vm heap.Heap.space addr in
-        (* both allocations must land without an intervening collection,
-           so the blit source cannot move between them *)
-        State.ensure_free vm (new_cls.Rt.size_words + old_size);
-        let addr = Value.to_ref slots.(idx) (* the GC may have moved it *) in
-        let old_tag = heap.Heap.space.(addr + Heap.off_gc) in
-        let new_addr = State.alloc_object vm new_cls in
-        let old_copy =
-          match Heap.alloc_raw heap ~nwords:old_size with
-          | Some a -> a
-          | None -> State.fatal "lazy transform: reserved space vanished"
-        in
-        Array.blit heap.Heap.space addr heap.Heap.space old_copy old_size;
-        heap.Heap.space.(old_copy + Heap.off_gc) <- Heap.make_copy_tag old_tag;
-        (* marker first: a re-entrant touch of the same object during its
-           own transformer (the cyclic case, fatal in the eager path)
-           chases the marker and reads the half-written replacement
-           instead of recursing *)
-        heap.Heap.space.(addr + Heap.off_gc) <- Heap.make_lazy_fwd new_addr;
-        lazy_log_append vm ctx ~old_copy ~new_addr;
-        (* only an interpreted transformer writes through the guard *)
-        if ctx.lz_objs.ot_interp then
-          State.sandbox_allow vm ctx.lz_sandbox new_addr;
-        slots.(idx) <- Value.of_ref new_addr;
-        li.State.li_transformed <- li.State.li_transformed + 1;
-        (match via with
-        | L_barrier ->
-            li.State.li_barrier_hits <- li.State.li_barrier_hits + 1
-        | L_sweep -> li.State.li_swept <- li.State.li_swept + 1
-        | L_force -> ());
-        let gc_before = heap.Heap.gc_count in
-        (try lazy_run_transformer vm ctx ~new_addr ~old_copy
-         with Update_failure (cause, msg) ->
-           (* undo the pair when nothing moved, so the failed transform
-              leaves no marker behind; after a collection the rollback's
-              redirect restores it from the copy instead *)
-           if heap.Heap.gc_count = gc_before then begin
-             heap.Heap.space.(addr + Heap.off_gc) <- old_tag;
-             li.State.li_log_len <- li.State.li_log_len - 2;
-             slots.(idx) <- Value.of_ref addr;
-             li.State.li_transformed <- li.State.li_transformed - 1;
-             match via with
-             | L_barrier ->
-                 li.State.li_barrier_hits <- li.State.li_barrier_hits - 1
-             | L_sweep -> li.State.li_swept <- li.State.li_swept - 1
-             | L_force -> ()
-           end;
-           if ctx.lz_abort = None then ctx.lz_abort <- Some (cause, msg);
-           Jv_obs.Obs.emit vm.State.obs ~scope:"core.lazy" "lazy.abort"
-             [ ("reason", Jv_obs.Obs.Str msg) ];
-           raise Interp.Lazy_abort)
+    let new_cid =
+      State.lazy_target li heap.Heap.space.(addr + Heap.off_class)
+    in
+    if new_cid >= 0 then begin
+      let new_cls = Rt.class_by_id vm.State.reg new_cid in
+      let old_size = Gc.obj_size vm heap.Heap.space addr in
+      (* both allocations must land without an intervening collection,
+         so the blit source cannot move between them *)
+      State.ensure_free vm (new_cls.Rt.size_words + old_size);
+      let addr = Value.to_ref slots.(idx) (* the GC may have moved it *) in
+      let old_tag = heap.Heap.space.(addr + Heap.off_gc) in
+      let new_addr = State.alloc_object vm new_cls in
+      let old_copy =
+        match Heap.alloc_raw heap ~nwords:old_size with
+        | Some a -> a
+        | None -> State.fatal "lazy transform: reserved space vanished"
+      in
+      Array.blit heap.Heap.space addr heap.Heap.space old_copy old_size;
+      heap.Heap.space.(old_copy + Heap.off_gc) <- Heap.make_copy_tag old_tag;
+      (* marker first: a re-entrant touch of the same object during its
+         own transformer (the cyclic case, fatal in the eager path)
+         chases the marker and reads the half-written replacement
+         instead of recursing *)
+      heap.Heap.space.(addr + Heap.off_gc) <- Heap.make_lazy_fwd new_addr;
+      lazy_log_append vm ctx ~old_copy ~new_addr;
+      slots.(idx) <- Value.of_ref new_addr;
+      li.State.li_transformed <- li.State.li_transformed + 1;
+      (match via with
+      | L_barrier ->
+          li.State.li_barrier_hits <- li.State.li_barrier_hits + 1
+      | L_sweep -> li.State.li_swept <- li.State.li_swept + 1
+      | L_force -> ());
+      let gc_before = heap.Heap.gc_count in
+      (try lazy_run_transformer vm ctx ~new_addr ~old_copy
+       with Update_failure (cause, msg) ->
+         (* undo the pair when nothing moved, so the failed transform
+            leaves no marker behind; after a collection the rollback's
+            redirect restores it from the copy instead *)
+         if heap.Heap.gc_count = gc_before then begin
+           heap.Heap.space.(addr + Heap.off_gc) <- old_tag;
+           li.State.li_log_len <- li.State.li_log_len - 2;
+           State.sandbox_set_log ctx.lz_sandbox li.State.li_log
+             li.State.li_log_len;
+           slots.(idx) <- Value.of_ref addr;
+           li.State.li_transformed <- li.State.li_transformed - 1;
+           match via with
+           | L_barrier ->
+               li.State.li_barrier_hits <- li.State.li_barrier_hits - 1
+           | L_sweep -> li.State.li_swept <- li.State.li_swept - 1
+           | L_force -> ()
+         end;
+         if ctx.lz_abort = None then ctx.lz_abort <- Some (cause, msg);
+         Jv_obs.Obs.emit vm.State.obs ~scope:"core.lazy" "lazy.abort"
+           [ ("reason", Jv_obs.Obs.Str msg) ];
+         raise Interp.Lazy_abort)
+    end
 
 (* The read barrier (State.lazy_barrier).  Fast path: one gc-word load
    and compare against the window's epoch.  Old-epoch objects of
@@ -824,9 +822,7 @@ let lazy_barrier_hook (ctx : lazy_ctx) vm slots idx =
     if gcw = li.State.li_epoch then ()
     else if
       Heap.is_plain_tag gcw
-      && not
-           (Hashtbl.mem li.State.li_plan
-              heap.Heap.space.(addr + Heap.off_class))
+      && State.lazy_target li heap.Heap.space.(addr + Heap.off_class) < 0
     then heap.Heap.space.(addr + Heap.off_gc) <- li.State.li_epoch
     else transform_slot vm ctx ~via:L_barrier slots idx
   end
@@ -860,7 +856,7 @@ let sweep_pass vm (ctx : lazy_ctx) ~budget =
     let cid = heap.Heap.space.(addr + Heap.off_class) in
     let size = Gc.obj_size vm heap.Heap.space addr in
     let gcw = heap.Heap.space.(addr + Heap.off_gc) in
-    if Heap.is_plain_tag gcw && Hashtbl.mem li.State.li_plan cid then begin
+    if Heap.is_plain_tag gcw && State.lazy_target li cid >= 0 then begin
       ctx.lz_scratch.(0) <- Value.of_ref addr;
       (try transform_slot vm ctx ~via:L_sweep ctx.lz_scratch 0
        with Interp.Lazy_abort -> ());
@@ -896,7 +892,7 @@ let lazy_detach vm (ctx : lazy_ctx) =
   vm.State.lazy_sweep <- None;
   vm.State.lazy_drain <- None;
   vm.State.force_transform <- None;
-  State.sandbox_dispose vm ctx.lz_sandbox;
+  vm.State.sandbox <- None;
   Interp.release_carrier vm ctx.lz_carrier;
   vm.State.extra_roots <-
     List.filter (fun a -> a != ctx.lz_scratch) vm.State.extra_roots
@@ -1085,8 +1081,9 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
          on new metadata) *)
       let redirect = Txn.redirect_of_log trimmed in
       let inv_plan = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun old_cid new_cid -> Hashtbl.replace inv_plan new_cid old_cid)
+      Array.iteri
+        (fun old_cid new_cid ->
+          if new_cid >= 0 then Hashtbl.replace inv_plan new_cid old_cid)
         li.State.li_plan;
       let invres = Gc.collect ~plan:inv_plan ~redirect vm in
       lazy_untransform_defaults vm ctx.lz_objs.ot_spec invres.Gc.update_log;
@@ -1339,9 +1336,11 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
          window, install the read barrier; old-epoch objects transform on
          first access and the scheduler's sweeper drains the rest. *)
       vm.State.heap.Heap.epoch <- vm.State.heap.Heap.epoch + 1;
+      let li_plan = Array.make vm.State.reg.Rt.n_classes (-1) in
+      Hashtbl.iter (fun old_cid new_cid -> li_plan.(old_cid) <- new_cid) plan;
       let li =
         {
-          State.li_plan = plan;
+          State.li_plan;
           li_epoch = vm.State.heap.Heap.epoch;
           li_log = Array.make 16 0;
           li_log_len = 0;
@@ -1355,6 +1354,7 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
       vm.State.extra_roots <- li.State.li_log :: vm.State.extra_roots;
       let sb =
         State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel
+          ~log:li.State.li_log ~log_len:0
       in
       (* the sandbox is installed only around transformer invocations —
          the app code running between barrier hits is not fuel-charged *)
@@ -1404,32 +1404,27 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
     in
     (* 6: transformers, sandboxed (fuel + write restriction) *)
     phase := P_transform;
+    let log = gcres.Gc.update_log in
+    (* every new-layout object in the log is a legitimate write target *)
     let sb =
-      State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel
+      State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel ~log
+        ~log_len:(Array.length log)
     in
     let ctx =
       {
-        log = gcres.Gc.update_log;
-        n_pairs = Array.length gcres.Gc.update_log / 2;
-        status = Array.make (max 1 (Array.length gcres.Gc.update_log / 2)) 0;
-        index = Hashtbl.create 16;
-        index_gc_count = -1;
+        log;
+        n_pairs = Array.length log / 2;
+        status = Array.make (max 1 (Array.length log / 2)) 0;
         objs = obj_transformers spec transformer_rc;
         carrier = Interp.make_carrier vm;
         sandbox = sb;
       }
     in
     vm.State.extra_roots <- ctx.log :: vm.State.extra_roots;
-    (* every new-layout object in the log is a legitimate write target;
-       only an interpreted transformer writes through the guard *)
-    if ctx.objs.ot_interp then
-      for i = 0 to ctx.n_pairs - 1 do
-        State.sandbox_allow vm sb (Value.to_ref ctx.log.((2 * i) + 1))
-      done;
     vm.State.force_transform <-
       Some (fun vm addr -> force_transform vm ctx addr);
     let finish_transformers ~keep_log () =
-      State.sandbox_dispose vm sb;
+      vm.State.sandbox <- None;
       vm.State.force_transform <- None;
       Interp.release_carrier vm ctx.carrier;
       (* [keep_log]: a guard window will retain the log past commit, so

@@ -291,7 +291,7 @@ let run ?stale_ok ?guard_pending ?(collect_stale = true) (vm : State.t) :
   let lazy_pending =
     match vm.State.lazy_info with
     | None -> fun (_ : int) -> false
-    | Some li -> fun cid -> Hashtbl.mem li.State.li_plan cid
+    | Some li -> fun cid -> State.lazy_target li cid >= 0
   in
   let rep, n_stale = run_once ~stale_ok ~guard_pending ~lazy_pending vm in
   if

@@ -67,21 +67,32 @@ let guard_write vm ~addr ~what =
           what addr
   | _ -> ()
 
-(* Charge one instruction against the active sandbox's fuel budget. *)
+(* Charge one instruction against a sandbox's fuel budget. *)
+let charge (sb : State.sandbox) =
+  sb.State.sb_steps <- sb.State.sb_steps + 1;
+  sb.State.sb_total_steps <- sb.State.sb_total_steps + 1;
+  if sb.State.sb_steps > sb.State.sb_fuel then
+    trap "transformer fuel exhausted after %d steps" sb.State.sb_steps
+
+(* ... against the active sandbox's, if any. *)
 let charge_fuel vm =
-  match vm.State.sandbox with
-  | None -> ()
-  | Some sb ->
-      sb.State.sb_steps <- sb.State.sb_steps + 1;
-      sb.State.sb_total_steps <- sb.State.sb_total_steps + 1;
-      if sb.State.sb_steps > sb.State.sb_fuel then
-        trap "transformer fuel exhausted after %d steps" sb.State.sb_steps
+  match vm.State.sandbox with None -> () | Some sb -> charge sb
+
+(* Step past the current instruction. *)
+let advance (fr : State.frame) = fr.State.pc <- fr.State.pc + 1
+
+(* Pop two ints, push [f a b] and step past the instruction. *)
+let int_binop fr f =
+  let b = Value.to_int (State.pop_op fr) in
+  let a = Value.to_int (State.pop_op fr) in
+  State.push_op fr (Value.of_int (f a b));
+  advance fr
 
 (* Complete a method return: pop the frame, deliver the result, advance the
    caller, fire any installed return barrier. *)
 let do_return vm (t : State.vthread) ~(value : int option) =
   match t.State.frames with
-  | [] -> assert false
+  | [] -> State.fatal "return on thread %d with no frame" t.State.tid
   | fr :: rest ->
       let fired = fr.State.barrier in
       t.State.frames <- rest;
@@ -90,7 +101,7 @@ let do_return vm (t : State.vthread) ~(value : int option) =
           (match value with
           | Some v -> State.push_op caller v
           | None -> ());
-          caller.State.pc <- caller.State.pc + 1
+          advance caller
       | [] ->
           t.State.last_result <- Option.value value ~default:0;
           t.State.tstate <- State.T_done);
@@ -102,9 +113,8 @@ let do_return vm (t : State.vthread) ~(value : int option) =
       end;
       fired
 
-let run_native vm (t : State.vthread) (m : Rt.rt_method) (args : int array) :
-    [ `Done | `Blocked ] =
-  let key = Option.get m.Rt.native_key in
+let run_native vm (t : State.vthread) (m : Rt.rt_method) key
+    (args : int array) : [ `Done | `Blocked ] =
   let fn =
     match Hashtbl.find_opt vm.State.natives key with
     | Some f -> f
@@ -116,12 +126,12 @@ let run_native vm (t : State.vthread) (m : Rt.rt_method) (args : int array) :
       (match t.State.frames with
       | fr :: _ ->
           if has_ret then State.push_op fr v;
-          fr.State.pc <- fr.State.pc + 1
+          advance fr
       | [] -> ());
       `Done
   | State.N_void ->
       (match t.State.frames with
-      | fr :: _ -> fr.State.pc <- fr.State.pc + 1
+      | fr :: _ -> advance fr
       | [] -> ());
       `Done
   | State.N_block reason ->
@@ -142,31 +152,34 @@ let do_call vm (t : State.vthread) (fr : State.frame) (m : Rt.rt_method) argc :
   for i = argc - 1 downto 0 do
     args.(i) <- State.pop_op fr
   done;
-  if m.Rt.native_key <> None then run_native vm t m args
-  else begin
-    if List.length t.State.frames >= max_frames then trap "stack overflow";
-    m.Rt.invocations <- m.Rt.invocations + 1;
-    (try Jit.maybe_opt vm m
-     with Jit.Compile_error e -> trap "opt compilation failed: %s" e);
-    let code =
-      try Jit.best_code vm m
-      with Jit.Compile_error e -> trap "compilation failed: %s" e
-    in
-    let callee = State.make_frame m code args in
-    t.State.frames <- callee :: t.State.frames;
-    `Done
-  end
+  match m.Rt.native_key with
+  | Some key -> run_native vm t m key args
+  | None ->
+      if List.length t.State.frames >= max_frames then trap "stack overflow";
+      m.Rt.invocations <- m.Rt.invocations + 1;
+      (try Jit.maybe_opt vm m
+       with Jit.Compile_error e -> trap "opt compilation failed: %s" e);
+      let code =
+        try Jit.best_code vm m
+        with Jit.Compile_error e -> trap "compilation failed: %s" e
+      in
+      let callee = State.make_frame m code args in
+      t.State.frames <- callee :: t.State.frames;
+      `Done
 
 (* Execute one thread for up to [fuel] instructions, stopping only at safe
    points.  Returns how the slice ended. *)
 let run_slice vm (t : State.vthread) ~fuel : slice_end =
-  Jv_obs.Obs.incr vm.State.obs "vm.interp.slices";
+  Jv_obs.Metrics.incr (Lazy.force vm.State.m_slices);
   let heap = vm.State.heap in
   let reg = vm.State.reg in
+  (* the updater installs and removes a sandbox only around whole calls,
+     so the one current at the slice's start charges all of it *)
+  let sandbox = vm.State.sandbox in
   let fuel = ref fuel in
   let result = ref None in
   (try
-     while !result = None do
+     while Option.is_none !result do
        match t.State.frames with
        | [] ->
            t.State.tstate <- State.T_done;
@@ -178,55 +191,48 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
            let ins = code.(fr.State.pc) in
            vm.State.instr_count <- vm.State.instr_count + 1;
            decr fuel;
-           charge_fuel vm;
-           let next () = fr.State.pc <- fr.State.pc + 1 in
+           (match sandbox with None -> () | Some sb -> charge sb);
            match ins with
            | M_const w ->
                State.push_op fr w;
-               next ()
+               advance fr
            | M_str sid ->
                let addr = State.alloc_string_sid vm sid in
                State.push_op fr (Value.of_ref addr);
-               next ()
+               advance fr
            | M_load i ->
                State.push_op fr fr.State.locals.(i);
-               next ()
+               advance fr
            | M_store i ->
                fr.State.locals.(i) <- State.pop_op fr;
-               next ()
+               advance fr
            | M_dup ->
                let v = State.pop_op fr in
                State.push_op fr v;
                State.push_op fr v;
-               next ()
+               advance fr
            | M_pop ->
                ignore (State.pop_op fr);
-               next ()
+               advance fr
            | M_swap ->
                let a = State.pop_op fr in
                let b = State.pop_op fr in
                State.push_op fr a;
                State.push_op fr b;
-               next ()
-           | M_add | M_sub | M_mul | M_div | M_rem ->
-               let b = Value.to_int (State.pop_op fr) in
-               let a = Value.to_int (State.pop_op fr) in
-               let r =
-                 match ins with
-                 | M_add -> a + b
-                 | M_sub -> a - b
-                 | M_mul -> a * b
-                 | M_div ->
-                     if b = 0 then trap "division by zero" else a / b
-                 | M_rem -> if b = 0 then trap "division by zero" else a mod b
-                 | _ -> assert false
-               in
-               State.push_op fr (Value.of_int r);
-               next ()
+               advance fr
+           | M_add -> int_binop fr ( + )
+           | M_sub -> int_binop fr ( - )
+           | M_mul -> int_binop fr ( * )
+           | M_div ->
+               int_binop fr (fun a b ->
+                   if b = 0 then trap "division by zero" else a / b)
+           | M_rem ->
+               int_binop fr (fun a b ->
+                   if b = 0 then trap "division by zero" else a mod b)
            | M_neg ->
                let a = Value.to_int (State.pop_op fr) in
                State.push_op fr (Value.of_int (-a));
-               next ()
+               advance fr
            | M_icmp c ->
                let b = Value.to_int (State.pop_op fr) in
                let a = Value.to_int (State.pop_op fr) in
@@ -240,11 +246,11 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                  | CF.Instr.Ge -> a >= b
                in
                State.push_op fr (Value.of_bool r);
-               next ()
+               advance fr
            | M_bnot ->
                let a = Value.to_bool (State.pop_op fr) in
                State.push_op fr (Value.of_bool (not a));
-               next ()
+               advance fr
            | M_acmp eq ->
                (* identity compares must see through lazy-forward
                   markers, or an original and its replacement would
@@ -254,7 +260,7 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                let b = State.pop_op fr in
                let a = State.pop_op fr in
                State.push_op fr (Value.of_bool (if eq then a = b else a <> b));
-               next ()
+               advance fr
            | M_if_true target ->
                let c = Value.to_bool (State.pop_op fr) in
                fr.State.pc <- (if c then target else fr.State.pc + 1)
@@ -267,7 +273,7 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                lazy_check_slot vm fr (fr.State.sp - 1);
                let addr = ref_addr "getfield" (State.pop_op fr) in
                State.push_op fr (Heap.get heap ~addr ~off);
-               next ()
+               advance fr
            | M_putfield off ->
                deref_check vm;
                lazy_check_slot vm fr (fr.State.sp - 2);
@@ -275,13 +281,13 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                let addr = ref_addr "putfield" (State.pop_op fr) in
                guard_write vm ~addr ~what:"putfield";
                Heap.set heap ~addr ~off v;
-               next ()
+               advance fr
            | M_getstatic slot ->
                State.push_op fr (State.jtoc_get vm slot);
-               next ()
+               advance fr
            | M_putstatic slot ->
                State.jtoc_set vm slot (State.pop_op fr);
-               next ()
+               advance fr
            | M_invokevirtual (slot, argc) ->
                let recv_idx = fr.State.sp - argc in
                if recv_idx < 0 then trap "operand stack underflow at call";
@@ -312,13 +318,13 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                  trap "new of superseded class %s" cls.Rt.name;
                let addr = State.alloc_object vm cls in
                State.push_op fr (Value.of_ref addr);
-               next ()
+               advance fr
            | M_newarray _ ->
                let len = Value.to_int (State.pop_op fr) in
                if len < 0 then trap "negative array size %d" len;
                let addr = State.alloc_array vm ~len in
                State.push_op fr (Value.of_ref addr);
-               next ()
+               advance fr
            | M_aload ->
                let idx = Value.to_int (State.pop_op fr) in
                let addr = ref_addr "array load" (State.pop_op fr) in
@@ -327,7 +333,7 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                  trap "array index %d out of bounds (length %d)" idx len;
                State.push_op fr
                  (Heap.get heap ~addr ~off:(Heap.array_header_words + idx));
-               next ()
+               advance fr
            | M_astore ->
                let v = State.pop_op fr in
                let idx = Value.to_int (State.pop_op fr) in
@@ -337,11 +343,11 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                  trap "array index %d out of bounds (length %d)" idx len;
                guard_write vm ~addr ~what:"array store";
                Heap.set heap ~addr ~off:(Heap.array_header_words + idx) v;
-               next ()
+               advance fr
            | M_alen ->
                let addr = ref_addr "arraylength" (State.pop_op fr) in
                State.push_op fr (Value.of_int (Heap.array_length heap addr));
-               next ()
+               advance fr
            | M_checkcast cid ->
                (* the class-id read below must see the current-epoch
                   object, or a pending old-epoch instance would fail a
@@ -358,7 +364,7 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                      (Rt.class_by_id reg ocid).Rt.name
                      (Rt.class_by_id reg cid).Rt.name
                end;
-               next ()
+               advance fr
            | M_instanceof cid ->
                lazy_check_slot vm fr (fr.State.sp - 1);
                let w = State.pop_op fr in
@@ -369,10 +375,10 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                       ~super:cid
                in
                State.push_op fr (Value.of_bool r);
-               next ()
+               advance fr
            | M_return ->
                let fired = do_return vm t ~value:None in
-               if t.State.tstate = State.T_done then
+               if State.is_done t then
                  result := Some S_finished
                else if fired then begin
                  (* the thread blocks at its safe point until the pending
@@ -384,7 +390,7 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
            | M_return_val ->
                let v = State.pop_op fr in
                let fired = do_return vm t ~value:(Some v) in
-               if t.State.tstate = State.T_done then
+               if State.is_done t then
                  result := Some S_finished
                else if fired then begin
                  t.State.tstate <- State.T_blocked State.B_dsu;
@@ -392,7 +398,7 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                end
                else if !fuel <= 0 then result := Some S_parked
            | M_yield _ ->
-               next ();
+               advance fr;
                if !fuel <= 0 then result := Some S_parked)
      done
    with

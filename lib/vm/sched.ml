@@ -60,20 +60,21 @@ let round vm =
   List.iter (fun f -> f vm) vm.State.pollers;
   wake_blocked vm;
   let runnable = State.runnable_threads vm in
-  Jv_obs.Obs.incr vm.State.obs "vm.sched.rounds";
-  Jv_obs.Obs.set_gauge vm.State.obs "vm.sched.runnable"
+  Jv_obs.Metrics.incr (Lazy.force vm.State.m_rounds);
+  Jv_obs.Metrics.set (Lazy.force vm.State.m_runnable)
     (float_of_int (List.length runnable));
   List.iter
     (fun (t : State.vthread) ->
-      if t.State.tstate = State.T_runnable then begin
-        ignore (Interp.run_slice vm t ~fuel:vm.State.config.quantum);
-        (* a return barrier fired: give the DSU machinery a chance to
-           re-check for a safe point right away *)
-        if vm.State.barrier_fired then begin
-          vm.State.barrier_fired <- false;
-          match vm.State.dsu_attempt with Some f -> f vm | None -> ()
-        end
-      end)
+      match t.State.tstate with
+      | State.T_runnable ->
+          ignore (Interp.run_slice vm t ~fuel:vm.State.config.quantum);
+          (* a return barrier fired: give the DSU machinery a chance to
+             re-check for a safe point right away *)
+          if vm.State.barrier_fired then begin
+            vm.State.barrier_fired <- false;
+            match vm.State.dsu_attempt with Some f -> f vm | None -> ()
+          end
+      | _ -> ())
     runnable;
   (* all threads parked at safe points: attempt any pending update *)
   (match vm.State.dsu_attempt with Some f -> f vm | None -> ());

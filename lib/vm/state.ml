@@ -108,30 +108,38 @@ type native_result =
   | N_block of block_reason
   | N_trap of string
 
-(* The transformer sandbox (installed by the updater for the transform
-   phase).  While one is active the interpreter charges every executed
+(* The transformer sandbox (installed by the updater while transformers
+   run).  While one is active the interpreter charges every executed
    instruction against [sb_fuel] and, when [sb_guard] is set, refuses heap
-   writes whose target is not in the allowed set — the objects under
-   transformation plus anything freshly allocated by the transformers
-   themselves.  The objects under transformation are kept as encoded
-   references in a word array registered as an extra GC root (they are
-   rooted through the update log anyway), so a nested collection forwards
-   the entries and membership stays exact.  Fresh allocations are NOT
-   added to that set — a root there would retain every transformer
-   temporary and defeat nested collections — but are recognized by an
-   allocation watermark: anything at or above the first allocation of the
-   current GC epoch is fresh.  The one approximation: a temporary
-   allocated before a nested collection loses write permission after it
-   (the transformed objects themselves never do). *)
+   writes whose target is not in the allowed set: the new-layout halves of
+   the update log plus anything freshly allocated by the transformers
+   themselves.  The sandbox keeps no copy of that set; it reads the log
+   (a GC root already) and tries three cheap tests in order:
+   - the allocation watermark: anything at or above the first allocation
+     of the current GC epoch is fresh;
+   - the pair in flight: [sb_target], the new object the running
+     transformer was invoked on, trusted while no collection has run
+     since it was set;
+   - an index of the log's new addresses, built on the first miss,
+     extended as the log grows and dropped after a collection (the rebuild
+     reads the log's forwarded entries).
+   Fresh allocations are not in the log — a root there would retain every
+   transformer temporary and defeat nested collections.  The one
+   approximation: a temporary allocated before a nested collection loses
+   write permission after it (the transformed objects themselves never
+   do). *)
 type sandbox = {
   mutable sb_fuel : int; (* budget per transformer invocation *)
   mutable sb_steps : int; (* steps charged to the current invocation *)
   mutable sb_total_steps : int; (* accounting across the whole phase *)
   mutable sb_guard : bool; (* writes restricted (object transformers) *)
-  mutable sb_allowed : int array; (* encoded refs; lives in extra_roots *)
-  mutable sb_n_allowed : int;
-  mutable sb_index : (int, unit) Hashtbl.t; (* decoded addr set cache *)
-  mutable sb_index_gc : int; (* heap gc_count the cache was built at *)
+  mutable sb_log : int array; (* the update log: flattened (old, new) pairs *)
+  mutable sb_log_len : int; (* valid words of [sb_log] *)
+  mutable sb_target : int; (* new object of the pair in flight *)
+  mutable sb_target_gc : int; (* gc_count [sb_target] belongs to *)
+  mutable sb_index : (int, int) Hashtbl.t; (* new addr -> pair index *)
+  mutable sb_indexed : int; (* leading log pairs in [sb_index] *)
+  mutable sb_index_gc : int; (* gc_count the index belongs to *)
   mutable sb_watermark : int; (* first fresh allocation of this epoch *)
   mutable sb_watermark_gc : int; (* gc_count the watermark belongs to *)
 }
@@ -142,7 +150,9 @@ type sandbox = {
    background sweeper.  Plain data so the verifier and tests can key
    mixed-epoch allowances off it without depending on the updater. *)
 type lazy_info = {
-  li_plan : (int, int) Hashtbl.t; (* old cid -> new cid *)
+  li_plan : int array;
+      (* old cid -> new cid, indexed by class id; -1 where instances are
+         not pending (classes loaded later fall past the end) *)
   li_epoch : int; (* the heap epoch this window installed *)
   mutable li_log : int array;
       (* flattened (old copy, new object) pairs, log_len valid entries;
@@ -153,6 +163,11 @@ type lazy_info = {
   mutable li_swept : int; (* sweeper-triggered transforms *)
   mutable li_chases : int; (* barrier chases of lazy-forward markers *)
 }
+
+(* The class an open window transforms instances of [cid] into, or -1
+   when they are not pending. *)
+let lazy_target li cid =
+  if cid < Array.length li.li_plan then li.li_plan.(cid) else -1
 
 type t = {
   config : config;
@@ -237,6 +252,11 @@ type t = {
   mutable last_gc_ms : float;
   (* flight recorder + metrics; clock = this VM's [ticks] *)
   obs : Obs.t;
+  (* handles of the metrics bumped on every slice and round, resolved on
+     first use so the sink keeps its registration order *)
+  m_slices : Jv_obs.Metrics.counter Lazy.t; (* vm.interp.slices *)
+  m_rounds : Jv_obs.Metrics.counter Lazy.t; (* vm.sched.rounds *)
+  m_runnable : Jv_obs.Metrics.gauge Lazy.t; (* vm.sched.runnable *)
   (* harness hooks run at the start of every scheduler round (workload
      drivers pumping the simulated network) *)
   mutable pollers : (t -> unit) list;
@@ -254,6 +274,7 @@ let gc_hook : (t -> unit) ref =
   ref (fun _ -> failwith "Gc not linked")
 
 let create ?(config = default_config) () =
+  let obs = Obs.create () in
   let vm =
   {
     config;
@@ -297,7 +318,10 @@ let create ?(config = default_config) () =
     guard_tick = None;
     out = Buffer.create 1024;
     last_gc_ms = 0.0;
-    obs = Obs.create ();
+    obs;
+    m_slices = lazy (Obs.counter obs "vm.interp.slices");
+    m_rounds = lazy (Obs.counter obs "vm.sched.rounds");
+    m_runnable = lazy (Obs.gauge obs "vm.sched.runnable");
     pollers = [];
   }
   in
@@ -344,42 +368,52 @@ let string_of_sid vm sid =
 
 (* --- transformer sandbox -------------------------------------------- *)
 
-let sandbox_create vm ~fuel : sandbox =
+let sandbox_create vm ~fuel ~log ~log_len : sandbox =
   let sb =
     {
       sb_fuel = fuel;
       sb_steps = 0;
       sb_total_steps = 0;
       sb_guard = false;
-      sb_allowed = Array.make 64 0;
-      sb_n_allowed = 0;
-      sb_index = Hashtbl.create 64;
+      sb_log = log;
+      sb_log_len = log_len;
+      sb_target = 0;
+      sb_target_gc = -1;
+      sb_index = Hashtbl.create 16;
+      sb_indexed = 0;
       sb_index_gc = -1;
       sb_watermark = vm.heap.Heap.free;
       sb_watermark_gc = vm.heap.Heap.gc_count;
     }
   in
-  vm.extra_roots <- sb.sb_allowed :: vm.extra_roots;
   vm.sandbox <- Some sb;
   sb
 
-let sandbox_dispose vm sb =
-  vm.sandbox <- None;
-  vm.extra_roots <- List.filter (fun a -> a != sb.sb_allowed) vm.extra_roots
+(* Follow the update log as it grows (or moves to a larger array).  A
+   pair taken back off the end leaves the index with it. *)
+let sandbox_set_log sb log len =
+  sb.sb_log <- log;
+  sb.sb_log_len <- len;
+  while sb.sb_indexed > len / 2 do
+    sb.sb_indexed <- sb.sb_indexed - 1;
+    Hashtbl.remove sb.sb_index (Value.to_ref log.((2 * sb.sb_indexed) + 1))
+  done
 
-(* Admit [addr] as a legitimate write target. *)
-let sandbox_allow vm sb addr =
-  if sb.sb_n_allowed >= Array.length sb.sb_allowed then begin
-    let a = Array.make (2 * Array.length sb.sb_allowed) 0 in
-    Array.blit sb.sb_allowed 0 a 0 sb.sb_n_allowed;
-    vm.extra_roots <-
-      a :: List.filter (fun x -> x != sb.sb_allowed) vm.extra_roots;
-    sb.sb_allowed <- a
+(* The log's new-address -> pair index, current for this GC epoch: a
+   collection moved every entry, so the index restarts from the log's
+   forwarded words; otherwise only pairs appended since are added. *)
+let sandbox_index vm sb =
+  let n = sb.sb_log_len / 2 in
+  if sb.sb_index_gc <> vm.heap.Heap.gc_count then begin
+    sb.sb_index <- Hashtbl.create (max 16 n);
+    sb.sb_indexed <- 0;
+    sb.sb_index_gc <- vm.heap.Heap.gc_count
   end;
-  sb.sb_allowed.(sb.sb_n_allowed) <- Value.of_ref addr;
-  sb.sb_n_allowed <- sb.sb_n_allowed + 1;
-  if sb.sb_index_gc = vm.heap.Heap.gc_count then
-    Hashtbl.replace sb.sb_index addr ()
+  for i = sb.sb_indexed to n - 1 do
+    Hashtbl.replace sb.sb_index (Value.to_ref sb.sb_log.((2 * i) + 1)) i
+  done;
+  if n > sb.sb_indexed then sb.sb_indexed <- n;
+  sb.sb_index
 
 (* A fresh allocation: advance the watermark into the current GC epoch
    if a collection has happened since it was set. *)
@@ -390,21 +424,10 @@ let sandbox_note_alloc vm sb addr =
   end
 
 let sandbox_may_write vm sb addr =
-  (sb.sb_watermark_gc = vm.heap.Heap.gc_count && addr >= sb.sb_watermark)
-  ||
-  begin
-    if sb.sb_index_gc <> vm.heap.Heap.gc_count then begin
-      (* a collection moved the allowed objects; the root array was
-         forwarded with them, so rebuild the address cache from it *)
-      let h = Hashtbl.create (max 16 sb.sb_n_allowed) in
-      for i = 0 to sb.sb_n_allowed - 1 do
-        Hashtbl.replace h (Value.to_ref sb.sb_allowed.(i)) ()
-      done;
-      sb.sb_index <- h;
-      sb.sb_index_gc <- vm.heap.Heap.gc_count
-    end;
-    Hashtbl.mem sb.sb_index addr
-  end
+  let gc = vm.heap.Heap.gc_count in
+  (sb.sb_watermark_gc = gc && addr >= sb.sb_watermark)
+  || (sb.sb_target_gc = gc && addr = sb.sb_target)
+  || Hashtbl.mem (sandbox_index vm sb) addr
 
 (* --- allocation ----------------------------------------------------- *)
 
@@ -495,8 +518,12 @@ let live_threads vm =
     (fun t -> match t.tstate with T_runnable | T_blocked _ -> true | _ -> false)
     vm.threads
 
+let is_done t = match t.tstate with T_done -> true | _ -> false
+
 let runnable_threads vm =
-  List.filter (fun t -> t.tstate = T_runnable) vm.threads
+  List.filter
+    (fun t -> match t.tstate with T_runnable -> true | _ -> false)
+    vm.threads
 
 (* --- frames --------------------------------------------------------- *)
 

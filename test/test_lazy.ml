@@ -433,6 +433,205 @@ let rollback_drops_retyped_field () =
   in
   Alcotest.(check bool) "fresh box: a restored, s null" true (probe > 0)
 
+(* --- the write guard under a lazy window ---------------------------------
+
+   A custom [jvolveObject] runs on the interpreter with writes restricted
+   to the update log's new-layout objects plus the transformer's own
+   fresh allocations.  The chain is built tail first, so the sweeper
+   (address order) transforms a box's successor before the box itself:
+   [to.next.b] then targets an earlier pair's replacement, which neither
+   the allocation watermark nor the pair in flight admits. *)
+
+let guard_boxes = 12
+
+let guard_src ~v2 =
+  Printf.sprintf
+    {|
+class Holder { int h; }
+class Box { int a; Box next; %s}
+class Keeper { static Box head; static Holder hold; }
+%s
+class Main {
+  static void main() {
+    Keeper.hold = new Holder();
+    Box prev = null;
+    for (int i = 1; i <= %d; i = i + 1) {
+      Box b = new Box();
+      b.a = i;
+      b.next = prev;
+      prev = b;
+    }
+    Keeper.head = prev;
+    for (int j = 0; j < 100000; j = j + 1) { Thread.yieldNow(); }
+  }
+}
+|}
+    (if v2 then "int b; " else "")
+    (if v2 then
+       {|class Probe {
+  static int sumB() {
+    int s = 0;
+    Box p = Keeper.head;
+    while (p != null) { s = s + p.b; p = p.next; }
+    return s;
+  }
+}|}
+     else "")
+    guard_boxes
+
+(* Every guard test's transformer starts by copying the old fields. *)
+let copy_fields = "    to.a = from.a;\n    to.next = from.next;\n"
+
+(* Allocations in a loop that outgrow the test heap's semispace: at
+   least one collection runs inside the transformer. *)
+let churn =
+  {|
+    int[] junk = null;
+    for (int k = 0; k < 8; k = k + 1) { junk = new int[40000]; }
+|}
+
+(* Boot the chain, commit a lazy update whose Box transformer is [body],
+   and return the VM with the window open. *)
+let guarded_window ~tag ~body =
+  let compile v2 = Jv_lang.Compile.compile_program (guard_src ~v2) in
+  let vm = VM.Vm.create ~config:(lazy_config ~budget:1 ()) () in
+  VM.Vm.boot vm (compile false);
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  VM.Vm.run vm ~rounds:5;
+  let spec =
+    J.Spec.make
+      ~object_overrides:[ ("Box", body) ]
+      ~version_tag:tag ~old_program:(compile false) ~new_program:(compile true)
+      ()
+  in
+  let h = J.Jvolve.update_now ~timeout_rounds:100 vm spec in
+  (match h.J.Jvolve.h_outcome with
+  | J.Jvolve.Applied _ -> ()
+  | o ->
+      Alcotest.failf "lazy update did not apply: %s"
+        (J.Jvolve.outcome_to_string o));
+  ignore (lazy_info vm);
+  vm
+
+let probe_sum_b vm =
+  let cls = VM.Rt.require_class vm.VM.State.reg "Probe" in
+  match
+    VM.Rt.resolve_method vm.VM.State.reg cls "sumB"
+      { Jv_classfile.Types.params = []; ret = Jv_classfile.Types.TInt }
+  with
+  | Some m -> VM.Value.to_int (VM.Interp.call_sync vm m [||])
+  | None -> Alcotest.fail "no Probe.sumB"
+
+(* The window drains: every guarded write was admitted. *)
+let check_drained vm label ~sum_b =
+  Alcotest.(check bool) (label ^ ": drained") true (drain vm);
+  Alcotest.(check int) (label ^ ": no rollback") 0
+    (Obs.counter_value vm.VM.State.obs "core.lazy.rollbacks");
+  check_clean vm label;
+  Alcotest.(check int) (label ^ ": transformer writes landed") sum_b
+    (probe_sum_b vm)
+
+(* The window rolls back on the guard's refusal, typed as a sandbox
+   violation, and the old version's heap verifies. *)
+let check_refused vm label =
+  let budget = ref 3000 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  Alcotest.(check bool) (label ^ ": window resolved") true
+    (vm.VM.State.lazy_info = None);
+  Alcotest.(check int) (label ^ ": rolled back") 1
+    (Obs.counter_value vm.VM.State.obs "core.lazy.rollbacks");
+  Alcotest.(check int) (label ^ ": not drained") 0
+    (Obs.counter_value vm.VM.State.obs "core.lazy.drained");
+  let reasons =
+    List.filter_map
+      (fun (e : Obs.event) ->
+        if e.Obs.ev_name = "lazy.rollback" then
+          match List.assoc_opt "reason" e.Obs.ev_fields with
+          | Some (Obs.Str r) -> Some r
+          | _ -> None
+        else None)
+      (Obs.events vm.VM.State.obs)
+  in
+  (match reasons with
+  | [ r ] ->
+      if not (Helpers.contains r "sandbox:") then
+        Alcotest.failf "%s: rollback reason is not a sandbox violation: %S"
+          label r
+  | rs -> Alcotest.failf "%s: %d lazy.rollback events" label (List.length rs));
+  check_clean vm label
+
+let sum_1_to n = n * (n + 1) / 2
+
+let guard_admits_own_target () =
+  let vm =
+    guarded_window ~tag:"g1" ~body:(copy_fields ^ "    to.b = from.a * 2;")
+  in
+  check_drained vm "own target" ~sum_b:(2 * sum_1_to guard_boxes)
+
+let guard_admits_earlier_replacement () =
+  (* each box adds one to its own [b] and one to its successor's, which
+     the sweeper transformed first: every box but the head ends at 2 *)
+  let vm =
+    guarded_window ~tag:"g2"
+      ~body:
+        (copy_fields
+        ^ {|
+    to.b = to.b + 1;
+    if (to.next != null) { to.next.b = to.next.b + 1; }
+|})
+  in
+  check_drained vm "earlier replacement" ~sum_b:((2 * guard_boxes) - 1)
+
+let guard_refuses_unrelated_object () =
+  let vm =
+    guarded_window ~tag:"g3" ~body:(copy_fields ^ "    Keeper.hold.h = 5;")
+  in
+  check_refused vm "unrelated object"
+
+let guard_admits_target_after_collection () =
+  let vm =
+    guarded_window ~tag:"g4"
+      ~body:(copy_fields ^ churn ^ "    to.b = from.a * 2;")
+  in
+  let gc0 = vm.VM.State.heap.VM.Heap.gc_count in
+  check_drained vm "target after a collection"
+    ~sum_b:(2 * sum_1_to guard_boxes);
+  Alcotest.(check bool) "a collection ran inside every transformer" true
+    (vm.VM.State.heap.VM.Heap.gc_count - gc0 >= guard_boxes)
+
+let guard_refuses_temporary_after_collection () =
+  (* the documented approximation: a temporary allocated before a
+     nested collection is no longer recognised as fresh after it *)
+  let vm =
+    guarded_window ~tag:"g5"
+      ~body:
+        (copy_fields ^ "    Holder t = new Holder();\n" ^ churn
+       ^ "    t.h = 1;")
+  in
+  check_refused vm "temporary after a collection"
+
+(* A pair [transform_slot] takes back off the log (its transformer
+   failed before anything moved) must leave the guard's index too: the
+   index outlives the pair only if it is trimmed with the log. *)
+let guard_index_follows_log () =
+  let vm = VM.Vm.create ~config:Helpers.test_config () in
+  let obj () = VM.State.alloc_array vm ~len:1 in
+  let o1 = obj () and n1 = obj () and o2 = obj () and n2 = obj () in
+  let log = Array.map VM.Value.of_ref [| o1; n1; o2; n2 |] in
+  (* all four predate the sandbox: only the log can admit them *)
+  let sb = VM.State.sandbox_create vm ~fuel:100 ~log ~log_len:4 in
+  let may addr = VM.State.sandbox_may_write vm sb addr in
+  Alcotest.(check (list bool)) "new halves admitted, old copies not"
+    [ false; true; false; true ] [ may o1; may n1; may o2; may n2 ];
+  VM.State.sandbox_set_log sb log 2;
+  Alcotest.(check (list bool)) "the undone pair is refused"
+    [ true; false ] [ may n1; may n2 ];
+  VM.State.sandbox_set_log sb log 4;
+  Alcotest.(check bool) "re-appended, admitted again" true (may n2)
+
 let suite =
   [
     Alcotest.test_case "lazy barrier transforms exactly once" `Quick
@@ -445,4 +644,16 @@ let suite =
       guard_revert_half_transformed;
     Alcotest.test_case "rollback drops a retyped field" `Quick
       rollback_drops_retyped_field;
+    Alcotest.test_case "guard admits writes to the pair's own target" `Quick
+      guard_admits_own_target;
+    Alcotest.test_case "guard admits an earlier pair's replacement" `Quick
+      guard_admits_earlier_replacement;
+    Alcotest.test_case "guard refuses an unrelated object" `Quick
+      guard_refuses_unrelated_object;
+    Alcotest.test_case "guard admits the target after a collection" `Quick
+      guard_admits_target_after_collection;
+    Alcotest.test_case "guard refuses a temporary after a collection" `Quick
+      guard_refuses_temporary_after_collection;
+    Alcotest.test_case "guard index follows the log" `Quick
+      guard_index_follows_log;
   ]

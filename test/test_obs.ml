@@ -185,6 +185,73 @@ let test_span () =
       Alcotest.(check (float 1e-6)) "duration ms" 250.0 (Metrics.sum h)
   | None -> Alcotest.fail "span did not record its duration histogram"
 
+(* --- the scheduler's and interpreter's own counters ---------------------- *)
+
+(* One thread that yields every iteration runs exactly one slice per
+   round.  With [clinit], a static initializer runs a slice at boot,
+   before any round: the interpreter's counter is then the sink's first
+   VM metric, so the sink order shows when each handle was resolved. *)
+let yield_vm ~clinit =
+  let vm = Jv_vm.Vm.create ~config:Helpers.test_config () in
+  Jv_vm.Vm.boot vm
+    (Jv_lang.Compile.compile_program
+       (Printf.sprintf
+          {|
+class Main {
+  %s
+  static void main() {
+    for (int i = 0; i < 1000; i = i + 1) { Thread.yieldNow(); }
+  }
+}
+|}
+          (if clinit then "static int seed = 7;" else "")));
+  vm
+
+let metric_names obs =
+  let names = ref [] in
+  Metrics.iter (Obs.metrics obs) (fun n _ -> names := n :: !names);
+  List.rev !names
+
+let test_vm_round_counters () =
+  List.iter
+    (fun (clinit, boot_slices, names) ->
+      let label = if clinit then "with <clinit>" else "plain" in
+      let vm = yield_vm ~clinit in
+      let obs = Jv_vm.Vm.obs vm in
+      Alcotest.(check int) (label ^ ": no round at boot") 0
+        (Obs.counter_value obs "vm.sched.rounds");
+      Alcotest.(check int) (label ^ ": boot slices") boot_slices
+        (Obs.counter_value obs "vm.interp.slices");
+      ignore (Jv_vm.Vm.spawn_main vm ~main_class:"Main");
+      let k = 10 in
+      Jv_vm.Vm.run vm ~rounds:k;
+      Alcotest.(check int) (label ^ ": rounds") k
+        (Obs.counter_value obs "vm.sched.rounds");
+      Alcotest.(check int) (label ^ ": one slice per round") (boot_slices + k)
+        (Obs.counter_value obs "vm.interp.slices");
+      Alcotest.(check (float 0.0)) (label ^ ": one runnable thread") 1.0
+        (Obs.gauge_value obs "vm.sched.runnable");
+      Alcotest.(check (list string)) (label ^ ": sink order") names
+        (metric_names obs))
+    [
+      ( false,
+        0,
+        [
+          "vm.jit.base_compiles";
+          "vm.sched.rounds";
+          "vm.sched.runnable";
+          "vm.interp.slices";
+        ] );
+      ( true,
+        1,
+        [
+          "vm.jit.base_compiles";
+          "vm.interp.slices";
+          "vm.sched.rounds";
+          "vm.sched.runnable";
+        ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "ring basic" `Quick test_ring_basic;
@@ -200,4 +267,6 @@ let suite =
     Alcotest.test_case "timeline filter and drops" `Quick
       test_timeline_filter_and_drops;
     Alcotest.test_case "span" `Quick test_span;
+    Alcotest.test_case "vm round and slice counters" `Quick
+      test_vm_round_counters;
   ]

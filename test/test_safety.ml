@@ -333,6 +333,98 @@ let throwing_transformer_aborts () =
         (J.Updater.cause_to_string c));
   check_contained "trap" vm before a
 
+(* --- the write guard across a nested collection (eager) ----------------
+
+   Each Node transformer first allocates past the semispace, so a plain
+   collection runs inside it and moves every log object.  It then forces
+   its successor's pair with [Jvolve.transform] — looked up by new
+   address in the index over the update log — and writes its own [to],
+   which by then neither the watermark nor the pre-collection pair in
+   flight admits. *)
+
+let chain_src ~v2 =
+  Printf.sprintf
+    {|
+class Node { int v; Node next; %s}
+class Keeper { static Node head; }
+%s
+class Main {
+  static void main() {
+    Node prev = null;
+    for (int i = 1; i <= 6; i = i + 1) {
+      Node n = new Node();
+      n.v = i;
+      n.next = prev;
+      prev = n;
+    }
+    Keeper.head = prev;
+    for (int i = 0; i < 2000; i = i + 1) { Thread.yieldNow(); }
+  }
+}
+|}
+    (if v2 then "int depth; " else "")
+    (if v2 then
+       {|class Probe {
+  static int sumDepth() {
+    int s = 0;
+    Node p = Keeper.head;
+    while (p != null) { s = s + p.depth; p = p.next; }
+    return s;
+  }
+}|}
+     else "")
+
+let nested_collection_keeps_guard () =
+  let config =
+    { Helpers.test_config with VM.State.verify_heap = true }
+  in
+  let vm = boot_payload ~config (chain_src ~v2:false) in
+  let body =
+    {|
+    int[] junk = null;
+    for (int k = 0; k < 8; k = k + 1) { junk = new int[40000]; }
+    junk = null;
+    to.v = from.v;
+    to.next = from.next;
+    if (from.next != null) {
+      Jvolve.transform(from.next);
+      to.depth = from.next.depth + 1;
+    } else {
+      to.depth = 1;
+    }
+|}
+  in
+  let spec =
+    J.Spec.make
+      ~object_overrides:[ ("Node", body) ]
+      ~version_tag:"n1"
+      ~old_program:(compile (chain_src ~v2:false))
+      ~new_program:(compile (chain_src ~v2:true))
+      ()
+  in
+  let gc0 = vm.VM.State.heap.VM.Heap.gc_count in
+  let h = J.Jvolve.update_now ~timeout_rounds:200 vm spec in
+  (match h.J.Jvolve.h_outcome with
+  | J.Jvolve.Applied _ -> ()
+  | o ->
+      Alcotest.failf "update should apply, got %s"
+        (J.Jvolve.outcome_to_string o));
+  Alcotest.(check bool) "a collection ran inside every transformer" true
+    (vm.VM.State.heap.VM.Heap.gc_count - gc0 > 6);
+  let probe =
+    let cls = VM.Rt.require_class vm.VM.State.reg "Probe" in
+    match
+      VM.Rt.resolve_method vm.VM.State.reg cls "sumDepth"
+        { CF.Types.params = []; ret = CF.Types.TInt }
+    with
+    | Some m -> VM.Value.to_int (VM.Interp.call_sync vm m [||])
+    | None -> Alcotest.fail "no Probe.sumDepth"
+  in
+  (* depths 1..6, each computed from an already-forced successor *)
+  Alcotest.(check int) "every depth written through the guard" 21 probe;
+  Alcotest.(check bool)
+    "heap verifies" true (VM.Heapverify.run vm).VM.Heapverify.hv_ok
+
 (* --- the fault gauntlet on the copy path ---------------------------------
 
    With defaults only, Payload's object transformer runs as a copy plan,
@@ -587,6 +679,8 @@ let suite =
       stray_write_is_trapped;
     Alcotest.test_case "sandbox: throwing transformer aborts" `Quick
       throwing_transformer_aborts;
+    Alcotest.test_case "sandbox: nested collection keeps the guard" `Quick
+      nested_collection_keeps_guard;
     Alcotest.test_case "copy path: transformer faults abort typed" `Quick
       copy_path_gauntlet;
     Alcotest.test_case "verifier: corrupted ref field sinks the update"
