@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke perf-smoke clean
+.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke examples-smoke perf-smoke clean
 
 all:
 	dune build @all
@@ -152,6 +152,19 @@ baseline-smoke:
 	  _build/baseline-smoke.out
 	dune exec examples/baseline_comparison.exe | tee _build/baseline-example.out
 	grep -q "objects migrated on first touch" _build/baseline-example.out
+
+# App-example probe: the three live-update walkthroughs drive their
+# server under the scripted workload across the update — miniweb must
+# serve with zero protocol errors, minimail must keep answering SMTP
+# after the update, and the FTP session must finish on the updated
+# server with zero errors.
+examples-smoke:
+	dune exec examples/web_live_update.exe | tee _build/examples-web.out
+	grep -q "with 0 protocol errors" _build/examples-web.out
+	dune exec examples/email_update.exe | tee _build/examples-email.out
+	grep -Eq "after update: .* SMTP requests" _build/examples-email.out
+	dune exec examples/ftp_update.exe | tee _build/examples-ftp.out
+	grep -q "(0 errors: true)" _build/examples-ftp.out
 
 # Benchmark-workload probe: one short run of the Table 1 migrate
 # workload (default transformers run as copy plans) and one of the lazy

@@ -215,11 +215,11 @@ let warmup () =
   let windows = 6 in
   let per_window = 100 in
   for i = 1 to windows do
-    let r0 = w.A.Workload.completed_requests in
+    let r0 = w.A.Workload.load.completed_requests in
     let b0 = vm.VM.State.compile_count and o0 = vm.VM.State.opt_compile_count in
     VM.Vm.run vm ~rounds:per_window;
     Printf.printf "%-10d %-12d %-12d %-12d\n" i
-      (w.A.Workload.completed_requests - r0)
+      (w.A.Workload.load.completed_requests - r0)
       (vm.VM.State.compile_count - b0)
       (vm.VM.State.opt_compile_count - o0)
   done;

@@ -41,14 +41,14 @@ let measure_window vm ~rounds : trial =
   VM.Vm.run vm ~rounds;
   let wall = Support.now () -. t0 in
   let _, to_client = Jv_simnet.Simnet.stats vm.VM.State.net in
-  let reqs = w.A.Workload.completed_requests in
+  let reqs = w.A.Workload.load.completed_requests in
   A.Workload.detach vm w;
   {
     mbps = float_of_int to_client /. 1.0e6 /. wall;
     lat_ms =
       (if reqs = 0 then 0.0
        else
-         A.Workload.mean_latency_rounds w
+         Jv_simnet.Client.mean_latency_rounds w.A.Workload.load
          *. (wall *. 1000.0 /. float_of_int rounds));
   }
 

@@ -18,6 +18,7 @@ module G = Jv_gossip
 module J = Jvolve_core
 module Obs = Jv_obs.Obs
 module Metrics = Jv_obs.Metrics
+module Client = Jv_simnet.Client
 
 let sizes = if Support.quick then [ 2; 4 ] else [ 2; 4; 8; 16 ]
 
@@ -188,8 +189,18 @@ let gossip_params =
     G.Gossip.g_apply_jitter = 64 (* spread the post-quorum drain wave *);
   }
 
+(* Per-request latency of the open-loop load, in fleet rounds, on the
+   fleet's sink: p50/p99 come from the same DDSketch-style metric the
+   rest of the bench reports. *)
+let open_loop_histogram = "fleet.openloop.request_rounds"
+
+let open_loop_quantile fleet q =
+  match Obs.find_histogram (F.Fleet.obs fleet) open_loop_histogram with
+  | None -> 0.0
+  | Some h -> Metrics.quantile h q
+
 (* Boot a fleet on [version] and put it under open-loop load at
-   [rate] arrivals per round; returns (fleet, driver). *)
+   [rate] arrivals per round; returns (fleet, open-loop client). *)
 let boot_open_loop ~version ~size ~rate =
   let profile = F.Profile.miniweb in
   let fleet =
@@ -198,16 +209,19 @@ let boot_open_loop ~version ~size ~rate =
   in
   F.Fleet.run fleet ~rounds:30;
   let ol =
-    F.Openloop.create
+    Client.create
       ~net:(F.Lb.front (F.Fleet.lb fleet))
       ~port:F.Fleet.default_lb_port
-      ~line:(List.hd profile.F.Profile.pr_script)
-      ~ok:profile.F.Profile.pr_ok ~rate
-      ~obs:(F.Fleet.obs fleet) ()
+      ~script:[ List.hd profile.F.Profile.pr_script ]
+      ~ok:profile.F.Profile.pr_ok
+      ~arrivals:(Client.Open { rate })
+      ~on_reply:(fun rounds _ ->
+        Obs.observe_int (F.Fleet.obs fleet) open_loop_histogram rounds)
+      ()
   in
   for _ = 1 to 120 do
     F.Fleet.round fleet;
-    F.Openloop.step ol ~tick:(F.Fleet.ticks fleet)
+    Client.step ol ~now:(F.Fleet.ticks fleet)
   done;
   (fleet, ol)
 
@@ -217,12 +231,12 @@ let gossip_run g ol ~max_rounds =
   let fleet = g.G.Gossip.fleet in
   let rounds =
     G.Gossip.run g
-      ~on_round:(fun _ -> F.Openloop.step ol ~tick:(F.Fleet.ticks fleet))
+      ~on_round:(fun _ -> Client.step ol ~now:(F.Fleet.ticks fleet))
       ~max_rounds ()
   in
   let _drained =
-    F.Openloop.drain ol
-      ~tick:(F.Fleet.ticks fleet)
+    Client.drain ol
+      ~now:(F.Fleet.ticks fleet)
       ~round:(fun () -> F.Fleet.round fleet)
       ~patience:600
   in
@@ -232,7 +246,7 @@ let show_gossip_result g ol ~rounds =
   let fleet = g.G.Gossip.fleet in
   let r = G.Gossip.report g ~rounds in
   let dropped =
-    F.Openloop.dropped_in_flight ol + F.Lb.dropped (F.Fleet.lb fleet)
+    ol.Client.dropped_in_flight + F.Lb.dropped (F.Fleet.lb fleet)
   in
   Printf.printf "    %-44s %s\n" "gossip:" (Fmt.str "%a" G.Gossip.pp_report r);
   Printf.printf "    %-44s %s\n" "fleet version:"
@@ -241,16 +255,15 @@ let show_gossip_result g ol ~rounds =
     | None -> "MIXED");
   Printf.printf
     "    %-44s %d offered, %d served, %d errors (max %d in flight)\n"
-    "open-loop load:" (F.Openloop.offered ol) (F.Openloop.served ol)
-    (F.Openloop.errors ol)
-    (F.Openloop.max_in_flight ol);
+    "open-loop load:" (Client.offered ol) ol.Client.completed_requests
+    ol.Client.errors ol.Client.max_in_flight;
   Printf.printf "    %-44s p50 %.0f p99 %.0f rounds (mean %.1f)\n"
     "request latency:"
-    (F.Openloop.latency_quantile ol 0.5)
-    (F.Openloop.latency_quantile ol 0.99)
-    (F.Openloop.mean_latency_rounds ol);
+    (open_loop_quantile fleet 0.5)
+    (open_loop_quantile fleet 0.99)
+    (Client.mean_latency_rounds ol);
   Printf.printf "    %-44s %d dropped in flight, %d refused -- SLO %s\n"
-    "connections:" dropped (F.Openloop.refused ol)
+    "connections:" dropped ol.Client.refused
     (if dropped = 0 then "PASS" else "FAIL");
   r
 
@@ -273,7 +286,7 @@ let gossip_rollout () =
     | Error e -> failwith e
   in
   let g = G.Gossip.create ~chaos ~params:gossip_params ~fleet () in
-  let req0 = F.Openloop.served ol in
+  let req0 = ol.Client.completed_requests in
   ignore (G.Gossip.propose g ~origin:0 ~to_version:"5.1.2");
   let rounds = gossip_run g ol ~max_rounds:6000 in
   Printf.printf "  size %d, quorum %d votes:\n" size g.G.Gossip.quorum;
@@ -339,7 +352,7 @@ let drive_heal ~fleet ~orch ~sup ?ol ~max_rounds () =
     F.Supervisor.step sup;
     match ol with
     | None -> ()
-    | Some ol -> F.Openloop.step ol ~tick:(F.Fleet.ticks fleet)
+    | Some ol -> Client.step ol ~now:(F.Fleet.ticks fleet)
   in
   let rec go n =
     if n >= max_rounds then ()
@@ -432,19 +445,19 @@ let heal_storm () =
   let fleet, ol, r, sup, plan = heal_storm_run ~size ~seed:7 in
   let obs = F.Fleet.obs fleet in
   (* storm over: measure residual errors on the healed fleet *)
-  let errs0 = F.Openloop.errors ol in
+  let errs0 = ol.Client.errors in
   for _ = 1 to 300 do
     F.Fleet.round fleet;
     F.Supervisor.step sup;
-    F.Openloop.step ol ~tick:(F.Fleet.ticks fleet)
+    Client.step ol ~now:(F.Fleet.ticks fleet)
   done;
   let _drained =
-    F.Openloop.drain ol
-      ~tick:(F.Fleet.ticks fleet)
+    Client.drain ol
+      ~now:(F.Fleet.ticks fleet)
       ~round:(fun () -> F.Fleet.round fleet)
       ~patience:600
   in
-  let residual = F.Openloop.errors ol - errs0 in
+  let residual = ol.Client.errors - errs0 in
   let alive = F.Supervisor.alive sup in
   (match r with
   | Some r ->
@@ -462,9 +475,9 @@ let heal_storm () =
     (F.Supervisor.below_capacity_rounds sup);
   Printf.printf "    %-44s p50 %.0f p99 %.0f rounds, %d dropped in flight\n"
     "open-loop latency:"
-    (F.Openloop.latency_quantile ol 0.5)
-    (F.Openloop.latency_quantile ol 0.99)
-    (F.Openloop.dropped_in_flight ol + F.Lb.dropped (F.Fleet.lb fleet));
+    (open_loop_quantile fleet 0.5)
+    (open_loop_quantile fleet 0.99)
+    (ol.Client.dropped_in_flight + F.Lb.dropped (F.Fleet.lb fleet));
   let uniform = F.Fleet.uniform_version fleet in
   Printf.printf "    %-44s %d/%d alive at %s -- %s\n" "full strength:" alive
     size

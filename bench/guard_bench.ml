@@ -190,13 +190,14 @@ let bad_update () =
   (* drain responses the bad epoch had already queued before the trip:
      they are its errors, not the restored version's *)
   VM.Vm.run vm ~rounds:10;
-  let errors_at_revert = w.A.Workload.errors in
-  let before = w.A.Workload.completed_requests in
+  let errors_at_revert = w.A.Workload.load.errors in
+  let before = w.A.Workload.load.completed_requests in
   VM.Vm.run vm ~rounds:200;
   Printf.printf "    after revert: %d requests served, %d new errors\n"
-    (w.A.Workload.completed_requests - before)
-    (w.A.Workload.errors - errors_at_revert);
-  Printf.printf "    dropped connections: %d\n" w.A.Workload.dropped
+    (w.A.Workload.load.completed_requests - before)
+    (w.A.Workload.load.errors - errors_at_revert);
+  Printf.printf "    dropped connections: %d\n"
+    w.A.Workload.load.dropped_in_flight
 
 (* --- section 4 (--lazy): guarded lazy migration -------------------------- *)
 

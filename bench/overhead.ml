@@ -36,14 +36,14 @@ let run_mode ~indirection ~target =
       ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:6 ()
   in
   VM.Vm.run vm ~rounds:200 (* warm-up *);
-  let base_reqs = w.A.Workload.completed_requests in
+  let base_reqs = w.A.Workload.load.completed_requests in
   let checks0 = vm.VM.State.deref_checks in
   let t0 = Support.now () in
-  while w.A.Workload.completed_requests - base_reqs < target do
+  while w.A.Workload.load.completed_requests - base_reqs < target do
     VM.Vm.run vm ~rounds:50
   done;
   let wall = Support.now () -. t0 in
-  let reqs = w.A.Workload.completed_requests - base_reqs in
+  let reqs = w.A.Workload.load.completed_requests - base_reqs in
   let checks = vm.VM.State.deref_checks - checks0 in
   A.Workload.detach vm w;
   (float_of_int reqs /. wall, checks)
@@ -88,11 +88,11 @@ let run_lazy ~target =
       ~script:A.Workload.smtp_script ~concurrency:6 ()
   in
   let t0 = Support.now () in
-  while w.A.Workload.completed_requests < target do
+  while w.A.Workload.load.completed_requests < target do
     VM.Vm.run vm ~rounds:50
   done;
   let wall = Support.now () -. t0 in
-  let reqs = w.A.Workload.completed_requests in
+  let reqs = w.A.Workload.load.completed_requests in
   A.Workload.detach vm w;
   (float_of_int reqs /. wall, B.Indirection.migrated vm)
 

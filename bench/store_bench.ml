@@ -65,7 +65,9 @@ let run_ladder () =
           ignore (VM.Gc.collect vm : VM.Gc.result);
           let hv = VM.Heapverify.run vm in
           let dropped =
-            List.fold_left (fun n w -> n + w.A.Workload.dropped) 0 loads
+            List.fold_left
+              (fun n w -> n + w.A.Workload.load.dropped_in_flight)
+              0 loads
           in
           Printf.printf "    %-12s %10d %12.3f %12d %8s %8d\n"
             (from_v ^ "->" ^ to_v)
@@ -301,10 +303,10 @@ let run_gossip_rollout () =
   Printf.printf
     "    %-28s %d sessions, %d requests, %d errors, %d dropped in flight, \
      %d timed out\n"
-    "closed-loop load:" d.F.Driver.completed_sessions
-    d.F.Driver.completed_requests d.F.Driver.errors
+    "closed-loop load:" d.Jv_simnet.Client.completed_sessions
+    d.Jv_simnet.Client.completed_requests d.Jv_simnet.Client.errors
     (F.Fleet.dropped_in_flight fleet)
-    d.F.Driver.timed_out_requests;
+    d.Jv_simnet.Client.timed_out_requests;
   F.Fleet.detach_loads fleet
 
 (* --- section 5: lazy commit pause vs store size --------------------------- *)

@@ -471,8 +471,8 @@ let faults =
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"PLAN"
          ~doc:"Arm a deterministic fault plan on every instance VM and \
                its network: comma-separated POINT=ACTION[@RATE][xCOUNT] \
-               rules, e.g. 'updater.transform=raise\\@0.2', \
-               'net.link=drop\\@0.05', 'updater.gc=kill x1'.  Actions: \
+               rules, e.g. 'updater.transform=raise@0.2', \
+               'net.link=drop@0.05', 'updater.gc=kill x1'.  Actions: \
                raise, kill, drop, delay:N.  A trailing * in POINT \
                matches by prefix.")
 

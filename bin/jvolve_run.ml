@@ -400,8 +400,8 @@ let faults =
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"PLAN"
          ~doc:"Arm a deterministic fault plan: comma-separated \
                POINT=ACTION[@RATE][xCOUNT] rules, e.g. \
-               'updater.transform=raise', 'updater.*=raise\\@0.2', \
-               'net.link=delay:3\\@0.1x5'.  Actions: raise, kill, drop, \
+               'updater.transform=raise', 'updater.*=raise@0.2', \
+               'net.link=delay:3@0.1x5'.  Actions: raise, kill, drop, \
                delay:N.  A trailing * in POINT matches by prefix.")
 
 let fault_seed =

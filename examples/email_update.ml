@@ -32,7 +32,8 @@ let () =
   in
   VM.Vm.run vm ~rounds:60;
   Printf.printf "before update: %d SMTP requests, %d POP requests served\n"
-    smtp.A.Workload.completed_requests pop.A.Workload.completed_requests;
+    smtp.A.Workload.load.completed_requests
+    pop.A.Workload.load.completed_requests;
 
   (* the update spec with the paper's customized User transformer *)
   let spec =
@@ -74,7 +75,8 @@ let () =
   enable_log;
   VM.Vm.run vm ~rounds:120;
   Printf.printf "\nafter update: %d SMTP requests, %d POP requests served\n"
-    smtp.A.Workload.completed_requests pop.A.Workload.completed_requests;
+    smtp.A.Workload.load.completed_requests
+    pop.A.Workload.load.completed_requests;
   let out = VM.Vm.output vm in
   print_string "server log (forwarding uses transformed EmailAddress objects):\n";
   String.split_on_char '\n' out

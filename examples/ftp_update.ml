@@ -36,8 +36,8 @@ let busy_attempt () =
   in
   VM.Vm.run vm ~rounds:40;
   Printf.printf "busy server: %d FTP sessions active, %d commands served\n"
-    (List.length w.A.Workload.active)
-    w.A.Workload.completed_requests;
+    (List.length w.A.Workload.load.active)
+    w.A.Workload.load.completed_requests;
   let h = J.Jvolve.update_now ~timeout_rounds:100 vm (spec ()) in
   Printf.printf "update under load -> %s\n  (%d return barriers installed \
                  while waiting)\n"
@@ -58,8 +58,8 @@ let idle_attempt () =
   in
   VM.Vm.run vm ~rounds:80;
   Printf.printf "served %d commands on the updated server (0 errors: %b)\n"
-    w.A.Workload.completed_requests
-    (w.A.Workload.errors = 0)
+    w.A.Workload.load.completed_requests
+    (w.A.Workload.load.errors = 0)
 
 let () =
   busy_attempt ();

@@ -21,7 +21,7 @@ let () =
       ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:8 ()
   in
   VM.Vm.run vm ~rounds:80;
-  let before = w.A.Workload.completed_requests in
+  let before = w.A.Workload.load.completed_requests in
   Printf.printf "running miniweb 5.1.4 under load: %d requests served\n"
     before;
 
@@ -57,11 +57,11 @@ let () =
   | o -> failwith (J.Jvolve.outcome_to_string o));
 
   VM.Vm.run vm ~rounds:120;
-  let after = w.A.Workload.completed_requests in
+  let after = w.A.Workload.load.completed_requests in
   Printf.printf
     "\nafter the update the same server (same connections, same listener) \
      served %d more requests\nwith %d protocol errors — zero downtime.\n"
-    (after - before) w.A.Workload.errors;
+    (after - before) w.A.Workload.load.errors;
   let stats = VM.Vm.stats vm in
   Printf.printf
     "VM: %d base compiles, %d opt compiles, %d GCs, %d OSRs, %d traps\n"

@@ -111,10 +111,12 @@ let attach_loads vm (d : app_desc) ~concurrency =
     d.d_loads
 
 let total_requests loads =
-  List.fold_left (fun acc w -> acc + w.Workload.completed_requests) 0 loads
+  List.fold_left
+    (fun acc w -> acc + w.Workload.load.completed_requests)
+    0 loads
 
 let total_errors loads =
-  List.fold_left (fun acc w -> acc + w.Workload.errors) 0 loads
+  List.fold_left (fun acc w -> acc + w.Workload.load.errors) 0 loads
 
 (* Attempt one dynamic update under load (or idle). *)
 let run_one ?(config = default_config) ?(concurrency = 4) ?(warmup = 60)

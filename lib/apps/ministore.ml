@@ -561,36 +561,34 @@ type snapshot = {
 exception Wire_error of string
 
 (* One synchronous client session against the in-VM server, driving the
-   VM's own scheduler until each reply lands. *)
+   VM's own scheduler until each reply lands (at most 500 rounds per
+   line); returns the replies in order. *)
 let wire_session vm (lines : string list) : string list =
-  let net = vm.Jv_vm.State.net in
-  match Jv_simnet.Simnet.connect net ~port with
-  | None -> raise (Wire_error "connect refused")
-  | Some cid ->
-      let recv_one sent =
-        let resp = ref None in
-        let budget = ref 500 in
-        while !resp = None && !budget > 0 do
-          Jv_vm.Vm.run vm ~rounds:1;
-          decr budget;
-          match Jv_simnet.Simnet.client_recv net ~conn_id:cid with
-          | `Line l -> resp := Some l
-          | `Eof -> raise (Wire_error ("EOF awaiting reply to " ^ sent))
-          | `Wait -> ()
-        done;
-        match !resp with
-        | Some l -> l
-        | None -> raise (Wire_error ("no reply to " ^ sent))
-      in
-      let resps =
-        List.map
-          (fun line ->
-            Jv_simnet.Simnet.client_send net ~conn_id:cid line;
-            recv_one line)
-          lines
-      in
-      Jv_simnet.Simnet.client_close net ~conn_id:cid;
-      resps
+  let module Client = Jv_simnet.Client in
+  let replies = ref [] in
+  let c =
+    Client.create ~net:vm.Jv_vm.State.net ~port ~script:lines
+      ~ok:(fun _ -> true)
+      ~arrivals:(Client.Closed { concurrency = 1; max_sessions = 1 })
+      ~timeout:499
+      ~on_reply:(fun _ reply -> replies := reply :: !replies)
+      ()
+  in
+  (* the session's own clock: a killed VM's ticks stand still *)
+  let rounds = ref 0 in
+  Client.step c ~now:0;
+  if c.Client.launched = 0 then raise (Wire_error "connect refused");
+  while c.Client.active <> [] do
+    Jv_vm.Vm.run vm ~rounds:1;
+    incr rounds;
+    Client.step c ~now:!rounds
+  done;
+  let awaited () = List.nth lines (List.length !replies) in
+  if c.Client.dropped_in_flight > 0 then
+    raise (Wire_error ("EOF awaiting reply to " ^ awaited ()));
+  if c.Client.timed_out_requests > 0 then
+    raise (Wire_error ("no reply to " ^ awaited ()));
+  List.rev !replies
 
 let field_after ~tag reply =
   let pat = " " ^ tag ^ "=" in

@@ -1,161 +1,40 @@
-(* Scripted workload driver: the httperf analogue (paper §4.1).
-
-   A workload is a line script: the client sends one line, waits for one
-   response line, then sends the next; after the last response it closes
-   the connection and (up to [max_sessions]) opens a fresh one.  The
-   driver runs as a VM poller — once per scheduler round it pumps every
-   active connection — so client work interleaves with server execution
-   exactly like external load against a real server.
-
-   Latency is measured in scheduler rounds from send to response;
-   throughput in bytes comes from the simnet byte counters. *)
+(* Scripted workload driver: the httperf analogue (paper §4.1) against
+   one VM.  A closed loop of [Jv_simnet.Client] sessions runs as a VM
+   poller -- once per scheduler round it pumps every active connection
+   -- so client work interleaves with server execution exactly like
+   external load against a real server.  Latency is counted in scheduler
+   rounds and lands in the VM's ["app.request_rounds"] histogram, which
+   the guard window's latency signal reads; rejected responses also
+   bump ["app.request_errors"]. *)
 
 module State = Jv_vm.State
-module Simnet = Jv_simnet.Simnet
+module Client = Jv_simnet.Client
 
-type conn_state = {
-  cid : int;
-  mutable remaining : string list;
-  mutable sent_at : int;
-  mutable awaiting : bool;
-}
-
-type t = {
-  port : int;
-  script : string list;
-  ok : string -> bool;
-  concurrency : int;
-  max_sessions : int;
-  mutable launched : int;
-  mutable active : conn_state list;
-  mutable completed_sessions : int;
-  mutable completed_requests : int;
-  mutable errors : int;
-  mutable dropped : int; (* sessions severed with a request outstanding *)
-  mutable latency_rounds : int; (* summed over completed requests *)
-  mutable poller : (State.t -> unit) option;
-}
+type t = { load : Client.t; poller : State.t -> unit }
 
 let default_ok resp =
   String.length resp > 0
   && (match resp.[0] with '2' | '3' | '1' | '+' -> true | _ -> false)
 
-let pump_conn vm t (c : conn_state) : bool (* keep? *) =
-  let net = vm.State.net in
-  if c.awaiting then begin
-    match Simnet.client_recv net ~conn_id:c.cid with
-    | `Wait -> true
-    | `Eof ->
-        (* awaiting = a request was outstanding: this is a dropped
-           connection, the number an update (or revert) must keep at 0 *)
-        t.dropped <- t.dropped + 1;
-        Simnet.client_close net ~conn_id:c.cid;
-        Simnet.reap net ~conn_id:c.cid;
-        false
-    | `Line resp -> (
-        c.awaiting <- false;
-        t.completed_requests <- t.completed_requests + 1;
-        t.latency_rounds <- t.latency_rounds + (vm.State.ticks - c.sent_at);
-        (* the guard window's latency signal reads this histogram *)
-        Jv_obs.Obs.observe_int vm.State.obs "app.request_rounds"
-          (vm.State.ticks - c.sent_at);
-        if not (t.ok resp) then begin
-          t.errors <- t.errors + 1;
-          Jv_obs.Obs.incr vm.State.obs "app.request_errors"
-        end;
-        match c.remaining with
-        | [] ->
-            Simnet.client_close net ~conn_id:c.cid;
-            Simnet.reap net ~conn_id:c.cid;
-            t.completed_sessions <- t.completed_sessions + 1;
-            false
-        | line :: rest ->
-            Simnet.client_send net ~conn_id:c.cid line;
-            c.remaining <- rest;
-            c.sent_at <- vm.State.ticks;
-            c.awaiting <- true;
-            true)
-  end
-  else true
-
-let launch vm t =
-  if
-    t.launched < t.max_sessions
-    && List.length t.active < t.concurrency
-  then
-    match Simnet.connect vm.State.net ~port:t.port with
-    | None -> () (* server not listening yet *)
-    | Some cid -> (
-        t.launched <- t.launched + 1;
-        match t.script with
-        | [] -> Simnet.client_close vm.State.net ~conn_id:cid
-        | line :: rest ->
-            Simnet.client_send vm.State.net ~conn_id:cid line;
-            t.active <-
-              {
-                cid;
-                remaining = rest;
-                sent_at = vm.State.ticks;
-                awaiting = true;
-              }
-              :: t.active)
-
-let step vm t =
-  t.active <- List.filter (pump_conn vm t) t.active;
-  (* open at most one new session per round: a staggered arrival process
-     (like httperf's), so session lifetimes interleave instead of running
-     in lockstep *)
-  if List.length t.active < t.concurrency then launch vm t
-
 let attach vm ~port ~script ?(ok = default_ok) ~concurrency
     ?(max_sessions = max_int) () : t =
-  let t =
-    {
-      port;
-      script;
-      ok;
-      concurrency;
-      max_sessions;
-      launched = 0;
-      active = [];
-      completed_sessions = 0;
-      completed_requests = 0;
-      errors = 0;
-      dropped = 0;
-      latency_rounds = 0;
-      poller = None;
-    }
+  let obs = vm.State.obs in
+  let on_reply rounds resp =
+    Jv_obs.Obs.observe_int obs "app.request_rounds" rounds;
+    if not (ok resp) then Jv_obs.Obs.incr obs "app.request_errors"
   in
-  let poller vm = step vm t in
-  t.poller <- Some poller;
+  let load =
+    Client.create ~net:vm.State.net ~port ~script ~ok
+      ~arrivals:(Client.Closed { concurrency; max_sessions })
+      ~on_reply ()
+  in
+  let poller vm = Client.step load ~now:vm.State.ticks in
   vm.State.pollers <- vm.State.pollers @ [ poller ];
-  t
+  { load; poller }
 
 let detach vm t =
-  match t.poller with
-  | None -> ()
-  | Some p ->
-      vm.State.pollers <- List.filter (fun q -> q != p) vm.State.pollers;
-      List.iter
-        (fun c ->
-          Simnet.client_close vm.State.net ~conn_id:c.cid;
-          Simnet.reap vm.State.net ~conn_id:c.cid)
-        t.active;
-      t.active <- [];
-      t.poller <- None
-
-(* Wait (by running scheduler rounds) until the workload becomes quiet:
-   no active sessions, or [max_rounds] elapsed. *)
-let drain vm t ~max_rounds =
-  let n = ref 0 in
-  while t.active <> [] && !n < max_rounds do
-    Jv_vm.Sched.round vm;
-    incr n
-  done
-
-let mean_latency_rounds t =
-  if t.completed_requests = 0 then 0.0
-  else float_of_int t.latency_rounds /. float_of_int t.completed_requests
+  vm.State.pollers <- List.filter (fun q -> q != t.poller) vm.State.pollers;
+  Client.detach t.load
 
 (* --- canned scripts ----------------------------------------------------- *)
 

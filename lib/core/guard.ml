@@ -32,7 +32,7 @@
 
 module State = Jv_vm.State
 module Rt = Jv_vm.Rt
-module Simnet = Jv_simnet.Simnet
+module Client = Jv_simnet.Client
 module Obs = Jv_obs.Obs
 module Metrics = Jv_obs.Metrics
 module Faults = Jv_faults.Faults
@@ -101,10 +101,11 @@ let budget_of_string s : (budget, string) result =
 
 (* --- configuration ------------------------------------------------------ *)
 
-(* The built-in loopback prober: every [pc_every] rounds connect to the
-   app's own port, send the health line, and expect a line passing
-   [pc_ok] within [pc_deadline] rounds (banner lines are skipped, as in
-   [Fleet.Health]). *)
+(* The built-in loopback prober: every [pc_every] rounds a
+   [Jv_simnet.Client] probe session to the app's own port sends the
+   health line and expects a line passing [pc_ok] within [pc_deadline]
+   rounds (banner lines are skipped, as in [Fleet.Health]).  A refused
+   connect, an EOF or a missed deadline is one probe failure. *)
 type probe_config = {
   pc_port : int;
   pc_line : string;
@@ -170,7 +171,7 @@ type t = {
   g_baseline_p99 : float; (* pre-update p99 from that histogram *)
   mutable g_injected_traps : int; (* guard.trap synthetic signal *)
   mutable g_probe_failures : int;
-  mutable g_probe_inflight : (int * int) option; (* conn id, sent tick *)
+  mutable g_probe_inflight : Client.t option;
   mutable g_last_probe_at : int;
   mutable g_done : bool;
 }
@@ -213,13 +214,9 @@ let round_of vm g = vm.State.ticks - g.g_opened_at
 let note_probe_failure g =
   g.g_probe_failures <- g.g_probe_failures + 1
 
-let close_probe vm g =
-  match g.g_probe_inflight with
-  | None -> ()
-  | Some (cid, _) ->
-      Simnet.client_close vm.State.net ~conn_id:cid;
-      Simnet.reap vm.State.net ~conn_id:cid;
-      g.g_probe_inflight <- None
+let close_probe g =
+  Option.iter Client.detach g.g_probe_inflight;
+  g.g_probe_inflight <- None
 
 let step_probe vm g =
   match g.g_cfg.c_probe with
@@ -227,36 +224,35 @@ let step_probe vm g =
   | Some pc -> (
       let now = vm.State.ticks in
       match g.g_probe_inflight with
-      | Some (cid, sent) ->
-          let rec drain () =
-            match Simnet.client_recv vm.State.net ~conn_id:cid with
-            | `Line resp when pc.pc_ok resp -> close_probe vm g
-            | `Line _ -> drain () (* banner / sick response: keep waiting *)
-            | `Eof ->
-                g.g_probe_failures <- g.g_probe_failures + 1;
-                close_probe vm g
-            | `Wait ->
-                if now - sent > pc.pc_deadline then begin
-                  g.g_probe_failures <- g.g_probe_failures + 1;
-                  close_probe vm g
-                end
-          in
-          drain ()
+      | Some p -> (
+          Client.step p ~now;
+          match Client.verdict p with
+          | Client.Pending -> ()
+          | Client.Answered -> g.g_probe_inflight <- None
+          | Client.Refused | Client.Severed | Client.Timed_out ->
+              g.g_probe_failures <- g.g_probe_failures + 1;
+              g.g_probe_inflight <- None)
       | None ->
           if now - g.g_last_probe_at >= pc.pc_every then begin
             g.g_last_probe_at <- now;
-            match Simnet.connect vm.State.net ~port:pc.pc_port with
-            | None -> g.g_probe_failures <- g.g_probe_failures + 1
-            | Some cid ->
-                Simnet.client_send vm.State.net ~conn_id:cid pc.pc_line;
-                g.g_probe_inflight <- Some (cid, now)
+            let p =
+              Client.create ~net:vm.State.net ~port:pc.pc_port
+                ~script:[ pc.pc_line ] ~ok:pc.pc_ok
+                ~arrivals:(Client.Probe { deadline = now + pc.pc_deadline })
+                ()
+            in
+            Client.step p ~now;
+            (* unlike a fleet health probe, a refused connect is not retried *)
+            if p.Client.refused > 0 then
+              g.g_probe_failures <- g.g_probe_failures + 1
+            else g.g_probe_inflight <- Some p
           end)
 
 (* Shut the window without a verdict (an external driver — the fleet
    orchestrator — is taking over, e.g. to force a coordinated revert). *)
-let cancel vm g =
+let cancel (_ : State.t) g =
   g.g_done <- true;
-  close_probe vm g
+  close_probe g
 
 (* Window-scoped latency: observations since the open-time snapshot. *)
 let window_latency vm g : float * int =
@@ -294,7 +290,7 @@ let tick (vm : State.t) (g : t) : [ `Watching | `Trip of verdict | `Close ] =
     in
     let verdict signal detail =
       g.g_done <- true;
-      close_probe vm g;
+      close_probe g;
       let v =
         {
           v_signal = signal;
@@ -337,7 +333,7 @@ let tick (vm : State.t) (g : t) : [ `Watching | `Trip of verdict | `Close ] =
            b.b_latency_factor g.g_baseline_p99)
     else if round_of vm g >= b.b_rounds then begin
       g.g_done <- true;
-      close_probe vm g;
+      close_probe g;
       Obs.incr vm.State.obs "core.guard.closed_clean";
       Obs.emit vm.State.obs ~scope:"core.guard" "guard.closed"
         [

@@ -146,25 +146,23 @@ let check ?(allow_osr = true) vm (r : restricted) : check_result =
   let stuck = ref [] in
   List.iter
     (fun (t : State.vthread) ->
-      (* walk from the top of the stack; remember the topmost restricted
-         frame in case we must install a barrier *)
+      (* walk from the top of the stack; once any frame blocks, the
+         thread is stuck at the topmost restricted frame, where a barrier
+         would go *)
       let top_restricted = ref None in
-      let blocking = ref false in
+      let stuck_at = ref None in
       List.iter
         (fun fr ->
           match frame_class vm ~allow_osr r fr with
           | `Blocking ->
-              if !top_restricted = None then top_restricted := Some fr;
-              blocking := true
+              if Option.is_none !top_restricted then top_restricted := Some fr;
+              if Option.is_none !stuck_at then stuck_at := !top_restricted
           | `Osr ->
-              if !top_restricted = None then top_restricted := Some fr;
+              if Option.is_none !top_restricted then top_restricted := Some fr;
               osr_frames := fr :: !osr_frames
           | `Clear -> ())
         t.State.frames;
-      if !blocking then
-        match !top_restricted with
-        | Some fr -> stuck := (t, fr) :: !stuck
-        | None -> assert false)
+      Option.iter (fun fr -> stuck := (t, fr) :: !stuck) !stuck_at)
     (State.live_threads vm);
   Jv_obs.Obs.incr vm.State.obs "core.safepoint.checks";
   Jv_obs.Obs.set_gauge vm.State.obs "core.safepoint.blocked_threads"

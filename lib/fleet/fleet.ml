@@ -3,10 +3,12 @@
 
    One fleet round = one scheduler round on every in-service VM, one
    balancer pump (lines move client<->backend), one step of every
-   attached workload driver.  The orchestrator (see [Orchestrator]) is
-   stepped by its own driver loop on top of this. *)
+   attached closed-loop load ([Jv_simnet.Client]).  The orchestrator
+   (see [Orchestrator]) is stepped by its own driver loop on top of
+   this. *)
 
 module VM = Jv_vm
+module Client = Jv_simnet.Client
 
 let default_lb_port = 80
 
@@ -15,7 +17,7 @@ type t = {
   config : VM.State.config;
   instances : Instance.t array;
   lb : Lb.t;
-  mutable drivers : Driver.t list;
+  mutable loads : Client.t list;
   mutable ticks : int;
   obs : Jv_obs.Obs.t; (* fleet-level sink, clocked by fleet rounds *)
   mutable faults : Jv_faults.Faults.t option; (* plan armed by [set_faults] *)
@@ -36,7 +38,7 @@ let create ?(config = Instance.default_config) ?(policy = Lb.Round_robin)
         ~backend_port:inst.Instance.i_port)
     instances;
   let t =
-    { profile; config; instances; lb; drivers = []; ticks = 0; obs;
+    { profile; config; instances; lb; loads = []; ticks = 0; obs;
       faults = None }
   in
   Jv_obs.Obs.set_clock obs (fun () -> t.ticks);
@@ -52,18 +54,29 @@ let profile t = t.profile
 let config t = t.config
 let faults t = t.faults
 
-let attach_load ?(concurrency = 4) ?max_sessions ?request_timeout t =
+(* Scripted sessions against the balancer.  A closed-loop client never
+   sends its next line before the previous one is answered, so a request
+   (or response) swallowed by a lossy link ([net.link=drop] on an
+   instance net) would wedge the session -- and its balancer route --
+   forever; [request_timeout] closes it instead (counted in
+   [timed_out_requests], apart from [dropped_in_flight]: fault-induced
+   loss is not an update-window sever) and frees the slot. *)
+let default_request_timeout = 200
+
+let attach_load ?(concurrency = 4) ?(max_sessions = max_int)
+    ?(request_timeout = default_request_timeout) t =
   let d =
-    Driver.create ~net:(Lb.front t.lb) ~port:t.lb.Lb.port
+    Client.create ~net:(Lb.front t.lb) ~port:t.lb.Lb.port
       ~script:t.profile.Profile.pr_script ~ok:t.profile.Profile.pr_ok
-      ~concurrency ?max_sessions ?request_timeout ()
+      ~arrivals:(Client.Closed { concurrency; max_sessions })
+      ~timeout:request_timeout ()
   in
-  t.drivers <- t.drivers @ [ d ];
+  t.loads <- t.loads @ [ d ];
   d
 
 let detach_loads t =
-  List.iter Driver.detach t.drivers;
-  t.drivers <- []
+  List.iter Client.detach t.loads;
+  t.loads <- []
 
 (* Arm (or disarm) one chaos plan across the whole fleet: every instance
    VM (its [updater.*] points and scheduler kill switch) and every
@@ -82,7 +95,7 @@ let round t =
   Lb.pump t.lb ~tick:t.ticks;
   Jv_obs.Obs.set_gauge t.obs "fleet.lb.in_flight"
     (float_of_int (Lb.total_in_flight t.lb));
-  List.iter (fun d -> Driver.step d ~tick:t.ticks) t.drivers
+  List.iter (fun d -> Client.step d ~now:t.ticks) t.loads
 
 let run t ~rounds =
   for _ = 1 to rounds do
@@ -108,11 +121,11 @@ let uniform_version t =
   | v :: rest -> if List.for_all (( = ) v) rest then Some v else None
 
 let total_requests t =
-  List.fold_left (fun n d -> n + d.Driver.completed_requests) 0 t.drivers
+  List.fold_left (fun n d -> n + d.Client.completed_requests) 0 t.loads
 
 let total_errors t =
-  List.fold_left (fun n d -> n + d.Driver.errors) 0 t.drivers
+  List.fold_left (fun n d -> n + d.Client.errors) 0 t.loads
 
 let dropped_in_flight t =
   Lb.dropped t.lb
-  + List.fold_left (fun n d -> n + d.Driver.dropped_in_flight) 0 t.drivers
+  + List.fold_left (fun n d -> n + d.Client.dropped_in_flight) 0 t.loads

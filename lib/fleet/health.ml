@@ -1,78 +1,45 @@
 (* Asynchronous health probes and the canary health gate.
 
-   A probe is a tiny scripted client run directly against one instance's
-   simnet (bypassing the load balancer, like a sidecar health checker):
-   connect, send the app's health-probe line, and wait — stepping once
-   per fleet round — until a line passing [ok] arrives (some servers
-   greet with a banner first, which is skipped) or the deadline passes.
+   A probe is a one-line [Jv_simnet.Client] session run directly against
+   one instance's simnet (bypassing the load balancer, like a sidecar
+   health checker), stepped once per fleet round: it retries a refused
+   connect and reads past lines failing [ok] (some servers greet with a
+   banner first) until [deadline_rounds] after its start.
 
    The canary gate compares load-balancer observation windows between
    the canary pool and the stable pool. *)
 
-module Simnet = Jv_simnet.Simnet
+module Client = Jv_simnet.Client
 
 type outcome = Pending | Healthy of int (* latency in rounds *) | Unhealthy of string
 
 type probe = {
-  p_net : Simnet.t;
-  p_port : int;
-  p_line : string;
-  p_ok : string -> bool;
+  p_client : Client.t;
   p_started : int;
-  p_deadline : int;
-  mutable p_conn : int option;
   mutable p_outcome : outcome;
 }
 
 let start ~net ~port ~line ~ok ~now ~deadline_rounds =
   {
-    p_net = net;
-    p_port = port;
-    p_line = line;
-    p_ok = ok;
+    p_client =
+      Client.create ~net ~port ~script:[ line ] ~ok
+        ~arrivals:(Client.Probe { deadline = now + deadline_rounds })
+        ();
     p_started = now;
-    p_deadline = now + deadline_rounds;
-    p_conn = None;
     p_outcome = Pending;
   }
 
-let finish p outcome =
-  p.p_outcome <- outcome;
-  match p.p_conn with
-  | None -> ()
-  | Some cid ->
-      Simnet.client_close p.p_net ~conn_id:cid;
-      Simnet.reap p.p_net ~conn_id:cid;
-      p.p_conn <- None
-
 let step p ~now =
-  match p.p_outcome with
-  | Healthy _ | Unhealthy _ -> ()
-  | Pending -> (
-      (match p.p_conn with
-      | Some _ -> ()
-      | None -> (
-          match Simnet.connect p.p_net ~port:p.p_port with
-          | None -> () (* not listening (yet); keep trying until deadline *)
-          | Some cid ->
-              p.p_conn <- Some cid;
-              Simnet.client_send p.p_net ~conn_id:cid p.p_line));
-      (match p.p_conn with
-      | None -> ()
-      | Some cid ->
-          let rec drain () =
-            match Simnet.client_recv p.p_net ~conn_id:cid with
-            | `Line resp when p.p_ok resp ->
-                finish p (Healthy (now - p.p_started))
-            | `Line _ -> drain () (* banner or sick response: keep waiting *)
-            | `Eof -> finish p (Unhealthy "connection closed by server")
-            | `Wait -> ()
-          in
-          drain ());
-      if p.p_outcome = Pending && now > p.p_deadline then
-        finish p
-          (if p.p_conn = None then Unhealthy "not accepting connections"
-           else Unhealthy "no healthy response before deadline"))
+  if p.p_outcome = Pending then begin
+    Client.step p.p_client ~now;
+    p.p_outcome <-
+      (match Client.verdict p.p_client with
+      | Client.Pending -> Pending
+      | Client.Answered -> Healthy (now - p.p_started)
+      | Client.Severed -> Unhealthy "connection closed by server"
+      | Client.Refused -> Unhealthy "not accepting connections"
+      | Client.Timed_out -> Unhealthy "no healthy response before deadline")
+  end
 
 let outcome p = p.p_outcome
 

@@ -218,22 +218,24 @@ let reset_window t =
 
 (* --- routing ---------------------------------------------------------- *)
 
-let pick t : backend option =
+(* The backend the next connection goes to, with the round-robin cursor
+   to keep once that connection is accepted; [None] when nothing admits.
+   Pure, so a round that accepts nothing leaves the cursor alone. *)
+let pick t : (backend * int) option =
   if t.admit_count = 0 then None
   else
     match t.policy with
     | Round_robin ->
         (* cursor walk skipping drained backends; admit_count > 0
-           guarantees termination within one lap *)
+           guarantees a hit within one lap *)
         let n = t.n_backends in
-        let rec go steps =
-          let b = t.backends.(t.rr_next mod n) in
-          t.rr_next <- (t.rr_next + 1) mod n;
-          if b.b_admit then Some b
+        let rec go i steps =
+          let b = t.backends.(i mod n) in
+          if b.b_admit then Some (b, (i + 1) mod n)
           else if steps >= n then None
-          else go (steps + 1)
+          else go (i + 1) (steps + 1)
         in
-        go 1
+        go t.rr_next 1
     | Least_conns ->
         let best = ref None in
         for i = 0 to t.n_backends - 1 do
@@ -243,43 +245,42 @@ let pick t : backend option =
             | Some c when c.b_active <= b.b_active -> ()
             | _ -> best := Some b
         done;
-        !best
+        Option.map (fun b -> (b, t.rr_next)) !best
 
 let accept_new t =
   let rec go () =
     (* nothing admitting (e.g. the whole fleet drains at once): leave new
        connections in the listener backlog — the accept queue of a real
        balancer — rather than accepting and hanging up on them *)
-    if t.admit_count = 0 then ()
-    else
-      match Simnet.accept t.front ~listener_id:t.listener with
-      | None -> ()
-      | Some fcid ->
-          (match pick t with
-          | None -> assert false (* some backend admits: pick finds it *)
-          | Some b -> (
-              match Simnet.connect b.b_net ~port:b.b_port with
-              | None ->
-                  t.rejected <- t.rejected + 1;
-                  obs_incr t "fleet.lb.rejected";
-                  obs_emit t "lb.reject" [ ("backend", Jv_obs.Obs.Int b.b_id) ];
-                  Simnet.close_server t.front ~conn_id:fcid
-              | Some bcid ->
-                  b.b_active <- b.b_active + 1;
-                  t.in_flight_count <- t.in_flight_count + 1;
-                  b.b_sessions <- b.b_sessions + 1;
-                  obs_incr t "fleet.lb.sessions";
-                  Hashtbl.replace t.routes fcid
-                    {
-                      rt_front = fcid;
-                      rt_back = bcid;
-                      rt_backend = b;
-                      rt_outstanding = 0;
-                      rt_sent_at = 0;
-                      rt_front_closed = false;
-                      rt_back_closed = false;
-                    }));
-          go ()
+    match pick t with
+    | None -> ()
+    | Some (b, rr_next) -> (
+        match Simnet.accept t.front ~listener_id:t.listener with
+        | None -> ()
+        | Some fcid ->
+            t.rr_next <- rr_next;
+            (match Simnet.connect b.b_net ~port:b.b_port with
+            | None ->
+                t.rejected <- t.rejected + 1;
+                obs_incr t "fleet.lb.rejected";
+                obs_emit t "lb.reject" [ ("backend", Jv_obs.Obs.Int b.b_id) ];
+                Simnet.close_server t.front ~conn_id:fcid
+            | Some bcid ->
+                b.b_active <- b.b_active + 1;
+                t.in_flight_count <- t.in_flight_count + 1;
+                b.b_sessions <- b.b_sessions + 1;
+                obs_incr t "fleet.lb.sessions";
+                Hashtbl.replace t.routes fcid
+                  {
+                    rt_front = fcid;
+                    rt_back = bcid;
+                    rt_backend = b;
+                    rt_outstanding = 0;
+                    rt_sent_at = 0;
+                    rt_front_closed = false;
+                    rt_back_closed = false;
+                  });
+            go ())
   in
   go ()
 

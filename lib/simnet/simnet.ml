@@ -7,9 +7,10 @@
    connections.  See DESIGN.md ("Substitutions").
 
    The server side is used by the VM's [Net.*] native methods; the client
-   side by OCaml workload drivers.  Everything is single-threaded (the VM
-   scheduler interleaves server threads; harness code pumps clients between
-   scheduler rounds), so no locking is needed. *)
+   side by the OCaml line client ([Client]) and the balancer proxy.
+   Everything is single-threaded (the VM scheduler interleaves server
+   threads; harness code pumps clients between scheduler rounds), so no
+   locking is needed. *)
 
 type conn = {
   conn_id : int;
@@ -324,7 +325,7 @@ let close_server t ~conn_id =
       c.closed_by_server <- true;
       emit_close t c
 
-(* --- client side (used by workload drivers) --- *)
+(* --- client side (used by [Client] and the balancer proxy) --- *)
 
 (* Connect to a port; [None] if nothing is listening.  [from] is the
    client's own port identity (a gossip peer's listener), used by the

@@ -1,7 +1,7 @@
 (** The in-memory network substrate standing in for the paper's real
     sockets (see DESIGN.md, "Substitutions"): line-oriented bidirectional
     connections between servers running on the VM (via the [Net.*]
-    natives) and workload drivers in the benchmark harness. *)
+    natives) and the line client ({!Client}) in the harness. *)
 
 type t
 
@@ -68,7 +68,7 @@ val send : t -> conn_id:int -> string -> unit
 val close_server : t -> conn_id:int -> unit
 val can_recv : t -> conn_id:int -> bool
 
-(** {1 Client side (used by workload drivers)} *)
+(** {1 Client side (used by {!Client} and the balancer proxy)} *)
 
 val connect : ?from:int -> t -> port:int -> int option
 (** [None] if nothing listens on [port] (or a partition separates

@@ -38,3 +38,75 @@ let check_compile_error ~substr src =
       if not (contains msg substr) then
         Alcotest.failf "error %S does not mention %S" msg substr
   | _ -> Alcotest.failf "expected compile error mentioning %S" substr
+
+(* A line server run from OCaml on one simnet port, for client tests
+   that need no VM.  [answer n line] decides what happens to [line] on
+   the [n]th accepted connection (1-based): [`Reply r] sends [r] [delay]
+   rounds after the request was read, [`Hang_up] closes the connection
+   instead, [`Silent] never answers.  [banner] is sent on every accept.
+   Call [serve] once per round, before the clients step. *)
+module Line_server = struct
+  module N = Jv_simnet.Simnet
+
+  type t = {
+    net : N.t;
+    lid : int;
+    banner : string option;
+    delay : int;
+    answer : int -> string -> [ `Reply of string | `Hang_up | `Silent ];
+    mutable accepted : int;
+    mutable conns : (int * int) list; (* conn id, accept ordinal *)
+    mutable due : (int * int * string) list; (* tick, conn id, reply *)
+  }
+
+  let create ?banner ?(delay = 0) net ~port answer =
+    {
+      net;
+      lid = N.listen net ~port;
+      banner;
+      delay;
+      answer;
+      accepted = 0;
+      conns = [];
+      due = [];
+    }
+
+  let hang_up t c =
+    N.close_server t.net ~conn_id:c;
+    t.conns <- List.filter (fun (c', _) -> c' <> c) t.conns
+
+  let serve t ~tick =
+    let rec accept () =
+      match N.accept t.net ~listener_id:t.lid with
+      | None -> ()
+      | Some c ->
+          t.accepted <- t.accepted + 1;
+          Option.iter (N.send t.net ~conn_id:c) t.banner;
+          t.conns <- t.conns @ [ (c, t.accepted) ];
+          accept ()
+    in
+    accept ();
+    List.iter
+      (fun (c, n) ->
+        let rec read () =
+          match N.recv_line t.net ~conn_id:c with
+          | `Line l -> (
+              match t.answer n l with
+              | `Reply r ->
+                  t.due <- t.due @ [ (tick + t.delay, c, r) ];
+                  read ()
+              | `Silent -> read ()
+              | `Hang_up -> hang_up t c)
+          | `Eof -> hang_up t c
+          | `Wait -> ()
+        in
+        read ())
+      t.conns;
+    let ready, later = List.partition (fun (at, _, _) -> at <= tick) t.due in
+    t.due <- later;
+    List.iter
+      (fun (_, c, r) ->
+        if not (N.server_closed t.net ~conn_id:c) then
+          N.send t.net ~conn_id:c r)
+      ready
+end

@@ -37,10 +37,12 @@ let serve_app desc port_script_count () =
   let loads = A.Experience.attach_loads vm desc ~concurrency:3 in
   VM.Vm.run vm ~rounds:120;
   let sessions =
-    List.fold_left (fun acc w -> acc + w.A.Workload.completed_sessions) 0 loads
+    List.fold_left
+      (fun acc w -> acc + w.A.Workload.load.completed_sessions)
+      0 loads
   in
   let errors =
-    List.fold_left (fun acc w -> acc + w.A.Workload.errors) 0 loads
+    List.fold_left (fun acc w -> acc + w.A.Workload.load.errors) 0 loads
   in
   if sessions < port_script_count then
     Alcotest.failf "%s served only %d sessions" desc.A.Experience.d_name

@@ -233,13 +233,13 @@ let test_driver_survives_lossy_links () =
   F.Fleet.set_faults fleet (Some chaos);
   let stalled = ref 0 in
   for _ = 1 to 5 do
-    let before = d.F.Driver.completed_sessions in
+    let before = d.Jv_simnet.Client.completed_sessions in
     F.Fleet.run fleet ~rounds:150;
-    if d.F.Driver.completed_sessions = before then incr stalled
+    if d.Jv_simnet.Client.completed_sessions = before then incr stalled
   done;
   Alcotest.(check int) "sessions completed in every chaos window" 0 !stalled;
   Alcotest.(check bool) "lost lines were timed out, not awaited forever" true
-    (d.F.Driver.timed_out_requests > 0);
+    (d.Jv_simnet.Client.timed_out_requests > 0);
   (* fault-induced loss is not an update-window sever: the zero-drop SLO
      counter stays untouched by the chaos *)
   Alcotest.(check int) "no dropped in-flight connections" 0
@@ -286,8 +286,65 @@ let prop_rollout_converges =
         QCheck.Test.fail_reportf "%d leaked balancer connections" leaked;
       true)
 
+(* --- health probe outcomes on a bare net -------------------------------- *)
+
+(* A probe started at tick 0 with [deadline] rounds, stepped once per
+   round; a listener run from OCaml binds at tick [listen_at] (never when
+   [answer] is absent).  Returns the outcome and the tick it settled. *)
+let settle_probe ?banner ?(listen_at = 1) ?(delay = 1) ?answer ~deadline () =
+  let net = Jv_simnet.Simnet.create () in
+  let port = 7200 in
+  let server = ref None in
+  let probe =
+    F.Health.start ~net ~port ~line:"PING" ~ok:(fun r -> r = "+OK pong")
+      ~now:0 ~deadline_rounds:deadline
+  in
+  let rec go tick =
+    (match answer with
+    | Some answer when tick = listen_at ->
+        server :=
+          Some (Helpers.Line_server.create ?banner ~delay net ~port answer)
+    | _ -> ());
+    Option.iter (fun s -> Helpers.Line_server.serve s ~tick) !server;
+    F.Health.step probe ~now:tick;
+    match F.Health.outcome probe with
+    | F.Health.Pending when tick < 100 -> go (tick + 1)
+    | o -> (o, tick)
+  in
+  go 1
+
+let outcome_str = function
+  | F.Health.Pending -> "pending"
+  | F.Health.Healthy n -> Printf.sprintf "healthy %d" n
+  | F.Health.Unhealthy why -> "unhealthy: " ^ why
+
+let check_probe name (want, want_tick) (o, tick) =
+  Alcotest.(check (pair string int))
+    name (want, want_tick) (outcome_str o, tick)
+
+let test_health_probe_outcomes () =
+  let pong _ _ = `Reply "+OK pong" in
+  check_probe "nothing listens"
+    ("unhealthy: not accepting connections", 6)
+    (settle_probe ~deadline:5 ());
+  check_probe "only sick replies"
+    ("unhealthy: no healthy response before deadline", 6)
+    (settle_probe ~answer:(fun _ _ -> `Reply "-ERR sick") ~deadline:5 ());
+  check_probe "server hangs up"
+    ("unhealthy: connection closed by server", 2)
+    (settle_probe ~answer:(fun _ _ -> `Hang_up) ~deadline:5 ());
+  (* latency and deadline both count from the probe's start, not from
+     the connect that finally got through *)
+  check_probe "late listener, banner first" ("healthy 5", 5)
+    (settle_probe ~banner:"* welcome" ~listen_at:3 ~answer:pong ~deadline:8 ());
+  check_probe "late listener, reply past the deadline"
+    ("unhealthy: no healthy response before deadline", 7)
+    (settle_probe ~listen_at:4 ~delay:3 ~answer:pong ~deadline:6 ())
+
 let suite =
   [
+    Alcotest.test_case "health probe outcomes" `Quick
+      test_health_probe_outcomes;
     Alcotest.test_case "rolling: happy path, zero drops" `Quick
       test_rolling_happy_path;
     Alcotest.test_case "rolling: least-conns, batch 2" `Quick

@@ -130,12 +130,15 @@ let test_trip_on_app_errors () =
   (* the restored version serves cleanly: no new errors once the bad
      epoch's queued responses have drained *)
   VM.Vm.run vm ~rounds:10;
-  let errors = w.A.Workload.errors and before = w.A.Workload.completed_requests in
+  let errors = w.A.Workload.load.errors
+  and before = w.A.Workload.load.completed_requests in
   VM.Vm.run vm ~rounds:150;
   Alcotest.(check bool) "still serving" true
-    (w.A.Workload.completed_requests > before);
-  Alcotest.(check int) "no errors after the revert" errors w.A.Workload.errors;
-  Alcotest.(check int) "zero dropped connections" 0 w.A.Workload.dropped
+    (w.A.Workload.load.completed_requests > before);
+  Alcotest.(check int) "no errors after the revert" errors
+    w.A.Workload.load.errors;
+  Alcotest.(check int) "zero dropped connections" 0
+    w.A.Workload.load.dropped_in_flight
 
 (* --- clean close --------------------------------------------------------- *)
 
@@ -381,8 +384,74 @@ let prop_revert_observationally_identical =
           (String.concat " | " reverted);
       true)
 
+(* --- the built-in loopback prober ----------------------------------------- *)
+
+(* One probe (every 10 rounds, deadline 3) inside a 16-round window on a
+   bare VM, against a listener run from OCaml on the VM's own net (none
+   when [answer] is absent); returns the probe failures the window
+   reports when it closes. *)
+let window_probe_failures ?banner ?answer () =
+  let vm = VM.Vm.create ~config:Helpers.test_config () in
+  let port = 7100 in
+  let server =
+    Option.map
+      (fun answer ->
+        Helpers.Line_server.create ?banner vm.VM.State.net ~port answer)
+      answer
+  in
+  let budget =
+    {
+      J.Guard.default_budget with
+      J.Guard.b_rounds = 16;
+      b_max_probe_failures = 100;
+    }
+  in
+  let probe =
+    J.Guard.probe_config ~every:10 ~deadline:3 ~port ~line:"PING"
+      ~ok:(fun r -> r = "+OK pong") ()
+  in
+  let g = J.Guard.open_window (J.Guard.config ~budget ~probe ()) vm in
+  let rec go () =
+    vm.VM.State.ticks <- vm.VM.State.ticks + 1;
+    Option.iter
+      (fun s -> Helpers.Line_server.serve s ~tick:vm.VM.State.ticks)
+      server;
+    match J.Guard.tick vm g with
+    | `Watching -> go ()
+    | `Trip v ->
+        Alcotest.failf "window tripped: %s" (J.Guard.verdict_to_string v)
+    | `Close -> ()
+  in
+  go ();
+  let closed =
+    List.find
+      (fun (ev : Jv_obs.Obs.event) -> ev.Jv_obs.Obs.ev_name = "guard.closed")
+      (Jv_obs.Obs.events vm.VM.State.obs)
+  in
+  match List.assoc "probe_failures" closed.Jv_obs.Obs.ev_fields with
+  | Jv_obs.Obs.Int n -> n
+  | _ -> Alcotest.fail "probe_failures is not an int"
+
+let test_prober_counts_one_failure_each () =
+  Alcotest.(check int) "refused connect" 1 (window_probe_failures ());
+  Alcotest.(check int) "server EOF" 1
+    (window_probe_failures ~answer:(fun _ _ -> `Hang_up) ());
+  Alcotest.(check int) "missed deadline" 1
+    (window_probe_failures ~answer:(fun _ _ -> `Silent) ());
+  Alcotest.(check int) "only sick replies until the deadline" 1
+    (window_probe_failures ~answer:(fun _ _ -> `Reply "-ERR sick") ())
+
+let test_prober_skips_banner () =
+  Alcotest.(check int) "banner before the ok line" 0
+    (window_probe_failures ~banner:"* welcome"
+       ~answer:(fun _ _ -> `Reply "+OK pong") ())
+
 let suite =
   [
+    Alcotest.test_case "prober: refused, EOF and deadline fail once each"
+      `Quick test_prober_counts_one_failure_each;
+    Alcotest.test_case "prober: a banner before the ok line is no failure"
+      `Quick test_prober_skips_banner;
     Alcotest.test_case "trip on trap-rate, revert restores old code" `Quick
       test_trip_on_traps;
     Alcotest.test_case "trip on latency" `Quick test_trip_on_latency;

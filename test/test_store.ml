@@ -98,7 +98,7 @@ let ladder_walks_under_load () =
   VM.Vm.run vm ~rounds:60;
   List.iter
     (fun (from_v, to_v) ->
-      let before = w.A.Workload.completed_requests in
+      let before = w.A.Workload.load.completed_requests in
       let h = apply vm (spec_for ~from_version:from_v ~to_version:to_v)
           (Printf.sprintf "ministore %s->%s" from_v to_v) in
       ignore h;
@@ -107,12 +107,13 @@ let ladder_walks_under_load () =
       Alcotest.(check bool)
         (Printf.sprintf "still serving after %s->%s" from_v to_v)
         true
-        (w.A.Workload.completed_requests > before))
+        (w.A.Workload.load.completed_requests > before))
     ladder;
   (* the whole ladder ran against live traffic without a protocol error
      or a severed session *)
-  Alcotest.(check int) "protocol errors" 0 w.A.Workload.errors;
-  Alcotest.(check int) "dropped connections" 0 w.A.Workload.dropped;
+  Alcotest.(check int) "protocol errors" 0 w.A.Workload.load.errors;
+  Alcotest.(check int) "dropped connections" 0
+    w.A.Workload.load.dropped_in_flight;
   (* and the store now runs the final schema *)
   match session vm [ "STAT"; "GET 1000"; "QUIT" ] with
   | [ stat; g; _ ] ->
@@ -218,7 +219,8 @@ let guard_revert_restores_store () =
   Alcotest.(check bool) "retained log freed" true
     (vm.VM.State.guard_retained = None);
   verify_green vm "heap green after guard revert";
-  Alcotest.(check int) "dropped connections" 0 w.A.Workload.dropped;
+  Alcotest.(check int) "dropped connections" 0
+    w.A.Workload.load.dropped_in_flight;
   let after = session vm reads in
   Alcotest.(check (list string))
     "store answers exactly as before the migration" before after;

@@ -167,8 +167,8 @@ let web_long_haul () =
   in
   VM.Vm.run vm ~rounds:2500;
   Alcotest.(check bool) "thousands served" true
-    (w.A.Workload.completed_requests > 2000);
-  Alcotest.(check int) "zero errors" 0 w.A.Workload.errors;
+    (w.A.Workload.load.completed_requests > 2000);
+  Alcotest.(check int) "zero errors" 0 w.A.Workload.load.errors;
   Alcotest.(check bool) "GC exercised" true ((VM.Vm.stats vm).VM.Vm.gc_count > 3);
   Alcotest.(check int) "zero traps" 0 (List.length (VM.Vm.stats vm).VM.Vm.traps)
 

@@ -133,8 +133,8 @@ let miniweb_rolling_upgrade () =
   Alcotest.(check (list (pair string string))) "no hop skipped" [] !skipped;
   Alcotest.(check string) "ends at the newest release" "5.1.11" !current;
   Alcotest.(check bool) "server still serving" true
-    (w.A.Workload.completed_requests > 50);
-  Alcotest.(check int) "no protocol errors" 0 w.A.Workload.errors
+    (w.A.Workload.load.completed_requests > 50);
+  Alcotest.(check int) "no protocol errors" 0 w.A.Workload.load.errors
 
 (* --- allocation inside transformers ------------------------------------------- *)
 

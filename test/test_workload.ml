@@ -43,12 +43,13 @@ let sessions_complete () =
       ~max_sessions:5 ()
   in
   VM.Vm.run vm ~rounds:80;
-  Alcotest.(check int) "sessions" 5 w.A.Workload.completed_sessions;
-  Alcotest.(check int) "requests" 15 w.A.Workload.completed_requests;
-  Alcotest.(check int) "errors" 0 w.A.Workload.errors;
-  Alcotest.(check int) "none left active" 0 (List.length w.A.Workload.active);
+  Alcotest.(check int) "sessions" 5 w.A.Workload.load.completed_sessions;
+  Alcotest.(check int) "requests" 15 w.A.Workload.load.completed_requests;
+  Alcotest.(check int) "errors" 0 w.A.Workload.load.errors;
+  Alcotest.(check int) "none left active" 0
+    (List.length w.A.Workload.load.active);
   Alcotest.(check bool) "latency measured" true
-    (A.Workload.mean_latency_rounds w > 0.0)
+    (Jv_simnet.Client.mean_latency_rounds w.A.Workload.load > 0.0)
 
 let errors_counted () =
   let vm = boot () in
@@ -57,8 +58,8 @@ let errors_counted () =
       ~concurrency:1 ~max_sessions:3 ()
   in
   VM.Vm.run vm ~rounds:80;
-  Alcotest.(check int) "errors counted" 3 w.A.Workload.errors;
-  Alcotest.(check int) "requests" 9 w.A.Workload.completed_requests
+  Alcotest.(check int) "errors counted" 3 w.A.Workload.load.errors;
+  Alcotest.(check int) "requests" 9 w.A.Workload.load.completed_requests
 
 let concurrency_bounded () =
   let vm = boot () in
@@ -70,9 +71,10 @@ let concurrency_bounded () =
   for _ = 1 to 30 do
     VM.Vm.run vm ~rounds:1;
     Alcotest.(check bool) "never more than 3 active" true
-      (List.length w.A.Workload.active <= 3)
+      (List.length w.A.Workload.load.active <= 3)
   done;
-  Alcotest.(check bool) "ramped up" true (List.length w.A.Workload.active >= 2)
+  Alcotest.(check bool) "ramped up" true
+    (List.length w.A.Workload.load.active >= 2)
 
 let detach_stops_traffic () =
   let vm = boot () in
@@ -82,12 +84,12 @@ let detach_stops_traffic () =
       ~concurrency:2 ()
   in
   VM.Vm.run vm ~rounds:20;
-  let before = w.A.Workload.completed_requests in
+  let before = w.A.Workload.load.completed_requests in
   Alcotest.(check bool) "made progress" true (before > 0);
   A.Workload.detach vm w;
   VM.Vm.run vm ~rounds:20;
   Alcotest.(check int) "no more requests" before
-    w.A.Workload.completed_requests
+    w.A.Workload.load.completed_requests
 
 let unserved_port_waits () =
   (* attaching to a port nobody listens on must not crash or spin-fail *)
@@ -96,7 +98,8 @@ let unserved_port_waits () =
     A.Workload.attach vm ~port:9999 ~script:[ "x" ] ~concurrency:2 ()
   in
   VM.Vm.run vm ~rounds:20;
-  Alcotest.(check int) "nothing completed" 0 w.A.Workload.completed_sessions;
+  Alcotest.(check int) "nothing completed" 0
+    w.A.Workload.load.completed_sessions;
   A.Workload.detach vm w
 
 let suite =
