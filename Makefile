@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke examples-smoke perf-smoke clean
+.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke examples-smoke perf-smoke table1-smoke clean
 
 all:
 	dune build @all
@@ -174,6 +174,14 @@ examples-smoke:
 perf-smoke:
 	dune exec perf/main.exe -- run migrate --seed 1 --seconds 1
 	dune exec perf/main.exe -- run store-lazy --seed 1 --seconds 1
+
+# Table 1 correctness probe: the quick Table 1 run (two heap sizes, every
+# updated fraction) checks each cell after its update — sampled Change
+# objects hold a=i b=2i c=3i d=0, sampled NoChange objects are
+# unchanged, and the largest cell's heap verifies.  A failed check makes
+# the bench exit non-zero and fails the target; no timing is checked.
+table1-smoke:
+	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe table1
 
 clean:
 	dune clean

@@ -88,13 +88,77 @@ let populate vm ~n_change ~n_nochange =
 
 type cell = { gc_ms : float; transform_ms : float; total_ms : float }
 
-let run_cell ~objects ~fraction : cell =
+(* --- correctness of each cell ------------------------------------------- *)
+
+(* Failed checks, one line each; [run] exits non-zero if any. *)
+let failures = ref []
+
+let check ~objects ~fraction what ok =
+  if not ok then
+    failures :=
+      Printf.sprintf "%d objects, %d%% updated: %s" objects fraction what
+      :: !failures
+
+(* Does element [i] of the [Root.static_name] array hold a [cls] object
+   whose int fields read [fields]? *)
+let holds vm ~static_name ~cls ~fields i =
+  let reg = vm.VM.State.reg in
+  let heap = vm.VM.State.heap in
+  let si =
+    Option.get
+      (VM.Rt.find_static_info reg (VM.Rt.require_class reg "Root") static_name)
+  in
+  let arr = VM.Value.to_ref (VM.State.jtoc_get vm si.VM.Rt.si_slot) in
+  let o =
+    VM.Value.to_ref
+      (VM.Heap.get heap ~addr:arr ~off:(VM.Heap.array_header_words + i))
+  in
+  let c = VM.Rt.require_class reg cls in
+  VM.Heap.class_id heap o = c.VM.Rt.cid
+  && List.for_all
+       (fun (f, v) ->
+         match VM.Rt.find_field_info c f with
+         | Some fi ->
+             VM.Value.to_int (VM.Heap.get heap ~addr:o ~off:fi.VM.Rt.fi_offset)
+             = v
+         | None -> false)
+       fields
+
+(* After a cell's update: sampled [Change] objects hold a=i, b=2i, c=3i,
+   d=0; sampled [NoChange] objects are as populated; with [~verify] the
+   heap verifies. *)
+let check_cell vm ~objects ~fraction ~n_change ~n_nochange ~verify =
+  let sample n = List.sort_uniq compare (List.init 64 (fun k -> k * n / 64)) in
+  let all_hold ~static_name ~cls ~fields n =
+    List.for_all
+      (fun i -> holds vm ~static_name ~cls ~fields:(fields i) i)
+      (if n = 0 then [] else (n - 1) :: sample n)
+  in
+  check ~objects ~fraction "sampled Change objects hold a=i b=2i c=3i d=0"
+    (all_hold ~static_name:"cs" ~cls:"Change"
+       ~fields:(fun i -> [ ("a", i); ("b", 2 * i); ("c", 3 * i); ("d", 0) ])
+       n_change);
+  check ~objects ~fraction "sampled NoChange objects unchanged"
+    (all_hold ~static_name:"ns" ~cls:"NoChange"
+       ~fields:(fun i -> [ ("a", i); ("b", 2 * i); ("c", 3 * i) ])
+       n_nochange);
+  if verify then
+    check ~objects ~fraction "heap verifies"
+      (VM.Heapverify.run vm).VM.Heapverify.hv_ok
+
+(* One cell: populate, update, check.  With [~lazy_update] the update
+   commits lazily and its window is drained at once, so [total_ms] is the
+   commit pause plus the drain (every sweep transform and the closing
+   collection): the whole migration, done the lazy way. *)
+let run_cell ?(lazy_update = false) ~verify ~objects ~fraction () : cell =
   let n_change = objects * fraction / 100 in
   let n_nochange = objects - n_change in
   (* ~8 words per object + holder arrays + headroom for the update's
      temporary duplicates *)
   let heap_words = max (1 lsl 16) (objects * 20) in
-  let config = { VM.State.default_config with VM.State.heap_words } in
+  let config =
+    { VM.State.default_config with VM.State.heap_words; lazy_update }
+  in
   let old_program = Jv_lang.Compile.compile_program v1_src in
   let new_program = Jv_lang.Compile.compile_program v2_src in
   let vm = VM.Vm.create ~config () in
@@ -112,13 +176,32 @@ let run_cell ~objects ~fraction : cell =
   let h = J.Jvolve.update_now ~max_rounds:50 vm spec in
   match h.J.Jvolve.h_outcome with
   | J.Jvolve.Applied t ->
-      assert (t.J.Updater.u_transformed_objects = n_change);
+      let drain_ms =
+        match vm.VM.State.lazy_drain with
+        | Some drain ->
+            let t0 = Support.now () in
+            check ~objects ~fraction "lazy window drained" (drain vm);
+            (Support.now () -. t0) *. 1000.0
+        | None ->
+            check ~objects ~fraction "every Change object transformed"
+              (t.J.Updater.u_transformed_objects = n_change);
+            0.0
+      in
+      check_cell vm ~objects ~fraction ~n_change ~n_nochange ~verify;
       {
         gc_ms = t.J.Updater.u_gc_ms;
         transform_ms = t.J.Updater.u_transform_ms;
-        total_ms = t.J.Updater.u_total_ms;
+        total_ms = t.J.Updater.u_total_ms +. drain_ms;
       }
   | o -> failwith ("table1 update failed: " ^ J.Jvolve.outcome_to_string o)
+
+(* Print every failed check and exit non-zero, if any failed. *)
+let exit_on_failures () =
+  match List.rev !failures with
+  | [] -> ()
+  | fs ->
+      List.iter (Printf.printf "CHECK FAILED: %s\n") fs;
+      exit 1
 
 (* object counts follow the paper; "heap size" is the label the paper gave
    each count *)
@@ -203,11 +286,18 @@ let run () =
     "Table 1: Jvolve update pause time (ms) vs heap size and fraction of \
      updated objects";
   let rows = if Support.quick then quick_rows else full_rows in
+  let largest = List.fold_left (fun m (o, _) -> max m o) 0 rows in
   let data =
     List.map
       (fun (objects, label) ->
         let cells =
-          List.map (fun f -> (f, run_cell ~objects ~fraction:f)) fractions
+          List.map
+            (fun f ->
+              (* the quick run also verifies its largest cell's heap; the
+                 full run does not, keeping its memory to the VM heaps *)
+              let verify = Support.quick && objects = largest && f = 100 in
+              (f, run_cell ~verify ~objects ~fraction:f ()))
+            fractions
         in
         (objects, label, cells))
       rows
@@ -249,4 +339,7 @@ let run () =
     (c100.total_ms /. c0.total_ms)
     (c100.transform_ms -. c0.transform_ms
     > c100.gc_ms -. c0.gc_ms);
+  exit_on_failures ();
+  Printf.printf "Correctness: every cell's sampled objects hold%s\n"
+    (if Support.quick then "; the largest cell's heap verifies" else "");
   confree_section ()

@@ -293,18 +293,19 @@ type obj_transformer = Copy of int array | Interpreted of Rt.rt_method
 type obj_transformers = {
   ot_spec : Spec.t;
   ot_rc : Rt.rt_class; (* the installed JvolveTransformers class *)
-  (* (new cid, old cid) -> transformer: the paper's suggested "caching
-     the lookup" optimization for the reflective dispatch *)
-  ot_cache : (int * int, obj_transformer) Hashtbl.t;
+  (* old cid -> (new cid, transformer): the paper's suggested "caching
+     the lookup" optimization for the reflective dispatch, indexed by old
+     class id like the transform plan and checked against the new *)
+  ot_by_old : (int * obj_transformer) option array;
   mutable ot_planned : int; (* pairs run as copy plans *)
   mutable ot_interpreted : int; (* pairs run on the interpreter *)
 }
 
-let obj_transformers (spec : Spec.t) transformer_rc =
+let obj_transformers vm (spec : Spec.t) transformer_rc =
   {
     ot_spec = spec;
     ot_rc = transformer_rc;
-    ot_cache = Hashtbl.create 8;
+    ot_by_old = Array.make vm.State.reg.Rt.n_classes None;
     ot_planned = 0;
     ot_interpreted = 0;
   }
@@ -400,9 +401,10 @@ let find_object_method vm (objs : obj_transformers) ~new_cid ~old_cid =
         old_cls.Rt.name
 
 let object_transformer vm (objs : obj_transformers) ~new_cid ~old_cid =
-  match Hashtbl.find_opt objs.ot_cache (new_cid, old_cid) with
-  | Some t -> t
-  | None ->
+  let cached = old_cid < Array.length objs.ot_by_old in
+  match if cached then objs.ot_by_old.(old_cid) else None with
+  | Some (n, t) when n = new_cid -> t
+  | _ ->
       let new_cls = Rt.class_by_id vm.State.reg new_cid in
       let t =
         if Transformers.object_default objs.ot_spec new_cls.Rt.name then
@@ -412,7 +414,7 @@ let object_transformer vm (objs : obj_transformers) ~new_cid ~old_cid =
                ~new_cls)
         else Interpreted (find_object_method vm objs ~new_cid ~old_cid)
       in
-      Hashtbl.replace objs.ot_cache (new_cid, old_cid) t;
+      if cached then objs.ot_by_old.(old_cid) <- Some (new_cid, t);
       t
 
 (* Run [jvolveObject(new, old)] for one pair, with [sb] installed as the
@@ -436,9 +438,10 @@ let transform_object vm (objs : obj_transformers) (sb : State.sandbox) ~invoke
     | Copy plan ->
         objs.ot_planned <- objs.ot_planned + 1;
         Interp.charge_fuel vm;
+        let space = heap.Heap.space in
         for k = 0 to (Array.length plan / 2) - 1 do
-          Heap.set heap ~addr:new_addr ~off:plan.((2 * k) + 1)
-            (Heap.get heap ~addr:old_addr ~off:plan.(2 * k))
+          space.(new_addr + plan.((2 * k) + 1)) <-
+            space.(old_addr + plan.(2 * k))
         done
     | Interpreted m ->
         objs.ot_interpreted <- objs.ot_interpreted + 1;
@@ -1080,10 +1083,10 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
       (* 1: the combined redirect + inverse-transform collection (still
          on new metadata) *)
       let redirect = Txn.redirect_of_log trimmed in
-      let inv_plan = Hashtbl.create 16 in
+      let inv_plan = Array.make vm.State.reg.Rt.n_classes (-1) in
       Array.iteri
         (fun old_cid new_cid ->
-          if new_cid >= 0 then Hashtbl.replace inv_plan new_cid old_cid)
+          if new_cid >= 0 then inv_plan.(new_cid) <- old_cid)
         li.State.li_plan;
       let invres = Gc.collect ~plan:inv_plan ~redirect vm in
       lazy_untransform_defaults vm ctx.lz_objs.ot_spec invres.Gc.update_log;
@@ -1324,11 +1327,13 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
     (* 5: the transforming collection *)
     phase := P_gc;
     Faults.point faults "updater.gc";
-    let plan = Hashtbl.create 16 in
+    (* the transform plan, indexed by old class id: the eager collection
+       reads it, and a lazy window keeps it as [li_plan] *)
+    let plan = Array.make vm.State.reg.Rt.n_classes (-1) in
     List.iter
       (fun (name, (old_rc : Rt.rt_class)) ->
         match List.assoc_opt name news with
-        | Some new_rc -> Hashtbl.replace plan old_rc.Rt.cid new_rc.Rt.cid
+        | Some (new_rc : Rt.rt_class) -> plan.(old_rc.Rt.cid) <- new_rc.Rt.cid
         | None -> () (* deleted classes: instances survive untransformed *))
       olds;
     if lazy_mode then begin
@@ -1336,11 +1341,9 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
          window, install the read barrier; old-epoch objects transform on
          first access and the scheduler's sweeper drains the rest. *)
       vm.State.heap.Heap.epoch <- vm.State.heap.Heap.epoch + 1;
-      let li_plan = Array.make vm.State.reg.Rt.n_classes (-1) in
-      Hashtbl.iter (fun old_cid new_cid -> li_plan.(old_cid) <- new_cid) plan;
       let li =
         {
-          State.li_plan;
+          State.li_plan = plan;
           li_epoch = vm.State.heap.Heap.epoch;
           li_log = Array.make 16 0;
           li_log_len = 0;
@@ -1368,7 +1371,7 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
       let lctx =
         {
           lz_txn = txn;
-          lz_objs = obj_transformers spec transformer_rc;
+          lz_objs = obj_transformers vm spec transformer_rc;
           lz_carrier = carrier;
           lz_sandbox = sb;
           lz_scratch = scratch;
@@ -1415,7 +1418,7 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
         log;
         n_pairs = Array.length log / 2;
         status = Array.make (max 1 (Array.length log / 2)) 0;
-        objs = obj_transformers spec transformer_rc;
+        objs = obj_transformers vm spec transformer_rc;
         carrier = Interp.make_carrier vm;
         sandbox = sb;
       }

@@ -1,11 +1,18 @@
 (* The semi-space copying collector, with the Jvolve extension (paper §3.4).
 
    A normal collection is a Cheney scan: forward the roots, then sweep a
-   scan pointer through to-space forwarding every reference field.
+   scan pointer through to-space forwarding every reference field.  The
+   scan reads one table per class, kept on its [Rt.rt_class]: the size
+   (arrays marked apart, sized by their length word) and the offsets of
+   the reference-typed fields, like the reference offsets of a Jikes RVM
+   TIB.  Int fields are never visited.  Afterwards only the dirty prefix
+   of the idle space — up to its free pointer before the flip — is
+   zeroed.
 
    During an update the collector additionally receives a *transform plan*
-   mapping old class ids to new class ids.  When it first encounters an
-   object whose class is in the plan it:
+   mapping old class ids to new class ids (an array indexed by old class
+   id).  When it first encounters an object whose class is in the plan
+   it:
 
      1. allocates an object of the *new* class in to-space (zeroed fields,
         new TIB/class id — possibly a different size),
@@ -21,7 +28,7 @@
    the object transformers over the log; dropping the log then makes the
    old copies unreachable, and the next collection reclaims them. *)
 
-type transform_plan = (int, int) Hashtbl.t (* old cid -> new cid *)
+type transform_plan = int array (* old cid -> new cid; -1 = not updated *)
 
 type result = {
   gc_ms : float;
@@ -31,12 +38,17 @@ type result = {
   update_log : int array; (* flattened pairs: old-copy addr, new addr *)
 }
 
-let obj_size (vm : State.t) space addr =
-  let cid = space.(addr + Heap.off_class) in
-  let cls = Rt.class_by_id vm.State.reg cid in
+(* An object's size, read from its class's scan table ([classes] is the
+   registry's class array: no registry bound check, as every class id in
+   a live object's header is one the registry holds). *)
+let size_in (classes : Rt.rt_class array) space addr =
+  let cls = classes.(space.(addr + Heap.off_class)) in
   if cls.Rt.is_array then
     Heap.array_header_words + space.(addr + Heap.off_array_len)
   else cls.Rt.size_words
+
+let obj_size (vm : State.t) space addr =
+  size_in vm.State.reg.Rt.classes space addr
 
 (* [redirect] (new addr -> old-copy addr, decoded from an update log) is
    the updater's transaction-rollback mechanism: forwarding chases the
@@ -45,78 +57,112 @@ let obj_size (vm : State.t) space addr =
    objects die with this collection. *)
 let collect ?plan ?redirect (vm : State.t) : result =
   let t0 = Unix.gettimeofday () in
+  let transforming = Option.is_some plan in
+  let plan = Option.value plan ~default:[||] in
   let heap = vm.State.heap in
+  let classes = vm.State.reg.Rt.classes in
+  let dirty = heap.Heap.free in
   let from = Heap.flip heap in
+  let space = heap.Heap.space in
   let copied = ref 0 in
   let transformed = ref 0 in
-  let log_old = ref [] in
-  let bump nwords =
-    match Heap.alloc_raw heap ~nwords with
-    | Some a -> a
-    | None ->
-        State.fatal
-          "to-space overflow during GC (%d words needed, %d free): updates \
-           temporarily duplicate transformed objects; grow the heap"
-          nwords (Heap.words_free heap)
+  (* the update log, appended in place: encoded (old copy, new) pairs *)
+  let log = ref [||] in
+  let log_len = ref 0 in
+  let log_pair old_copy new_addr =
+    if !log_len = Array.length !log then begin
+      let grown = Array.make (max 1024 (2 * !log_len)) 0 in
+      Array.blit !log 0 grown 0 !log_len;
+      log := grown
+    end;
+    (* pairs are stored as *encoded reference words* so the log can be
+       registered as an ordinary extra-roots array: transformer-phase
+       allocation may trigger a nested collection that must relocate
+       these (the old copies are reachable from nowhere else) *)
+    !log.(!log_len) <- Value.of_ref old_copy;
+    !log.(!log_len + 1) <- Value.of_ref new_addr;
+    log_len := !log_len + 2
   in
-  let space () = heap.Heap.space in
-  let rec forward addr =
-    let addr =
-      match redirect with
-      | None -> addr
-      | Some r -> Option.value ~default:addr (Hashtbl.find_opt r addr)
-    in
+  (* a word loop, not [Array.blit]: typed as an int array, it stores
+     without the write barrier the polymorphic blit pays per word *)
+  let copy_to dst src size =
+    for j = 0 to size - 1 do
+      space.(dst + j) <- from.(src + j)
+    done
+  in
+  let bump nwords =
+    let addr = heap.Heap.free in
+    if addr + nwords > heap.Heap.size_words then
+      State.fatal
+        "to-space overflow during GC (%d words needed, %d free): updates \
+         temporarily duplicate transformed objects; grow the heap"
+        nwords (Heap.words_free heap);
+    heap.Heap.free <- addr + nwords;
+    addr
+  in
+  (* Evacuate the from-space object at [addr] (already redirected);
+     [fwd] forwards a lazy-forward marker's target. *)
+  let evacuate fwd addr =
     let gcw = from.(addr + Heap.off_gc) in
     if gcw < 0 then -(gcw + 1) (* already forwarded *)
     else if Heap.is_lazy_fwd gcw then begin
       (* lazily transformed original: every surviving reference lands on
-         its new-layout replacement.  [forward] (not a raw chase) so a
+         its new-layout replacement.  [fwd] (not a raw chase) so a
          rollback's redirect applies at the hop, and memoized so the
          marker behaves like an ordinary forwarding pointer from here. *)
-      let target = forward (Heap.lazy_fwd_target gcw) in
+      let target = fwd (Heap.lazy_fwd_target gcw) in
       from.(addr + Heap.off_gc) <- -(target + 1);
       target
     end
     else begin
       let cid = from.(addr + Heap.off_class) in
-      let size = obj_size vm from addr in
-      match
-        match plan with
-        | None -> None
-        | Some p -> Hashtbl.find_opt p cid
-      with
-      | Some new_cid ->
-          let new_cls = Rt.class_by_id vm.State.reg new_cid in
-          let new_addr = bump new_cls.Rt.size_words in
-          (space ()).(new_addr + Heap.off_class) <- new_cid;
-          (* fields stay zero until the transformer runs; the new object
-             carries the current heap epoch tag *)
-          (space ()).(new_addr + Heap.off_gc) <- heap.Heap.epoch;
-          let old_copy = bump size in
-          Array.blit from addr (space ()) old_copy size;
-          (* the blit carried the original's epoch tag into the copy *)
-          from.(addr + Heap.off_gc) <- -(new_addr + 1);
-          incr transformed;
-          incr copied;
-          log_old := (old_copy, new_addr) :: !log_old;
-          new_addr
-      | None ->
-          let new_addr = bump size in
-          Array.blit from addr (space ()) new_addr size;
-          (* preserve the gc word: the epoch tag, and the copy marker on
-             retained update-log copies (the blit already carried it; the
-             explicit store documents that nothing is cleared) *)
-          (space ()).(new_addr + Heap.off_gc) <- gcw;
-          from.(addr + Heap.off_gc) <- -(new_addr + 1);
-          incr copied;
-          new_addr
+      let size = size_in classes from addr in
+      let new_cid = if cid < Array.length plan then plan.(cid) else -1 in
+      if new_cid >= 0 then begin
+        let new_addr = bump classes.(new_cid).Rt.size_words in
+        space.(new_addr + Heap.off_class) <- new_cid;
+        (* fields stay zero until the transformer runs; the new object
+           carries the current heap epoch tag *)
+        space.(new_addr + Heap.off_gc) <- heap.Heap.epoch;
+        let old_copy = bump size in
+        copy_to old_copy addr size;
+        (* the copy carried the original's epoch tag along *)
+        from.(addr + Heap.off_gc) <- -(new_addr + 1);
+        incr transformed;
+        incr copied;
+        log_pair old_copy new_addr;
+        new_addr
+      end
+      else begin
+        (* the copy keeps the gc word: the epoch tag, and the copy marker
+           on retained update-log copies *)
+        let new_addr = bump size in
+        copy_to new_addr addr size;
+        from.(addr + Heap.off_gc) <- -(new_addr + 1);
+        incr copied;
+        new_addr
+      end
     end
-  and forward_word w =
-    if Value.is_ref w then Value.of_ref (forward (Value.to_ref w)) else w
+  in
+  let forward =
+    match redirect with
+    | None ->
+        let rec fwd addr = evacuate fwd addr in
+        fwd
+    | Some r ->
+        let rec fwd addr =
+          evacuate fwd
+            (match Hashtbl.find_opt r addr with Some a -> a | None -> addr)
+        in
+        fwd
+  in
+  let forward_slot (a : int array) i =
+    let w = a.(i) in
+    if Value.is_ref w then a.(i) <- Value.of_ref (forward (Value.to_ref w))
   in
   let forward_array (a : int array) lo hi =
     for i = lo to hi - 1 do
-      a.(i) <- forward_word a.(i)
+      forward_slot a i
     done
   in
   (* --- roots --- *)
@@ -134,37 +180,32 @@ let collect ?plan ?redirect (vm : State.t) : result =
       | None -> ())
     vm.State.threads;
   List.iter (fun a -> forward_array a 0 (Array.length a)) vm.State.extra_roots;
-  (* --- Cheney scan --- *)
+  (* --- Cheney scan: each object's class scan table says which slots to
+     forward — an array's elements by tag, a scalar's reference fields
+     by offset; int fields are skipped --- *)
   let scan = ref 1 in
   while !scan < heap.Heap.free do
     let addr = !scan in
-    let size = obj_size vm (space ()) addr in
-    let cid = (space ()).(addr + Heap.off_class) in
-    let cls = Rt.class_by_id vm.State.reg cid in
-    let field_lo =
-      if cls.Rt.is_array then addr + Heap.array_header_words
-      else addr + Heap.header_words
-    in
-    for i = field_lo to addr + size - 1 do
-      (space ()).(i) <- forward_word (space ()).(i)
-    done;
-    scan := addr + size
+    let cls = classes.(space.(addr + Heap.off_class)) in
+    if cls.Rt.is_array then begin
+      let hi =
+        addr + Heap.array_header_words + space.(addr + Heap.off_array_len)
+      in
+      forward_array space (addr + Heap.array_header_words) hi;
+      scan := hi
+    end
+    else begin
+      let offs = cls.Rt.ref_offsets in
+      for k = 0 to Array.length offs - 1 do
+        forward_slot space (addr + offs.(k))
+      done;
+      scan := addr + cls.Rt.size_words
+    end
   done;
-  Heap.scrub_other heap;
-  let update_log =
-    (* pairs are stored as *encoded reference words* so the log can be
-       registered as an ordinary extra-roots array: transformer-phase
-       allocation may trigger a nested collection that must relocate
-       these (the old copies are reachable from nowhere else) *)
-    let pairs = List.rev !log_old in
-    let arr = Array.make (2 * List.length pairs) 0 in
-    List.iteri
-      (fun i (o, n) ->
-        arr.(2 * i) <- Value.of_ref o;
-        arr.((2 * i) + 1) <- Value.of_ref n)
-      pairs;
-    arr
-  in
+  Heap.scrub_other heap ~upto:dirty;
+  (* every copy is an allocation in to-space (a transform makes two) *)
+  heap.Heap.allocations <- heap.Heap.allocations + !copied + !transformed;
+  let update_log = Array.sub !log 0 !log_len in
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   vm.State.last_gc_ms <- ms;
   let obs = vm.State.obs in
@@ -172,12 +213,12 @@ let collect ?plan ?redirect (vm : State.t) : result =
   Jv_obs.Obs.observe obs "vm.gc.ms" ms;
   Jv_obs.Obs.observe_int obs "vm.gc.copied_objects" !copied;
   Jv_obs.Obs.observe_int obs "vm.gc.copied_words" (Heap.words_used heap);
-  if plan <> None then begin
+  if transforming then begin
     Jv_obs.Obs.incr obs "vm.gc.update_collections";
     Jv_obs.Obs.observe_int obs "vm.gc.transformed_objects" !transformed
   end;
   Jv_obs.Obs.emit obs ~scope:"vm.gc"
-    (if plan = None then "gc.done" else "gc.transform.done")
+    (if transforming then "gc.transform.done" else "gc.done")
     [
       ("ms", Jv_obs.Obs.Float ms);
       ("copied", Jv_obs.Obs.Int !copied);

@@ -1,16 +1,27 @@
 (** The semi-space copying collector with the Jvolve extension (paper
     §3.4).
 
-    A normal collection is a Cheney scan.  Given a {e transform plan}
-    (old class id → new class id), each first-touched instance of an
-    updated class is replaced by a zeroed new-layout object, a verbatim
-    copy of the old object is kept, the forwarding pointer targets the
-    NEW object, and the (old copy, new object) pair is appended to the
-    update log.  Both land ahead of the scan pointer, so the old copy's
-    reference fields are forwarded to {e transformed} referents — the
-    invariant Jvolve's transformer model relies on. *)
+    A normal collection is a Cheney scan.  It reads each object's class
+    {e scan table} ([Rt.rt_class]'s [size_words], [is_array] and
+    [ref_offsets], Jikes RVM's TIB reference-offset map): a scalar
+    object's reference fields are forwarded by offset and its int fields
+    skipped; an array's erased elements are forwarded by tag.  Only the
+    dirty prefix of the idle semi-space is zeroed afterwards.
 
-type transform_plan = (int, int) Hashtbl.t
+    Given a {e transform plan} (old class id → new class id), each
+    first-touched instance of an updated class is replaced by a zeroed
+    new-layout object, a verbatim copy of the old object is kept, the
+    forwarding pointer targets the NEW object, and the (old copy, new
+    object) pair is appended to the update log.  Both land ahead of the
+    scan pointer, so the old copy's reference fields are forwarded to
+    {e transformed} referents — the invariant Jvolve's transformer model
+    relies on. *)
+
+type transform_plan = int array
+(** Indexed by old class id: the new class id its instances transform
+    into, or -1 when they are not updated.  Class ids past the end are
+    not updated.  The updater builds one per update and shares it with
+    the lazy window ([State.lazy_info.li_plan]). *)
 
 type result = {
   gc_ms : float;
@@ -25,7 +36,8 @@ type result = {
 
 val obj_size : State.t -> int array -> int -> int
 (** [obj_size vm space addr]: the size in words, header included, of the
-    object at [addr] in [space] (a semi-space array). *)
+    object at [addr] in [space] (a semi-space array), read from its
+    class's scan table. *)
 
 val collect :
   ?plan:transform_plan -> ?redirect:(int, int) Hashtbl.t -> State.t -> result

@@ -102,7 +102,9 @@ let flip h =
   h.gc_count <- h.gc_count + 1;
   from
 
-(* After a collection the old from-space contents are dead; zero it so the
-   next flip starts from a clean space (keeps default-initialization
-   guarantees). *)
-let scrub_other h = Array.fill h.other 0 (Array.length h.other) 0
+(* After a collection the old from-space contents are dead; zero them so
+   the next flip starts from a clean space (keeps default-initialization
+   guarantees).  Only [\[0, upto)] can be dirty, where [upto] is the free
+   pointer the space had before the flip: a space is all zero when it
+   becomes the to-space, and allocation writes nothing past [free]. *)
+let scrub_other h ~upto = Array.fill h.other 0 upto 0

@@ -58,6 +58,7 @@ val array_length : t -> int -> int
 val flip : t -> int array
 (** Swap spaces for a collection; returns the new from-space. *)
 
-val scrub_other : t -> unit
-(** Zero the idle space after a collection (keeps the pre-zeroed
-    allocation guarantee). *)
+val scrub_other : t -> upto:int -> unit
+(** Zero the idle space's words [\[0, upto)] after a collection (keeps the
+    pre-zeroed allocation guarantee).  [upto] is the space's free pointer
+    before the flip: nothing past it was ever written. *)

@@ -5,7 +5,8 @@
    field layout (hard word offsets), its static fields' JTOC slots, and its
    TIB — an array mapping virtual-dispatch slot indices to method uids.
    The JIT queries this metadata and hard-codes the answers into machine
-   code; the collector queries it for object sizes.
+   code; the collector reads each class's size and reference-slot
+   offsets (its scan table) from it.
 
    A dynamic update *renames* the old [rt_class] (e.g. [User] becomes
    [v131_User]), strips its methods, and installs a brand-new [rt_class]
@@ -39,6 +40,11 @@ type rt_class = {
   mutable tib : int array; (* TIB slot -> method uid *)
   mutable methods : rt_method array; (* declared methods *)
   mutable size_words : int; (* header + instance fields *)
+  ref_offsets : int array;
+      (* the collector's scan table, Jikes RVM's TIB reference-offset map:
+         word offsets of the reference-typed instance fields, ascending.
+         Empty for the array class, whose erased elements are scanned by
+         their tags *)
   is_array : bool;
   mutable valid : bool; (* false once superseded by an update *)
   mutable defn : CF.Cls.t option; (* class file this was loaded from *)
@@ -104,6 +110,7 @@ let dummy_class =
     tib = [||];
     methods = [||];
     size_words = Heap.header_words;
+    ref_offsets = [||];
     is_array = false;
     valid = false;
     defn = None;
@@ -181,6 +188,16 @@ let is_virtual (md : CF.Cls.meth) =
   (not md.CF.Cls.md_access.CF.Access.is_static)
   && md.CF.Cls.md_name <> CF.Cls.ctor_name
   && md.CF.Cls.md_access.CF.Access.visibility <> CF.Access.Private
+
+(* The word offsets of a layout's reference-typed fields: the slots the
+   collector forwards.  The test is the one the heap verifier enforces on
+   every field ([CF.Types.is_reference]), so on a heap that verifies no
+   int field holds a reference word the scan would miss. *)
+let ref_offsets (fields : field_info array) =
+  Array.to_list fields
+  |> List.filter_map (fun fi ->
+         if CF.Types.is_reference fi.fi_ty then Some fi.fi_offset else None)
+  |> Array.of_list
 
 (* Install a class: builds field layout (superclass fields first, preserving
    their offsets), assigns JTOC slots via [alloc_static], extends the
@@ -273,6 +290,7 @@ let install_class reg ~(defn : CF.Cls.t) ~alloc_static ~replace : rt_class =
       tib = Array.of_list !tib;
       methods;
       size_words = Heap.header_words + Array.length instance_fields;
+      ref_offsets = ref_offsets instance_fields;
       is_array = false;
       valid = true;
       defn = Some defn;
@@ -300,6 +318,7 @@ let install_array_class reg =
       tib = [||];
       methods = [||];
       size_words = Heap.array_header_words;
+      ref_offsets = [||];
       is_array = true;
       valid = true;
       defn = None;

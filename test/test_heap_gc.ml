@@ -234,8 +234,8 @@ let transform_plan_log () =
       ~replace:false
   in
   let roots = build_graph vm 50 7 in
-  let plan = Hashtbl.create 4 in
-  Hashtbl.replace plan cls.VM.Rt.cid wide.VM.Rt.cid;
+  let plan = Array.make vm.VM.State.reg.VM.Rt.n_classes (-1) in
+  plan.(cls.VM.Rt.cid) <- wide.VM.Rt.cid;
   let r = VM.Gc.collect ~plan vm in
   Alcotest.(check int) "all 50 transformed" 50 r.VM.Gc.transformed_objects;
   Alcotest.(check int) "log has 50 pairs" 100
@@ -371,6 +371,308 @@ let mixed_epoch_collection () =
   done;
   Alcotest.(check int) "zero surviving markers" 0 !markers
 
+(* --- collector differential ------------------------------------------------
+
+   A small mixed heap run through the three kinds of collection, with the
+   result pinned word for word: a change to how the collector walks the
+   heap (scan tables, forwarding, the log's representation) must not move
+   a single to-space word, log entry or count.  The heap has classes whose
+   int and reference fields interleave (inherited fields first), an
+   int-filled and a ref-filled array, a lazily forwarded original, a
+   copy-tagged retained copy, and unreachable objects between them. *)
+
+let mixed_prog =
+  {|
+class Base { int a; Base r; int b; }
+class Mid extends Base { Base s; int c; int[] xs; Base[] ys; }
+class Leaf extends Mid { int d; Base t; }
+class MidV2 extends Base { int c; Base s; int e; Base[] ys; int[] xs; int f; }
+class Main { static void main() { } }
+|}
+
+let mixed_vm () =
+  let vm =
+    VM.Vm.create
+      ~config:{ VM.State.default_config with VM.State.heap_words = 1 lsl 12 }
+      ()
+  in
+  VM.Vm.boot vm (Jv_lang.Compile.compile_program mixed_prog);
+  vm
+
+let cls_of vm name = VM.Rt.require_class vm.VM.State.reg name
+
+(* Set field [f] of the object at [addr] (of class [c]) by name. *)
+let setf vm c addr f v =
+  match VM.Rt.find_field_info (cls_of vm c) f with
+  | Some fi -> VM.Heap.set vm.VM.State.heap ~addr ~off:fi.VM.Rt.fi_offset v
+  | None -> Alcotest.failf "no field %s.%s" c f
+
+(* Build the mixed heap; returns the extra-roots array. *)
+let build_mixed vm =
+  let heap = vm.VM.State.heap in
+  let obj c = VM.State.alloc_object vm (cls_of vm c) in
+  let i n = VM.Value.of_int n and r a = VM.Value.of_ref a in
+  let garbage () = ignore (obj "Leaf") in
+  let b1 = obj "Base" in
+  garbage ();
+  let m1 = obj "Mid" in
+  let l1 = obj "Leaf" in
+  garbage ();
+  let m2 = obj "Mid" (* lazily forwarded below *) in
+  let repl = obj "MidV2" in
+  let copy = obj "Mid" (* retained update-log copy *) in
+  let ints = VM.State.alloc_array vm ~len:5 in
+  garbage ();
+  let refs = VM.State.alloc_array vm ~len:6 in
+  setf vm "Base" b1 "a" (i 1);
+  setf vm "Base" b1 "r" (r m1);
+  setf vm "Base" b1 "b" (i 2);
+  List.iter
+    (fun (f, v) -> setf vm "Mid" m1 f v)
+    [ ("a", i 3); ("r", r b1); ("b", i 4); ("s", r l1); ("c", i 5);
+      ("xs", r ints); ("ys", r refs) ];
+  List.iter
+    (fun (f, v) -> setf vm "Leaf" l1 f v)
+    [ ("a", i 6); ("r", r m2); ("b", i 7); ("c", i 8); ("ys", r refs);
+      ("d", i 9); ("t", r copy) ];
+  List.iter
+    (fun (f, v) -> setf vm "Mid" m2 f v)
+    [ ("a", i 10); ("r", r l1); ("c", i 11) ];
+  List.iter
+    (fun (f, v) -> setf vm "MidV2" repl f v)
+    [ ("a", i 10); ("r", r l1); ("c", i 11); ("e", i 12); ("ys", r refs) ];
+  List.iter
+    (fun (f, v) -> setf vm "Mid" copy f v)
+    [ ("a", i 13); ("r", r b1); ("c", i 14); ("xs", r ints) ];
+  VM.Heap.set heap ~addr:copy ~off:VM.Heap.off_gc (VM.Heap.make_copy_tag 0);
+  VM.Heap.set heap ~addr:m2 ~off:VM.Heap.off_gc (VM.Heap.make_lazy_fwd repl);
+  for k = 0 to 4 do
+    VM.Heap.set heap ~addr:ints ~off:(VM.Heap.array_header_words + k)
+      (i (100 + k))
+  done;
+  List.iteri
+    (fun k v ->
+      VM.Heap.set heap ~addr:refs ~off:(VM.Heap.array_header_words + k) v)
+    [ r b1; r m1; VM.Value.null; r l1; r m2; r copy ];
+  let roots = [| r l1; r b1; r m2; i 77; VM.Value.null |] in
+  vm.VM.State.extra_roots <- [ roots ];
+  roots
+
+(* The pinned state after a collection: free pointer, a digest of the
+   to-space words [1, free), the update log and the two counts. *)
+let gc_pin vm (res : VM.Gc.result) =
+  let heap = vm.VM.State.heap in
+  let words =
+    Array.sub heap.VM.Heap.space 1 (heap.VM.Heap.free - 1)
+    |> Array.to_list |> List.map string_of_int |> String.concat ","
+  in
+  Printf.sprintf "free=%d words=%s log=[%s] copied=%d transformed=%d"
+    heap.VM.Heap.free
+    (Digest.to_hex (Digest.string words))
+    (Array.to_list res.VM.Gc.update_log
+    |> List.map string_of_int |> String.concat ";")
+    res.VM.Gc.copied_objects res.VM.Gc.transformed_objects
+
+(* Instances of Mid transform into MidV2. *)
+let mixed_plan vm =
+  let plan = Array.make vm.VM.State.reg.VM.Rt.n_classes (-1) in
+  plan.((cls_of vm "Mid").VM.Rt.cid) <- (cls_of vm "MidV2").VM.Rt.cid;
+  plan
+
+(* The redirect a rollback collection takes: new addr -> old-copy addr. *)
+let redirect_of_log log =
+  let redirect = Hashtbl.create 8 in
+  for k = 0 to (Array.length log / 2) - 1 do
+    Hashtbl.replace redirect
+      (VM.Value.to_ref log.((2 * k) + 1))
+      (VM.Value.to_ref log.(2 * k))
+  done;
+  redirect
+
+let collector_differential () =
+  let pin what expected got = Alcotest.(check string) what expected got in
+  (* plain collection *)
+  let vm = mixed_vm () in
+  ignore (build_mixed vm);
+  pin "plain"
+    "free=63 words=b24f940aad658d82fc0a3607fd08ad91 log=[] copied=7 \
+     transformed=0"
+    (gc_pin vm (VM.Gc.collect vm));
+  (* transforming collection, then the rollback collection that undoes it *)
+  let vm = mixed_vm () in
+  let roots = build_mixed vm in
+  let res = VM.Gc.collect ~plan:(mixed_plan vm) vm in
+  pin "transforming"
+    "free=85 words=e1b4bd84e17a361bb856e26bc46366db log=[96;74;136;114] \
+     copied=7 transformed=2"
+    (gc_pin vm res);
+  let log = res.VM.Gc.update_log in
+  let redirect = redirect_of_log log in
+  (* a lazily forwarded original whose replacement is a transformed
+     object: the rollback's redirect applies at the marker's hop *)
+  let m3 = VM.State.alloc_object vm (cls_of vm "Mid") in
+  VM.Heap.set vm.VM.State.heap ~addr:m3 ~off:VM.Heap.off_gc
+    (VM.Heap.make_lazy_fwd (VM.Value.to_ref log.(1)));
+  roots.(4) <- VM.Value.of_ref m3;
+  pin "rollback"
+    "free=63 words=2ef58fa711d8a9445085bac74437389b log=[] copied=7 \
+     transformed=0"
+    (gc_pin vm (VM.Gc.collect ~redirect vm))
+
+(* --- collector invariants ---------------------------------------------------
+
+   The collector zeroes only the dirty prefix of the idle semi-space, so
+   the pre-zeroed allocation guarantee now rests on an invariant: after
+   every collection the idle space is all zero.  And it forwards only the
+   slots its per-class scan table names, so that table must list exactly
+   the reference-typed fields of every class. *)
+
+let check_idle what vm =
+  Alcotest.(check bool)
+    (what ^ ": idle semi-space all zero")
+    true
+    (Array.for_all (fun w -> w = 0) vm.VM.State.heap.VM.Heap.other)
+
+let idle_space_after_collections () =
+  (* the mixed heap through a plain, a transforming and a rollback
+     collection *)
+  let vm = mixed_vm () in
+  ignore (build_mixed vm);
+  ignore (VM.Gc.collect vm);
+  check_idle "plain" vm;
+  let res = VM.Gc.collect ~plan:(mixed_plan vm) vm in
+  check_idle "transforming" vm;
+  ignore (VM.Gc.collect ~redirect:(redirect_of_log res.VM.Gc.update_log) vm);
+  check_idle "rollback" vm;
+  (* a heap that shrank: a large live set, then most of it dropped *)
+  let vm = fresh_vm () in
+  let roots = build_graph vm 2000 3 in
+  ignore (VM.Gc.collect vm);
+  check_idle "large live set" vm;
+  vm.VM.State.extra_roots <- [ Array.sub roots 0 10 ];
+  ignore (VM.Gc.collect vm);
+  check_idle "first after shrinking" vm;
+  ignore (VM.Gc.collect vm);
+  check_idle "second after shrinking" vm
+
+let scrub_src ~v2 =
+  Printf.sprintf
+    {|
+class Box { int a; Box next; %s}
+class Keeper { static Box head; }
+class Main {
+  static void main() {
+    Box prev = null;
+    for (int i = 1; i <= 3; i = i + 1) {
+      Box b = new Box();
+      b.a = i;
+      b.next = prev;
+      prev = b;
+    }
+    Keeper.head = prev;
+    for (int j = 0; j < 100000; j = j + 1) { Thread.yieldNow(); }
+  }
+}
+|}
+    (if v2 then "int b; " else "")
+
+(* Each Box transformer allocates more than a semi-space holds, so
+   collections run nested inside the transformers; a trapping variant
+   makes the update roll back through a redirect collection. *)
+let idle_space_through_updates () =
+  let compile v2 = Jv_lang.Compile.compile_program (scrub_src ~v2) in
+  let vm = VM.Vm.create ~config:Helpers.test_config () in
+  VM.Vm.boot vm (compile false);
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  VM.Vm.run vm ~rounds:5;
+  let update ~tag ~body =
+    let spec =
+      Jvolve_core.Spec.make
+        ~object_overrides:[ ("Box", body) ]
+        ~version_tag:tag ~old_program:(compile false)
+        ~new_program:(compile true) ()
+    in
+    Jvolve_core.Jvolve.succeeded
+      (Jvolve_core.Jvolve.update_now ~timeout_rounds:100 vm spec)
+  in
+  let churn =
+    {|
+    to.a = from.a;
+    to.next = from.next;
+    int[] junk = null;
+    for (int k = 0; k < 8; k = k + 1) { junk = new int[40000]; }
+|}
+  in
+  let nested = ref 0 in
+  let saved = !VM.State.gc_hook in
+  VM.State.gc_hook :=
+    (fun vm ->
+      saved vm;
+      incr nested;
+      check_idle "nested collection" vm);
+  Fun.protect
+    ~finally:(fun () -> VM.State.gc_hook := saved)
+    (fun () ->
+      let trap = churn ^ "    int[] z = new int[1];\n    z[5] = 0;\n" in
+      Alcotest.(check bool) "trapping transformer rolls back" false
+        (update ~tag:"1" ~body:trap);
+      check_idle "after the rollback" vm;
+      let before = !nested in
+      Alcotest.(check bool) "update applies" true (update ~tag:"2" ~body:churn);
+      check_idle "after the update" vm;
+      Alcotest.(check bool) "collections ran inside transformers" true
+        (before > 0 && !nested > before))
+
+(* Every class the four app ladders load — each rung's old and new
+   versions and its transformer class — scans exactly its
+   reference-typed fields, and the heap each rung leaves verifies after a
+   collection. *)
+let ref_offsets_match_types () =
+  let module A = Jv_apps in
+  let expected (c : VM.Rt.rt_class) =
+    Array.to_list c.VM.Rt.instance_fields
+    |> List.filter (fun (fi : VM.Rt.field_info) ->
+           CF.Types.is_reference fi.VM.Rt.fi_ty)
+    |> List.map (fun (fi : VM.Rt.field_info) -> fi.VM.Rt.fi_offset)
+  in
+  let classes = ref 0 in
+  List.iter
+    (fun (d : A.Experience.app_desc) ->
+      List.iter
+        (fun ((from_version, _), (to_version, _)) ->
+          let vm = A.Experience.boot_version d ~version:from_version in
+          VM.Vm.run vm ~rounds:20;
+          let compile v =
+            Jv_lang.Compile.compile_program
+              (A.Patching.source d.A.Experience.d_versioned ~version:v)
+          in
+          let spec =
+            A.Common.spec
+              ~overrides:(d.A.Experience.d_overrides ~to_version)
+              ~version_tag:(A.Common.version_tag from_version)
+              ~old_program:(compile from_version)
+              ~new_program:(compile to_version) ()
+          in
+          let where =
+            Printf.sprintf "%s %s->%s" d.A.Experience.d_name from_version
+              to_version
+          in
+          Alcotest.(check bool) (where ^ ": applied") true
+            (Jvolve_core.Jvolve.succeeded
+               (Jvolve_core.Jvolve.update_now ~timeout_rounds:400 vm spec));
+          VM.Rt.iter_classes vm.VM.State.reg (fun c ->
+              incr classes;
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: %s reference offsets" where c.VM.Rt.name)
+                (expected c)
+                (Array.to_list c.VM.Rt.ref_offsets));
+          ignore (VM.Gc.collect vm);
+          Alcotest.(check bool) (where ^ ": heap verifies") true
+            (VM.Heapverify.run vm).VM.Heapverify.hv_ok)
+        (A.Patching.update_pairs d.A.Experience.d_versioned))
+    A.Experience.all_apps;
+  Alcotest.(check bool) "classes checked" true (!classes > 0)
+
 let suite =
   [
     Alcotest.test_case "value encoding" `Quick encoding_basics;
@@ -388,4 +690,11 @@ let suite =
       transform_plan_log;
     Alcotest.test_case "mixed-epoch collection" `Quick mixed_epoch_collection;
     Alcotest.test_case "heap exhaustion" `Quick heap_exhaustion;
+    Alcotest.test_case "collector differential" `Quick collector_differential;
+    Alcotest.test_case "idle semi-space zero after collections" `Quick
+      idle_space_after_collections;
+    Alcotest.test_case "idle semi-space zero through updates" `Quick
+      idle_space_through_updates;
+    Alcotest.test_case "scan tables match field types" `Quick
+      ref_offsets_match_types;
   ]
