@@ -203,6 +203,38 @@ let test_revert_under_fault_rolls_forward () =
   Alcotest.(check bool) "heap verifies after roll-forward" true
     r.VM.Heapverify.hv_ok
 
+(* --- a guarded commit that fails after its transformers ran -------------- *)
+
+(* With a guard window requested, the update log is kept past the
+   transform phase for retention; a failure at the last phase (OSR) must
+   still roll the heap back from that log and leave nothing retained. *)
+let test_guarded_osr_failure_rolls_back () =
+  let vm = boot_box () in
+  let plan = Faults.create ~seed:7 () in
+  Faults.arm plan ~point:"updater.osr" ~max_fires:1 Faults.Raise;
+  VM.Vm.set_faults vm (Some plan);
+  let h =
+    J.Jvolve.update_now ~guard:(J.Guard.config ()) vm (box_spec ~tag:"t4")
+  in
+  VM.Vm.set_faults vm None;
+  (match h.J.Jvolve.h_outcome with
+  | J.Jvolve.Aborted a ->
+      Alcotest.(check string) "abort phase" "osr"
+        (J.Updater.phase_to_string a.J.Updater.a_phase);
+      Alcotest.(check bool) "rolled back" true a.J.Updater.a_rolled_back
+  | o ->
+      Alcotest.failf "expected an OSR abort, got %s"
+        (J.Jvolve.outcome_to_string o));
+  Alcotest.(check bool) "no guard window" false (J.Jvolve.guard_active h);
+  Alcotest.(check bool) "nothing retained" true
+    (vm.VM.State.guard_retained = None);
+  let r = VM.Heapverify.run ~collect_stale:false vm in
+  Alcotest.(check bool) "heap verifies after the rollback" true
+    r.VM.Heapverify.hv_ok;
+  ignore (VM.Vm.run_to_quiescence ~max_rounds:2_000 vm);
+  Alcotest.(check string) "old code and field value kept" "v41"
+    (last_line (VM.Vm.output vm))
+
 (* --- fleet: a canary tripping its guard fences the rollout --------------- *)
 
 let fleet_config =
@@ -463,6 +495,8 @@ let suite =
       `Quick test_clean_close_frees_log;
     Alcotest.test_case "fault during revert rolls forward to a guard abort"
       `Quick test_revert_under_fault_rolls_forward;
+    Alcotest.test_case "guarded commit failing at OSR rolls back the log"
+      `Quick test_guarded_osr_failure_rolls_back;
     Alcotest.test_case "fleet: canary guard trip fences the rollout" `Quick
       test_canary_guard_trip_fences_rollout;
     Alcotest.test_case "fleet: rolling guard trip reverts updated instances"

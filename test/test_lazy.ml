@@ -249,6 +249,100 @@ let residual_trap_rolls_back () =
   in
   Alcotest.(check bool) "same spec re-applies after rollback" true vm_ok
 
+(* --- the window's update log across growth, a collection and a pop ------
+
+   The log starts small and grows pair by pair.  The reader transforms
+   the hot boxes (one growth), an explicit collection then moves every
+   logged address, and the sweeper's further transforms grow the log
+   again on top of the forwarded entries.  A trapping transformer then
+   takes its pair back off the log: the popped replacement must lose
+   write permission at once, and the rollback must restore every box. *)
+let log_grows_then_pops () =
+  let hot = 12 in
+  let vm = boot_boxes ~hot ~config:(lazy_config ~budget:1 ()) () in
+  ignore (apply_lazy ~hot vm);
+  VM.Vm.run vm ~rounds:2;
+  let pairs () = (lazy_info vm).VM.State.li_log_len / 2 in
+  let first = pairs () in
+  Alcotest.(check bool)
+    (Printf.sprintf "hot set logged past the initial capacity (%d pairs)" first)
+    true
+    (first > 8 && first <= 16);
+  ignore (VM.Gc.collect vm : VM.Gc.result);
+  let budget = ref 3000 in
+  while pairs () <= 16 && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  Alcotest.(check bool) "grew again after the collection" true (pairs () > 16);
+  (* the fault fires while the window's sandbox is installed: a clock
+     reading on the VM's event sink records it and the pair in flight *)
+  let seen = ref None in
+  Obs.set_clock vm.VM.State.obs (fun () ->
+      (match (vm.VM.State.sandbox, vm.VM.State.lazy_info) with
+      | Some sb, Some li when li.VM.State.li_log_len > 0 ->
+          let log = li.VM.State.li_log and n = li.VM.State.li_log_len in
+          seen := Some (sb, VM.Value.to_ref log.(n - 1), n / 2)
+      | _ -> ());
+      vm.VM.State.ticks);
+  let plan = Faults.create ~seed:13 () in
+  Faults.arm plan ~point:"transformer.throw" ~max_fires:1 Faults.Raise;
+  VM.Vm.set_faults vm (Some plan);
+  let budget = ref 3000 in
+  while !seen = None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  VM.Vm.set_faults vm None;
+  (match !seen with
+  | None -> Alcotest.fail "the armed transformer never ran"
+  | Some (sb, popped, n) ->
+      Alcotest.(check int) "the failed pair left the log" (n - 1) (pairs ());
+      Alcotest.(check bool) "the popped replacement is refused" false
+        (VM.State.sandbox_may_write vm sb popped));
+  let budget = ref 3000 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  Alcotest.(check int) "rolled back" 1
+    (Obs.counter_value vm.VM.State.obs "core.lazy.rollbacks");
+  check_clean vm "after the pop and rollback";
+  VM.Vm.run vm ~rounds:20;
+  String.split_on_char '\n' (String.trim (VM.Vm.output vm))
+  |> List.iter (fun l ->
+         if l <> "" && l <> Printf.sprintf "s=%d" (hot_sum hot) then
+           Alcotest.failf "wrong sum across the window: %S" l)
+
+(* A guarded lazy window whose guard closes clean while the sweeper is
+   still working: the log stays the window's until the drain, and after
+   it nothing of the update survives a collection. *)
+let guard_closes_before_drain () =
+  let vm = boot_boxes ~hot:5 ~config:(lazy_config ~budget:1 ()) () in
+  let budget = { J.Guard.default_budget with J.Guard.b_rounds = 5 } in
+  let h =
+    J.Jvolve.update_now ~timeout_rounds:100 ~guard:(J.Guard.config ~budget ())
+      vm (boxes_spec ~hot:5 ())
+  in
+  Alcotest.(check bool) "update applied" true (J.Jvolve.succeeded h);
+  (match J.Jvolve.run_to_guard_close vm h with
+  | J.Jvolve.Applied _ -> ()
+  | o ->
+      Alcotest.failf "expected a clean close, got %s"
+        (J.Jvolve.outcome_to_string o));
+  Alcotest.(check bool) "window still sweeping at the close" true
+    (vm.VM.State.lazy_info <> None);
+  Alcotest.(check bool) "drain completes" true (drain vm);
+  Alcotest.(check bool) "nothing retained" true
+    (vm.VM.State.guard_retained = None);
+  ignore (VM.Gc.collect vm : VM.Gc.result);
+  let r =
+    VM.Heapverify.run ~guard_pending:(fun _ -> false) ~collect_stale:false vm
+  in
+  Alcotest.(check bool) "heap verifies with no allowances" true
+    r.VM.Heapverify.hv_ok;
+  check_clean vm "after the drain"
+
 (* --- guard revert over a half-transformed ministore heap ---------------- *)
 
 let store = A.Experience.store_desc
@@ -334,6 +428,39 @@ let guard_revert_half_transformed () =
     (vm.VM.State.guard_retained = None);
   ignore (VM.Gc.collect vm : VM.Gc.result);
   check_clean vm "after guard revert";
+  let after = session vm reads in
+  Alcotest.(check (list string))
+    "store answers bit-for-bit as before the migration" before after
+
+(* A guarded lazy migration that drains before its guard window closes:
+   the retained log outlives the window it was built in, rides through
+   the drain's collection and more traffic, and then feeds the revert. *)
+let guard_trips_after_drain () =
+  let vm = A.Experience.boot_version ~config:store_config store ~version:"1.0" in
+  let reads = [ "GET 1000"; "GET 1013"; "GET 5"; "SCAN 0"; "STAT"; "QUIT" ] in
+  let before = session vm reads in
+  let spec = store_spec ~from_version:"1.0" ~to_version:"1.1" in
+  let h =
+    J.Jvolve.update_now ~timeout_rounds:400 ~guard:(J.Guard.config ()) vm spec
+  in
+  Alcotest.(check bool) "migration committed" true (J.Jvolve.succeeded h);
+  Alcotest.(check bool) "drain completes" true (drain vm);
+  Alcotest.(check bool) "window closed" true (vm.VM.State.lazy_info = None);
+  Alcotest.(check bool) "log retained past the window" true
+    (vm.VM.State.guard_retained <> None);
+  ignore (session vm [ "GET 1000"; "GET 5"; "QUIT" ]);
+  ignore (VM.Gc.collect vm : VM.Gc.result);
+  J.Jvolve.force_trip vm h ~reason:"test: trip after the drain";
+  (match J.Jvolve.run_to_guard_close vm h with
+  | J.Jvolve.Reverted _ -> ()
+  | o ->
+      Alcotest.failf "expected a revert, got %s"
+        (J.Jvolve.outcome_to_string o));
+  VM.Vm.run vm ~rounds:120;
+  Alcotest.(check bool) "retained log freed" true
+    (vm.VM.State.guard_retained = None);
+  ignore (VM.Gc.collect vm : VM.Gc.result);
+  check_clean vm "after the revert";
   let after = session vm reads in
   Alcotest.(check (list string))
     "store answers bit-for-bit as before the migration" before after
@@ -640,8 +767,14 @@ let suite =
       sweeper_converges;
     Alcotest.test_case "residual transformer trap rolls the window back"
       `Quick residual_trap_rolls_back;
+    Alcotest.test_case "window log grows across a collection, then pops"
+      `Quick log_grows_then_pops;
+    Alcotest.test_case "guard closes while the window still sweeps" `Quick
+      guard_closes_before_drain;
     Alcotest.test_case "guard revert over a half-transformed heap" `Quick
       guard_revert_half_transformed;
+    Alcotest.test_case "guard trips after the window drained" `Quick
+      guard_trips_after_drain;
     Alcotest.test_case "rollback drops a retyped field" `Quick
       rollback_drops_retyped_field;
     Alcotest.test_case "guard admits writes to the pair's own target" `Quick
