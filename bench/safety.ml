@@ -224,7 +224,7 @@ let guard_window_verify () =
   | J.Jvolve.Applied _ ->
       let retained =
         match vm.VM.State.guard_retained with
-        | Some roots -> Array.length roots
+        | Some log -> 2 * VM.Update_log.pairs log
         | None -> 0
       in
       let walks = ref 0 and spurious = ref 0 in

@@ -177,10 +177,11 @@ let run_cell ?(lazy_update = false) ~verify ~objects ~fraction () : cell =
   match h.J.Jvolve.h_outcome with
   | J.Jvolve.Applied t ->
       let drain_ms =
-        match vm.VM.State.lazy_drain with
-        | Some drain ->
+        match vm.VM.State.lazy_info with
+        | Some li ->
             let t0 = Support.now () in
-            check ~objects ~fraction "lazy window drained" (drain vm);
+            check ~objects ~fraction "lazy window drained"
+              (li.VM.State.li_drain vm);
             (Support.now () -. t0) *. 1000.0
         | None ->
             check ~objects ~fraction "every Change object transformed"

@@ -191,7 +191,7 @@ let open_window (cfg : config) (vm : State.t) : t =
       ( "retained_pairs",
         Obs.Int
           (match vm.State.guard_retained with
-          | Some log -> Array.length log / 2
+          | Some log -> Jv_vm.Update_log.pairs log
           | None -> 0) );
     ];
   {

@@ -288,20 +288,20 @@ and start_revert vm h v =
       ("version", Jv_obs.Obs.Str (version_tag h));
       ("signal", Jv_obs.Obs.Str (Guard.signal_to_string v.Guard.v_signal));
     ];
-  match vm.State.lazy_drain with
-  | Some drain when not (drain vm) ->
-      (* the guarded update committed lazily and a residual transformer
-         trapped during the forced drain: the window's own rollback just
-         restored the old version — that IS the revert *)
-      h.h_guard_busy <- false;
-      Txn.release_retained vm;
-      h.h_outcome <- Reverted v;
-      record_outcome vm h h.h_outcome
-  | _ -> start_revert_eager vm h v
+  if State.drain_window vm then start_revert_eager vm h v
+  else begin
+    (* the guarded update committed lazily and a residual transformer
+       trapped during the forced drain: the window's own rollback just
+       restored the old version — that IS the revert *)
+    h.h_guard_busy <- false;
+    Txn.release_retained vm;
+    h.h_outcome <- Reverted v;
+    record_outcome vm h h.h_outcome
+  end
 
 (* The inverse update needs every object on the new layout before its
    transforming collection runs, so a still-draining lazy window is
-   forced to completion first (the [lazy_drain] branch above). *)
+   forced to completion first ([State.drain_window] above). *)
 and start_revert_eager vm h v =
   let inv_spec = Spec.inverse h.h_prepared.Transformers.p_spec in
   match Transformers.prepare inv_spec with
@@ -371,11 +371,11 @@ let force_trip vm (h : handle) ~reason =
    scheduler at the next DSU safe point.  Raises [Busy] if another update
    is already pending.
 
-   Admission control runs first (unless [admit] is false): a rejected
-   update resolves immediately as [Aborted] in phase [P_admit] — the
-   attempt hook is never installed, so the VM never pauses. *)
+   Admission control runs first: a rejected update resolves immediately
+   as [Aborted] in phase [P_admit] — the attempt hook is never installed,
+   so the VM never pauses. *)
 let request ?(timeout_rounds = default_timeout_rounds) ?(use_osr = true)
-    ?(use_barriers = true) ?(admit = true) ?(admit_strict = false) ?guard vm
+    ?(use_barriers = true) ?(admit_strict = false) ?guard vm
     (prepared : Transformers.prepared) : handle =
   if vm.State.dsu_attempt <> None then raise Busy;
   let h =
@@ -422,33 +422,30 @@ let request ?(timeout_rounds = default_timeout_rounds) ?(use_osr = true)
           ("proven_off", Jv_obs.Obs.Int h.h_restricted.Safepoint.proven_off);
         ]);
   let rejected =
-    if not admit then []
-    else begin
-      let rep =
-        Admission.review ~confree:vm.State.config.State.confree prepared
-      in
-      let obs = vm.State.obs in
-      Jv_obs.Obs.incr obs "core.admission.reviews";
-      Jv_obs.Obs.observe obs "core.admission.ms" rep.Admission.a_ms;
-      let warns =
-        List.length
-          (List.filter
-             (fun v -> v.Admission.v_severity = Admission.Warn)
-             rep.Admission.a_verdicts)
-      in
-      Jv_obs.Obs.incr ~by:warns obs "core.admission.warns";
-      let rej = Admission.rejections ~strict:admit_strict rep in
-      Jv_obs.Obs.incr ~by:(List.length rej) obs "core.admission.rejections";
-      if rej <> [] then
-        Jv_obs.Obs.emit obs ~scope:"core.admission" "admission.rejected"
-          [
-            ( "version",
-              Jv_obs.Obs.Str prepared.Transformers.p_spec.Spec.version_tag );
-            ("verdicts", Jv_obs.Obs.Str (String.concat "; " rej));
-            ("strict", Jv_obs.Obs.Str (string_of_bool admit_strict));
-          ];
-      rej
-    end
+    let rep =
+      Admission.review ~confree:vm.State.config.State.confree prepared
+    in
+    let obs = vm.State.obs in
+    Jv_obs.Obs.incr obs "core.admission.reviews";
+    Jv_obs.Obs.observe obs "core.admission.ms" rep.Admission.a_ms;
+    let warns =
+      List.length
+        (List.filter
+           (fun v -> v.Admission.v_severity = Admission.Warn)
+           rep.Admission.a_verdicts)
+    in
+    Jv_obs.Obs.incr ~by:warns obs "core.admission.warns";
+    let rej = Admission.rejections ~strict:admit_strict rep in
+    Jv_obs.Obs.incr ~by:(List.length rej) obs "core.admission.rejections";
+    if rej <> [] then
+      Jv_obs.Obs.emit obs ~scope:"core.admission" "admission.rejected"
+        [
+          ( "version",
+            Jv_obs.Obs.Str prepared.Transformers.p_spec.Spec.version_tag );
+          ("verdicts", Jv_obs.Obs.Str (String.concat "; " rej));
+          ("strict", Jv_obs.Obs.Str (string_of_bool admit_strict));
+        ];
+    rej
   in
   (match rejected with
   | [] -> vm.State.dsu_attempt <- Some (attempt h)
@@ -458,19 +455,18 @@ let request ?(timeout_rounds = default_timeout_rounds) ?(use_osr = true)
   h
 
 (* Convenience: prepare from a spec and request in one step. *)
-let request_spec ?timeout_rounds ?use_osr ?use_barriers ?admit ?admit_strict
-    ?guard vm (spec : Spec.t) : handle =
-  request ?timeout_rounds ?use_osr ?use_barriers ?admit ?admit_strict ?guard
-    vm
+let request_spec ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard vm
+    (spec : Spec.t) : handle =
+  request ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard vm
     (Transformers.prepare spec)
 
 (* Convenience for tests and benchmarks: request the update and drive the
    scheduler until it resolves (or [max_rounds] elapses). *)
-let update_now ?timeout_rounds ?use_osr ?use_barriers ?admit ?admit_strict
-    ?guard ?(max_rounds = 10_000) vm spec : handle =
+let update_now ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard
+    ?(max_rounds = 10_000) vm spec : handle =
   let h =
-    request_spec ?timeout_rounds ?use_osr ?use_barriers ?admit ?admit_strict
-      ?guard vm spec
+    request_spec ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard vm
+      spec
   in
   let n = ref 0 in
   while h.h_outcome = Pending && !n < max_rounds do
@@ -499,15 +495,15 @@ let run_to_guard_close ?(max_rounds = 10_000) vm (h : handle) =
    catches up from its boot version to the fleet's current epoch.  Stops
    at the first rung that fails to land (abort, revert or timeout);
    [Error] carries the handles that did apply plus the failing one. *)
-let run_ladder ?timeout_rounds ?use_osr ?use_barriers ?admit ?admit_strict
-    ?guard ?(max_rounds_each = 10_000) vm (specs : Spec.t list) :
+let run_ladder ?timeout_rounds ?guard ?(max_rounds_each = 10_000) vm
+    (specs : Spec.t list) :
     (handle list, handle list * handle) result =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | spec :: rest -> (
         let h =
-          update_now ?timeout_rounds ?use_osr ?use_barriers ?admit
-            ?admit_strict ?guard ~max_rounds:max_rounds_each vm spec
+          update_now ?timeout_rounds ?guard ~max_rounds:max_rounds_each vm
+            spec
         in
         let outcome =
           if h.h_guard_busy then

@@ -69,7 +69,6 @@ val request :
   ?timeout_rounds:int ->
   ?use_osr:bool ->
   ?use_barriers:bool ->
-  ?admit:bool ->
   ?admit_strict:bool ->
   ?guard:Guard.config ->
   State.t ->
@@ -79,10 +78,10 @@ val request :
     point (and immediately whenever a return barrier fires) until it
     applies or times out.
 
-    {!Admission.review} runs first unless [admit] is [false]; a rejected
-    update resolves immediately as [Aborted] in phase [P_admit] and the
-    VM never pauses.  [admit_strict] promotes [Warn] verdicts (e.g. a
-    field silently changing type) to rejections.
+    {!Admission.review} runs first; a rejected update resolves
+    immediately as [Aborted] in phase [P_admit] and the VM never pauses.
+    [admit_strict] promotes [Warn] verdicts (e.g. a field silently
+    changing type) to rejections.
 
     [guard] makes the commit guarded: see {!Guard} and
     {!run_to_guard_close}. *)
@@ -91,7 +90,6 @@ val request_spec :
   ?timeout_rounds:int ->
   ?use_osr:bool ->
   ?use_barriers:bool ->
-  ?admit:bool ->
   ?admit_strict:bool ->
   ?guard:Guard.config ->
   State.t ->
@@ -103,7 +101,6 @@ val update_now :
   ?timeout_rounds:int ->
   ?use_osr:bool ->
   ?use_barriers:bool ->
-  ?admit:bool ->
   ?admit_strict:bool ->
   ?guard:Guard.config ->
   ?max_rounds:int ->
@@ -133,10 +130,6 @@ val run_to_guard_close : ?max_rounds:int -> State.t -> handle -> outcome
 
 val run_ladder :
   ?timeout_rounds:int ->
-  ?use_osr:bool ->
-  ?use_barriers:bool ->
-  ?admit:bool ->
-  ?admit_strict:bool ->
   ?guard:Guard.config ->
   ?max_rounds_each:int ->
   State.t ->

@@ -42,7 +42,7 @@
 module State = Jv_vm.State
 module Rt = Jv_vm.Rt
 module Gc = Jv_vm.Gc
-module Value = Jv_vm.Value
+module Update_log = Jv_vm.Update_log
 module Machine = Jv_vm.Machine
 module CF = Jv_classfile
 
@@ -109,41 +109,38 @@ let release vm txn =
   vm.State.extra_roots <-
     List.filter (fun a -> a != txn.tx_jtoc) vm.State.extra_roots
 
-let commit vm txn = release vm txn
-
-(* Commit, but keep the update log alive for a post-commit guard window:
-   the transaction's own root (the JTOC copy) is dropped as usual, while
-   the log array — which the updater left registered in [extra_roots] —
-   is published as [State.guard_retained].  The pristine old copies in
-   its even slots are the inverse-update replay's source should the
-   guard's error budget trip; until the window closes they are also the
-   heap verifier's [guard_pending] allowance. *)
-let commit_retaining vm txn ~update_log =
+(* The update applied: the snapshot root goes, and so does the in-flight
+   update log (unless a guard window retains it). *)
+let commit vm txn =
   release vm txn;
-  if Array.length update_log > 0 then
-    vm.State.guard_retained <- Some update_log
+  vm.State.update_log <- None
 
-(* Close the guard window: unroot the retained log and collect, so the
-   old copies finally die and subsequent heap verifications see no
-   superseded objects at all.
+(* Commit, but move a non-empty in-flight log to [State.guard_retained]
+   for a post-commit guard window.  Its pristine old copies are the
+   inverse-update replay's source should the guard's error budget trip;
+   until the window closes they are also the heap verifier's
+   [guard_pending] allowance. *)
+let commit_retaining vm txn =
+  (match vm.State.update_log with
+  | Some log when Update_log.pairs log > 0 ->
+      vm.State.guard_retained <- Some log
+  | _ -> ());
+  commit vm txn
 
-   Lazy-aware: while a lazy update window is still draining, the
-   retained log IS the window's live update log — clearing the guard
-   publication must neither unroot it (residual transforms still append
-   to it and a late abort still replays it) nor collect (the sweeper
-   owns the window's lifecycle); the window's own finalize/rollback
-   releases the array. *)
+(* Close the guard window: drop the retained log and collect, so the old
+   copies finally die and subsequent heap verifications see no
+   superseded objects at all.  A lazy window still draining keeps its
+   own log in flight — residual transforms still append to it and a late
+   abort still replays it — so nothing is collected then; the window's
+   finalize does that. *)
 let release_retained vm =
   match vm.State.guard_retained with
   | None -> ()
   | Some log -> (
       vm.State.guard_retained <- None;
-      match vm.State.lazy_info with
-      | Some li when li.State.li_log == log -> ()
-      | _ ->
-          vm.State.extra_roots <-
-            List.filter (fun a -> a != log) vm.State.extra_roots;
-          ignore (Gc.collect vm))
+      match vm.State.update_log with
+      | Some l when l == log -> ()
+      | _ -> ignore (Gc.collect vm))
 
 (* Exact metadata restoration: truncate the appended ids, put back every
    saved mutable field, rebuild the name table. *)
@@ -186,30 +183,25 @@ let restore_statics (vm : State.t) txn =
   done;
   vm.State.jtoc_n <- txn.tx_jtoc_n
 
-(* The new object -> pristine old copy table of an update log, decoded
-   to addresses for [Gc.collect ~redirect]. *)
-let redirect_of_log (update_log : int array) =
-  let redirect = Hashtbl.create (max 16 (Array.length update_log)) in
-  for i = 0 to (Array.length update_log / 2) - 1 do
-    Hashtbl.replace redirect
-      (Value.to_ref update_log.((2 * i) + 1))
-      (Value.to_ref update_log.(2 * i))
-  done;
-  redirect
+(* Undo the transforming pass: one collection redirects every reference
+   that landed on a new-layout object back to its pristine old copy (and
+   with a lazy window's inverse [plan], replaces new-version instances
+   the app allocated).  The in-flight log comes off the VM's roots first:
+   still rooted, its own slots would be redirected too.  An empty log
+   and no plan leave nothing to undo and run no collection. *)
+let rollback_heap ?plan (vm : State.t) =
+  match vm.State.update_log with
+  | None -> None
+  | Some log ->
+      vm.State.update_log <- None;
+      if plan = None && Update_log.pairs log = 0 then None
+      else Some (Gc.collect ?plan ~redirect:(Update_log.redirect log) vm)
 
-(* Undo the transforming collection: redirect every reference that landed
-   on a new-layout object back to its pristine old copy.  [update_log]
-   must hold current addresses (it was an extra root until the caller
-   unregistered it; no collection may run in between). *)
-let rollback_heap (vm : State.t) (update_log : int array) =
-  if Array.length update_log > 0 then
-    ignore (Gc.collect ~redirect:(redirect_of_log update_log) vm)
-
-let rollback ?(update_log = [||]) (vm : State.t) txn =
+let rollback (vm : State.t) txn =
   restore_metadata vm txn;
   restore_statics vm txn;
   release vm txn;
-  rollback_heap vm update_log
+  ignore (rollback_heap vm : Gc.result option)
 
 (* Post-rollback audit: is the metadata bit-for-bit the snapshot again?
    The chaos bench reports this as its "0 half-installed class tables"

@@ -15,32 +15,35 @@ val capture : State.t -> t
     {!rollback}. *)
 
 val commit : State.t -> t -> unit
-(** The update applied: drop the snapshot root. *)
+(** The update applied: drop the snapshot root and the in-flight update
+    log ([State.update_log]). *)
 
-val commit_retaining : State.t -> t -> update_log:int array -> unit
-(** Commit, but keep the update log (still registered in [extra_roots] by
-    the updater) alive for a post-commit guard window, published as
-    [State.guard_retained].  Its pristine old copies feed the
-    inverse-update replay if the guard trips, and the heap verifier's
-    [guard_pending] allowance until then.  Pair with
-    {!release_retained}. *)
+val commit_retaining : State.t -> t -> unit
+(** Commit, but move the in-flight update log, when it holds any pair,
+    to [State.guard_retained] for a post-commit guard window.  Its
+    pristine old copies feed the inverse-update replay if the guard
+    trips, and the heap verifier's [guard_pending] allowance until
+    then.  Pair with {!release_retained}. *)
 
 val release_retained : State.t -> unit
-(** Close the guard window: unroot the retained log (if any) and run a
-    plain collection so the old copies die.  Idempotent. *)
+(** Close the guard window: drop the retained log (if any) and run a
+    plain collection so the old copies die — unless the log is still in
+    flight in a draining lazy window, whose finalize collects instead.
+    Idempotent. *)
 
-val redirect_of_log : int array -> (int, int) Hashtbl.t
-(** The new object → pristine old copy addresses of a flattened update
-    log: the [redirect] a rollback collection ({!Jv_vm.Gc.collect})
-    chases.  The log must hold current addresses. *)
+val rollback_heap : ?plan:Jv_vm.Gc.transform_plan -> State.t ->
+  Jv_vm.Gc.result option
+(** Undo the transforming pass with one collection that chases the
+    in-flight log's redirect (new object → pristine old copy), plus an
+    inverse [plan] for a lazy window.  Takes the log off the VM's roots
+    first, so the collection does not redirect the log's own slots.
+    [None] when there was no log, or an empty one and no plan: no
+    collection ran. *)
 
-val rollback : ?update_log:int array -> State.t -> t -> unit
-(** Restore metadata and statics, then — when [update_log] is non-empty,
-    i.e. the transforming collection already ran — undo the heap pass by
-    collecting with a redirect built from the log (new object → pristine
-    old copy).  The log must hold current addresses: unregister it from
-    [extra_roots] immediately before this call, with no collection in
-    between. *)
+val rollback : State.t -> t -> unit
+(** Restore metadata and statics, then {!rollback_heap} (a no-op when
+    the transforming collection never ran, or a lazy rollback already
+    undid the heap). *)
 
 val audit : State.t -> t -> (unit, string) result
 (** Is the metadata exactly the snapshot again?  [Error why] names the

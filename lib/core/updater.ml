@@ -12,9 +12,11 @@
    6. run class transformers, then object transformers over the log;
    7. discard the transformer class and the log.
 
-   All of this happens with application threads stopped at safe points; the
-   log array is registered as a GC root so transformer-phase allocation
-   (which may trigger a nested plain collection) stays safe. *)
+   All of this happens with application threads stopped at safe points.
+   The update log is the VM's in-flight log ([State.update_log]) from the
+   collection to the commit, so transformer-phase allocation (which may
+   trigger a nested plain collection) stays safe; a guarded commit moves
+   it to [State.guard_retained]. *)
 
 module CF = Jv_classfile
 module State = Jv_vm.State
@@ -25,6 +27,7 @@ module Gc = Jv_vm.Gc
 module Interp = Jv_vm.Interp
 module Osr = Jv_vm.Osr
 module Classloader = Jv_vm.Classloader
+module Update_log = Jv_vm.Update_log
 module Faults = Jv_faults.Faults
 
 exception Update_error of string
@@ -288,9 +291,9 @@ let copy_plan spec ~(old_cls : Rt.rt_class) ~(new_cls : Rt.rt_class) =
    [copy_plan]; custom transformers stay [Interpreted], in the sandbox. *)
 type obj_transformer = Copy of int array | Interpreted of Rt.rt_method
 
-(* The object transformers of one update, shared by the eager phase and
-   the lazy window. *)
-type obj_transformers = {
+(* One transformer session: the eager phase, or a lazy window for its
+   whole life.  The sandbox holds the update log. *)
+type session = {
   ot_spec : Spec.t;
   ot_rc : Rt.rt_class; (* the installed JvolveTransformers class *)
   (* old cid -> (new cid, transformer): the paper's suggested "caching
@@ -299,25 +302,48 @@ type obj_transformers = {
   ot_by_old : (int * obj_transformer) option array;
   mutable ot_planned : int; (* pairs run as copy plans *)
   mutable ot_interpreted : int; (* pairs run on the interpreter *)
+  carrier : State.vthread; (* reused for every transformer invocation *)
+  sandbox : State.sandbox; (* fuel, write restriction, the log *)
+  scratch : int array; (* one rooted slot for sweeper/force targets *)
+  mutable abort : (cause * string) option; (* a lazy window aborting *)
 }
 
-let obj_transformers vm (spec : Spec.t) transformer_rc =
+let start_session vm spec transformer_rc ~log =
+  let scratch = [| 0 |] in
+  vm.State.extra_roots <- scratch :: vm.State.extra_roots;
   {
     ot_spec = spec;
     ot_rc = transformer_rc;
     ot_by_old = Array.make vm.State.reg.Rt.n_classes None;
     ot_planned = 0;
     ot_interpreted = 0;
+    carrier = Interp.make_carrier vm;
+    sandbox =
+      State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel ~log;
+    scratch;
+    abort = None;
   }
 
-type transform_ctx = {
-  log : int array; (* flattened (old, new) pairs; registered as GC roots *)
-  n_pairs : int;
-  status : int array; (* 0 = pending, 1 = in progress, 2 = done *)
-  objs : obj_transformers;
-  carrier : State.vthread; (* reused for every transformer invocation *)
-  sandbox : State.sandbox; (* fuel, write restriction, the log's index *)
-}
+(* Uninstall the session (and the lazy window riding on it), release its
+   carrier and scratch root, and unload the transformer class.  The
+   update log stays in flight: the commit or the rollback decides its
+   fate. *)
+let end_session vm (s : session) =
+  vm.State.sandbox <- None;
+  vm.State.force_transform <- None;
+  vm.State.lazy_info <- None;
+  Interp.release_carrier vm s.carrier;
+  vm.State.extra_roots <-
+    List.filter (fun a -> a != s.scratch) vm.State.extra_roots;
+  let rc = s.ot_rc in
+  Hashtbl.remove vm.State.reg.Rt.by_name rc.Rt.name;
+  rc.Rt.valid <- false;
+  Array.iter
+    (fun (m : Rt.rt_method) ->
+      m.Rt.m_valid <- false;
+      m.Rt.base_code <- None;
+      m.Rt.opt_code <- None)
+    rc.Rt.methods
 
 (* The transformer.* fault points simulate the three ways a bad
    transformer misbehaves, each driven through the real enforcement
@@ -388,11 +414,11 @@ let find_transformer_method (transformer_rc : Rt.rt_class) ~name ~params =
          && List.length m.Rt.m_sig.CF.Types.params = List.length params
          && List.for_all2 CF.Types.equal_ty m.Rt.m_sig.CF.Types.params params)
 
-let find_object_method vm (objs : obj_transformers) ~new_cid ~old_cid =
+let find_object_method vm (s : session) ~new_cid ~old_cid =
   let new_cls = Rt.class_by_id vm.State.reg new_cid in
   let old_cls = Rt.class_by_id vm.State.reg old_cid in
   match
-    find_transformer_method objs.ot_rc ~name:"jvolveObject"
+    find_transformer_method s.ot_rc ~name:"jvolveObject"
       ~params:[ CF.Types.TRef new_cls.Rt.name; CF.Types.TRef old_cls.Rt.name ]
   with
   | Some m -> m
@@ -400,43 +426,65 @@ let find_object_method vm (objs : obj_transformers) ~new_cid ~old_cid =
       uerr "no jvolveObject(%s, %s) in transformer class" new_cls.Rt.name
         old_cls.Rt.name
 
-let object_transformer vm (objs : obj_transformers) ~new_cid ~old_cid =
-  let cached = old_cid < Array.length objs.ot_by_old in
-  match if cached then objs.ot_by_old.(old_cid) else None with
+let object_transformer vm (s : session) ~new_cid ~old_cid =
+  let cached = old_cid < Array.length s.ot_by_old in
+  match if cached then s.ot_by_old.(old_cid) else None with
   | Some (n, t) when n = new_cid -> t
   | _ ->
       let new_cls = Rt.class_by_id vm.State.reg new_cid in
       let t =
-        if Transformers.object_default objs.ot_spec new_cls.Rt.name then
+        if Transformers.object_default s.ot_spec new_cls.Rt.name then
           Copy
-            (copy_plan objs.ot_spec
+            (copy_plan s.ot_spec
                ~old_cls:(Rt.class_by_id vm.State.reg old_cid)
                ~new_cls)
-        else Interpreted (find_object_method vm objs ~new_cid ~old_cid)
+        else Interpreted (find_object_method vm s ~new_cid ~old_cid)
       in
-      if cached then objs.ot_by_old.(old_cid) <- Some (new_cid, t);
+      if cached then s.ot_by_old.(old_cid) <- Some (new_cid, t);
       t
 
-(* Run [jvolveObject(new, old)] for one pair, with [sb] installed as the
-   VM's sandbox: a fresh fuel budget, the transformer.* fault points, and
-   writes restricted to the update log's new objects, [new_addr] first
-   (the pair in flight).  A copy plan takes the same checks as the
-   interpreted default would — the fault draws in the same order and one
-   step through the interpreter's fuel gate — before its word copy.
-   [invoke] calls an interpreted method; [on_trap] reports a trap at the
-   pair's site. *)
-let transform_object vm (objs : obj_transformers) (sb : State.sandbox) ~invoke
-    ~on_trap ~new_addr ~old_addr =
+(* Run a transformer method on the session's carrier.  A lazy window's
+   carrier outlives the commit pause (transformers keep running at
+   barrier hits for the life of the window), and the scheduler reaps it
+   as done between invocations: re-register it so its frames are GC
+   roots while the transformer runs.  Recursive transforms (via the
+   Jvolve.transform native) arrive while the carrier is mid-call and
+   take a fresh temporary thread. *)
+let invoke vm (s : session) m args =
+  if s.carrier.State.frames = [] then begin
+    if not (List.memq s.carrier vm.State.threads) then
+      vm.State.threads <- vm.State.threads @ [ s.carrier ];
+    Interp.call_on vm s.carrier m args
+  end
+  else Interp.call_sync vm m args
+
+(* Report a trapped transformer at [site].  Inside an aborting lazy
+   window the trap is a nested transform's abort, which the carrier
+   surfaced as a generic blocked-call trap: keep its typed cause. *)
+let on_trap vm (s : session) site e =
+  match s.abort with
+  | Some (c, m) -> raise (Update_failure (c, m))
+  | None -> fail_transformer vm site e
+
+(* Run [jvolveObject(new, old)] for one pair, with the session's sandbox
+   installed as the VM's: a fresh fuel budget, the transformer.* fault
+   points, and writes restricted to the update log's new objects,
+   [new_addr] first (the pair in flight).  A copy plan takes the same
+   checks as the interpreted default would — the fault draws in the same
+   order and one step through the interpreter's fuel gate — before its
+   word copy. *)
+let transform_object vm (s : session) ~new_addr ~old_addr =
+  let sb = s.sandbox in
   let heap = vm.State.heap in
   let new_cid = Heap.class_id heap new_addr in
   let old_cid = Heap.class_id heap old_addr in
-  let t = object_transformer vm objs ~new_cid ~old_cid in
+  let t = object_transformer vm s ~new_cid ~old_cid in
   sb.State.sb_steps <- 0;
   try
     consult_transformer_faults vm sb ~bad_target:(Some old_addr);
     match t with
     | Copy plan ->
-        objs.ot_planned <- objs.ot_planned + 1;
+        s.ot_planned <- s.ot_planned + 1;
         Interp.charge_fuel vm;
         let space = heap.Heap.space in
         for k = 0 to (Array.length plan / 2) - 1 do
@@ -444,7 +492,7 @@ let transform_object vm (objs : obj_transformers) (sb : State.sandbox) ~invoke
             space.(old_addr + plan.(2 * k))
         done
     | Interpreted m ->
-        objs.ot_interpreted <- objs.ot_interpreted + 1;
+        s.ot_interpreted <- s.ot_interpreted + 1;
         (* a forced transform nests here: restore the outer pair's guard
            and target on either exit *)
         let saved_guard = sb.State.sb_guard in
@@ -458,7 +506,9 @@ let transform_object vm (objs : obj_transformers) (sb : State.sandbox) ~invoke
         sb.State.sb_guard <- true;
         sb.State.sb_target <- new_addr;
         sb.State.sb_target_gc <- heap.Heap.gc_count;
-        (match invoke m [| Value.of_ref new_addr; Value.of_ref old_addr |] with
+        (match
+           invoke vm s m [| Value.of_ref new_addr; Value.of_ref old_addr |]
+         with
         | _ -> restore ()
         | exception e ->
             restore ();
@@ -467,75 +517,71 @@ let transform_object vm (objs : obj_transformers) (sb : State.sandbox) ~invoke
     let m =
       match t with
       | Interpreted m -> m
-      | Copy _ -> find_object_method vm objs ~new_cid ~old_cid
+      | Copy _ -> find_object_method vm s ~new_cid ~old_cid
     in
-    on_trap
+    on_trap vm s
       {
-        ts_method = Rt.method_qname objs.ot_rc m;
+        ts_method = Rt.method_qname s.ot_rc m;
         ts_class = (Rt.class_by_id vm.State.reg new_cid).Rt.name;
         ts_object = new_addr;
       }
       e
 
-(* Reuse the carrier thread when it is free; recursive transforms (via
-   the Jvolve.transform native) arrive while the carrier is mid-call and
-   need their own thread. *)
-let eager_invoke vm ctx m args =
-  if ctx.carrier.State.frames = [] then Interp.call_on vm ctx.carrier m args
-  else Interp.call_sync vm m args
-
 (* Publish how many pairs ran as copy plans and how many interpreted. *)
-let count_pairs obs (objs : obj_transformers) =
-  Jv_obs.Obs.incr ~by:objs.ot_planned obs "core.update.planned_pairs";
-  Jv_obs.Obs.incr ~by:objs.ot_interpreted obs "core.update.interpreted_pairs"
+let count_pairs obs (s : session) =
+  Jv_obs.Obs.incr ~by:s.ot_planned obs "core.update.planned_pairs";
+  Jv_obs.Obs.incr ~by:s.ot_interpreted obs "core.update.interpreted_pairs"
 
-let rec run_pair vm ctx i =
-  match ctx.status.(i) with
+(* The eager phase's pair [i]; [status] is 0 pending, 1 in progress, 2
+   done. *)
+let rec run_pair vm (s : session) status i =
+  match status.(i) with
   | 2 -> ()
   | 1 ->
       (* a transformer dereferenced a field whose transformation is already
          on the stack: an ill-defined transformer set (paper §3.4) *)
       uerr "cyclic object-transformer dependency detected; aborting update"
   | _ ->
-      ctx.status.(i) <- 1;
-      transform_object vm ctx.objs ctx.sandbox ~invoke:(eager_invoke vm ctx)
-        ~on_trap:(fail_transformer vm)
-        ~old_addr:(Value.to_ref ctx.log.(2 * i))
-        ~new_addr:(Value.to_ref ctx.log.((2 * i) + 1));
-      ctx.status.(i) <- 2
+      status.(i) <- 1;
+      let log = s.sandbox.State.sb_log in
+      transform_object vm s ~old_addr:(Update_log.old_copy log i)
+        ~new_addr:(Update_log.new_addr log i);
+      status.(i) <- 2
 
-and force_transform vm ctx addr =
-  match Hashtbl.find_opt (State.sandbox_index vm ctx.sandbox) addr with
-  | Some i -> run_pair vm ctx i
+and force_transform vm s status addr =
+  match Hashtbl.find_opt (State.sandbox_index vm s.sandbox) addr with
+  | Some i -> run_pair vm s status i
   | None -> () (* not an object under transformation: no-op *)
 
-(* Class transformers run with a fresh fuel budget but no write guard:
-   (re)initializing statics legitimately reaches arbitrary objects.  The
-   eager phase and the lazy commit differ only in [invoke] and
-   [on_trap]. *)
-let run_class_transformers vm (objs : obj_transformers) (sb : State.sandbox)
-    ~invoke ~on_trap =
-  List.iter
-    (fun cname ->
-      match
-        find_transformer_method objs.ot_rc ~name:"jvolveClass"
-          ~params:[ CF.Types.TRef cname ]
-      with
-      | None -> uerr "no jvolveClass(%s) in transformer class" cname
-      | Some m -> (
-          sb.State.sb_steps <- 0;
-          try
-            consult_transformer_faults vm sb ~bad_target:None;
-            ignore (invoke m [| Value.null |])
-          with Interp.Sync_trap e | Interp.Trap e ->
-            on_trap
-              {
-                ts_method = Rt.method_qname objs.ot_rc m;
-                ts_class = cname;
-                ts_object = 0;
-              }
-              e))
-    objs.ot_spec.Spec.diff.Diff.class_updates_closure
+(* Class transformers run with the session's sandbox installed — a fresh
+   fuel budget each, but no write guard: (re)initializing statics
+   legitimately reaches arbitrary objects.  In a lazy window the barrier
+   is live meanwhile: they dereference old-epoch statics and force
+   transforms as they go (the paper's eager islands inside the lazy
+   window). *)
+let run_class_transformers vm (s : session) =
+  let run cname =
+    match
+      find_transformer_method s.ot_rc ~name:"jvolveClass"
+        ~params:[ CF.Types.TRef cname ]
+    with
+    | None -> uerr "no jvolveClass(%s) in transformer class" cname
+    | Some m -> (
+        s.sandbox.State.sb_steps <- 0;
+        try
+          consult_transformer_faults vm s.sandbox ~bad_target:None;
+          ignore (invoke vm s m [| Value.null |])
+        with Interp.Sync_trap e | Interp.Trap e ->
+          on_trap vm s
+            { ts_method = Rt.method_qname s.ot_rc m; ts_class = cname;
+              ts_object = 0 }
+            e)
+  in
+  let saved_sandbox = vm.State.sandbox in
+  vm.State.sandbox <- Some s.sandbox;
+  Fun.protect
+    ~finally:(fun () -> vm.State.sandbox <- saved_sandbox)
+    (fun () -> List.iter run s.ot_spec.Spec.diff.Diff.class_updates_closure)
 
 (* --- inverse-update replay (guard revert) -------------------------------
 
@@ -556,7 +602,7 @@ let run_class_transformers vm (objs : obj_transformers) (sb : State.sandbox)
    Reference-typed dropped fields are sound for the same reason: the old
    copies were scanned as live objects through both collections, so their
    referents are current addresses of the restored versions. *)
-let replay_retained vm (spec : Spec.t) (fwd_log : int array) : int =
+let replay_retained vm (spec : Spec.t) fwd_log : int =
   (* [spec] is the inverse spec: its [version_tag] renamed the version
      being backed out aside, so the forward-new layout of class N is the
      runtime class [v<tag>_N] *)
@@ -572,9 +618,9 @@ let replay_retained vm (spec : Spec.t) (fwd_log : int array) : int =
              nfi.Rt.fi_ty)
       fwd_rc.Rt.instance_fields
   in
-  for i = 0 to (Array.length fwd_log / 2) - 1 do
-    let a = Value.to_ref fwd_log.(2 * i) (* pre-update pristine copy *)
-    and c = Value.to_ref fwd_log.((2 * i) + 1) (* restored object *) in
+  for i = 0 to Update_log.pairs fwd_log - 1 do
+    let a = Update_log.old_copy fwd_log i (* pre-update pristine copy *)
+    and c = Update_log.new_addr fwd_log i (* restored object *) in
     let c_cls = Rt.class_by_id reg (Heap.class_id heap c) in
     let a_cls = Rt.class_by_id reg (Heap.class_id heap a) in
     if
@@ -611,16 +657,6 @@ let replay_retained vm (spec : Spec.t) (fwd_log : int array) : int =
   done;
   !replayed
 
-let unload_transformer vm (rc : Rt.rt_class) =
-  Hashtbl.remove vm.State.reg.Rt.by_name rc.Rt.name;
-  rc.Rt.valid <- false;
-  Array.iter
-    (fun (m : Rt.rt_method) ->
-      m.Rt.m_valid <- false;
-      m.Rt.base_code <- None;
-      m.Rt.opt_code <- None)
-    rc.Rt.methods
-
 (* --- the lazy update window ----------------------------------------------
 
    With [config.lazy_update] the commit pause runs no transforming
@@ -651,58 +687,13 @@ type lazy_via = L_barrier | L_sweep | L_force
 
 type lazy_ctx = {
   lz_txn : Txn.t; (* open until finalize or rollback *)
-  lz_objs : obj_transformers; (* its spec recomputes the restricted set *)
-  lz_carrier : State.vthread;
-  lz_sandbox : State.sandbox; (* active only around invocations *)
-  lz_scratch : int array; (* one rooted slot for sweeper/force targets *)
+  lz_s : session; (* its sandbox is active only around invocations *)
   lz_info : State.lazy_info;
+  lz_guarded : bool; (* a guard window retains the window's log *)
   mutable lz_cursor : int; (* sweeper position in to-space *)
   mutable lz_cursor_gc : int; (* gc_count the cursor belongs to *)
-  mutable lz_abort : (cause * string) option;
   mutable lz_abort_attempts : int; (* rounds spent waiting to roll back *)
 }
-
-(* The window's log grows pair by pair (the eager path gets its size from
-   the collection up front).  The grown array replaces the old one as a
-   GC root, as the sandbox's allowed set and, when a guard window already
-   rides on this log, as the retained publication. *)
-let lazy_log_append vm (ctx : lazy_ctx) ~old_copy ~new_addr =
-  let li = ctx.lz_info in
-  if li.State.li_log_len + 2 > Array.length li.State.li_log then begin
-    let a = Array.make (max 16 (2 * Array.length li.State.li_log)) 0 in
-    Array.blit li.State.li_log 0 a 0 li.State.li_log_len;
-    vm.State.extra_roots <-
-      a :: List.filter (fun x -> x != li.State.li_log) vm.State.extra_roots;
-    (match vm.State.guard_retained with
-    | Some g when g == li.State.li_log -> vm.State.guard_retained <- Some a
-    | _ -> ());
-    li.State.li_log <- a
-  end;
-  li.State.li_log.(li.State.li_log_len) <- Value.of_ref old_copy;
-  li.State.li_log.(li.State.li_log_len + 1) <- Value.of_ref new_addr;
-  li.State.li_log_len <- li.State.li_log_len + 2;
-  State.sandbox_set_log ctx.lz_sandbox li.State.li_log li.State.li_log_len
-
-(* The carrier outlives the commit pause (transformers keep running at
-   barrier hits for the life of the window), and the scheduler reaps it
-   as done between invocations: re-register it so its frames are GC
-   roots while the transformer runs.  Recursive transforms arrive while
-   the carrier is mid-call and take a fresh temporary thread. *)
-let lazy_invoke vm (ctx : lazy_ctx) (m : Rt.rt_method) args =
-  if ctx.lz_carrier.State.frames = [] then begin
-    if not (List.memq ctx.lz_carrier vm.State.threads) then
-      vm.State.threads <- vm.State.threads @ [ ctx.lz_carrier ];
-    Interp.call_on vm ctx.lz_carrier m args
-  end
-  else Interp.call_sync vm m args
-
-let lazy_on_trap vm (ctx : lazy_ctx) site e =
-  (* a nested transform aborted inside this invocation: the carrier
-     surfaced it as a generic blocked-call trap — keep the inner typed
-     cause instead *)
-  match ctx.lz_abort with
-  | Some (c, m') -> raise (Update_failure (c, m'))
-  | None -> fail_transformer vm site e
 
 (* Run jvolveObject(new, old) for one freshly made pair.  Unlike the
    eager phase the sandbox is installed only for the duration of the
@@ -711,7 +702,7 @@ let lazy_on_trap vm (ctx : lazy_ctx) site e =
    the transformer's own temporaries are writable. *)
 let lazy_run_transformer vm (ctx : lazy_ctx) ~new_addr ~old_copy =
   let heap = vm.State.heap in
-  let sb = ctx.lz_sandbox in
+  let sb = ctx.lz_s.sandbox in
   let saved_sandbox = vm.State.sandbox in
   let saved_wm = sb.State.sb_watermark in
   let saved_wm_gc = sb.State.sb_watermark_gc in
@@ -723,23 +714,15 @@ let lazy_run_transformer vm (ctx : lazy_ctx) ~new_addr ~old_copy =
   vm.State.sandbox <- Some sb;
   sb.State.sb_watermark <- heap.Heap.free;
   sb.State.sb_watermark_gc <- heap.Heap.gc_count;
-  match
-    transform_object vm ctx.lz_objs sb ~invoke:(lazy_invoke vm ctx)
-      ~on_trap:(lazy_on_trap vm ctx) ~new_addr ~old_addr:old_copy
-  with
-  | () -> restore ()
-  | exception e ->
-      restore ();
-      raise e
+  Fun.protect ~finally:restore (fun () ->
+      transform_object vm ctx.lz_s ~new_addr ~old_addr:old_copy)
 
 (* Transform the object referenced by [slots.(idx)] if it is still
    pending, chase an already-installed marker, and rewrite the slot.
    [slots] must be a GC root (an operand stack, the scratch root): the
    transformer may allocate and collect. *)
 let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
-  (match ctx.lz_abort with
-  | Some _ -> raise Interp.Lazy_abort
-  | None -> ());
+  if ctx.lz_s.abort <> None then raise Interp.Lazy_abort;
   let heap = vm.State.heap in
   let li = ctx.lz_info in
   let addr = Value.to_ref slots.(idx) in
@@ -778,7 +761,7 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
          chases the marker and reads the half-written replacement
          instead of recursing *)
       heap.Heap.space.(addr + Heap.off_gc) <- Heap.make_lazy_fwd new_addr;
-      lazy_log_append vm ctx ~old_copy ~new_addr;
+      Update_log.push li.State.li_log ~old_copy ~new_addr;
       slots.(idx) <- Value.of_ref new_addr;
       li.State.li_transformed <- li.State.li_transformed + 1;
       (match via with
@@ -794,9 +777,7 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
             redirect restores it from the copy instead *)
          if heap.Heap.gc_count = gc_before then begin
            heap.Heap.space.(addr + Heap.off_gc) <- old_tag;
-           li.State.li_log_len <- li.State.li_log_len - 2;
-           State.sandbox_set_log ctx.lz_sandbox li.State.li_log
-             li.State.li_log_len;
+           State.sandbox_pop ctx.lz_s.sandbox;
            slots.(idx) <- Value.of_ref addr;
            li.State.li_transformed <- li.State.li_transformed - 1;
            match via with
@@ -805,16 +786,16 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
            | L_sweep -> li.State.li_swept <- li.State.li_swept - 1
            | L_force -> ()
          end;
-         if ctx.lz_abort = None then ctx.lz_abort <- Some (cause, msg);
+         if ctx.lz_s.abort = None then ctx.lz_s.abort <- Some (cause, msg);
          Jv_obs.Obs.emit vm.State.obs ~scope:"core.lazy" "lazy.abort"
            [ ("reason", Jv_obs.Obs.Str msg) ];
          raise Interp.Lazy_abort)
     end
 
-(* The read barrier (State.lazy_barrier).  Fast path: one gc-word load
-   and compare against the window's epoch.  Old-epoch objects of
-   unchanged classes are stamped current on first touch so they too take
-   the fast path from then on. *)
+(* The read barrier ([State.lazy_info.li_barrier]).  Fast path: one
+   gc-word load and compare against the window's epoch.  Old-epoch
+   objects of unchanged classes are stamped current on first touch so
+   they too take the fast path from then on. *)
 let lazy_barrier_hook (ctx : lazy_ctx) vm slots idx =
   let w = slots.(idx) in
   if Value.is_ref w then begin
@@ -830,12 +811,15 @@ let lazy_barrier_hook (ctx : lazy_ctx) vm slots idx =
     else transform_slot vm ctx ~via:L_barrier slots idx
   end
 
-(* The Jvolve.transform native under an open window: force one object. *)
-let lazy_force vm (ctx : lazy_ctx) addr =
-  ctx.lz_scratch.(0) <- Value.of_ref addr;
+(* Transform the object at [addr] through the scratch root: the targets
+   of the sweeper and of the Jvolve.transform native sit in no other
+   root. *)
+let transform_addr vm (ctx : lazy_ctx) ~via addr =
+  let scratch = ctx.lz_s.scratch in
+  scratch.(0) <- Value.of_ref addr;
   Fun.protect
-    ~finally:(fun () -> ctx.lz_scratch.(0) <- 0)
-    (fun () -> transform_slot vm ctx ~via:L_force ctx.lz_scratch 0)
+    ~finally:(fun () -> scratch.(0) <- 0)
+    (fun () -> transform_slot vm ctx ~via scratch 0)
 
 (* One bounded sweep over to-space.  Returns true when the walk reached
    the allocation frontier with no pending object left (and no abort and
@@ -853,24 +837,22 @@ let sweep_pass vm (ctx : lazy_ctx) ~budget =
     !budget > 0
     && ctx.lz_cursor < heap.Heap.free
     && ctx.lz_cursor_gc = heap.Heap.gc_count
-    && ctx.lz_abort = None
+    && ctx.lz_s.abort = None
   do
     let addr = ctx.lz_cursor in
     let cid = heap.Heap.space.(addr + Heap.off_class) in
     let size = Gc.obj_size vm heap.Heap.space addr in
     let gcw = heap.Heap.space.(addr + Heap.off_gc) in
     if Heap.is_plain_tag gcw && State.lazy_target li cid >= 0 then begin
-      ctx.lz_scratch.(0) <- Value.of_ref addr;
-      (try transform_slot vm ctx ~via:L_sweep ctx.lz_scratch 0
-       with Interp.Lazy_abort -> ());
-      ctx.lz_scratch.(0) <- 0
+      try transform_addr vm ctx ~via:L_sweep addr
+      with Interp.Lazy_abort -> ()
     end;
     (* the budget bounds objects *visited*, not just transformed: each
        round's sweep work stays O(budget) regardless of heap size *)
     decr budget;
     if ctx.lz_cursor_gc = heap.Heap.gc_count then ctx.lz_cursor <- addr + size
   done;
-  ctx.lz_abort = None
+  ctx.lz_s.abort = None
   && ctx.lz_cursor >= heap.Heap.free
   && ctx.lz_cursor_gc = heap.Heap.gc_count
 
@@ -888,39 +870,13 @@ let scrub_copy_tags vm =
     scan := addr + Gc.obj_size vm heap.Heap.space addr
   done
 
-(* Detach the window's hooks and per-window resources (shared by
-   finalize and rollback). *)
-let lazy_detach vm (ctx : lazy_ctx) =
-  vm.State.lazy_barrier <- None;
-  vm.State.lazy_sweep <- None;
-  vm.State.lazy_drain <- None;
-  vm.State.force_transform <- None;
-  vm.State.sandbox <- None;
-  Interp.release_carrier vm ctx.lz_carrier;
-  vm.State.extra_roots <-
-    List.filter (fun a -> a != ctx.lz_scratch) vm.State.extra_roots
-
 (* Every pending object has been transformed: commit the transaction
-   that has been open since the pause.  When a guard window rides on the
-   log, hand it the trimmed array — the inverse-update replay iterates
-   the whole array, so the growth slack must go. *)
+   that has been open since the pause.  The log leaves the in-flight
+   slot; a guard window still retaining it keeps it rooted. *)
 let lazy_finalize vm (ctx : lazy_ctx) =
   let li = ctx.lz_info in
-  lazy_detach vm ctx;
-  unload_transformer vm ctx.lz_objs.ot_rc;
-  let trimmed = Array.sub li.State.li_log 0 li.State.li_log_len in
-  (match vm.State.guard_retained with
-  | Some g when g == li.State.li_log ->
-      vm.State.extra_roots <-
-        trimmed
-        :: List.filter (fun a -> a != li.State.li_log) vm.State.extra_roots;
-      vm.State.guard_retained <- Some trimmed;
-      Txn.commit_retaining vm ctx.lz_txn ~update_log:trimmed
-  | _ ->
-      vm.State.extra_roots <-
-        List.filter (fun a -> a != li.State.li_log) vm.State.extra_roots;
-      Txn.commit vm ctx.lz_txn);
-  vm.State.lazy_info <- None;
+  end_session vm ctx.lz_s;
+  Txn.commit vm ctx.lz_txn;
   (* every pending object is transformed, but interior pointers still
      aiming at lazy-forward markers are only rewritten on dereference —
      and the barrier is gone now.  One collection chases them all (the
@@ -930,15 +886,15 @@ let lazy_finalize vm (ctx : lazy_ctx) =
   let obs = vm.State.obs in
   Jv_obs.Obs.incr obs "core.lazy.drained";
   Jv_obs.Obs.observe_int obs "core.lazy.transformed" li.State.li_transformed;
-  count_pairs obs ctx.lz_objs;
+  count_pairs obs ctx.lz_s;
   Jv_obs.Obs.emit obs ~scope:"core.lazy" "lazy.drained"
     [
       ("transformed", Jv_obs.Obs.Int li.State.li_transformed);
       ("barrier_hits", Jv_obs.Obs.Int li.State.li_barrier_hits);
       ("swept", Jv_obs.Obs.Int li.State.li_swept);
       ("chases", Jv_obs.Obs.Int li.State.li_chases);
-      ("planned", Jv_obs.Obs.Int ctx.lz_objs.ot_planned);
-      ("interpreted", Jv_obs.Obs.Int ctx.lz_objs.ot_interpreted);
+      ("planned", Jv_obs.Obs.Int ctx.lz_s.ot_planned);
+      ("interpreted", Jv_obs.Obs.Int ctx.lz_s.ot_interpreted);
     ]
 
 (* The default inverse transformation, applied to objects the app
@@ -948,13 +904,13 @@ let lazy_finalize vm (ctx : lazy_ctx) =
    fields the forward default would have copied — the [copy_plan] run in
    reverse, from the new-layout snapshot.  A field whose type changed
    stays at its default. *)
-let lazy_untransform_defaults vm spec (inv_log : int array) =
+let lazy_untransform_defaults vm spec inv_log =
   let heap = vm.State.heap in
   let reg = vm.State.reg in
   let plans = Hashtbl.create 8 in
-  for i = 0 to (Array.length inv_log / 2) - 1 do
-    let snap = Value.to_ref inv_log.(2 * i)
-    and restored = Value.to_ref inv_log.((2 * i) + 1) in
+  for i = 0 to Update_log.pairs inv_log - 1 do
+    let snap = Update_log.old_copy inv_log i
+    and restored = Update_log.new_addr inv_log i in
     let key = (Heap.class_id heap snap, Heap.class_id heap restored) in
     let plan =
       match Hashtbl.find_opt plans key with
@@ -974,15 +930,10 @@ let lazy_untransform_defaults vm spec (inv_log : int array) =
     done
   done
 
-(* The post-transform heap integrity walk.  The old copies among the
-   first [n_pairs] pairs of the update log are the one place stale-class
-   instances may legally survive. *)
-let verify_transformed vm ~log ~n_pairs =
-  let old_copies = Hashtbl.create (max 16 n_pairs) in
-  for i = 0 to n_pairs - 1 do
-    Hashtbl.replace old_copies (Value.to_ref log.(2 * i)) ()
-  done;
-  let rep = Jv_vm.Heapverify.run ~stale_ok:(Hashtbl.mem old_copies) vm in
+(* The post-transform heap integrity walk.  The update log's old copies
+   are the one place stale-class instances may legally survive. *)
+let verify_transformed vm log =
+  let rep = Jv_vm.Heapverify.run ~stale_ok:(Update_log.old_copy_set log) vm in
   Jv_obs.Obs.emit vm.State.obs ~scope:"core.update" "phase.verify.done"
     [
       ("ms", Jv_obs.Obs.Float rep.Jv_vm.Heapverify.hv_ms);
@@ -1003,8 +954,8 @@ let verify_transformed vm ~log ~n_pairs =
 
 (* Restore the pre-update snapshot and audit it: (restored, note), the
    note explaining a failure. *)
-let txn_rollback ?update_log vm txn =
-  match Txn.rollback ?update_log vm txn with
+let txn_rollback vm txn =
+  match Txn.rollback vm txn with
   | () -> (
       match Txn.audit vm txn with
       | Ok () -> (true, "")
@@ -1048,12 +999,10 @@ let verify_rollback vm (rolled_back, note) =
    After the metadata swap a plain collection flushes the garbage this
    left behind (its class ids dangle once the registry is truncated). *)
 let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
-  let _, reason =
-    match ctx.lz_abort with
-    | Some (c, r) -> (c, r)
-    | None -> (C_generic, "lazy window rollback")
+  let reason =
+    match ctx.lz_s.abort with Some (_, r) -> r | None -> "lazy window rollback"
   in
-  let restricted = Safepoint.compute vm ctx.lz_objs.ot_spec in
+  let restricted = Safepoint.compute vm ctx.lz_s.ot_spec in
   match Safepoint.check vm restricted with
   | Safepoint.Blocked stuck when not force ->
       ignore (Safepoint.install_barriers stuck : int);
@@ -1068,28 +1017,23 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
       let li = ctx.lz_info in
       let obs = vm.State.obs in
       let t0 = now () in
-      lazy_detach vm ctx;
-      unload_transformer vm ctx.lz_objs.ot_rc;
+      end_session vm ctx.lz_s;
       (* the guard window (if any) rode on this log and dies with it *)
-      (match vm.State.guard_retained with
-      | Some g when g == li.State.li_log ->
-          vm.State.guard_retained <- None;
-          vm.State.guard_tick <- None
-      | _ -> ());
-      let trimmed = Array.sub li.State.li_log 0 li.State.li_log_len in
-      vm.State.extra_roots <-
-        List.filter (fun a -> a != li.State.li_log) vm.State.extra_roots;
-      vm.State.lazy_info <- None;
+      if ctx.lz_guarded then begin
+        vm.State.guard_retained <- None;
+        vm.State.guard_tick <- None
+      end;
       (* 1: the combined redirect + inverse-transform collection (still
          on new metadata) *)
-      let redirect = Txn.redirect_of_log trimmed in
       let inv_plan = Array.make vm.State.reg.Rt.n_classes (-1) in
       Array.iteri
         (fun old_cid new_cid ->
           if new_cid >= 0 then inv_plan.(new_cid) <- old_cid)
         li.State.li_plan;
-      let invres = Gc.collect ~plan:inv_plan ~redirect vm in
-      lazy_untransform_defaults vm ctx.lz_objs.ot_spec invres.Gc.update_log;
+      Option.iter
+        (fun (r : Gc.result) ->
+          lazy_untransform_defaults vm ctx.lz_s.ot_spec r.Gc.update_log)
+        (Txn.rollback_heap ~plan:inv_plan vm);
       (* 2: the copies the redirect restored are live again *)
       scrub_copy_tags vm;
       (* 3: metadata + statics back to the snapshot (no heap pass: step 1
@@ -1125,13 +1069,13 @@ let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
         ];
       true
 
-(* The per-round hook (State.lazy_sweep): roll back if aborting, else
-   sweep one budget's worth and finalize on completion.  An
-   [indirection_mode] VM does not sweep: its objects migrate only when
-   dereferenced, and its window stays open until the next update drains
-   it. *)
+(* The per-round hook ([State.lazy_info.li_sweep]): roll back if
+   aborting, else sweep one budget's worth and finalize on completion.
+   An [indirection_mode] VM does not sweep: its objects migrate only
+   when dereferenced, and its window stays open until the next update
+   drains it. *)
 let lazy_round (ctx : lazy_ctx) vm =
-  match ctx.lz_abort with
+  match ctx.lz_s.abort with
   | Some _ ->
       ctx.lz_abort_attempts <- ctx.lz_abort_attempts + 1;
       ignore
@@ -1142,12 +1086,13 @@ let lazy_round (ctx : lazy_ctx) vm =
         if sweep_pass vm ctx ~budget then lazy_finalize vm ctx
       end
 
-(* Synchronous drain (State.lazy_drain): force every residual transform
-   now — a new update, or the guard's inverse update, needs the window
-   resolved before it can install metadata.  Returns false when a
-   residual transformer trapped and the window rolled back instead. *)
+(* Synchronous drain ([State.lazy_info.li_drain]): force every residual
+   transform now — a new update, or the guard's inverse update, needs
+   the window resolved before it can install metadata.  Returns false
+   when a residual transformer trapped and the window rolled back
+   instead. *)
 let rec lazy_drain_now (ctx : lazy_ctx) vm =
-  if ctx.lz_abort <> None then begin
+  if ctx.lz_s.abort <> None then begin
     ignore (lazy_rollback vm ctx ~force:true : bool);
     false
   end
@@ -1157,20 +1102,39 @@ let rec lazy_drain_now (ctx : lazy_ctx) vm =
   end
   else lazy_drain_now ctx vm
 
-(* Class transformers at a lazy commit: same contract as the eager phase
-   (fresh fuel, no write guard — statics reinitialization legitimately
-   reaches arbitrary objects), but run through [lazy_invoke] with the
-   barrier live, since they dereference old-epoch statics and force
-   transforms as they go (the paper's eager islands inside the lazy
-   window). *)
-let run_class_transformers_lazy vm (ctx : lazy_ctx) =
-  let saved_sandbox = vm.State.sandbox in
-  vm.State.sandbox <- Some ctx.lz_sandbox;
-  Fun.protect
-    ~finally:(fun () -> vm.State.sandbox <- saved_sandbox)
-    (fun () ->
-      run_class_transformers vm ctx.lz_objs ctx.lz_sandbox
-        ~invoke:(lazy_invoke vm ctx) ~on_trap:(lazy_on_trap vm ctx))
+(* Open the window over session [s]: its hooks ride on the lazy info,
+   so installing it installs the barrier, the sweeper and the drain at
+   once (and [end_session] removes them all). *)
+let open_window vm txn (s : session) ~plan ~guarded =
+  let rec li =
+    {
+      State.li_plan = plan;
+      li_epoch = vm.State.heap.Heap.epoch;
+      li_log = s.sandbox.State.sb_log;
+      li_transformed = 0;
+      li_barrier_hits = 0;
+      li_swept = 0;
+      li_chases = 0;
+      li_barrier = (fun vm slots idx -> lazy_barrier_hook ctx vm slots idx);
+      li_sweep = (fun vm -> lazy_round ctx vm);
+      li_drain = (fun vm -> lazy_drain_now ctx vm);
+    }
+  and ctx =
+    {
+      lz_txn = txn;
+      lz_s = s;
+      lz_info = li;
+      lz_guarded = guarded;
+      lz_cursor = 1;
+      lz_cursor_gc = vm.State.heap.Heap.gc_count;
+      lz_abort_attempts = 0;
+    }
+  in
+  vm.State.lazy_info <- Some li;
+  (* the Jvolve.transform native: force one object *)
+  vm.State.force_transform <-
+    Some (fun vm addr -> transform_addr vm ctx ~via:L_force addr);
+  ctx
 
 (* --- the driver ----------------------------------------------------------- *)
 
@@ -1217,9 +1181,7 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
   (* a still-draining lazy window from a previous update must resolve
      before new metadata can install on top of it; proceed either way —
      a drain-time rollback leaves the VM cleanly on the older version *)
-  (match vm.State.lazy_drain with
-  | Some drain -> ignore (drain vm : bool)
-  | None -> ());
+  ignore (State.drain_window vm : bool);
   let spec = p.Transformers.p_spec in
   (* a guard revert must be eager: the inverse replay reads restored
      objects immediately after the transforming collection *)
@@ -1233,7 +1195,6 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
   let t0 = now () in
   let txn = Txn.capture vm in
   let phase = ref P_load in
-  let update_log = ref [||] in
   let frame_snaps = ref [] in
   let run () =
     (* a guard-window revert: give the chaos plan its deterministic shot
@@ -1265,58 +1226,6 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
       | _ -> uerr "failed to install transformer class"
     in
     let t_load = now () in
-    (* the end of 5: report the transforming collection (a lazy commit
-       has none) *)
-    let gc_done ~transformed ~copied =
-      let t_gc = now () in
-      Jv_obs.Obs.emit obs ~scope:"core.update" "phase.gc.done"
-        ([
-           ("ms", Jv_obs.Obs.Float ((t_gc -. t_load) *. 1000.0));
-           ("transformed", Jv_obs.Obs.Int transformed);
-           ("copied", Jv_obs.Obs.Int copied);
-         ]
-        @ if lazy_mode then [ ("lazy", Jv_obs.Obs.Str "true") ] else []);
-      t_gc
-    in
-    (* The tail both modes share once their transformers ran: report the
-       transform phase, then 7.5, the optional heap integrity walk, and 4
-       (run last, see above), OSR of the parked category-(2) frames. *)
-    let finish_install ~log ~n_pairs ~objs ~sb ~t_gc ~t_transform
-        ~transformed ~copied =
-      Jv_obs.Obs.emit obs ~scope:"core.update" "phase.transform.done"
-        [
-          ("ms", Jv_obs.Obs.Float ((t_transform -. t_gc) *. 1000.0));
-          ("pairs", Jv_obs.Obs.Int n_pairs);
-          ("planned", Jv_obs.Obs.Int objs.ot_planned);
-          ("interpreted", Jv_obs.Obs.Int objs.ot_interpreted);
-          ("steps", Jv_obs.Obs.Int sb.State.sb_total_steps);
-        ];
-      if vm.State.config.verify_heap then begin
-        phase := P_verify;
-        verify_transformed vm ~log ~n_pairs
-      end;
-      let t_verify = now () in
-      phase := P_osr;
-      frame_snaps := List.map snap_frame osr_frames;
-      Faults.point faults "updater.osr";
-      List.iter
-        (fun fr ->
-          try Osr.replace_frame vm fr
-          with Osr.Osr_failed e -> uerr "OSR failed: %s" e)
-        osr_frames;
-      let t_end = now () in
-      {
-        u_load_ms = ((t_load -. t0) +. (t_end -. t_verify)) *. 1000.0;
-        u_gc_ms = (t_gc -. t_load) *. 1000.0;
-        u_transform_ms = (t_transform -. t_gc) *. 1000.0;
-        u_verify_ms = (t_verify -. t_transform) *. 1000.0;
-        u_total_ms = (t_end -. t0) *. 1000.0;
-        u_osr = List.length osr_frames;
-        u_invalidated_methods = invalidated;
-        u_transformed_objects = transformed;
-        u_copied_objects = copied;
-      }
-    in
     Jv_obs.Obs.incr ~by:invalidated obs "core.update.invalidated_methods";
     Jv_obs.Obs.emit obs ~scope:"core.update" "phase.metadata.done"
       [
@@ -1336,157 +1245,130 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
         | Some (new_rc : Rt.rt_class) -> plan.(old_rc.Rt.cid) <- new_rc.Rt.cid
         | None -> () (* deleted classes: instances survive untransformed *))
       olds;
-    if lazy_mode then begin
-      (* lazy commit: no heap pass at all.  Bump the heap epoch, open the
-         window, install the read barrier; old-epoch objects transform on
-         first access and the scheduler's sweeper drains the rest. *)
-      vm.State.heap.Heap.epoch <- vm.State.heap.Heap.epoch + 1;
-      let li =
-        {
-          State.li_plan = plan;
-          li_epoch = vm.State.heap.Heap.epoch;
-          li_log = Array.make 16 0;
-          li_log_len = 0;
-          li_transformed = 0;
-          li_barrier_hits = 0;
-          li_swept = 0;
-          li_chases = 0;
-        }
-      in
-      vm.State.lazy_info <- Some li;
-      vm.State.extra_roots <- li.State.li_log :: vm.State.extra_roots;
-      let sb =
-        State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel
-          ~log:li.State.li_log ~log_len:0
-      in
-      (* the sandbox is installed only around transformer invocations —
-         the app code running between barrier hits is not fuel-charged *)
-      vm.State.sandbox <- None;
-      let scratch = Array.make 1 0 in
-      vm.State.extra_roots <- scratch :: vm.State.extra_roots;
-      let carrier = Interp.make_carrier vm in
-      (* idle between invocations: marked done so the scheduler never
-         slices it; [lazy_invoke] re-registers it per call *)
-      carrier.State.tstate <- State.T_done;
-      let lctx =
-        {
-          lz_txn = txn;
-          lz_objs = obj_transformers vm spec transformer_rc;
-          lz_carrier = carrier;
-          lz_sandbox = sb;
-          lz_scratch = scratch;
-          lz_info = li;
-          lz_cursor = 1;
-          lz_cursor_gc = vm.State.heap.Heap.gc_count;
-          lz_abort = None;
-          lz_abort_attempts = 0;
-        }
-      in
-      lazy_ctx_r := Some lctx;
-      vm.State.lazy_barrier <- Some (lazy_barrier_hook lctx);
-      vm.State.force_transform <-
-        Some (fun vm addr -> lazy_force vm lctx addr);
-      let t_gc = gc_done ~transformed:0 ~copied:0 in
-      (* 6: class transformers only — they run eagerly even in a lazy
-         update (statics must be coherent when the world resumes),
-         forcing through the barrier whatever objects they touch *)
-      phase := P_transform;
-      Faults.point faults "updater.transform";
-      run_class_transformers_lazy vm lctx;
-      let t_transform = now () in
-      finish_install ~log:li.State.li_log ~n_pairs:(li.State.li_log_len / 2)
-        ~objs:lctx.lz_objs ~sb ~t_gc ~t_transform
-        ~transformed:li.State.li_transformed ~copied:0
-    end
-    else begin
-    let gcres = Gc.collect ~plan vm in
-    update_log := gcres.Gc.update_log;
-    let t_gc =
-      gc_done ~transformed:gcres.Gc.transformed_objects
-        ~copied:gcres.Gc.copied_objects
+    (* no transforming collection for a lazy commit: it bumps the heap
+       epoch and opens a window instead (read barrier, sweeper, drain) —
+       old-epoch objects transform on first access and the scheduler's
+       sweeper drains the rest *)
+    let gcres = if lazy_mode then None else Some (Gc.collect ~plan vm) in
+    let log, transformed, copied =
+      match gcres with
+      | Some r ->
+          (r.Gc.update_log, r.Gc.transformed_objects, r.Gc.copied_objects)
+      | None -> (Update_log.create (), 0, 0)
     in
-    (* 6: transformers, sandboxed (fuel + write restriction) *)
+    vm.State.update_log <- Some log;
+    let t_gc = now () in
+    Jv_obs.Obs.emit obs ~scope:"core.update" "phase.gc.done"
+      ([
+         ("ms", Jv_obs.Obs.Float ((t_gc -. t_load) *. 1000.0));
+         ("transformed", Jv_obs.Obs.Int transformed);
+         ("copied", Jv_obs.Obs.Int copied);
+       ]
+      @ if lazy_mode then [ ("lazy", Jv_obs.Obs.Str "true") ] else []);
+    (* 6: transformers, sandboxed (fuel + write restriction): every
+       new-layout object in the log is a legitimate write target *)
     phase := P_transform;
-    let log = gcres.Gc.update_log in
-    (* every new-layout object in the log is a legitimate write target *)
-    let sb =
-      State.sandbox_create vm ~fuel:vm.State.config.transformer_fuel ~log
-        ~log_len:(Array.length log)
+    let s = start_session vm spec transformer_rc ~log in
+    let transformed =
+      if lazy_mode then begin
+        vm.State.heap.Heap.epoch <- vm.State.heap.Heap.epoch + 1;
+        (* idle between invocations: marked done so the scheduler never
+           slices it; [invoke] re-registers it per call *)
+        s.carrier.State.tstate <- State.T_done;
+        let lctx = open_window vm txn s ~plan ~guarded:retain_log in
+        lazy_ctx_r := Some lctx;
+        (* class transformers only — they run eagerly even in a lazy
+           update (statics must be coherent when the world resumes),
+           forcing through the barrier whatever objects they touch *)
+        Faults.point faults "updater.transform";
+        run_class_transformers vm s;
+        lctx.lz_info.State.li_transformed
+      end
+      else begin
+        let status = Array.make (max 1 (Update_log.pairs log)) 0 in
+        vm.State.sandbox <- Some s.sandbox;
+        vm.State.force_transform <-
+          Some (fun vm addr -> force_transform vm s status addr);
+        Fun.protect
+          ~finally:(fun () -> end_session vm s) (* 7: drops the transformer *)
+          (fun () ->
+            Faults.point faults "updater.transform";
+            run_class_transformers vm s;
+            for i = 0 to Update_log.pairs log - 1 do
+              Faults.point faults "updater.transform";
+              run_pair vm s status i
+            done);
+        (* 7.25: guard revert only — restore the fields the forward
+           update dropped from the retained forward log (see
+           [replay_retained]) *)
+        (match replay with
+        | Some fwd_log when Update_log.pairs fwd_log > 0 ->
+            let n = replay_retained vm spec fwd_log in
+            Jv_obs.Obs.incr ~by:n obs "core.guard.replayed_fields";
+            Jv_obs.Obs.emit obs ~scope:"core.update" "phase.replay.done"
+              [
+                ("fields", Jv_obs.Obs.Int n);
+                ("pairs", Jv_obs.Obs.Int (Update_log.pairs fwd_log));
+              ]
+        | _ -> ());
+        (* interpreted transformers charge a step per instruction, copy
+           plans one step per pair *)
+        Jv_obs.Obs.observe_int obs "core.update.transformer_steps"
+          s.sandbox.State.sb_total_steps;
+        count_pairs obs s;
+        transformed
+      end
     in
-    let ctx =
-      {
-        log;
-        n_pairs = Array.length log / 2;
-        status = Array.make (max 1 (Array.length log / 2)) 0;
-        objs = obj_transformers vm spec transformer_rc;
-        carrier = Interp.make_carrier vm;
-        sandbox = sb;
-      }
-    in
-    vm.State.extra_roots <- ctx.log :: vm.State.extra_roots;
-    vm.State.force_transform <-
-      Some (fun vm addr -> force_transform vm ctx addr);
-    let finish_transformers ~keep_log () =
-      vm.State.sandbox <- None;
-      vm.State.force_transform <- None;
-      Interp.release_carrier vm ctx.carrier;
-      (* [keep_log]: a guard window will retain the log past commit, so
-         it must stay rooted (the failure path always unroots) *)
-      if not keep_log then
-        vm.State.extra_roots <-
-          List.filter (fun a -> a != ctx.log) vm.State.extra_roots
-    in
-    (try
-       Faults.point faults "updater.transform";
-       run_class_transformers vm ctx.objs sb ~invoke:(eager_invoke vm ctx)
-         ~on_trap:(fail_transformer vm);
-       for i = 0 to ctx.n_pairs - 1 do
-         Faults.point faults "updater.transform";
-         run_pair vm ctx i
-       done;
-       finish_transformers ~keep_log:retain_log ()
-     with e ->
-       finish_transformers ~keep_log:false ();
-       raise e);
-    (* 7: drop the transformer class; the log is already unreachable *)
-    unload_transformer vm transformer_rc;
-    (* 7.25: guard revert only — restore the fields the forward update
-       dropped from the retained forward log (see [replay_retained]) *)
-    (match replay with
-    | Some fwd_log when Array.length fwd_log > 1 ->
-        let n = replay_retained vm spec fwd_log in
-        Jv_obs.Obs.incr ~by:n obs "core.guard.replayed_fields";
-        Jv_obs.Obs.emit obs ~scope:"core.update" "phase.replay.done"
-          [
-            ("fields", Jv_obs.Obs.Int n);
-            ("pairs", Jv_obs.Obs.Int (Array.length fwd_log / 2));
-          ]
-    | _ -> ());
     let t_transform = now () in
-    (* interpreted transformers charge a step per instruction, copy
-       plans one step per pair *)
-    Jv_obs.Obs.observe_int obs "core.update.transformer_steps"
-      sb.State.sb_total_steps;
-    count_pairs obs ctx.objs;
-    finish_install ~log:ctx.log ~n_pairs:ctx.n_pairs ~objs:ctx.objs ~sb ~t_gc
-      ~t_transform ~transformed:gcres.Gc.transformed_objects
-      ~copied:gcres.Gc.copied_objects
-    end
+    Jv_obs.Obs.emit obs ~scope:"core.update" "phase.transform.done"
+      [
+        ("ms", Jv_obs.Obs.Float ((t_transform -. t_gc) *. 1000.0));
+        ("pairs", Jv_obs.Obs.Int (Update_log.pairs log));
+        ("planned", Jv_obs.Obs.Int s.ot_planned);
+        ("interpreted", Jv_obs.Obs.Int s.ot_interpreted);
+        ("steps", Jv_obs.Obs.Int s.sandbox.State.sb_total_steps);
+      ];
+    (* 7.5: the optional heap integrity walk *)
+    if vm.State.config.verify_heap then begin
+      phase := P_verify;
+      verify_transformed vm log
+    end;
+    let t_verify = now () in
+    (* 4 (run last, see above): OSR of the parked category-(2) frames *)
+    phase := P_osr;
+    frame_snaps := List.map snap_frame osr_frames;
+    Faults.point faults "updater.osr";
+    List.iter
+      (fun fr ->
+        try Osr.replace_frame vm fr
+        with Osr.Osr_failed e -> uerr "OSR failed: %s" e)
+      osr_frames;
+    let t_end = now () in
+    {
+      u_load_ms = ((t_load -. t0) +. (t_end -. t_verify)) *. 1000.0;
+      u_gc_ms = (t_gc -. t_load) *. 1000.0;
+      u_transform_ms = (t_transform -. t_gc) *. 1000.0;
+      u_verify_ms = (t_verify -. t_transform) *. 1000.0;
+      u_total_ms = (t_end -. t0) *. 1000.0;
+      u_osr = List.length osr_frames;
+      u_invalidated_methods = invalidated;
+      u_transformed_objects = transformed;
+      u_copied_objects = copied;
+    }
   in
   match run () with
   | timings ->
       (match !lazy_ctx_r with
       | Some lctx ->
           (* the window stays open (and the txn with it): the scheduler
-             sweeps it and finalize/rollback closes it *)
-          vm.State.lazy_sweep <- Some (lazy_round lctx);
-          vm.State.lazy_drain <- Some (lazy_drain_now lctx);
+             sweeps it and finalize/rollback closes it; a guard window
+             retains the log it is still building *)
           if retain_log then
             vm.State.guard_retained <- Some lctx.lz_info.State.li_log;
           Jv_obs.Obs.emit obs ~scope:"core.lazy" "lazy.window.open"
             [ ("epoch", Jv_obs.Obs.Int lctx.lz_info.State.li_epoch) ]
       | None ->
-          if retain_log then Txn.commit_retaining vm txn ~update_log:!update_log
+          if retain_log then Txn.commit_retaining vm txn
           else Txn.commit vm txn);
       Ok timings
   | exception e ->
@@ -1510,32 +1392,21 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
       (* a lazy commit that failed before opening the window: the world
          never resumed, so the pairs made so far roll back exactly like
          an eager log — detach the half-built window first *)
-      (match !lazy_ctx_r with
-      | Some lctx ->
-          let li = lctx.lz_info in
-          lazy_detach vm lctx;
-          update_log := Array.sub li.State.li_log 0 li.State.li_log_len;
-          vm.State.extra_roots <-
-            List.filter (fun a -> a != li.State.li_log) vm.State.extra_roots;
-          vm.State.lazy_info <- None
-      | None -> ());
-      (* with [retain_log], the log stayed rooted past the transform phase;
-         a verify/OSR failure must unroot it before the rollback's redirect
-         collection, or the redirect would rewrite the log's own slots *)
-      if retain_log && Array.length !update_log > 0 then
-        vm.State.extra_roots <-
-          List.filter (fun a -> a != !update_log) vm.State.extra_roots;
+      let lazy_pairs =
+        match !lazy_ctx_r with
+        | Some lctx ->
+            end_session vm lctx.lz_s;
+            Update_log.pairs lctx.lz_info.State.li_log
+        | None -> 0
+      in
       (match !frame_snaps with
       | [] -> ()
       | snaps -> List.iter2 restore_frame osr_frames snaps);
-      let rolled_back, rollback_note =
-        txn_rollback ~update_log:!update_log vm txn
-      in
+      let rolled_back, rollback_note = txn_rollback vm txn in
       (* the redirect collection restored lazy pairs from their pristine
          copies, which still carry copy tags: make them plain live
          objects again or a later window would skip them *)
-      if !lazy_ctx_r <> None && rolled_back && Array.length !update_log > 0
-      then scrub_copy_tags vm;
+      if rolled_back && lazy_pairs > 0 then scrub_copy_tags vm;
       let rolled_back, rollback_note =
         verify_rollback vm (rolled_back, rollback_note)
       in

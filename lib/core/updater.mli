@@ -95,7 +95,7 @@ val invalidate_stale_code : State.t -> Safepoint.restricted -> int
 
 val apply :
   ?retain_log:bool ->
-  ?replay:int array ->
+  ?replay:Jv_vm.Update_log.t ->
   State.t ->
   Transformers.prepared ->
   restricted:Safepoint.restricted ->
@@ -117,9 +117,13 @@ val apply :
     the transaction stays open until the window drains or rolls back.
     A window still open from an earlier update is drained first.
 
-    [retain_log] commits through {!Txn.commit_retaining}: the update log
-    stays GC-rooted and published as [State.guard_retained] until the
-    guard window closes ({!Txn.release_retained}).  [replay] marks this
+    The update log is the VM's in-flight log ([State.update_log], a GC
+    root) from the transforming collection, or for the life of a lazy
+    window, until the commit or the rollback.  [retain_log] commits
+    through {!Txn.commit_retaining}: the same log moves to
+    [State.guard_retained] (a lazy window retains it as it opens) and
+    stays rooted there until the guard window closes
+    ({!Txn.release_retained}).  [replay] marks this
     application as a guard revert: after the (inverse) transformers run,
     the fields the forward update dropped are restored from the retained
     forward log, and the [guard.revert] fault point is consulted first.

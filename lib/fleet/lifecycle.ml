@@ -87,13 +87,12 @@ type attempt = {
 
 (* Start the hop (or its inverse) on the instance's VM.  [Error] carries
    the preparation failure: the request never reached the VM. *)
-let request ?use_osr ?use_barriers ?admit_strict ?guard ~timeout_rounds
-    ~inverse (i : Instance.t) h =
+let request ?admit_strict ?guard ~timeout_rounds ~inverse (i : Instance.t) h
+    =
   i.Instance.i_status <-
     (if inverse then Instance.Rolling_back else Instance.Updating);
   match
-    J.Jvolve.request_spec ~timeout_rounds ?use_osr ?use_barriers ?admit_strict
-      ?guard i.Instance.i_vm
+    J.Jvolve.request_spec ~timeout_rounds ?admit_strict ?guard i.Instance.i_vm
       (if inverse then J.Spec.inverse h.spec else h.spec)
   with
   | a_handle -> Ok { a_inst = i; a_hop = h; a_inverse = inverse; a_handle }

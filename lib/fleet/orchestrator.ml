@@ -30,8 +30,6 @@ type params = {
   probe_deadline : int; (* rounds one health probe may take *)
   probes_required : int; (* consecutive healthy probes per instance *)
   gate : Health.gate_params; (* canary vs. stable comparison *)
-  use_osr : bool;
-  use_barriers : bool;
   admit_strict : bool; (* promote admission Warn verdicts to rejections *)
   max_rounds : int; (* hard stop for the whole rollout *)
   max_retries : int; (* re-attempts per instance after a clean abort *)
@@ -55,8 +53,6 @@ let default_params mode =
     probe_deadline = 80;
     probes_required = 2;
     gate = Health.default_gate;
-    use_osr = true;
-    use_barriers = true;
     admit_strict = false;
     max_rounds = 50_000;
     max_retries = 0;
@@ -329,7 +325,6 @@ let start_updates t ids =
         in
         match
           Lifecycle.request ~timeout_rounds:t.params.update_timeout
-            ~use_osr:t.params.use_osr ~use_barriers:t.params.use_barriers
             ~admit_strict:t.params.admit_strict ?guard ~inverse i (hop t id)
         with
         | Ok a -> Some a

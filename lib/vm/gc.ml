@@ -26,7 +26,11 @@
    continues scanning the old copy") while the new object's zeroed fields
    contribute nothing.  After the collection, [Jvolve_core.Updater] runs
    the object transformers over the log; dropping the log then makes the
-   old copies unreachable, and the next collection reclaims them. *)
+   old copies unreachable, and the next collection reclaims them.
+
+   Update logs are roots by ownership: the one in flight
+   ([State.update_log]) and the one a guard window retains
+   ([State.guard_retained]), forwarded once when they are the same. *)
 
 type transform_plan = int array (* old cid -> new cid; -1 = not updated *)
 
@@ -35,7 +39,7 @@ type result = {
   copied_objects : int;
   transformed_objects : int;
   copied_words : int;
-  update_log : int array; (* flattened pairs: old-copy addr, new addr *)
+  update_log : Update_log.t;
 }
 
 (* An object's size, read from its class's scan table ([classes] is the
@@ -66,23 +70,7 @@ let collect ?plan ?redirect (vm : State.t) : result =
   let space = heap.Heap.space in
   let copied = ref 0 in
   let transformed = ref 0 in
-  (* the update log, appended in place: encoded (old copy, new) pairs *)
-  let log = ref [||] in
-  let log_len = ref 0 in
-  let log_pair old_copy new_addr =
-    if !log_len = Array.length !log then begin
-      let grown = Array.make (max 1024 (2 * !log_len)) 0 in
-      Array.blit !log 0 grown 0 !log_len;
-      log := grown
-    end;
-    (* pairs are stored as *encoded reference words* so the log can be
-       registered as an ordinary extra-roots array: transformer-phase
-       allocation may trigger a nested collection that must relocate
-       these (the old copies are reachable from nowhere else) *)
-    !log.(!log_len) <- Value.of_ref old_copy;
-    !log.(!log_len + 1) <- Value.of_ref new_addr;
-    log_len := !log_len + 2
-  in
+  let update_log = Update_log.create () in
   (* a word loop, not [Array.blit]: typed as an int array, it stores
      without the write barrier the polymorphic blit pays per word *)
   let copy_to dst src size =
@@ -130,7 +118,7 @@ let collect ?plan ?redirect (vm : State.t) : result =
         from.(addr + Heap.off_gc) <- -(new_addr + 1);
         incr transformed;
         incr copied;
-        log_pair old_copy new_addr;
+        Update_log.push update_log ~old_copy ~new_addr;
         new_addr
       end
       else begin
@@ -179,6 +167,12 @@ let collect ?plan ?redirect (vm : State.t) : result =
           forward_array pn.State.pn_args 0 (Array.length pn.State.pn_args)
       | None -> ())
     vm.State.threads;
+  let forward_log log = Update_log.forward log forward in
+  Option.iter forward_log vm.State.update_log;
+  (match (vm.State.update_log, vm.State.guard_retained) with
+  | Some log, Some r when r == log ->
+      () (* a guarded lazy window retains the log it is still building *)
+  | _, retained -> Option.iter forward_log retained);
   List.iter (fun a -> forward_array a 0 (Array.length a)) vm.State.extra_roots;
   (* --- Cheney scan: each object's class scan table says which slots to
      forward — an array's elements by tag, a scalar's reference fields
@@ -205,7 +199,6 @@ let collect ?plan ?redirect (vm : State.t) : result =
   Heap.scrub_other heap ~upto:dirty;
   (* every copy is an allocation in to-space (a transform makes two) *)
   heap.Heap.allocations <- heap.Heap.allocations + !copied + !transformed;
-  let update_log = Array.sub !log 0 !log_len in
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   vm.State.last_gc_ms <- ms;
   let obs = vm.State.obs in

@@ -28,10 +28,10 @@ type result = {
   copied_objects : int;
   transformed_objects : int;
   copied_words : int;
-  update_log : int array;
-      (** flattened (old copy, new object) pairs as {e encoded reference
-          words}, so the log can be registered as an extra-roots array
-          while transformers run *)
+  update_log : Update_log.t;
+      (** the (old copy, new object) pairs this collection made, in
+          order; empty without a plan.  Not yet rooted: the caller hands
+          it to [State.update_log] before anything can collect again *)
 }
 
 val obj_size : State.t -> int array -> int -> int
@@ -42,8 +42,10 @@ val obj_size : State.t -> int array -> int -> int
 val collect :
   ?plan:transform_plan -> ?redirect:(int, int) Hashtbl.t -> State.t -> result
 (** Roots: the JTOC, every thread frame's locals and live operand stack,
-    pending native arguments, and [State.extra_roots] arrays (rewritten
-    in place).  A lazy-forward marker forwards to its replacement.
+    pending native arguments, the in-flight and guard-retained update
+    logs ([State.update_log], [State.guard_retained]; once when they are
+    the same log) and [State.extra_roots] arrays, all rewritten in place.
+    A lazy-forward marker forwards to its replacement.
 
     [redirect] (new addr → old-copy addr, decoded from an update log) is
     the updater's transaction rollback: forwarding chases the redirect

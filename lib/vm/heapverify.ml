@@ -70,16 +70,7 @@ let issue_to_string i =
 let default_guard_pending (vm : State.t) =
   match vm.State.guard_retained with
   | None -> fun (_ : int) -> false
-  | Some log ->
-      let olds = Hashtbl.create (max 16 (Array.length log / 2)) in
-      let i = ref 0 in
-      while !i + 1 < Array.length log do
-        (* even slots: the pristine old copies *)
-        if Value.is_ref log.(!i) then
-          Hashtbl.replace olds (Value.to_ref log.(!i)) ();
-        i := !i + 2
-      done;
-      Hashtbl.mem olds
+  | Some log -> Update_log.old_copy_set log
 
 (* One full verification pass.  Returns the report plus the number of
    issues that were unreferenced superseded instances — the only kind a

@@ -45,11 +45,11 @@ exception Lazy_abort
    single [None] check — steady state still pays no per-dereference tax,
    unlike the JDrums-style [indirection_mode] count above. *)
 let lazy_check_slot vm (fr : State.frame) idx =
-  match vm.State.lazy_barrier with
+  match vm.State.lazy_info with
   | None -> ()
-  | Some hook ->
+  | Some li ->
       if idx >= 0 && Value.is_ref fr.State.ostack.(idx) then
-        hook vm fr.State.ostack idx
+        li.State.li_barrier vm fr.State.ostack idx
 
 let ref_addr what w =
   if Value.is_null w then trap "null dereference in %s" what

@@ -80,7 +80,7 @@ let round vm =
   (match vm.State.dsu_attempt with Some f -> f vm | None -> ());
   (* an open lazy update window sweeps a bounded number of pending
      objects per round (and drives its own rollback when aborting) *)
-  (match vm.State.lazy_sweep with Some f -> f vm | None -> ());
+  (match vm.State.lazy_info with Some li -> li.State.li_sweep vm | None -> ());
   (* the post-commit guard watchdog ticks once per round, after the
      slices it is judging (and after any revert the DSU hook ran) *)
   (match vm.State.guard_tick with Some f -> f vm | None -> ());
@@ -101,7 +101,7 @@ let progress_possible vm =
   || vm.State.guard_tick <> None (* an open guard window still needs rounds *)
   (* an open lazy window still drains (an indirection-mode one only when
      its objects are touched) *)
-  || (vm.State.lazy_sweep <> None && not vm.State.config.indirection_mode)
+  || (vm.State.lazy_info <> None && not vm.State.config.indirection_mode)
   || List.exists
        (fun (t : State.vthread) ->
          match t.State.tstate with

@@ -23,7 +23,6 @@ type config = {
          opt-compiled category-(2) frames when they are parked outside any
          inlined region.  Off by default: the paper's Jvolve only OSRs
          base-compiled frames *)
-  trace : bool;
   transformer_fuel : int;
       (* machine-instruction budget per transformer invocation; a
          transformer that exceeds it traps and the update aborts *)
@@ -53,7 +52,6 @@ let default_config =
     inline_max_code = 24;
     inline_depth = 3;
     opt_osr = false;
-    trace = false;
     transformer_fuel = 200_000;
     verify_heap = false;
     lazy_update = false;
@@ -113,8 +111,8 @@ type native_result =
    instruction against [sb_fuel] and, when [sb_guard] is set, refuses heap
    writes whose target is not in the allowed set: the new-layout halves of
    the update log plus anything freshly allocated by the transformers
-   themselves.  The sandbox keeps no copy of that set; it reads the log
-   (a GC root already) and tries three cheap tests in order:
+   themselves.  The sandbox keeps no copy of that set; it holds the log
+   itself and tries three cheap tests in order:
    - the allocation watermark: anything at or above the first allocation
      of the current GC epoch is fresh;
    - the pair in flight: [sb_target], the new object the running
@@ -133,8 +131,7 @@ type sandbox = {
   mutable sb_steps : int; (* steps charged to the current invocation *)
   mutable sb_total_steps : int; (* accounting across the whole phase *)
   mutable sb_guard : bool; (* writes restricted (object transformers) *)
-  mutable sb_log : int array; (* the update log: flattened (old, new) pairs *)
-  mutable sb_log_len : int; (* valid words of [sb_log] *)
+  sb_log : Update_log.t; (* the update's log, rooted by the VM *)
   mutable sb_target : int; (* new object of the pair in flight *)
   mutable sb_target_gc : int; (* gc_count [sb_target] belongs to *)
   mutable sb_index : (int, int) Hashtbl.t; (* new addr -> pair index *)
@@ -147,29 +144,28 @@ type sandbox = {
 (* Bookkeeping for an open lazy update window: the commit flipped
    metadata and bumped the heap epoch but left old-epoch objects in
    place, to be transformed on first access (read barrier) or by the
-   background sweeper.  Plain data so the verifier and tests can key
-   mixed-epoch allowances off it without depending on the updater. *)
+   background sweeper.  The verifier and tests key mixed-epoch
+   allowances off it; the updater's three hooks ride on it, so setting
+   and clearing [t.lazy_info] opens and closes the whole window. *)
 type lazy_info = {
   li_plan : int array;
       (* old cid -> new cid, indexed by class id; -1 where instances are
          not pending (classes loaded later fall past the end) *)
   li_epoch : int; (* the heap epoch this window installed *)
-  mutable li_log : int array;
-      (* flattened (old copy, new object) pairs, log_len valid entries;
-         registered as an extra GC root while the window is open *)
-  mutable li_log_len : int;
+  li_log : Update_log.t; (* the window's log, [t.update_log] while open *)
   mutable li_transformed : int; (* objects transformed so far *)
   mutable li_barrier_hits : int; (* barrier-triggered transforms *)
   mutable li_swept : int; (* sweeper-triggered transforms *)
   mutable li_chases : int; (* barrier chases of lazy-forward markers *)
+  li_barrier : t -> int array -> int -> unit;
+      (* the read barrier on a reference slot of a rooted word array (an
+         operand stack, the scratch root): chases lazy-forward markers,
+         transforms a pending old-epoch object, rewrites the slot *)
+  li_sweep : t -> unit; (* per round: visit [lazy_sweep_budget] objects *)
+  li_drain : t -> bool; (* force every residual transform now *)
 }
 
-(* The class an open window transforms instances of [cid] into, or -1
-   when they are not pending. *)
-let lazy_target li cid =
-  if cid < Array.length li.li_plan then li.li_plan.(cid) else -1
-
-type t = {
+and t = {
   config : config;
   reg : Rt.registry;
   heap : Heap.t;
@@ -198,22 +194,13 @@ type t = {
   (* installed during the transformer phase so the [Jvolve.transform]
      native can force an object's transformer to run *)
   mutable force_transform : (t -> int -> unit) option;
-  (* --- lazy update window (epoch-tagged heap) ----------------------- *)
-  (* read barrier, installed while a lazy update window is open: receives
-     a rooted word array (an operand stack or a scratch root) and the
-     index of a reference slot; chases lazy-forward markers and
-     transforms pending old-epoch objects in place, rewriting the slot *)
-  mutable lazy_barrier : (t -> int array -> int -> unit) option;
-  (* background sweeper: visits up to [lazy_sweep_budget] heap objects
-     per scheduler round, transforming the pending ones *)
-  mutable lazy_sweep : (t -> unit) option;
-  (* synchronously drain the open window (force every residual
-     transform); returns false when the window was rolled back instead
-     of drained (a residual transformer trapped) *)
-  mutable lazy_drain : (t -> bool) option;
+  (* the open lazy update window (epoch-tagged heap), if any *)
   mutable lazy_info : lazy_info option;
-  (* word arrays that the GC must treat as extra roots and rewrite
-     (e.g. the update log while transformers run) *)
+  (* the update log in flight: from the transforming collection to the
+     commit or rollback, or for the life of a lazy window.  A GC root *)
+  mutable update_log : Update_log.t option;
+  (* word arrays that the GC must treat as extra roots and rewrite (the
+     transaction's statics snapshot, the lazy window's scratch slot) *)
   mutable extra_roots : int array list;
   (* active transformer sandbox, if the updater installed one *)
   mutable sandbox : sandbox option;
@@ -242,9 +229,9 @@ type t = {
   (* when set, every server-side [Net.send] line is classified; lines the
      predicate rejects (an app-level 5xx) count as app errors *)
   mutable response_classifier : (string -> bool) option;
-  (* update log retained past commit while a guard window is open
-     (flattened (old copy, new object) pairs; also in [extra_roots]) *)
-  mutable guard_retained : int array option;
+  (* the update log retained past commit while a guard window is open;
+     a GC root (forwarded once when it is also [update_log]) *)
+  mutable guard_retained : Update_log.t option;
   (* installed by the guard watchdog: called at the end of every
      scheduler round while a guard window is open *)
   mutable guard_tick : (t -> unit) option;
@@ -263,6 +250,16 @@ type t = {
 }
 
 and native_fn = t -> vthread -> int array -> native_result
+
+(* The class an open window transforms instances of [cid] into, or -1
+   when they are not pending. *)
+let lazy_target li cid =
+  if cid < Array.length li.li_plan then li.li_plan.(cid) else -1
+
+(* Resolve the open lazy window, if any, by draining it: false when a
+   residual transformer trapped and the window rolled back instead. *)
+let drain_window vm =
+  match vm.lazy_info with Some li -> li.li_drain vm | None -> true
 
 exception Vm_fatal of string
 
@@ -297,10 +294,8 @@ let create ?(config = default_config) () =
     dsu_attempt = None;
     barrier_fired = false;
     force_transform = None;
-    lazy_barrier = None;
-    lazy_sweep = None;
-    lazy_drain = None;
     lazy_info = None;
+    update_log = None;
     extra_roots = [];
     sandbox = None;
     faults = None;
@@ -368,49 +363,45 @@ let string_of_sid vm sid =
 
 (* --- transformer sandbox -------------------------------------------- *)
 
-let sandbox_create vm ~fuel ~log ~log_len : sandbox =
-  let sb =
-    {
-      sb_fuel = fuel;
-      sb_steps = 0;
-      sb_total_steps = 0;
-      sb_guard = false;
-      sb_log = log;
-      sb_log_len = log_len;
-      sb_target = 0;
-      sb_target_gc = -1;
-      sb_index = Hashtbl.create 16;
-      sb_indexed = 0;
-      sb_index_gc = -1;
-      sb_watermark = vm.heap.Heap.free;
-      sb_watermark_gc = vm.heap.Heap.gc_count;
-    }
-  in
-  vm.sandbox <- Some sb;
-  sb
+(* A sandbox over [log]; the caller installs it as [vm.sandbox] around
+   the code it confines. *)
+let sandbox_create vm ~fuel ~log : sandbox =
+  {
+    sb_fuel = fuel;
+    sb_steps = 0;
+    sb_total_steps = 0;
+    sb_guard = false;
+    sb_log = log;
+    sb_target = 0;
+    sb_target_gc = -1;
+    sb_index = Hashtbl.create 16;
+    sb_indexed = 0;
+    sb_index_gc = -1;
+    sb_watermark = vm.heap.Heap.free;
+    sb_watermark_gc = vm.heap.Heap.gc_count;
+  }
 
-(* Follow the update log as it grows (or moves to a larger array).  A
-   pair taken back off the end leaves the index with it. *)
-let sandbox_set_log sb log len =
-  sb.sb_log <- log;
-  sb.sb_log_len <- len;
-  while sb.sb_indexed > len / 2 do
-    sb.sb_indexed <- sb.sb_indexed - 1;
-    Hashtbl.remove sb.sb_index (Value.to_ref log.((2 * sb.sb_indexed) + 1))
-  done
+(* Take the log's last pair back off; it leaves the index with it. *)
+let sandbox_pop sb =
+  let last = Update_log.pairs sb.sb_log - 1 in
+  if sb.sb_indexed > last then begin
+    sb.sb_indexed <- last;
+    Hashtbl.remove sb.sb_index (Update_log.new_addr sb.sb_log last)
+  end;
+  Update_log.pop sb.sb_log
 
 (* The log's new-address -> pair index, current for this GC epoch: a
    collection moved every entry, so the index restarts from the log's
    forwarded words; otherwise only pairs appended since are added. *)
 let sandbox_index vm sb =
-  let n = sb.sb_log_len / 2 in
+  let n = Update_log.pairs sb.sb_log in
   if sb.sb_index_gc <> vm.heap.Heap.gc_count then begin
     sb.sb_index <- Hashtbl.create (max 16 n);
     sb.sb_indexed <- 0;
     sb.sb_index_gc <- vm.heap.Heap.gc_count
   end;
   for i = sb.sb_indexed to n - 1 do
-    Hashtbl.replace sb.sb_index (Value.to_ref sb.sb_log.((2 * i) + 1)) i
+    Hashtbl.replace sb.sb_index (Update_log.new_addr sb.sb_log i) i
   done;
   if n > sb.sb_indexed then sb.sb_indexed <- n;
   sb.sb_index

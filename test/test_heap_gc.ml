@@ -239,7 +239,7 @@ let transform_plan_log () =
   let r = VM.Gc.collect ~plan vm in
   Alcotest.(check int) "all 50 transformed" 50 r.VM.Gc.transformed_objects;
   Alcotest.(check int) "log has 50 pairs" 100
-    (Array.length r.VM.Gc.update_log);
+    (2 * VM.Update_log.pairs r.VM.Gc.update_log);
   (* every root now points at a zeroed new-class object; the old copies in
      the log still carry the data *)
   Array.iter
@@ -249,10 +249,9 @@ let transform_plan_log () =
         (VM.Heap.class_id vm.VM.State.heap a);
       Alcotest.(check int) "fields zeroed" 0 (get_field vm a 0))
     roots;
-  for i = 0 to (Array.length r.VM.Gc.update_log / 2) - 1 do
-    (* the log holds encoded reference words *)
-    let old_copy = VM.Value.to_ref r.VM.Gc.update_log.(2 * i) in
-    let nw = VM.Value.to_ref r.VM.Gc.update_log.((2 * i) + 1) in
+  for i = 0 to VM.Update_log.pairs r.VM.Gc.update_log - 1 do
+    let old_copy = VM.Update_log.old_copy r.VM.Gc.update_log i in
+    let nw = VM.Update_log.new_addr r.VM.Gc.update_log i in
     Alcotest.(check int) "old copy keeps class" cls.VM.Rt.cid
       (VM.Heap.class_id vm.VM.State.heap old_copy);
     Alcotest.(check int) "pair linked" wide.VM.Rt.cid
@@ -469,8 +468,11 @@ let gc_pin vm (res : VM.Gc.result) =
   Printf.sprintf "free=%d words=%s log=[%s] copied=%d transformed=%d"
     heap.VM.Heap.free
     (Digest.to_hex (Digest.string words))
-    (Array.to_list res.VM.Gc.update_log
-    |> List.map string_of_int |> String.concat ";")
+    (let log = res.VM.Gc.update_log in
+     List.init (VM.Update_log.pairs log) (fun k ->
+         [ VM.Update_log.old_copy log k; VM.Update_log.new_addr log k ])
+     |> List.concat_map (List.map VM.Value.of_ref)
+     |> List.map string_of_int |> String.concat ";")
     res.VM.Gc.copied_objects res.VM.Gc.transformed_objects
 
 (* Instances of Mid transform into MidV2. *)
@@ -478,16 +480,6 @@ let mixed_plan vm =
   let plan = Array.make vm.VM.State.reg.VM.Rt.n_classes (-1) in
   plan.((cls_of vm "Mid").VM.Rt.cid) <- (cls_of vm "MidV2").VM.Rt.cid;
   plan
-
-(* The redirect a rollback collection takes: new addr -> old-copy addr. *)
-let redirect_of_log log =
-  let redirect = Hashtbl.create 8 in
-  for k = 0 to (Array.length log / 2) - 1 do
-    Hashtbl.replace redirect
-      (VM.Value.to_ref log.((2 * k) + 1))
-      (VM.Value.to_ref log.(2 * k))
-  done;
-  redirect
 
 let collector_differential () =
   let pin what expected got = Alcotest.(check string) what expected got in
@@ -507,12 +499,12 @@ let collector_differential () =
      copied=7 transformed=2"
     (gc_pin vm res);
   let log = res.VM.Gc.update_log in
-  let redirect = redirect_of_log log in
+  let redirect = VM.Update_log.redirect log in
   (* a lazily forwarded original whose replacement is a transformed
      object: the rollback's redirect applies at the marker's hop *)
   let m3 = VM.State.alloc_object vm (cls_of vm "Mid") in
   VM.Heap.set vm.VM.State.heap ~addr:m3 ~off:VM.Heap.off_gc
-    (VM.Heap.make_lazy_fwd (VM.Value.to_ref log.(1)));
+    (VM.Heap.make_lazy_fwd (VM.Update_log.new_addr log 0));
   roots.(4) <- VM.Value.of_ref m3;
   pin "rollback"
     "free=63 words=2ef58fa711d8a9445085bac74437389b log=[] copied=7 \
@@ -542,7 +534,8 @@ let idle_space_after_collections () =
   check_idle "plain" vm;
   let res = VM.Gc.collect ~plan:(mixed_plan vm) vm in
   check_idle "transforming" vm;
-  ignore (VM.Gc.collect ~redirect:(redirect_of_log res.VM.Gc.update_log) vm);
+  ignore
+    (VM.Gc.collect ~redirect:(VM.Update_log.redirect res.VM.Gc.update_log) vm);
   check_idle "rollback" vm;
   (* a heap that shrank: a large live set, then most of it dropped *)
   let vm = fresh_vm () in

@@ -110,10 +110,7 @@ let residue_count vm =
   done;
   !n
 
-let drain vm =
-  match vm.VM.State.lazy_drain with
-  | Some d -> d vm
-  | None -> true
+let drain vm = VM.State.drain_window vm
 
 let check_clean vm label =
   Alcotest.(check int) (label ^ ": zero lazy residue") 0 (residue_count vm);
@@ -262,7 +259,7 @@ let log_grows_then_pops () =
   let vm = boot_boxes ~hot ~config:(lazy_config ~budget:1 ()) () in
   ignore (apply_lazy ~hot vm);
   VM.Vm.run vm ~rounds:2;
-  let pairs () = (lazy_info vm).VM.State.li_log_len / 2 in
+  let pairs () = VM.Update_log.pairs (lazy_info vm).VM.State.li_log in
   let first = pairs () in
   Alcotest.(check bool)
     (Printf.sprintf "hot set logged past the initial capacity (%d pairs)" first)
@@ -280,9 +277,10 @@ let log_grows_then_pops () =
   let seen = ref None in
   Obs.set_clock vm.VM.State.obs (fun () ->
       (match (vm.VM.State.sandbox, vm.VM.State.lazy_info) with
-      | Some sb, Some li when li.VM.State.li_log_len > 0 ->
-          let log = li.VM.State.li_log and n = li.VM.State.li_log_len in
-          seen := Some (sb, VM.Value.to_ref log.(n - 1), n / 2)
+      | Some sb, Some li when VM.Update_log.pairs li.VM.State.li_log > 0 ->
+          let log = li.VM.State.li_log in
+          let n = VM.Update_log.pairs log in
+          seen := Some (sb, VM.Update_log.new_addr log (n - 1), n)
       | _ -> ());
       vm.VM.State.ticks);
   let plan = Faults.create ~seed:13 () in
@@ -747,16 +745,18 @@ let guard_index_follows_log () =
   let vm = VM.Vm.create ~config:Helpers.test_config () in
   let obj () = VM.State.alloc_array vm ~len:1 in
   let o1 = obj () and n1 = obj () and o2 = obj () and n2 = obj () in
-  let log = Array.map VM.Value.of_ref [| o1; n1; o2; n2 |] in
+  let log = VM.Update_log.create () in
+  VM.Update_log.push log ~old_copy:o1 ~new_addr:n1;
+  VM.Update_log.push log ~old_copy:o2 ~new_addr:n2;
   (* all four predate the sandbox: only the log can admit them *)
-  let sb = VM.State.sandbox_create vm ~fuel:100 ~log ~log_len:4 in
+  let sb = VM.State.sandbox_create vm ~fuel:100 ~log in
   let may addr = VM.State.sandbox_may_write vm sb addr in
   Alcotest.(check (list bool)) "new halves admitted, old copies not"
     [ false; true; false; true ] [ may o1; may n1; may o2; may n2 ];
-  VM.State.sandbox_set_log sb log 2;
+  VM.State.sandbox_pop sb;
   Alcotest.(check (list bool)) "the undone pair is refused"
     [ true; false ] [ may n1; may n2 ];
-  VM.State.sandbox_set_log sb log 4;
+  VM.Update_log.push log ~old_copy:o2 ~new_addr:n2;
   Alcotest.(check bool) "re-appended, admitted again" true (may n2)
 
 let suite =

@@ -657,12 +657,9 @@ let diff_run ?(confree = true) ?(interpret = false) ~lazy_mode ~warmup
      the barrier must make that invisible *)
   diff_drive vm d buf;
   if lazy_mode then begin
-    (match vm.VM.State.lazy_drain with
-    | Some drain ->
-        if not (drain vm) then
-          QCheck.Test.fail_reportf "%s %s->%s: lazy drain rolled back"
-            d.A.Experience.d_name from_version to_version
-    | None -> ());
+    if not (VM.State.drain_window vm) then
+      QCheck.Test.fail_reportf "%s %s->%s: lazy drain rolled back"
+        d.A.Experience.d_name from_version to_version;
     ignore (VM.Gc.collect vm);
     let residue = Test_lazy.residue_count vm in
     if residue <> 0 then
@@ -825,9 +822,9 @@ let table1_case ~interpret ~lazy_mode () =
   if not (J.Jvolve.succeeded h) then
     Alcotest.failf "update refused: %s"
       (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome);
-  (match vm.VM.State.lazy_drain with
-  | Some drain -> Alcotest.(check bool) "lazy window drained" true (drain vm)
-  | None -> ());
+  if vm.VM.State.lazy_info <> None then
+    Alcotest.(check bool) "lazy window drained" true
+      (VM.State.drain_window vm);
   let obs = vm.VM.State.obs in
   Alcotest.(check (pair int int))
     "(planned, interpreted) pairs"
