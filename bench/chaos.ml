@@ -35,18 +35,68 @@ let phases =
 let chaos_config =
   { A.Experience.default_config with VM.State.verify_heap = true }
 
-let boot_web_loaded () =
+let boot_web_loaded ?(config = chaos_config) ?(version = "5.1.1") () =
   let d = A.Experience.web_desc in
-  let vm = A.Experience.boot_version ~config:chaos_config d ~version:"5.1.1" in
+  let vm = A.Experience.boot_version ~config d ~version in
   let loads = A.Experience.attach_loads vm d ~concurrency:4 in
   VM.Vm.run vm ~rounds:80;
   (vm, loads)
 
-let web_spec ~tag =
+let web_spec ?(from = "5.1.1") ?(to_ = "5.1.2") ~tag () =
   J.Spec.make ~version_tag:tag
-    ~old_program:(Support.compile_version A.Miniweb.app ~version:"5.1.1")
-    ~new_program:(Support.compile_version A.Miniweb.app ~version:"5.1.2")
+    ~old_program:(Support.compile_version A.Miniweb.app ~version:from)
+    ~new_program:(Support.compile_version A.Miniweb.app ~version:to_)
     ()
+
+(* The lazy row: 5.1.2 -> 5.1.3 (5.1.2 changes no class layout) commits
+   as a lazy window, then a residual transformer traps under load and
+   the whole window rolls back.  Its verdict is the lazy
+   [update.rollback] event's.  Returns whether it came back clean. *)
+let lazy_window_abort () =
+  let vm, _ =
+    boot_web_loaded ~version:"5.1.2"
+      ~config:{ chaos_config with VM.State.lazy_update = true }
+      ()
+  in
+  let h =
+    J.Jvolve.update_now ~timeout_rounds:400 vm
+      (web_spec ~from:"5.1.2" ~to_:"5.1.3" ~tag:"512" ())
+  in
+  let opened = J.Jvolve.succeeded h && vm.VM.State.lazy_info <> None in
+  let plan = Faults.create ~seed:11 () in
+  Faults.arm plan ~point:"transformer.throw" ~max_fires:1 Faults.Raise;
+  VM.Vm.set_faults vm (Some plan);
+  let budget = ref 2000 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  let verdicts =
+    List.filter_map
+      (fun (e : Jv_obs.Obs.event) ->
+        let field k = List.assoc_opt k e.Jv_obs.Obs.ev_fields in
+        match (e.Jv_obs.Obs.ev_name, field "mode", field "ok", field "ms") with
+        | ( "update.rollback",
+            Some (Jv_obs.Obs.Str "lazy"),
+            Some (Jv_obs.Obs.Str ok),
+            Some (Jv_obs.Obs.Float ms) ) ->
+            Some (ok = "true", ms)
+        | _ -> None)
+      (Jv_obs.Obs.events vm.VM.State.obs)
+  in
+  VM.Vm.run vm ~rounds:60;
+  match verdicts with
+  | [ (clean, ms) ] when opened ->
+      Printf.printf "    abort in %-10s rollback %7.3f ms, audit %s\n"
+        "lazy window (5.1.2 -> 5.1.3)" ms
+        (if clean then "clean" else "DIRTY");
+      clean
+  | vs ->
+      Printf.printf
+        "    abort in lazy window UNEXPECTED: window opened %b, %d \
+         rollback(s)\n"
+        opened (List.length vs);
+      false
 
 let abort_cost () =
   Support.section
@@ -54,7 +104,9 @@ let abort_cost () =
      phase)";
   (* the clean update, for scale *)
   let vm, _ = boot_web_loaded () in
-  let h = J.Jvolve.update_now ~timeout_rounds:400 vm (web_spec ~tag:"511") in
+  let h =
+    J.Jvolve.update_now ~timeout_rounds:400 vm (web_spec ~tag:"511" ())
+  in
   (match h.J.Jvolve.h_outcome with
   | J.Jvolve.Applied t ->
       Printf.printf "    %-24s total %7.3f ms (load %.3f, gc %.3f, \
@@ -72,7 +124,7 @@ let abort_cost () =
       Faults.arm plan ~point ~max_fires:1 Faults.Raise;
       VM.Vm.set_faults vm (Some plan);
       let h =
-        J.Jvolve.update_now ~timeout_rounds:400 vm (web_spec ~tag:"511")
+        J.Jvolve.update_now ~timeout_rounds:400 vm (web_spec ~tag:"511" ())
       in
       (match h.J.Jvolve.h_outcome with
       | J.Jvolve.Aborted a ->
@@ -88,6 +140,7 @@ let abort_cost () =
       (* the VM must still serve the old version afterwards *)
       VM.Vm.run vm ~rounds:60)
     phases;
+  if not (lazy_window_abort ()) then incr dirty;
   Printf.printf "    %-24s %d\n" "half-installed tables:" !dirty
 
 (* --- section 2: rollout convergence under fault rates ------------------ *)

@@ -181,7 +181,7 @@ let run_cell ?(lazy_update = false) ~verify ~objects ~fraction () : cell =
         | Some li ->
             let t0 = Support.now () in
             check ~objects ~fraction "lazy window drained"
-              (li.VM.State.li_drain vm);
+              (Result.is_ok (li.VM.State.li_drain vm));
             (Support.now () -. t0) *. 1000.0
         | None ->
             check ~objects ~fraction "every Change object transformed"

@@ -62,6 +62,29 @@ let default_timeout_rounds = 1500
 
 let version_tag h = h.h_prepared.Transformers.p_spec.Spec.version_tag
 
+(* A fresh, pending attempt at [prepared]. *)
+let new_handle vm prepared ~timeout_rounds ~use_osr ~use_barriers ~guard
+    ~revert_of =
+  {
+    h_prepared = prepared;
+    h_restricted = Safepoint.compute vm prepared.Transformers.p_spec;
+    h_requested_at = vm.State.ticks;
+    h_deadline = vm.State.ticks + timeout_rounds;
+    h_timeout_rounds = timeout_rounds;
+    h_use_osr = use_osr;
+    h_use_barriers = use_barriers;
+    h_guard = guard;
+    h_revert_of = revert_of;
+    h_outcome = Pending;
+    h_attempts = 0;
+    h_barriers_installed = 0;
+    h_blockers = "";
+    h_stuck = [];
+    h_sync_ms = 0.0;
+    h_guard_state = None;
+    h_guard_busy = false;
+  }
+
 (* Record the resolved attempt into the VM's sink: the Fig. 5 numbers
    (pause, stack-scan, per-phase times) live in these histograms, and the
    applied/aborted event closes the flight-recorder timeline. *)
@@ -124,34 +147,34 @@ let finish vm h outcome =
   vm.State.dsu_attempt <- None;
   record_outcome vm h outcome
 
-(* The guard cycle resolved against the original update's handle: a trip
-   whose revert failed rolls forward to a typed [P_guard] abort — the
-   revert's transaction already restored the NEW version, which keeps
-   running. *)
+(* End a guard cycle on the original update's handle: the revert landed
+   ([Reverted]) or failed ([Aborted]).  The retained log goes either
+   way. *)
+let end_guard vm (orig : handle) outcome =
+  orig.h_guard_busy <- false;
+  Txn.release_retained vm;
+  orig.h_outcome <- outcome;
+  record_outcome vm orig outcome
+
+(* A trip whose revert failed rolls forward to a typed [P_guard] abort —
+   the revert's transaction already restored the NEW version, which
+   keeps running. *)
 let guard_abort vm (orig : handle) (v : Guard.verdict) ~rolled_back
     ~rollback_ms reason =
-  orig.h_guard_busy <- false;
-  Txn.release_retained vm;
-  let a =
-    {
-      Updater.a_phase = Updater.P_guard;
-      a_reason = Guard.verdict_to_string v ^ "; " ^ reason;
-      a_cause = Updater.C_generic;
-      a_rolled_back = rolled_back;
-      a_rollback_ms = rollback_ms;
-    }
-  in
-  orig.h_outcome <- Aborted a;
-  record_outcome vm orig orig.h_outcome
+  end_guard vm orig
+    (Aborted
+       {
+         Updater.a_phase = Updater.P_guard;
+         a_reason = Guard.verdict_to_string v ^ "; " ^ reason;
+         a_cause = Updater.C_generic;
+         a_rolled_back = rolled_back;
+         a_rollback_ms = rollback_ms;
+       })
 
-(* The revert applied: the original update is now [Reverted]. *)
-let guard_reverted vm (orig : handle) (v : Guard.verdict)
-    (t : Updater.timings) =
-  orig.h_guard_busy <- false;
-  Txn.release_retained vm;
-  v.Guard.v_revert_ms <- t.Updater.u_total_ms;
-  orig.h_outcome <- Reverted v;
-  record_outcome vm orig orig.h_outcome
+(* The revert landed in [ms]: the original update is now [Reverted]. *)
+let guard_reverted vm (orig : handle) (v : Guard.verdict) ~ms =
+  v.Guard.v_revert_ms <- ms;
+  end_guard vm orig (Reverted v)
 
 let rec attempt h vm =
   match h.h_outcome with
@@ -185,18 +208,11 @@ let rec attempt h vm =
           | Ok timings -> (
               finish vm h (Applied timings);
               match h.h_revert_of with
-              | Some (orig, v) -> guard_reverted vm orig v timings
-              | None -> open_guard vm h)
-          | Error a -> (
-              finish vm h (Aborted a);
-              match h.h_revert_of with
               | Some (orig, v) ->
-                  guard_abort vm orig v ~rolled_back:a.Updater.a_rolled_back
-                    ~rollback_ms:a.Updater.a_rollback_ms
-                    (Printf.sprintf "revert failed [%s]: %s"
-                       (Updater.phase_to_string a.Updater.a_phase)
-                       a.Updater.a_reason)
-              | None -> ()))
+                  guard_reverted vm orig v ~ms:timings.Updater.u_total_ms
+              | None -> open_guard vm h)
+          | Error a ->
+              abort_attempt vm h a ~rolled_back:a.Updater.a_rolled_back)
       | Safepoint.Blocked stuck ->
           h.h_stuck <- Safepoint.blocker_list vm h.h_restricted stuck;
           let blockers = Safepoint.describe_blockers vm h.h_restricted stuck in
@@ -227,13 +243,7 @@ let rec attempt h vm =
                           (String.concat ", "
                              (List.map Safepoint.blocker_to_string rest)))
             in
-            let a = Updater.sync_abort reason in
-            finish vm h (Aborted a);
-            match h.h_revert_of with
-            | Some (orig, v) ->
-                guard_abort vm orig v ~rolled_back:false ~rollback_ms:0.0
-                  ("revert failed [sync]: " ^ reason)
-            | None -> ()
+            abort_attempt vm h (Updater.sync_abort reason) ~rolled_back:false
           end
           else if h.h_use_barriers then begin
             let installed = Safepoint.install_barriers stuck in
@@ -252,6 +262,18 @@ let rec attempt h vm =
                restricted frames must run on to clear them *)
             Safepoint.unpark_stuck stuck
           end)
+
+(* The attempt aborted.  A failed revert also ends its original's guard
+   cycle, [rolled_back] or not. *)
+and abort_attempt vm h a ~rolled_back =
+  finish vm h (Aborted a);
+  Option.iter
+    (fun (orig, v) ->
+      guard_abort vm orig v ~rolled_back ~rollback_ms:a.Updater.a_rollback_ms
+        (Printf.sprintf "revert failed [%s]: %s"
+           (Updater.phase_to_string a.Updater.a_phase)
+           a.Updater.a_reason))
+    h.h_revert_of
 
 (* A guarded update just applied: retain-commit already happened inside
    [Updater.apply]; open the watch window and hand its tick to the
@@ -288,16 +310,16 @@ and start_revert vm h v =
       ("version", Jv_obs.Obs.Str (version_tag h));
       ("signal", Jv_obs.Obs.Str (Guard.signal_to_string v.Guard.v_signal));
     ];
-  if State.drain_window vm then start_revert_eager vm h v
-  else begin
-    (* the guarded update committed lazily and a residual transformer
-       trapped during the forced drain: the window's own rollback just
-       restored the old version — that IS the revert *)
-    h.h_guard_busy <- false;
-    Txn.release_retained vm;
-    h.h_outcome <- Reverted v;
-    record_outcome vm h h.h_outcome
-  end
+  (* a guarded update that committed lazily and whose residual
+     transformer trapped during the forced drain: the window's own
+     rollback restored the old version — that IS the revert, when its
+     verdict can be trusted *)
+  match State.drain_window vm with
+  | Ok () -> start_revert_eager vm h v
+  | Error rb when rb.State.rb_ok -> guard_reverted vm h v ~ms:rb.State.rb_ms
+  | Error rb ->
+      guard_abort vm h v ~rolled_back:false ~rollback_ms:rb.State.rb_ms
+        ("revert failed [drain]: window rollback" ^ rb.State.rb_note)
 
 (* The inverse update needs every object on the new layout before its
    transforming collection runs, so a still-draining lazy window is
@@ -313,26 +335,11 @@ and start_revert_eager vm h v =
         guard_abort vm h v ~rolled_back:false ~rollback_ms:0.0
           "revert blocked: another update is pending"
       else begin
+        (* reverts are not themselves guarded *)
         let rh =
-          {
-            h_prepared = prepared;
-            h_restricted = Safepoint.compute vm prepared.Transformers.p_spec;
-            h_requested_at = vm.State.ticks;
-            h_deadline = vm.State.ticks + h.h_timeout_rounds;
-            h_timeout_rounds = h.h_timeout_rounds;
-            h_use_osr = h.h_use_osr;
-            h_use_barriers = h.h_use_barriers;
-            h_guard = None; (* reverts are not themselves guarded *)
-            h_revert_of = Some (h, v);
-            h_outcome = Pending;
-            h_attempts = 0;
-            h_barriers_installed = 0;
-            h_blockers = "";
-            h_stuck = [];
-            h_sync_ms = 0.0;
-            h_guard_state = None;
-            h_guard_busy = false;
-          }
+          new_handle vm prepared ~timeout_rounds:h.h_timeout_rounds
+            ~use_osr:h.h_use_osr ~use_barriers:h.h_use_barriers ~guard:None
+            ~revert_of:(Some (h, v))
         in
         vm.State.dsu_attempt <- Some (attempt rh);
         (* the world is stopped between rounds: try right now, so a clean
@@ -379,25 +386,8 @@ let request ?(timeout_rounds = default_timeout_rounds) ?(use_osr = true)
     (prepared : Transformers.prepared) : handle =
   if vm.State.dsu_attempt <> None then raise Busy;
   let h =
-    {
-      h_prepared = prepared;
-      h_restricted = Safepoint.compute vm prepared.Transformers.p_spec;
-      h_requested_at = vm.State.ticks;
-      h_deadline = vm.State.ticks + timeout_rounds;
-      h_timeout_rounds = timeout_rounds;
-      h_use_osr = use_osr;
-      h_use_barriers = use_barriers;
-      h_guard = guard;
-      h_revert_of = None;
-      h_outcome = Pending;
-      h_attempts = 0;
-      h_barriers_installed = 0;
-      h_blockers = "";
-      h_stuck = [];
-      h_sync_ms = 0.0;
-      h_guard_state = None;
-      h_guard_busy = false;
-    }
+    new_handle vm prepared ~timeout_rounds ~use_osr ~use_barriers ~guard
+      ~revert_of:None
   in
   Jv_obs.Obs.incr vm.State.obs "core.update.requests";
   Jv_obs.Obs.emit vm.State.obs ~scope:"core.update" "update.requested"

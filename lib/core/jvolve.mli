@@ -33,7 +33,8 @@ type outcome =
           phases mean the transactional installation failed and rolled
           the VM back ([a_rolled_back]); [P_guard] means the guard
           tripped but the revert itself failed and rolled forward — the
-          VM stays on the {e new} version. *)
+          VM stays on the {e new} version — or, for a lazy commit, the
+          window's own rollback came back untrusted. *)
 
 type handle = {
   h_prepared : Transformers.prepared;

@@ -32,6 +32,8 @@
    a plain GC with a {e redirect} (new addr → old copy, decoded from the
    log): every surviving reference moves back to the old copy and the
    new objects become garbage (see [Gc.collect ?redirect]).
+   [Updater.rollback] runs that collection between the two restore steps
+   here: statics first, metadata after.
 
    Outside the transaction, by design: program output already printed,
    and heap mutations performed by application-visible code the update
@@ -142,70 +144,20 @@ let release_retained vm =
       | Some l when l == log -> ()
       | _ -> ignore (Gc.collect vm))
 
-(* Exact metadata restoration: truncate the appended ids, put back every
-   saved mutable field, rebuild the name table. *)
-let restore_metadata (vm : State.t) txn =
-  let reg = vm.State.reg in
-  for cid = txn.tx_n_classes to reg.Rt.n_classes - 1 do
-    reg.Rt.classes.(cid) <- Rt.dummy_class
-  done;
-  for uid = txn.tx_n_methods to reg.Rt.n_methods - 1 do
-    reg.Rt.methods.(uid) <- Rt.dummy_method
-  done;
-  reg.Rt.n_classes <- txn.tx_n_classes;
-  reg.Rt.n_methods <- txn.tx_n_methods;
-  Array.iteri
-    (fun cid cs ->
-      let c = reg.Rt.classes.(cid) in
-      c.Rt.name <- cs.cs_name;
-      c.Rt.valid <- cs.cs_valid)
-    txn.tx_classes;
-  Array.iteri
-    (fun uid ms ->
-      let m = reg.Rt.methods.(uid) in
-      m.Rt.bytecode <- ms.ms_bytecode;
-      m.Rt.max_locals <- ms.ms_max_locals;
-      m.Rt.base_code <- ms.ms_base;
-      m.Rt.opt_code <- ms.ms_opt;
-      m.Rt.invocations <- ms.ms_invocations;
-      m.Rt.m_valid <- ms.ms_valid)
-    txn.tx_methods;
-  Hashtbl.reset reg.Rt.by_name;
-  Hashtbl.iter (Hashtbl.replace reg.Rt.by_name) txn.tx_by_name;
-  reg.Rt.epoch <- txn.tx_epoch
-
+(* Restore the statics: the snapshot rode through every collection as an
+   extra root, so its slots hold current addresses.  Slots the update
+   appended are zeroed, and the snapshot root goes. *)
 let restore_statics (vm : State.t) txn =
-  (* the snapshot rode through every GC as an extra root, so these are
-     current addresses *)
   Array.blit txn.tx_jtoc 0 vm.State.jtoc 0 txn.tx_jtoc_n;
   for slot = txn.tx_jtoc_n to vm.State.jtoc_n - 1 do
     vm.State.jtoc.(slot) <- 0
   done;
-  vm.State.jtoc_n <- txn.tx_jtoc_n
+  vm.State.jtoc_n <- txn.tx_jtoc_n;
+  release vm txn
 
-(* Undo the transforming pass: one collection redirects every reference
-   that landed on a new-layout object back to its pristine old copy (and
-   with a lazy window's inverse [plan], replaces new-version instances
-   the app allocated).  The in-flight log comes off the VM's roots first:
-   still rooted, its own slots would be redirected too.  An empty log
-   and no plan leave nothing to undo and run no collection. *)
-let rollback_heap ?plan (vm : State.t) =
-  match vm.State.update_log with
-  | None -> None
-  | Some log ->
-      vm.State.update_log <- None;
-      if plan = None && Update_log.pairs log = 0 then None
-      else Some (Gc.collect ?plan ~redirect:(Update_log.redirect log) vm)
-
-let rollback (vm : State.t) txn =
-  restore_metadata vm txn;
-  restore_statics vm txn;
-  release vm txn;
-  ignore (rollback_heap vm : Gc.result option)
-
-(* Post-rollback audit: is the metadata bit-for-bit the snapshot again?
-   The chaos bench reports this as its "0 half-installed class tables"
-   criterion. *)
+(* Is the metadata bit-for-bit the snapshot again?  [Error why] names
+   the first discrepancy.  The chaos bench reports this as its "0
+   half-installed class tables" criterion. *)
 let audit (vm : State.t) txn : (unit, string) result =
   let reg = vm.State.reg in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -254,3 +206,37 @@ let audit (vm : State.t) txn : (unit, string) result =
         txn.tx_by_name;
     match !bad with None -> Ok () | Some why -> Error why
   end
+
+(* Exact metadata restoration: truncate the appended ids, put back every
+   saved mutable field, rebuild the name table — then audit the result
+   (no later rollback step touches metadata). *)
+let restore_metadata (vm : State.t) txn =
+  let reg = vm.State.reg in
+  for cid = txn.tx_n_classes to reg.Rt.n_classes - 1 do
+    reg.Rt.classes.(cid) <- Rt.dummy_class
+  done;
+  for uid = txn.tx_n_methods to reg.Rt.n_methods - 1 do
+    reg.Rt.methods.(uid) <- Rt.dummy_method
+  done;
+  reg.Rt.n_classes <- txn.tx_n_classes;
+  reg.Rt.n_methods <- txn.tx_n_methods;
+  Array.iteri
+    (fun cid cs ->
+      let c = reg.Rt.classes.(cid) in
+      c.Rt.name <- cs.cs_name;
+      c.Rt.valid <- cs.cs_valid)
+    txn.tx_classes;
+  Array.iteri
+    (fun uid ms ->
+      let m = reg.Rt.methods.(uid) in
+      m.Rt.bytecode <- ms.ms_bytecode;
+      m.Rt.max_locals <- ms.ms_max_locals;
+      m.Rt.base_code <- ms.ms_base;
+      m.Rt.opt_code <- ms.ms_opt;
+      m.Rt.invocations <- ms.ms_invocations;
+      m.Rt.m_valid <- ms.ms_valid)
+    txn.tx_methods;
+  Hashtbl.reset reg.Rt.by_name;
+  Hashtbl.iter (Hashtbl.replace reg.Rt.by_name) txn.tx_by_name;
+  reg.Rt.epoch <- txn.tx_epoch;
+  audit vm txn

@@ -1,9 +1,10 @@
 (** The update transaction: snapshot of everything an update mutates
     (registry shape, per-class/per-method mutable fields, the name table,
-    the JTOC statics area), exact restoration on abort, and a
+    the JTOC statics area), the restore steps of a rollback, and the
     post-rollback audit.  The JTOC snapshot is registered as an extra GC
     root while the transaction is open so its references survive and
-    track every collection.  See [Updater.apply]. *)
+    track every collection.  [Updater.rollback] runs the restore
+    sequence; see [Updater.apply]. *)
 
 module State = Jv_vm.State
 
@@ -12,7 +13,7 @@ type t
 val capture : State.t -> t
 (** Open a transaction.  Registers the statics snapshot as an extra GC
     root; every capture must be paired with exactly one {!commit} or
-    {!rollback}. *)
+    {!restore_statics}. *)
 
 val commit : State.t -> t -> unit
 (** The update applied: drop the snapshot root and the in-flight update
@@ -31,20 +32,11 @@ val release_retained : State.t -> unit
     flight in a draining lazy window, whose finalize collects instead.
     Idempotent. *)
 
-val rollback_heap : ?plan:Jv_vm.Gc.transform_plan -> State.t ->
-  Jv_vm.Gc.result option
-(** Undo the transforming pass with one collection that chases the
-    in-flight log's redirect (new object → pristine old copy), plus an
-    inverse [plan] for a lazy window.  Takes the log off the VM's roots
-    first, so the collection does not redirect the log's own slots.
-    [None] when there was no log, or an empty one and no plan: no
-    collection ran. *)
+val restore_statics : State.t -> t -> unit
+(** Put the statics back, zero every slot the update appended, and drop
+    the snapshot root: the first step of [Updater.rollback]. *)
 
-val rollback : State.t -> t -> unit
-(** Restore metadata and statics, then {!rollback_heap} (a no-op when
-    the transforming collection never ran, or a lazy rollback already
-    undid the heap). *)
-
-val audit : State.t -> t -> (unit, string) result
-(** Is the metadata exactly the snapshot again?  [Error why] names the
-    first discrepancy (a half-installed class table). *)
+val restore_metadata : State.t -> t -> (unit, string) result
+(** Truncate the appended class and method ids and put back every saved
+    field and the name table, then audit: [Error why] names the first
+    discrepancy (a half-installed class table). *)

@@ -674,14 +674,14 @@ let replay_retained vm (spec : Spec.t) fwd_log : int =
    verbatim pristine copy carries a copy tag ([Heap.make_copy_tag]) so
    neither the barrier nor the sweeper touches it again, and the (copy,
    replacement) pair goes into the window's update log — the same shape
-   the eager transforming collection produces, so [Txn.rollback] and the
+   the eager transforming collection produces, so [rollback] and the
    guard window's inverse-update replay work unchanged.
 
    The commit's [Txn] stays open for the life of the window.  It commits
    when the last pending object has been transformed ([lazy_finalize]);
    a residual transformer failure instead parks the faulting thread
    (B_dsu) and the next scheduler round rolls the whole window back
-   ([lazy_rollback]). *)
+   through [rollback], with the inverse plan ([lazy_rollback]). *)
 
 type lazy_via = L_barrier | L_sweep | L_force
 
@@ -856,20 +856,6 @@ let sweep_pass vm (ctx : lazy_ctx) ~budget =
   && ctx.lz_cursor >= heap.Heap.free
   && ctx.lz_cursor_gc = heap.Heap.gc_count
 
-(* Restore the plain epoch tag on every surviving update-log copy: after
-   a rollback the copies ARE the live objects again, and a later window
-   must not skip them as pristine copies. *)
-let scrub_copy_tags vm =
-  let heap = vm.State.heap in
-  let scan = ref 1 in
-  while !scan < heap.Heap.free do
-    let addr = !scan in
-    let gcw = heap.Heap.space.(addr + Heap.off_gc) in
-    if Heap.is_copy_tag gcw then
-      heap.Heap.space.(addr + Heap.off_gc) <- Heap.copy_tag_epoch gcw;
-    scan := addr + Gc.obj_size vm heap.Heap.space addr
-  done
-
 (* Every pending object has been transformed: commit the transaction
    that has been open since the pause.  The log leaves the in-flight
    slot; a guard window still retaining it keeps it rooted. *)
@@ -930,6 +916,13 @@ let lazy_untransform_defaults vm spec inv_log =
     done
   done
 
+(* A failed walk for an abort reason: the issue count and the first. *)
+let found_issues (rep : Jv_vm.Heapverify.report) =
+  Printf.sprintf "heap verify found %d issue(s): %s" rep.hv_total_issues
+    (match rep.hv_issues with
+    | i :: _ -> Jv_vm.Heapverify.issue_to_string i
+    | [] -> "?")
+
 (* The post-transform heap integrity walk.  The update log's old copies
    are the one place stale-class instances may legally survive. *)
 let verify_transformed vm log =
@@ -940,146 +933,164 @@ let verify_transformed vm log =
       ("objects", Jv_obs.Obs.Int rep.Jv_vm.Heapverify.hv_objects);
       ("issues", Jv_obs.Obs.Int rep.Jv_vm.Heapverify.hv_total_issues);
     ];
-  if not rep.Jv_vm.Heapverify.hv_ok then begin
+  if not rep.Jv_vm.Heapverify.hv_ok then
     let msgs =
       List.map Jv_vm.Heapverify.issue_to_string rep.Jv_vm.Heapverify.hv_issues
     in
-    raise
-      (Update_failure
-         ( C_heap_verify msgs,
-           Printf.sprintf "heap verify found %d issue(s): %s"
-             rep.Jv_vm.Heapverify.hv_total_issues
-             (match msgs with m :: _ -> m | [] -> "?") ))
-  end
+    raise (Update_failure (C_heap_verify msgs, found_issues rep))
 
-(* Restore the pre-update snapshot and audit it: (restored, note), the
-   note explaining a failure. *)
-let txn_rollback vm txn =
-  match Txn.rollback vm txn with
-  | () -> (
-      match Txn.audit vm txn with
-      | Ok () -> (true, "")
-      | Error why -> (false, "; audit: " ^ why))
-  | exception ex -> (false, "; rollback raised: " ^ Printexc.to_string ex)
+(* --- the rollback ------------------------------------------------------------
 
-(* Re-verify a restored heap: a rollback that leaves ill-typed references
-   standing is no rollback at all — reporting it as unreliable is what
-   routes the instance into the fleet's quarantine policy. *)
-let verify_rollback vm (rolled_back, note) =
-  if rolled_back && vm.State.config.verify_heap then begin
-    let rep = Jv_vm.Heapverify.run vm in
-    if rep.Jv_vm.Heapverify.hv_ok then (rolled_back, note)
-    else begin
-      Jv_obs.Obs.incr vm.State.obs "core.update.post_rollback_verify_failures";
-      ( false,
-        note
-        ^ Printf.sprintf "; post-rollback heap verify found %d issue(s): %s"
-            rep.Jv_vm.Heapverify.hv_total_issues
-            (match rep.Jv_vm.Heapverify.hv_issues with
-            | i :: _ -> Jv_vm.Heapverify.issue_to_string i
-            | [] -> "?") )
-    end
-  end
-  else (rolled_back, note)
+   One sequence undoes an update, whoever aborts it: [apply]'s failure
+   handler, or a lazy window after the app ran on the new version.  The
+   statics go back first, so nothing the update allocated stays
+   reachable through its appended slots.  One collection on the
+   still-installed metadata then chases the log's redirect (new object →
+   pristine old copy), with a window's inverse plan for the new-version
+   objects the app allocated (they are in no log).  The metadata goes
+   back last; the collector reads class tables only for live objects,
+   so this one order serves both modes. *)
+
+type rollback_of =
+  | Abort of phase (* [apply]'s failure handler, failing in [phase] *)
+  | Window of Spec.t * Gc.transform_plan (* a lazy window's spec and plan *)
+
+let rollback vm txn ~reason (of_ : rollback_of) : State.rollback =
+  let obs = vm.State.obs in
+  let t0 = now () in
+  let inverse =
+    match of_ with
+    | Abort _ -> None
+    | Window (spec, plan) ->
+        let inv = Array.make vm.State.reg.Rt.n_classes (-1) in
+        Array.iteri (fun o n -> if n >= 0 then inv.(n) <- o) plan;
+        Some (spec, inv)
+  in
+  let restored =
+    try
+      Txn.restore_statics vm txn;
+      (* off the roots, or the log's own slots would be redirected *)
+      let log = vm.State.update_log in
+      vm.State.update_log <- None;
+      (match log with
+      | Some log when inverse <> None || Update_log.pairs log > 0 ->
+          (* the old copies are live objects again: drop the pristine-copy
+             tag a lazy window gave them, or a later window would skip
+             them (an eager collection's copies keep their originals'
+             plain tags) *)
+          let space = vm.State.heap.Heap.space in
+          for i = 0 to Update_log.pairs log - 1 do
+            let gcw = Update_log.old_copy log i + Heap.off_gc in
+            if Heap.is_copy_tag space.(gcw) then
+              space.(gcw) <- Heap.copy_tag_epoch space.(gcw)
+          done;
+          let r =
+            Gc.collect ?plan:(Option.map snd inverse)
+              ~redirect:(Update_log.redirect log) vm
+          in
+          Option.iter
+            (fun (spec, _) -> lazy_untransform_defaults vm spec r.Gc.update_log)
+            inverse
+      | _ -> ());
+      let audit = Txn.restore_metadata vm txn in
+      (* the inverse collection's snapshots: their class ids dangle now *)
+      if inverse <> None then ignore (Gc.collect vm);
+      Result.map_error (fun why -> "; audit: " ^ why) audit
+    with ex -> Error ("; rollback raised: " ^ Printexc.to_string ex)
+  in
+  (* a rollback that leaves ill-typed references standing is no rollback
+     at all: its untrusted verdict routes the instance into quarantine *)
+  let failure =
+    match restored with
+    | Ok () when vm.State.config.verify_heap ->
+        let rep = Jv_vm.Heapverify.run vm in
+        if rep.Jv_vm.Heapverify.hv_ok then None
+        else begin
+          Jv_obs.Obs.incr obs "core.update.post_rollback_verify_failures";
+          Some ("; post-rollback " ^ found_issues rep)
+        end
+    | Ok () -> None
+    | Error note -> Some note
+  in
+  let ok = failure = None and note = Option.value failure ~default:"" in
+  let ms = (now () -. t0) *. 1000.0 in
+  let counters, mode =
+    match of_ with
+    | Abort p ->
+        ( "core.update",
+          [ ("mode", Jv_obs.Obs.Str "eager");
+            ("phase", Jv_obs.Obs.Str (phase_to_string p)) ] )
+    | Window _ -> ("core.lazy", [ ("mode", Jv_obs.Obs.Str "lazy") ])
+  in
+  Jv_obs.Obs.incr obs (counters ^ ".rollbacks");
+  Jv_obs.Obs.observe obs (counters ^ ".rollback_ms") ms;
+  Jv_obs.Obs.emit obs ~scope:"core.update" "update.rollback"
+    (mode
+    @ [
+        ("reason", Jv_obs.Obs.Str reason);
+        ("ok", Jv_obs.Obs.Str (string_of_bool ok));
+        ("note", Jv_obs.Obs.Str note);
+        ("ms", Jv_obs.Obs.Float ms);
+      ]);
+  { State.rb_ok = ok; rb_note = note; rb_ms = ms }
 
 (* Roll the whole window back: the VM resumes on the old version as if
    the update never committed.  Unlike the eager failure path the app
-   has been RUNNING on the new version, so this needs a DSU-grade sync:
-   the restricted set is recomputed against current (new) metadata — a
-   thread inside a changed method cannot survive the metadata swap — and
-   a blocked check parks behind return barriers and retries next round.
-   [force] overrides that after the retry budget is spent (counted as
-   unsafe frames).
-
-   Heap restoration runs as ONE collection doing double duty before the
-   metadata swap: the window log's redirects send every reference that
-   landed on a transformed replacement back to its pristine copy, and an
-   inverse transform plan (new cid -> old cid) replaces app-allocated
-   new-version instances with default-untransformed old-layout objects.
-   After the metadata swap a plain collection flushes the garbage this
-   left behind (its class ids dangle once the registry is truncated). *)
-let lazy_rollback vm (ctx : lazy_ctx) ~force : bool =
-  let reason =
-    match ctx.lz_s.abort with Some (_, r) -> r | None -> "lazy window rollback"
-  in
-  let restricted = Safepoint.compute vm ctx.lz_s.ot_spec in
-  match Safepoint.check vm restricted with
-  | Safepoint.Blocked stuck when not force ->
-      ignore (Safepoint.install_barriers stuck : int);
-      Safepoint.unpark_stuck stuck;
-      false
-  | res ->
-      let osr_frames, forced_through =
-        match res with
-        | Safepoint.Safe frames -> (frames, false)
-        | Safepoint.Blocked _ -> ([], true)
-      in
-      let li = ctx.lz_info in
-      let obs = vm.State.obs in
-      let t0 = now () in
-      end_session vm ctx.lz_s;
-      (* the guard window (if any) rode on this log and dies with it *)
-      if ctx.lz_guarded then begin
-        vm.State.guard_retained <- None;
-        vm.State.guard_tick <- None
-      end;
-      (* 1: the combined redirect + inverse-transform collection (still
-         on new metadata) *)
-      let inv_plan = Array.make vm.State.reg.Rt.n_classes (-1) in
-      Array.iteri
-        (fun old_cid new_cid ->
-          if new_cid >= 0 then inv_plan.(new_cid) <- old_cid)
-        li.State.li_plan;
-      Option.iter
-        (fun (r : Gc.result) ->
-          lazy_untransform_defaults vm ctx.lz_s.ot_spec r.Gc.update_log)
-        (Txn.rollback_heap ~plan:inv_plan vm);
-      (* 2: the copies the redirect restored are live again *)
-      scrub_copy_tags vm;
-      (* 3: metadata + statics back to the snapshot (no heap pass: step 1
-         already did it) *)
-      let rolled_back, note = txn_rollback vm ctx.lz_txn in
-      (* 4: flush the inverse collection's own snapshots (their class ids
-         dangle now that the registry is truncated) *)
-      ignore (Gc.collect vm);
-      (* 5: lift stale-code frames onto the restored metadata *)
-      let osr_failures = ref 0 in
-      List.iter
-        (fun fr ->
-          try Osr.replace_frame vm fr
-          with Osr.Osr_failed _ -> incr osr_failures)
-        osr_frames;
-      Safepoint.clear_barriers vm;
-      Safepoint.release_parked vm;
-      if forced_through then
+   has been RUNNING on the new version, so this needs a DSU-grade [sync]
+   against current (new) metadata — a thread inside a changed method
+   cannot survive the metadata swap.  A [Blocked] sync the caller forces
+   through lifts no frames (counted as unsafe frames).  Stale-code frames
+   are lifted onto the restored metadata after [rollback]: the heap
+   verifier reads no frames. *)
+let lazy_rollback vm (ctx : lazy_ctx) ~reason sync : State.rollback =
+  let obs = vm.State.obs in
+  let osr_frames =
+    match sync with
+    | Safepoint.Safe frames -> frames
+    | Safepoint.Blocked _ ->
         Jv_obs.Obs.incr obs "core.lazy.rollback_unsafe_frames";
-      let rolled_back, note = verify_rollback vm (rolled_back, note) in
-      let ms = (now () -. t0) *. 1000.0 in
-      Jv_obs.Obs.incr obs "core.lazy.rollbacks";
-      Jv_obs.Obs.observe obs "core.lazy.rollback_ms" ms;
-      Jv_obs.Obs.emit obs ~scope:"core.lazy" "lazy.rollback"
-        [
-          ("reason", Jv_obs.Obs.Str reason);
-          ("ok", Jv_obs.Obs.Str (string_of_bool rolled_back));
-          ("transformed", Jv_obs.Obs.Int li.State.li_transformed);
-          ("forced", Jv_obs.Obs.Str (string_of_bool forced_through));
-          ("osr_failures", Jv_obs.Obs.Int !osr_failures);
-          ("note", Jv_obs.Obs.Str note);
-          ("ms", Jv_obs.Obs.Float ms);
-        ];
-      true
+        []
+  in
+  end_session vm ctx.lz_s;
+  (* the guard window (if any) rode on this log and dies with it *)
+  if ctx.lz_guarded then begin
+    vm.State.guard_retained <- None;
+    vm.State.guard_tick <- None
+  end;
+  let verdict =
+    rollback vm ctx.lz_txn ~reason
+      (Window (ctx.lz_s.ot_spec, ctx.lz_info.State.li_plan))
+  in
+  List.iter
+    (fun fr ->
+      try Osr.replace_frame vm fr
+      with Osr.Osr_failed _ ->
+        Jv_obs.Obs.incr obs "core.lazy.rollback_osr_failures")
+    osr_frames;
+  Safepoint.clear_barriers vm;
+  Safepoint.release_parked vm;
+  verdict
+
+(* The safe-point check a window rollback needs, against the restricted
+   set of the update it undoes. *)
+let window_sync vm (ctx : lazy_ctx) =
+  Safepoint.check vm (Safepoint.compute vm ctx.lz_s.ot_spec)
 
 (* The per-round hook ([State.lazy_info.li_sweep]): roll back if
-   aborting, else sweep one budget's worth and finalize on completion.
-   An [indirection_mode] VM does not sweep: its objects migrate only
-   when dereferenced, and its window stays open until the next update
-   drains it. *)
+   aborting — a blocked sync parks behind return barriers and retries
+   next round, until the retry budget is spent — else sweep one budget's
+   worth and finalize on completion.  An [indirection_mode] VM does not
+   sweep: its objects migrate only when dereferenced, and its window
+   stays open until the next update drains it. *)
 let lazy_round (ctx : lazy_ctx) vm =
   match ctx.lz_s.abort with
-  | Some _ ->
+  | Some (_, reason) -> (
       ctx.lz_abort_attempts <- ctx.lz_abort_attempts + 1;
-      ignore
-        (lazy_rollback vm ctx ~force:(ctx.lz_abort_attempts > 200) : bool)
+      match window_sync vm ctx with
+      | Safepoint.Blocked stuck when ctx.lz_abort_attempts <= 200 ->
+          ignore (Safepoint.install_barriers stuck : int);
+          Safepoint.unpark_stuck stuck
+      | sync -> ignore (lazy_rollback vm ctx ~reason sync : State.rollback))
   | None ->
       if not vm.State.config.indirection_mode then begin
         let budget = max 1 vm.State.config.lazy_sweep_budget in
@@ -1088,19 +1099,16 @@ let lazy_round (ctx : lazy_ctx) vm =
 
 (* Synchronous drain ([State.lazy_info.li_drain]): force every residual
    transform now — a new update, or the guard's inverse update, needs
-   the window resolved before it can install metadata.  Returns false
-   when a residual transformer trapped and the window rolled back
-   instead. *)
+   the window resolved before it can install metadata.  [Error] carries
+   the verdict when a residual transformer trapped and the window rolled
+   back instead, forced through a blocked sync. *)
 let rec lazy_drain_now (ctx : lazy_ctx) vm =
-  if ctx.lz_s.abort <> None then begin
-    ignore (lazy_rollback vm ctx ~force:true : bool);
-    false
-  end
-  else if sweep_pass vm ctx ~budget:max_int then begin
-    lazy_finalize vm ctx;
-    true
-  end
-  else lazy_drain_now ctx vm
+  match ctx.lz_s.abort with
+  | Some (_, reason) ->
+      Error (lazy_rollback vm ctx ~reason (window_sync vm ctx))
+  | None ->
+      if sweep_pass vm ctx ~budget:max_int then Ok (lazy_finalize vm ctx)
+      else lazy_drain_now ctx vm
 
 (* Open the window over session [s]: its hooks ride on the lazy info,
    so installing it installs the barrier, the sweeper and the drain at
@@ -1181,7 +1189,7 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
   (* a still-draining lazy window from a previous update must resolve
      before new metadata can install on top of it; proceed either way —
      a drain-time rollback leaves the VM cleanly on the older version *)
-  ignore (State.drain_window vm : bool);
+  ignore (State.drain_window vm : (unit, State.rollback) result);
   let spec = p.Transformers.p_spec in
   (* a guard revert must be eager: the inverse replay reads restored
      objects immediately after the transforming collection *)
@@ -1388,46 +1396,22 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
             Txn.commit vm txn;
             raise e
       in
-      let rt0 = now () in
       (* a lazy commit that failed before opening the window: the world
          never resumed, so the pairs made so far roll back exactly like
          an eager log — detach the half-built window first *)
-      let lazy_pairs =
-        match !lazy_ctx_r with
-        | Some lctx ->
-            end_session vm lctx.lz_s;
-            Update_log.pairs lctx.lz_info.State.li_log
-        | None -> 0
-      in
+      Option.iter (fun lctx -> end_session vm lctx.lz_s) !lazy_ctx_r;
       (match !frame_snaps with
       | [] -> ()
       | snaps -> List.iter2 restore_frame osr_frames snaps);
-      let rolled_back, rollback_note = txn_rollback vm txn in
-      (* the redirect collection restored lazy pairs from their pristine
-         copies, which still carry copy tags: make them plain live
-         objects again or a later window would skip them *)
-      if rolled_back && lazy_pairs > 0 then scrub_copy_tags vm;
-      let rolled_back, rollback_note =
-        verify_rollback vm (rolled_back, rollback_note)
-      in
+      let v = rollback vm txn ~reason (Abort !phase) in
       (match killed_at with
       | Some pt -> vm.State.killed <- Some pt
       | None -> ());
-      let rollback_ms = (now () -. rt0) *. 1000.0 in
-      Jv_obs.Obs.incr obs "core.update.rollbacks";
-      Jv_obs.Obs.observe obs "core.update.rollback_ms" rollback_ms;
-      Jv_obs.Obs.emit obs ~scope:"core.update" "update.rollback"
-        [
-          ("phase", Jv_obs.Obs.Str (phase_to_string !phase));
-          ("reason", Jv_obs.Obs.Str reason);
-          ("ok", Jv_obs.Obs.Str (string_of_bool rolled_back));
-          ("ms", Jv_obs.Obs.Float rollback_ms);
-        ];
       Error
         {
           a_phase = !phase;
-          a_reason = reason ^ rollback_note;
+          a_reason = reason ^ v.State.rb_note;
           a_cause = cause;
-          a_rolled_back = rolled_back;
-          a_rollback_ms = rollback_ms;
+          a_rolled_back = v.State.rb_ok;
+          a_rollback_ms = v.State.rb_ms;
         }

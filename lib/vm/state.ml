@@ -141,6 +141,11 @@ type sandbox = {
   mutable sb_watermark_gc : int; (* gc_count the watermark belongs to *)
 }
 
+(* A rollback's verdict: [rb_ok] when the restored metadata audits exact
+   and, with [verify_heap], the heap re-verifies; [rb_note] explains a
+   failure. *)
+type rollback = { rb_ok : bool; rb_note : string; rb_ms : float }
+
 (* Bookkeeping for an open lazy update window: the commit flipped
    metadata and bumped the heap epoch but left old-epoch objects in
    place, to be transformed on first access (read barrier) or by the
@@ -162,7 +167,9 @@ type lazy_info = {
          operand stack, the scratch root): chases lazy-forward markers,
          transforms a pending old-epoch object, rewrites the slot *)
   li_sweep : t -> unit; (* per round: visit [lazy_sweep_budget] objects *)
-  li_drain : t -> bool; (* force every residual transform now *)
+  li_drain : t -> (unit, rollback) result;
+      (* force every residual transform now; [Error] when a residual
+         transformer trapped and the window rolled back instead *)
 }
 
 and t = {
@@ -256,10 +263,11 @@ and native_fn = t -> vthread -> int array -> native_result
 let lazy_target li cid =
   if cid < Array.length li.li_plan then li.li_plan.(cid) else -1
 
-(* Resolve the open lazy window, if any, by draining it: false when a
-   residual transformer trapped and the window rolled back instead. *)
+(* Resolve the open lazy window, if any, by draining it: [Error] with
+   the rollback's verdict when a residual transformer trapped and the
+   window rolled back instead. *)
 let drain_window vm =
-  match vm.lazy_info with Some li -> li.li_drain vm | None -> true
+  match vm.lazy_info with Some li -> li.li_drain vm | None -> Ok ()
 
 exception Vm_fatal of string
 

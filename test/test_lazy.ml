@@ -110,7 +110,7 @@ let residue_count vm =
   done;
   !n
 
-let drain vm = VM.State.drain_window vm
+let drain vm = Result.is_ok (VM.State.drain_window vm)
 
 let check_clean vm label =
   Alcotest.(check int) (label ^ ": zero lazy residue") 0 (residue_count vm);
@@ -673,7 +673,10 @@ let check_refused vm label =
   let reasons =
     List.filter_map
       (fun (e : Obs.event) ->
-        if e.Obs.ev_name = "lazy.rollback" then
+        if
+          e.Obs.ev_name = "update.rollback"
+          && List.assoc_opt "mode" e.Obs.ev_fields = Some (Obs.Str "lazy")
+        then
           match List.assoc_opt "reason" e.Obs.ev_fields with
           | Some (Obs.Str r) -> Some r
           | _ -> None
@@ -685,7 +688,7 @@ let check_refused vm label =
       if not (Helpers.contains r "sandbox:") then
         Alcotest.failf "%s: rollback reason is not a sandbox violation: %S"
           label r
-  | rs -> Alcotest.failf "%s: %d lazy.rollback events" label (List.length rs));
+  | rs -> Alcotest.failf "%s: %d lazy rollback events" label (List.length rs));
   check_clean vm label
 
 let sum_1_to n = n * (n + 1) / 2
@@ -759,8 +762,202 @@ let guard_index_follows_log () =
   VM.Update_log.push log ~old_copy:o2 ~new_addr:n2;
   Alcotest.(check bool) "re-appended, admitted again" true (may n2)
 
+(* --- inverse ∘ update = identity on the heap -------------------------------
+
+   An idle VM (main has returned: no mutator runs between the
+   snapshots) whose heap mixes changed boxes, an unchanged holder, a
+   reference array and strings.  Every rollback, eager or lazy, must
+   leave a heap that a plain collection lays out word for word as it did
+   before the update.  Gc words are masked: a lazy commit's epoch bump
+   is not undone. *)
+
+let identity_src ~v2 =
+  Printf.sprintf
+    {|
+class Box { int a; Box next; String s; %s}
+class Holder { Box first; Box[] some; int n; }
+class Keeper { static Holder hold; static Box[] all; static String name; }
+%s
+class Main {
+  static void main() {
+    Keeper.all = new Box[%d];
+    Box prev = null;
+    for (int i = 0; i < %d; i = i + 1) {
+      Box b = new Box();
+      b.a = i;
+      b.next = prev;
+      if (i %% 3 == 0) { b.s = "s" + i; }
+      Keeper.all[i] = b;
+      prev = b;
+    }
+    Holder h = new Holder();
+    h.first = prev;
+    h.some = new Box[3];
+    h.some[0] = Keeper.all[7];
+    h.some[2] = Keeper.all[11];
+    h.n = 42;
+    Keeper.hold = h;
+    Keeper.name = "idle";
+  }
+}
+|}
+    (if v2 then "int b; " else "")
+    (if v2 then "class Tag { int t; }" else "")
+    n_boxes n_boxes
+
+let identity_spec () =
+  let compile v2 = Jv_lang.Compile.compile_program (identity_src ~v2) in
+  J.Spec.make ~version_tag:"id" ~old_program:(compile false)
+    ~new_program:(compile true) ()
+
+let boot_idle ~config =
+  let vm = Helpers.run_source ~config (identity_src ~v2:false) in
+  Alcotest.(check bool) "main returned" true
+    (List.for_all
+       (fun (t : VM.State.vthread) -> t.VM.State.frames = [])
+       vm.VM.State.threads);
+  vm
+
+(* The [update.rollback] events so far, as (mode, phase) pairs ("" for
+   no phase field). *)
+let rollback_events vm =
+  List.filter_map
+    (fun (e : Obs.event) ->
+      if e.Obs.ev_name <> "update.rollback" then None
+      else
+        let str k =
+          match List.assoc_opt k e.Obs.ev_fields with
+          | Some (Obs.Str v) -> v
+          | _ -> ""
+        in
+        Some (str "mode", str "phase"))
+    (Obs.events vm.VM.State.obs)
+
+(* Collect, then digest the statics and the live heap with every gc
+   word zeroed. *)
+let live_digest vm =
+  ignore (VM.Gc.collect vm : VM.Gc.result);
+  let heap = vm.VM.State.heap in
+  let words = Array.sub heap.VM.Heap.space 0 heap.VM.Heap.free in
+  let scan = ref 1 in
+  while !scan < heap.VM.Heap.free do
+    words.(!scan + VM.Heap.off_gc) <- 0;
+    scan := !scan + VM.Gc.obj_size vm heap.VM.Heap.space !scan
+  done;
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (words, Array.sub vm.VM.State.jtoc 0 vm.VM.State.jtoc_n)
+          []))
+
+let rollback_is_identity () =
+  let one_fault point =
+    let plan = Faults.create ~seed:3 () in
+    Faults.arm plan ~point ~max_fires:1 Faults.Raise;
+    plan
+  in
+  List.iter
+    (fun point ->
+      let vm = boot_idle ~config:Helpers.test_config in
+      let before = live_digest vm in
+      VM.Vm.set_faults vm (Some (one_fault point));
+      let h = J.Jvolve.update_now ~timeout_rounds:100 vm (identity_spec ()) in
+      VM.Vm.set_faults vm None;
+      (match h.J.Jvolve.h_outcome with
+      | J.Jvolve.Aborted a ->
+          Alcotest.(check bool) (point ^ ": rolled back") true
+            a.J.Updater.a_rolled_back
+      | o ->
+          Alcotest.failf "%s: expected an abort, got %s" point
+            (J.Jvolve.outcome_to_string o));
+      Alcotest.(check (list (pair string string)))
+        (point ^ ": one eager rollback event")
+        [ ("eager", String.sub point 8 (String.length point - 8)) ]
+        (rollback_events vm);
+      Alcotest.(check string) (point ^ ": heap digest") before
+        (live_digest vm))
+    [ "updater.load"; "updater.gc"; "updater.transform"; "updater.osr" ];
+  (* a lazy window rolled back by a residual transformer trap *)
+  let vm = boot_idle ~config:(lazy_config ~budget:1 ()) in
+  let before = live_digest vm in
+  let h = J.Jvolve.update_now ~timeout_rounds:100 vm (identity_spec ()) in
+  Alcotest.(check bool) "lazy: applied" true (J.Jvolve.succeeded h);
+  (* the crawling sweeper migrates part of the heap first, so the
+     rollback has pairs to redirect as well as pending boxes *)
+  let li = lazy_info vm in
+  let budget = ref 500 in
+  while li.VM.State.li_transformed < n_boxes / 2 && !budget > 0 do
+    VM.Vm.run vm ~rounds:1;
+    decr budget
+  done;
+  Alcotest.(check bool) "lazy: window half transformed" true
+    (li.VM.State.li_transformed >= n_boxes / 2
+    && li.VM.State.li_transformed < n_boxes);
+  VM.Vm.set_faults vm (Some (one_fault "transformer.throw"));
+  Alcotest.(check bool) "lazy: drain rolls back" false (drain vm);
+  VM.Vm.set_faults vm None;
+  Alcotest.(check int) "lazy: rolled back" 1
+    (Obs.counter_value vm.VM.State.obs "core.lazy.rollbacks");
+  Alcotest.(check (list (pair string string)))
+    "lazy: one lazy rollback event" [ ("lazy", "") ] (rollback_events vm);
+  Alcotest.(check string) "lazy: heap digest" before (live_digest vm)
+
+(* A guard trip whose drain rolls the window back onto a heap the
+   verifier rejects: the rollback's verdict is untrusted, so the guard
+   cycle must end as an abort without rollback, not as a clean revert
+   (which would keep the instance out of the fleet's quarantine). *)
+let dirty_rollback_is_not_a_revert () =
+  let config =
+    { (lazy_config ~budget:1 ()) with VM.State.verify_heap = true }
+  in
+  let vm = boot_idle ~config in
+  let h =
+    J.Jvolve.update_now ~timeout_rounds:100 ~guard:(J.Guard.config ()) vm
+      (identity_spec ())
+  in
+  Alcotest.(check bool) "applied" true (J.Jvolve.succeeded h);
+  ignore (lazy_info vm);
+  (* Holder.first : Box now holds the holder itself *)
+  let reg = vm.VM.State.reg in
+  let keeper = VM.Rt.require_class reg "Keeper" in
+  let hold =
+    Array.to_list keeper.VM.Rt.static_fields
+    |> List.find (fun (si : VM.Rt.static_info) ->
+           String.equal si.VM.Rt.si_name "hold")
+  in
+  let holder = VM.Value.to_ref (VM.State.jtoc_get vm hold.VM.Rt.si_slot) in
+  let first =
+    match
+      VM.Rt.find_field_info (VM.Rt.require_class reg "Holder") "first"
+    with
+    | Some fi -> fi.VM.Rt.fi_offset
+    | None -> Alcotest.fail "no Holder.first"
+  in
+  VM.Heap.set vm.VM.State.heap ~addr:holder ~off:first
+    (VM.Value.of_ref holder);
+  let plan = Faults.create ~seed:3 () in
+  Faults.arm plan ~point:"transformer.throw" ~max_fires:1 Faults.Raise;
+  VM.Vm.set_faults vm (Some plan);
+  J.Jvolve.force_trip vm h ~reason:"test: trip over a corrupted heap";
+  VM.Vm.set_faults vm None;
+  match J.Jvolve.run_to_guard_close vm h with
+  | J.Jvolve.Aborted a ->
+      Alcotest.(check string) "guard phase" "guard"
+        (J.Updater.phase_to_string a.J.Updater.a_phase);
+      Alcotest.(check bool) "rollback untrusted" false
+        a.J.Updater.a_rolled_back;
+      Alcotest.(check bool) "reason names the post-rollback verify" true
+        (Helpers.contains a.J.Updater.a_reason "post-rollback")
+  | o ->
+      Alcotest.failf "expected an untrusted abort, got %s"
+        (J.Jvolve.outcome_to_string o)
+
 let suite =
   [
+    Alcotest.test_case "rollback is the identity on the heap" `Quick
+      rollback_is_identity;
+    Alcotest.test_case "dirty window rollback under a guard is no revert"
+      `Quick dirty_rollback_is_not_a_revert;
     Alcotest.test_case "lazy barrier transforms exactly once" `Quick
       barrier_fires_once;
     Alcotest.test_case "sweeper converges to quiescence" `Quick

@@ -657,7 +657,7 @@ let diff_run ?(confree = true) ?(interpret = false) ~lazy_mode ~warmup
      the barrier must make that invisible *)
   diff_drive vm d buf;
   if lazy_mode then begin
-    if not (VM.State.drain_window vm) then
+    if Result.is_error (VM.State.drain_window vm) then
       QCheck.Test.fail_reportf "%s %s->%s: lazy drain rolled back"
         d.A.Experience.d_name from_version to_version;
     ignore (VM.Gc.collect vm);
@@ -824,7 +824,7 @@ let table1_case ~interpret ~lazy_mode () =
       (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome);
   if vm.VM.State.lazy_info <> None then
     Alcotest.(check bool) "lazy window drained" true
-      (VM.State.drain_window vm);
+      (Result.is_ok (VM.State.drain_window vm));
   let obs = vm.VM.State.obs in
   Alcotest.(check (pair int int))
     "(planned, interpreted) pairs"
