@@ -167,13 +167,18 @@ examples-smoke:
 	grep -q "(0 errors: true)" _build/examples-ftp.out
 
 # Benchmark-workload probe: one short run of the Table 1 migrate
-# workload (default transformers run as copy plans) and one of the lazy
-# ministore migration (custom transformers on the interpreter).  A run
-# whose output check fails (e.g. "every Change object transformed",
-# "sampled objects hold") exits non-zero and fails the target.
+# workload (default transformers run as copy plans), one of the lazy
+# ministore migration (custom transformers on the interpreter), and one
+# each of the two fleet workloads (a healed rolling rollout over shared
+# builds, and a gossiped one).  A run whose output check fails (e.g.
+# "every Change object transformed", "sampled objects hold", "rollout
+# ok", "no errors after the storm", convergence) exits non-zero and
+# fails the target.
 perf-smoke:
 	dune exec perf/main.exe -- run migrate --seed 1 --seconds 1
 	dune exec perf/main.exe -- run store-lazy --seed 1 --seconds 1
+	dune exec perf/main.exe -- run fleet-heal --seed 1 --seconds 1
+	dune exec perf/main.exe -- run fleet-gossip --seed 1 --seconds 1
 
 # Table 1 correctness probe: the quick Table 1 run (two heap sizes, every
 # updated fraction) checks each cell after its update — sampled Change

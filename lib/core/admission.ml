@@ -67,7 +67,7 @@ let same_names a b =
 
 let mref_names l = List.map Diff.mref_to_string l
 
-let review ?(confree = true) (p : Transformers.prepared) : report =
+let run_review ~confree (p : Transformers.prepared) : report =
   let t0 = Unix.gettimeofday () in
   let spec = p.Transformers.p_spec in
   let verdicts = ref [] in
@@ -117,8 +117,7 @@ let review ?(confree = true) (p : Transformers.prepared) : report =
   check "new-program" (fun c ->
       List.iter
         (fun e -> flag Reject c "%s" e)
-        (CF.Verifier.verify_program
-           (CF.Builtins.program_with spec.Spec.new_program)));
+        (Transformers.new_program_errors p));
   (* 4: stubs cover exactly the layout closure + deletions, and collide
      with nothing *)
   check "stubs" (fun c ->
@@ -160,10 +159,7 @@ let review ?(confree = true) (p : Transformers.prepared) : report =
       in
       (* errors inside the new program were already reported by check 3;
          only surface the ones this bundle adds *)
-      let base =
-        CF.Verifier.verify_program
-          (CF.Builtins.program_with spec.Spec.new_program)
-      in
+      let base = Transformers.new_program_errors p in
       CF.Verifier.verify_program ~mode:CF.Verifier.Transformer
         (CF.Builtins.program_with world)
       |> List.iter (fun e ->
@@ -238,7 +234,7 @@ let review ?(confree = true) (p : Transformers.prepared) : report =
      method is surfaced: the pin wins, the proof is shadowed. *)
   if confree then
     check "confree" (fun c ->
-        let proofs = Confree.analyze spec in
+        let proofs = Transformers.proofs p in
         List.iter
           (fun e -> flag Reject c "%s" e)
           (Confree.audit proofs spec);
@@ -255,3 +251,13 @@ let review ?(confree = true) (p : Transformers.prepared) : report =
     a_checks = !checks;
     a_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
   }
+
+type Transformers.memo += Review of bool * report
+
+(* The report depends only on the bundle and the [confree] flag: built
+   once per flag and shared by every request of the same value. *)
+let review ?(confree = true) p =
+  Transformers.memo p
+    ~get:(function Review (c, r) when c = confree -> Some r | _ -> None)
+    ~put:(fun r -> Review (confree, r))
+    (fun () -> run_review ~confree p)

@@ -28,7 +28,9 @@ val review : ?confree:bool -> Transformers.prepared -> report
     proof set against the bundle: every proof must re-validate its
     recorded obligations and the proven set must be closed under the
     call graph; blacklist entries shadowing a proof are surfaced as
-    warnings. *)
+    warnings.  The report is built once per [confree] flag and stored on
+    the prepared value: a later review of it returns the same report,
+    [a_ms] included. *)
 
 val rejections : strict:bool -> report -> string list
 (** The rendered verdicts that sink the update: every [Reject], plus

@@ -21,11 +21,12 @@
    [Txn.commit_retaining] and opens a [Guard] window — the scheduler then
    drives [Guard.tick] once per round via the [State.guard_tick] hook.  A
    clean close releases the retained update log; a trip launches the
-   inverse update ([Spec.inverse]) through this same attempt machinery,
-   replaying the retained log, and flips the original handle's outcome to
-   [Reverted].  A failure *during* the revert rolls forward to [Aborted]
-   in phase [P_guard] (the revert's own transaction rolled the VM back to
-   the new version, which keeps running). *)
+   inverse update ([Transformers.inverse], built once per prepared value
+   and shared by every VM that reverts it) through this same attempt
+   machinery, replaying the retained log, and flips the original handle's
+   outcome to [Reverted].  A failure *during* the revert rolls forward to
+   [Aborted] in phase [P_guard] (the revert's own transaction rolled the
+   VM back to the new version, which keeps running). *)
 
 module State = Jv_vm.State
 
@@ -67,7 +68,10 @@ let new_handle vm prepared ~timeout_rounds ~use_osr ~use_barriers ~guard
     ~revert_of =
   {
     h_prepared = prepared;
-    h_restricted = Safepoint.compute vm prepared.Transformers.p_spec;
+    h_restricted =
+      Safepoint.compute
+        ~proofs:(fun () -> Transformers.proofs prepared)
+        vm prepared.Transformers.p_spec;
     h_requested_at = vm.State.ticks;
     h_deadline = vm.State.ticks + timeout_rounds;
     h_timeout_rounds = timeout_rounds;
@@ -325,12 +329,11 @@ and start_revert vm h v =
    transforming collection runs, so a still-draining lazy window is
    forced to completion first ([State.drain_window] above). *)
 and start_revert_eager vm h v =
-  let inv_spec = Spec.inverse h.h_prepared.Transformers.p_spec in
-  match Transformers.prepare inv_spec with
-  | exception Transformers.Prepare_error msg ->
+  match Transformers.inverse h.h_prepared with
+  | Error msg ->
       guard_abort vm h v ~rolled_back:false ~rollback_ms:0.0
         ("inverse prepare failed: " ^ msg)
-  | prepared ->
+  | Ok prepared ->
       if vm.State.dsu_attempt <> None then
         guard_abort vm h v ~rolled_back:false ~rollback_ms:0.0
           "revert blocked: another update is pending"
@@ -450,20 +453,22 @@ let request_spec ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard vm
   request ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard vm
     (Transformers.prepare spec)
 
-(* Convenience for tests and benchmarks: request the update and drive the
-   scheduler until it resolves (or [max_rounds] elapses). *)
-let update_now ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard
-    ?(max_rounds = 10_000) vm spec : handle =
-  let h =
-    request_spec ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard vm
-      spec
-  in
+(* Drive the scheduler until [h] resolves (or [max_rounds] elapses). *)
+let run_to_resolved ~max_rounds vm h =
   let n = ref 0 in
   while h.h_outcome = Pending && !n < max_rounds do
     Jv_vm.Sched.round vm;
     incr n
   done;
   h
+
+(* Convenience for tests and benchmarks: request the update and drive the
+   scheduler until it resolves (or [max_rounds] elapses). *)
+let update_now ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard
+    ?(max_rounds = 10_000) vm spec : handle =
+  run_to_resolved ~max_rounds vm
+    (request_spec ?timeout_rounds ?use_osr ?use_barriers ?admit_strict ?guard
+       vm spec)
 
 let guard_active h = h.h_guard_busy
 
@@ -478,22 +483,23 @@ let run_to_guard_close ?(max_rounds = 10_000) vm (h : handle) =
   done;
   h.h_outcome
 
-(* Replay a version ladder: apply each spec in order through the normal
-   request pipeline — admission, the update transaction and any guard
-   window all apply to every rung, exactly as they would have when the
-   releases originally shipped.  This is how a restarted fleet instance
-   catches up from its boot version to the fleet's current epoch.  Stops
-   at the first rung that fails to land (abort, revert or timeout);
-   [Error] carries the handles that did apply plus the failing one. *)
+(* Replay a version ladder: apply each prepared rung in order through
+   the normal request pipeline — admission, the update transaction and
+   any guard window all apply to every rung, exactly as they would have
+   when the releases originally shipped.  This is how a restarted fleet
+   instance catches up from its boot version to the fleet's current
+   epoch.  Stops at the first rung that fails to land (abort, revert or
+   timeout); [Error] carries the handles that did apply plus the failing
+   one. *)
 let run_ladder ?timeout_rounds ?guard ?(max_rounds_each = 10_000) vm
-    (specs : Spec.t list) :
+    (rungs : Transformers.prepared list) :
     (handle list, handle list * handle) result =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | spec :: rest -> (
+    | prepared :: rest -> (
         let h =
-          update_now ?timeout_rounds ?guard ~max_rounds:max_rounds_each vm
-            spec
+          run_to_resolved ~max_rounds:max_rounds_each vm
+            (request ?timeout_rounds ?guard vm prepared)
         in
         let outcome =
           if h.h_guard_busy then
@@ -504,7 +510,7 @@ let run_ladder ?timeout_rounds ?guard ?(max_rounds_each = 10_000) vm
         | Applied _ -> go (h :: acc) rest
         | Pending | Reverted _ | Aborted _ -> Error (List.rev acc, h))
   in
-  go [] specs
+  go [] rungs
 
 let resolved h =
   match h.h_outcome with

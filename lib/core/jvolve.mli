@@ -84,6 +84,11 @@ val request :
     [admit_strict] promotes [Warn] verdicts (e.g. a field silently
     changing type) to rejections.
 
+    The static work — the admission report, the con-freeness analysis
+    the restricted set subtracts, and a guard revert's inverse bundle —
+    is done once per [prepared] value ({!Transformers.memo}), so one
+    value requested on many VMs pays for it once.
+
     [guard] makes the commit guarded: see {!Guard} and
     {!run_to_guard_close}. *)
 
@@ -134,15 +139,15 @@ val run_ladder :
   ?guard:Guard.config ->
   ?max_rounds_each:int ->
   State.t ->
-  Spec.t list ->
+  Transformers.prepared list ->
   (handle list, handle list * handle) result
-(** Apply a version ladder hop by hop: each spec goes through the full
-    {!update_now} pipeline (admission, transaction, optional guard — the
-    window is driven to a clean close before the next hop starts).  Used
-    by fleet supervisors to catch a restarted baseline VM up to its
-    peers.  [Ok handles] when every hop applied; [Error (applied, h)]
-    stops at the first hop that aborted or reverted, with the handles
-    that did apply. *)
+(** Apply a version ladder hop by hop: each prepared rung goes through
+    the full {!request} pipeline, driven like {!update_now} (admission,
+    transaction, optional guard — the window is driven to a clean close
+    before the next hop starts).  Used by fleet supervisors to catch a
+    restarted baseline VM up to its peers.  [Ok handles] when every hop
+    applied; [Error (applied, h)] stops at the first hop that aborted or
+    reverted, with the handles that did apply. *)
 
 val outcome_to_string : outcome -> string
 

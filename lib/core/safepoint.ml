@@ -47,7 +47,7 @@ let resolve_mref vm (r : Diff.mref) : int option =
 (* Resolve the restricted sets against current runtime metadata.  Must run
    while the update's old classes are still installed under their original
    names (i.e., at request time). *)
-let compute vm (spec : Spec.t) : restricted =
+let compute ?proofs vm (spec : Spec.t) : restricted =
   let changed = ref IntSet.empty in
   let add_set setref uid = setref := IntSet.add uid !setref in
   (* all methods of updated (closure) and deleted classes *)
@@ -75,8 +75,11 @@ let compute vm (spec : Spec.t) : restricted =
     |> List.fold_left (fun s u -> IntSet.add u s) IntSet.empty
   in
   let proofs =
-    if vm.State.config.State.confree then Some (Confree.analyze spec)
-    else None
+    if not vm.State.config.State.confree then None
+    else
+      match proofs with
+      | Some get -> Some (get ())
+      | None -> Some (Confree.analyze spec)
   in
   let proven_off = ref 0 in
   (match proofs with

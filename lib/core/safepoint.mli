@@ -26,10 +26,13 @@ type restricted = {
 
 val resolve_mref : State.t -> Diff.mref -> int option
 
-val compute : State.t -> Spec.t -> restricted
+val compute :
+  ?proofs:(unit -> Confree.t) -> State.t -> Spec.t -> restricted
 (** Resolve the spec's restricted methods against current metadata.  Must
     run while the old classes are still installed under their original
-    names (i.e. at request time). *)
+    names (i.e. at request time).  With [config.confree] on, [proofs]
+    supplies the spec's con-freeness analysis (default: run
+    {!Confree.analyze} on it). *)
 
 type check_result =
   | Safe of State.frame list

@@ -145,24 +145,58 @@ let generate_source spec : string =
 
 (* --- compilation --------------------------------------------------------- *)
 
+type memo = ..
+
 type prepared = {
   p_spec : Spec.t;
   p_transformer : CF.Cls.t; (* the compiled JvolveTransformers class *)
   p_stubs : CF.Cls.t list;
   p_source : string;
+  mutable p_memo : (prepared * memo) list;
 }
 
 exception Prepare_error of string
 
-let prepare (spec : Spec.t) : prepared =
+(* An entry belongs to the value it was computed for: a record copy
+   ([{ p with p_transformer = ... }]) starts out with its source's list
+   but never reads those entries. *)
+let memo p ~get ~put make =
+  match
+    List.find_map (fun (owner, m) -> if owner == p then get m else None)
+      p.p_memo
+  with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      p.p_memo <- (p, put v) :: p.p_memo;
+      v
+
+type memo +=
+  | New_program_errors of string list
+  | Proofs of Confree.t
+  | Inverse of (prepared, string) result
+
+let verify_new_program spec =
+  CF.Verifier.verify_program (CF.Builtins.program_with spec.Spec.new_program)
+
+let new_program_errors p =
+  memo p
+    ~get:(function New_program_errors e -> Some e | _ -> None)
+    ~put:(fun e -> New_program_errors e)
+    (fun () -> verify_new_program p.p_spec)
+
+let proofs p =
+  memo p
+    ~get:(function Proofs t -> Some t | _ -> None)
+    ~put:(fun t -> Proofs t)
+    (fun () -> Confree.analyze p.p_spec)
+
+let rec prepare (spec : Spec.t) : prepared =
   (match Spec.unsupported_reason spec with
   | Some r -> raise (Prepare_error r)
   | None -> ());
   (* the new program must verify on its own, strictly *)
-  (match
-     CF.Verifier.verify_program
-       (CF.Builtins.program_with spec.Spec.new_program)
-   with
+  (match verify_new_program spec with
   | [] -> ()
   | errs ->
       raise
@@ -193,4 +227,18 @@ let prepare (spec : Spec.t) : prepared =
           (Prepare_error
              ("transformer source does not define " ^ transformer_class_name))
   in
-  { p_spec = spec; p_transformer = transformer; p_stubs = stubs; p_source = src }
+  let p =
+    { p_spec = spec; p_transformer = transformer; p_stubs = stubs;
+      p_source = src; p_memo = [] }
+  in
+  p.p_memo <- [ (p, New_program_errors []) ];
+  p
+
+and inverse p =
+  memo p
+    ~get:(function Inverse r -> Some r | _ -> None)
+    ~put:(fun r -> Inverse r)
+    (fun () ->
+      match prepare (Spec.inverse p.p_spec) with
+      | inv -> Ok inv
+      | exception Prepare_error e -> Error e)

@@ -52,12 +52,20 @@ val generate_source : Spec.t -> string
 (** The [JvolveTransformers] MiniJava source: defaults with the spec's
     overrides spliced in. *)
 
+(** Results derived from a prepared update, stored on it by {!memo}.
+    Extensible so that a later layer ({!Admission}) can keep its own
+    results on the same value. *)
+type memo = ..
+
 (** A compiled, ready-to-apply update bundle. *)
 type prepared = {
   p_spec : Spec.t;
   p_transformer : CF.Cls.t;  (** the compiled JvolveTransformers class *)
   p_stubs : CF.Cls.t list;
   p_source : string;  (** the transformer source actually compiled *)
+  mutable p_memo : (prepared * memo) list;
+      (** static results computed from this value, each at most once
+          ({!memo}); every request of the value shares them *)
 }
 
 exception Prepare_error of string
@@ -66,3 +74,23 @@ val prepare : Spec.t -> prepared
 (** Verify the new program, generate (or accept) and compile the
     transformer bundle.  Raises {!Prepare_error} for unsupported updates,
     verification failures, or transformer compile errors. *)
+
+val memo :
+  prepared -> get:(memo -> 'a option) -> put:('a -> memo) -> (unit -> 'a) -> 'a
+(** [memo p ~get ~put make]: the entry of [p] that [get] accepts, or
+    [make ()] stored on [p] with [put].  Entries are tagged with the
+    value they were computed for, so a record copy of [p] with another
+    field replaced computes its own. *)
+
+val new_program_errors : prepared -> string list
+(** Strict verification of the new program on its own (empty for a
+    value {!prepare} returned: it verified it). *)
+
+val proofs : prepared -> Confree.t
+(** The con-freeness analysis of the spec, run at most once: the proof
+    set the safe point subtracts is the one admission audits. *)
+
+val inverse : prepared -> (prepared, string) result
+(** The prepared {!Spec.inverse}, built at most once and shared by every
+    revert of this update.  [Error] carries the {!Prepare_error}
+    message. *)

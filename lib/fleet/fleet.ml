@@ -5,9 +5,16 @@
    balancer pump (lines move client<->backend), one step of every
    attached closed-loop load ([Jv_simnet.Client]).  The orchestrator
    (see [Orchestrator]) is stepped by its own driver loop on top of
-   this. *)
+   this.
+
+   Every member gets the same build: the fleet compiles each version
+   once and builds each (from, to) hop once ([program], [hop]), and
+   boots, reboots, rollouts, catch-ups and gossip all read those.  A
+   compiled class list is never written after compilation, so one list
+   serves every VM. *)
 
 module VM = Jv_vm
+module CF = Jv_classfile
 module Client = Jv_simnet.Client
 
 let default_lb_port = 80
@@ -21,16 +28,31 @@ type t = {
   mutable ticks : int;
   obs : Jv_obs.Obs.t; (* fleet-level sink, clocked by fleet rounds *)
   mutable faults : Jv_faults.Faults.t option; (* plan armed by [set_faults] *)
+  programs : (string, CF.Cls.t list) Hashtbl.t; (* version -> compiled *)
+  hops : (string * string, Lifecycle.hop) Hashtbl.t; (* (from, to) -> hop *)
 }
+
+(* [version] compiled, once per fleet (counted in [fleet.compiles]). *)
+let compile_once (profile : Profile.t) obs programs ~version =
+  match Hashtbl.find_opt programs version with
+  | Some p -> p
+  | None ->
+      let p = Profile.compile profile ~version in
+      Jv_obs.Obs.incr obs "fleet.compiles";
+      Hashtbl.replace programs version p;
+      p
 
 let create ?(config = Instance.default_config) ?(policy = Lb.Round_robin)
     ?(lb_port = default_lb_port) ~profile ~version ~size () =
   if size < 1 then invalid_arg "Fleet.create: size must be >= 1";
-  let instances =
-    Array.init size (fun id -> Instance.boot ~config profile ~id ~version)
-  in
   let obs = Jv_obs.Obs.create () in
   Jv_obs.Obs.set_wall obs Unix.gettimeofday;
+  let programs = Hashtbl.create 4 in
+  let program = compile_once profile obs programs ~version in
+  let instances =
+    Array.init size (fun id ->
+        Instance.boot ~config profile ~id ~version program)
+  in
   let lb = Lb.create ~policy ~ok:profile.Profile.pr_ok ~obs ~port:lb_port () in
   Array.iter
     (fun (inst : Instance.t) ->
@@ -39,10 +61,26 @@ let create ?(config = Instance.default_config) ?(policy = Lb.Round_robin)
     instances;
   let t =
     { profile; config; instances; lb; loads = []; ticks = 0; obs;
-      faults = None }
+      faults = None; programs; hops = Hashtbl.create 4 }
   in
   Jv_obs.Obs.set_clock obs (fun () -> t.ticks);
   t
+
+let program t ~version = compile_once t.profile t.obs t.programs ~version
+
+(* The fleet's one build of the hop [from_version] -> [to_version]. *)
+let hop t ~from_version ~to_version =
+  match Hashtbl.find_opt t.hops (from_version, to_version) with
+  | Some h -> h
+  | None ->
+      let h =
+        Lifecycle.hop t.obs ~from_version ~to_version
+          (Profile.spec t.profile ~from_version ~to_version
+             ~old_program:(program t ~version:from_version)
+             ~new_program:(program t ~version:to_version))
+      in
+      Hashtbl.replace t.hops (from_version, to_version) h;
+      h
 
 let size t = Array.length t.instances
 let instance t id = t.instances.(id)

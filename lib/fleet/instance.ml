@@ -1,7 +1,7 @@
 (* One fleet member: a whole [Jv_vm] running one version of the server
    app, plus the bookkeeping the orchestrator needs (current version,
-   lifecycle status, the classfiles it is running — the "old program" of
-   the next update spec). *)
+   lifecycle status, the classfiles it is running — the fleet's one
+   compiled list for that version, shared with its peers). *)
 
 module VM = Jv_vm
 module CF = Jv_classfile
@@ -50,8 +50,10 @@ let boot_vm ~config (profile : Profile.t) program =
   VM.Vm.run vm ~rounds:5;
   vm
 
-let boot ?(config = default_config) (profile : Profile.t) ~id ~version : t =
-  let program = Profile.compile profile ~version in
+(* [program] is the fleet's compiled [version]: every instance on a
+   version boots from the one list. *)
+let boot ?(config = default_config) (profile : Profile.t) ~id ~version program
+    : t =
   let vm = boot_vm ~config profile program in
   {
     i_id = id;
@@ -63,19 +65,16 @@ let boot ?(config = default_config) (profile : Profile.t) ~id ~version : t =
     i_program = program;
   }
 
-(* Replace a dead (or parked) instance's VM with a fresh boot at
-   [version] (the base version by default; a supervisor restoring a
-   state snapshot boots at the snapshot's own schema rung).  The record
-   identity survives — the LB id, the port and any closures capturing
-   [t] keep working — but the simnet, heap and code world are brand
-   new, so the caller must re-register the net with the LB and drive
-   version catch-up before readmitting. *)
-let reboot ?(config = default_config) ?version (profile : Profile.t) inst =
-  let version = Option.value ~default:inst.i_base_version version in
-  let program = Profile.compile profile ~version in
+(* Replace a dead (or parked) instance's VM with a fresh boot of
+   [program], the compiled base version.  The record identity survives —
+   the LB id, the port and any closures capturing [t] keep working — but
+   the simnet, heap and code world are brand new, so the caller must
+   re-register the net with the LB and drive version catch-up before
+   readmitting. *)
+let reboot ?(config = default_config) (profile : Profile.t) inst program =
   let vm = boot_vm ~config profile program in
   inst.i_vm <- vm;
-  inst.i_version <- version;
+  inst.i_version <- inst.i_base_version;
   inst.i_program <- program;
   inst.i_status <- Draining (* running and probe-able, but not admitted *)
 

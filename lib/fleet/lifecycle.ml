@@ -2,15 +2,20 @@
 
    However an update is decided, it reaches a fleet member the same way:
    drain (stop admitting, let in-flight sessions finish) -> a guarded
-   [Jvolve.request_spec] -> the attempt resolves -> the guard window
-   closes or trips -> health probes -> readmit.  The rollout
-   [Orchestrator] runs these steps per wave and the gossip node per
-   quorum decision.  Each keeps only its policy — which instances move
-   when, retries, and what one member's failure means for the rest —
-   while this module owns what must not differ between them: the spec a
-   member gets, the guard config it runs under, and what a handle's
+   [Jvolve.request] of the hop's prepared update -> the attempt resolves
+   -> the guard window closes or trips -> health probes -> readmit.  The
+   rollout [Orchestrator] runs these steps per wave and the gossip node
+   per quorum decision.  Each keeps only its policy — which instances
+   move when, retries, and what one member's failure means for the rest
+   — while this module owns what must not differ between them: the hop a
+   member takes, the guard config it runs under, and what a handle's
    outcome means for the instance (version, program, status and balancer
-   admission). *)
+   admission).
+
+   A hop is built once and shared: the fleet keeps one per (from, to)
+   ([Fleet.hop]), so its spec is diffed, its transformers compiled and
+   its admission review, con-freeness analysis and inverse bundle worked
+   out once for every member that takes it. *)
 
 module J = Jvolve_core
 module VM = Jv_vm
@@ -35,18 +40,27 @@ let backoff ~base ~attempt = base * (1 lsl (attempt - 1))
 
 (* --- the update a member takes ------------------------------------------ *)
 
-type hop = { from_version : string; to_version : string; spec : J.Spec.t }
-(* [spec] is always the forward spec, [from_version] -> [to_version]. *)
+type hop = {
+  from_version : string;
+  to_version : string;
+  spec : J.Spec.t; (* always the forward spec *)
+  prepared : (J.Transformers.prepared, string) result;
+      (* [spec] prepared; [Error] carries the preparation failure, which
+         every attempt at the hop reports *)
+}
 
-let hop (profile : Profile.t) (i : Instance.t) ~from_version ~to_version
-    ~new_program =
+(* Build (and count, in the fleet sink [obs]) the hop that applies
+   [spec]. *)
+let hop obs ~from_version ~to_version spec =
+  Jv_obs.Obs.incr obs "fleet.update_builds";
   {
     from_version;
     to_version;
-    spec =
-      Profile.spec profile ~from_version ~to_version
-        ~instance_id:i.Instance.i_id ~old_program:i.Instance.i_program
-        ~new_program;
+    spec;
+    prepared =
+      (match J.Transformers.prepare spec with
+      | p -> Ok p
+      | exception J.Transformers.Prepare_error e -> Error e);
   }
 
 let on_new (i : Instance.t) h =
@@ -91,12 +105,17 @@ let request ?admit_strict ?guard ~timeout_rounds ~inverse (i : Instance.t) h
     =
   i.Instance.i_status <-
     (if inverse then Instance.Rolling_back else Instance.Updating);
-  match
-    J.Jvolve.request_spec ~timeout_rounds ?admit_strict ?guard i.Instance.i_vm
-      (if inverse then J.Spec.inverse h.spec else h.spec)
-  with
-  | a_handle -> Ok { a_inst = i; a_hop = h; a_inverse = inverse; a_handle }
-  | exception J.Transformers.Prepare_error e -> Error e
+  Result.bind h.prepared (fun p ->
+      if inverse then J.Transformers.inverse p else Ok p)
+  |> Result.map (fun p ->
+         {
+           a_inst = i;
+           a_hop = h;
+           a_inverse = inverse;
+           a_handle =
+             J.Jvolve.request ~timeout_rounds ?admit_strict ?guard
+               i.Instance.i_vm p;
+         })
 
 (* Resolved, or stuck for good on a dead VM. *)
 let settled a = J.Jvolve.resolved a.a_handle || killed a.a_inst

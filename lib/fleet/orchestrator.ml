@@ -12,10 +12,11 @@
 
    Any failure — an update abort (safe-point timeout, transformer
    cycle), a failed health probe, a lost canary gate — halts the rollout
-   and rolls every already-updated instance back by applying the inverse
-   update spec ({!Jvolve_core.Spec.inverse}).  The orchestrator never
-   kills a connection: instances that abort keep serving the old
-   version, and the result records the whole story. *)
+   and rolls every already-updated instance back by applying the hop's
+   inverse update ({!Jvolve_core.Transformers.inverse}, prepared once and
+   shared by the whole wave).  The orchestrator never kills a
+   connection: instances that abort keep serving the old version, and
+   the result records the whole story. *)
 
 module J = Jvolve_core
 
@@ -151,7 +152,8 @@ type t = {
   fleet : Fleet.t;
   params : params;
   to_version : string;
-  hops : (int * Lifecycle.hop) list; (* per instance *)
+  hop : Lifecycle.hop; (* the fleet's shared build of the rollout's hop *)
+  overrides : (int * Lifecycle.hop) list; (* own builds, from [mutate_spec] *)
   mutable waves : wave list; (* not yet started *)
   mutable wave : wave option; (* in flight *)
   mutable stage : stage option;
@@ -211,20 +213,33 @@ let make_waves mode ids =
 
 let create ?(mutate_spec = fun _id spec -> spec) ~params ~fleet ~to_version
     () =
-  let profile = fleet.Fleet.profile in
   let insts = Fleet.instances fleet in
   let from_version =
     match Fleet.uniform_version fleet with
     | Some v -> v
     | None -> invalid_arg "Orchestrator.create: fleet not on one version"
   in
-  let new_program = Profile.compile profile ~version:to_version in
-  let hops =
-    List.map
+  let hop = Fleet.hop fleet ~from_version ~to_version in
+  let shared = hop.Lifecycle.spec in
+  (* Own builds: for an instance still running a build an earlier
+     [mutate_spec] landed, and for a spec [mutate_spec] hands back
+     physically changed. *)
+  let overrides =
+    List.filter_map
       (fun (i : Instance.t) ->
         let id = i.Instance.i_id in
-        let h = Lifecycle.hop profile i ~from_version ~to_version ~new_program in
-        (id, { h with Lifecycle.spec = mutate_spec id h.Lifecycle.spec }))
+        let spec =
+          mutate_spec id
+            (if i.Instance.i_program == shared.J.Spec.old_program then shared
+             else
+               Profile.spec (Fleet.profile fleet) ~from_version ~to_version
+                 ~old_program:i.Instance.i_program
+                 ~new_program:shared.J.Spec.new_program)
+        in
+        if spec == shared then None
+        else
+          Some
+            (id, Lifecycle.hop (Fleet.obs fleet) ~from_version ~to_version spec))
       insts
   in
   let ids = List.map (fun (i : Instance.t) -> i.Instance.i_id) insts in
@@ -246,7 +261,8 @@ let create ?(mutate_spec = fun _id spec -> spec) ~params ~fleet ~to_version
     fleet;
     params;
     to_version;
-    hops;
+    hop;
+    overrides;
     waves = make_waves params.mode ids;
     wave = None;
     stage = None;
@@ -277,7 +293,7 @@ let create ?(mutate_spec = fun _id spec -> spec) ~params ~fleet ~to_version
 let now t = Fleet.ticks t.fleet
 let lb t = Fleet.lb t.fleet
 let inst t id = Fleet.instance t.fleet id
-let hop t id = List.assoc id t.hops
+let hop t id = Option.value ~default:t.hop (List.assoc_opt id t.overrides)
 let id_of (a : Lifecycle.attempt) = a.a_inst.Instance.i_id
 
 let note_version_change t =

@@ -105,14 +105,17 @@ let source p ~version = Apps.Patching.source p.pr_versioned ~version
 let compile p ~version =
   Jv_lang.Compile.compile_program (source p ~version)
 
-(* Version tag for renamed old classes, per-instance so a fleet never
-   collides: "514i3" = from-version 5.1.4 on instance 3. *)
-let version_tag ~from_version ~instance_id =
-  Printf.sprintf "%si%d" (Apps.Common.version_tag from_version) instance_id
+(* The version tag [spec] gives renamed old classes: one per hop ("514"
+   for from-version 5.1.4), the same on every instance.  Each instance
+   runs its own VM, so two instances' tags never meet, and the fleet
+   builds a hop once for all of its members.  [instance_id] is
+   ignored. *)
+let version_tag ~from_version ~instance_id:_ =
+  Apps.Common.version_tag from_version
 
-(* The update spec that moves instance [instance_id], running
-   [old_program] at [from_version], to [to_version]. *)
-let spec p ~from_version ~to_version ~instance_id ~old_program ~new_program =
+(* The update spec that moves [old_program], running [from_version], to
+   [to_version]. *)
+let spec p ~from_version ~to_version ~old_program ~new_program =
   Apps.Common.spec ~overrides:(p.pr_overrides ~to_version)
-    ~version_tag:(version_tag ~from_version ~instance_id)
+    ~version_tag:(Apps.Common.version_tag from_version)
     ~old_program ~new_program ()

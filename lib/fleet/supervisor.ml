@@ -11,7 +11,9 @@
             + state restore from the last snapshot (stateful apps)
             + epoch catch-up: replay the version ladder through the
               normal [Jvolve] request pipeline (admission, txn, guard)
-              until the instance matches the fleet's current version
+              until the instance matches the fleet's current version;
+              each rung is the fleet's one build of that hop, shared
+              with the rollout that shipped it
        -> Probing (health probes against the new VM)
        -> readmit to the LB -> Watching
 
@@ -249,28 +251,28 @@ let catchup_path t id ~target =
 
 let catch_up t id ~target : (unit, string) result =
   let i = inst t id in
-  let profile = Fleet.profile t.fleet in
   let rec go = function
     | [] -> Ok ()
     | (from_v, to_v) :: rest -> (
-        let hop =
-          Lifecycle.hop profile i ~from_version:from_v ~to_version:to_v
-            ~new_program:(Profile.compile profile ~version:to_v)
+        let hop = Fleet.hop t.fleet ~from_version:from_v ~to_version:to_v in
+        let failed why =
+          Error (Printf.sprintf "catch-up %s->%s failed: %s" from_v to_v why)
         in
-        match
-          J.Jvolve.run_ladder ~timeout_rounds:t.params.s_catchup_timeout
-            ?guard:t.params.s_catchup_guard
-            ~max_rounds_each:t.params.s_catchup_max_rounds i.Instance.i_vm
-            [ hop.Lifecycle.spec ]
-        with
-        | Ok _ ->
-            Lifecycle.on_new i hop;
-            Obs.incr (obs t) "fleet.supervisor.catchup_hops";
-            go rest
-        | Error (_, h) ->
-            Error
-              (Printf.sprintf "catch-up %s->%s failed: %s" from_v to_v
-                 (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome)))
+        match hop.Lifecycle.prepared with
+        | Error e -> failed ("prepare: " ^ e)
+        | Ok prepared -> (
+            match
+              J.Jvolve.run_ladder ~timeout_rounds:t.params.s_catchup_timeout
+                ?guard:t.params.s_catchup_guard
+                ~max_rounds_each:t.params.s_catchup_max_rounds
+                i.Instance.i_vm [ prepared ]
+            with
+            | Ok _ ->
+                Lifecycle.on_new i hop;
+                Obs.incr (obs t) "fleet.supervisor.catchup_hops";
+                go rest
+            | Error (_, h) ->
+                failed (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome)))
   in
   go (catchup_path t id ~target)
 
@@ -285,7 +287,8 @@ let try_restart t id =
       schedule_restart t id
   | None -> (
       let i = inst t id in
-      Instance.reboot ~config:(Fleet.config t.fleet) (Fleet.profile t.fleet) i;
+      Instance.reboot ~config:(Fleet.config t.fleet) (Fleet.profile t.fleet) i
+        (Fleet.program t.fleet ~version:i.Instance.i_base_version);
       VM.Vm.set_faults i.Instance.i_vm (Fleet.faults t.fleet);
       t.restarts <- t.restarts + 1;
       Obs.incr (obs t) "fleet.restarts";

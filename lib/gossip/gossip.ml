@@ -90,7 +90,6 @@ type t = {
   base_port : int;
   quorum : int;
   fence : int;
-  compiled : (string, Jv_classfile.Cls.t list) Hashtbl.t;
   epoch_counts : (int, int) Hashtbl.t; (* over live (counted) nodes *)
   counted : bool array; (* node still in the convergence tally *)
   mutable mixed_window : int;
@@ -116,14 +115,6 @@ let count_epoch t ~old_epoch ~new_epoch =
 
 let spec_digest profile ~to_version =
   Digest.to_hex (Digest.string (F.Profile.source profile ~version:to_version))
-
-let compile_cached t ~version =
-  match Hashtbl.find_opt t.compiled version with
-  | Some p -> p
-  | None ->
-      let p = F.Profile.compile t.fleet.F.Fleet.profile ~version in
-      Hashtbl.replace t.compiled version p;
-      p
 
 (* Build the [Node] for instance [id], drawing its backoff jitter from
    the shared schedule stream.  Used by [create] for every instance and
@@ -157,9 +148,8 @@ let node_for t ~id ~epoch =
         Error "base version mismatch"
       else
         Ok
-          (F.Lifecycle.hop profile inst ~from_version:p.Mempool.p_from_version
-             ~to_version:p.Mempool.p_to_version
-             ~new_program:(compile_cached t ~version:p.Mempool.p_to_version)))
+          (F.Fleet.hop t.fleet ~from_version:p.Mempool.p_from_version
+             ~to_version:p.Mempool.p_to_version))
     ~on_epoch:(fun old_e new_e ->
       count_epoch t ~old_epoch:(Some old_e) ~new_epoch:(Some new_e))
     ()
@@ -197,7 +187,6 @@ let create ?chaos ?(params = default_params) ~fleet () =
       base_port = default_base_port;
       quorum;
       fence;
-      compiled = Hashtbl.create 4;
       epoch_counts = Hashtbl.create 4;
       counted = Array.make n true;
       mixed_window = 0;

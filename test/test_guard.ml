@@ -235,6 +235,87 @@ let test_guarded_osr_failure_rolls_back () =
   Alcotest.(check string) "old code and field value kept" "v41"
     (last_line (VM.Vm.output vm))
 
+(* --- one compiled program and one prepared update on two VMs -------------- *)
+
+(* A fleet boots every instance from one compiled program list and
+   requests one prepared update on all of them.  That is sound only if
+   nothing a VM does — booting, committing, a guard revert replaying the
+   retained log, an eager abort rolling back — writes into the shared
+   class lists or the prepared bundle. *)
+let test_shared_program_and_prepared () =
+  let program =
+    Jv_lang.Compile.compile_program (box_src ~extra:false ~prefix:"v")
+  in
+  let prepared =
+    J.Transformers.prepare
+      (J.Spec.make ~version_tag:"sh" ~old_program:program
+         ~new_program:
+           (Jv_lang.Compile.compile_program (box_src ~extra:true ~prefix:"w"))
+         ())
+  in
+  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
+  let digest_prepared (p : J.Transformers.prepared) =
+    digest
+      ( p.J.Transformers.p_spec,
+        p.J.Transformers.p_transformer,
+        p.J.Transformers.p_stubs,
+        p.J.Transformers.p_source )
+  in
+  let program0 = digest program and prepared0 = digest_prepared prepared in
+  let boot () =
+    let vm = VM.Vm.create ~config:Helpers.test_config () in
+    VM.Vm.boot vm program;
+    ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+    VM.Vm.run vm ~rounds:5;
+    vm
+  in
+  let run_until vm h =
+    let n = ref 0 in
+    while (not (J.Jvolve.resolved h)) && !n < 2_000 do
+      VM.Vm.run vm ~rounds:1;
+      incr n
+    done
+  in
+  (* VM a: a guarded commit, tripped, reverts by the inverse update *)
+  let vm_a = boot () in
+  let h_a = J.Jvolve.request ~guard:(J.Guard.config ()) vm_a prepared in
+  run_until vm_a h_a;
+  Alcotest.(check bool) "a: applied" true (J.Jvolve.succeeded h_a);
+  J.Jvolve.force_trip vm_a h_a ~reason:"test: trip a shared update";
+  (match J.Jvolve.run_to_guard_close vm_a h_a with
+  | J.Jvolve.Reverted _ -> ()
+  | o ->
+      Alcotest.failf "a: expected a revert, got %s"
+        (J.Jvolve.outcome_to_string o));
+  (* VM b: the same prepared update aborts in its transform phase *)
+  let vm_b = boot () in
+  let plan = Faults.create ~seed:9 () in
+  Faults.arm plan ~point:"updater.transform" ~max_fires:1 Faults.Raise;
+  VM.Vm.set_faults vm_b (Some plan);
+  let h_b = J.Jvolve.request vm_b prepared in
+  run_until vm_b h_b;
+  VM.Vm.set_faults vm_b None;
+  (match h_b.J.Jvolve.h_outcome with
+  | J.Jvolve.Aborted a ->
+      Alcotest.(check string) "b: abort phase" "transform"
+        (J.Updater.phase_to_string a.J.Updater.a_phase);
+      Alcotest.(check bool) "b: rolled back" true a.J.Updater.a_rolled_back
+  | o ->
+      Alcotest.failf "b: expected an abort, got %s"
+        (J.Jvolve.outcome_to_string o));
+  Alcotest.(check string) "shared program unchanged" program0 (digest program);
+  Alcotest.(check string) "shared prepared update unchanged" prepared0
+    (digest_prepared prepared);
+  List.iter
+    (fun (name, vm) ->
+      ignore (VM.Vm.run_to_quiescence ~max_rounds:2_000 vm);
+      Alcotest.(check string) (name ^ ": back on the old version") "v41"
+        (last_line (VM.Vm.output vm));
+      let r = VM.Heapverify.run vm in
+      Alcotest.(check bool) (name ^ ": heap verifies") true
+        r.VM.Heapverify.hv_ok)
+    [ ("a", vm_a); ("b", vm_b) ]
+
 (* --- fleet: a canary tripping its guard fences the rollout --------------- *)
 
 let fleet_config =
@@ -497,6 +578,8 @@ let suite =
       `Quick test_revert_under_fault_rolls_forward;
     Alcotest.test_case "guarded commit failing at OSR rolls back the log"
       `Quick test_guarded_osr_failure_rolls_back;
+    Alcotest.test_case "one program and one prepared update on two VMs"
+      `Quick test_shared_program_and_prepared;
     Alcotest.test_case "fleet: canary guard trip fences the rollout" `Quick
       test_canary_guard_trip_fences_rollout;
     Alcotest.test_case "fleet: rolling guard trip reverts updated instances"

@@ -8,7 +8,9 @@
      replay to the exact event transcript recorded for them.  Ticks,
      names and Int/Str fields only: Float fields carry wall-clock time.
    - one directed case per verdict: landed (guarded and not), reverted
-     by the guard, clean abort, abort without rollback, killed VM. *)
+     by the guard, clean abort, abort without rollback, killed VM.
+   - one build per hop: a healed rollout shares one compiled program per
+     version and one prepared hop across every instance. *)
 
 module F = Jv_fleet
 module G = Jv_gossip
@@ -369,9 +371,8 @@ let request ?guard ?(inverse = false) (i : F.Instance.t) hop =
   | Ok a -> a
   | Error e -> Alcotest.failf "prepare failed: %s" e
 
-let hop_to_512 fleet (i : F.Instance.t) =
-  L.hop (F.Fleet.profile fleet) i ~from_version:"5.1.1" ~to_version:"5.1.2"
-    ~new_program:(F.Profile.compile (F.Fleet.profile fleet) ~version:"5.1.2")
+let hop_to_512 fleet =
+  F.Fleet.hop fleet ~from_version:"5.1.1" ~to_version:"5.1.2"
 
 let run_until fleet pred =
   let n = ref 0 in
@@ -395,7 +396,7 @@ let check_instance fleet (i : F.Instance.t) ~version ~status ~admitted =
 
 let test_landed_unguarded () =
   let fleet, i = one () in
-  let hop = hop_to_512 fleet i in
+  let hop = hop_to_512 fleet in
   let a = request i hop in
   Alcotest.(check string) "verdict" "landed(guarded=false)" (show (resolve fleet a));
   (* landing moves version and program; readmission is the caller's *)
@@ -412,7 +413,7 @@ let test_landed_unguarded () =
 
 let test_landed_guarded () =
   let fleet, i = one () in
-  let a = request ?guard:(quiet_guard fleet i) i (hop_to_512 fleet i) in
+  let a = request ?guard:(quiet_guard fleet i) i (hop_to_512 fleet) in
   Alcotest.(check string) "verdict" "landed(guarded=true)" (show (resolve fleet a));
   Alcotest.(check string) "window open" "pending"
     (show (L.watch (F.Fleet.lb fleet) a));
@@ -426,7 +427,7 @@ let test_reverted () =
   let fleet, i = one () in
   let lb = F.Fleet.lb fleet in
   L.drain lb i;
-  let a = request ?guard:(quiet_guard fleet i) i (hop_to_512 fleet i) in
+  let a = request ?guard:(quiet_guard fleet i) i (hop_to_512 fleet) in
   Alcotest.(check string) "landed" "landed(guarded=true)" (show (resolve fleet a));
   J.Jvolve.force_trip i.F.Instance.i_vm a.L.a_handle ~reason:"directed trip";
   run_until fleet (fun () -> not (J.Jvolve.guard_active a.L.a_handle));
@@ -439,7 +440,7 @@ let test_aborted_clean () =
   let fleet, i = one () in
   L.drain (F.Fleet.lb fleet) i;
   F.Fleet.set_faults fleet (Some (plan ~seed:1 "updater.gc=raise@1.0x1"));
-  let a = request i (hop_to_512 fleet i) in
+  let a = request i (hop_to_512 fleet) in
   Alcotest.(check string) "verdict" "aborted(trusted=true)"
     (show (resolve fleet a));
   (* rolled back cleanly: serving the old version, free to retry *)
@@ -449,7 +450,7 @@ let test_aborted_clean () =
 let test_aborted_not_rolled_back () =
   let fleet, i = one () in
   F.Fleet.set_faults fleet (Some (plan ~seed:1 "updater.gc=raise@1.0x1"));
-  let a = request i (hop_to_512 fleet i) in
+  let a = request i (hop_to_512 fleet) in
   run_until fleet (fun () -> L.settled a);
   (* a rollback that failed its audit reports the same abort, untrusted *)
   (match a.L.a_handle.J.Jvolve.h_outcome with
@@ -464,13 +465,104 @@ let test_aborted_not_rolled_back () =
 
 let test_killed () =
   let fleet, i = one () in
-  let a = request i (hop_to_512 fleet i) in
+  let a = request i (hop_to_512 fleet) in
   F.Fleet.set_faults fleet (Some (plan ~seed:1 "vm.crash=kill@1.0x1"));
   Alcotest.(check string) "verdict" "killed" (show (resolve fleet a));
   Alcotest.(check bool) "still pending on the corpse" false
     (J.Jvolve.resolved a.L.a_handle);
   check_instance fleet i ~version:"5.1.1" ~status:F.Instance.Out_of_service
     ~admitted:false
+
+(* --- one build per hop ------------------------------------------------------ *)
+
+(* A 16-instance rolling rollout with one kill the supervisor heals: the
+   restarted instance boots and catches up from the same builds the
+   rollout used.  Every instance on a version holds the fleet's one
+   compiled list, the fleet compiled each version once and built the one
+   hop once. *)
+let test_one_build_per_hop () =
+  let fleet = boot ~size:16 () in
+  let params =
+    {
+      (F.Orchestrator.default_params (F.Orchestrator.Rolling { batch_size = 4 }))
+      with
+      F.Orchestrator.update_timeout = 250;
+      max_retries = 1;
+      backoff_base = 20;
+      on_exhausted = `Quarantine;
+    }
+  in
+  let orch = F.Orchestrator.create ~params ~fleet ~to_version:"5.1.2" () in
+  let sup =
+    F.Supervisor.create
+      ~params:
+        {
+          F.Supervisor.default_params with
+          F.Supervisor.s_backoff_base = 20;
+          s_snapshot_every = 40;
+        }
+      ~fleet ()
+  in
+  while (F.Fleet.instance fleet 0).F.Instance.i_status <> F.Instance.Updating do
+    F.Fleet.round fleet;
+    F.Orchestrator.step orch;
+    F.Supervisor.step sup
+  done;
+  F.Fleet.set_faults fleet (Some (plan ~seed:5 "vm.crash=kill@1.0x1"));
+  let r = drive ~sup ~fleet orch in
+  let r = F.Orchestrator.reconcile r ~recovered:(F.Supervisor.recovered sup) in
+  Alcotest.(check bool) "a kill was healed" true (F.Supervisor.restarts sup >= 1);
+  Alcotest.(check bool) "rollout ok" true r.F.Orchestrator.r_ok;
+  Alcotest.(check (option string)) "fleet on the new version" (Some "5.1.2")
+    (F.Fleet.uniform_version fleet);
+  let shared = F.Fleet.program fleet ~version:"5.1.2" in
+  List.iter
+    (fun (i : F.Instance.t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "instance %d runs the shared program" i.F.Instance.i_id)
+        true
+        (i.F.Instance.i_program == shared))
+    (F.Fleet.instances fleet);
+  let counter name = Obs.counter_value (F.Fleet.obs fleet) name in
+  Alcotest.(check int) "one build per hop" 1 (counter "fleet.update_builds");
+  Alcotest.(check int) "one compile per version" 2 (counter "fleet.compiles")
+
+(* An instance that landed its own build (a [mutate_spec] override whose
+   new program is a separate compile of 5.1.2) gets its own build of the
+   next hop too, diffed against the program it runs. *)
+let test_override_keeps_own_build () =
+  let fleet = boot ~size:2 () in
+  let params =
+    {
+      (F.Orchestrator.default_params (F.Orchestrator.Rolling { batch_size = 2 }))
+      with
+      F.Orchestrator.update_timeout = 250;
+    }
+  in
+  let own_512 = F.Profile.compile (F.Fleet.profile fleet) ~version:"5.1.2" in
+  let mutate_spec id (spec : J.Spec.t) =
+    if id = 0 then
+      J.Spec.make ~version_tag:spec.J.Spec.version_tag
+        ~old_program:spec.J.Spec.old_program ~new_program:own_512 ()
+    else spec
+  in
+  let run ?mutate_spec to_version =
+    let r =
+      F.Orchestrator.run ?mutate_spec ~params ~fleet ~to_version ()
+    in
+    Alcotest.(check bool) ("rollout to " ^ to_version) true r.F.Orchestrator.r_ok
+  in
+  run ~mutate_spec "5.1.2";
+  let i0 = F.Fleet.instance fleet 0 in
+  Alcotest.(check bool) "instance 0 runs its own build" true
+    (i0.F.Instance.i_program == own_512);
+  run "5.1.3";
+  Alcotest.(check (option string)) "fleet on 5.1.3" (Some "5.1.3")
+    (F.Fleet.uniform_version fleet);
+  (* 5.1.1->5.1.2 shared and instance 0's; 5.1.2->5.1.3 shared and
+     instance 0's *)
+  Alcotest.(check int) "builds" 4
+    (Obs.counter_value (F.Fleet.obs fleet) "fleet.update_builds")
 
 let suite =
   [
@@ -485,6 +577,10 @@ let suite =
       test_aborted_not_rolled_back;
     Alcotest.test_case "verdict: killed with the attempt pending" `Quick
       test_killed;
+    Alcotest.test_case "one build per hop across a healed rollout" `Quick
+      test_one_build_per_hop;
+    Alcotest.test_case "an instance on its own build gets its own next hop"
+      `Quick test_override_keeps_own_build;
     Alcotest.test_case "golden: retries under injected GC faults" `Quick
       test_golden_retries;
     Alcotest.test_case "golden: canary fenced by a guard trip" `Quick
