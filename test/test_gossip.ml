@@ -217,7 +217,7 @@ let test_guard_trip_quorum_revert () =
 
 (* One full decentralized rollout under a random chaos schedule on the
    control net; returns (report, per-node epochs). *)
-let run_under_chaos ~seed ~plan ~size ~rounds_budget =
+let rollout_under_chaos ~seed ~plan ~size ~rounds_budget =
   let fleet = boot_fleet ~size () in
   let chaos =
     match Faults.parse ~seed plan with
@@ -227,11 +227,11 @@ let run_under_chaos ~seed ~plan ~size ~rounds_budget =
   let g = G.Gossip.create ~chaos ~params:test_params ~fleet () in
   ignore (G.Gossip.propose g ~origin:0 ~to_version:"5.1.2");
   let rounds = G.Gossip.run g ~max_rounds:rounds_budget () in
-  let r = G.Gossip.report g ~rounds in
-  let epochs =
-    List.init size (fun id -> G.Node.epoch (G.Gossip.node g id))
-  in
-  (r, epochs)
+  (g, G.Gossip.report g ~rounds)
+
+let run_under_chaos ~seed ~plan ~size ~rounds_budget =
+  let g, r = rollout_under_chaos ~seed ~plan ~size ~rounds_budget in
+  (r, List.init size (fun id -> G.Node.epoch (G.Gossip.node g id)))
 
 (* Convergence: under random drop/delay/partition-then-heal schedules the
    fleet still reaches one epoch — never left permanently mixed. *)
@@ -318,6 +318,48 @@ let test_partition_heals_and_converges () =
   Alcotest.(check bool) "anti-entropy did real work" true
     (r.G.Gossip.gr_digest_recons > 0)
 
+(* --- golden: a 32-node rollout under drops --------------------------------- *)
+
+(* The exact report line and every node's final (epoch, phase) of one
+   32-node rollout over a control plane dropping 10% of its lines.  The
+   wire lines, the Faults draws and every node decision feed these
+   counts, so a change to how a mempool is stored or compared that moved
+   any of them shows here. *)
+let golden_report =
+  "CONVERGED in 32 rounds: epoch 1, 32 applied, 0 stuck | mixed window 2 \
+   rounds | 972 pushes, 25 reconciliations, 992 votes seen, 646 KiB gossiped"
+
+let golden_nodes =
+  String.concat " " (List.init 32 (fun id -> Printf.sprintf "%d:e1:idle" id))
+
+(* MD5 of every pool's keys, node by node in key order: a DIGEST line
+   carries them in this order *)
+let golden_pools = "9c25874dabdd6495f5b2e6be928768ad"
+
+let test_golden_32_under_drops () =
+  let size = 32 in
+  let g, r =
+    rollout_under_chaos ~seed:5 ~plan:"net.link=drop@0.10" ~size
+      ~rounds_budget:6_000
+  in
+  Alcotest.(check string) "report line" golden_report
+    (Fmt.str "%a" G.Gossip.pp_report r);
+  Alcotest.(check string) "every node's epoch and phase" golden_nodes
+    (String.concat " "
+       (List.init size (fun id ->
+            let nd = G.Gossip.node g id in
+            Printf.sprintf "%d:e%d:%s" id (G.Node.epoch nd)
+              (G.Node.phase_to_string (G.Node.phase nd)))));
+  let keys id =
+    let pool = G.Node.pool (G.Gossip.node g id) in
+    G.Mempool.with_lock pool (fun () -> G.Mempool.keys pool)
+  in
+  Alcotest.(check string) "every pool's keys, in order" golden_pools
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n"
+             (List.init size (fun id -> String.concat " " (keys id))))))
+
 let suite =
   [
     Alcotest.test_case "mempool: dedup of proposals and votes" `Quick
@@ -335,6 +377,8 @@ let suite =
       test_guard_trip_quorum_revert;
     Alcotest.test_case "partition: no quorum across, converges after heal"
       `Slow test_partition_heals_and_converges;
+    Alcotest.test_case "golden: 32-node rollout under 10% drops" `Quick
+      test_golden_32_under_drops;
     QCheck_alcotest.to_alcotest prop_convergence_under_chaos;
     QCheck_alcotest.to_alcotest prop_seed_determinism;
   ]
