@@ -690,6 +690,7 @@ type lazy_ctx = {
   lz_s : session; (* its sandbox is active only around invocations *)
   lz_info : State.lazy_info;
   lz_guarded : bool; (* a guard window retains the window's log *)
+  lz_proofs : unit -> Confree.t; (* the prepared update's memoised proofs *)
   mutable lz_cursor : int; (* sweeper position in to-space *)
   mutable lz_cursor_gc : int; (* gc_count the cursor belongs to *)
   mutable lz_abort_attempts : int; (* rounds spent waiting to roll back *)
@@ -1074,7 +1075,8 @@ let lazy_rollback vm (ctx : lazy_ctx) ~reason sync : State.rollback =
 (* The safe-point check a window rollback needs, against the restricted
    set of the update it undoes. *)
 let window_sync vm (ctx : lazy_ctx) =
-  Safepoint.check vm (Safepoint.compute vm ctx.lz_s.ot_spec)
+  Safepoint.check vm
+    (Safepoint.compute ~proofs:ctx.lz_proofs vm ctx.lz_s.ot_spec)
 
 (* The per-round hook ([State.lazy_info.li_sweep]): roll back if
    aborting — a blocked sync parks behind return barriers and retries
@@ -1113,7 +1115,7 @@ let rec lazy_drain_now (ctx : lazy_ctx) vm =
 (* Open the window over session [s]: its hooks ride on the lazy info,
    so installing it installs the barrier, the sweeper and the drain at
    once (and [end_session] removes them all). *)
-let open_window vm txn (s : session) ~plan ~guarded =
+let open_window vm txn (s : session) ~plan ~guarded ~proofs =
   let rec li =
     {
       State.li_plan = plan;
@@ -1133,6 +1135,7 @@ let open_window vm txn (s : session) ~plan ~guarded =
       lz_s = s;
       lz_info = li;
       lz_guarded = guarded;
+      lz_proofs = proofs;
       lz_cursor = 1;
       lz_cursor_gc = vm.State.heap.Heap.gc_count;
       lz_abort_attempts = 0;
@@ -1283,7 +1286,10 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
         (* idle between invocations: marked done so the scheduler never
            slices it; [invoke] re-registers it per call *)
         s.carrier.State.tstate <- State.T_done;
-        let lctx = open_window vm txn s ~plan ~guarded:retain_log in
+        let lctx =
+          open_window vm txn s ~plan ~guarded:retain_log ~proofs:(fun () ->
+              Transformers.proofs p)
+        in
         lazy_ctx_r := Some lctx;
         (* class transformers only — they run eagerly even in a lazy
            update (statics must be coherent when the world resumes),

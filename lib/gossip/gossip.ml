@@ -95,6 +95,9 @@ type t = {
   mutable mixed_window : int;
   mutable last_net_bytes : int;
   mutable proposed_epoch : int option; (* highest epoch ever proposed *)
+  mutable synced : ((Mempool.t * int) array * bool) option;
+      (* the last [same_key_sets] answer, with each peer's pool and its
+         generation at the time *)
 }
 
 let obs t = F.Fleet.obs t.fleet
@@ -192,6 +195,7 @@ let create ?chaos ?(params = default_params) ~fleet () =
       mixed_window = 0;
       last_net_bytes = 0;
       proposed_epoch = None;
+      synced = None;
     }
   in
   Hashtbl.replace t.epoch_counts 0 n;
@@ -489,6 +493,45 @@ let note_stuck t =
       end)
     t.peers
 
+(* Every mempool holds the same key set. *)
+let same_key_sets t =
+  let n = Array.length t.peers in
+  n = 0
+  ||
+  let pool0 = Node.pool t.peers.(0).ps_node in
+  let size0, keys0 =
+    Mempool.with_lock pool0 (fun () -> (Mempool.size pool0, Mempool.keys pool0))
+  in
+  let set0 = Hashtbl.create (max 16 size0) in
+  List.iter (fun k -> Hashtbl.replace set0 k ()) keys0;
+  Array.for_all
+    (fun ps ->
+      let pool = Node.pool ps.ps_node in
+      Mempool.with_lock pool (fun () ->
+          Mempool.size pool = size0
+          && List.for_all (Hashtbl.mem set0) (Mempool.keys pool)))
+    t.peers
+
+(* [same_key_sets], exact but memoised: the answer depends only on the
+   pools' contents, so it is reused until some pool's generation moves
+   or [rejoin] swaps a fresh pool in. *)
+let pools_synced t =
+  let at =
+    Array.map
+      (fun ps ->
+        let pool = Node.pool ps.ps_node in
+        (pool, Mempool.with_lock pool (fun () -> Mempool.generation pool)))
+      t.peers
+  in
+  match t.synced with
+  | Some (last, answer)
+    when Array.for_all2 (fun (p, g) (p', g') -> p == p' && g = g') at last ->
+      answer
+  | _ ->
+      let answer = same_key_sets t in
+      t.synced <- Some (at, answer);
+      answer
+
 let step t =
   F.Fleet.round t.fleet;
   let now = F.Fleet.ticks t.fleet in
@@ -499,14 +542,17 @@ let step t =
   Array.iter (fun ps -> pump_digests t ps) t.peers;
   Array.iter (fun ps -> Node.tick ps.ps_node ~now) t.peers;
   note_stuck t;
-  Array.iteri
-    (fun _ ps ->
-      List.iter
-        (fun m ->
+  Array.iter
+    (fun ps ->
+      match Node.take_out ps.ps_node with
+      | [] -> ()
+      | out ->
           ps.ps_hot <-
             ps.ps_hot
-            @ [ { h_line = Wire.encode m; h_ttl = t.params.g_rumor_rounds } ])
-        (Node.take_out ps.ps_node))
+            @ List.map
+                (fun m ->
+                  { h_line = Wire.encode m; h_ttl = t.params.g_rumor_rounds })
+                out)
     t.peers;
   (* Anti-entropy runs only while there is something to reconcile:
      once every node settled on one epoch with no hot rumors left AND
@@ -516,35 +562,17 @@ let step t =
      check is what keeps a partitioned minority reachable: its nodes
      are settled on the old epoch with their rumors expired, but their
      pools lag, so digests keep flowing and the pull half rescues them
-     after the heal.  The expensive comparison only runs once the
-     cheap settled/uniform/no-hot prefix holds — i.e. at most a
-     handful of rounds before [run] exits. *)
-  let pools_synced () =
-    let n = Array.length t.peers in
-    n = 0
-    ||
-    let pool0 = Node.pool t.peers.(0).ps_node in
-    let size0, keys0 =
-      Mempool.with_lock pool0 (fun () ->
-          (Mempool.size pool0, Mempool.keys pool0))
-    in
-    let set0 = Hashtbl.create (max 16 size0) in
-    List.iter (fun k -> Hashtbl.replace set0 k ()) keys0;
-    Array.for_all
-      (fun ps ->
-        let pool = Node.pool ps.ps_node in
-        Mempool.with_lock pool (fun () ->
-            Mempool.size pool = size0
-            && List.for_all (Hashtbl.mem set0) (Mempool.keys pool)))
-      t.peers
-  in
+     after the heal.  The pool comparison only runs once the cheap
+     settled/uniform/no-hot prefix holds, and [pools_synced] answers
+     from its memo while no pool changed — so the quiet tail, where
+     open exchanges run out their TTL, rescans nothing. *)
   let quiet =
     Hashtbl.length t.epoch_counts = 1
     && Array.for_all
          (fun ps ->
            is_settled_phase (Node.phase ps.ps_node) && ps.ps_hot = [])
          t.peers
-    && pools_synced ()
+    && pools_synced t
   in
   Array.iteri
     (fun id ps ->

@@ -17,6 +17,19 @@
    later Pro never overwrites a Con — a node that saw its guard trip
    must not be talked back into applying by a re-delivered stale vote.
 
+   Reads cost what changed, not what the pool holds: every node reads
+   its tallies each round, and the runtime compares whole pools once
+   the fleet goes quiet.
+
+   - Each proposal id (orphan votes count under the id they name) keeps
+     a running (pro, con, trip) count, moved by [add_vote]: a fresh vote
+     adds one to its stance, a Pro -> Con hardening moves one from pro
+     to con (and to trip for a ["trip:"] reason).  [tally] is a lookup.
+   - A {e generation} counter moves on every fresh proposal, fresh vote
+     and hardening, i.e. whenever the key set changes.  [keys] is built
+     at most once per generation, and a caller that remembers a pool's
+     generation knows its contents did not change since.
+
    The lock is deliberately crude — a boolean plus [Not_locked] on every
    access outside [with_lock], non-reentrant — because what it checks is
    the discipline, not mutual exclusion: the simulation is single-
@@ -55,12 +68,18 @@ let proposal_id ~epoch ~from_version ~to_version ~digest =
     (Digest.string
        (Printf.sprintf "%d|%s|%s|%s" epoch from_version to_version digest))
 
+type counts = { mutable pro : int; mutable con : int; mutable trip : int }
+
 type t = {
   mutable locked : bool;
   mutable proposals : proposal list; (* insertion order, newest last *)
   by_id : (string, proposal) Hashtbl.t;
   votes : (string * int, vote) Hashtbl.t; (* (proposal, voter) *)
-  mutable vote_keys : (string * int) list; (* insertion order *)
+  mutable vote_keys : (string * int) list; (* insertion order, newest first *)
+  counts : (string, counts) Hashtbl.t; (* by proposal id *)
+  mutable gen : int; (* bumped whenever the key set changes *)
+  mutable keys_gen : int; (* the generation [keys_cache] was built at *)
+  mutable keys_cache : string list;
 }
 
 let create () =
@@ -70,6 +89,10 @@ let create () =
     by_id = Hashtbl.create 8;
     votes = Hashtbl.create 32;
     vote_keys = [];
+    counts = Hashtbl.create 8;
+    gen = 0;
+    keys_gen = 0;
+    keys_cache = [];
   }
 
 let with_lock t f =
@@ -87,23 +110,43 @@ let add_proposal t p : [ `Fresh | `Duplicate ] =
   else begin
     Hashtbl.replace t.by_id p.p_id p;
     t.proposals <- t.proposals @ [ p ];
+    t.gen <- t.gen + 1;
     `Fresh
   end
 
+let counts_for t prop =
+  match Hashtbl.find_opt t.counts prop with
+  | Some c -> c
+  | None ->
+      let c = { pro = 0; con = 0; trip = 0 } in
+      Hashtbl.replace t.counts prop c;
+      c
+
+let count_con c v =
+  c.con <- c.con + 1;
+  if is_trip_vote v then c.trip <- c.trip + 1
+
 (* A vote need not find its proposal first — gossip reorders freely —
-   so orphan votes are kept and counted once the proposal arrives. *)
+   so orphan votes are kept, and counted under the id they name. *)
 let add_vote t v : [ `Fresh | `Hardened | `Stale ] =
   require_lock t;
   let key = (v.v_prop, v.v_voter) in
   match Hashtbl.find_opt t.votes key with
   | None ->
       Hashtbl.replace t.votes key v;
-      t.vote_keys <- t.vote_keys @ [ key ];
+      t.vote_keys <- key :: t.vote_keys;
+      let c = counts_for t v.v_prop in
+      (match v.v_stance with Pro -> c.pro <- c.pro + 1 | Con -> count_con c v);
+      t.gen <- t.gen + 1;
       `Fresh
   | Some old -> (
       match (old.v_stance, v.v_stance) with
       | Pro, Con ->
           Hashtbl.replace t.votes key v;
+          let c = counts_for t v.v_prop in
+          c.pro <- c.pro - 1;
+          count_con c v;
+          t.gen <- t.gen + 1;
           `Hardened
       | _ -> `Stale (* same stance, or Pro after Con: con-sticky *))
 
@@ -121,24 +164,26 @@ let vote_for t ~prop ~voter =
   require_lock t;
   Hashtbl.find_opt t.votes (prop, voter)
 
-let votes t ~prop =
-  require_lock t;
-  List.filter_map
-    (fun ((p, _) as key) ->
-      if p = prop then Hashtbl.find_opt t.votes key else None)
-    t.vote_keys
-
 (* (pro, con, trip) tallies for one proposal. *)
 let tally t ~prop =
-  let vs = votes t ~prop in
-  List.fold_left
-    (fun (pro, con, trip) v ->
-      match v.v_stance with
-      | Pro -> (pro + 1, con, trip)
-      | Con -> (pro, con + 1, if is_trip_vote v then trip + 1 else trip))
-    (0, 0, 0) vs
+  require_lock t;
+  match Hashtbl.find_opt t.counts prop with
+  | Some c -> (c.pro, c.con, c.trip)
+  | None -> (0, 0, 0)
+
+let generation t =
+  require_lock t;
+  t.gen
 
 (* --- anti-entropy digests ---------------------------------------------- *)
+
+let vote_key v =
+  Printf.sprintf "V:%s:%d:%s" v.v_prop v.v_voter
+    (match v.v_stance with Pro -> "P" | Con -> "C")
+
+(* Every vote, oldest first. *)
+let votes_in_order t =
+  List.rev_map (fun key -> Hashtbl.find t.votes key) t.vote_keys
 
 (* Stable keys naming every item this pool holds, in insertion order, so
    two pools that saw the same items in the same order produce the same
@@ -147,16 +192,13 @@ let tally t ~prop =
    move it. *)
 let keys t =
   require_lock t;
-  List.map (fun p -> "P:" ^ p.p_id) t.proposals
-  @ List.filter_map
-      (fun key ->
-        match Hashtbl.find_opt t.votes key with
-        | None -> None
-        | Some v ->
-            Some
-              (Printf.sprintf "V:%s:%d:%s" v.v_prop v.v_voter
-                 (match v.v_stance with Pro -> "P" | Con -> "C")))
-      t.vote_keys
+  if t.keys_gen <> t.gen then begin
+    t.keys_cache <-
+      List.map (fun p -> "P:" ^ p.p_id) t.proposals
+      @ List.map vote_key (votes_in_order t);
+    t.keys_gen <- t.gen
+  end;
+  t.keys_cache
 
 (* Items of [t] whose keys the remote digest lacks (what we should push
    back during reconciliation). *)
@@ -164,24 +206,10 @@ let missing_from t ~remote_keys =
   require_lock t;
   let remote = Hashtbl.create (List.length remote_keys) in
   List.iter (fun k -> Hashtbl.replace remote k ()) remote_keys;
-  let props =
-    List.filter (fun p -> not (Hashtbl.mem remote ("P:" ^ p.p_id))) t.proposals
-  in
-  let vs =
-    List.filter_map
-      (fun key ->
-        match Hashtbl.find_opt t.votes key with
-        | None -> None
-        | Some v ->
-            let k =
-              Printf.sprintf "V:%s:%d:%s" v.v_prop v.v_voter
-                (match v.v_stance with Pro -> "P" | Con -> "C")
-            in
-            if Hashtbl.mem remote k then None else Some v)
-      t.vote_keys
-  in
-  (props, vs)
+  let lacks k = not (Hashtbl.mem remote k) in
+  ( List.filter (fun p -> lacks ("P:" ^ p.p_id)) t.proposals,
+    List.filter (fun v -> lacks (vote_key v)) (votes_in_order t) )
 
 let size t =
   require_lock t;
-  List.length t.proposals + List.length t.vote_keys
+  Hashtbl.length t.by_id + Hashtbl.length t.votes

@@ -95,6 +95,116 @@ let test_mempool_lock_discipline () =
       Alcotest.(check int) "lock released after an exception" 0
         (G.Mempool.size m))
 
+(* The incremental state against a full rebuild: after every
+   step of a random add_proposal/add_vote sequence (duplicates, orphan
+   votes ahead of their proposal, Pro -> Con hardening, stale Pro after
+   Con, trip and non-trip Cons), each tally equals a fold over the
+   stored votes, the cached key list equals one built from the stored
+   items, and the generation moved iff the pool changed. *)
+type pool_op =
+  | Add_prop of string
+  | Add_vote of string * int * [ `Pro | `Con | `Trip ]
+
+let prop_ids = [ "a"; "b"; "c" ]
+let voters = [ 0; 1; 2; 3 ]
+
+let pool_op_gen =
+  QCheck.Gen.(
+    let id = oneofl prop_ids in
+    frequency
+      [
+        (1, map (fun i -> Add_prop i) id);
+        ( 4,
+          map3
+            (fun i v s -> Add_vote (i, v, s))
+            id (oneofl voters)
+            (frequencyl [ (3, `Pro); (1, `Con); (1, `Trip) ]) );
+      ])
+
+let pp_pool_op = function
+  | Add_prop i -> "prop " ^ i
+  | Add_vote (i, v, s) ->
+      Printf.sprintf "vote %s/%d %s" i v
+        (match s with `Pro -> "pro" | `Con -> "con" | `Trip -> "trip")
+
+let prop_incremental_pool_state =
+  QCheck.Test.make ~name:"mempool tallies and cached keys match a rebuild"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map pp_pool_op ops))
+        Gen.(list_size (int_range 0 40) pool_op_gen))
+    (fun ops ->
+      let m = G.Mempool.create () in
+      (* (prop, voter) in first-insertion order, newest first *)
+      let seen = ref [] in
+      G.Mempool.with_lock m (fun () ->
+          List.for_all
+            (fun op ->
+              let gen0 = G.Mempool.generation m in
+              let changed =
+                match op with
+                | Add_prop id -> G.Mempool.add_proposal m (prop id) = `Fresh
+                | Add_vote (id, voter, s) -> (
+                    let v =
+                      match s with
+                      | `Pro -> vote ~voter id
+                      | `Con -> vote ~voter ~stance:G.Mempool.Con ~why:"base" id
+                      | `Trip ->
+                          vote ~voter ~stance:G.Mempool.Con ~why:"trip:errors"
+                            id
+                    in
+                    match G.Mempool.add_vote m v with
+                    | `Fresh ->
+                        seen := (id, voter) :: !seen;
+                        true
+                    | `Hardened -> true
+                    | `Stale -> false)
+              in
+              let stored =
+                List.rev_map
+                  (fun (prop, voter) ->
+                    Option.get (G.Mempool.vote_for m ~prop ~voter))
+                  !seen
+              in
+              let fold id =
+                List.fold_left
+                  (fun (pro, con, trip) (v : G.Mempool.vote) ->
+                    if v.G.Mempool.v_prop <> id then (pro, con, trip)
+                    else
+                      match v.G.Mempool.v_stance with
+                      | G.Mempool.Pro -> (pro + 1, con, trip)
+                      | G.Mempool.Con ->
+                          ( pro,
+                            con + 1,
+                            if G.Mempool.is_trip_vote v then trip + 1 else trip ))
+                  (0, 0, 0) stored
+              in
+              let rebuilt =
+                List.map (fun p -> "P:" ^ p.G.Mempool.p_id)
+                  (G.Mempool.proposals m)
+                @ List.map
+                    (fun (v : G.Mempool.vote) ->
+                      Printf.sprintf "V:%s:%d:%s" v.G.Mempool.v_prop
+                        v.G.Mempool.v_voter
+                        (if v.G.Mempool.v_stance = G.Mempool.Pro then "P"
+                         else "C"))
+                    stored
+              in
+              let ok =
+                List.for_all
+                  (fun id -> G.Mempool.tally m ~prop:id = fold id)
+                  prop_ids
+                && G.Mempool.keys m = rebuilt
+                && G.Mempool.size m = List.length rebuilt
+                && changed = (G.Mempool.generation m <> gen0)
+              in
+              if not ok then
+                QCheck.Test.fail_reportf "state diverged after %s"
+                  (pp_pool_op op);
+              ok)
+            ops))
+
 (* --- wire codec --------------------------------------------------------- *)
 
 let test_wire_roundtrip () =
@@ -318,6 +428,38 @@ let test_partition_heals_and_converges () =
   Alcotest.(check bool) "anti-entropy did real work" true
     (r.G.Gossip.gr_digest_recons > 0)
 
+(* --- rejoin after quiet --------------------------------------------------- *)
+
+(* A supervisor rejoin hands a node a fresh, empty pool after the fleet
+   went quiet.  The runtime's memoised pool comparison must notice the
+   swap, so anti-entropy restarts and the rejoiner pulls every item back. *)
+let test_rejoin_after_quiet_resyncs () =
+  let fleet = boot_fleet ~size:8 () in
+  let g = G.Gossip.create ~params:test_params ~fleet () in
+  ignore (G.Gossip.propose g ~origin:0 ~to_version:"5.1.2");
+  let r1 = G.Gossip.report g ~rounds:(G.Gossip.run g ~max_rounds:3_000 ()) in
+  Alcotest.(check bool) "converged before the rejoin" true
+    r1.G.Gossip.gr_converged;
+  Alcotest.(check bool) "pools in sync once quiet" true
+    (G.Gossip.pools_synced g);
+  let old_pool = G.Node.pool (G.Gossip.node g 3) in
+  G.Gossip.rejoin g 3;
+  Alcotest.(check bool) "the rejoiner holds a fresh pool" true
+    (G.Node.pool (G.Gossip.node g 3) != old_pool);
+  Alcotest.(check bool) "an empty pool is out of sync" false
+    (G.Gossip.pools_synced g);
+  let r2 = G.Gossip.report g ~rounds:(G.Gossip.run g ~max_rounds:3_000 ()) in
+  Alcotest.(check bool) "converged after the rejoin" true
+    r2.G.Gossip.gr_converged;
+  let key_set id =
+    let pool = G.Node.pool (G.Gossip.node g id) in
+    List.sort compare (G.Mempool.with_lock pool (fun () -> G.Mempool.keys pool))
+  in
+  Alcotest.(check (list string)) "node 3 holds node 0's key set" (key_set 0)
+    (key_set 3);
+  Alcotest.(check bool) "anti-entropy reconciled again" true
+    (r2.G.Gossip.gr_digest_recons > r1.G.Gossip.gr_digest_recons)
+
 (* --- golden: a 32-node rollout under drops --------------------------------- *)
 
 (* The exact report line and every node's final (epoch, phase) of one
@@ -368,6 +510,7 @@ let suite =
       test_mempool_con_sticky;
     Alcotest.test_case "mempool: lock discipline" `Quick
       test_mempool_lock_discipline;
+    QCheck_alcotest.to_alcotest prop_incremental_pool_state;
     Alcotest.test_case "wire: codec round-trips" `Quick test_wire_roundtrip;
     Alcotest.test_case "quorum: fleet applies at ceil(qN) pro votes" `Slow
       test_quorum_apply_and_convergence;
@@ -377,6 +520,8 @@ let suite =
       test_guard_trip_quorum_revert;
     Alcotest.test_case "partition: no quorum across, converges after heal"
       `Slow test_partition_heals_and_converges;
+    Alcotest.test_case "rejoin: a fresh pool after quiet forces a resync"
+      `Slow test_rejoin_after_quiet_resyncs;
     Alcotest.test_case "golden: 32-node rollout under 10% drops" `Quick
       test_golden_32_under_drops;
     QCheck_alcotest.to_alcotest prop_convergence_under_chaos;

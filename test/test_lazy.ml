@@ -952,6 +952,93 @@ let dirty_rollback_is_not_a_revert () =
       Alcotest.failf "expected an untrusted abort, got %s"
         (J.Jvolve.outcome_to_string o)
 
+(* --- an aborting window waits behind a return barrier -------------------- *)
+
+(* [spin] reads [a], and v2 prepends a field, shifting [a]'s offset: the
+   con-freeness analysis cannot prove [spin] and it stays restricted.  The
+   main thread spends almost every round inside it, so a window that
+   aborts must park behind a return barrier until [spin] returns before
+   it may roll back. *)
+let spinning_src ~extra =
+  Printf.sprintf
+    {|
+class Box {
+  %sint a;
+  int spin() {
+    int s = 0;
+    for (int i = 0; i < 12; i = i + 1) { s = s + a; Thread.yieldNow(); }
+    return s;
+  }
+}
+class Keeper { static Box[] all; }
+class Main {
+  static void main() {
+    Keeper.all = new Box[%d];
+    for (int i = 0; i < %d; i = i + 1) {
+      Box b = new Box();
+      b.a = i;
+      Keeper.all[i] = b;
+    }
+    for (int j = 0; j < 100000; j = j + 1) {
+      Sys.println("s=" + Keeper.all[1].spin());
+    }
+  }
+}
+|}
+    (if extra then "int pad; " else "")
+    n_boxes n_boxes
+
+let aborting_window_waits_behind_barrier () =
+  let config = { (lazy_config ~budget:1 ()) with VM.State.confree = true } in
+  let vm = VM.Vm.create ~config () in
+  let old_program =
+    Jv_lang.Compile.compile_program (spinning_src ~extra:false)
+  in
+  VM.Vm.boot vm old_program;
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  VM.Vm.run vm ~rounds:5;
+  let spec =
+    J.Spec.make ~version_tag:"spin" ~old_program
+      ~new_program:(Jv_lang.Compile.compile_program (spinning_src ~extra:true))
+      ()
+  in
+  (match (J.Jvolve.update_now ~timeout_rounds:100 vm spec).J.Jvolve.h_outcome with
+  | J.Jvolve.Applied _ -> ()
+  | o ->
+      Alcotest.failf "lazy update did not apply: %s"
+        (J.Jvolve.outcome_to_string o));
+  VM.Vm.run vm ~rounds:3;
+  ignore (lazy_info vm);
+  (* the next sweeper transform traps: the window must abort *)
+  let plan = Faults.create ~seed:5 () in
+  Faults.arm plan ~point:"transformer.throw" ~max_fires:1 Faults.Raise;
+  VM.Vm.set_faults vm (Some plan);
+  let obs = vm.VM.State.obs in
+  let blocked_rounds = ref 0 in
+  let budget = ref 300 in
+  while vm.VM.State.lazy_info <> None && !budget > 0 do
+    let checks = Obs.counter_value obs "core.safepoint.checks" in
+    VM.Vm.run vm ~rounds:1;
+    if
+      vm.VM.State.lazy_info <> None
+      && Obs.counter_value obs "core.safepoint.checks" > checks
+    then incr blocked_rounds;
+    decr budget
+  done;
+  VM.Vm.set_faults vm None;
+  Alcotest.(check bool) "window resolved" true (vm.VM.State.lazy_info = None);
+  Alcotest.(check bool) "waited at least 2 rounds behind the barrier" true
+    (!blocked_rounds >= 2);
+  Alcotest.(check int) "rolled back, not drained" 1
+    (Obs.counter_value obs "core.lazy.rollbacks");
+  Alcotest.(check int) "no unsafe frames forced through" 0
+    (Obs.counter_value obs "core.lazy.rollback_unsafe_frames");
+  check_clean vm "after rollback";
+  (* the old code serves on: spin sums twelve reads of box 1's a = 1 *)
+  VM.Vm.run vm ~rounds:60;
+  Alcotest.(check bool) "old version still printing" true
+    (Helpers.contains (VM.Vm.output vm) "s=12\n")
+
 let suite =
   [
     Alcotest.test_case "rollback is the identity on the heap" `Quick
@@ -964,6 +1051,8 @@ let suite =
       sweeper_converges;
     Alcotest.test_case "residual transformer trap rolls the window back"
       `Quick residual_trap_rolls_back;
+    Alcotest.test_case "aborting window waits behind a return barrier"
+      `Quick aborting_window_waits_behind_barrier;
     Alcotest.test_case "window log grows across a collection, then pops"
       `Quick log_grows_then_pops;
     Alcotest.test_case "guard closes while the window still sweeps" `Quick
