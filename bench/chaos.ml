@@ -252,10 +252,6 @@ let kill_convergence () =
         Faults.arm plan ~point:"vm.crash" ~rate:0.002 ~max_fires:kills
           Faults.Kill;
       F.Fleet.set_faults fleet (Some plan);
-      let orch =
-        F.Orchestrator.create ~params:chaos_params ~fleet
-          ~to_version:"5.1.2" ()
-      in
       let sup =
         F.Supervisor.create
           ~params:
@@ -265,18 +261,10 @@ let kill_convergence () =
             }
           ~fleet ()
       in
-      let rec drive n =
-        if n > 30_000 then None
-        else
-          match F.Orchestrator.result orch with
-          | Some r when F.Supervisor.settled sup -> Some r
-          | _ ->
-              F.Fleet.round fleet;
-              F.Orchestrator.step orch;
-              F.Supervisor.step sup;
-              drive (n + 1)
+      let r =
+        F.Orchestrator.run ~supervisor:sup ~params:chaos_params ~fleet
+          ~to_version:"5.1.2" ()
       in
-      let r = drive 0 in
       F.Fleet.set_faults fleet None;
       F.Fleet.run fleet ~rounds:30;
       let alive = F.Supervisor.alive sup in
@@ -289,15 +277,11 @@ let kill_convergence () =
       Printf.printf
         "    kills %d: %-26s %5d rounds, %d restarts, %d recovered, %d \
          parked, %d aborts (%d unclean)\n"
-        kills verdict
-        (match r with Some r -> r.F.Orchestrator.r_rounds | None -> -1)
-        (F.Supervisor.restarts sup)
+        kills verdict r.F.Orchestrator.r_rounds (F.Supervisor.restarts sup)
         (List.length (F.Supervisor.recovered sup))
         (List.length (F.Supervisor.parked sup))
-        (match r with
-        | Some r -> List.length r.F.Orchestrator.r_aborted
-        | None -> -1)
-        (match r with Some r -> unclean_aborts r | None -> -1))
+        (List.length r.F.Orchestrator.r_aborted)
+        (unclean_aborts r))
     kill_counts
 
 let run () =

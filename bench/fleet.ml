@@ -312,7 +312,7 @@ let gossip_fence () =
   ignore (G.Gossip.propose g ~origin:0 ~to_version:"5.1.11");
   let rounds = gossip_run g ol ~max_rounds:8000 in
   Printf.printf "  size %d, fence quorum %d trip vote(s):\n" size
-    g.G.Gossip.fence;
+    G.Gossip.fence_votes;
   let r = show_gossip_result g ol ~rounds in
   Printf.printf "    %-44s %s\n" "fence:"
     (if r.G.Gossip.gr_fenced && r.G.Gossip.gr_epoch = Some 0 then
@@ -341,29 +341,6 @@ let heal_orch_params ~batch =
     backoff_base = 20;
     on_exhausted = `Quarantine;
   }
-
-(* Drive rollout + supervisor (+ open-loop arrivals) until the rollout
-   has a result AND every recovery has finished, or [max_rounds]
-   elapse. *)
-let drive_heal ~fleet ~orch ~sup ?ol ~max_rounds () =
-  let tick () =
-    F.Fleet.round fleet;
-    F.Orchestrator.step orch;
-    F.Supervisor.step sup;
-    match ol with
-    | None -> ()
-    | Some ol -> Client.step ol ~now:(F.Fleet.ticks fleet)
-  in
-  let rec go n =
-    if n >= max_rounds then ()
-    else
-      match F.Orchestrator.result orch with
-      | Some _ when F.Supervisor.settled sup -> ()
-      | _ ->
-          tick ();
-          go (n + 1)
-  in
-  go 0
 
 let mttr_line obs =
   match Obs.find_histogram obs "fleet.mttr_rounds" with
@@ -403,10 +380,10 @@ let heal_transcript fleet =
     (Obs.events (F.Fleet.obs fleet));
   Buffer.contents buf
 
-(* One supervised kill-storm rollout; returns (fleet, reconciled result
-   option, supervisor, transcript).  [size/5] seeded kills (a 20% storm)
-   fire while the rolling update is in flight; the supervisor restarts,
-   restores, catches up and readmits each corpse. *)
+(* One supervised kill-storm rollout; returns (fleet, open-loop client,
+   reconciled result, supervisor, plan).  [size/5] seeded kills (a 20%
+   storm) fire while the rolling update is in flight; the supervisor
+   restarts, restores, catches up and readmits each corpse. *)
 let heal_storm_run ~size ~seed =
   let kills = max 1 (size / 5) in
   let fleet, ol = boot_open_loop ~version:"5.1.1" ~size ~rate:4.0 in
@@ -419,18 +396,12 @@ let heal_storm_run ~size ~seed =
     | Error e -> failwith e
   in
   F.Fleet.set_faults fleet (Some plan);
-  let orch =
-    F.Orchestrator.create
+  let sup = F.Supervisor.create ~params:heal_supervisor_params ~fleet () in
+  let r =
+    F.Orchestrator.run ~supervisor:sup
+      ~on_round:(fun _ -> Client.step ol ~now:(F.Fleet.ticks fleet))
       ~params:(heal_orch_params ~batch:(max 1 (size / 8)))
       ~fleet ~to_version:"5.1.2" ()
-  in
-  let sup = F.Supervisor.create ~params:heal_supervisor_params ~fleet () in
-  drive_heal ~fleet ~orch ~sup ~ol ~max_rounds:30_000 ();
-  let r =
-    Option.map
-      (fun r ->
-        F.Orchestrator.reconcile r ~recovered:(F.Supervisor.recovered sup))
-      (F.Orchestrator.result orch)
   in
   (fleet, ol, r, sup, plan)
 
@@ -459,11 +430,8 @@ let heal_storm () =
   in
   let residual = ol.Client.errors - errs0 in
   let alive = F.Supervisor.alive sup in
-  (match r with
-  | Some r ->
-      Printf.printf "    %-44s %s\n" "outcome:"
-        (Fmt.str "%a" F.Orchestrator.pp_result r)
-  | None -> Printf.printf "    %-44s DID NOT FINISH\n" "outcome:");
+  Printf.printf "    %-44s %s\n" "outcome:"
+    (Fmt.str "%a" F.Orchestrator.pp_result r);
   Printf.printf "    %-44s %d fired (%d kill budget)\n" "kill storm:"
     (Jv_faults.Faults.fired plan) kills;
   Printf.printf "    %-44s %d restart(s), %d recovered, %d parked\n"
@@ -527,13 +495,8 @@ let heal_durability () =
     | Error e -> failwith e
   in
   F.Fleet.set_faults fleet (Some plan);
-  let rounds = ref 0 in
-  while (not (F.Supervisor.settled sup)) || !rounds < 5 do
-    F.Fleet.round fleet;
-    F.Supervisor.step sup;
-    incr rounds;
-    if !rounds > 20_000 then failwith "durability leg did not settle"
-  done;
+  if not (F.Supervisor.settle ~min_rounds:5 sup) then
+    failwith "durability leg did not settle";
   let post =
     match
       Jv_apps.Ministore.scrape (F.Fleet.instance fleet victim).F.Instance.i_vm

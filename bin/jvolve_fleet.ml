@@ -139,7 +139,6 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
               (F.Supervisor.create
                  ~params:
                    {
-                     F.Supervisor.default_params with
                      F.Supervisor.s_backoff_base = restart_backoff;
                      s_max_restarts = max_restarts;
                      s_snapshot_every = snapshot_every;
@@ -147,158 +146,107 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
                  ~fleet ())
           else None
         in
-        let print_supervisor () =
-          match sup with
-          | None -> ()
-          | Some sup ->
-              Printf.printf
-                "supervisor: %d restart(s), %d recovered, %d parked, %d \
-                 alive, %d round(s) below capacity\n"
-                (F.Supervisor.restarts sup)
-                (List.length (F.Supervisor.recovered sup))
-                (List.length (F.Supervisor.parked sup))
-                (F.Supervisor.alive sup)
-                (F.Supervisor.below_capacity_rounds sup)
-        in
-        if gossip then begin
-          (* decentralized path: no orchestrator — a proposal injected
-             at node 0 spreads by rumor, every instance applies on its
-             own local quorum read, and guard trips fence by vote *)
-          Printf.printf
-            "gossiping %s -> %s (fanout %d, quorum %.2f, no \
-             orchestrator)...\n\
-             %!"
-            from_v to_v fanout quorum;
-          let gparams =
-            {
-              G.Gossip.default_params with
-              G.Gossip.g_fanout = fanout;
-              g_quorum = quorum;
-              g_drain_timeout = drain_timeout;
-              g_update_timeout = timeout_rounds;
-              g_max_retries = max_retries;
-              g_backoff_base = backoff_base;
-              g_seed = fault_seed;
-              g_guard = guard;
-            }
-          in
-          let g = G.Gossip.create ?chaos:plan ~params:gparams ~fleet () in
-          (match sup with
-          | None -> ()
-          | Some sup ->
-              (* a restarted instance also rebuilds its gossip node and
-                 bootstraps its mempool from a peer *)
-              F.Supervisor.set_on_restarted sup (fun id ->
-                  G.Gossip.rejoin g id));
-          ignore (G.Gossip.propose g ~origin:0 ~to_version:to_v);
-          let last = ref "" in
-          let on_round g =
-            (match sup with
-            | None -> ()
-            | Some sup -> F.Supervisor.step sup);
-            if verbose then begin
-              let counts = Hashtbl.create 4 in
-              for id = 0 to F.Fleet.size fleet - 1 do
-                let e = G.Node.epoch (G.Gossip.node g id) in
-                Hashtbl.replace counts e
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts e))
-              done;
-              let d =
-                Hashtbl.fold
-                  (fun e n acc -> Printf.sprintf "e%d:%d %s" e n acc)
-                  counts ""
-              in
-              if d <> !last then begin
-                last := d;
-                Printf.printf "  [%6d] epochs %s\n%!" (F.Fleet.ticks fleet) d
-              end
-            end
-          in
-          let rounds = G.Gossip.run g ~on_round ~max_rounds:20_000 () in
-          (* let in-flight recoveries finish: the gossip loop may have
-             quiesced while a restarted node was still probing *)
-          (match sup with
-          | None -> ()
-          | Some sup ->
-              let budget = ref 20_000 in
-              while (not (F.Supervisor.settled sup)) && !budget > 0 do
-                G.Gossip.step g;
-                F.Supervisor.step sup;
-                decr budget
-              done);
-          F.Fleet.run fleet ~rounds:50;
-          let served = F.Fleet.total_requests fleet - req0 in
-          let dropped = F.Fleet.dropped_in_flight fleet in
-          F.Fleet.detach_loads fleet;
-          let r = G.Gossip.report g ~rounds in
-          Printf.printf "%s\n" (Fmt.str "%a" G.Gossip.pp_report r);
-          print_supervisor ();
-          Printf.printf
-            "connections: %d dropped in flight, %d rejected at the door, %d \
-             requests served during the rollout\n"
-            dropped
-            (F.Lb.rejected (F.Fleet.lb fleet))
-            served;
-          print_versions fleet;
-          if metrics then begin
-            let snap = Jv_obs.Obs.create () in
-            Jv_obs.Obs.merge_metrics ~into:snap (F.Fleet.obs fleet);
-            List.iter
-              (fun (i : F.Instance.t) ->
-                Jv_obs.Obs.merge_metrics ~into:snap
-                  (Jv_vm.Vm.obs i.F.Instance.i_vm))
-              (F.Fleet.instances fleet);
-            Printf.printf "\n%s" (Jv_obs.Export.prometheus snap)
-          end;
-          if r.G.Gossip.gr_converged && r.G.Gossip.gr_stuck = [] then 0
-          else 2
-        end
-        else begin
-        Printf.printf "rolling out %s -> %s...\n%!" from_v to_v;
-        let orch =
-          F.Orchestrator.create ~params ~fleet ~to_version:to_v ()
-        in
+        (* [verbose] progress: print [line] whenever it changes *)
         let last = ref "" in
-        let rec drive () =
-          match F.Orchestrator.result orch with
-          | Some r -> r
-          | None ->
-              F.Fleet.round fleet;
-              F.Orchestrator.step orch;
-              (match sup with
-              | None -> ()
-              | Some sup -> F.Supervisor.step sup);
-              (if verbose then
-                 let d = F.Orchestrator.describe orch in
-                 if d <> !last then begin
-                   last := d;
-                   Printf.printf "  [%6d] %s\n%!" (F.Fleet.ticks fleet) d
-                 end);
-              drive ()
+        let progress line =
+          if verbose && line <> !last then begin
+            last := line;
+            Printf.printf "  [%6d] %s\n%!" (F.Fleet.ticks fleet) line
+          end
         in
-        let r = drive () in
-        (* let in-flight recoveries finish, then fold supervisor rescues
-           into the result: a quarantined-then-readmitted instance moves
-           from r_quarantined to r_recovered *)
-        let r =
-          match sup with
-          | None -> r
-          | Some sup ->
-              let budget = ref 20_000 in
-              while (not (F.Supervisor.settled sup)) && !budget > 0 do
-                F.Fleet.round fleet;
-                F.Supervisor.step sup;
-                decr budget
-              done;
-              F.Orchestrator.reconcile r
-                ~recovered:(F.Supervisor.recovered sup)
+        (* Each branch rolls out, lets in-flight recoveries finish and
+           hands back how to report its outcome once the tail ran. *)
+        let outcome, reports =
+          if gossip then begin
+            (* decentralized path: no orchestrator — a proposal injected
+               at node 0 spreads by rumor, every instance applies on its
+               own local quorum read, and guard trips fence by vote *)
+            Printf.printf
+              "gossiping %s -> %s (fanout %d, quorum %.2f, no \
+               orchestrator)...\n\
+               %!"
+              from_v to_v fanout quorum;
+            let gparams =
+              {
+                G.Gossip.default_params with
+                G.Gossip.g_fanout = fanout;
+                g_quorum = quorum;
+                g_drain_timeout = drain_timeout;
+                g_update_timeout = timeout_rounds;
+                g_max_retries = max_retries;
+                g_backoff_base = backoff_base;
+                g_seed = fault_seed;
+                g_guard = guard;
+              }
+            in
+            let g = G.Gossip.create ?chaos:plan ~params:gparams ~fleet () in
+            (* a restarted instance also rebuilds its gossip node and
+               bootstraps its mempool from a peer *)
+            Option.iter
+              (fun sup ->
+                F.Supervisor.set_on_restarted sup (fun id ->
+                    G.Gossip.rejoin g id))
+              sup;
+            ignore (G.Gossip.propose g ~origin:0 ~to_version:to_v);
+            let on_round g =
+              Option.iter F.Supervisor.step sup;
+              if verbose then begin
+                let counts = Hashtbl.create 4 in
+                for id = 0 to F.Fleet.size fleet - 1 do
+                  let e = G.Node.epoch (G.Gossip.node g id) in
+                  Hashtbl.replace counts e
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt counts e))
+                done;
+                progress
+                  ("epochs "
+                  ^ Hashtbl.fold
+                      (fun e n acc -> Printf.sprintf "e%d:%d %s" e n acc)
+                      counts "")
+              end
+            in
+            let rounds = G.Gossip.run g ~on_round ~max_rounds:20_000 () in
+            (* the gossip loop may have quiesced while a restarted node
+               was still probing *)
+            Option.iter
+              (fun sup ->
+                ignore
+                  (F.Supervisor.settle ~round:(fun () -> G.Gossip.step g) sup))
+              sup;
+            ( (fun () ->
+                let r = G.Gossip.report g ~rounds in
+                ( Fmt.str "%a" G.Gossip.pp_report r,
+                  r.G.Gossip.gr_converged && r.G.Gossip.gr_stuck = [] )),
+              [] )
+          end
+          else begin
+            Printf.printf "rolling out %s -> %s...\n%!" from_v to_v;
+            let r =
+              F.Orchestrator.run ?supervisor:sup
+                ~on_round:(fun orch -> progress (F.Orchestrator.describe orch))
+                ~params ~fleet ~to_version:to_v ()
+            in
+            ( (fun () ->
+                (Fmt.str "%a" F.Orchestrator.pp_result r, r.F.Orchestrator.r_ok)),
+              r.F.Orchestrator.r_reports )
+          end
         in
         F.Fleet.run fleet ~rounds:50;
         let served = F.Fleet.total_requests fleet - req0 in
         let dropped = F.Fleet.dropped_in_flight fleet in
         F.Fleet.detach_loads fleet;
-        Printf.printf "%s\n" (Fmt.str "%a" F.Orchestrator.pp_result r);
-        print_supervisor ();
+        let line, ok = outcome () in
+        print_endline line;
+        Option.iter
+          (fun sup ->
+            Printf.printf
+              "supervisor: %d restart(s), %d recovered, %d parked, %d alive, \
+               %d round(s) below capacity\n"
+              (F.Supervisor.restarts sup)
+              (List.length (F.Supervisor.recovered sup))
+              (List.length (F.Supervisor.parked sup))
+              (F.Supervisor.alive sup)
+              (F.Supervisor.below_capacity_rounds sup))
+          sup;
         Printf.printf
           "connections: %d dropped in flight, %d rejected at the door, %d \
            requests served during the rollout\n"
@@ -316,13 +264,13 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
                 ar.J.Jvolve.ar_attempts ar.J.Jvolve.ar_waited_rounds
                 (if ar.J.Jvolve.ar_blockers = "" then ""
                  else " (blockers: " ^ ar.J.Jvolve.ar_blockers ^ ")"))
-            r.F.Orchestrator.r_reports;
+            reports;
         let obs = F.Fleet.obs fleet in
         (match trace with
         | None -> ()
         | Some "" ->
             (* the per-rollout timeline: drain, safe-point update, health
-               probes, readmission — with tick durations *)
+               probes, readmission, restarts — with tick durations *)
             Printf.printf "\nrollout timeline:\n%s"
               (Jv_obs.Export.timeline ~scopes:[ "fleet.rollout" ] obs)
         | Some file -> write_file file (Jv_obs.Export.jsonl obs));
@@ -337,8 +285,7 @@ let run app_name from_v to_v size mode batch canaries observe drain_timeout
             (F.Fleet.instances fleet);
           Printf.printf "\n%s" (Jv_obs.Export.prometheus snap)
         end;
-        if r.F.Orchestrator.r_ok then 0 else 2
-        end
+        if ok then 0 else 2
       with
       | Jv_lang.Compile.Error e ->
           Printf.eprintf "compile error: %s\n" e;

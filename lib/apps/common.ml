@@ -35,8 +35,6 @@ type overrides = {
 let no_overrides =
   { ov_object = []; ov_class = []; ov_inverse_object = []; ov_inverse_class = [] }
 
-let object_only pairs = { no_overrides with ov_object = pairs }
-
 (* Build an update spec carrying all four override directions — the one
    place app harnesses (experience, fleet, gossip, benches) construct
    specs from app descriptors. *)

@@ -424,9 +424,6 @@ class ListCmd extends Command {
 let app : Patching.versioned =
   Patching.build ~app_name:"miniftp" ~base_version ~base_src ~releases
 
-(* The update that only applies when the server is idle. *)
-let busy_update = "1.08"
-
 (* Health probe (fleet orchestration).  The probing client may see the
    "220" greeting banner first; the prober accepts any line passing
    [health_ok], so only the "200 healthy" reply satisfies it. *)

@@ -14,7 +14,6 @@ let make ?(visibility = Public) ?(static = false) ?(final = false)
   { visibility; is_static = static; is_final = final; is_native = native }
 
 let default = make ()
-let static_public = make ~static:true ()
 
 let equal a b =
   a.visibility = b.visibility

@@ -118,9 +118,5 @@ let jvolve_cls : Cls.t =
 
 let all = [ object_cls; string_cls; sys_cls; net_cls; thread_cls; jvolve_cls ]
 
-let names = List.map (fun c -> c.Cls.c_name) all
-
-let is_builtin name = List.mem name names
-
 (* A program combining the builtins with user classes. *)
 let program_with classes = Cls.program_of_list (all @ classes)

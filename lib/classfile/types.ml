@@ -98,7 +98,6 @@ let msig_to_string { params; ret } =
     (to_string ret)
 
 let pp_ty ppf t = Fmt.string ppf (to_string t)
-let pp_msig ppf s = Fmt.string ppf (msig_to_string s)
 
 let is_reference = function TRef _ | TArray _ -> true | _ -> false
 

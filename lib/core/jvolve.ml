@@ -483,35 +483,6 @@ let run_to_guard_close ?(max_rounds = 10_000) vm (h : handle) =
   done;
   h.h_outcome
 
-(* Replay a version ladder: apply each prepared rung in order through
-   the normal request pipeline — admission, the update transaction and
-   any guard window all apply to every rung, exactly as they would have
-   when the releases originally shipped.  This is how a restarted fleet
-   instance catches up from its boot version to the fleet's current
-   epoch.  Stops at the first rung that fails to land (abort, revert or
-   timeout); [Error] carries the handles that did apply plus the failing
-   one. *)
-let run_ladder ?timeout_rounds ?guard ?(max_rounds_each = 10_000) vm
-    (rungs : Transformers.prepared list) :
-    (handle list, handle list * handle) result =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | prepared :: rest -> (
-        let h =
-          run_to_resolved ~max_rounds:max_rounds_each vm
-            (request ?timeout_rounds ?guard vm prepared)
-        in
-        let outcome =
-          if h.h_guard_busy then
-            run_to_guard_close ~max_rounds:max_rounds_each vm h
-          else h.h_outcome
-        in
-        match outcome with
-        | Applied _ -> go (h :: acc) rest
-        | Pending | Reverted _ | Aborted _ -> Error (List.rev acc, h))
-  in
-  go [] rungs
-
 let resolved h =
   match h.h_outcome with
   | Pending -> false

@@ -134,21 +134,6 @@ val run_to_guard_close : ?max_rounds:int -> State.t -> handle -> outcome
     outcome ([Applied] with the retained log released, [Reverted], or
     [Aborted]). *)
 
-val run_ladder :
-  ?timeout_rounds:int ->
-  ?guard:Guard.config ->
-  ?max_rounds_each:int ->
-  State.t ->
-  Transformers.prepared list ->
-  (handle list, handle list * handle) result
-(** Apply a version ladder hop by hop: each prepared rung goes through
-    the full {!request} pipeline, driven like {!update_now} (admission,
-    transaction, optional guard — the window is driven to a clean close
-    before the next hop starts).  Used by fleet supervisors to catch a
-    restarted baseline VM up to its peers.  [Ok handles] when every hop
-    applied; [Error (applied, h)] stops at the first hop that aborted or
-    reverted, with the handles that did apply. *)
-
 val outcome_to_string : outcome -> string
 
 (** {1 Attempt outcomes (fleet orchestration)} *)

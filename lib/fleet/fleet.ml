@@ -3,9 +3,9 @@
 
    One fleet round = one scheduler round on every in-service VM, one
    balancer pump (lines move client<->backend), one step of every
-   attached closed-loop load ([Jv_simnet.Client]).  The orchestrator
-   (see [Orchestrator]) is stepped by its own driver loop on top of
-   this.
+   attached closed-loop load ([Jv_simnet.Client]).  A rollout and its
+   supervisor step on top of this in one loop, [Orchestrator.drive];
+   [Supervisor.settle] heals with no rollout running.
 
    Every member gets the same build: the fleet compiles each version
    once and builds each (from, to) hop once ([program], [hop]), and

@@ -45,45 +45,39 @@ let outcome p = p.p_outcome
 
 (* --- the canary gate --------------------------------------------------- *)
 
-type gate_params = {
-  g_min_responses : int;
-      (* don't judge before both pools served this many *)
-  g_max_error_rate : float; (* absolute ceiling on the canary pool *)
-  g_max_error_delta : float; (* vs. the stable pool *)
-  g_max_latency_factor : float; (* canary latency vs. stable latency *)
-}
-
-let default_gate =
-  {
-    g_min_responses = 20;
-    g_max_error_rate = 0.05;
-    g_max_error_delta = 0.02;
-    g_max_latency_factor = 3.0;
-  }
+(* The gate's thresholds: the canaries are judged once they served
+   [min_responses] (the latency test needs as many from the stable
+   pool), and fail above an absolute error-rate ceiling, an error rate
+   this far above the stable pool's, or a mean latency this many times
+   the stable pool's. *)
+let min_responses = 20
+let max_error_rate = 0.05
+let max_error_delta = 0.02
+let max_latency_factor = 3.0
 
 (* [None] = pass (or not enough signal yet: judged only when called after
    the observation window, so thin traffic counts as a pass with a note),
    [Some reason] = the canaries are sicker than the stable pool. *)
-let judge gate ~(canary : Lb.window) ~(stable : Lb.window) : string option =
+let judge ~(canary : Lb.window) ~(stable : Lb.window) : string option =
   let ce = Lb.error_rate canary and se = Lb.error_rate stable in
   let cl = Lb.mean_latency canary and sl = Lb.mean_latency stable in
-  if canary.Lb.w_responses < gate.g_min_responses then
+  if canary.Lb.w_responses < min_responses then
     if canary.Lb.w_responses = 0 && canary.Lb.w_sessions > 0 then
       Some "canaries answered none of the routed requests"
     else None (* not enough traffic to condemn the canaries *)
-  else if ce > gate.g_max_error_rate then
+  else if ce > max_error_rate then
     Some
       (Printf.sprintf "canary error rate %.1f%% above ceiling %.1f%%"
          (100. *. ce)
-         (100. *. gate.g_max_error_rate))
-  else if ce -. se > gate.g_max_error_delta then
+         (100. *. max_error_rate))
+  else if ce -. se > max_error_delta then
     Some
       (Printf.sprintf "canary error rate %.1f%% vs stable %.1f%%"
          (100. *. ce) (100. *. se))
   else if
-    stable.Lb.w_responses >= gate.g_min_responses
+    stable.Lb.w_responses >= min_responses
     && sl > 0.0
-    && cl > sl *. gate.g_max_latency_factor
+    && cl > sl *. max_latency_factor
   then
     Some
       (Printf.sprintf "canary latency %.1f rounds vs stable %.1f"

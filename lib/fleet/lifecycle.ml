@@ -203,6 +203,12 @@ let watch lb a =
 
 (* --- health probes -------------------------------------------------------- *)
 
+(* Rounds one health probe may take, and the consecutive healthy probes
+   that readmit an instance.  The supervisor and the gossip guard probe
+   use these; a rollout's [Orchestrator.params] default to them. *)
+let probe_deadline = 80
+let probes_required = 2
+
 (* [required] consecutive healthy probes against the instance's own
    port, each with [deadline] rounds to answer. *)
 type probing = {

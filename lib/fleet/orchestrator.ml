@@ -30,9 +30,7 @@ type params = {
   update_timeout : int; (* DSU abort budget in ticks (paper: 15 s) *)
   probe_deadline : int; (* rounds one health probe may take *)
   probes_required : int; (* consecutive healthy probes per instance *)
-  gate : Health.gate_params; (* canary vs. stable comparison *)
   admit_strict : bool; (* promote admission Warn verdicts to rejections *)
-  max_rounds : int; (* hard stop for the whole rollout *)
   max_retries : int; (* re-attempts per instance after a clean abort *)
   backoff_base : int; (* rounds before retry #1; doubles per attempt *)
   on_exhausted : [ `Halt | `Quarantine ];
@@ -51,16 +49,18 @@ let default_params mode =
     mode;
     drain_timeout = 300;
     update_timeout = 400;
-    probe_deadline = 80;
-    probes_required = 2;
-    gate = Health.default_gate;
+    probe_deadline = Lifecycle.probe_deadline;
+    probes_required = Lifecycle.probes_required;
     admit_strict = false;
-    max_rounds = 50_000;
     max_retries = 0;
     backoff_base = 40;
     on_exhausted = `Halt;
     guard = None;
   }
+
+(* Hard stop for a whole rollout, in fleet rounds: past it the rollout
+   reports whatever state it reached (see [step]). *)
+let max_rounds = 50_000
 
 (* --- results ----------------------------------------------------------- *)
 
@@ -820,7 +820,7 @@ let observe_done t ~canaries =
   let stable = List.filter (fun id -> not (List.mem id canaries)) all_ids in
   let cw = Lb.window (lb t) ~ids:canaries in
   let sw = Lb.window (lb t) ~ids:stable in
-  let verdict = Health.judge t.params.gate ~canary:cw ~stable:sw in
+  let verdict = Health.judge ~canary:cw ~stable:sw in
   emit_ev t "observe.done"
     [
       ("canaries", ids_field canaries);
@@ -859,14 +859,14 @@ let step t =
   match (t.result, t.wave, t.stage) with
   | Some _, _, _ -> ()
   | None, None, _ ->
-      if now t - t.started_at > t.params.max_rounds then begin
+      if now t - t.started_at > max_rounds then begin
         begin_rollback t ~why:"rollout exceeded max_rounds";
         t.guarding <- [];
         finish ~force:true t
       end
       else if not (consume_fence t) then next_wave t
   | None, Some w, Some stage -> (
-      if now t - t.started_at > t.params.max_rounds then begin
+      if now t - t.started_at > max_rounds then begin
         (* hard stop: report whatever state we reached *)
         t.direction <-
           (match t.direction with
@@ -940,16 +940,27 @@ let describe t =
       in
       Fmt.str "%s wave [%s]: %s" dir ids st
 
-(* Convenience: create the orchestrator and drive the fleet until the
-   rollout resolves. *)
-let run ?mutate_spec ~params ~fleet ~to_version () =
-  let t = create ?mutate_spec ~params ~fleet ~to_version () in
-  let rec go () =
+(* The one supervised rollout loop: each round steps [Fleet.round], the
+   rollout, the supervisor (if any) and then [on_round], until the
+   rollout has a result and the supervisor has settled, or
+   [Supervisor.settle_rounds] rounds after the result.  The result comes
+   back reconciled with the supervisor's recoveries. *)
+let drive ?supervisor ?(on_round = fun _ -> ()) t =
+  let settled () = Option.fold ~none:true ~some:Supervisor.settled supervisor in
+  let rec go budget =
     match t.result with
-    | Some r -> r
-    | None ->
-        Fleet.round fleet;
+    | Some r when settled () || budget = 0 -> r
+    | r ->
+        Fleet.round t.fleet;
         step t;
-        go ()
+        Option.iter Supervisor.step supervisor;
+        on_round t;
+        go (if Option.is_none r then budget else budget - 1)
   in
-  go ()
+  let r = go Supervisor.settle_rounds in
+  match supervisor with
+  | None -> r
+  | Some s -> reconcile r ~recovered:(Supervisor.recovered s)
+
+let run ?mutate_spec ?supervisor ?on_round ~params ~fleet ~to_version () =
+  drive ?supervisor ?on_round (create ?mutate_spec ~params ~fleet ~to_version ())

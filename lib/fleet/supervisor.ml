@@ -9,13 +9,19 @@
      Watching -> (death detected) -> Waiting (exponential backoff)
        -> restart: fresh VM at the base version
             + state restore from the last snapshot (stateful apps)
-            + epoch catch-up: replay the version ladder through the
-              normal [Jvolve] request pipeline (admission, txn, guard)
-              until the instance matches the fleet's current version;
-              each rung is the fleet's one build of that hop, shared
-              with the rollout that shipped it
-       -> Probing (health probes against the new VM)
+            + epoch catch-up: each missed hop goes through the normal
+              [Jvolve] request pipeline (admission, txn) with a
+              [catchup_timeout] safe-point budget until the instance
+              matches the fleet's current version; each hop is the
+              fleet's one build, shared with the rollout that shipped
+              it.  A hop that does not land fails the restart: the
+              instance stays out of service and backs off again
+       -> Probing ([Lifecycle.probes_required] health probes against
+          the new VM)
        -> readmit to the LB -> Watching
+
+   [step] runs one round of this; [Orchestrator.drive] steps it beside a
+   rollout, and [settle] steps it alone until every recovery is done.
 
    A flapping instance burns one restart attempt per death with doubled
    backoff each time; past [s_max_restarts] it is Parked permanently
@@ -39,24 +45,18 @@ type params = {
   s_backoff_base : int; (* rounds before restart 1; doubles per attempt *)
   s_max_restarts : int; (* per instance; beyond -> parked *)
   s_snapshot_every : int; (* rounds between state snapshots; 0 disables *)
-  s_probe_deadline : int;
-  s_probes_required : int; (* consecutive healthy probes before readmit *)
-  s_catchup_timeout : int; (* safe-point budget per ladder rung *)
-  s_catchup_max_rounds : int; (* scheduler budget per ladder rung *)
-  s_catchup_guard : J.Guard.config option; (* guard window on catch-up *)
 }
 
 let default_params =
-  {
-    s_backoff_base = 40;
-    s_max_restarts = 5;
-    s_snapshot_every = 200;
-    s_probe_deadline = 80;
-    s_probes_required = 2;
-    s_catchup_timeout = 400;
-    s_catchup_max_rounds = 10_000;
-    s_catchup_guard = None;
-  }
+  { s_backoff_base = 40; s_max_restarts = 5; s_snapshot_every = 200 }
+
+(* Safe-point budget of one catch-up hop, in scheduler rounds (the same
+   as a rollout's default [update_timeout]). *)
+let catchup_timeout = 400
+
+(* Rounds [settle] (and [Orchestrator.drive] after the rollout's result)
+   wait for the last recovery to finish. *)
+let settle_rounds = 20_000
 
 type istate =
   | Watching
@@ -249,6 +249,8 @@ let catchup_path t id ~target =
   in
   hops i.Instance.i_version versions
 
+(* Each hop goes through the normal request pipeline (admission, the
+   update transaction) and is driven to its outcome before the next. *)
 let catch_up t id ~target : (unit, string) result =
   let i = inst t id in
   let rec go = function
@@ -261,18 +263,16 @@ let catch_up t id ~target : (unit, string) result =
         match hop.Lifecycle.prepared with
         | Error e -> failed ("prepare: " ^ e)
         | Ok prepared -> (
-            match
-              J.Jvolve.run_ladder ~timeout_rounds:t.params.s_catchup_timeout
-                ?guard:t.params.s_catchup_guard
-                ~max_rounds_each:t.params.s_catchup_max_rounds
-                i.Instance.i_vm [ prepared ]
-            with
-            | Ok _ ->
+            let vm = i.Instance.i_vm in
+            let h =
+              J.Jvolve.request ~timeout_rounds:catchup_timeout vm prepared
+            in
+            match J.Jvolve.run_to_guard_close vm h with
+            | J.Jvolve.Applied _ ->
                 Lifecycle.on_new i hop;
                 Obs.incr (obs t) "fleet.supervisor.catchup_hops";
                 go rest
-            | Error (_, h) ->
-                failed (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome)))
+            | outcome -> failed (J.Jvolve.outcome_to_string outcome)))
   in
   go (catchup_path t id ~target)
 
@@ -319,8 +319,8 @@ let try_restart t id =
           t.states.(id) <-
             Probing
               (Lifecycle.probing (Fleet.profile t.fleet) i
-                 ~deadline:t.params.s_probe_deadline
-                 ~required:t.params.s_probes_required ~now:(now t))
+                 ~deadline:Lifecycle.probe_deadline
+                 ~required:Lifecycle.probes_required ~now:(now t))
       | Error why ->
           emit_ev t "restart.failed"
             [ ("instance", Obs.Int id); ("why", Obs.Str why) ];
@@ -388,6 +388,25 @@ let settled t =
       | Waiting _ | Probing _ -> ok := false)
     t.states;
   !ok
+
+(* Heal with no rollout running: [round] (one fleet round by default)
+   and a supervisor step, until [settled] holds after at least
+   [min_rounds] rounds.  [false] if it still does not after
+   [settle_rounds]. *)
+let settle ?(min_rounds = 0) ?round t =
+  let round =
+    match round with Some f -> f | None -> fun () -> Fleet.round t.fleet
+  in
+  let rec go n =
+    if n >= min_rounds && settled t then true
+    else if n >= settle_rounds then false
+    else begin
+      round ();
+      step t;
+      go (n + 1)
+    end
+  in
+  go 0
 
 let describe t =
   Printf.sprintf "supervisor: %d alive, %d restarts, %d recovered, %d parked"

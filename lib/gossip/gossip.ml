@@ -7,7 +7,7 @@
    whole rollout byte-for-byte:
 
    - {e rumor push}: an item a node just learned stays "hot" for
-     [g_rumor_rounds] rounds; each round the node opens short-lived
+     [rumor_rounds] rounds; each round the node opens short-lived
      connections to [g_fanout] randomly drawn peers and pushes every hot
      line, fire-and-forget;
    - {e anti-entropy}: every [g_digest_every] rounds (staggered by node
@@ -35,14 +35,11 @@ let default_base_port = 7000
 
 type params = {
   g_fanout : int;
-  g_rumor_rounds : int; (* rounds an item stays hot *)
   g_digest_every : int; (* anti-entropy period per node *)
   g_quorum : float; (* apply at ceil(q * N) Pro votes *)
-  g_fence_quorum : float; (* fence at max 1 (ceil(fq * N)) trip votes *)
   g_apply_jitter : int; (* max random per-node delay before draining *)
   g_drain_timeout : int;
   g_update_timeout : int;
-  g_probe_deadline : int;
   g_max_retries : int;
   g_backoff_base : int;
   g_guard : J.Guard.config option; (* probe bound per node if absent *)
@@ -52,19 +49,23 @@ type params = {
 let default_params =
   {
     g_fanout = 3;
-    g_rumor_rounds = 4;
     g_digest_every = 16;
     g_quorum = 0.51;
-    g_fence_quorum = 0.0; (* -> threshold 1: any trip verdict fences *)
     g_apply_jitter = 24;
     g_drain_timeout = 120;
     g_update_timeout = 400;
-    g_probe_deadline = 80;
     g_max_retries = 2;
     g_backoff_base = 40;
     g_guard = None;
     g_seed = 42;
   }
+
+(* Rounds a freshly learned item stays hot (pushed to [g_fanout] peers
+   each round). *)
+let rumor_rounds = 4
+
+(* Trip votes that condemn a proposal: any one guard trip fences. *)
+let fence_votes = 1
 
 type hot = { h_line : string; mutable h_ttl : int }
 
@@ -89,7 +90,6 @@ type t = {
   mutable peers : peer_state array;
   base_port : int;
   quorum : int;
-  fence : int;
   epoch_counts : (int, int) Hashtbl.t; (* over live (counted) nodes *)
   counted : bool array; (* node still in the convergence tally *)
   mutable mixed_window : int;
@@ -135,13 +135,13 @@ let node_for t ~id ~epoch =
   let cfg =
     {
       Node.nc_quorum = t.quorum;
-      nc_fence = t.fence;
+      nc_fence = fence_votes;
       nc_drain_timeout = t.params.g_drain_timeout;
       nc_update_timeout = t.params.g_update_timeout;
       nc_max_retries = t.params.g_max_retries;
       nc_backoff_base = t.params.g_backoff_base + jitter;
       nc_guard =
-        F.Lifecycle.guard_for ~probe_deadline:t.params.g_probe_deadline
+        F.Lifecycle.guard_for ~probe_deadline:F.Lifecycle.probe_deadline
           profile inst t.params.g_guard;
     }
   in
@@ -177,9 +177,6 @@ let create ?chaos ?(params = default_params) ~fleet () =
   let quorum =
     max 1 (int_of_float (ceil (params.g_quorum *. float_of_int n)))
   in
-  let fence =
-    max 1 (int_of_float (ceil (params.g_fence_quorum *. float_of_int n)))
-  in
   let t =
     {
       fleet;
@@ -189,7 +186,6 @@ let create ?chaos ?(params = default_params) ~fleet () =
       peers = [||];
       base_port = default_base_port;
       quorum;
-      fence;
       epoch_counts = Hashtbl.create 4;
       counted = Array.make n true;
       mixed_window = 0;
@@ -551,7 +547,7 @@ let step t =
             ps.ps_hot
             @ List.map
                 (fun m ->
-                  { h_line = Wire.encode m; h_ttl = t.params.g_rumor_rounds })
+                  { h_line = Wire.encode m; h_ttl = rumor_rounds })
                 out)
     t.peers;
   (* Anti-entropy runs only while there is something to reconcile:

@@ -153,9 +153,6 @@ let since h (s : snap) =
   end;
   d
 
-(* The [q]-quantile of the observations recorded after [snap] was taken. *)
-let quantile_since h s q = quantile (since h s) q
-
 (* Bucket-wise merge; both histograms must share gamma (the default unless
    explicitly overridden). *)
 let merge_into ~into src =

@@ -82,14 +82,14 @@ let cid_of_ty vm = function
   | t -> cerr "non-reference type in cast: %s" (CF.Types.to_string t)
 
 (* Decide whether a callee may be inlined at this site. *)
-let inlinable vm ~depth ~chain (callee : Rt.rt_method) =
+let inlinable ~depth ~chain (callee : Rt.rt_method) =
   depth > 0
   && (not (List.mem callee.Rt.uid chain))
   && callee.Rt.m_valid
   &&
   match callee.Rt.bytecode with
   | None -> false
-  | Some code -> Array.length code <= vm.State.config.inline_max_code
+  | Some code -> Array.length code <= State.inline_max_code
 
 (* Emit the body of [code] into [b].
 
@@ -121,7 +121,7 @@ let rec emit_body vm b (code : CF.Instr.t array) ~base_local ~bc_of ~depth
       List.length mr.CF.Instr.m_sig.CF.Types.params
       + match kind with `Static -> 0 | `Direct -> 1
     in
-    if opt && callee.Rt.native_key = None && inlinable vm ~depth ~chain callee
+    if opt && callee.Rt.native_key = None && inlinable ~depth ~chain callee
     then begin
       inlined := callee.Rt.uid :: !inlined;
       let callee_code = Option.get callee.Rt.bytecode in
@@ -265,7 +265,7 @@ let compile vm (m : Rt.rt_method) (level : level) : compiled =
       let inlined =
         emit_body vm b code ~base_local:0
           ~bc_of:(fun pc -> pc)
-          ~depth:(if opt then vm.State.config.inline_depth else 0)
+          ~depth:(if opt then State.inline_depth else 0)
           ~chain:[ m.Rt.uid ] ~opt ~next_local ~spans ~ret_patches:None
       in
       let mcode = Array.sub b.code 0 b.n in

@@ -16,8 +16,6 @@ type config = {
       (* the JDrums/DVM-style baseline: every getfield/putfield/
          invokevirtual pays a check, and every update commits lazily with
          no background sweep, so objects migrate only when touched *)
-  inline_max_code : int; (* max callee bytecode length to inline *)
-  inline_depth : int; (* max nesting of inlined bodies *)
   opt_osr : bool;
       (* extension (paper future work §3.2/§5, cf. UpStare): allow OSR of
          opt-compiled category-(2) frames when they are parked outside any
@@ -49,8 +47,6 @@ let default_config =
     opt_threshold = 50;
     quantum = 2000;
     indirection_mode = false;
-    inline_max_code = 24;
-    inline_depth = 3;
     opt_osr = false;
     transformer_fuel = 200_000;
     verify_heap = false;
@@ -58,6 +54,11 @@ let default_config =
     lazy_sweep_budget = 64;
     confree = true;
   }
+
+(* The opt compiler inlines callees of at most [inline_max_code]
+   bytecodes, nested at most [inline_depth] deep. *)
+let inline_max_code = 24
+let inline_depth = 3
 
 (* --- threads --- *)
 

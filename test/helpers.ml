@@ -110,3 +110,16 @@ module Line_server = struct
           N.send t.net ~conn_id:c r)
       ready
 end
+
+(* An [Orchestrator.drive] [on_round] hook that arms a one-shot kill on
+   [fleet] the first time [pred] holds after a round: the next VM to
+   consult [vm.crash] dies. *)
+let kill_when fleet pred =
+  let armed = ref false in
+  fun _ ->
+    if (not !armed) && pred () then begin
+      armed := true;
+      match Jv_faults.Faults.parse ~seed:5 "vm.crash=kill@1.0x1" with
+      | Ok plan -> Jv_fleet.Fleet.set_faults fleet (Some plan)
+      | Error e -> failwith e
+    end

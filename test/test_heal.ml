@@ -1,16 +1,18 @@
 (* Self-healing fleet (lib/fleet/supervisor): crash detection, backoff
    restart, snapshot restore, epoch catch-up and LB readmission.
 
-   Three directed arcs plus a property:
+   Four directed arcs plus a property:
    - steady-state crash: a kill outside any rollout heals back to full
      strength on the same version, with the readmit event mirroring the
      quarantine edge;
    - mid-update crash: the orchestrator quarantines the corpse, the
-     supervisor revives it, and [reconcile] moves it from quarantined to
-     recovered — capacity is not double-counted;
+     supervisor revives it, and the rollout's reconciled result moves
+     it from quarantined to recovered — capacity is not double-counted;
    - mid-guard-window crash: the watchdog force-closes the window,
      fences the rollout, survivors revert, and the restarted instance
      catches up to the *reverted* epoch, not the suspect one;
+   - a catch-up hop that aborts fails its restart, and a later restart
+     catches the instance up;
    - property: any seeded kill schedule on a ministore fleet converges
      back to N alive on one version, with every store bit-for-bit equal
      to a never-killed control fleet. *)
@@ -49,46 +51,11 @@ let heal_params =
 let kill_plan ?(seed = 5) spec =
   match Faults.parse ~seed spec with Ok p -> p | Error e -> failwith e
 
-(* drive fleet + supervisor (no rollout) until every recovery is done *)
-let heal ~fleet ~sup =
-  let rounds = ref 0 in
-  while (not (F.Supervisor.settled sup)) || !rounds < 5 do
-    F.Fleet.round fleet;
-    F.Supervisor.step sup;
-    incr rounds;
-    if !rounds > 20_000 then failwith "supervisor never settled"
-  done
-
-(* drive fleet + rollout + supervisor until the rollout has a result AND
-   every recovery is done *)
-let drive ~fleet ~orch ~sup =
-  let rec go n =
-    if n > 30_000 then failwith "rollout + heal did not finish"
-    else
-      match F.Orchestrator.result orch with
-      | Some r when F.Supervisor.settled sup -> r
-      | _ ->
-          F.Fleet.round fleet;
-          F.Orchestrator.step orch;
-          F.Supervisor.step sup;
-          go (n + 1)
-  in
-  go 0
-
-(* step everything until [pred] holds (used to arm a kill at a precise
-   point in the rollout) *)
-let drive_until ~fleet ~orch ~sup pred =
-  let rec go n =
-    if n > 30_000 then failwith "drive_until: condition never reached"
-    else if pred () then ()
-    else begin
-      F.Fleet.round fleet;
-      F.Orchestrator.step orch;
-      F.Supervisor.step sup;
-      go (n + 1)
-    end
-  in
-  go 0
+(* heal with no rollout running: at least 5 rounds, so a kill armed
+   just before has fired *)
+let heal sup =
+  if not (F.Supervisor.settle ~min_rounds:5 sup) then
+    failwith "supervisor never settled"
 
 let heal_orch_params ?guard () =
   {
@@ -108,7 +75,7 @@ let test_steady_state_crash () =
   let sup = F.Supervisor.create ~params:heal_params ~fleet () in
   (* rate 1.0, one fire: instance 0 dies on the very next consult *)
   F.Fleet.set_faults fleet (Some (kill_plan "vm.crash=kill@1.0x1"));
-  heal ~fleet ~sup;
+  heal sup;
   Alcotest.(check int) "one restart" 1 (F.Supervisor.restarts sup);
   Alcotest.(check (list int)) "victim recovered" [ 0 ]
     (F.Supervisor.recovered sup);
@@ -137,18 +104,16 @@ let test_steady_state_crash () =
 
 let test_mid_update_crash_reconciled () =
   let fleet = boot_under_load ~size:3 () in
-  let orch =
-    F.Orchestrator.create
-      ~params:(heal_orch_params ())
-      ~fleet ~to_version:"5.1.2" ()
-  in
   let sup = F.Supervisor.create ~params:heal_params ~fleet () in
   (* kill instance 0 the moment its update transaction is in flight *)
-  drive_until ~fleet ~orch ~sup (fun () ->
-      (F.Fleet.instance fleet 0).F.Instance.i_status = F.Instance.Updating);
-  F.Fleet.set_faults fleet (Some (kill_plan "vm.crash=kill@1.0x1"));
-  let r = drive ~fleet ~orch ~sup in
-  let r = F.Orchestrator.reconcile r ~recovered:(F.Supervisor.recovered sup) in
+  let r =
+    F.Orchestrator.run ~supervisor:sup
+      ~on_round:
+        (Helpers.kill_when fleet (fun () ->
+             (F.Fleet.instance fleet 0).F.Instance.i_status
+             = F.Instance.Updating))
+      ~params:(heal_orch_params ()) ~fleet ~to_version:"5.1.2" ()
+  in
   Alcotest.(check bool) "victim recovered in the result" true
     (List.mem 0 r.F.Orchestrator.r_recovered);
   Alcotest.(check bool) "victim no longer counted quarantined" false
@@ -175,21 +140,20 @@ let heal_guard =
 
 let test_mid_guard_window_crash () =
   let fleet = boot_under_load ~size:3 () in
-  let orch =
-    F.Orchestrator.create
-      ~params:(heal_orch_params ~guard:heal_guard ())
-      ~fleet ~to_version:"5.1.2" ()
-  in
   let sup = F.Supervisor.create ~params:heal_params ~fleet () in
   (* wait until instance 0 is serving the new version inside its guard
      window, then kill it: the watchdog must force-close the window,
      fence the rollout and revert the survivors *)
-  drive_until ~fleet ~orch ~sup (fun () ->
-      let i = F.Fleet.instance fleet 0 in
-      i.F.Instance.i_version = "5.1.2"
-      && i.F.Instance.i_status = F.Instance.In_service);
-  F.Fleet.set_faults fleet (Some (kill_plan "vm.crash=kill@1.0x1"));
-  let r = drive ~fleet ~orch ~sup in
+  let r =
+    F.Orchestrator.run ~supervisor:sup
+      ~on_round:
+        (Helpers.kill_when fleet (fun () ->
+             let i = F.Fleet.instance fleet 0 in
+             i.F.Instance.i_version = "5.1.2"
+             && i.F.Instance.i_status = F.Instance.In_service))
+      ~params:(heal_orch_params ~guard:heal_guard ())
+      ~fleet ~to_version:"5.1.2" ()
+  in
   Alcotest.(check bool) "rollout fenced" true (r.F.Orchestrator.r_halted <> None);
   F.Fleet.run fleet ~rounds:30;
   Alcotest.(check (option string)) "fleet back on the reverted epoch"
@@ -201,6 +165,71 @@ let test_mid_guard_window_crash () =
   Alcotest.(check bool) "victim recovered" true
     (List.mem 0 (F.Supervisor.recovered sup));
   Alcotest.(check int) "full strength" 3 (F.Supervisor.alive sup)
+
+(* --- a catch-up hop that aborts ------------------------------------------ *)
+
+(* Instance 0 dies after the fleet reached 5.1.2; on its rebooted VM the
+   5.1.1 -> 5.1.2 catch-up hop aborts on an injected load fault.  The
+   restart fails naming the hop, the instance stays out of service with
+   another restart scheduled, and that restart catches it up. *)
+let test_catchup_abort_retried () =
+  let fleet = boot_under_load ~size:3 () in
+  let r =
+    F.Orchestrator.run ~params:(heal_orch_params ()) ~fleet ~to_version:"5.1.2"
+      ()
+  in
+  Alcotest.(check bool) "rollout ok" true r.F.Orchestrator.r_ok;
+  let sup = F.Supervisor.create ~params:heal_params ~fleet () in
+  F.Fleet.set_faults fleet
+    (Some (kill_plan "vm.crash=kill@1.0x1,updater.load=raise@1.0x1"));
+  let events name =
+    List.filter
+      (fun (ev : Obs.event) -> ev.Obs.ev_name = name)
+      (Obs.events (F.Fleet.obs fleet))
+  in
+  let field k (ev : Obs.event) = List.assoc k ev.Obs.ev_fields in
+  let rounds = ref 0 in
+  while events "restart.failed" = [] do
+    F.Fleet.round fleet;
+    F.Supervisor.step sup;
+    incr rounds;
+    if !rounds > 5_000 then Alcotest.fail "no restart failed"
+  done;
+  (match events "restart.failed" with
+  | [ ev ] ->
+      Alcotest.(check bool) "instance 0 failed" true
+        (field "instance" ev = Obs.Int 0);
+      let why =
+        match field "why" ev with Obs.Str s -> s | _ -> Alcotest.fail "why"
+      in
+      let prefix = "catch-up 5.1.1->5.1.2 failed: " in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the hop" why)
+        true
+        (Helpers.contains why prefix
+        && String.length why > String.length prefix)
+  | evs -> Alcotest.failf "%d restart failures" (List.length evs));
+  let i0 = F.Fleet.instance fleet 0 in
+  Alcotest.(check string) "still out of service" "out-of-service"
+    (F.Instance.status_to_string i0.F.Instance.i_status);
+  Alcotest.(check bool) "not admitted" false
+    (F.Lb.admitting (F.Fleet.lb fleet) ~id:0);
+  Alcotest.(check (list int)) "second restart scheduled" [ 1; 2 ]
+    (List.map
+       (fun ev ->
+         match field "attempt" ev with Obs.Int n -> n | _ -> -1)
+       (events "restart.scheduled"));
+  heal sup;
+  Alcotest.(check int) "two restarts" 2 (F.Supervisor.restarts sup);
+  Alcotest.(check (list int)) "victim recovered" [ 0 ]
+    (F.Supervisor.recovered sup);
+  Alcotest.(check string) "caught up to 5.1.2" "5.1.2"
+    (F.Fleet.instance fleet 0).F.Instance.i_version;
+  Alcotest.(check int) "one catch-up hop landed" 1
+    (Obs.counter_value (F.Fleet.obs fleet) "fleet.supervisor.catchup_hops");
+  Alcotest.(check int) "full strength" 3 (F.Supervisor.alive sup);
+  Alcotest.(check (option string)) "fleet uniform on 5.1.2" (Some "5.1.2")
+    (F.Fleet.uniform_version fleet)
 
 (* --- snapshot format ---------------------------------------------------- *)
 
@@ -275,7 +304,7 @@ let test_ministore_durable_recovery () =
   Alcotest.(check string) "store serving the new schema" "1.1"
     pre.Ms.s_version;
   F.Fleet.set_faults fleet (Some (kill_plan ~seed:3 "vm.crash=kill@1.0x1"));
-  heal ~fleet ~sup;
+  heal sup;
   let post = scrape () in
   Alcotest.(check bool) "pre-crash records served bit-for-bit" true
     (post.Ms.s_records = pre.Ms.s_records);
@@ -333,19 +362,10 @@ let prop_kill_schedule_heals =
         kill_plan ~seed (Printf.sprintf "vm.crash=kill@0.05x%d" kills)
       in
       F.Fleet.set_faults fleet (Some plan);
-      (* long enough that a 5% per-consult rate has certainly fired *)
-      for _ = 1 to 600 do
-        F.Fleet.round fleet;
-        F.Supervisor.step sup
-      done;
-      let rounds = ref 0 in
-      while not (F.Supervisor.settled sup) do
-        F.Fleet.round fleet;
-        F.Supervisor.step sup;
-        incr rounds;
-        if !rounds > 20_000 then
-          QCheck.Test.fail_reportf "seed %d: never settled" seed
-      done;
+      (* 600 rounds: long enough that a 5% per-consult rate has
+         certainly fired *)
+      if not (F.Supervisor.settle ~min_rounds:600 sup) then
+        QCheck.Test.fail_reportf "seed %d: never settled" seed;
       if Faults.fired plan = 0 then
         QCheck.Test.fail_reportf "seed %d: kill schedule never fired" seed;
       if F.Supervisor.alive sup <> size then
@@ -373,6 +393,8 @@ let suite =
       test_mid_update_crash_reconciled;
     Alcotest.test_case "mid-guard-window crash: catch-up to reverted epoch"
       `Quick test_mid_guard_window_crash;
+    Alcotest.test_case "catch-up hop aborts: restart retried, then caught up"
+      `Quick test_catchup_abort_retried;
     Alcotest.test_case "ministore snapshot round-trip + checksum" `Quick
       test_snapshot_roundtrip;
     Alcotest.test_case "ministore durable recovery across a schema hop"

@@ -60,21 +60,6 @@ let check_golden fleet ~golden lines =
     (Obs.dropped_events (F.Fleet.obs fleet));
   Alcotest.(check (list string)) "golden transcript" golden lines
 
-let drive ?sup ~fleet orch =
-  let settled () = Option.fold ~none:true ~some:F.Supervisor.settled sup in
-  let rec go n =
-    if n > 30_000 then failwith "rollout did not finish"
-    else
-      match F.Orchestrator.result orch with
-      | Some r when settled () -> r
-      | _ ->
-          F.Fleet.round fleet;
-          F.Orchestrator.step orch;
-          Option.iter F.Supervisor.step sup;
-          go (n + 1)
-  in
-  go 0
-
 let result_line r = Fmt.str "%a" F.Orchestrator.pp_result r
 
 let golden_retries =
@@ -159,8 +144,7 @@ let test_golden_retries () =
       backoff_base = 20;
     }
   in
-  let orch = F.Orchestrator.create ~params ~fleet ~to_version:"5.1.2" () in
-  let r = drive ~fleet orch in
+  let r = F.Orchestrator.run ~params ~fleet ~to_version:"5.1.2" () in
   check_golden fleet ~golden:golden_retries
     (transcript ~scope:"fleet.rollout" fleet @ [ result_line r ])
 
@@ -198,11 +182,9 @@ let test_golden_canary_fence () =
       guard = Some (J.Guard.config ());
     }
   in
-  let orch =
-    F.Orchestrator.create ~params ~fleet ~to_version:Jv_apps.Miniweb.bad_update
-      ()
+  let r =
+    F.Orchestrator.run ~params ~fleet ~to_version:Jv_apps.Miniweb.bad_update ()
   in
-  let r = drive ~fleet orch in
   check_golden fleet ~golden:golden_canary_fence
     (transcript ~scope:"fleet.rollout" fleet @ [ result_line r ])
 
@@ -256,7 +238,6 @@ let test_golden_kill_heal () =
       on_exhausted = `Quarantine;
     }
   in
-  let orch = F.Orchestrator.create ~params ~fleet ~to_version:"5.1.2" () in
   let sup =
     F.Supervisor.create
       ~params:
@@ -267,14 +248,15 @@ let test_golden_kill_heal () =
         }
       ~fleet ()
   in
-  while (F.Fleet.instance fleet 0).F.Instance.i_status <> F.Instance.Updating do
-    F.Fleet.round fleet;
-    F.Orchestrator.step orch;
-    F.Supervisor.step sup
-  done;
-  F.Fleet.set_faults fleet (Some (plan ~seed:5 "vm.crash=kill@1.0x1"));
-  let r = drive ~sup ~fleet orch in
-  let r = F.Orchestrator.reconcile r ~recovered:(F.Supervisor.recovered sup) in
+  (* instance 0 dies with its update transaction pending *)
+  let r =
+    F.Orchestrator.run ~supervisor:sup
+      ~on_round:
+        (Helpers.kill_when fleet (fun () ->
+             (F.Fleet.instance fleet 0).F.Instance.i_status
+             = F.Instance.Updating))
+      ~params ~fleet ~to_version:"5.1.2" ()
+  in
   check_golden fleet ~golden:golden_kill_heal
     (transcript ~scope:"fleet.rollout" fleet @ [ result_line r ])
 
@@ -492,7 +474,6 @@ let test_one_build_per_hop () =
       on_exhausted = `Quarantine;
     }
   in
-  let orch = F.Orchestrator.create ~params ~fleet ~to_version:"5.1.2" () in
   let sup =
     F.Supervisor.create
       ~params:
@@ -503,14 +484,15 @@ let test_one_build_per_hop () =
         }
       ~fleet ()
   in
-  while (F.Fleet.instance fleet 0).F.Instance.i_status <> F.Instance.Updating do
-    F.Fleet.round fleet;
-    F.Orchestrator.step orch;
-    F.Supervisor.step sup
-  done;
-  F.Fleet.set_faults fleet (Some (plan ~seed:5 "vm.crash=kill@1.0x1"));
-  let r = drive ~sup ~fleet orch in
-  let r = F.Orchestrator.reconcile r ~recovered:(F.Supervisor.recovered sup) in
+  (* instance 0 dies with its update transaction pending *)
+  let r =
+    F.Orchestrator.run ~supervisor:sup
+      ~on_round:
+        (Helpers.kill_when fleet (fun () ->
+             (F.Fleet.instance fleet 0).F.Instance.i_status
+             = F.Instance.Updating))
+      ~params ~fleet ~to_version:"5.1.2" ()
+  in
   Alcotest.(check bool) "a kill was healed" true (F.Supervisor.restarts sup >= 1);
   Alcotest.(check bool) "rollout ok" true r.F.Orchestrator.r_ok;
   Alcotest.(check (option string)) "fleet on the new version" (Some "5.1.2")
