@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke examples-smoke perf-smoke table1-smoke clean
+.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke examples-smoke perf-smoke table1-smoke profile clean
 
 all:
 	dune build @all
@@ -187,6 +187,20 @@ perf-smoke:
 # the bench exit non-zero and fails the target; no timing is checked.
 table1-smoke:
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe table1
+
+# Where a workload's time goes: a 15 s seed-1 run of benchmark workload W
+# (default serve) under gprofng's clock profiler, recorded into
+# _build/profile-W.er, then the top functions by exclusive CPU time.
+# Needs gprofng (GNU binutils); no CI job runs it.
+W ?= serve
+
+profile:
+	dune build perf/main.exe
+	rm -rf _build/profile-$(W).er
+	gprofng collect app -p 1 -o _build/profile-$(W).er \
+	  _build/default/perf/main.exe --workload $(W) --seed 1 --seconds 15 \
+	  --trace 0
+	gprofng display text -functions _build/profile-$(W).er | head -40
 
 clean:
 	dune clean

@@ -47,6 +47,31 @@ type route = {
   mutable rt_back_closed : bool;
 }
 
+module M = Jv_obs.Metrics
+
+(* The sink with handles on the meters bumped per session, per response
+   and per pump, each resolved on first use so the sink keeps its
+   registration order. *)
+type sink = {
+  o : Jv_obs.Obs.t;
+  m_sessions : M.counter Lazy.t;
+  m_responses : M.counter Lazy.t;
+  m_errors : M.counter Lazy.t;
+  m_latency : M.histogram Lazy.t;
+  m_backlog : M.histogram Lazy.t;
+}
+
+let sink o =
+  {
+    o;
+    m_sessions = lazy (Jv_obs.Obs.counter o "fleet.lb.sessions");
+    m_responses = lazy (Jv_obs.Obs.counter o "fleet.lb.responses");
+    m_errors = lazy (Jv_obs.Obs.counter o "fleet.lb.errors");
+    m_latency =
+      lazy (Jv_obs.Obs.histogram o "fleet.lb.request_latency_rounds");
+    m_backlog = lazy (Jv_obs.Obs.histogram o "fleet.lb.backlog");
+  }
+
 type t = {
   front : Simnet.t;
   port : int;
@@ -62,7 +87,7 @@ type t = {
   mutable in_flight_count : int; (* sum of b_active, maintained *)
   mutable dropped : int;
   mutable rejected : int; (* accepted with no backend admitting *)
-  mutable obs : Jv_obs.Obs.t option; (* routing decisions + latency *)
+  obs : sink option; (* routing decisions + latency *)
 }
 
 let create ?(policy = Round_robin) ?(ok = fun _ -> true) ?obs ~port () =
@@ -84,16 +109,20 @@ let create ?(policy = Round_robin) ?(ok = fun _ -> true) ?obs ~port () =
     in_flight_count = 0;
     dropped = 0;
     rejected = 0;
-    obs;
+    obs = Option.map sink obs;
   }
 
 let obs_incr t name =
-  match t.obs with None -> () | Some o -> Jv_obs.Obs.incr o name
+  match t.obs with None -> () | Some s -> Jv_obs.Obs.incr s.o name
+
+(* Bump one of the sink's cached counters. *)
+let bump t field =
+  match t.obs with None -> () | Some s -> M.incr (Lazy.force (field s))
 
 let obs_emit t name fields =
   match t.obs with
   | None -> ()
-  | Some o -> Jv_obs.Obs.emit o ~scope:"fleet.lb" name fields
+  | Some s -> Jv_obs.Obs.emit s.o ~scope:"fleet.lb" name fields
 
 let front t = t.front
 
@@ -269,7 +298,7 @@ let accept_new t =
                 b.b_active <- b.b_active + 1;
                 t.in_flight_count <- t.in_flight_count + 1;
                 b.b_sessions <- b.b_sessions + 1;
-                obs_incr t "fleet.lb.sessions";
+                bump t (fun s -> s.m_sessions);
                 Hashtbl.replace t.routes fcid
                   {
                     rt_front = fcid;
@@ -320,16 +349,15 @@ let pump_route t ~tick (r : route) : bool (* keep? *) =
             r.rt_outstanding <- r.rt_outstanding - 1;
             b.b_responses <- b.b_responses + 1;
             b.b_latency_rounds <- b.b_latency_rounds + (tick - r.rt_sent_at);
-            obs_incr t "fleet.lb.responses";
+            bump t (fun s -> s.m_responses);
             (match t.obs with
-            | Some o ->
-                Jv_obs.Obs.observe_int o "fleet.lb.request_latency_rounds"
-                  (tick - r.rt_sent_at)
+            | Some s ->
+                M.observe_int (Lazy.force s.m_latency) (tick - r.rt_sent_at)
             | None -> ());
             if r.rt_outstanding > 0 then r.rt_sent_at <- tick;
             if not (t.ok l) then begin
               b.b_errors <- b.b_errors + 1;
-              obs_incr t "fleet.lb.errors"
+              bump t (fun s -> s.m_errors)
             end
           end;
           Simnet.send t.front ~conn_id:r.rt_front l;
@@ -364,8 +392,8 @@ let pump_route t ~tick (r : route) : bool (* keep? *) =
 
 let pump t ~tick =
   (match t.obs with
-  | Some o ->
-      Jv_obs.Obs.observe_int o "fleet.lb.backlog"
+  | Some s ->
+      M.observe_int (Lazy.force s.m_backlog)
         (Simnet.pending_count t.front ~listener_id:t.listener)
   | None -> ());
   accept_new t;

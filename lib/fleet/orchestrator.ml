@@ -921,6 +921,9 @@ let result t = t.result
 let describe t =
   match (t.result, t.wave, t.stage) with
   | Some r, _, _ -> Fmt.str "%a" pp_result r
+  | None, None, _ when t.guarding <> [] ->
+      (* past the last wave: only open guard windows keep it running *)
+      Fmt.str "watching %d guard window(s)" (List.length t.guarding)
   | None, None, _ -> "starting"
   | None, Some w, stage ->
       let ids = String.concat "," (List.map string_of_int w.w_ids) in

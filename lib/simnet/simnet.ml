@@ -41,15 +41,40 @@ type listener = {
   mutable open_ : bool;
 }
 
+(* Connection and listener ids are small sequential ints: hash them as
+   themselves and compare them as ints, with no call into the polymorphic
+   hash and compare of a generic [Hashtbl]. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (i : int) = i
+end)
+
+module M = Jv_obs.Metrics
+
+(* An attached sink with handles on the meters bumped per line and per
+   connection, each resolved on first use so the sink keeps its
+   registration order. *)
+type sink = {
+  o : Jv_obs.Obs.t;
+  m_bytes_to_client : M.counter Lazy.t;
+  m_bytes_to_server : M.counter Lazy.t;
+  m_conns_opened : M.counter Lazy.t;
+  m_conns_closed : M.counter Lazy.t;
+  m_conn_lifetime : M.histogram Lazy.t;
+  m_conn_bytes : M.histogram Lazy.t;
+}
+
 type t = {
   mutable listeners : (int * listener) list; (* port -> listener *)
-  conns : (int, conn) Hashtbl.t;
+  conns : conn Itbl.t;
   mutable next_conn : int;
   mutable next_listener : int;
-  listener_ids : (int, listener) Hashtbl.t;
+  listener_ids : listener Itbl.t;
   mutable bytes_to_client : int; (* throughput accounting *)
   mutable bytes_to_server : int;
-  mutable obs : Jv_obs.Obs.t option; (* per-connection events and meters *)
+  mutable obs : sink option; (* per-connection events and meters *)
   (* armed chaos plan: the [net.connect], [net.link] and
      [simnet.partition] points live here.  Delay faults are timed on the
      attached sink's clock *)
@@ -65,10 +90,10 @@ type t = {
 let create () =
   {
     listeners = [];
-    conns = Hashtbl.create 64;
+    conns = Itbl.create 64;
     next_conn = 1;
     next_listener = 1;
-    listener_ids = Hashtbl.create 8;
+    listener_ids = Itbl.create 8;
     bytes_to_client = 0;
     bytes_to_server = 0;
     obs = None;
@@ -79,13 +104,30 @@ let create () =
 
 (* Attach the owning VM's (or fleet's) sink; connection open/close events
    land in scope "net". *)
-let set_obs t sink = t.obs <- Some sink
+let set_obs t o =
+  t.obs <-
+    Some
+      {
+        o;
+        m_bytes_to_client = lazy (Jv_obs.Obs.counter o "net.bytes_to_client");
+        m_bytes_to_server = lazy (Jv_obs.Obs.counter o "net.bytes_to_server");
+        m_conns_opened = lazy (Jv_obs.Obs.counter o "net.conns_opened");
+        m_conns_closed = lazy (Jv_obs.Obs.counter o "net.conns_closed");
+        m_conn_lifetime =
+          lazy (Jv_obs.Obs.histogram o "net.conn_lifetime_ticks");
+        m_conn_bytes = lazy (Jv_obs.Obs.histogram o "net.conn_bytes");
+      }
+
 let set_faults t f = t.faults <- f
 
-let obs_tick t = match t.obs with None -> 0 | Some o -> Jv_obs.Obs.now o
+let obs_tick t = match t.obs with None -> 0 | Some s -> Jv_obs.Obs.now s.o
 
-let obs_incr t ?by name =
-  match t.obs with None -> () | Some o -> Jv_obs.Obs.incr ?by o name
+let obs_incr t name =
+  match t.obs with None -> () | Some s -> Jv_obs.Obs.incr s.o name
+
+(* Bump one of the sink's cached counters. *)
+let bump t ?by field =
+  match t.obs with None -> () | Some s -> M.incr ?by (Lazy.force (field s))
 
 (* A connection's close event fires once, when the second side closes. *)
 let emit_close t c =
@@ -93,11 +135,12 @@ let emit_close t c =
     c.c_close_emitted <- true;
     match t.obs with
     | None -> ()
-    | Some o ->
+    | Some s ->
+        let o = s.o in
         let life = Jv_obs.Obs.now o - c.c_opened_at in
-        Jv_obs.Obs.incr o "net.conns_closed";
-        Jv_obs.Obs.observe_int o "net.conn_lifetime_ticks" life;
-        Jv_obs.Obs.observe_int o "net.conn_bytes"
+        M.incr (Lazy.force s.m_conns_closed);
+        M.observe_int (Lazy.force s.m_conn_lifetime) life;
+        M.observe_int (Lazy.force s.m_conn_bytes)
           (c.c_bytes_to_server + c.c_bytes_to_client);
         Jv_obs.Obs.emit o ~scope:"net" "conn.close"
           [
@@ -136,8 +179,8 @@ let set_partition t ~groups =
   obs_incr t "net.partitions";
   match t.obs with
   | None -> ()
-  | Some o ->
-      Jv_obs.Obs.emit o ~scope:"net" "partition.set"
+  | Some s ->
+      Jv_obs.Obs.emit s.o ~scope:"net" "partition.set"
         [ ("islands", Jv_obs.Obs.Int (List.length groups)) ]
 
 (* Lazily heal a timed partition once its deadline passes. *)
@@ -147,7 +190,7 @@ let check_heal t =
     obs_incr t "net.partition_heals";
     match t.obs with
     | None -> ()
-    | Some o -> Jv_obs.Obs.emit o ~scope:"net" "partition.heal" []
+    | Some s -> Jv_obs.Obs.emit s.o ~scope:"net" "partition.heal" []
   end
 
 let island t port =
@@ -202,7 +245,7 @@ let note_dropped t =
   obs_incr t "net.fault_dropped_lines";
   match t.obs with
   | None -> ()
-  | Some o -> Jv_obs.Obs.emit o ~scope:"net" "line.dropped" []
+  | Some s -> Jv_obs.Obs.emit s.o ~scope:"net" "line.dropped" []
 
 (* Move delay-held lines whose deliver-at tick has passed into the real
    queue, preserving hold order. *)
@@ -245,10 +288,10 @@ let listen t ~port =
   t.listeners <- (port, l) :: t.listeners;
   let id = t.next_listener in
   t.next_listener <- id + 1;
-  Hashtbl.replace t.listener_ids id l;
+  Itbl.replace t.listener_ids id l;
   id
 
-let listener_by_id t id = Hashtbl.find_opt t.listener_ids id
+let listener_by_id t id = Itbl.find_opt t.listener_ids id
 
 (* Non-blocking accept: [None] means the VM thread must block. *)
 let accept t ~listener_id =
@@ -274,7 +317,7 @@ let pending_count t ~listener_id =
   | Some l -> List.length l.backlog + List.length l.backlog_back
 
 let conn t id =
-  match Hashtbl.find_opt t.conns id with
+  match Itbl.find_opt t.conns id with
   | None -> raise (Net_error (Printf.sprintf "unknown connection %d" id))
   | Some c -> c
 
@@ -292,7 +335,7 @@ let recv_line t ~conn_id =
   | None -> if c.closed_by_client then `Eof else `Wait
 
 let can_recv t ~conn_id =
-  match Hashtbl.find_opt t.conns conn_id with
+  match Itbl.find_opt t.conns conn_id with
   | None -> true (* let the native re-run and fail loudly *)
   | Some c ->
       flush_to_server t c;
@@ -315,11 +358,11 @@ let send t ~conn_id line =
         c.to_client_back <- back);
     t.bytes_to_client <- t.bytes_to_client + String.length line + 1;
     c.c_bytes_to_client <- c.c_bytes_to_client + String.length line + 1;
-    obs_incr t ~by:(String.length line + 1) "net.bytes_to_client"
+    bump t ~by:(String.length line + 1) (fun s -> s.m_bytes_to_client)
   end
 
 let close_server t ~conn_id =
-  match Hashtbl.find_opt t.conns conn_id with
+  match Itbl.find_opt t.conns conn_id with
   | None -> ()
   | Some c ->
       c.closed_by_server <- true;
@@ -365,15 +408,15 @@ let connect ?(from = -1) t ~port =
           c_delayed_to_client = [];
         }
       in
-      Hashtbl.replace t.conns id c;
+      Itbl.replace t.conns id c;
       let front, back = push_q l.backlog l.backlog_back c in
       l.backlog <- front;
       l.backlog_back <- back;
-      obs_incr t "net.conns_opened";
+      bump t (fun s -> s.m_conns_opened);
       (match t.obs with
       | None -> ()
-      | Some o ->
-          Jv_obs.Obs.emit o ~scope:"net" "conn.open"
+      | Some s ->
+          Jv_obs.Obs.emit s.o ~scope:"net" "conn.open"
             [
               ("conn", Jv_obs.Obs.Int id); ("port", Jv_obs.Obs.Int port);
             ]);
@@ -396,7 +439,7 @@ let client_send t ~conn_id line =
         c.to_server_back <- back);
     t.bytes_to_server <- t.bytes_to_server + String.length line + 1;
     c.c_bytes_to_server <- c.c_bytes_to_server + String.length line + 1;
-    obs_incr t ~by:(String.length line + 1) "net.bytes_to_server"
+    bump t ~by:(String.length line + 1) (fun s -> s.m_bytes_to_server)
   end
 
 let client_recv t ~conn_id =
@@ -410,29 +453,29 @@ let client_recv t ~conn_id =
   | None -> if c.closed_by_server then `Eof else `Wait
 
 let client_close t ~conn_id =
-  match Hashtbl.find_opt t.conns conn_id with
+  match Itbl.find_opt t.conns conn_id with
   | None -> ()
   | Some c ->
       c.closed_by_client <- true;
       emit_close t c
 
 let client_can_recv t ~conn_id =
-  match Hashtbl.find_opt t.conns conn_id with
+  match Itbl.find_opt t.conns conn_id with
   | None -> true (* let the native re-run and fail loudly *)
   | Some c ->
       flush_to_client t c;
       c.to_client <> [] || c.to_client_back <> [] || c.closed_by_server
 
 let server_closed t ~conn_id =
-  match Hashtbl.find_opt t.conns conn_id with
+  match Itbl.find_opt t.conns conn_id with
   | None -> true
   | Some c -> c.closed_by_server
 
 (* Drop a fully-closed connection's storage. *)
 let reap t ~conn_id =
-  match Hashtbl.find_opt t.conns conn_id with
+  match Itbl.find_opt t.conns conn_id with
   | Some c when c.closed_by_client && c.closed_by_server ->
-      Hashtbl.remove t.conns conn_id
+      Itbl.remove t.conns conn_id
   | _ -> ()
 
 let stats t = (t.bytes_to_server, t.bytes_to_client)
@@ -444,13 +487,13 @@ let reset_stats t =
 
 (* Per-connection byte counts; [None] once the connection is reaped. *)
 let conn_stats t ~conn_id =
-  match Hashtbl.find_opt t.conns conn_id with
+  match Itbl.find_opt t.conns conn_id with
   | None -> None
   | Some c -> Some (c.c_bytes_to_server, c.c_bytes_to_client)
 
 (* Connections not yet fully closed: the in-flight count a drain waits on. *)
 let active_conns t =
-  Hashtbl.fold
+  Itbl.fold
     (fun _ c n ->
       if c.closed_by_client && c.closed_by_server then n else n + 1)
     t.conns 0

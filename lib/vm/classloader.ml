@@ -30,14 +30,20 @@ let topo_sort (classes : CF.Cls.t list) : CF.Cls.t list =
 
 let alloc_static_slot vm () = State.alloc_jtoc_slot vm
 
+(* Install one class file and link its native methods. *)
+let install_class vm ~replace defn =
+  let rc =
+    Rt.install_class vm.State.reg ~defn ~alloc_static:(alloc_static_slot vm)
+      ~replace
+  in
+  State.link_natives vm rc.Rt.methods;
+  rc
+
 (* Install class files into the registry (no verification — callers verify
    first).  Returns installed classes in the order given. *)
 let install vm ?(replace = false) (classes : CF.Cls.t list) : Rt.rt_class list
     =
-  topo_sort classes
-  |> List.map (fun defn ->
-         Rt.install_class vm.State.reg ~defn
-           ~alloc_static:(alloc_static_slot vm) ~replace)
+  topo_sort classes |> List.map (install_class vm ~replace)
 
 (* Run a class's static initializer if it has one. *)
 let run_clinit vm (rc : Rt.rt_class) =
@@ -48,18 +54,17 @@ let run_clinit vm (rc : Rt.rt_class) =
     rc.Rt.methods
 
 (* Boot a VM with the given user classes: injects builtins, verifies the
-   whole program, installs everything, registers natives, runs <clinit>s.
+   whole program, registers natives, installs everything (linking each
+   native method as its class goes in), runs <clinit>s.
    Raises [Load_error] on verification failure. *)
 let boot vm (user_classes : CF.Cls.t list) : unit =
   let program = CF.Builtins.program_with user_classes in
   (match CF.Verifier.verify_program program with
   | [] -> ()
   | errs -> raise (Load_error errs));
+  Natives.install vm;
   (* Object, then the array class, then everything else *)
-  let obj =
-    Rt.install_class vm.State.reg ~defn:CF.Builtins.object_cls
-      ~alloc_static:(alloc_static_slot vm) ~replace:false
-  in
+  let obj = install_class vm ~replace:false CF.Builtins.object_cls in
   vm.State.object_cid <- obj.Rt.cid;
   let arr = Rt.install_array_class vm.State.reg in
   vm.State.array_cid <- arr.Rt.cid;
@@ -74,7 +79,6 @@ let boot vm (user_classes : CF.Cls.t list) : unit =
       if String.equal rc.Rt.name CF.Types.string_class then
         vm.State.string_cid <- rc.Rt.cid)
     installed;
-  Natives.install vm;
   let user = install vm user_classes in
   (* static initializers, in user declaration order *)
   let order = List.map (fun c -> c.CF.Cls.c_name) user_classes in

@@ -78,14 +78,36 @@ let charge (sb : State.sandbox) =
 let charge_fuel vm =
   match vm.State.sandbox with None -> () | Some sb -> charge sb
 
+(* --- the operand stack ------------------------------------------------ *)
+
+(* Operand stacks are sized by the JIT; growth indicates invoke-result
+   slack, so double rather than fail. *)
+let grow_ostack (fr : State.frame) =
+  let a = Array.make (2 * Array.length fr.State.ostack) 0 in
+  Array.blit fr.State.ostack 0 a 0 fr.State.sp;
+  fr.State.ostack <- a
+
+(* Inlined into the dispatch loop; the rare paths stay out of line. *)
+let[@inline] push_op (fr : State.frame) v =
+  if fr.State.sp >= Array.length fr.State.ostack then grow_ostack fr;
+  fr.State.ostack.(fr.State.sp) <- v;
+  fr.State.sp <- fr.State.sp + 1
+
+let underflow () = State.fatal "operand stack underflow"
+
+let[@inline] pop_op (fr : State.frame) =
+  if fr.State.sp <= 0 then underflow ();
+  fr.State.sp <- fr.State.sp - 1;
+  fr.State.ostack.(fr.State.sp)
+
 (* Step past the current instruction. *)
 let advance (fr : State.frame) = fr.State.pc <- fr.State.pc + 1
 
 (* Pop two ints, push [f a b] and step past the instruction. *)
 let int_binop fr f =
-  let b = Value.to_int (State.pop_op fr) in
-  let a = Value.to_int (State.pop_op fr) in
-  State.push_op fr (Value.of_int (f a b));
+  let b = Value.to_int (pop_op fr) in
+  let a = Value.to_int (pop_op fr) in
+  push_op fr (Value.of_int (f a b));
   advance fr
 
 (* Complete a method return: pop the frame, deliver the result, advance the
@@ -99,7 +121,7 @@ let do_return vm (t : State.vthread) ~(value : int option) =
       (match rest with
       | caller :: _ ->
           (match value with
-          | Some v -> State.push_op caller v
+          | Some v -> push_op caller v
           | None -> ());
           advance caller
       | [] ->
@@ -116,7 +138,7 @@ let do_return vm (t : State.vthread) ~(value : int option) =
 let run_native vm (t : State.vthread) (m : Rt.rt_method) key
     (args : int array) : [ `Done | `Blocked ] =
   let fn =
-    match Hashtbl.find_opt vm.State.natives key with
+    match State.native_fn vm m.Rt.uid with
     | Some f -> f
     | None -> trap "unlinked native method %s" key
   in
@@ -125,7 +147,7 @@ let run_native vm (t : State.vthread) (m : Rt.rt_method) key
   | State.N_val v ->
       (match t.State.frames with
       | fr :: _ ->
-          if has_ret then State.push_op fr v;
+          if has_ret then push_op fr v;
           advance fr
       | [] -> ());
       `Done
@@ -136,24 +158,25 @@ let run_native vm (t : State.vthread) (m : Rt.rt_method) key
       `Done
   | State.N_block reason ->
       t.State.pending <-
-        Some { State.pn_key = key; pn_args = args; pn_ret = has_ret };
+        Some { State.pn_fn = fn; pn_args = args; pn_ret = has_ret };
       t.State.tstate <- State.T_blocked reason;
       `Blocked
   | State.N_trap msg -> trap "%s" msg
 
 (* Invoke [m] with [argc] words popped from [fr]'s operand stack.  The
    caller's pc is left pointing at the invoke instruction; [do_return]
-   advances it, which keeps parked caller frames relocatable by OSR. *)
+   advances it, which keeps parked caller frames relocatable by OSR.
+   A native gets the words as its own array (a blocked one keeps it); an
+   interpreted callee's locals are filled straight from the stack. *)
 let do_call vm (t : State.vthread) (fr : State.frame) (m : Rt.rt_method) argc :
     [ `Done | `Blocked ] =
   if not m.Rt.m_valid then
     trap "invocation of invalidated method %s" m.Rt.m_name;
-  let args = Array.make argc 0 in
-  for i = argc - 1 downto 0 do
-    args.(i) <- State.pop_op fr
-  done;
+  let base = fr.State.sp - argc in
+  if base < 0 then underflow ();
+  fr.State.sp <- base;
   match m.Rt.native_key with
-  | Some key -> run_native vm t m key args
+  | Some key -> run_native vm t m key (Array.sub fr.State.ostack base argc)
   | None ->
       if List.length t.State.frames >= max_frames then trap "stack overflow";
       m.Rt.invocations <- m.Rt.invocations + 1;
@@ -163,7 +186,9 @@ let do_call vm (t : State.vthread) (fr : State.frame) (m : Rt.rt_method) argc :
         try Jit.best_code vm m
         with Jit.Compile_error e -> trap "compilation failed: %s" e
       in
-      let callee = State.make_frame m code args in
+      (* the popped words stay in place above [sp]: nothing pushes
+         before they are copied *)
+      let callee = State.frame_of_words m code fr.State.ostack base argc in
       t.State.frames <- callee :: t.State.frames;
       `Done
 
@@ -194,31 +219,31 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
            (match sandbox with None -> () | Some sb -> charge sb);
            match ins with
            | M_const w ->
-               State.push_op fr w;
+               push_op fr w;
                advance fr
            | M_str sid ->
                let addr = State.alloc_string_sid vm sid in
-               State.push_op fr (Value.of_ref addr);
+               push_op fr (Value.of_ref addr);
                advance fr
            | M_load i ->
-               State.push_op fr fr.State.locals.(i);
+               push_op fr fr.State.locals.(i);
                advance fr
            | M_store i ->
-               fr.State.locals.(i) <- State.pop_op fr;
+               fr.State.locals.(i) <- pop_op fr;
                advance fr
            | M_dup ->
-               let v = State.pop_op fr in
-               State.push_op fr v;
-               State.push_op fr v;
+               let v = pop_op fr in
+               push_op fr v;
+               push_op fr v;
                advance fr
            | M_pop ->
-               ignore (State.pop_op fr);
+               ignore (pop_op fr);
                advance fr
            | M_swap ->
-               let a = State.pop_op fr in
-               let b = State.pop_op fr in
-               State.push_op fr a;
-               State.push_op fr b;
+               let a = pop_op fr in
+               let b = pop_op fr in
+               push_op fr a;
+               push_op fr b;
                advance fr
            | M_add -> int_binop fr ( + )
            | M_sub -> int_binop fr ( - )
@@ -230,12 +255,12 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                int_binop fr (fun a b ->
                    if b = 0 then trap "division by zero" else a mod b)
            | M_neg ->
-               let a = Value.to_int (State.pop_op fr) in
-               State.push_op fr (Value.of_int (-a));
+               let a = Value.to_int (pop_op fr) in
+               push_op fr (Value.of_int (-a));
                advance fr
            | M_icmp c ->
-               let b = Value.to_int (State.pop_op fr) in
-               let a = Value.to_int (State.pop_op fr) in
+               let b = Value.to_int (pop_op fr) in
+               let a = Value.to_int (pop_op fr) in
                let r =
                  match c with
                  | CF.Instr.Eq -> a = b
@@ -245,11 +270,11 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                  | CF.Instr.Gt -> a > b
                  | CF.Instr.Ge -> a >= b
                in
-               State.push_op fr (Value.of_bool r);
+               push_op fr (Value.of_bool r);
                advance fr
            | M_bnot ->
-               let a = Value.to_bool (State.pop_op fr) in
-               State.push_op fr (Value.of_bool (not a));
+               let a = Value.to_bool (pop_op fr) in
+               push_op fr (Value.of_bool (not a));
                advance fr
            | M_acmp eq ->
                (* identity compares must see through lazy-forward
@@ -257,36 +282,36 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                   compare unequal mid-window *)
                lazy_check_slot vm fr (fr.State.sp - 1);
                lazy_check_slot vm fr (fr.State.sp - 2);
-               let b = State.pop_op fr in
-               let a = State.pop_op fr in
-               State.push_op fr (Value.of_bool (if eq then a = b else a <> b));
+               let b = pop_op fr in
+               let a = pop_op fr in
+               push_op fr (Value.of_bool (if eq then a = b else a <> b));
                advance fr
            | M_if_true target ->
-               let c = Value.to_bool (State.pop_op fr) in
+               let c = Value.to_bool (pop_op fr) in
                fr.State.pc <- (if c then target else fr.State.pc + 1)
            | M_if_false target ->
-               let c = Value.to_bool (State.pop_op fr) in
+               let c = Value.to_bool (pop_op fr) in
                fr.State.pc <- (if c then fr.State.pc + 1 else target)
            | M_goto target -> fr.State.pc <- target
            | M_getfield off ->
                deref_check vm;
                lazy_check_slot vm fr (fr.State.sp - 1);
-               let addr = ref_addr "getfield" (State.pop_op fr) in
-               State.push_op fr (Heap.get heap ~addr ~off);
+               let addr = ref_addr "getfield" (pop_op fr) in
+               push_op fr (Heap.get heap ~addr ~off);
                advance fr
            | M_putfield off ->
                deref_check vm;
                lazy_check_slot vm fr (fr.State.sp - 2);
-               let v = State.pop_op fr in
-               let addr = ref_addr "putfield" (State.pop_op fr) in
+               let v = pop_op fr in
+               let addr = ref_addr "putfield" (pop_op fr) in
                guard_write vm ~addr ~what:"putfield";
                Heap.set heap ~addr ~off v;
                advance fr
            | M_getstatic slot ->
-               State.push_op fr (State.jtoc_get vm slot);
+               push_op fr (State.jtoc_get vm slot);
                advance fr
            | M_putstatic slot ->
-               State.jtoc_set vm slot (State.pop_op fr);
+               State.jtoc_set vm slot (pop_op fr);
                advance fr
            | M_invokevirtual (slot, argc) ->
                let recv_idx = fr.State.sp - argc in
@@ -317,27 +342,27 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                if not cls.Rt.valid then
                  trap "new of superseded class %s" cls.Rt.name;
                let addr = State.alloc_object vm cls in
-               State.push_op fr (Value.of_ref addr);
+               push_op fr (Value.of_ref addr);
                advance fr
            | M_newarray _ ->
-               let len = Value.to_int (State.pop_op fr) in
+               let len = Value.to_int (pop_op fr) in
                if len < 0 then trap "negative array size %d" len;
                let addr = State.alloc_array vm ~len in
-               State.push_op fr (Value.of_ref addr);
+               push_op fr (Value.of_ref addr);
                advance fr
            | M_aload ->
-               let idx = Value.to_int (State.pop_op fr) in
-               let addr = ref_addr "array load" (State.pop_op fr) in
+               let idx = Value.to_int (pop_op fr) in
+               let addr = ref_addr "array load" (pop_op fr) in
                let len = Heap.array_length heap addr in
                if idx < 0 || idx >= len then
                  trap "array index %d out of bounds (length %d)" idx len;
-               State.push_op fr
+               push_op fr
                  (Heap.get heap ~addr ~off:(Heap.array_header_words + idx));
                advance fr
            | M_astore ->
-               let v = State.pop_op fr in
-               let idx = Value.to_int (State.pop_op fr) in
-               let addr = ref_addr "array store" (State.pop_op fr) in
+               let v = pop_op fr in
+               let idx = Value.to_int (pop_op fr) in
+               let addr = ref_addr "array store" (pop_op fr) in
                let len = Heap.array_length heap addr in
                if idx < 0 || idx >= len then
                  trap "array index %d out of bounds (length %d)" idx len;
@@ -345,20 +370,20 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                Heap.set heap ~addr ~off:(Heap.array_header_words + idx) v;
                advance fr
            | M_alen ->
-               let addr = ref_addr "arraylength" (State.pop_op fr) in
-               State.push_op fr (Value.of_int (Heap.array_length heap addr));
+               let addr = ref_addr "arraylength" (pop_op fr) in
+               push_op fr (Value.of_int (Heap.array_length heap addr));
                advance fr
            | M_checkcast cid ->
                (* the class-id read below must see the current-epoch
                   object, or a pending old-epoch instance would fail a
                   cast its replacement passes *)
                lazy_check_slot vm fr (fr.State.sp - 1);
-               let w = State.pop_op fr in
-               if Value.is_null w then State.push_op fr w
+               let w = pop_op fr in
+               if Value.is_null w then push_op fr w
                else begin
                  let ocid = Heap.class_id heap (Value.to_ref w) in
                  if Rt.is_subclass_id reg ~sub:ocid ~super:cid then
-                   State.push_op fr w
+                   push_op fr w
                  else
                    trap "class cast: %s is not a %s"
                      (Rt.class_by_id reg ocid).Rt.name
@@ -367,14 +392,14 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                advance fr
            | M_instanceof cid ->
                lazy_check_slot vm fr (fr.State.sp - 1);
-               let w = State.pop_op fr in
+               let w = pop_op fr in
                let r =
                  (not (Value.is_null w))
                  && Rt.is_subclass_id reg
                       ~sub:(Heap.class_id heap (Value.to_ref w))
                       ~super:cid
                in
-               State.push_op fr (Value.of_bool r);
+               push_op fr (Value.of_bool r);
                advance fr
            | M_return ->
                let fired = do_return vm t ~value:None in
@@ -388,7 +413,7 @@ let run_slice vm (t : State.vthread) ~fuel : slice_end =
                end
                else if !fuel <= 0 then result := Some S_parked
            | M_return_val ->
-               let v = State.pop_op fr in
+               let v = pop_op fr in
                let fired = do_return vm t ~value:(Some v) in
                if State.is_done t then
                  result := Some S_finished
@@ -427,15 +452,10 @@ let retry_pending vm (t : State.vthread) =
   try
     match (t.State.pending, t.State.frames) with
     | Some pn, fr :: _ -> (
-      let fn =
-        match Hashtbl.find_opt vm.State.natives pn.State.pn_key with
-        | Some f -> f
-        | None -> State.fatal "unlinked native %s on retry" pn.State.pn_key
-      in
-      match fn vm t pn.State.pn_args with
+      match pn.State.pn_fn vm t pn.State.pn_args with
       | State.N_val v ->
           t.State.pending <- None;
-          if pn.State.pn_ret then State.push_op fr v;
+          if pn.State.pn_ret then push_op fr v;
           fr.State.pc <- fr.State.pc + 1;
           t.State.tstate <- State.T_runnable
       | State.N_void ->

@@ -60,6 +60,15 @@ let default_config =
 let inline_max_code = 24
 let inline_depth = 3
 
+(* The interned-string index: keys compared by [String.equal], not by the
+   polymorphic compare a generic [Hashtbl] uses. *)
+module Strtbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 (* --- threads --- *)
 
 type block_reason =
@@ -77,29 +86,6 @@ type thread_state =
   | T_blocked of block_reason
   | T_done
   | T_trapped of string
-
-type frame = {
-  f_method : int; (* uid *)
-  mutable code : Machine.compiled;
-  mutable pc : int;
-  mutable locals : int array; (* encoded words *)
-  mutable ostack : int array;
-  mutable sp : int;
-  mutable barrier : bool; (* a DSU return barrier is installed here *)
-}
-
-(* A blocked native call: dispatch key + already-popped argument words,
-   re-executed when the block reason clears.  [pn_ret] records whether the
-   call pushes a result on completion. *)
-type pending_native = { pn_key : string; pn_args : int array; pn_ret : bool }
-
-type vthread = {
-  tid : int;
-  mutable frames : frame list; (* top of stack first *)
-  mutable tstate : thread_state;
-  mutable pending : pending_native option;
-  mutable last_result : int; (* bottom-frame return value, for sync calls *)
-}
 
 type native_result =
   | N_val of int
@@ -173,6 +159,33 @@ type lazy_info = {
          transformer trapped and the window rolled back instead *)
 }
 
+and frame = {
+  f_method : int; (* uid *)
+  mutable code : Machine.compiled;
+  mutable pc : int;
+  mutable locals : int array; (* encoded words *)
+  mutable ostack : int array;
+  mutable sp : int;
+  mutable barrier : bool; (* a DSU return barrier is installed here *)
+}
+
+(* A blocked native call: its linked function + already-popped argument
+   words, re-executed when the block reason clears.  [pn_ret] records
+   whether the call pushes a result on completion. *)
+and pending_native = {
+  pn_fn : native_fn;
+  pn_args : int array;
+  pn_ret : bool;
+}
+
+and vthread = {
+  tid : int;
+  mutable frames : frame list; (* top of stack first *)
+  mutable tstate : thread_state;
+  mutable pending : pending_native option;
+  mutable last_result : int; (* bottom-frame return value, for sync calls *)
+}
+
 and t = {
   config : config;
   reg : Rt.registry;
@@ -183,8 +196,13 @@ and t = {
   (* interned string table *)
   mutable strings : string array;
   mutable n_strings : int;
-  string_ids : (string, int) Hashtbl.t;
+  string_ids : int Strtbl.t;
+  (* native implementations by dispatch key; read only to link a class's
+     native methods when it is installed ([link_natives]) *)
   natives : (string, native_fn) Hashtbl.t;
+  (* method uid -> the native method's function, linked at install;
+     [None] for a method that is not native or has no implementation *)
+  mutable native_fns : native_fn option array;
   net : Simnet.t;
   mutable threads : vthread list; (* spawn order *)
   mutable next_tid : int;
@@ -290,8 +308,9 @@ let create ?(config = default_config) () =
     jtoc_n = 0;
     strings = Array.make 256 "";
     n_strings = 0;
-    string_ids = Hashtbl.create 256;
+    string_ids = Strtbl.create 256;
     natives = Hashtbl.create 64;
+    native_fns = [||];
     net = Simnet.create ();
     threads = [];
     next_tid = 1;
@@ -352,7 +371,7 @@ let jtoc_set vm slot v = vm.jtoc.(slot) <- v
 (* --- string table -------------------------------------------------- *)
 
 let intern_string vm s =
-  match Hashtbl.find_opt vm.string_ids s with
+  match Strtbl.find_opt vm.string_ids s with
   | Some sid -> sid
   | None ->
       if vm.n_strings >= Array.length vm.strings then begin
@@ -363,12 +382,37 @@ let intern_string vm s =
       let sid = vm.n_strings in
       vm.strings.(sid) <- s;
       vm.n_strings <- sid + 1;
-      Hashtbl.replace vm.string_ids s sid;
+      Strtbl.replace vm.string_ids s sid;
       sid
 
 let string_of_sid vm sid =
   if sid < 0 || sid >= vm.n_strings then fatal "bad string id %d" sid;
   vm.strings.(sid)
+
+(* --- native dispatch ------------------------------------------------- *)
+
+(* Link each of [methods] to its native implementation, if it has one,
+   by uid.  Called for every class as it is installed, so each native
+   method's dispatch key is looked up once per VM, not once per call.
+   Non-native methods clear their entry: a rolled-back update frees its
+   uids for the next install. *)
+let link_natives vm (methods : Rt.rt_method array) =
+  Array.iter
+    (fun (m : Rt.rt_method) ->
+      let uid = m.Rt.uid in
+      if uid >= Array.length vm.native_fns then begin
+        let a = Array.make (max 256 (2 * uid)) None in
+        Array.blit vm.native_fns 0 a 0 (Array.length vm.native_fns);
+        vm.native_fns <- a
+      end;
+      vm.native_fns.(uid) <-
+        Option.bind m.Rt.native_key (Hashtbl.find_opt vm.natives))
+    methods
+
+(* The function linked for native method [uid]; [None] when its key has
+   no registered implementation. *)
+let native_fn vm uid =
+  if uid < Array.length vm.native_fns then vm.native_fns.(uid) else None
 
 (* --- transformer sandbox -------------------------------------------- *)
 
@@ -527,13 +571,12 @@ let runnable_threads vm =
 
 (* --- frames --------------------------------------------------------- *)
 
-let make_frame (m : Rt.rt_method) (code : Machine.compiled) args =
-  let locals =
-    Array.make
-      (max 1 (max code.Machine.frame_locals (Array.length args)))
-      0
-  in
-  Array.blit args 0 locals 0 (Array.length args);
+(* A fresh frame whose locals start with the [argc] argument words at
+   [src.(pos)]. *)
+let frame_of_words (m : Rt.rt_method) (code : Machine.compiled) src pos argc
+    =
+  let locals = Array.make (max 1 (max code.Machine.frame_locals argc)) 0 in
+  Array.blit src pos locals 0 argc;
   {
     f_method = m.Rt.uid;
     code;
@@ -544,21 +587,7 @@ let make_frame (m : Rt.rt_method) (code : Machine.compiled) args =
     barrier = false;
   }
 
-let push_op fr v =
-  if fr.sp >= Array.length fr.ostack then begin
-    (* operand stacks are sized by the JIT; growth indicates invoke-result
-       slack, so double rather than fail *)
-    let a = Array.make (2 * Array.length fr.ostack) 0 in
-    Array.blit fr.ostack 0 a 0 fr.sp;
-    fr.ostack <- a
-  end;
-  fr.ostack.(fr.sp) <- v;
-  fr.sp <- fr.sp + 1
-
-let pop_op fr =
-  if fr.sp <= 0 then fatal "operand stack underflow";
-  fr.sp <- fr.sp - 1;
-  fr.ostack.(fr.sp)
+let make_frame m code args = frame_of_words m code args 0 (Array.length args)
 
 (* --- misc ----------------------------------------------------------- *)
 

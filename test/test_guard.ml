@@ -387,6 +387,42 @@ let test_rolling_guard_trip_reverts_updated () =
   Alcotest.(check int) "no instance stranded out of service" 0
     (List.length r.F.Orchestrator.r_rollback_failed)
 
+(* Past its last wave, a guarded rollout runs on only while its guard
+   windows are open; its progress line must say so, not "starting". *)
+let test_describe_names_open_guard_windows () =
+  let fleet = boot_fleet ~size:2 ~version:"5.1.1" in
+  let params =
+    {
+      (F.Orchestrator.default_params
+         (F.Orchestrator.Rolling { batch_size = 1 }))
+      with
+      F.Orchestrator.guard = Some (J.Guard.config ());
+    }
+  in
+  let lines = ref [] in
+  let note o =
+    let l = F.Orchestrator.describe o in
+    match !lines with
+    | prev :: _ when String.equal prev l -> ()
+    | _ -> lines := l :: !lines
+  in
+  let t = F.Orchestrator.create ~params ~fleet ~to_version:"5.1.2" () in
+  note t;
+  let r = F.Orchestrator.drive ~on_round:note t in
+  Alcotest.(check bool) "rollout ok" true r.F.Orchestrator.r_ok;
+  let lines = List.rev !lines in
+  Alcotest.(check string) "first line" "starting" (List.hd lines);
+  Alcotest.(check bool) "the second wave's probe precedes the watch" true
+    (List.mem "update wave [1]: health probing" lines);
+  let watching =
+    List.filter (fun l -> Helpers.contains l "guard window(s)") lines
+  in
+  Alcotest.(check (list string)) "one line per open-window count"
+    [ "watching 2 guard window(s)"; "watching 1 guard window(s)" ]
+    watching;
+  Alcotest.(check bool) "no \"starting\" after the first wave" false
+    (List.mem "starting" (List.tl lines))
+
 (* --- property: apply + trip + revert == never updated -------------------- *)
 
 (* Observational identity on a fresh client session: drive the app's own
@@ -584,5 +620,7 @@ let suite =
       test_canary_guard_trip_fences_rollout;
     Alcotest.test_case "fleet: rolling guard trip reverts updated instances"
       `Quick test_rolling_guard_trip_reverts_updated;
+    Alcotest.test_case "fleet: progress past the last wave names guard windows"
+      `Quick test_describe_names_open_guard_windows;
     QCheck_alcotest.to_alcotest prop_revert_observationally_identical;
   ]

@@ -201,6 +201,95 @@ let double_listen_traps () =
         Alcotest.failf "trap: %s" m
   | _ -> Alcotest.fail "expected double-bind trap"
 
+(* Every native method the builtin classes declare is linked to its
+   registered implementation when the VM boots: calls dispatch through
+   that link by method uid, never by key. *)
+let builtin_natives_link_at_boot () =
+  let vm = Jv_vm.Vm.create ~config:Helpers.test_config () in
+  Jv_vm.Vm.boot vm [];
+  let reg = vm.Jv_vm.State.reg in
+  let linked = ref 0 in
+  List.iter
+    (fun (c : Jv_classfile.Cls.t) ->
+      let rc = Jv_vm.Rt.require_class reg c.Jv_classfile.Cls.c_name in
+      Array.iter
+        (fun (m : Jv_vm.Rt.rt_method) ->
+          match m.Jv_vm.Rt.native_key with
+          | None -> ()
+          | Some key -> (
+              match
+                ( Jv_vm.State.native_fn vm m.Jv_vm.Rt.uid,
+                  Hashtbl.find_opt vm.Jv_vm.State.natives key )
+              with
+              | Some f, Some g when f == g -> incr linked
+              | Some _, Some _ -> Alcotest.failf "%s linked to another function" key
+              | None, _ -> Alcotest.failf "%s not linked at boot" key
+              | Some _, None -> Alcotest.failf "%s linked but not registered" key))
+        rc.Jv_vm.Rt.methods)
+    Jv_classfile.Builtins.all;
+  let declared =
+    List.fold_left
+      (fun n (c : Jv_classfile.Cls.t) ->
+        n
+        + List.length
+            (List.filter
+               (fun (md : Jv_classfile.Cls.meth) ->
+                 md.Jv_classfile.Cls.md_access.Jv_classfile.Access.is_native)
+               c.Jv_classfile.Cls.c_methods))
+      0 Jv_classfile.Builtins.all
+  in
+  Alcotest.(check bool) "builtins declare natives" true (declared > 0);
+  Alcotest.(check int) "every declared native is linked" declared !linked
+
+(* A user class may declare a native method nothing implements: calling
+   it traps that thread with a typed message, and the VM keeps running
+   its other threads. *)
+let unlinked_native_traps_caller_only () =
+  let ghost =
+    match
+      Jv_classfile.Assembler.parse_program
+        {|
+class Ghost extends Object {
+  method public static native boo ()I locals=0
+}
+|}
+    with
+    | [ c ] -> c
+    | _ -> Alcotest.fail "expected one class"
+  in
+  let main =
+    Jv_lang.Compile.compile ~extra:[ ghost ]
+      {|
+class Worker {
+  void run() {
+    for (int i = 0; i < 3; i = i + 1) {
+      Sys.println("tick " + i);
+      Thread.yieldNow();
+    }
+  }
+}
+class Main {
+  static void main() {
+    Thread.spawn(new Worker());
+    Thread.yieldNow();
+    int x = Ghost.boo();
+    Sys.println("unreachable " + x);
+  }
+}
+|}
+  in
+  let vm = Jv_vm.Vm.create ~config:Helpers.test_config () in
+  Jv_vm.Vm.boot vm (ghost :: main);
+  ignore (Jv_vm.Vm.spawn_main vm ~main_class:"Main");
+  ignore (Jv_vm.Vm.run_to_quiescence vm);
+  (match (Jv_vm.Vm.stats vm).Jv_vm.Vm.traps with
+  | [ (_, m) ] ->
+      Alcotest.(check string) "typed trap" "unlinked native method Ghost.boo()I"
+        m
+  | traps -> Alcotest.failf "expected one trap, got %d" (List.length traps));
+  Alcotest.(check string) "the other thread ran to completion"
+    "tick 0\ntick 1\ntick 2\n" (Jv_vm.Vm.output vm)
+
 let suite =
   [
     t "string basics" string_basics;
@@ -217,4 +306,6 @@ let suite =
     t "spawn null traps" spawn_null_traps;
     t "net end to end (in-VM client)" net_end_to_end;
     t "double listen traps" double_listen_traps;
+    t "builtin natives link at boot" builtin_natives_link_at_boot;
+    t "unlinked native traps its caller only" unlinked_native_traps_caller_only;
   ]

@@ -110,6 +110,70 @@ let send_after_close_dropped () =
   | `Eof -> ()
   | _ -> Alcotest.fail "send after close must be dropped"
 
+(* The sink's per-line and per-connection meters count exactly what the
+   substrate does: bytes both ways as [stats] reports them, one open per
+   connection made and one close per connection closed on both sides,
+   one lifetime and one size sample per close, registered in first-use
+   order. *)
+let sink_meters_match_stats () =
+  let module Obs = Jv_obs.Obs in
+  let o = Obs.create () in
+  let tick = ref 0 in
+  Obs.set_clock o (fun () -> !tick);
+  let t = N.create () in
+  N.set_obs t o;
+  let lid = N.listen t ~port:80 in
+  let session i =
+    let c = Option.get (N.connect t ~port:80) in
+    ignore (N.accept t ~listener_id:lid);
+    for k = 1 to i do
+      N.client_send t ~conn_id:c (Printf.sprintf "GET /%d/%d" i k);
+      tick := !tick + 1;
+      (match N.recv_line t ~conn_id:c with
+      | `Line l -> N.send t ~conn_id:c ("200 " ^ l)
+      | _ -> Alcotest.fail "expected a request");
+      ignore (N.client_recv t ~conn_id:c)
+    done;
+    c
+  in
+  let closed = List.map session [ 1; 2; 3 ] in
+  List.iter
+    (fun c ->
+      N.client_close t ~conn_id:c;
+      N.close_server t ~conn_id:c;
+      (* dropped after the close: counted nowhere *)
+      N.send t ~conn_id:c "late")
+    closed;
+  let left_open = session 4 in
+  N.client_close t ~conn_id:left_open;
+  let to_server, to_client = N.stats t in
+  Alcotest.(check int) "bytes to server" to_server
+    (Obs.counter_value o "net.bytes_to_server");
+  Alcotest.(check int) "bytes to client" to_client
+    (Obs.counter_value o "net.bytes_to_client");
+  Alcotest.(check int) "connections opened" 4
+    (Obs.counter_value o "net.conns_opened");
+  Alcotest.(check int) "connections closed" 3
+    (Obs.counter_value o "net.conns_closed");
+  let samples name =
+    Option.fold ~none:0 ~some:Jv_obs.Metrics.count (Obs.find_histogram o name)
+  in
+  Alcotest.(check int) "a lifetime per close" 3
+    (samples "net.conn_lifetime_ticks");
+  Alcotest.(check int) "a size per close" 3 (samples "net.conn_bytes");
+  let names = ref [] in
+  Jv_obs.Metrics.iter (Obs.metrics o) (fun n _ -> names := n :: !names);
+  Alcotest.(check (list string)) "first-use order"
+    [
+      "net.conns_opened";
+      "net.bytes_to_server";
+      "net.bytes_to_client";
+      "net.conns_closed";
+      "net.conn_lifetime_ticks";
+      "net.conn_bytes";
+    ]
+    (List.rev !names)
+
 let suite =
   [
     Alcotest.test_case "listen and connect" `Quick listen_connect;
@@ -120,4 +184,6 @@ let suite =
     Alcotest.test_case "reap frees storage" `Quick reap_frees_storage;
     Alcotest.test_case "send after close dropped" `Quick
       send_after_close_dropped;
+    Alcotest.test_case "sink meters match stats" `Quick
+      sink_meters_match_stats;
   ]
