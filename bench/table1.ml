@@ -173,6 +173,12 @@ let run_cell ?(lazy_update = false) ~verify ~objects ~fraction () : cell =
   let spec =
     J.Spec.make ~version_tag:"1" ~old_program ~new_program ()
   in
+  let zeroed_words () =
+    match Obs.find_histogram (VM.Vm.obs vm) "vm.gc.zeroed_words" with
+    | Some hg -> int_of_float (Metrics.sum hg)
+    | None -> 0
+  in
+  let zeroed_before = zeroed_words () in
   let h = J.Jvolve.update_now ~max_rounds:50 vm spec in
   match h.J.Jvolve.h_outcome with
   | J.Jvolve.Applied t ->
@@ -186,6 +192,13 @@ let run_cell ?(lazy_update = false) ~verify ~objects ~fraction () : cell =
         | None ->
             check ~objects ~fraction "every Change object transformed"
               (t.J.Updater.u_transformed_objects = n_change);
+            (* the pause pays for the transformed objects' fields, not for
+               the garbage in to-space *)
+            let change = VM.Rt.require_class vm.VM.State.reg "Change" in
+            check ~objects ~fraction
+              "the update collection zeroed only the new objects' fields"
+              (zeroed_words () - zeroed_before
+              = n_change * (change.VM.Rt.size_words - VM.Heap.header_words));
             0.0
       in
       check_cell vm ~objects ~fraction ~n_change ~n_nochange ~verify;

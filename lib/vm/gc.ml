@@ -5,9 +5,11 @@
    scan reads one table per class, kept on its [Rt.rt_class]: the size
    (arrays marked apart, sized by their length word) and the offsets of
    the reference-typed fields, like the reference offsets of a Jikes RVM
-   TIB.  Int fields are never visited.  Afterwards only the dirty prefix
-   of the idle space — up to its free pointer before the flip — is
-   zeroed.
+   TIB.  Int fields are never visited.  The collection zeroes nothing
+   but the fields of the new-layout objects a transform plan allocates:
+   copies overwrite every word they land on, and the allocator zeroes
+   the rest of to-space as it hands it out ([Heap.alloc_raw]), so a
+   pause pays for live and transformed objects, never for garbage.
 
    During an update the collector additionally receives a *transform plan*
    mapping old class ids to new class ids (an array indexed by old class
@@ -39,6 +41,7 @@ type result = {
   copied_objects : int;
   transformed_objects : int;
   copied_words : int;
+  zeroed_words : int; (* new-layout fields zeroed by a transform plan *)
   update_log : Update_log.t;
 }
 
@@ -65,11 +68,11 @@ let collect ?plan ?redirect (vm : State.t) : result =
   let plan = Option.value plan ~default:[||] in
   let heap = vm.State.heap in
   let classes = vm.State.reg.Rt.classes in
-  let dirty = heap.Heap.free in
   let from = Heap.flip heap in
   let space = heap.Heap.space in
   let copied = ref 0 in
   let transformed = ref 0 in
+  let zeroed = ref 0 in
   let update_log = Update_log.create () in
   (* a word loop, not [Array.blit]: typed as an int array, it stores
      without the write barrier the polymorphic blit pays per word *)
@@ -107,11 +110,16 @@ let collect ?plan ?redirect (vm : State.t) : result =
       let size = size_in classes from addr in
       let new_cid = if cid < Array.length plan then plan.(cid) else -1 in
       if new_cid >= 0 then begin
-        let new_addr = bump classes.(new_cid).Rt.size_words in
+        let new_size = classes.(new_cid).Rt.size_words in
+        let new_addr = bump new_size in
         space.(new_addr + Heap.off_class) <- new_cid;
         (* fields stay zero until the transformer runs; the new object
            carries the current heap epoch tag *)
         space.(new_addr + Heap.off_gc) <- heap.Heap.epoch;
+        for j = new_addr + Heap.header_words to new_addr + new_size - 1 do
+          space.(j) <- 0
+        done;
+        zeroed := !zeroed + new_size - Heap.header_words;
         let old_copy = bump size in
         copy_to old_copy addr size;
         (* the copy carried the original's epoch tag along *)
@@ -196,7 +204,6 @@ let collect ?plan ?redirect (vm : State.t) : result =
       scan := addr + cls.Rt.size_words
     end
   done;
-  Heap.scrub_other heap ~upto:dirty;
   (* every copy is an allocation in to-space (a transform makes two) *)
   heap.Heap.allocations <- heap.Heap.allocations + !copied + !transformed;
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -206,6 +213,7 @@ let collect ?plan ?redirect (vm : State.t) : result =
   Jv_obs.Obs.observe obs "vm.gc.ms" ms;
   Jv_obs.Obs.observe_int obs "vm.gc.copied_objects" !copied;
   Jv_obs.Obs.observe_int obs "vm.gc.copied_words" (Heap.words_used heap);
+  Jv_obs.Obs.observe_int obs "vm.gc.zeroed_words" !zeroed;
   if transforming then begin
     Jv_obs.Obs.incr obs "vm.gc.update_collections";
     Jv_obs.Obs.observe_int obs "vm.gc.transformed_objects" !transformed
@@ -217,12 +225,14 @@ let collect ?plan ?redirect (vm : State.t) : result =
       ("copied", Jv_obs.Obs.Int !copied);
       ("transformed", Jv_obs.Obs.Int !transformed);
       ("live_words", Jv_obs.Obs.Int (Heap.words_used heap));
+      ("zeroed", Jv_obs.Obs.Int !zeroed);
     ];
   {
     gc_ms = ms;
     copied_objects = !copied;
     transformed_objects = !transformed;
     copied_words = Heap.words_used heap;
+    zeroed_words = !zeroed;
     update_log;
   }
 

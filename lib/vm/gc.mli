@@ -5,8 +5,10 @@
     {e scan table} ([Rt.rt_class]'s [size_words], [is_array] and
     [ref_offsets], Jikes RVM's TIB reference-offset map): a scalar
     object's reference fields are forwarded by offset and its int fields
-    skipped; an array's erased elements are forwarded by tag.  Only the
-    dirty prefix of the idle semi-space is zeroed afterwards.
+    skipped; an array's erased elements are forwarded by tag.  Nothing
+    is zeroed but a transform plan's new-layout fields: copies overwrite
+    the words they land on, and the allocator zeroes the rest of
+    to-space as it hands it out ([Heap.alloc_raw]).
 
     Given a {e transform plan} (old class id → new class id), each
     first-touched instance of an updated class is replaced by a zeroed
@@ -28,6 +30,10 @@ type result = {
   copied_objects : int;
   transformed_objects : int;
   copied_words : int;
+  zeroed_words : int;
+      (** the new-layout objects' field words this collection zeroed:
+          [transformed_objects] times their field words, whatever the
+          garbage *)
   update_log : Update_log.t;
       (** the (old copy, new object) pairs this collection made, in
           order; empty without a plan.  Not yet rooted: the caller hands

@@ -44,13 +44,22 @@ let is_copy_tag gcw = gcw >= copy_flag
 let copy_tag_epoch gcw = gcw - copy_flag
 let make_copy_tag epoch = copy_flag + epoch
 
+(* Words the allocator zeroes ahead of [free] at a time. *)
+let zero_chunk = 8192
+
 type t = {
   mutable space : int array; (* active (to-)space *)
   mutable other : int array; (* idle (from-)space after a flip *)
   mutable free : int; (* next free word in [space] *)
+  mutable zeroed : int; (* [\[free, zeroed)] of [space] is zero *)
+  mutable mark : int;
+      (* [space]'s high-water mark when it became the to-space: words at
+         or past it had not been written since the space was clean *)
+  mutable other_mark : int; (* [other]'s high-water mark *)
   size_words : int; (* per semi-space *)
   mutable gc_count : int;
   mutable allocations : int; (* objects allocated since creation *)
+  mutable zeroed_words : int; (* words the allocator has zeroed *)
   mutable epoch : int;
       (* current heap epoch: stamped into the gc word of fresh
          allocations once nonzero (bumped by each lazy update commit) *)
@@ -62,27 +71,51 @@ let create ~words =
     space = Array.make words 0;
     other = Array.make words 0;
     free = 1 (* keep address 0 unused: 0 is null *);
+    zeroed = words;
+    mark = 1;
+    other_mark = 1;
     size_words = words;
     gc_count = 0;
     allocations = 0;
+    zeroed_words = 0;
     epoch = 0;
   }
 
 let words_free h = h.size_words - h.free
 let words_used h = h.free - 1
 
+(* Zero [space] ahead of [free] far enough to hold [need]: one chunk
+   past what is already zero, and no further than the mark, past which
+   nothing was written.  Once the fill reaches the mark, everything past
+   [free] is zero. *)
+let zero_ahead h need =
+  let lo = max h.zeroed h.free in
+  let hi = min h.size_words (max need (lo + zero_chunk)) in
+  let dirty = min hi h.mark in
+  if lo < dirty then begin
+    Array.fill h.space lo (dirty - lo) 0;
+    h.zeroed_words <- h.zeroed_words + (dirty - lo)
+  end;
+  h.zeroed <- (if hi >= h.mark then h.size_words else hi)
+
+let take h addr need =
+  h.free <- need;
+  h.allocations <- h.allocations + 1;
+  Some addr
+
 (* Raw allocation: returns the base address or [None] when a collection is
-   needed.  Words are pre-zeroed (spaces start zeroed and the collector
-   re-zeroes the idle space on flip), giving default field values for
-   free. *)
+   needed.  The words handed out are zero, giving default field values for
+   free: the fast path bumps [free] inside the zeroed stretch; past it,
+   [zero_ahead] extends the stretch first. *)
 let alloc_raw h ~nwords =
   if nwords <= 0 then invalid_arg "Heap.alloc_raw";
-  if h.free + nwords > h.size_words then None
+  let addr = h.free in
+  let need = addr + nwords in
+  if need <= h.zeroed then take h addr need
+  else if need > h.size_words then None
   else begin
-    let addr = h.free in
-    h.free <- h.free + nwords;
-    h.allocations <- h.allocations + 1;
-    Some addr
+    zero_ahead h need;
+    take h addr need
   end
 
 let get h ~addr ~off = h.space.(addr + off)
@@ -91,20 +124,25 @@ let set h ~addr ~off v = h.space.(addr + off) <- v
 let class_id h addr = h.space.(addr + off_class)
 let array_length h addr = h.space.(addr + off_array_len)
 
+(* The active space's high-water mark: words at or past it have not been
+   written since it was last clean.  Below [free] everything may be
+   written; past it, words up to the mark stay dirty until the zeroing
+   fill reaches them. *)
+let high_water h = if h.zeroed >= h.mark then h.free else max h.mark h.free
+
 (* Flip for GC: the current space becomes from-space, the idle one becomes
-   the (empty) to-space.  Returns the new from-space for the collector to
-   read evacuated objects from. *)
+   the (empty) to-space, and the two swap marks.  Returns the new
+   from-space for the collector to read evacuated objects from.  The
+   collector's copies overwrite every word they land on; the allocator
+   zeroes what lies between the copies and the to-space's mark. *)
 let flip h =
   let from = h.space in
+  let from_mark = high_water h in
   h.space <- h.other;
   h.other <- from;
+  h.mark <- h.other_mark;
+  h.other_mark <- from_mark;
   h.free <- 1;
+  h.zeroed <- 1;
   h.gc_count <- h.gc_count + 1;
   from
-
-(* After a collection the old from-space contents are dead; zero them so
-   the next flip starts from a clean space (keeps default-initialization
-   guarantees).  Only [\[0, upto)] can be dirty, where [upto] is the free
-   pointer the space had before the flip: a space is all zero when it
-   becomes the to-space, and allocation writes nothing past [free]. *)
-let scrub_other h ~upto = Array.fill h.other 0 upto 0

@@ -30,13 +30,23 @@ val is_copy_tag : int -> bool
 val copy_tag_epoch : int -> int
 val make_copy_tag : int -> int
 
+val zero_chunk : int
+(** Words the allocator zeroes ahead of the free pointer at a time. *)
+
 type t = {
   mutable space : int array;  (** active (to-)space *)
   mutable other : int array;  (** idle (from-)space after a flip *)
   mutable free : int;  (** next free word in [space] *)
+  mutable zeroed : int;  (** [\[free, zeroed)] of [space] is zero *)
+  mutable mark : int;
+      (** [space]'s high-water mark when it became the to-space: words at
+          or past it had not been written since the space was clean *)
+  mutable other_mark : int;
+      (** [other]'s high-water mark: words at or past it are zero *)
   size_words : int;  (** per semi-space *)
   mutable gc_count : int;
   mutable allocations : int;
+  mutable zeroed_words : int;  (** words the allocator has zeroed *)
   mutable epoch : int;
       (** stamped into fresh allocations' gc words once nonzero; bumped
           by each lazy update commit *)
@@ -47,18 +57,21 @@ val words_free : t -> int
 val words_used : t -> int
 
 val alloc_raw : t -> nwords:int -> int option
-(** Bump-allocate; [None] means a collection is needed.  Words are
-    pre-zeroed, giving default field values for free. *)
+(** Bump-allocate; [None] means a collection is needed.  The words handed
+    out are zero, giving default field values for free: past the zeroed
+    stretch the allocator zeroes the next [zero_chunk] words first, but
+    none at or past the space's mark, which were never written. *)
 
 val get : t -> addr:int -> off:int -> int
 val set : t -> addr:int -> off:int -> int -> unit
 val class_id : t -> int -> int
 val array_length : t -> int -> int
 
-val flip : t -> int array
-(** Swap spaces for a collection; returns the new from-space. *)
+val high_water : t -> int
+(** The active space's high-water mark: every word at or past it is zero. *)
 
-val scrub_other : t -> upto:int -> unit
-(** Zero the idle space's words [\[0, upto)] after a collection (keeps the
-    pre-zeroed allocation guarantee).  [upto] is the space's free pointer
-    before the flip: nothing past it was ever written. *)
+val flip : t -> int array
+(** Swap spaces, and their marks, for a collection; returns the new
+    from-space.  The new to-space is not zeroed: the collector's copies
+    overwrite the words they land on, and the allocator zeroes the rest
+    up to the mark as it hands it out. *)

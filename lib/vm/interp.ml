@@ -118,6 +118,7 @@ let do_return vm (t : State.vthread) ~(value : int option) =
   | fr :: rest ->
       let fired = fr.State.barrier in
       t.State.frames <- rest;
+      t.State.depth <- t.State.depth - 1;
       (match rest with
       | caller :: _ ->
           (match value with
@@ -142,7 +143,9 @@ let run_native vm (t : State.vthread) (m : Rt.rt_method) key
     | Some f -> f
     | None -> trap "unlinked native method %s" key
   in
-  let has_ret = not (CF.Types.equal_ty m.Rt.m_sig.CF.Types.ret CF.Types.TVoid) in
+  let has_ret =
+    match m.Rt.m_sig.CF.Types.ret with CF.Types.TVoid -> false | _ -> true
+  in
   match fn vm t args with
   | State.N_val v ->
       (match t.State.frames with
@@ -178,7 +181,7 @@ let do_call vm (t : State.vthread) (fr : State.frame) (m : Rt.rt_method) argc :
   match m.Rt.native_key with
   | Some key -> run_native vm t m key (Array.sub fr.State.ostack base argc)
   | None ->
-      if List.length t.State.frames >= max_frames then trap "stack overflow";
+      if t.State.depth >= max_frames then trap "stack overflow";
       m.Rt.invocations <- m.Rt.invocations + 1;
       (try Jit.maybe_opt vm m
        with Jit.Compile_error e -> trap "opt compilation failed: %s" e);
@@ -190,6 +193,7 @@ let do_call vm (t : State.vthread) (fr : State.frame) (m : Rt.rt_method) argc :
          before they are copied *)
       let callee = State.frame_of_words m code fr.State.ostack base argc in
       t.State.frames <- callee :: t.State.frames;
+      t.State.depth <- t.State.depth + 1;
       `Done
 
 (* Execute one thread for up to [fuel] instructions, stopping only at safe
@@ -495,6 +499,7 @@ let call_on vm (t : State.vthread) (m : Rt.rt_method) (args : int array) : int
     with Jit.Compile_error e -> raise (Sync_trap ("jit: " ^ e))
   in
   t.State.frames <- [ State.make_frame m code args ];
+  t.State.depth <- 1;
   t.State.tstate <- State.T_runnable;
   t.State.last_result <- 0;
   let rec loop () =
@@ -503,10 +508,12 @@ let call_on vm (t : State.vthread) (m : Rt.rt_method) (args : int array) : int
     | S_parked -> loop ()
     | S_blocked ->
         t.State.frames <- [];
+        t.State.depth <- 0;
         t.State.tstate <- State.T_done;
         raise (Sync_trap "synchronous VM call blocked on I/O")
     | S_trapped msg ->
         t.State.frames <- [];
+        t.State.depth <- 0;
         raise (Sync_trap msg)
   in
   loop ()

@@ -309,8 +309,7 @@ let best_code vm (m : Rt.rt_method) : compiled =
 (* Adaptive recompilation: called by the interpreter when a method crosses
    the hotness threshold. *)
 let maybe_opt vm (m : Rt.rt_method) =
-  if
-    m.Rt.opt_code = None
-    && m.Rt.bytecode <> None
-    && m.Rt.invocations >= vm.State.config.opt_threshold
-  then m.Rt.opt_code <- Some (compile vm m Opt)
+  match (m.Rt.opt_code, m.Rt.bytecode) with
+  | None, Some _ when m.Rt.invocations >= vm.State.config.opt_threshold ->
+      m.Rt.opt_code <- Some (compile vm m Opt)
+  | _ -> ()

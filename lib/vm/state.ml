@@ -181,6 +181,7 @@ and pending_native = {
 and vthread = {
   tid : int;
   mutable frames : frame list; (* top of stack first *)
+  mutable depth : int; (* [List.length frames] *)
   mutable tstate : thread_state;
   mutable pending : pending_native option;
   mutable last_result : int; (* bottom-frame return value, for sync calls *)
@@ -548,6 +549,7 @@ let new_thread vm frames =
     {
       tid = vm.next_tid;
       frames;
+      depth = List.length frames;
       tstate = T_runnable;
       pending = None;
       last_result = 0;

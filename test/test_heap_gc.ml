@@ -511,44 +511,151 @@ let collector_differential () =
      transformed=0"
     (gc_pin vm (VM.Gc.collect ~redirect vm))
 
-(* --- collector invariants ---------------------------------------------------
+(* --- allocation zeroing and collector invariants ------------------------------
 
-   The collector zeroes only the dirty prefix of the idle semi-space, so
-   the pre-zeroed allocation guarantee now rests on an invariant: after
-   every collection the idle space is all zero.  And it forwards only the
-   slots its per-class scan table names, so that table must list exactly
-   the reference-typed fields of every class. *)
+   The allocator hands out zeroed words: it zeroes ahead of the free
+   pointer, but no further than the to-space's high-water mark, past which
+   nothing was written since the space was clean; a collection zeroes only
+   the fields of the new-layout objects a transform plan allocates.  So
+   the default-initialization guarantee rests on invariants that must hold
+   after every collection and allocation: the active space is zero in
+   [free, zeroed) and past its high-water mark, and the idle space is zero
+   past its mark.  And the collector forwards only the slots its per-class
+   scan table names, so that table must list exactly the reference-typed
+   fields of every class. *)
 
-let check_idle what vm =
+let all_zero (a : int array) lo hi =
+  let rec go i = i >= hi || (a.(i) = 0 && go (i + 1)) in
+  go lo
+
+let check_zeroing what vm =
+  let h = vm.VM.State.heap in
+  let size = h.VM.Heap.size_words in
   Alcotest.(check bool)
-    (what ^ ": idle semi-space all zero")
+    (what ^ ": [free, zeroed) zero")
     true
-    (Array.for_all (fun w -> w = 0) vm.VM.State.heap.VM.Heap.other)
+    (all_zero h.VM.Heap.space h.VM.Heap.free h.VM.Heap.zeroed);
+  Alcotest.(check bool)
+    (what ^ ": active space zero past its mark")
+    true
+    (all_zero h.VM.Heap.space (VM.Heap.high_water h) size);
+  Alcotest.(check bool)
+    (what ^ ": idle space zero past its mark")
+    true
+    (all_zero h.VM.Heap.other h.VM.Heap.other_mark size)
 
-let idle_space_after_collections () =
+(* Unreachable int arrays full of nonzero words: garbage that dirties
+   the space it lands in. *)
+let litter vm ~arrays ~len =
+  for _ = 1 to arrays do
+    let a = VM.State.alloc_array vm ~len in
+    for k = 0 to len - 1 do
+      VM.Heap.set vm.VM.State.heap ~addr:a
+        ~off:(VM.Heap.array_header_words + k)
+        (VM.Value.of_int (k + 1))
+    done
+  done
+
+(* Allocate until the heap is full, in blocks larger than a zeroing chunk,
+   then small ones, then single words: every word handed out reads zero,
+   and the allocator zeroed exactly the dirty words between the zeroed
+   stretch and the mark.  Leaves the heap full, so it ends a VM's test. *)
+let check_fill what vm =
+  let h = vm.VM.State.heap in
+  let dirty_words =
+    if h.VM.Heap.zeroed >= h.VM.Heap.mark then 0
+    else max 0 (h.VM.Heap.mark - max h.VM.Heap.zeroed h.VM.Heap.free)
+  in
+  let zeroed_before = h.VM.Heap.zeroed_words in
+  let rec fill sizes dirty =
+    match sizes with
+    | [] -> dirty
+    | nwords :: rest -> (
+        match VM.Heap.alloc_raw h ~nwords with
+        | Some a ->
+            fill sizes (dirty || not (all_zero h.VM.Heap.space a (a + nwords)))
+        | None -> fill rest dirty)
+  in
+  let dirty = fill [ VM.Heap.zero_chunk + 808; 7; 1 ] false in
+  Alcotest.(check int) (what ^ ": heap full") h.VM.Heap.size_words
+    h.VM.Heap.free;
+  Alcotest.(check bool)
+    (what ^ ": words allocated until the heap is full read zero")
+    false dirty;
+  Alcotest.(check int)
+    (what ^ ": the allocator zeroed only dirty words")
+    dirty_words
+    (h.VM.Heap.zeroed_words - zeroed_before)
+
+(* Every new-layout object of [log] reads all-zero fields. *)
+let check_new_objects_zero what vm log =
+  let heap = vm.VM.State.heap in
+  for k = 0 to VM.Update_log.pairs log - 1 do
+    let a = VM.Update_log.new_addr log k in
+    let size = VM.Gc.obj_size vm heap.VM.Heap.space a in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: new object %d fields zero" what k)
+      true
+      (all_zero heap.VM.Heap.space (a + VM.Heap.header_words) (a + size))
+  done
+
+let zeroing_after_collections () =
   (* the mixed heap through a plain, a transforming and a rollback
-     collection *)
+     collection, each landing in a space the last one left dirty *)
   let vm = mixed_vm () in
   ignore (build_mixed vm);
+  litter vm ~arrays:4 ~len:100;
   ignore (VM.Gc.collect vm);
-  check_idle "plain" vm;
+  check_zeroing "plain" vm;
+  litter vm ~arrays:4 ~len:100;
+  check_zeroing "allocation after plain" vm;
   let res = VM.Gc.collect ~plan:(mixed_plan vm) vm in
-  check_idle "transforming" vm;
+  check_zeroing "transforming" vm;
+  check_new_objects_zero "transforming" vm res.VM.Gc.update_log;
+  Alcotest.(check int) "transforming: zeroed words are the new fields"
+    (res.VM.Gc.transformed_objects
+    * ((cls_of vm "MidV2").VM.Rt.size_words - VM.Heap.header_words))
+    res.VM.Gc.zeroed_words;
+  litter vm ~arrays:4 ~len:100;
   ignore
     (VM.Gc.collect ~redirect:(VM.Update_log.redirect res.VM.Gc.update_log) vm);
-  check_idle "rollback" vm;
-  (* a heap that shrank: a large live set, then most of it dropped *)
+  check_zeroing "rollback" vm;
+  (* transform again, then undo it by the inverse plan, which allocates
+     new-layout objects of the old class *)
+  let res = VM.Gc.collect ~plan:(mixed_plan vm) vm in
+  check_new_objects_zero "second transforming" vm res.VM.Gc.update_log;
+  vm.VM.State.extra_roots <-
+    vm.VM.State.extra_roots
+    @ [ Array.init (VM.Update_log.pairs res.VM.Gc.update_log) (fun k ->
+            VM.Value.of_ref (VM.Update_log.new_addr res.VM.Gc.update_log k))
+      ];
+  litter vm ~arrays:4 ~len:100;
+  let inverse = Array.make vm.VM.State.reg.VM.Rt.n_classes (-1) in
+  inverse.((cls_of vm "MidV2").VM.Rt.cid) <- (cls_of vm "Mid").VM.Rt.cid;
+  let res = VM.Gc.collect ~plan:inverse vm in
+  Alcotest.(check bool) "inverse plan transforms" true
+    (res.VM.Gc.transformed_objects > 0);
+  check_zeroing "inverse" vm;
+  check_new_objects_zero "inverse" vm res.VM.Gc.update_log;
+  check_fill "mixed heap" vm;
+  (* a heap that shrank: a large live set, then most of it dropped, then
+     repeated flips with garbage in between *)
   let vm = fresh_vm () in
   let roots = build_graph vm 2000 3 in
   ignore (VM.Gc.collect vm);
-  check_idle "large live set" vm;
+  check_zeroing "large live set" vm;
   vm.VM.State.extra_roots <- [ Array.sub roots 0 10 ];
   ignore (VM.Gc.collect vm);
-  check_idle "first after shrinking" vm;
-  ignore (VM.Gc.collect vm);
-  check_idle "second after shrinking" vm
+  check_zeroing "first after shrinking" vm;
+  for k = 1 to 6 do
+    litter vm ~arrays:(3 * k) ~len:1000;
+    check_zeroing (Printf.sprintf "allocation before flip %d" k) vm;
+    ignore (VM.Gc.collect vm);
+    check_zeroing (Printf.sprintf "flip %d" k) vm
+  done;
+  check_fill "shrunk heap" vm
 
-let scrub_src ~v2 =
+let box_src ~v2 =
   Printf.sprintf
     {|
 class Box { int a; Box next; %s}
@@ -569,31 +676,56 @@ class Main {
 |}
     (if v2 then "int b; " else "")
 
+let box_program v2 = Jv_lang.Compile.compile_program (box_src ~v2)
+
+let boot_boxes config =
+  let vm = VM.Vm.create ~config () in
+  VM.Vm.boot vm (box_program false);
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  VM.Vm.run vm ~rounds:5;
+  vm
+
+let update_boxes ?(overrides = []) ~tag vm =
+  Jvolve_core.Jvolve.succeeded
+    (Jvolve_core.Jvolve.update_now ~timeout_rounds:100 vm
+       (Jvolve_core.Spec.make ~object_overrides:overrides ~version_tag:tag
+          ~old_program:(box_program false) ~new_program:(box_program true) ()))
+
+(* The three boxes from [Keeper.head]: each has [a] = 3, 2, 1 in order
+   and its new field [b] reads zero. *)
+let check_boxes what vm =
+  let reg = vm.VM.State.reg in
+  let heap = vm.VM.State.heap in
+  let box = VM.Rt.require_class reg "Box" in
+  let off f = (Option.get (VM.Rt.find_field_info box f)).VM.Rt.fi_offset in
+  let si =
+    Option.get
+      (VM.Rt.find_static_info reg (VM.Rt.require_class reg "Keeper") "head")
+  in
+  let rec walk w acc =
+    if VM.Value.is_null w then List.rev acc
+    else
+      let a = VM.Value.to_ref w in
+      let get f = VM.Heap.get heap ~addr:a ~off:(off f) in
+      walk (get "next") ((VM.Value.to_int (get "a"), get "b") :: acc)
+  in
+  Alcotest.(check (list (pair int int)))
+    (what ^ ": boxes keep a, new field b zero")
+    [ (3, 0); (2, 0); (1, 0) ]
+    (walk (VM.State.jtoc_get vm si.VM.Rt.si_slot) [])
+
 (* Each Box transformer allocates more than a semi-space holds, so
    collections run nested inside the transformers; a trapping variant
    makes the update roll back through a redirect collection. *)
-let idle_space_through_updates () =
-  let compile v2 = Jv_lang.Compile.compile_program (scrub_src ~v2) in
-  let vm = VM.Vm.create ~config:Helpers.test_config () in
-  VM.Vm.boot vm (compile false);
-  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
-  VM.Vm.run vm ~rounds:5;
-  let update ~tag ~body =
-    let spec =
-      Jvolve_core.Spec.make
-        ~object_overrides:[ ("Box", body) ]
-        ~version_tag:tag ~old_program:(compile false)
-        ~new_program:(compile true) ()
-    in
-    Jvolve_core.Jvolve.succeeded
-      (Jvolve_core.Jvolve.update_now ~timeout_rounds:100 vm spec)
-  in
+let zeroing_through_updates () =
+  let vm = boot_boxes Helpers.test_config in
+  litter vm ~arrays:20 ~len:2000;
   let churn =
     {|
     to.a = from.a;
     to.next = from.next;
     int[] junk = null;
-    for (int k = 0; k < 8; k = k + 1) { junk = new int[40000]; }
+    for (int k = 0; k < 8; k = k + 1) { junk = new int[40000]; junk[k] = k + 1; }
 |}
   in
   let nested = ref 0 in
@@ -602,19 +734,85 @@ let idle_space_through_updates () =
     (fun vm ->
       saved vm;
       incr nested;
-      check_idle "nested collection" vm);
+      check_zeroing "nested collection" vm);
   Fun.protect
     ~finally:(fun () -> VM.State.gc_hook := saved)
     (fun () ->
       let trap = churn ^ "    int[] z = new int[1];\n    z[5] = 0;\n" in
       Alcotest.(check bool) "trapping transformer rolls back" false
-        (update ~tag:"1" ~body:trap);
-      check_idle "after the rollback" vm;
+        (update_boxes ~overrides:[ ("Box", trap) ] ~tag:"1" vm);
+      check_zeroing "after the rollback" vm;
       let before = !nested in
-      Alcotest.(check bool) "update applies" true (update ~tag:"2" ~body:churn);
-      check_idle "after the update" vm;
+      Alcotest.(check bool) "update applies" true
+        (update_boxes ~overrides:[ ("Box", churn) ] ~tag:"2" vm);
+      check_zeroing "after the update" vm;
+      check_boxes "after the update" vm;
       Alcotest.(check bool) "collections ran inside transformers" true
-        (before > 0 && !nested > before))
+        (before > 0 && !nested > before));
+  check_fill "after the update" vm
+
+(* Collections while a lazy window is open: the window's transforms
+   allocate their new-layout objects through the allocator. *)
+let zeroing_in_lazy_window () =
+  let vm =
+    boot_boxes
+      {
+        Helpers.test_config with
+        VM.State.lazy_update = true;
+        VM.State.lazy_sweep_budget = 1;
+      }
+  in
+  litter vm ~arrays:20 ~len:2000;
+  ignore (VM.Vm.gc vm);
+  litter vm ~arrays:20 ~len:2000;
+  Alcotest.(check bool) "lazy update commits" true (update_boxes ~tag:"lz" vm);
+  Alcotest.(check bool) "window open" true (vm.VM.State.lazy_info <> None);
+  for k = 1 to 3 do
+    litter vm ~arrays:10 ~len:2000;
+    ignore (VM.Vm.gc vm);
+    check_zeroing (Printf.sprintf "window collection %d" k) vm
+  done;
+  Alcotest.(check bool) "window drains" true
+    (Result.is_ok (VM.State.drain_window vm));
+  check_zeroing "after the drain" vm;
+  check_boxes "after the drain" vm;
+  ignore (VM.Vm.gc vm);
+  check_zeroing "after the window" vm;
+  check_fill "after the window" vm
+
+(* Two VMs with the same live set but different garbage since their last
+   collection: their update collections zero the same words, the
+   transformed objects' fields, whatever the garbage. *)
+let update_zeroes_transformed_only () =
+  let update_zeroed ~garbage =
+    let vm = boot_boxes Helpers.test_config in
+    ignore (VM.Vm.gc vm);
+    litter vm ~arrays:garbage ~len:1000;
+    Alcotest.(check bool) "update applies" true (update_boxes ~tag:"z" vm);
+    check_boxes "after the update" vm;
+    let zeroed =
+      List.filter_map
+        (fun (e : Jv_obs.Obs.event) ->
+          if e.Jv_obs.Obs.ev_name <> "gc.transform.done" then None
+          else
+            match List.assoc_opt "zeroed" e.Jv_obs.Obs.ev_fields with
+            | Some (Jv_obs.Obs.Int n) -> Some n
+            | _ -> None)
+        (Jv_obs.Obs.events (VM.Vm.obs vm))
+    in
+    (zeroed, vm)
+  in
+  let clean, vm = update_zeroed ~garbage:0 in
+  let dirty, _ = update_zeroed ~garbage:100 in
+  let box = VM.Rt.require_class vm.VM.State.reg "Box" in
+  Alcotest.(check (list int)) "zeroed: the three boxes' fields"
+    [ 3 * (box.VM.Rt.size_words - VM.Heap.header_words) ]
+    clean;
+  Alcotest.(check (list int)) "same zeroed words with garbage" clean dirty;
+  Alcotest.(check bool) "reported as a metric" true
+    (match Jv_obs.Obs.find_histogram (VM.Vm.obs vm) "vm.gc.zeroed_words" with
+    | Some h -> Jv_obs.Metrics.sum h = float_of_int (List.hd clean)
+    | None -> false)
 
 (* Every class the four app ladders load — each rung's old and new
    versions and its transformer class — scans exactly its
@@ -684,10 +882,14 @@ let suite =
     Alcotest.test_case "mixed-epoch collection" `Quick mixed_epoch_collection;
     Alcotest.test_case "heap exhaustion" `Quick heap_exhaustion;
     Alcotest.test_case "collector differential" `Quick collector_differential;
-    Alcotest.test_case "idle semi-space zero after collections" `Quick
-      idle_space_after_collections;
-    Alcotest.test_case "idle semi-space zero through updates" `Quick
-      idle_space_through_updates;
+    Alcotest.test_case "allocation zeroed after collections" `Quick
+      zeroing_after_collections;
+    Alcotest.test_case "allocation zeroed through updates" `Quick
+      zeroing_through_updates;
+    Alcotest.test_case "allocation zeroed in a lazy window" `Quick
+      zeroing_in_lazy_window;
+    Alcotest.test_case "update collection zeroes transformed fields only"
+      `Quick update_zeroes_transformed_only;
     Alcotest.test_case "scan tables match field types" `Quick
       ref_offsets_match_types;
   ]
