@@ -177,12 +177,6 @@ let rollback_mid_rollout () =
 
 (* --- decentralized gossip rollouts (lib/gossip) ------------------------- *)
 
-(* Many small heaps: 256 instances at the default 1 MiB semi-spaces
-   would be 2 GiB of host arrays; miniweb under single-request sessions
-   is comfortable in 64 K words. *)
-let gossip_config =
-  { F.Instance.default_config with Jv_vm.State.heap_words = 1 lsl 16 }
-
 let gossip_params =
   {
     G.Gossip.default_params with
@@ -204,8 +198,7 @@ let open_loop_quantile fleet q =
 let boot_open_loop ~version ~size ~rate =
   let profile = F.Profile.miniweb in
   let fleet =
-    F.Fleet.create ~config:gossip_config ~policy:F.Lb.Round_robin ~profile
-      ~version ~size ()
+    F.Fleet.create ~policy:F.Lb.Round_robin ~profile ~version ~size ()
   in
   F.Fleet.run fleet ~rounds:30;
   let ol =

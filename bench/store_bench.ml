@@ -265,12 +265,8 @@ let run_gossip_rollout () =
         (ministore 1.0 -> 1.1, %d instances, 10%% control-plane drop)"
        size);
   let profile = F.Profile.ministore in
-  let config =
-    { F.Instance.default_config with Jv_vm.State.heap_words = 1 lsl 17 }
-  in
   let fleet =
-    F.Fleet.create ~config ~policy:F.Lb.Round_robin ~profile ~version:"1.0"
-      ~size ()
+    F.Fleet.create ~policy:F.Lb.Round_robin ~profile ~version:"1.0" ~size ()
   in
   F.Fleet.run fleet ~rounds:30;
   let d = F.Fleet.attach_load ~concurrency:8 ~request_timeout:60 fleet in

@@ -11,6 +11,14 @@
    the rest of to-space as it hands it out ([Heap.alloc_raw]), so a
    pause pays for live and transformed objects, never for garbage.
 
+   A to-space may be shorter than the heap's cap (semi-spaces start
+   [Heap.floor_words] long).  A copy that runs past its end grows it to
+   the cap mid-collection ([Heap.grow_space]: the copied prefix moves to
+   a fresh array at the same addresses).  So the collector writes to
+   to-space through [heap.space] as it stands after each copy, never
+   through an array it read before one.  Only a copy past the cap is
+   fatal.
+
    During an update the collector additionally receives a *transform plan*
    mapping old class ids to new class ids (an array indexed by old class
    id).  When it first encounters an object whose class is in the plan
@@ -69,7 +77,6 @@ let collect ?plan ?redirect (vm : State.t) : result =
   let heap = vm.State.heap in
   let classes = vm.State.reg.Rt.classes in
   let from = Heap.flip heap in
-  let space = heap.Heap.space in
   let copied = ref 0 in
   let transformed = ref 0 in
   let zeroed = ref 0 in
@@ -77,18 +84,24 @@ let collect ?plan ?redirect (vm : State.t) : result =
   (* a word loop, not [Array.blit]: typed as an int array, it stores
      without the write barrier the polymorphic blit pays per word *)
   let copy_to dst src size =
+    let space = heap.Heap.space in
     for j = 0 to size - 1 do
       space.(dst + j) <- from.(src + j)
     done
   in
   let bump nwords =
     let addr = heap.Heap.free in
-    if addr + nwords > heap.Heap.size_words then
-      State.fatal
-        "to-space overflow during GC (%d words needed, %d free): updates \
-         temporarily duplicate transformed objects; grow the heap"
-        nwords (Heap.words_free heap);
-    heap.Heap.free <- addr + nwords;
+    let need = addr + nwords in
+    if need > Array.length heap.Heap.space then begin
+      if need > heap.Heap.size_words then
+        State.fatal
+          "to-space overflow during GC (%d words needed, %d free of the \
+           %d-word heap cap): updates temporarily duplicate transformed \
+           objects; raise heap_words"
+          nwords (Heap.words_free heap) heap.Heap.size_words;
+      Heap.grow_space heap
+    end;
+    heap.Heap.free <- need;
     addr
   in
   (* Evacuate the from-space object at [addr] (already redirected);
@@ -112,6 +125,7 @@ let collect ?plan ?redirect (vm : State.t) : result =
       if new_cid >= 0 then begin
         let new_size = classes.(new_cid).Rt.size_words in
         let new_addr = bump new_size in
+        let space = heap.Heap.space in
         space.(new_addr + Heap.off_class) <- new_cid;
         (* fields stay zero until the transformer runs; the new object
            carries the current heap epoch tag *)
@@ -161,6 +175,15 @@ let collect ?plan ?redirect (vm : State.t) : result =
       forward_slot a i
     done
   in
+  (* a to-space slot: written back through [heap.space], as forwarding
+     may grow the to-space *)
+  let forward_to_space i =
+    let w = heap.Heap.space.(i) in
+    if Value.is_ref w then begin
+      let a = forward (Value.to_ref w) in
+      heap.Heap.space.(i) <- Value.of_ref a
+    end
+  in
   (* --- roots --- *)
   forward_array vm.State.jtoc 0 vm.State.jtoc_n;
   List.iter
@@ -188,18 +211,21 @@ let collect ?plan ?redirect (vm : State.t) : result =
   let scan = ref 1 in
   while !scan < heap.Heap.free do
     let addr = !scan in
+    let space = heap.Heap.space in
     let cls = classes.(space.(addr + Heap.off_class)) in
     if cls.Rt.is_array then begin
       let hi =
         addr + Heap.array_header_words + space.(addr + Heap.off_array_len)
       in
-      forward_array space (addr + Heap.array_header_words) hi;
+      for i = addr + Heap.array_header_words to hi - 1 do
+        forward_to_space i
+      done;
       scan := hi
     end
     else begin
       let offs = cls.Rt.ref_offsets in
       for k = 0 to Array.length offs - 1 do
-        forward_slot space (addr + offs.(k))
+        forward_to_space (addr + offs.(k))
       done;
       scan := addr + cls.Rt.size_words
     end

@@ -1,8 +1,11 @@
 (* The semi-space heap.
 
-   Two equal-sized spaces of words; allocation bumps a free pointer in the
-   active space.  [Gc] flips the spaces and copies live objects (Cheney
-   scan).  Object layout, word-addressed:
+   Two spaces of words; allocation bumps a free pointer in the active
+   space.  [Gc] flips the spaces and copies live objects (Cheney scan).
+   The configured size is a cap, not a commitment: both spaces start
+   [floor_words] long, and the first allocation (or collector copy) past
+   a space's end grows it straight to the cap, keeping every address.
+   Object layout, word-addressed:
 
      scalar object:  [class id | gc word | field 0 | field 1 | ...]
      array:          [class id | gc word | length  | elem 0  | ...]
@@ -47,6 +50,9 @@ let make_copy_tag epoch = copy_flag + epoch
 (* Words the allocator zeroes ahead of [free] at a time. *)
 let zero_chunk = 8192
 
+(* Words each semi-space starts with, when the cap is larger. *)
+let floor_words = zero_chunk
+
 type t = {
   mutable space : int array; (* active (to-)space *)
   mutable other : int array; (* idle (from-)space after a flip *)
@@ -56,7 +62,11 @@ type t = {
       (* [space]'s high-water mark when it became the to-space: words at
          or past it had not been written since the space was clean *)
   mutable other_mark : int; (* [other]'s high-water mark *)
-  size_words : int; (* per semi-space *)
+  size_words : int;
+      (* the cap: the most words a semi-space grows to.  Allocation and
+         [words_free] reason against it; [Array.length space] is what is
+         committed *)
+  on_grow : int -> unit; (* told the committed words after a growth *)
   mutable gc_count : int;
   mutable allocations : int; (* objects allocated since creation *)
   mutable zeroed_words : int; (* words the allocator has zeroed *)
@@ -65,16 +75,18 @@ type t = {
          allocations once nonzero (bumped by each lazy update commit) *)
 }
 
-let create ~words =
+let create ~on_grow ~words =
   if words < 64 then invalid_arg "Heap.create: heap too small";
+  let n = min words floor_words in
   {
-    space = Array.make words 0;
-    other = Array.make words 0;
+    space = Array.make n 0;
+    other = Array.make n 0;
     free = 1 (* keep address 0 unused: 0 is null *);
-    zeroed = words;
+    zeroed = n;
     mark = 1;
     other_mark = 1;
     size_words = words;
+    on_grow;
     gc_count = 0;
     allocations = 0;
     zeroed_words = 0;
@@ -83,20 +95,47 @@ let create ~words =
 
 let words_free h = h.size_words - h.free
 let words_used h = h.free - 1
+let committed_words h = Array.length h.space + Array.length h.other
+
+(* Replace the active space with a fresh one of the cap, holding the
+   same [\[0, free)]: no address moves, and everything past [free] is
+   zero.  A typed word loop, not [Array.blit], which pays the write
+   barrier per word into a major-heap array. *)
+let grow_space h =
+  let src = h.space in
+  let dst = Array.make h.size_words 0 in
+  for i = 0 to h.free - 1 do
+    dst.(i) <- src.(i)
+  done;
+  h.space <- dst;
+  h.mark <- h.free;
+  h.zeroed <- h.size_words;
+  h.on_grow (committed_words h)
+
+(* The allocator's growth: both spaces straight to the cap (an idle space
+   already there keeps its contents and mark), so every collection for
+   allocation pressure still fires exactly when the cap is full. *)
+let[@inline never] grow h =
+  if Array.length h.other < h.size_words then begin
+    h.other <- Array.make h.size_words 0;
+    h.other_mark <- 1
+  end;
+  grow_space h
 
 (* Zero [space] ahead of [free] far enough to hold [need]: one chunk
    past what is already zero, and no further than the mark, past which
    nothing was written.  Once the fill reaches the mark, everything past
    [free] is zero. *)
 let zero_ahead h need =
+  let len = Array.length h.space in
   let lo = max h.zeroed h.free in
-  let hi = min h.size_words (max need (lo + zero_chunk)) in
+  let hi = min len (max need (lo + zero_chunk)) in
   let dirty = min hi h.mark in
   if lo < dirty then begin
     Array.fill h.space lo (dirty - lo) 0;
     h.zeroed_words <- h.zeroed_words + (dirty - lo)
   end;
-  h.zeroed <- (if hi >= h.mark then h.size_words else hi)
+  h.zeroed <- (if hi >= h.mark then len else hi)
 
 let take h addr need =
   h.free <- need;
@@ -106,7 +145,7 @@ let take h addr need =
 (* Raw allocation: returns the base address or [None] when a collection is
    needed.  The words handed out are zero, giving default field values for
    free: the fast path bumps [free] inside the zeroed stretch; past it,
-   [zero_ahead] extends the stretch first. *)
+   [zero_ahead] extends the stretch first, or [grow] commits the cap. *)
 let alloc_raw h ~nwords =
   if nwords <= 0 then invalid_arg "Heap.alloc_raw";
   let addr = h.free in
@@ -114,7 +153,7 @@ let alloc_raw h ~nwords =
   if need <= h.zeroed then take h addr need
   else if need > h.size_words then None
   else begin
-    zero_ahead h need;
+    if need > Array.length h.space then grow h else zero_ahead h need;
     take h addr need
   end
 

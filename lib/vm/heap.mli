@@ -1,5 +1,10 @@
-(** The semi-space heap: two equal word arrays, bump allocation, flipped
-    by the collector.
+(** The semi-space heap: two word arrays, bump allocation, flipped by
+    the collector.  The configured size is a cap: both spaces start
+    [floor_words] long (or the cap, if smaller), and a space grows
+    straight to the cap the first time an allocation or a collector copy
+    runs past its end.  Growth copies [\[0, free)] into a fresh array, so
+    no address moves; but it replaces [space], so never hold that array
+    across an allocation.
 
     Object layout (word-addressed):
     {v
@@ -33,6 +38,9 @@ val make_copy_tag : int -> int
 val zero_chunk : int
 (** Words the allocator zeroes ahead of the free pointer at a time. *)
 
+val floor_words : int
+(** Words each semi-space starts with when the cap is larger. *)
+
 type t = {
   mutable space : int array;  (** active (to-)space *)
   mutable other : int array;  (** idle (from-)space after a flip *)
@@ -43,7 +51,11 @@ type t = {
           or past it had not been written since the space was clean *)
   mutable other_mark : int;
       (** [other]'s high-water mark: words at or past it are zero *)
-  size_words : int;  (** per semi-space *)
+  size_words : int;
+      (** the cap: the most words a semi-space grows to.  Allocation and
+          [words_free] reason against it; [Array.length space] is what is
+          committed *)
+  on_grow : int -> unit;  (** told [committed_words] after a growth *)
   mutable gc_count : int;
   mutable allocations : int;
   mutable zeroed_words : int;  (** words the allocator has zeroed *)
@@ -52,15 +64,33 @@ type t = {
           by each lazy update commit *)
 }
 
-val create : words:int -> t
+val create : on_grow:(int -> unit) -> words:int -> t
+(** A heap capped at [words] per semi-space, committing
+    [min words floor_words] words per space; [on_grow] hears of each
+    growth. *)
+
 val words_free : t -> int
+(** Words left below the cap. *)
+
 val words_used : t -> int
 
+val committed_words : t -> int
+(** Both spaces' lengths: the words the heap has committed. *)
+
+val grow_space : t -> unit
+(** Replace the active space with a zeroed one of the cap holding the same
+    [\[0, free)]; its mark becomes [free].  The collector calls it when a
+    copy runs past a to-space shorter than the cap. *)
+
 val alloc_raw : t -> nwords:int -> int option
-(** Bump-allocate; [None] means a collection is needed.  The words handed
-    out are zero, giving default field values for free: past the zeroed
-    stretch the allocator zeroes the next [zero_chunk] words first, but
-    none at or past the space's mark, which were never written. *)
+(** Bump-allocate; [None] means a collection is needed, which happens only
+    when the cap is full.  The words handed out are zero, giving default
+    field values for free: past the zeroed stretch the allocator zeroes
+    the next [zero_chunk] words first, but none at or past the space's
+    mark, which were never written.  An allocation past the active
+    space's end first grows it to the cap, keeping [\[0, free)], and
+    replaces an idle space shorter than the cap with a zeroed one (mark
+    1). *)
 
 val get : t -> addr:int -> off:int -> int
 val set : t -> addr:int -> off:int -> int -> unit

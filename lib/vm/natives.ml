@@ -5,7 +5,10 @@
    objects, [State.ensure_free] the total size up front so later
    allocations in the sequence cannot trigger a collection that moves the
    earlier ones.  (Native frames are invisible to the collector, exactly as
-   in a real VM without handle support.) *)
+   in a real VM without handle support.)  An allocation may still grow the
+   heap's semi-spaces to their cap: that keeps every address but swaps
+   [heap.space] for a new array, so hold addresses across an allocation,
+   never the array; [Heap.get]/[Heap.set] always reach the current one. *)
 
 module Simnet = Jv_simnet.Simnet
 

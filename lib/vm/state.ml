@@ -9,7 +9,9 @@ module Simnet = Jv_simnet.Simnet
 module Obs = Jv_obs.Obs
 
 type config = {
-  heap_words : int; (* words per semi-space *)
+  heap_words : int;
+      (* the cap on each semi-space, in words: a heap commits
+         [Heap.floor_words] per space until it needs more *)
   opt_threshold : int; (* invocations before opt recompilation *)
   quantum : int; (* machine instructions per scheduler slice *)
   indirection_mode : bool;
@@ -300,11 +302,15 @@ let gc_hook : (t -> unit) ref =
 
 let create ?(config = default_config) () =
   let obs = Obs.create () in
+  let committed = Obs.gauge obs "vm.heap.committed_words" in
+  let on_grow words = Jv_obs.Metrics.set committed (float_of_int words) in
+  let heap = Heap.create ~on_grow ~words:config.heap_words in
+  on_grow (Heap.committed_words heap);
   let vm =
   {
     config;
     reg = Rt.create_registry ();
-    heap = Heap.create ~words:config.heap_words;
+    heap;
     jtoc = Array.make 256 0;
     jtoc_n = 0;
     strings = Array.make 256 "";
@@ -476,7 +482,9 @@ let sandbox_may_write vm sb addr =
 
 (* --- allocation ----------------------------------------------------- *)
 
-(* Guarantee [words] of free space, collecting if necessary. *)
+(* Guarantee [words] of free space below the heap's cap, collecting if
+   necessary.  The allocations it reserves for may grow the spaces, which
+   moves no address, but cannot collect. *)
 let ensure_free vm words =
   if Heap.words_free vm.heap < words then begin
     !gc_hook vm;

@@ -55,6 +55,7 @@ type stats = {
   gc_count : int;
   deref_checks : int;
   heap_used_words : int;
+  heap_committed_words : int;
   traps : (int * string) list;
 }
 
@@ -67,5 +68,6 @@ let stats (vm : t) =
     gc_count = vm.State.heap.Heap.gc_count;
     deref_checks = vm.State.deref_checks;
     heap_used_words = Heap.words_used vm.State.heap;
+    heap_committed_words = Heap.committed_words vm.State.heap;
     traps = vm.State.trap_log;
   }

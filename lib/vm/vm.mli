@@ -76,6 +76,9 @@ type stats = {
   gc_count : int;
   deref_checks : int;
   heap_used_words : int;
+  heap_committed_words : int;
+      (** both semi-spaces' lengths: [Heap.floor_words] each until the heap
+          needs more, then the [heap_words] cap each *)
   traps : (int * string) list;  (** (thread id, message) *)
 }
 

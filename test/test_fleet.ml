@@ -341,10 +341,48 @@ let test_health_probe_outcomes () =
     ("unhealthy: no healthy response before deadline", 7)
     (settle_probe ~listen_at:4 ~delay:3 ~answer:pong ~deadline:6 ())
 
+(* --- committed memory ---------------------------------------------------- *)
+
+(* Sixteen instances at the default config under closed-loop load through
+   a rolling update: each heap's live set and garbage stay below one
+   floor, so every instance commits exactly a floor per semi-space, not
+   its 2^19-word cap. *)
+let test_heaps_commit_floor () =
+  let fleet =
+    F.Fleet.create ~profile:F.Profile.miniweb ~version:"5.1.1" ~size:16 ()
+  in
+  F.Fleet.run fleet ~rounds:30;
+  ignore (F.Fleet.attach_load ~concurrency:8 fleet);
+  F.Fleet.run fleet ~rounds:100;
+  let r =
+    F.Orchestrator.run ~params:(rolling_params ()) ~fleet ~to_version:"5.1.2"
+      ()
+  in
+  F.Fleet.run fleet ~rounds:30;
+  Alcotest.(check bool) "rollout ok" true r.F.Orchestrator.r_ok;
+  Alcotest.(check (option string)) "uniform on new version" (Some "5.1.2")
+    (F.Fleet.uniform_version fleet);
+  Alcotest.(check bool) "served traffic" true
+    (F.Fleet.total_requests fleet > 16);
+  List.iter
+    (fun (inst : F.Instance.t) ->
+      let stats = Jv_vm.Vm.stats inst.F.Instance.i_vm in
+      Alcotest.(check bool)
+        (Printf.sprintf "instance %d: collected" inst.F.Instance.i_id)
+        true (stats.Jv_vm.Vm.gc_count > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "instance %d: a floor per space" inst.F.Instance.i_id)
+        (2 * Jv_vm.Heap.floor_words)
+        stats.Jv_vm.Vm.heap_committed_words)
+    (F.Fleet.instances fleet);
+  check_no_leaked_conns fleet
+
 let suite =
   [
     Alcotest.test_case "health probe outcomes" `Quick
       test_health_probe_outcomes;
+    Alcotest.test_case "sixteen heaps commit a floor each" `Quick
+      test_heaps_commit_floor;
     Alcotest.test_case "rolling: happy path, zero drops" `Quick
       test_rolling_happy_path;
     Alcotest.test_case "rolling: least-conns, batch 2" `Quick

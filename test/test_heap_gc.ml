@@ -530,19 +530,19 @@ let all_zero (a : int array) lo hi =
 
 let check_zeroing what vm =
   let h = vm.VM.State.heap in
-  let size = h.VM.Heap.size_words in
+  let space = h.VM.Heap.space and other = h.VM.Heap.other in
   Alcotest.(check bool)
     (what ^ ": [free, zeroed) zero")
     true
-    (all_zero h.VM.Heap.space h.VM.Heap.free h.VM.Heap.zeroed);
+    (all_zero space h.VM.Heap.free h.VM.Heap.zeroed);
   Alcotest.(check bool)
     (what ^ ": active space zero past its mark")
     true
-    (all_zero h.VM.Heap.space (VM.Heap.high_water h) size);
+    (all_zero space (VM.Heap.high_water h) (Array.length space));
   Alcotest.(check bool)
     (what ^ ": idle space zero past its mark")
     true
-    (all_zero h.VM.Heap.other h.VM.Heap.other_mark size)
+    (all_zero other h.VM.Heap.other_mark (Array.length other))
 
 (* Unreachable int arrays full of nonzero words: garbage that dirties
    the space it lands in. *)
@@ -655,7 +655,7 @@ let zeroing_after_collections () =
   done;
   check_fill "shrunk heap" vm
 
-let box_src ~v2 =
+let box_src ?(boxes = 3) ~v2 () =
   Printf.sprintf
     {|
 class Box { int a; Box next; %s}
@@ -663,7 +663,7 @@ class Keeper { static Box head; }
 class Main {
   static void main() {
     Box prev = null;
-    for (int i = 1; i <= 3; i = i + 1) {
+    for (int i = 1; i <= %d; i = i + 1) {
       Box b = new Box();
       b.a = i;
       b.next = prev;
@@ -675,25 +675,28 @@ class Main {
 }
 |}
     (if v2 then "int b; " else "")
+    boxes
 
-let box_program v2 = Jv_lang.Compile.compile_program (box_src ~v2)
+let box_program ?boxes v2 =
+  Jv_lang.Compile.compile_program (box_src ?boxes ~v2 ())
 
-let boot_boxes config =
+let boot_boxes ?boxes ?(rounds = 5) config =
   let vm = VM.Vm.create ~config () in
-  VM.Vm.boot vm (box_program false);
+  VM.Vm.boot vm (box_program ?boxes false);
   ignore (VM.Vm.spawn_main vm ~main_class:"Main");
-  VM.Vm.run vm ~rounds:5;
+  VM.Vm.run vm ~rounds;
   vm
 
-let update_boxes ?(overrides = []) ~tag vm =
+let update_boxes ?boxes ?(overrides = []) ~tag vm =
   Jvolve_core.Jvolve.succeeded
     (Jvolve_core.Jvolve.update_now ~timeout_rounds:100 vm
        (Jvolve_core.Spec.make ~object_overrides:overrides ~version_tag:tag
-          ~old_program:(box_program false) ~new_program:(box_program true) ()))
+          ~old_program:(box_program ?boxes false)
+          ~new_program:(box_program ?boxes true) ()))
 
-(* The three boxes from [Keeper.head]: each has [a] = 3, 2, 1 in order
-   and its new field [b] reads zero. *)
-let check_boxes what vm =
+(* The boxes from [Keeper.head]: each has [a] = boxes, ..., 2, 1 in
+   order and its new field [b] reads zero. *)
+let check_boxes ?(boxes = 3) what vm =
   let reg = vm.VM.State.reg in
   let heap = vm.VM.State.heap in
   let box = VM.Rt.require_class reg "Box" in
@@ -711,7 +714,7 @@ let check_boxes what vm =
   in
   Alcotest.(check (list (pair int int)))
     (what ^ ": boxes keep a, new field b zero")
-    [ (3, 0); (2, 0); (1, 0) ]
+    (List.init boxes (fun k -> (boxes - k, 0)))
     (walk (VM.State.jtoc_get vm si.VM.Rt.si_slot) [])
 
 (* Each Box transformer allocates more than a semi-space holds, so
@@ -814,6 +817,123 @@ let update_zeroes_transformed_only () =
     | Some h -> Jv_obs.Metrics.sum h = float_of_int (List.hd clean)
     | None -> false)
 
+(* --- a heap that commits what it uses --------------------------------------
+
+   [heap_words] is a cap: both semi-spaces start [Heap.floor_words] long
+   and grow straight to the cap the first time an allocation, or a
+   collector copy, runs past a space's end.  Growth keeps every address,
+   and a collection for allocation pressure fires only when the cap is
+   full, so collections fall where they did when the cap was committed
+   up front. *)
+
+let floor = VM.Heap.floor_words
+
+(* The committed words as [Vm.stats] and the gauge report them; the two
+   must agree. *)
+let committed what vm =
+  let words = (VM.Vm.stats vm).VM.Vm.heap_committed_words in
+  Alcotest.(check (float 0.0))
+    (what ^ ": gauge matches stats") (float_of_int words)
+    (Jv_obs.Obs.gauge_value (VM.Vm.obs vm) "vm.heap.committed_words");
+  words
+
+(* Unreachable nodes one at a time through a cap of four floors, until
+   it has filled twice over: the heap grows once, at the first allocation
+   past the floor, and collects exactly when the cap is full. *)
+let heap_grows_once_to_cap () =
+  let cap = 4 * floor in
+  let vm = fresh_vm ~heap_words:cap () in
+  let heap = vm.VM.State.heap in
+  let cls = node_cls vm in
+  let n = cls.VM.Rt.size_words in
+  Alcotest.(check int) "starts at a floor per space" (2 * floor)
+    (committed "at create" vm);
+  let growths = ref [] and collections = ref [] in
+  for _ = 1 to 9 * cap / (4 * n) do
+    let before = committed "before" vm in
+    let free = heap.VM.Heap.free and gcs = heap.VM.Heap.gc_count in
+    ignore (VM.State.alloc_object vm cls);
+    if committed "after" vm <> before then growths := free :: !growths;
+    if heap.VM.Heap.gc_count <> gcs then collections := free :: !collections
+  done;
+  (match !growths with
+  | [ free ] ->
+      Alcotest.(check bool) "grew at the first allocation past the floor"
+        true
+        (free <= floor && free + n > floor)
+  | l -> Alcotest.failf "grew %d times, expected once" (List.length l));
+  Alcotest.(check int) "commits the cap per space" (2 * cap)
+    (committed "filled" vm);
+  Alcotest.(check (list int)) "both spaces at the cap" [ cap; cap ]
+    [ Array.length heap.VM.Heap.space; Array.length heap.VM.Heap.other ];
+  Alcotest.(check int) "collected twice" 2 (List.length !collections);
+  List.iter
+    (fun free ->
+      Alcotest.(check bool) "collected only with the cap full" true
+        (free + n > cap))
+    !collections
+
+(* A native that reserves with [State.ensure_free] and then allocates
+   across the floor: [String.split]'s array and its 2500 strings need
+   10k words, so the space is swapped for the cap mid-sequence, and
+   every part must still read back intact. *)
+let native_allocates_across_floor () =
+  let parts = 2500 in
+  let literal = String.concat "," (List.init parts (Printf.sprintf "p%d")) in
+  let src =
+    Printf.sprintf
+      {|
+class Main {
+  static void main() {
+    String[] parts = "%s".split(",", 0);
+    int bad = 0;
+    for (int i = 0; i < parts.length; i = i + 1) {
+      if (!parts[i].equals("p" + i)) { bad = bad + 1; }
+    }
+    Sys.println("" + parts.length + " parts, " + bad + " bad");
+  }
+}
+|}
+      literal
+  in
+  let vm = VM.Vm.create ~config:Helpers.test_config () in
+  VM.Vm.boot vm (Jv_lang.Compile.compile_program src);
+  Alcotest.(check int) "booted at a floor per space" (2 * floor)
+    (committed "booted" vm);
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  ignore (VM.Vm.run_to_quiescence vm);
+  Alcotest.(check string) "every part intact"
+    (Printf.sprintf "%d parts, 0 bad\n" parts)
+    (VM.Vm.output vm);
+  Alcotest.(check int) "no collection" 0 (VM.Vm.stats vm).VM.Vm.gc_count;
+  Alcotest.(check int) "grew to the cap"
+    (2 * Helpers.test_config.VM.State.heap_words)
+    (committed "after the split" vm)
+
+(* A floor-size VM whose update transforms 1200 boxes: their 4.8k live
+   words fit the floor, but the update collection's new-layout objects
+   and old copies (10.8k words) do not, so the collector grows its
+   to-space to the cap mid-collection. *)
+let collector_grows_to_space () =
+  let boxes = 1200 in
+  let vm = boot_boxes ~boxes ~rounds:50 Helpers.test_config in
+  let heap = vm.VM.State.heap in
+  Alcotest.(check int) "boxes fit the floor" (2 * floor)
+    (committed "before the update" vm);
+  Alcotest.(check bool) "update applies" true (update_boxes ~boxes ~tag:"g" vm);
+  check_boxes ~boxes "after the update" vm;
+  Alcotest.(check bool) "heap verifies" true
+    (VM.Heapverify.run vm).VM.Heapverify.hv_ok;
+  let cap = Helpers.test_config.VM.State.heap_words in
+  Alcotest.(check (list int)) "the to-space grew to the cap" [ floor; cap ]
+    (List.sort compare
+       [ Array.length heap.VM.Heap.space; Array.length heap.VM.Heap.other ]);
+  Alcotest.(check int) "commits one floor and one cap" (cap + floor)
+    (committed "after the update" vm);
+  ignore (VM.Gc.collect vm);
+  check_boxes ~boxes "after a later collection" vm;
+  check_zeroing "after a later collection" vm
+
 (* Every class the four app ladders load — each rung's old and new
    versions and its transformer class — scans exactly its
    reference-typed fields, and the heap each rung leaves verifies after a
@@ -892,4 +1012,10 @@ let suite =
       `Quick update_zeroes_transformed_only;
     Alcotest.test_case "scan tables match field types" `Quick
       ref_offsets_match_types;
+    Alcotest.test_case "heap grows once to its cap" `Quick
+      heap_grows_once_to_cap;
+    Alcotest.test_case "native allocates across the floor" `Quick
+      native_allocates_across_floor;
+    Alcotest.test_case "collector grows a short to-space" `Quick
+      collector_grows_to_space;
   ]

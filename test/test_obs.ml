@@ -189,8 +189,10 @@ let test_span () =
 
 (* One thread that yields every iteration runs exactly one slice per
    round.  With [clinit], a static initializer runs a slice at boot,
-   before any round: the interpreter's counter is then the sink's first
-   VM metric, so the sink order shows when each handle was resolved. *)
+   before any round: the interpreter's counter then comes before the
+   scheduler's, so the sink order shows when each handle was resolved.
+   The heap's committed-words gauge comes first: the VM sets it when it
+   is created. *)
 let yield_vm ~clinit =
   let vm = Jv_vm.Vm.create ~config:Helpers.test_config () in
   Jv_vm.Vm.boot vm
@@ -237,6 +239,7 @@ let test_vm_round_counters () =
       ( false,
         0,
         [
+          "vm.heap.committed_words";
           "vm.jit.base_compiles";
           "vm.sched.rounds";
           "vm.sched.runnable";
@@ -245,6 +248,7 @@ let test_vm_round_counters () =
       ( true,
         1,
         [
+          "vm.heap.committed_words";
           "vm.jit.base_compiles";
           "vm.interp.slices";
           "vm.sched.rounds";
