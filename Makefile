@@ -63,11 +63,15 @@ guard-smoke:
 # orchestrator) under a 10% control-plane drop plan must reach one
 # epoch by local quorum reads alone, and the open-loop load it runs
 # under must see zero dropped connections; the bad-update scenario must
-# fence by trip-vote quorum and converge back to epoch 0.
+# fence by trip-vote quorum and converge back to epoch 0.  The healthy
+# rollout must count exactly 64 x 63 votes seen: every node learns every
+# other node's vote once, so a tally that drops or double-counts a vote
+# fails here.
 gossip-smoke:
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe -- fleet --gossip \
 	  | tee _build/gossip-smoke.out
 	grep -q "CONVERGED in" _build/gossip-smoke.out
+	grep -q "64 applied, .* 4032 votes seen" _build/gossip-smoke.out
 	! grep -q "NOT CONVERGED" _build/gossip-smoke.out
 	! grep -q "SLO FAIL" _build/gossip-smoke.out
 	! grep -q "DID NOT FENCE" _build/gossip-smoke.out

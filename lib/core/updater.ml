@@ -750,11 +750,9 @@ let transform_slot vm (ctx : lazy_ctx) ~via slots idx =
       let addr = Value.to_ref slots.(idx) (* the GC may have moved it *) in
       let old_tag = heap.Heap.space.(addr + Heap.off_gc) in
       let new_addr = State.alloc_object vm new_cls in
-      let old_copy =
-        match Heap.alloc_raw heap ~nwords:old_size with
-        | Some a -> a
-        | None -> State.fatal "lazy transform: reserved space vanished"
-      in
+      let old_copy = Heap.alloc_raw heap ~nwords:old_size in
+      if old_copy = 0 then
+        State.fatal "lazy transform: reserved space vanished";
       Array.blit heap.Heap.space addr heap.Heap.space old_copy old_size;
       heap.Heap.space.(old_copy + Heap.off_gc) <- Heap.make_copy_tag old_tag;
       (* marker first: a re-entrant touch of the same object during its

@@ -9,12 +9,18 @@
    - {e rumor push}: an item a node just learned stays "hot" for
      [rumor_rounds] rounds; each round the node opens short-lived
      connections to [g_fanout] randomly drawn peers and pushes every hot
-     line, fire-and-forget;
+     line, fire-and-forget.  A proposal's Pro votes are one hot tally,
+     not one line per voter: a tally that grows keeps its entry and
+     restarts its rounds, and is encoded from the pool once per push,
+     so it always carries every Pro vote the node knows;
    - {e anti-entropy}: every [g_digest_every] rounds (staggered by node
      id) a node sends one random peer a digest of its mempool keys; the
-     peer pushes back whatever the digest lacks and answers WANT for
-     what it is missing itself — this pull half is what drags stragglers
-     back after drops, delays and healed partitions.
+     peer pushes back whatever the digest lacks and ends its answer with
+     a WANT for what it is missing itself, which the initiator answers
+     and then closes the exchange — this pull half is what drags
+     stragglers back after drops, delays and healed partitions.  A tally
+     whose bitmaps differ has different keys on both sides, so it moves
+     both ways.
 
    The chaos plan armed on the control net (net.connect / net.link /
    simnet.partition points) is the same [Faults.t] the peer chooser
@@ -67,7 +73,9 @@ let rumor_rounds = 4
 (* Trip votes that condemn a proposal: any one guard trip fences. *)
 let fence_votes = 1
 
-type hot = { h_line : string; mutable h_ttl : int }
+(* A hot rumor, encoded at push time: a proposal's tally then carries
+   every Pro vote the pool holds. *)
+type hot = { h_rumor : Node.rumor; mutable h_ttl : int }
 
 let is_settled_phase = function
   | Node.Idle | Node.Stuck _ -> true
@@ -251,11 +259,18 @@ let propose t ~origin ~to_version =
 
 (* --- the wire ----------------------------------------------------------- *)
 
+(* [id]'s Pro tally as it stands in [pool]; [None] with no Pro vote. *)
+let tally_msg pool id : Wire.msg option =
+  match Mempool.tally_hex pool ~prop:id with
+  | "" -> None
+  | bits -> Some (Wire.Tally { t_prop = id; t_bits = bits })
+
 let key_item pool key : Wire.msg option =
   match String.split_on_char ':' key with
   | [ "P"; id ] ->
       Option.map (fun p -> Wire.Prop p) (Mempool.find pool id)
-  | [ "V"; prop; voter; _stance ] -> (
+  | [ "T"; id; _bits ] -> tally_msg pool id
+  | [ "V"; prop; voter; "C" ] -> (
       match int_of_string_opt voter with
       | None -> None
       | Some voter ->
@@ -268,7 +283,7 @@ let wanted (ps : peer_state) keys =
   Mempool.with_lock pool (fun () -> List.filter_map (key_item pool) keys)
 
 (* Server side: ingest every line pending on [ps]'s accepted conns,
-   answering digests in place. *)
+   answering digests in place; every answer ends with its WANT. *)
 let serve t (ps : peer_state) =
   (* accept everything pending *)
   let rec accept_all () =
@@ -282,30 +297,34 @@ let serve t (ps : peer_state) =
   let handle_line cid line =
     match Wire.decode line with
     | Error _ -> Obs.incr (obs t) "gossip.bad_lines"
-    | Ok (Wire.Prop _ as m) | Ok (Wire.Vote _ as m) -> Node.learn ps.ps_node m
+    | Ok ((Wire.Prop _ | Wire.Tally _ | Wire.Vote _) as m) ->
+        Node.learn ps.ps_node m
     | Ok (Wire.Digest { d_keys; _ }) ->
-        let missing_props, missing_votes, want =
+        let props, tallies, cons, want =
           Mempool.with_lock (Node.pool ps.ps_node) (fun () ->
               let pool = Node.pool ps.ps_node in
-              let props, votes = Mempool.missing_from pool ~remote_keys:d_keys in
+              let props, tallies, cons =
+                Mempool.missing_from pool ~remote_keys:d_keys
+              in
               let ours = Mempool.keys pool in
               let mine = Hashtbl.create 32 in
               List.iter (fun k -> Hashtbl.replace mine k ()) ours;
               let want =
                 List.filter (fun k -> not (Hashtbl.mem mine k)) d_keys
               in
-              (props, votes, want))
+              (props, tallies, cons, want))
         in
-        if missing_props <> [] || missing_votes <> [] || want <> [] then
+        if props <> [] || tallies <> [] || cons <> [] || want <> [] then
           Obs.incr (obs t) "gossip.digest_reconciliations";
+        let answer m = Simnet.send t.net ~conn_id:cid (Wire.encode m) in
+        List.iter (fun p -> answer (Wire.Prop p)) props;
         List.iter
-          (fun p -> Simnet.send t.net ~conn_id:cid (Wire.encode (Wire.Prop p)))
-          missing_props;
-        List.iter
-          (fun v -> Simnet.send t.net ~conn_id:cid (Wire.encode (Wire.Vote v)))
-          missing_votes;
-        if want <> [] then
-          Simnet.send t.net ~conn_id:cid (Wire.encode (Wire.Want want))
+          (fun (id, bits) -> answer (Wire.Tally { t_prop = id; t_bits = bits }))
+          tallies;
+        List.iter (fun v -> answer (Wire.Vote v)) cons;
+        (* the terminal line, "WANT -" when we lack nothing: the
+           initiator closes the exchange on it *)
+        answer (Wire.Want want)
     | Ok (Wire.Want keys) ->
         List.iter
           (fun m -> Simnet.send t.net ~conn_id:cid (Wire.encode m))
@@ -337,11 +356,26 @@ let draw_peer t ~self =
     let j = Faults.draw_int t.rng (n - 1) in
     Some (if j >= self then j + 1 else j)
 
+let bye_line = Wire.encode Wire.Bye
+
+(* The lines of [ps]'s hot rumors, each tally as it stands now. *)
+let hot_lines (ps : peer_state) =
+  let pool = Node.pool ps.ps_node in
+  Mempool.with_lock pool (fun () ->
+      List.filter_map
+        (fun h ->
+          Option.map Wire.encode
+            (match h.h_rumor with
+            | Node.Item m -> Some m
+            | Node.Tally id -> tally_msg pool id))
+        ps.ps_hot)
+
 (* Fire-and-forget rumor push: all hot lines to [g_fanout] random peers.
    A refused connect (partition, net.connect fault) just loses this
    push; anti-entropy repairs later. *)
 let push_rumors t ~self (ps : peer_state) =
   if ps.ps_hot <> [] then begin
+    let lines = hot_lines ps in
     for _ = 1 to t.params.g_fanout do
       match draw_peer t ~self with
       | None -> ()
@@ -352,10 +386,8 @@ let push_rumors t ~self (ps : peer_state) =
           with
           | None -> Obs.incr (obs t) "gossip.push_refused"
           | Some cid ->
-              List.iter
-                (fun h -> Simnet.client_send t.net ~conn_id:cid h.h_line)
-                ps.ps_hot;
-              Simnet.client_send t.net ~conn_id:cid (Wire.encode Wire.Bye);
+              List.iter (Simnet.client_send t.net ~conn_id:cid) lines;
+              Simnet.client_send t.net ~conn_id:cid bye_line;
               Simnet.client_close t.net ~conn_id:cid;
               Obs.incr (obs t) "gossip.pushes")
     done;
@@ -364,8 +396,9 @@ let push_rumors t ~self (ps : peer_state) =
   end
 
 (* Open one anti-entropy exchange: send our digest, keep the connection
-   to read the peer's answer (missing items now, WANT answered next
-   round). *)
+   to read the peer's answer (missing items, then its WANT).  The TTL
+   only matters when that answer never comes: a peer behind a partition,
+   or a dropped DIGEST or WANT line. *)
 let start_digest t ~self (ps : peer_state) =
   match draw_peer t ~self with
   | None -> ()
@@ -390,8 +423,8 @@ let start_digest t ~self (ps : peer_state) =
           ps.ps_digests <-
             ps.ps_digests @ [ (cid, 2 * t.params.g_digest_every) ])
 
-(* Pump open digest exchanges: learn pushed items, answer WANTs, expire
-   exchanges a partition left hanging. *)
+(* Pump open digest exchanges: learn pushed items, answer the terminal
+   WANT and close, expire exchanges whose answer never came. *)
 let pump_digests t (ps : peer_state) =
   ps.ps_digests <-
     List.filter_map
@@ -403,15 +436,14 @@ let pump_digests t (ps : peer_state) =
           | `Eof -> finished := true
           | `Line l ->
               (match Wire.decode l with
-              | Ok (Wire.Prop _ as m) | Ok (Wire.Vote _ as m) ->
+              | Ok ((Wire.Prop _ | Wire.Tally _ | Wire.Vote _) as m) ->
                   Node.learn ps.ps_node m
               | Ok (Wire.Want keys) ->
                   List.iter
                     (fun m ->
                       Simnet.client_send t.net ~conn_id:cid (Wire.encode m))
                     (wanted ps keys);
-                  Simnet.client_send t.net ~conn_id:cid
-                    (Wire.encode Wire.Bye);
+                  Simnet.client_send t.net ~conn_id:cid bye_line;
                   Simnet.client_close t.net ~conn_id:cid;
                   finished := true
               | Ok (Wire.Digest _ | Wire.Bye) | Error _ -> ());
@@ -528,6 +560,32 @@ let pools_synced t =
       t.synced <- Some (at, answer);
       answer
 
+(* Make a node's fresh rumor hot; a tally already hot restarts its
+   rounds in place. *)
+let heat (ps : peer_state) r =
+  match (r, List.find_opt (fun h -> h.h_rumor = r) ps.ps_hot) with
+  | Node.Tally _, Some h -> h.h_ttl <- rumor_rounds
+  | _ -> ps.ps_hot <- ps.ps_hot @ [ { h_rumor = r; h_ttl = rumor_rounds } ]
+
+(* Anti-entropy runs only while there is something to reconcile: once
+   every node settled on one epoch with no hot rumors left AND every
+   mempool holds the same key set, a new digest exchange would carry
+   nothing, and stopping them lets [run] detect quiescence instead of
+   chasing a perpetually refreshed exchange.  The key-set check is what
+   keeps a partitioned minority reachable: its nodes are settled on the
+   old epoch with their rumors expired, but their pools lag, so digests
+   keep flowing and the pull half rescues them after the heal.  The pool
+   comparison only runs once the cheap settled/uniform/no-hot prefix
+   holds, and [pools_synced] answers from its memo while no pool
+   changed — so the quiet tail, where the last open exchanges close,
+   rescans nothing. *)
+let quiet t =
+  Hashtbl.length t.epoch_counts = 1
+  && Array.for_all
+       (fun ps -> is_settled_phase (Node.phase ps.ps_node) && ps.ps_hot = [])
+       t.peers
+  && pools_synced t
+
 let step t =
   F.Fleet.round t.fleet;
   let now = F.Fleet.ticks t.fleet in
@@ -539,37 +597,9 @@ let step t =
   Array.iter (fun ps -> Node.tick ps.ps_node ~now) t.peers;
   note_stuck t;
   Array.iter
-    (fun ps ->
-      match Node.take_out ps.ps_node with
-      | [] -> ()
-      | out ->
-          ps.ps_hot <-
-            ps.ps_hot
-            @ List.map
-                (fun m ->
-                  { h_line = Wire.encode m; h_ttl = rumor_rounds })
-                out)
+    (fun ps -> List.iter (heat ps) (Node.take_out ps.ps_node))
     t.peers;
-  (* Anti-entropy runs only while there is something to reconcile:
-     once every node settled on one epoch with no hot rumors left AND
-     every mempool holds the same key set, a new digest exchange would
-     carry nothing, and stopping them lets [run] detect quiescence
-     instead of chasing a perpetually refreshed exchange.  The key-set
-     check is what keeps a partitioned minority reachable: its nodes
-     are settled on the old epoch with their rumors expired, but their
-     pools lag, so digests keep flowing and the pull half rescues them
-     after the heal.  The pool comparison only runs once the cheap
-     settled/uniform/no-hot prefix holds, and [pools_synced] answers
-     from its memo while no pool changed — so the quiet tail, where
-     open exchanges run out their TTL, rescans nothing. *)
-  let quiet =
-    Hashtbl.length t.epoch_counts = 1
-    && Array.for_all
-         (fun ps ->
-           is_settled_phase (Node.phase ps.ps_node) && ps.ps_hot = [])
-         t.peers
-    && pools_synced t
-  in
+  let quiet = quiet t in
   Array.iteri
     (fun id ps ->
       push_rumors t ~self:id ps;
@@ -610,12 +640,11 @@ let run t ?(on_round = fun _ -> ()) ~max_rounds () =
       step t;
       on_round t;
       (* a rollout is done when dissemination has quiesced too: no hot
-         rumors left anywhere, so convergence is not a lucky instant *)
-      if
-        converged t
-        && Array.for_all
-             (fun ps -> ps.ps_hot = [] && ps.ps_digests = [])
-             t.peers
+         rumors left, every pool holding the same keys and every digest
+         exchange closed, so convergence is not a lucky instant — nor a
+         lull before a healed partition's digests carry the proposal
+         across *)
+      if quiet t && Array.for_all (fun ps -> ps.ps_digests = []) t.peers
       then r + 1
       else go (r + 1)
     end

@@ -56,6 +56,11 @@ let phase_to_string = function
   | Backoff _ -> "backoff"
   | Stuck why -> "stuck: " ^ why
 
+(* What a node queues for the runtime to spread. *)
+type rumor =
+  | Item of Wire.msg (* a fresh proposal or Con vote, one line as is *)
+  | Tally of string (* this proposal's Pro tally grew *)
+
 type t = {
   n_inst : Instance.t; (* its [i_id] is the node's id *)
   n_pool : Mempool.t;
@@ -70,7 +75,7 @@ type t = {
       (* the live forward hop *)
   mutable n_fenced : string list; (* condemned proposal ids *)
   mutable n_attempts : (string * int) list; (* per-proposal aborts *)
-  mutable n_out : Wire.msg list; (* fresh rumors, drained by the runtime *)
+  mutable n_out : rumor list; (* fresh rumors, drained by the runtime *)
 }
 
 let epoch_gauge = "gossip.epoch"
@@ -103,6 +108,16 @@ let take_out t =
   t.n_out <- [];
   out
 
+let spread t r = t.n_out <- r :: t.n_out
+
+(* A fresh vote spreads as its proposal's tally (Pro) or its own line
+   (Con). *)
+let spread_vote t (v : Mempool.vote) =
+  spread t
+    (match v.Mempool.v_stance with
+    | Mempool.Pro -> Tally v.Mempool.v_prop
+    | Mempool.Con -> Item (Wire.Vote v))
+
 let set_epoch t e =
   if e <> t.n_epoch then begin
     let old = t.n_epoch in
@@ -123,7 +138,7 @@ let cast t ~prop ~stance ~why =
     }
   in
   match Mempool.add_vote t.n_pool v with
-  | `Fresh | `Hardened -> t.n_out <- Wire.Vote v :: t.n_out
+  | `Fresh | `Hardened -> spread_vote t v
   | `Stale -> ()
 
 let vote_con t ~prop ~why =
@@ -135,7 +150,11 @@ let vote_con t ~prop ~why =
 (* Feed one decoded payload into the pool; anything fresh is queued for
    re-broadcast (rumor mongering) and a fresh proposal is voted on
    immediately: Pro iff it advances this node's own epoch starting from
-   the version it actually runs. *)
+   the version it actually runs.  [gossip.votes_seen] counts the votes
+   this node learns off the wire: a fresh or hardening Con line, or a
+   Pro bit a tally set for another voter (a restarted node relearning
+   its own Pro vote does not count it), so a healthy N-node rollout reads
+   N x (N - 1). *)
 let learn t msg =
   Mempool.with_lock t.n_pool (fun () ->
       match msg with
@@ -143,7 +162,7 @@ let learn t msg =
           match Mempool.add_proposal t.n_pool p with
           | `Duplicate -> ()
           | `Fresh ->
-              t.n_out <- Wire.Prop p :: t.n_out;
+              spread t (Item msg);
               if
                 p.Mempool.p_from_version = t.n_inst.Instance.i_version
                 && p.Mempool.p_epoch = t.n_epoch + 1
@@ -153,11 +172,24 @@ let learn t msg =
                   ~why:
                     (Printf.sprintf "base-mismatch:%s@e%d"
                        t.n_inst.Instance.i_version t.n_epoch))
+      | Wire.Tally { t_prop; t_bits } -> (
+          match Mempool.merge_tally t.n_pool ~prop:t_prop ~hex:t_bits with
+          | [] -> ()
+          | fresh ->
+              let self = t.n_inst.Instance.i_id in
+              let others =
+                List.fold_left
+                  (fun n v -> if v = self then n else n + 1)
+                  0 fresh
+              in
+              if others > 0 then
+                Jv_obs.Obs.incr t.n_obs ~by:others "gossip.votes_seen";
+              spread t (Tally t_prop))
       | Wire.Vote v -> (
           match Mempool.add_vote t.n_pool v with
           | `Fresh | `Hardened ->
               Jv_obs.Obs.incr t.n_obs "gossip.votes_seen";
-              t.n_out <- Wire.Vote v :: t.n_out
+              spread_vote t v
           | `Stale -> ())
       | Wire.Digest _ | Wire.Want _ | Wire.Bye -> ())
 

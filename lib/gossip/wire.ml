@@ -2,20 +2,32 @@
    line, space-separated fields, first token the message kind:
 
      PROP   <id> <epoch> <from-version> <to-version> <digest> <origin>
-     VOTE   <proposal-id> <voter> P|C <why>
+     TALLY  <proposal-id> <pro-bitmap-hex>
+     VOTE   <proposal-id> <voter> C <why>
      DIGEST <sender> <epoch> <key,key,...>      (or "-" when empty)
      WANT   <key,key,...>                        (or "-")
      BYE
 
-   PROP and VOTE are rumor payloads; DIGEST opens an anti-entropy
-   reconciliation (the receiver answers with the full items the sender's
-   key set lacks, plus a WANT for keys it lacks itself); BYE ends an
-   exchange.  The free-text [why] of a vote is percent-escaped so it can
-   carry spaces without breaking the token structure. *)
+   PROP, TALLY and VOTE are rumor payloads.  A TALLY carries every Pro
+   vote a node holds for one proposal as a voter bitmap (voter v is bit
+   [v mod 8] of byte [v / 8], bytes in order as lowercase hex, trailing
+   zero bytes dropped); the receiver ORs it into its own.  Only Con
+   votes travel as VOTE lines, one per voter, because fence decisions
+   and abort reports read their reason.
+
+   DIGEST opens an anti-entropy reconciliation: the receiver answers
+   with the full items the sender's key set lacks, then always ends its
+   answer with a WANT for the keys it lacks itself ("WANT -" when it
+   lacks none).  That WANT is the answer's terminal line: the initiator
+   sends what it names, then BYE, and closes, so an exchange whose lines
+   all arrive closes the round after it opened.  BYE ends an exchange or
+   a rumor push.  The free-text [why] of a vote is percent-escaped so it
+   can carry spaces without breaking the token structure. *)
 
 type msg =
   | Prop of Mempool.proposal
-  | Vote of Mempool.vote
+  | Tally of { t_prop : string; t_bits : string (* bitmap hex *) }
+  | Vote of Mempool.vote (* a Con *)
   | Digest of { d_sender : int; d_epoch : int; d_keys : string list }
   | Want of string list
   | Bye
@@ -59,9 +71,11 @@ let encode = function
       Printf.sprintf "PROP %s %d %s %s %s %d" p.Mempool.p_id p.Mempool.p_epoch
         p.Mempool.p_from_version p.Mempool.p_to_version p.Mempool.p_digest
         p.Mempool.p_origin
+  | Tally { t_prop; t_bits } -> String.concat " " [ "TALLY"; t_prop; t_bits ]
   | Vote v ->
-      Printf.sprintf "VOTE %s %d %s %s" v.Mempool.v_prop v.Mempool.v_voter
-        (match v.Mempool.v_stance with Mempool.Pro -> "P" | Mempool.Con -> "C")
+      if v.Mempool.v_stance <> Mempool.Con then
+        invalid_arg "Wire.encode: Pro votes travel as TALLY lines";
+      Printf.sprintf "VOTE %s %d C %s" v.Mempool.v_prop v.Mempool.v_voter
         (escape v.Mempool.v_why)
   | Digest { d_sender; d_epoch; d_keys } ->
       Printf.sprintf "DIGEST %d %d %s" d_sender d_epoch (keys_field d_keys)
@@ -84,21 +98,17 @@ let decode line : (msg, string) result =
                  p_origin = o;
                })
       | _ -> Error ("bad PROP: " ^ line))
-  | [ "VOTE"; prop; voter; stance; why ] -> (
-      match
-        ( int_of_string_opt voter,
-          match stance with
-          | "P" -> Some Mempool.Pro
-          | "C" -> Some Mempool.Con
-          | _ -> None )
-      with
-      | Some voter, Some st ->
+  | [ "TALLY"; prop; bits ] when Mempool.valid_hex bits ->
+      Ok (Tally { t_prop = prop; t_bits = bits })
+  | [ "VOTE"; prop; voter; "C"; why ] -> (
+      match int_of_string_opt voter with
+      | Some voter when voter >= 0 ->
           Ok
             (Vote
                {
                  Mempool.v_prop = prop;
                  v_voter = voter;
-                 v_stance = st;
+                 v_stance = Mempool.Con;
                  v_why = unescape why;
                })
       | _ -> Error ("bad VOTE: " ^ line))

@@ -140,18 +140,19 @@ let zero_ahead h need =
 let take h addr need =
   h.free <- need;
   h.allocations <- h.allocations + 1;
-  Some addr
+  addr
 
-(* Raw allocation: returns the base address or [None] when a collection is
-   needed.  The words handed out are zero, giving default field values for
-   free: the fast path bumps [free] inside the zeroed stretch; past it,
-   [zero_ahead] extends the stretch first, or [grow] commits the cap. *)
+(* Raw allocation: returns the base address, or 0 (null, never handed
+   out) when a collection is needed.  The words handed out are zero,
+   giving default field values for free: the fast path bumps [free]
+   inside the zeroed stretch; past it, [zero_ahead] extends the stretch
+   first, or [grow] commits the cap. *)
 let alloc_raw h ~nwords =
   if nwords <= 0 then invalid_arg "Heap.alloc_raw";
   let addr = h.free in
   let need = addr + nwords in
   if need <= h.zeroed then take h addr need
-  else if need > h.size_words then None
+  else if need > h.size_words then 0
   else begin
     if need > Array.length h.space then grow h else zero_ahead h need;
     take h addr need

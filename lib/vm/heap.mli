@@ -82,9 +82,10 @@ val grow_space : t -> unit
     [\[0, free)]; its mark becomes [free].  The collector calls it when a
     copy runs past a to-space shorter than the cap. *)
 
-val alloc_raw : t -> nwords:int -> int option
-(** Bump-allocate; [None] means a collection is needed, which happens only
-    when the cap is full.  The words handed out are zero, giving default
+val alloc_raw : t -> nwords:int -> int
+(** Bump-allocate; returns the base address, or 0 (null, never handed
+    out) when a collection is needed, which happens only when the cap is
+    full.  The words handed out are zero, giving default
     field values for free: past the zeroed stretch the allocator zeroes
     the next [zero_chunk] words first, but none at or past the space's
     mark, which were never written.  An allocation past the active

@@ -496,13 +496,14 @@ let ensure_free vm words =
 let alloc_object vm (cls : Rt.rt_class) =
   let n = cls.Rt.size_words in
   let addr =
-    match Heap.alloc_raw vm.heap ~nwords:n with
-    | Some a -> a
-    | None ->
-        ensure_free vm n;
-        (match Heap.alloc_raw vm.heap ~nwords:n with
-        | Some a -> a
-        | None -> fatal "allocation failed after GC")
+    let a = Heap.alloc_raw vm.heap ~nwords:n in
+    if a <> 0 then a
+    else begin
+      ensure_free vm n;
+      let a = Heap.alloc_raw vm.heap ~nwords:n in
+      if a = 0 then fatal "allocation failed after GC";
+      a
+    end
   in
   Heap.set vm.heap ~addr ~off:Heap.off_class cls.Rt.cid;
   (* remaining words are pre-zeroed: gc word 0, fields default; once a
@@ -519,13 +520,14 @@ let alloc_array vm ~len =
   if len < 0 then fatal "negative array size %d" len;
   let n = Heap.array_header_words + len in
   let addr =
-    match Heap.alloc_raw vm.heap ~nwords:n with
-    | Some a -> a
-    | None ->
-        ensure_free vm n;
-        (match Heap.alloc_raw vm.heap ~nwords:n with
-        | Some a -> a
-        | None -> fatal "allocation failed after GC")
+    let a = Heap.alloc_raw vm.heap ~nwords:n in
+    if a <> 0 then a
+    else begin
+      ensure_free vm n;
+      let a = Heap.alloc_raw vm.heap ~nwords:n in
+      if a = 0 then fatal "allocation failed after GC";
+      a
+    end
   in
   Heap.set vm.heap ~addr ~off:Heap.off_class vm.array_cid;
   Heap.set vm.heap ~addr ~off:Heap.off_array_len len;

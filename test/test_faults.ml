@@ -218,7 +218,14 @@ let typo_is_rejected () =
   | exception Invalid_argument _ -> ()
 
 (* The first string literal after each Faults.point / check / link call
-   in lib/: the points the stack consults. *)
+   in lib/: the points the stack consults.  The test stanza's deps copy
+   lib/'s sources next to the test binary's directory in the build tree,
+   so lib/ is found from the binary, whatever the working directory. *)
+let lib_dir =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    "lib"
+
 let points_named_in_lib () =
   let rec files dir =
     Sys.readdir dir |> Array.to_list
@@ -244,7 +251,7 @@ let points_named_in_lib () =
               (fun q' -> String.sub line (q + 1) (q' - q - 1))
               (String.index_from_opt line (q + 1) '"'))
   in
-  files "../lib"
+  files lib_dir
   |> List.concat_map (fun f ->
          In_channel.with_open_bin f In_channel.input_all
          |> String.split_on_char '\n')

@@ -95,18 +95,38 @@ let test_mempool_lock_discipline () =
       Alcotest.(check int) "lock released after an exception" 0
         (G.Mempool.size m))
 
-(* The incremental state against a full rebuild: after every
-   step of a random add_proposal/add_vote sequence (duplicates, orphan
+(* A reference spelling of a Pro bitmap, built apart from the pool's:
+   voter v is bit [v mod 8] of byte [v / 8], bytes in order, trailing
+   zero bytes dropped. *)
+let ref_hex voters =
+  match voters with
+  | [] -> ""
+  | _ ->
+      let top = List.fold_left max 0 voters in
+      let bytes = Array.make ((top / 8) + 1) 0 in
+      List.iter
+        (fun v -> bytes.(v / 8) <- bytes.(v / 8) lor (1 lsl (v mod 8)))
+        voters;
+      String.concat ""
+        (Array.to_list (Array.map (Printf.sprintf "%02x") bytes))
+
+(* The incremental state against a full rebuild: after every step of a
+   random add_proposal/add_vote/merge_tally sequence (duplicates, orphan
    votes ahead of their proposal, Pro -> Con hardening, stale Pro after
-   Con, trip and non-trip Cons), each tally equals a fold over the
-   stored votes, the cached key list equals one built from the stored
-   items, and the generation moved iff the pool changed. *)
+   Con, re-delivered Pro bits of a Con voter, trip and non-trip Cons),
+   each tally equals a fold over a reference model of every voter's
+   state, the cached key list equals one built from that model, every
+   stored Con keeps its reason, and the generation moved iff the pool
+   changed. *)
 type pool_op =
   | Add_prop of string
   | Add_vote of string * int * [ `Pro | `Con | `Trip ]
+  | Merge of string * int list
 
 let prop_ids = [ "a"; "b"; "c" ]
-let voters = [ 0; 1; 2; 3 ]
+
+(* voters past 7 and 15 put bits in later bitmap bytes *)
+let voters = [ 0; 1; 2; 3; 9; 17 ]
 
 let pool_op_gen =
   QCheck.Gen.(
@@ -119,6 +139,11 @@ let pool_op_gen =
             (fun i v s -> Add_vote (i, v, s))
             id (oneofl voters)
             (frequencyl [ (3, `Pro); (1, `Con); (1, `Trip) ]) );
+        ( 2,
+          map2
+            (fun i vs -> Merge (i, List.sort_uniq compare vs))
+            id
+            (list_size (int_range 1 3) (oneofl voters)) );
       ])
 
 let pp_pool_op = function
@@ -126,6 +151,13 @@ let pp_pool_op = function
   | Add_vote (i, v, s) ->
       Printf.sprintf "vote %s/%d %s" i v
         (match s with `Pro -> "pro" | `Con -> "con" | `Trip -> "trip")
+  | Merge (i, vs) ->
+      Printf.sprintf "tally %s {%s}" i
+        (String.concat "," (List.map string_of_int vs))
+
+let con_vote ~trip ~voter id =
+  if trip then vote ~voter ~stance:G.Mempool.Con ~why:"trip:errors" id
+  else vote ~voter ~stance:G.Mempool.Con ~why:"base" id
 
 let prop_incremental_pool_state =
   QCheck.Test.make ~name:"mempool tallies and cached keys match a rebuild"
@@ -136,8 +168,18 @@ let prop_incremental_pool_state =
         Gen.(list_size (int_range 0 40) pool_op_gen))
     (fun ops ->
       let m = G.Mempool.create () in
-      (* (prop, voter) in first-insertion order, newest first *)
-      let seen = ref [] in
+      (* the reference model: each (proposal, voter)'s state, the ids in
+         the order an op first named them, the Cons in insertion order *)
+      let state = Hashtbl.create 16 in
+      let ids = ref [] and cons = ref [] in
+      let name id = if not (List.mem id !ids) then ids := !ids @ [ id ] in
+      let pro id v =
+        match Hashtbl.find_opt state (id, v) with
+        | None ->
+            Hashtbl.replace state (id, v) `Pro;
+            true
+        | Some _ -> false
+      in
       G.Mempool.with_lock m (fun () ->
           List.for_all
             (fun op ->
@@ -145,56 +187,83 @@ let prop_incremental_pool_state =
               let changed =
                 match op with
                 | Add_prop id -> G.Mempool.add_proposal m (prop id) = `Fresh
-                | Add_vote (id, voter, s) -> (
+                | Add_vote (id, voter, s) ->
+                    name id;
+                    let expect =
+                      match (s, Hashtbl.find_opt state (id, voter)) with
+                      | `Pro, _ -> if pro id voter then `Fresh else `Stale
+                      | (`Con | `Trip), Some (`Con _) -> `Stale
+                      | (`Con | `Trip), old ->
+                          let v = con_vote ~trip:(s = `Trip) ~voter id in
+                          Hashtbl.replace state (id, voter) (`Con v);
+                          cons := !cons @ [ v ];
+                          if old = None then `Fresh else `Hardened
+                    in
                     let v =
                       match s with
                       | `Pro -> vote ~voter id
-                      | `Con -> vote ~voter ~stance:G.Mempool.Con ~why:"base" id
-                      | `Trip ->
-                          vote ~voter ~stance:G.Mempool.Con ~why:"trip:errors"
-                            id
+                      | `Con | `Trip -> con_vote ~trip:(s = `Trip) ~voter id
                     in
-                    match G.Mempool.add_vote m v with
-                    | `Fresh ->
-                        seen := (id, voter) :: !seen;
-                        true
-                    | `Hardened -> true
-                    | `Stale -> false)
+                    let got = G.Mempool.add_vote m v in
+                    if got <> expect then
+                      QCheck.Test.fail_reportf "%s answered wrongly"
+                        (pp_pool_op op);
+                    got <> `Stale
+                | Merge (id, vs) ->
+                    name id;
+                    let fresh = List.filter (pro id) vs in
+                    let got =
+                      G.Mempool.merge_tally m ~prop:id ~hex:(ref_hex vs)
+                    in
+                    if got <> fresh then
+                      QCheck.Test.fail_reportf "%s set the wrong bits"
+                        (pp_pool_op op);
+                    fresh <> []
               in
-              let stored =
-                List.rev_map
-                  (fun (prop, voter) ->
-                    Option.get (G.Mempool.vote_for m ~prop ~voter))
-                  !seen
+              let pros id =
+                List.filter
+                  (fun v -> Hashtbl.find_opt state (id, v) = Some `Pro)
+                  voters
               in
               let fold id =
                 List.fold_left
-                  (fun (pro, con, trip) (v : G.Mempool.vote) ->
-                    if v.G.Mempool.v_prop <> id then (pro, con, trip)
-                    else
-                      match v.G.Mempool.v_stance with
-                      | G.Mempool.Pro -> (pro + 1, con, trip)
-                      | G.Mempool.Con ->
-                          ( pro,
-                            con + 1,
-                            if G.Mempool.is_trip_vote v then trip + 1 else trip ))
-                  (0, 0, 0) stored
+                  (fun (pro, con, trip) v ->
+                    match Hashtbl.find_opt state (id, v) with
+                    | None -> (pro, con, trip)
+                    | Some `Pro -> (pro + 1, con, trip)
+                    | Some (`Con c) ->
+                        ( pro,
+                          con + 1,
+                          if G.Mempool.is_trip_vote c then trip + 1 else trip ))
+                  (0, 0, 0) voters
               in
               let rebuilt =
                 List.map (fun p -> "P:" ^ p.G.Mempool.p_id)
                   (G.Mempool.proposals m)
+                @ List.filter_map
+                    (fun id ->
+                      match pros id with
+                      | [] -> None
+                      | vs -> Some (Printf.sprintf "T:%s:%s" id (ref_hex vs)))
+                    !ids
                 @ List.map
                     (fun (v : G.Mempool.vote) ->
-                      Printf.sprintf "V:%s:%d:%s" v.G.Mempool.v_prop
-                        v.G.Mempool.v_voter
-                        (if v.G.Mempool.v_stance = G.Mempool.Pro then "P"
-                         else "C"))
-                    stored
+                      Printf.sprintf "V:%s:%d:C" v.G.Mempool.v_prop
+                        v.G.Mempool.v_voter)
+                    !cons
               in
               let ok =
                 List.for_all
-                  (fun id -> G.Mempool.tally m ~prop:id = fold id)
+                  (fun id ->
+                    G.Mempool.tally m ~prop:id = fold id
+                    && G.Mempool.tally_hex m ~prop:id = ref_hex (pros id))
                   prop_ids
+                && List.for_all
+                     (fun (v : G.Mempool.vote) ->
+                       G.Mempool.vote_for m ~prop:v.G.Mempool.v_prop
+                         ~voter:v.G.Mempool.v_voter
+                       = Some v)
+                     !cons
                 && G.Mempool.keys m = rebuilt
                 && G.Mempool.size m = List.length rebuilt
                 && changed = (G.Mempool.generation m <> gen0)
@@ -204,6 +273,201 @@ let prop_incremental_pool_state =
                   (pp_pool_op op);
               ok)
             ops))
+
+(* Votes form a join-semilattice (absent < Pro < Con per voter), so
+   pools that see one history's votes in any order, any number of times,
+   over any path end in one state.  A random history (Pro votes, trip and
+   non-trip Cons at most one per voter, stale Pros after a Con, votes on
+   proposals no pool holds) is cast across 2-4 pools; the pools then
+   swap what they hold as PROP/TALLY/VOTE lines through the codec, in
+   random orders, with duplicates, first between random pairs and then
+   all to all twice.  Every pool must end with the tallies and key set of
+   a from-scratch fold of the history; re-delivering every Pro bit after
+   that must not raise any [pro] (a Con is sticky); and every delivery
+   must move a pool's generation exactly when its key set changed. *)
+type cast = {
+  c_pool : int;
+  c_id : string;
+  c_voter : int;
+  c_what : [ `Pro | `Con | `Trip ];
+}
+
+(* "orphan" is voted on but never proposed *)
+let history_ids = [ "a"; "b"; "orphan" ]
+
+let history_gen =
+  QCheck.Gen.(
+    int_range 2 4 >>= fun pools ->
+    list_size (int_range 1 40)
+      (map3
+         (fun c_pool c_id (c_voter, c_what) -> { c_pool; c_id; c_voter; c_what })
+         (int_bound (pools - 1))
+         (oneofl history_ids)
+         (pair (oneofl voters)
+            (frequencyl [ (4, `Pro); (1, `Con); (1, `Trip) ])))
+    >>= fun casts ->
+    (* a voter casts at most one Con per proposal: keep the first *)
+    let _, casts =
+      List.fold_left
+        (fun (seen, acc) c ->
+          if c.c_what = `Pro then (seen, acc @ [ c ])
+          else if List.mem (c.c_id, c.c_voter) seen then (seen, acc)
+          else ((c.c_id, c.c_voter) :: seen, acc @ [ c ]))
+        ([], []) casts
+    in
+    map (fun seed -> (pools, casts, seed)) (int_bound 1_000_000))
+
+let pp_history (pools, casts, seed) =
+  Printf.sprintf "%d pools, seed %d: %s" pools seed
+    (String.concat "; "
+       (List.map
+          (fun c ->
+            Printf.sprintf "%d:%s/%d %s" c.c_pool c.c_id c.c_voter
+              (match c.c_what with
+              | `Pro -> "pro"
+              | `Con -> "con"
+              | `Trip -> "trip"))
+          casts))
+
+let prop_tally_semilattice =
+  QCheck.Test.make ~name:"pools that swap tallies in any order agree"
+    ~count:200
+    (QCheck.make ~print:pp_history history_gen)
+    (fun (npools, casts, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pools = Array.init npools (fun _ -> G.Mempool.create ()) in
+      let locked p f = G.Mempool.with_lock p (fun () -> f p) in
+      let con_of c =
+        con_vote ~trip:(c.c_what = `Trip) ~voter:c.c_voter c.c_id
+      in
+      locked pools.(0) (fun p ->
+          ignore (G.Mempool.add_proposal p (prop "a"));
+          ignore (G.Mempool.add_proposal p (prop "b")));
+      List.iter
+        (fun c ->
+          locked pools.(c.c_pool) (fun p ->
+              ignore
+                (G.Mempool.add_vote p
+                   (if c.c_what = `Pro then vote ~voter:c.c_voter c.c_id
+                    else con_of c))))
+        casts;
+      (* what a pool holds, as the lines a digest answer would carry *)
+      let lines p =
+        locked p (fun p ->
+            let props, tallies, cons =
+              G.Mempool.missing_from p ~remote_keys:[]
+            in
+            List.map (fun pr -> G.Wire.Prop pr) props
+            @ List.map
+                (fun (id, bits) -> G.Wire.Tally { t_prop = id; t_bits = bits })
+                tallies
+            @ List.map (fun v -> G.Wire.Vote v) cons
+            |> List.map G.Wire.encode)
+      in
+      let state p =
+        locked p (fun p ->
+            ( List.sort compare (G.Mempool.keys p),
+              List.map (fun id -> G.Mempool.tally p ~prop:id) history_ids ))
+      in
+      let deliver p line =
+        let before = state p and gen0 = locked p G.Mempool.generation in
+        locked p (fun p ->
+            match G.Wire.decode line with
+            | Ok (G.Wire.Prop pr) -> ignore (G.Mempool.add_proposal p pr)
+            | Ok (G.Wire.Tally { t_prop; t_bits }) ->
+                ignore (G.Mempool.merge_tally p ~prop:t_prop ~hex:t_bits)
+            | Ok (G.Wire.Vote v) -> ignore (G.Mempool.add_vote p v)
+            | _ -> QCheck.Test.fail_reportf "line %S did not decode" line);
+        let moved = locked p G.Mempool.generation <> gen0 in
+        if moved <> (state p <> before) then
+          QCheck.Test.fail_reportf "generation %s on %S"
+            (if moved then "moved without a change"
+             else "stood through a change")
+            line
+      in
+      (* one delivery: the sender's lines shuffled, some sent twice *)
+      let send src dst =
+        let ls = lines pools.(src) in
+        List.map
+          (fun l -> (Random.State.bits rng, l))
+          (ls @ List.filter (fun _ -> Random.State.bool rng) ls)
+        |> List.sort compare
+        |> List.iter (fun (_, l) -> deliver pools.(dst) l)
+      in
+      for _ = 1 to Random.State.int rng (3 * npools) do
+        let src = Random.State.int rng npools in
+        let dst = Random.State.int rng npools in
+        if src <> dst then send src dst
+      done;
+      for _ = 1 to 2 do
+        for src = 0 to npools - 1 do
+          for dst = 0 to npools - 1 do
+            if src <> dst then send src dst
+          done
+        done
+      done;
+      (* the from-scratch fold: per (id, voter), Con over Pro over absent *)
+      let final id v =
+        let mine =
+          List.filter (fun c -> c.c_id = id && c.c_voter = v) casts
+        in
+        match List.find_opt (fun c -> c.c_what <> `Pro) mine with
+        | Some c -> Some (`Con (con_of c))
+        | None -> if mine = [] then None else Some `Pro
+      in
+      let is_con id v =
+        match final id v with Some (`Con _) -> true | _ -> false
+      in
+      let fold_tally id =
+        List.fold_left
+          (fun (pro, con, trip) v ->
+            match final id v with
+            | None -> (pro, con, trip)
+            | Some `Pro -> (pro + 1, con, trip)
+            | Some (`Con c) ->
+                ( pro,
+                  con + 1,
+                  if G.Mempool.is_trip_vote c then trip + 1 else trip ))
+          (0, 0, 0) voters
+      in
+      let fold_keys id =
+        let pros = List.filter (fun v -> final id v = Some `Pro) voters in
+        (if pros = [] then []
+         else [ Printf.sprintf "T:%s:%s" id (ref_hex pros) ])
+        @ List.map
+            (Printf.sprintf "V:%s:%d:C" id)
+            (List.filter (is_con id) voters)
+      in
+      let expected =
+        ( List.sort compare
+            (("P:" ^ (prop "a").G.Mempool.p_id)
+            :: ("P:" ^ (prop "b").G.Mempool.p_id)
+            :: List.concat_map fold_keys history_ids),
+          List.map fold_tally history_ids )
+      in
+      Array.iteri
+        (fun i p ->
+          if state p <> expected then
+            QCheck.Test.fail_reportf "pool %d disagrees with the fold" i;
+          (* every voter's Pro bit, re-delivered: a Con voter stays Con *)
+          List.iter
+            (fun id ->
+              deliver p
+                (G.Wire.encode
+                   (G.Wire.Tally { t_prop = id; t_bits = ref_hex voters })))
+            history_ids;
+          List.iter
+            (fun id ->
+              let pro, _, _ = locked p (fun p -> G.Mempool.tally p ~prop:id) in
+              let not_con =
+                List.length (List.filter (fun v -> not (is_con id v)) voters)
+              in
+              if pro <> not_con then
+                QCheck.Test.fail_reportf "pool %d: %s has %d Pro votes, not %d"
+                  i id pro not_con)
+            history_ids)
+        pools;
+      true)
 
 (* --- wire codec --------------------------------------------------------- *)
 
@@ -220,20 +484,40 @@ let test_wire_roundtrip () =
     (G.Wire.Vote
        (vote ~voter:42 ~stance:G.Mempool.Con
           ~why:"trip:app-errors 5% over budget" "deadbeef"));
+  check_rt (G.Wire.Tally { t_prop = "deadbeef"; t_bits = "0f0001" });
   check_rt
     (G.Wire.Digest
-       { d_sender = 3; d_epoch = 1; d_keys = [ "P:a"; "V:a:1:P"; "V:a:2:C" ] });
+       { d_sender = 3; d_epoch = 1; d_keys = [ "P:a"; "T:a:05"; "V:a:2:C" ] });
   check_rt (G.Wire.Digest { d_sender = 0; d_epoch = 0; d_keys = [] });
   check_rt (G.Wire.Want [ "P:a" ]);
   check_rt G.Wire.Bye;
   (* the escaped why survives with its spaces *)
-  (match G.Wire.decode (G.Wire.encode (G.Wire.Vote (vote ~voter:1 ~why:"a b %c" "x"))) with
+  (match
+     G.Wire.decode
+       (G.Wire.encode
+          (G.Wire.Vote (vote ~voter:1 ~stance:G.Mempool.Con ~why:"a b %c" "x")))
+   with
   | Ok (G.Wire.Vote v) ->
       Alcotest.(check string) "why unescaped" "a b %c" v.G.Mempool.v_why
   | _ -> Alcotest.fail "vote did not round-trip");
-  match G.Wire.decode "FROB x y" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage decoded"
+  (* Pro votes travel only as tallies *)
+  Alcotest.check_raises "a Pro vote has no VOTE line"
+    (Invalid_argument "Wire.encode: Pro votes travel as TALLY lines")
+    (fun () -> ignore (G.Wire.encode (G.Wire.Vote (vote ~voter:1 "x"))));
+  List.iter
+    (fun line ->
+      match G.Wire.decode line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S decoded" line)
+    [
+      "FROB x y";
+      "VOTE x 1 P ok";
+      "VOTE x -1 C why";
+      "TALLY x 0g";
+      "TALLY x abc";
+      "TALLY x 0F";
+      "TALLY x";
+    ]
 
 (* --- quorum apply ------------------------------------------------------- *)
 
@@ -343,6 +627,29 @@ let run_under_chaos ~seed ~plan ~size ~rounds_budget =
   let g, r = rollout_under_chaos ~seed ~plan ~size ~rounds_budget in
   (r, List.init size (fun id -> G.Node.epoch (G.Gossip.node g id)))
 
+(* Each node's final decisions, one token per node: epoch, phase,
+   version, and its applies/trips/reverts/fences_enforced counters.
+   Recorded before votes travelled as tallies, so a wire change that
+   moved any node's outcome shows here. *)
+let decisions g =
+  String.concat " "
+    (List.init (G.Gossip.size g) (fun id ->
+         let nd = G.Gossip.node g id in
+         let inst = nd.G.Node.n_inst in
+         let c name =
+           Jv_obs.Obs.counter_value (Jv_vm.Vm.obs inst.F.Instance.i_vm) name
+         in
+         Printf.sprintf "%d:e%d:%s:%s:a%d:t%d:r%d:f%d" id (G.Node.epoch nd)
+           (G.Node.phase_to_string (G.Node.phase nd))
+           inst.F.Instance.i_version (c "gossip.applies")
+           (c "gossip.guard_trips") (c "gossip.reverts")
+           (c "gossip.fences_enforced")))
+
+(* what every node of a healthy 5.1.1 -> 5.1.2 rollout decided *)
+let applied_once size =
+  String.concat " "
+    (List.init size (fun id -> Printf.sprintf "%d:e1:idle:5.1.2:a1:t0:r0:f0" id))
+
 (* Convergence: under random drop/delay/partition-then-heal schedules the
    fleet still reaches one epoch — never left permanently mixed. *)
 let prop_convergence_under_chaos =
@@ -426,7 +733,9 @@ let test_partition_heals_and_converges () =
   Alcotest.(check (option int)) "on the new epoch" (Some 1)
     r.G.Gossip.gr_epoch;
   Alcotest.(check bool) "anti-entropy did real work" true
-    (r.G.Gossip.gr_digest_recons > 0)
+    (r.G.Gossip.gr_digest_recons > 0);
+  Alcotest.(check string) "every node's decisions" (applied_once 4)
+    (decisions g)
 
 (* --- rejoin after quiet --------------------------------------------------- *)
 
@@ -458,7 +767,61 @@ let test_rejoin_after_quiet_resyncs () =
   Alcotest.(check (list string)) "node 3 holds node 0's key set" (key_set 0)
     (key_set 3);
   Alcotest.(check bool) "anti-entropy reconciled again" true
-    (r2.G.Gossip.gr_digest_recons > r1.G.Gossip.gr_digest_recons)
+    (r2.G.Gossip.gr_digest_recons > r1.G.Gossip.gr_digest_recons);
+  Alcotest.(check string) "every node's decisions" (applied_once 8)
+    (decisions g)
+
+(* --- digest exchanges close when answered ---------------------------------- *)
+
+(* Every DIGEST answer ends with a WANT ("WANT -" when the server lacks
+   nothing), and the initiator closes on it.  On a control plane that
+   drops nothing, no exchange stays open past the round after it opened,
+   and [run] returns within 2 rounds of the fleet going quiet instead of
+   waiting out the exchanges' TTL. *)
+let test_digest_exchanges_close () =
+  let fleet = boot_fleet ~size:16 () in
+  let g = G.Gossip.create ~params:test_params ~fleet () in
+  ignore (G.Gossip.propose g ~origin:0 ~to_version:"5.1.2");
+  let round = ref 0 and first_quiet = ref None in
+  let opened = Hashtbl.create 64 and longest = ref 0 and exchanges = ref 0 in
+  let on_round g =
+    incr round;
+    if !first_quiet = None && G.Gossip.quiet g then first_quiet := Some !round;
+    let open_now = Hashtbl.create 16 in
+    Array.iter
+      (fun ps ->
+        List.iter
+          (fun (cid, _) ->
+            Hashtbl.replace open_now cid ();
+            if not (Hashtbl.mem opened cid) then begin
+              incr exchanges;
+              Hashtbl.replace opened cid !round
+            end)
+          ps.G.Gossip.ps_digests)
+      g.G.Gossip.peers;
+    Hashtbl.iter
+      (fun cid since ->
+        if Hashtbl.mem open_now cid then
+          longest := max !longest (!round - since + 1))
+      opened
+  in
+  let rounds = G.Gossip.run g ~on_round ~max_rounds:3_000 () in
+  let r = G.Gossip.report g ~rounds in
+  Alcotest.(check bool) "converged on epoch 1" true
+    (r.G.Gossip.gr_converged && r.G.Gossip.gr_epoch = Some 1);
+  Alcotest.(check int) "16 x 15 votes seen" 240 r.G.Gossip.gr_votes_seen;
+  Alcotest.(check bool) "exchanges were opened" true (!exchanges > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "no exchange open longer than 2 rounds (longest %d)" !longest)
+    true (!longest <= 2);
+  match !first_quiet with
+  | None -> Alcotest.fail "the fleet never went quiet"
+  | Some q ->
+      Alcotest.(check bool)
+        (Printf.sprintf "run returned within 2 rounds of quiet (%d, quiet at %d)"
+           rounds q)
+        true
+        (rounds - q <= 2)
 
 (* --- golden: a 32-node rollout under drops --------------------------------- *)
 
@@ -468,15 +831,15 @@ let test_rejoin_after_quiet_resyncs () =
    counts, so a change to how a mempool is stored or compared that moved
    any of them shows here. *)
 let golden_report =
-  "CONVERGED in 32 rounds: epoch 1, 32 applied, 0 stuck | mixed window 2 \
-   rounds | 972 pushes, 25 reconciliations, 992 votes seen, 646 KiB gossiped"
+  "CONVERGED in 29 rounds: epoch 1, 32 applied, 0 stuck | mixed window 1 \
+   rounds | 915 pushes, 23 reconciliations, 992 votes seen, 85 KiB gossiped"
 
 let golden_nodes =
   String.concat " " (List.init 32 (fun id -> Printf.sprintf "%d:e1:idle" id))
 
 (* MD5 of every pool's keys, node by node in key order: a DIGEST line
    carries them in this order *)
-let golden_pools = "9c25874dabdd6495f5b2e6be928768ad"
+let golden_pools = "87d9e4d05dfd2e59cd868d838dc9463b"
 
 let test_golden_32_under_drops () =
   let size = 32 in
@@ -492,6 +855,8 @@ let test_golden_32_under_drops () =
             let nd = G.Gossip.node g id in
             Printf.sprintf "%d:e%d:%s" id (G.Node.epoch nd)
               (G.Node.phase_to_string (G.Node.phase nd)))));
+  Alcotest.(check string) "every node's decisions" (applied_once size)
+    (decisions g);
   let keys id =
     let pool = G.Node.pool (G.Gossip.node g id) in
     G.Mempool.with_lock pool (fun () -> G.Mempool.keys pool)
@@ -502,6 +867,45 @@ let test_golden_32_under_drops () =
           (String.concat "\n"
              (List.init size (fun id -> String.concat " " (keys id))))))
 
+(* The 32-node drop rollout, replayed: both runs put the same bytes on the
+   control net (each direction's total and every connection and dropped
+   line, in order, as the fleet sink logs them), and end with the same
+   report and pools. *)
+let test_golden_32_replays () =
+  let run () =
+    let g, r =
+      rollout_under_chaos ~seed:5 ~plan:"net.link=drop@0.10" ~size:32
+        ~rounds_budget:6_000
+    in
+    let net_events =
+      List.filter_map
+        (fun (ev : Jv_obs.Obs.event) ->
+          if ev.Jv_obs.Obs.ev_scope = "net" then
+            Some
+              (ev.Jv_obs.Obs.ev_tick, ev.Jv_obs.Obs.ev_name, ev.Jv_obs.Obs.ev_fields)
+          else None)
+        (Jv_obs.Obs.events (F.Fleet.obs g.G.Gossip.fleet))
+    in
+    let keys =
+      List.init 32 (fun id ->
+          let pool = G.Node.pool (G.Gossip.node g id) in
+          G.Mempool.with_lock pool (fun () -> G.Mempool.keys pool))
+    in
+    ( Jv_simnet.Simnet.stats g.G.Gossip.net,
+      net_events,
+      Fmt.str "%a" G.Gossip.pp_report r,
+      keys,
+      decisions g )
+  in
+  let (bytes1, ev1, report1, keys1, dec1) = run () in
+  let (bytes2, ev2, report2, keys2, dec2) = run () in
+  Alcotest.(check (pair int int)) "control-net bytes" bytes1 bytes2;
+  Alcotest.(check bool) "net events logged" true (ev1 <> []);
+  Alcotest.(check bool) "same connections and drops, in order" true (ev1 = ev2);
+  Alcotest.(check string) "same report" report1 report2;
+  Alcotest.(check bool) "same pools" true (keys1 = keys2);
+  Alcotest.(check string) "same decisions" dec1 dec2
+
 let suite =
   [
     Alcotest.test_case "mempool: dedup of proposals and votes" `Quick
@@ -511,6 +915,7 @@ let suite =
     Alcotest.test_case "mempool: lock discipline" `Quick
       test_mempool_lock_discipline;
     QCheck_alcotest.to_alcotest prop_incremental_pool_state;
+    QCheck_alcotest.to_alcotest prop_tally_semilattice;
     Alcotest.test_case "wire: codec round-trips" `Quick test_wire_roundtrip;
     Alcotest.test_case "quorum: fleet applies at ceil(qN) pro votes" `Slow
       test_quorum_apply_and_convergence;
@@ -522,8 +927,12 @@ let suite =
       `Slow test_partition_heals_and_converges;
     Alcotest.test_case "rejoin: a fresh pool after quiet forces a resync"
       `Slow test_rejoin_after_quiet_resyncs;
+    Alcotest.test_case "digest: exchanges close when answered" `Quick
+      test_digest_exchanges_close;
     Alcotest.test_case "golden: 32-node rollout under 10% drops" `Quick
       test_golden_32_under_drops;
+    Alcotest.test_case "determinism: the 32-node drop rollout replays" `Quick
+      test_golden_32_replays;
     QCheck_alcotest.to_alcotest prop_convergence_under_chaos;
     QCheck_alcotest.to_alcotest prop_seed_determinism;
   ]

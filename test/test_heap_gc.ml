@@ -572,9 +572,9 @@ let check_fill what vm =
     | [] -> dirty
     | nwords :: rest -> (
         match VM.Heap.alloc_raw h ~nwords with
-        | Some a ->
-            fill sizes (dirty || not (all_zero h.VM.Heap.space a (a + nwords)))
-        | None -> fill rest dirty)
+        | 0 -> fill rest dirty
+        | a ->
+            fill sizes (dirty || not (all_zero h.VM.Heap.space a (a + nwords))))
   in
   let dirty = fill [ VM.Heap.zero_chunk + 808; 7; 1 ] false in
   Alcotest.(check int) (what ^ ": heap full") h.VM.Heap.size_words
