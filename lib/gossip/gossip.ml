@@ -9,17 +9,17 @@
    - {e rumor push}: an item a node just learned stays "hot" for
      [rumor_rounds] rounds; each round the node opens short-lived
      connections to [g_fanout] randomly drawn peers and pushes every hot
-     line, fire-and-forget.  A proposal's Pro votes are one hot tally,
-     not one line per voter: a tally that grows keeps its entry and
+     line, fire-and-forget.  A proposal's votes are one hot tally, not
+     one line per voter: a tally that grows keeps its entry and
      restarts its rounds, and is encoded from the pool once per push,
-     so it always carries every Pro vote the node knows;
+     so it always carries every vote the node knows;
    - {e anti-entropy}: every [g_digest_every] rounds (staggered by node
      id) a node sends one random peer a digest of its mempool keys; the
      peer pushes back whatever the digest lacks and ends its answer with
      a WANT for what it is missing itself, which the initiator answers
      and then closes the exchange — this pull half is what drags
      stragglers back after drops, delays and healed partitions.  A tally
-     whose bitmaps differ has different keys on both sides, so it moves
+     whose maps differ has different keys on both sides, so it moves
      both ways.
 
    The chaos plan armed on the control net (net.connect / net.link /
@@ -74,7 +74,7 @@ let rumor_rounds = 4
 let fence_votes = 1
 
 (* A hot rumor, encoded at push time: a proposal's tally then carries
-   every Pro vote the pool holds. *)
+   every vote the pool holds. *)
 type hot = { h_rumor : Node.rumor; mutable h_ttl : int }
 
 let is_settled_phase = function
@@ -259,22 +259,17 @@ let propose t ~origin ~to_version =
 
 (* --- the wire ----------------------------------------------------------- *)
 
-(* [id]'s Pro tally as it stands in [pool]; [None] with no Pro vote. *)
+(* [id]'s tally as it stands in [pool]; [None] with no vote. *)
 let tally_msg pool id : Wire.msg option =
-  match Mempool.tally_hex pool ~prop:id with
-  | "" -> None
-  | bits -> Some (Wire.Tally { t_prop = id; t_bits = bits })
+  match Mempool.tally_maps pool ~prop:id with
+  | [] -> None
+  | maps -> Some (Wire.Tally { t_prop = id; t_maps = maps })
 
 let key_item pool key : Wire.msg option =
   match String.split_on_char ':' key with
   | [ "P"; id ] ->
       Option.map (fun p -> Wire.Prop p) (Mempool.find pool id)
-  | [ "T"; id; _bits ] -> tally_msg pool id
-  | [ "V"; prop; voter; "C" ] -> (
-      match int_of_string_opt voter with
-      | None -> None
-      | Some voter ->
-          Option.map (fun v -> Wire.Vote v) (Mempool.vote_for pool ~prop ~voter))
+  | "T" :: id :: _maps -> tally_msg pool id
   | _ -> None
 
 (* The items of a WANT that [ps]'s pool holds. *)
@@ -297,13 +292,12 @@ let serve t (ps : peer_state) =
   let handle_line cid line =
     match Wire.decode line with
     | Error _ -> Obs.incr (obs t) "gossip.bad_lines"
-    | Ok ((Wire.Prop _ | Wire.Tally _ | Wire.Vote _) as m) ->
-        Node.learn ps.ps_node m
+    | Ok ((Wire.Prop _ | Wire.Tally _) as m) -> Node.learn ps.ps_node m
     | Ok (Wire.Digest { d_keys; _ }) ->
-        let props, tallies, cons, want =
+        let props, tallies, want =
           Mempool.with_lock (Node.pool ps.ps_node) (fun () ->
               let pool = Node.pool ps.ps_node in
-              let props, tallies, cons =
+              let props, tallies =
                 Mempool.missing_from pool ~remote_keys:d_keys
               in
               let ours = Mempool.keys pool in
@@ -312,16 +306,15 @@ let serve t (ps : peer_state) =
               let want =
                 List.filter (fun k -> not (Hashtbl.mem mine k)) d_keys
               in
-              (props, tallies, cons, want))
+              (props, tallies, want))
         in
-        if props <> [] || tallies <> [] || cons <> [] || want <> [] then
+        if props <> [] || tallies <> [] || want <> [] then
           Obs.incr (obs t) "gossip.digest_reconciliations";
         let answer m = Simnet.send t.net ~conn_id:cid (Wire.encode m) in
         List.iter (fun p -> answer (Wire.Prop p)) props;
         List.iter
-          (fun (id, bits) -> answer (Wire.Tally { t_prop = id; t_bits = bits }))
+          (fun (id, maps) -> answer (Wire.Tally { t_prop = id; t_maps = maps }))
           tallies;
-        List.iter (fun v -> answer (Wire.Vote v)) cons;
         (* the terminal line, "WANT -" when we lack nothing: the
            initiator closes the exchange on it *)
         answer (Wire.Want want)
@@ -366,7 +359,7 @@ let hot_lines (ps : peer_state) =
         (fun h ->
           Option.map Wire.encode
             (match h.h_rumor with
-            | Node.Item m -> Some m
+            | Node.Prop p -> Some (Wire.Prop p)
             | Node.Tally id -> tally_msg pool id))
         ps.ps_hot)
 
@@ -436,7 +429,7 @@ let pump_digests t (ps : peer_state) =
           | `Eof -> finished := true
           | `Line l ->
               (match Wire.decode l with
-              | Ok ((Wire.Prop _ | Wire.Tally _ | Wire.Vote _) as m) ->
+              | Ok ((Wire.Prop _ | Wire.Tally _) as m) ->
                   Node.learn ps.ps_node m
               | Ok (Wire.Want keys) ->
                   List.iter
@@ -469,8 +462,8 @@ let pump_digests t (ps : peer_state) =
    - is re-entered into the convergence tallies ([note_stuck] removed it
      when the crash wedged the old node);
    - bootstraps its empty mempool by opening an anti-entropy exchange
-     immediately: the DIGEST/WANT pull brings back every proposal, vote
-     and trip verdict the fleet holds, and the learned trip votes are
+     immediately: the DIGEST/WANT pull brings back every proposal and
+     tally the fleet holds, and the learned trip votes are
      what stop the rejoiner from re-applying a fenced update —
      [Node.actionable] refuses any proposal at or past the fence
      threshold.

@@ -9,42 +9,37 @@
    - a {e proposal}: one requested epoch transition (spec digest, from-
      and to-version, proposed epoch, originating node);
    - a {e vote}: one node's stance on one proposal.  [Pro] votes feed
-     the apply quorum; [Con] votes whose reason carries the ["trip:"]
-     prefix are guard-trip verdicts and feed the fence quorum.
+     the apply quorum; [Trip] votes are guard-trip verdicts and feed the
+     fence quorum; [Con] is any other refusal.
 
-   Votes are per (proposal, voter) and {e con-sticky}: a voter may
-   harden Pro -> Con (its guard tripped after it voted to apply) but a
-   later Pro never overwrites a Con — a node that saw its guard trip
-   must not be talked back into applying by a re-delivered stale vote.
-   So one voter's state is absent < Pro < Con, and one proposal's votes
-   form a join-semilattice.  The pool stores them in that lattice's
-   canonical form:
-
-   - a {e Pro bitmap} per proposal id: bit v is set iff voter v voted
-     Pro and has no Con.  Pro votes carry no reason worth keeping, so
-     the bitmap is the whole of them, and it travels as one TALLY line
-     ([merge_tally] ORs a received one in, masked by the Con voters);
-   - a {e Con table} keyed (proposal, voter), holding each Con vote with
-     its reason, which fence decisions and abort reports read.  Each
-     voter casts at most one Con per proposal.
+   Votes are per (proposal, voter) and {e sticky}: one voter's stance is
+   absent < Pro < Con < Trip and only rises.  A voter may harden Pro ->
+   Trip (its guard tripped after it voted to apply), but a later Pro
+   never lowers it — a node that saw its guard trip must not be talked
+   back into applying by a re-delivered stale vote.  So one proposal's
+   votes form a join-semilattice, stored in its canonical form: three
+   voter bitmaps, Pro, Con and Trip, each voter's bit set in the map of
+   its highest stance only.  The join ORs a received set of maps in and
+   masks each map by the ones above it ([merge]); a node's own vote is
+   the same join of a one-voter set ([add_vote]).  Reasons are not
+   stored: a node reports its own on its VM's obs sink.
 
    Reads cost what changed, not what the pool holds: every node reads
    its tallies each round, and the runtime compares whole pools once
    the fleet goes quiet.
 
    - Each proposal id (orphan votes count under the id they name) keeps
-     a running (pro, con, trip) count: [pro] is the bitmap's popcount,
-     moved by each bit set or cleared; [con] and [trip] move with each
-     Con.  [tally] is a lookup.
-   - A {e generation} counter moves on every fresh proposal, every Pro
-     bit set and every Con added, i.e. whenever the key set changes.
+     each map's popcount, moved by every bit the join sets or clears;
+     [tally] is a lookup.
+   - A {e generation} counter moves on every fresh proposal and every
+     join that raised a voter, i.e. whenever the key set changes.
      [keys] is built at most once per generation, and a caller that
      remembers a pool's generation knows its contents did not change
      since.
 
-   Digest keys are [P:<id>], [T:<id>:<bitmap-hex>] (one per proposal id
-   with a Pro bit) and [V:<id>:<voter>:C], so two pools holding the same
-   votes produce the same keys whatever order they learned them in.
+   Digest keys are [P:<id>] and [T:<id>:<pro>[:<con>[:<trip>]]], the
+   maps spelled as on a TALLY line, so two pools holding the same votes
+   produce the same keys whatever order they learned them in.
 
    The lock is deliberately crude — a boolean plus [Not_locked] on every
    access outside [with_lock], non-reentrant — because what it checks is
@@ -61,23 +56,12 @@ type proposal = {
   p_origin : int; (* proposing node *)
 }
 
-type stance = Pro | Con
+(* In rising order; a stance indexes its map. *)
+type stance = Pro | Con | Trip
 
-type vote = {
-  v_prop : string; (* proposal id *)
-  v_voter : int;
-  v_stance : stance;
-  v_why : string; (* "trip:<verdict>" marks a guard-trip verdict *)
-}
+let index = function Pro -> 0 | Con -> 1 | Trip -> 2
 
 exception Not_locked
-
-let trip_prefix = "trip:"
-
-let is_trip_vote v =
-  v.v_stance = Con
-  && String.length v.v_why >= String.length trip_prefix
-  && String.sub v.v_why 0 (String.length trip_prefix) = trip_prefix
 
 let proposal_id ~epoch ~from_version ~to_version ~digest =
   Digest.to_hex
@@ -88,11 +72,11 @@ let proposal_id ~epoch ~from_version ~to_version ~digest =
 
 (* Voter v is bit [v land 7] of byte [v lsr 3]; on the wire, byte 0
    comes first as two lowercase hex digits, trailing zero bytes
-   dropped, so one set of voters has one spelling. *)
+   dropped, and an empty map is "-", so one set of voters has one
+   spelling. *)
 
-let has_bit b v =
-  let i = v lsr 3 in
-  i < Bytes.length b && Bytes.get_uint8 b i land (1 lsl (v land 7)) <> 0
+(* byte [i] of [b], 0 past its end *)
+let byte b i = if i < Bytes.length b then Bytes.get_uint8 b i else 0
 
 (* [b] widened to at least [n] bytes *)
 let widen b n =
@@ -103,18 +87,7 @@ let widen b n =
     b'
   end
 
-(* [b] with bit [v] set; widened, so keep the result *)
-let set_bit b v =
-  let b = widen b ((v lsr 3) + 1) in
-  Bytes.set_uint8 b (v lsr 3)
-    (Bytes.get_uint8 b (v lsr 3) lor (1 lsl (v land 7)));
-  b
-
-(* clear bit [v], which [has_bit] *)
-let clear_bit b v =
-  Bytes.set_uint8 b (v lsr 3)
-    (Bytes.get_uint8 b (v lsr 3) land lnot (1 lsl (v land 7)))
-
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
 let hex_digit = "0123456789abcdef"
 
 let to_hex b =
@@ -122,11 +95,13 @@ let to_hex b =
   while !last >= 0 && Bytes.get b !last = '\000' do
     decr last
   done;
-  String.init
-    (2 * (!last + 1))
-    (fun i ->
-      let byte = Bytes.get_uint8 b (i / 2) in
-      hex_digit.[if i land 1 = 0 then byte lsr 4 else byte land 15])
+  if !last < 0 then "-"
+  else
+    String.init
+      (2 * (!last + 1))
+      (fun i ->
+        let byte = Bytes.get_uint8 b (i / 2) in
+        hex_digit.[if i land 1 = 0 then byte lsr 4 else byte land 15])
 
 let hex_value c =
   match c with
@@ -134,32 +109,64 @@ let hex_value c =
   | 'a' .. 'f' -> Char.code c - 87
   | _ -> invalid_arg "Mempool: bad bitmap hex"
 
-(* A well-formed bitmap spelling: non-empty, even length, lowercase hex. *)
-let valid_hex s =
+let of_hex s =
+  if s = "-" then Bytes.empty
+  else
+    Bytes.init
+      (String.length s / 2)
+      (fun i ->
+        Char.chr ((hex_value s.[2 * i] lsl 4) lor hex_value s.[(2 * i) + 1]))
+
+(* One map's canonical spelling: "-", or even-length lowercase hex whose
+   last byte is not zero. *)
+let valid_map s =
   let n = String.length s in
-  n > 0
-  && n land 1 = 0
-  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+  s = "-"
+  || n > 0
+     && n land 1 = 0
+     && String.for_all
+          (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+          s
+     && not (s.[n - 2] = '0' && s.[n - 1] = '0')
+
+(* No voter's bit is set in two of [maps]. *)
+let disjoint maps =
+  let n = List.fold_left (fun n b -> max n (Bytes.length b)) 0 maps in
+  let rec from i =
+    i >= n
+    ||
+    let xs = List.map (fun b -> byte b i) maps in
+    popcount (List.fold_left ( lor ) 0 xs)
+    = List.fold_left (fun sum x -> sum + popcount x) 0 xs
+    && from (i + 1)
+  in
+  from 0
+
+(* A canonical TALLY spelling of a non-empty set of votes: one to three
+   maps, the last not empty, no voter in two maps. *)
+let valid_maps maps =
+  match List.rev maps with
+  | [] -> false
+  | last :: _ ->
+      last <> "-"
+      && List.length maps <= 3
+      && List.for_all valid_map maps
+      && (List.length maps = 1 || disjoint (List.map of_hex maps))
 
 (* --- the pool ----------------------------------------------------------- *)
 
 type tally = {
-  mutable pro_bits : Bytes.t; (* Pro voters with no Con *)
-  mutable con_bits : Bytes.t; (* voters with a Con *)
-  mutable pro : int; (* popcount of [pro_bits] *)
-  mutable con : int;
-  mutable trip : int;
-  mutable hex : string option; (* [to_hex pro_bits], until it changes *)
+  maps : Bytes.t array; (* by [index]; a voter's bit in at most one *)
+  counts : int array; (* each map's popcount *)
+  mutable spelling : string list option; (* [maps] as TALLY fields *)
 }
 
 type t = {
   mutable locked : bool;
   mutable proposals : proposal list; (* insertion order, newest last *)
   by_id : (string, proposal) Hashtbl.t;
-  tallies : (string, tally) Hashtbl.t; (* by proposal id *)
+  tallies : (string, tally) Hashtbl.t; (* by proposal id, never empty *)
   mutable tally_ids : string list; (* first-vote order, newest first *)
-  cons : (string * int, vote) Hashtbl.t; (* (proposal, voter) *)
-  mutable con_keys : (string * int) list; (* insertion order, newest first *)
   mutable gen : int; (* bumped whenever the key set changes *)
   mutable keys_gen : int; (* the generation [keys_cache] was built at *)
   mutable keys_cache : string list;
@@ -172,8 +179,6 @@ let create () =
     by_id = Hashtbl.create 8;
     tallies = Hashtbl.create 8;
     tally_ids = [];
-    cons = Hashtbl.create 8;
-    con_keys = [];
     gen = 0;
     keys_gen = 0;
     keys_cache = [];
@@ -206,76 +211,74 @@ let tally_for t prop =
   | None ->
       let c =
         {
-          pro_bits = Bytes.empty;
-          con_bits = Bytes.empty;
-          pro = 0;
-          con = 0;
-          trip = 0;
-          hex = None;
+          maps = Array.make 3 Bytes.empty;
+          counts = Array.make 3 0;
+          spelling = None;
         }
       in
       Hashtbl.replace t.tallies prop c;
       t.tally_ids <- prop :: t.tally_ids;
       c
 
-(* [c.pro] moves by [d]: drop the cached spelling, move the generation. *)
-let move_pro t c d =
-  c.pro <- c.pro + d;
-  c.hex <- None;
-  t.gen <- t.gen + 1
+(* Byte [i] of map [k] goes from [was] to [now]. *)
+let store c k i ~was ~now =
+  if now <> was then begin
+    c.maps.(k) <- widen c.maps.(k) (i + 1);
+    Bytes.set_uint8 c.maps.(k) i now;
+    c.counts.(k) <- c.counts.(k) + popcount now - popcount was
+  end
 
-let add_vote t v : [ `Fresh | `Hardened | `Stale ] =
-  require_lock t;
-  if v.v_voter < 0 then invalid_arg "Mempool.add_vote: negative voter";
-  let c = tally_for t v.v_prop in
-  let voter = v.v_voter in
-  if has_bit c.con_bits voter then `Stale (* a second Con, or Pro after Con *)
-  else
-    match v.v_stance with
-    | Pro when has_bit c.pro_bits voter -> `Stale
-    | Pro ->
-        c.pro_bits <- set_bit c.pro_bits voter;
-        move_pro t c 1;
-        `Fresh
-    | Con ->
-        c.con_bits <- set_bit c.con_bits voter;
-        Hashtbl.replace t.cons (v.v_prop, voter) v;
-        t.con_keys <- (v.v_prop, voter) :: t.con_keys;
-        c.con <- c.con + 1;
-        if is_trip_vote v then c.trip <- c.trip + 1;
-        if has_bit c.pro_bits voter then begin
-          clear_bit c.pro_bits voter;
-          move_pro t c (-1);
-          `Hardened
-        end
-        else begin
-          t.gen <- t.gen + 1;
-          `Fresh
-        end
-
-(* OR a received Pro bitmap ([valid_hex]) into [prop]'s tally, masked by
-   its Con voters.  Returns the voters whose bit this set, lowest
-   first; [] when the pool did not change. *)
-let merge_tally t ~prop ~hex =
-  require_lock t;
+(* Join [incoming] (Pro, Con, Trip maps; at least one voter) into
+   [prop]'s tally.  Returns the voters whose stance rose, lowest first;
+   [] when the pool did not change. *)
+let join t ~prop incoming =
   let c = tally_for t prop in
-  let fresh = ref [] in
-  for i = (String.length hex / 2) - 1 downto 0 do
-    let byte b = if i < Bytes.length b then Bytes.get_uint8 b i else 0 in
-    let incoming =
-      (hex_value hex.[2 * i] lsl 4) lor hex_value hex.[(2 * i) + 1]
+  let rose = ref [] in
+  let n = Array.fold_left (fun n b -> max n (Bytes.length b)) 0 incoming in
+  for i = n - 1 downto 0 do
+    let op = byte c.maps.(0) i
+    and oc = byte c.maps.(1) i
+    and ot = byte c.maps.(2) i in
+    let trip = ot lor byte incoming.(2) i in
+    let con = (oc lor byte incoming.(1) i) land lnot trip in
+    let pro = (op lor byte incoming.(0) i) land lnot (con lor trip) in
+    (* a bit new to its map is a voter that rose: higher maps never
+       lose one *)
+    let up =
+      (pro land lnot op) lor (con land lnot oc) lor (trip land lnot ot)
     in
-    let bits = incoming land lnot (byte c.pro_bits lor byte c.con_bits) in
-    if bits <> 0 then begin
-      c.pro_bits <- widen c.pro_bits (i + 1);
-      Bytes.set_uint8 c.pro_bits i (byte c.pro_bits lor bits);
-      for k = 7 downto 0 do
-        if bits land (1 lsl k) <> 0 then fresh := ((8 * i) + k) :: !fresh
+    if up <> 0 then begin
+      store c 0 i ~was:op ~now:pro;
+      store c 1 i ~was:oc ~now:con;
+      store c 2 i ~was:ot ~now:trip;
+      for b = 7 downto 0 do
+        if up land (1 lsl b) <> 0 then rose := ((8 * i) + b) :: !rose
       done
     end
   done;
-  if !fresh <> [] then move_pro t c (List.length !fresh);
-  !fresh
+  if !rose <> [] then begin
+    c.spelling <- None;
+    t.gen <- t.gen + 1
+  end;
+  !rose
+
+(* Join a received tally, its maps spelled as [valid_maps] accepts. *)
+let merge t ~prop ~maps =
+  require_lock t;
+  let incoming = Array.make 3 Bytes.empty in
+  List.iteri (fun k s -> incoming.(k) <- of_hex s) maps;
+  join t ~prop incoming
+
+(* One voter's vote, as the join of a one-voter tally; [true] iff its
+   stance rose. *)
+let add_vote t ~prop ~voter stance =
+  require_lock t;
+  if voter < 0 then invalid_arg "Mempool.add_vote: negative voter";
+  let incoming = Array.make 3 Bytes.empty in
+  let b = Bytes.make ((voter lsr 3) + 1) '\000' in
+  Bytes.set_uint8 b (voter lsr 3) (1 lsl (voter land 7));
+  incoming.(index stance) <- b;
+  join t ~prop incoming <> []
 
 (* --- reads (lock required) --------------------------------------------- *)
 
@@ -287,31 +290,33 @@ let proposals t =
   require_lock t;
   t.proposals
 
-(* [voter]'s Con vote on [prop], with its reason. *)
-let vote_for t ~prop ~voter =
-  require_lock t;
-  Hashtbl.find_opt t.cons (prop, voter)
-
-(* (pro, con, trip) tallies for one proposal. *)
+(* (pro, con, trip) tallies for one proposal; [con] counts every voter
+   against it, trips included. *)
 let tally t ~prop =
   require_lock t;
   match Hashtbl.find_opt t.tallies prop with
-  | Some c -> (c.pro, c.con, c.trip)
+  | Some c -> (c.counts.(0), c.counts.(1) + c.counts.(2), c.counts.(2))
   | None -> (0, 0, 0)
 
-(* [prop]'s Pro bitmap as a TALLY line spells it; "" when no voter is
-   Pro. *)
-let tally_hex t ~prop =
+(* [prop]'s maps as a TALLY line spells them, trailing empty maps
+   dropped; [] when no voter voted. *)
+let tally_maps t ~prop =
   require_lock t;
   match Hashtbl.find_opt t.tallies prop with
-  | None -> ""
+  | None -> []
   | Some c -> (
-      match c.hex with
-      | Some h -> h
+      match c.spelling with
+      | Some s -> s
       | None ->
-          let h = to_hex c.pro_bits in
-          c.hex <- Some h;
-          h)
+          let rec trim = function
+            | "-" :: rest -> trim rest
+            | rest -> rest
+          in
+          let s =
+            List.rev (trim (List.rev_map to_hex (Array.to_list c.maps)))
+          in
+          c.spelling <- Some s;
+          s)
 
 let generation t =
   require_lock t;
@@ -319,50 +324,34 @@ let generation t =
 
 (* --- anti-entropy digests ---------------------------------------------- *)
 
-let tally_key t id = Printf.sprintf "T:%s:%s" id (tally_hex t ~prop:id)
-let con_key (prop, voter) = Printf.sprintf "V:%s:%d:C" prop voter
-
-(* Proposal ids with a Pro bit, in first-vote order. *)
-let pro_ids t =
-  List.rev t.tally_ids
-  |> List.filter (fun id -> (Hashtbl.find t.tallies id).pro > 0)
-
-let cons_in_order t = List.rev t.con_keys
+let tally_key t id = String.concat ":" ("T" :: id :: tally_maps t ~prop:id)
 
 (* Stable keys naming every item this pool holds: proposals in insertion
-   order, then one tally per proposal id in first-vote order, then Cons
-   in insertion order.  A tally's key carries its bitmap, so a tally
-   that gained a voter is a different item, and reconciliation must
-   move it. *)
+   order, then one tally per proposal id in first-vote order.  A tally's
+   key carries its maps, so a tally that gained a voter is a different
+   item, and reconciliation must move it. *)
 let keys t =
   require_lock t;
   if t.keys_gen <> t.gen then begin
     t.keys_cache <-
       List.map (fun p -> "P:" ^ p.p_id) t.proposals
-      @ List.map (tally_key t) (pro_ids t)
-      @ List.map con_key (cons_in_order t);
+      @ List.rev_map (tally_key t) t.tally_ids;
     t.keys_gen <- t.gen
   end;
   t.keys_cache
 
 (* Items of [t] whose keys the remote digest lacks (what we should push
-   back during reconciliation): proposals, (id, bitmap-hex) tallies and
-   Con votes. *)
+   back during reconciliation): proposals and (id, maps) tallies. *)
 let missing_from t ~remote_keys =
   require_lock t;
   let remote = Hashtbl.create (List.length remote_keys) in
   List.iter (fun k -> Hashtbl.replace remote k ()) remote_keys;
   let lacks k = not (Hashtbl.mem remote k) in
   ( List.filter (fun p -> lacks ("P:" ^ p.p_id)) t.proposals,
-    List.filter_map
-      (fun id ->
-        if lacks (tally_key t id) then Some (id, tally_hex t ~prop:id)
-        else None)
-      (pro_ids t),
-    List.filter_map
-      (fun key ->
-        if lacks (con_key key) then Some (Hashtbl.find t.cons key) else None)
-      (cons_in_order t) )
+    List.rev t.tally_ids
+    |> List.filter_map (fun id ->
+           if lacks (tally_key t id) then Some (id, tally_maps t ~prop:id)
+           else None) )
 
-(* The number of keys: proposals, tallies with a Pro bit, Cons. *)
+(* The number of keys: proposals and tallies. *)
 let size t = List.length (keys t)

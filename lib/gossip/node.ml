@@ -6,12 +6,14 @@
    rollout orchestrator drives.  What is the node's own:
 
    - it votes on every proposal it first learns (Pro when the proposal
-     advances its own epoch from its own version, Con otherwise);
+     advances its own epoch from its own version, Con otherwise), and
+     records each vote it casts, with its reason, as a [gossip] [vote]
+     event on its VM's obs sink — the reason travels nowhere else;
    - it applies a proposal only once its mempool holds the apply quorum
      of Pro votes — drain (stop admitting, wait for in-flight), then a
      guarded lifecycle request;
-   - a guard trip auto-reverts in-VM and the node then broadcasts the
-     verdict as a ["trip:"]-prefixed Con vote;
+   - a guard trip auto-reverts in-VM and the node then casts a Trip
+     vote (the verdict stays in its vote event);
    - trip votes reaching the {e fence} quorum condemn the proposal
      everywhere: appliers force-trip their open guard (or apply the
      inverse spec if the window already closed) and non-appliers refuse
@@ -58,8 +60,8 @@ let phase_to_string = function
 
 (* What a node queues for the runtime to spread. *)
 type rumor =
-  | Item of Wire.msg (* a fresh proposal or Con vote, one line as is *)
-  | Tally of string (* this proposal's Pro tally grew *)
+  | Prop of Mempool.proposal (* a fresh proposal *)
+  | Tally of string (* this proposal's tally grew *)
 
 type t = {
   n_inst : Instance.t; (* its [i_id] is the node's id *)
@@ -110,14 +112,6 @@ let take_out t =
 
 let spread t r = t.n_out <- r :: t.n_out
 
-(* A fresh vote spreads as its proposal's tally (Pro) or its own line
-   (Con). *)
-let spread_vote t (v : Mempool.vote) =
-  spread t
-    (match v.Mempool.v_stance with
-    | Mempool.Pro -> Tally v.Mempool.v_prop
-    | Mempool.Con -> Item (Wire.Vote v))
-
 let set_epoch t e =
   if e <> t.n_epoch then begin
     let old = t.n_epoch in
@@ -128,22 +122,25 @@ let set_epoch t e =
 
 (* --- voting (call under the pool lock) --------------------------------- *)
 
-let cast t ~prop ~stance ~why =
-  let v =
-    {
-      Mempool.v_prop = prop;
-      v_voter = t.n_inst.Instance.i_id;
-      v_stance = stance;
-      v_why = why;
-    }
-  in
-  match Mempool.add_vote t.n_pool v with
-  | `Fresh | `Hardened -> spread_vote t v
-  | `Stale -> ()
+let stance_to_string = function
+  | Mempool.Pro -> "pro"
+  | Mempool.Con -> "con"
+  | Mempool.Trip -> "trip"
 
-let vote_con t ~prop ~why =
-  Mempool.with_lock t.n_pool (fun () ->
-      cast t ~prop ~stance:Mempool.Con ~why)
+(* Record the vote and its reason on the VM's sink; a vote that raised
+   our stance spreads as the proposal's tally. *)
+let cast t ~prop stance ~why =
+  Jv_obs.Obs.emit t.n_obs ~scope:"gossip" "vote"
+    [
+      ("prop", Jv_obs.Obs.Str prop);
+      ("stance", Jv_obs.Obs.Str (stance_to_string stance));
+      ("why", Jv_obs.Obs.Str why);
+    ];
+  if Mempool.add_vote t.n_pool ~prop ~voter:t.n_inst.Instance.i_id stance then
+    spread t (Tally prop)
+
+let vote t ~prop stance ~why =
+  Mempool.with_lock t.n_pool (fun () -> cast t ~prop stance ~why)
 
 (* --- ingesting gossip --------------------------------------------------- *)
 
@@ -151,9 +148,9 @@ let vote_con t ~prop ~why =
    re-broadcast (rumor mongering) and a fresh proposal is voted on
    immediately: Pro iff it advances this node's own epoch starting from
    the version it actually runs.  [gossip.votes_seen] counts the votes
-   this node learns off the wire: a fresh or hardening Con line, or a
-   Pro bit a tally set for another voter (a restarted node relearning
-   its own Pro vote does not count it), so a healthy N-node rollout reads
+   this node learns off the wire: per delivered tally, one for each
+   other voter whose stance it raised (a restarted node relearning its
+   own vote does not count it), so a healthy N-node rollout reads
    N x (N - 1). *)
 let learn t msg =
   Mempool.with_lock t.n_pool (fun () ->
@@ -162,18 +159,18 @@ let learn t msg =
           match Mempool.add_proposal t.n_pool p with
           | `Duplicate -> ()
           | `Fresh ->
-              spread t (Item msg);
+              spread t (Prop p);
               if
                 p.Mempool.p_from_version = t.n_inst.Instance.i_version
                 && p.Mempool.p_epoch = t.n_epoch + 1
-              then cast t ~prop:p.Mempool.p_id ~stance:Mempool.Pro ~why:"ok"
+              then cast t ~prop:p.Mempool.p_id Mempool.Pro ~why:"ok"
               else
-                cast t ~prop:p.Mempool.p_id ~stance:Mempool.Con
+                cast t ~prop:p.Mempool.p_id Mempool.Con
                   ~why:
                     (Printf.sprintf "base-mismatch:%s@e%d"
                        t.n_inst.Instance.i_version t.n_epoch))
-      | Wire.Tally { t_prop; t_bits } -> (
-          match Mempool.merge_tally t.n_pool ~prop:t_prop ~hex:t_bits with
+      | Wire.Tally { t_prop; t_maps } -> (
+          match Mempool.merge t.n_pool ~prop:t_prop ~maps:t_maps with
           | [] -> ()
           | fresh ->
               let self = t.n_inst.Instance.i_id in
@@ -185,12 +182,6 @@ let learn t msg =
               if others > 0 then
                 Jv_obs.Obs.incr t.n_obs ~by:others "gossip.votes_seen";
               spread t (Tally t_prop))
-      | Wire.Vote v -> (
-          match Mempool.add_vote t.n_pool v with
-          | `Fresh | `Hardened ->
-              Jv_obs.Obs.incr t.n_obs "gossip.votes_seen";
-              spread_vote t v
-          | `Stale -> ())
       | Wire.Digest _ | Wire.Want _ | Wire.Bye -> ())
 
 (* --- the per-round decision step ---------------------------------------- *)
@@ -236,7 +227,7 @@ let start_update t ~prop =
   | Some p -> (
       (* the update never reached the VM: refuse it and keep serving *)
       let refuse e ~stuck =
-        vote_con t ~prop ~why:("prepare:" ^ e);
+        vote t ~prop Mempool.Con ~why:("prepare:" ^ e);
         Lifecycle.readmit t.n_lb t.n_inst;
         t.n_phase <- Stuck stuck
       in
@@ -260,10 +251,10 @@ let unapply t =
   t.n_applied <- None
 
 (* The guard tripped (budget or force) and the VM reverted itself:
-   publish the verdict as a trip vote and fall back to the old epoch. *)
+   cast a trip vote and fall back to the old epoch. *)
 let guard_reverted t ~prop (v : J.Guard.verdict) =
   Jv_obs.Obs.incr t.n_obs "gossip.guard_trips";
-  vote_con t ~prop ~why:(Mempool.trip_prefix ^ J.Guard.verdict_to_string v);
+  vote t ~prop Mempool.Trip ~why:(J.Guard.verdict_to_string v);
   fence t prop;
   unapply t;
   t.n_phase <- Idle
@@ -340,7 +331,7 @@ let updated t ~prop ~att ~now = function
         let delay = Lifecycle.backoff ~base:t.n_cfg.nc_backoff_base ~attempt:n in
         t.n_phase <- Backoff { prop; until = now + delay }
       else begin
-        vote_con t ~prop ~why:("abort:" ^ why);
+        vote t ~prop Mempool.Con ~why:("abort:" ^ why);
         t.n_phase <- Stuck ("retries exhausted: " ^ why)
       end
   | Lifecycle.Aborted { why; trusted = false } ->
@@ -357,7 +348,7 @@ let window_closed t ~prop = function
   | Lifecycle.Reverted v -> guard_reverted t ~prop v
   | Lifecycle.Aborted { why; _ } ->
       (* trip whose in-VM revert rolled forward: not trusted *)
-      vote_con t ~prop ~why:(Mempool.trip_prefix ^ "revert-failed:" ^ why);
+      vote t ~prop Mempool.Trip ~why:("revert-failed:" ^ why);
       t.n_phase <- Stuck "guard revert failed"
   | Lifecycle.Killed -> wedge t ~doing:"during guard window"
 

@@ -2,18 +2,20 @@
    line, space-separated fields, first token the message kind:
 
      PROP   <id> <epoch> <from-version> <to-version> <digest> <origin>
-     TALLY  <proposal-id> <pro-bitmap-hex>
-     VOTE   <proposal-id> <voter> C <why>
+     TALLY  <proposal-id> <pro> [<con> [<trip>]]
      DIGEST <sender> <epoch> <key,key,...>      (or "-" when empty)
      WANT   <key,key,...>                        (or "-")
      BYE
 
-   PROP, TALLY and VOTE are rumor payloads.  A TALLY carries every Pro
-   vote a node holds for one proposal as a voter bitmap (voter v is bit
-   [v mod 8] of byte [v / 8], bytes in order as lowercase hex, trailing
-   zero bytes dropped); the receiver ORs it into its own.  Only Con
-   votes travel as VOTE lines, one per voter, because fence decisions
-   and abort reports read their reason.
+   PROP and TALLY are rumor payloads.  A TALLY carries every vote a node
+   holds for one proposal as three voter bitmaps, Pro, Con and Trip
+   (voter v is bit [v mod 8] of byte [v / 8], bytes in order as
+   lowercase hex, trailing zero bytes dropped, an empty map "-", and
+   trailing empty maps dropped); each voter sits in the map of its
+   highest stance, and the receiver joins the maps into its own
+   ([Mempool.merge]).  [decode] accepts only that canonical spelling, so
+   one set of votes has one line.  No vote carries a reason: a node
+   reports its own on its VM's obs sink.
 
    DIGEST opens an anti-entropy reconciliation: the receiver answers
    with the full items the sender's key set lacks, then always ends its
@@ -21,47 +23,14 @@
    lacks none).  That WANT is the answer's terminal line: the initiator
    sends what it names, then BYE, and closes, so an exchange whose lines
    all arrive closes the round after it opened.  BYE ends an exchange or
-   a rumor push.  The free-text [why] of a vote is percent-escaped so it
-   can carry spaces without breaking the token structure. *)
+   a rumor push. *)
 
 type msg =
   | Prop of Mempool.proposal
-  | Tally of { t_prop : string; t_bits : string (* bitmap hex *) }
-  | Vote of Mempool.vote (* a Con *)
+  | Tally of { t_prop : string; t_maps : string list (* [Mempool.tally_maps] *) }
   | Digest of { d_sender : int; d_epoch : int; d_keys : string list }
   | Want of string list
   | Bye
-
-(* why-field escaping: '%' and ' ' only, enough for verdict strings *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' -> Buffer.add_string b "%25"
-      | ' ' -> Buffer.add_string b "%20"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '%' && !i + 2 < n then begin
-       (match String.sub s (!i + 1) 2 with
-       | "20" -> Buffer.add_char b ' '
-       | "25" -> Buffer.add_char b '%'
-       | other ->
-           Buffer.add_char b '%';
-           Buffer.add_string b other);
-       i := !i + 2
-     end
-     else Buffer.add_char b s.[!i]);
-    incr i
-  done;
-  Buffer.contents b
 
 let keys_field = function [] -> "-" | ks -> String.concat "," ks
 let parse_keys = function "-" -> [] | s -> String.split_on_char ',' s
@@ -71,12 +40,7 @@ let encode = function
       Printf.sprintf "PROP %s %d %s %s %s %d" p.Mempool.p_id p.Mempool.p_epoch
         p.Mempool.p_from_version p.Mempool.p_to_version p.Mempool.p_digest
         p.Mempool.p_origin
-  | Tally { t_prop; t_bits } -> String.concat " " [ "TALLY"; t_prop; t_bits ]
-  | Vote v ->
-      if v.Mempool.v_stance <> Mempool.Con then
-        invalid_arg "Wire.encode: Pro votes travel as TALLY lines";
-      Printf.sprintf "VOTE %s %d C %s" v.Mempool.v_prop v.Mempool.v_voter
-        (escape v.Mempool.v_why)
+  | Tally { t_prop; t_maps } -> String.concat " " ("TALLY" :: t_prop :: t_maps)
   | Digest { d_sender; d_epoch; d_keys } ->
       Printf.sprintf "DIGEST %d %d %s" d_sender d_epoch (keys_field d_keys)
   | Want ks -> Printf.sprintf "WANT %s" (keys_field ks)
@@ -98,20 +62,8 @@ let decode line : (msg, string) result =
                  p_origin = o;
                })
       | _ -> Error ("bad PROP: " ^ line))
-  | [ "TALLY"; prop; bits ] when Mempool.valid_hex bits ->
-      Ok (Tally { t_prop = prop; t_bits = bits })
-  | [ "VOTE"; prop; voter; "C"; why ] -> (
-      match int_of_string_opt voter with
-      | Some voter when voter >= 0 ->
-          Ok
-            (Vote
-               {
-                 Mempool.v_prop = prop;
-                 v_voter = voter;
-                 v_stance = Mempool.Con;
-                 v_why = unescape why;
-               })
-      | _ -> Error ("bad VOTE: " ^ line))
+  | "TALLY" :: prop :: maps when Mempool.valid_maps maps ->
+      Ok (Tally { t_prop = prop; t_maps = maps })
   | [ "DIGEST"; sender; epoch; keys ] -> (
       match (int_of_string_opt sender, int_of_string_opt epoch) with
       | Some s, Some e ->

@@ -30,7 +30,7 @@ let test_params =
     g_update_timeout = 200;
   }
 
-(* --- mempool: dedup, orphan votes, con-sticky, lock discipline ---------- *)
+(* --- mempool: dedup, orphan votes, sticky stances, lock discipline ------- *)
 
 let prop ?(epoch = 1) ?(origin = 0) id =
   {
@@ -42,9 +42,6 @@ let prop ?(epoch = 1) ?(origin = 0) id =
     p_origin = origin;
   }
 
-let vote ?(stance = G.Mempool.Pro) ?(why = "ok") ~voter prop_id =
-  { G.Mempool.v_prop = prop_id; v_voter = voter; v_stance = stance; v_why = why }
-
 let test_mempool_dedup () =
   let m = G.Mempool.create () in
   G.Mempool.with_lock m (fun () ->
@@ -53,11 +50,11 @@ let test_mempool_dedup () =
       Alcotest.(check bool) "re-delivery is a duplicate" true
         (G.Mempool.add_proposal m (prop "a") = `Duplicate);
       Alcotest.(check bool) "orphan vote accepted" true
-        (G.Mempool.add_vote m (vote ~voter:7 "zzz") = `Fresh);
-      Alcotest.(check bool) "same vote re-delivered is stale" true
-        (G.Mempool.add_vote m (vote ~voter:7 "zzz") = `Stale);
-      ignore (G.Mempool.add_vote m (vote ~voter:1 "a"));
-      ignore (G.Mempool.add_vote m (vote ~voter:2 "a"));
+        (G.Mempool.add_vote m ~prop:"zzz" ~voter:7 G.Mempool.Pro);
+      Alcotest.(check bool) "same vote re-delivered is stale" false
+        (G.Mempool.add_vote m ~prop:"zzz" ~voter:7 G.Mempool.Pro);
+      ignore (G.Mempool.add_vote m ~prop:"a" ~voter:1 G.Mempool.Pro);
+      ignore (G.Mempool.add_vote m ~prop:"a" ~voter:2 G.Mempool.Pro);
       let pro, con, trip = G.Mempool.tally m ~prop:"a" in
       Alcotest.(check (triple int int int)) "tally counts voters once"
         (2, 0, 0) (pro, con, trip))
@@ -66,18 +63,21 @@ let test_mempool_con_sticky () =
   let m = G.Mempool.create () in
   G.Mempool.with_lock m (fun () ->
       ignore (G.Mempool.add_proposal m (prop "a"));
-      ignore (G.Mempool.add_vote m (vote ~voter:1 "a"));
-      (* hardening Pro -> Con (a guard trip) replaces the vote *)
-      Alcotest.(check bool) "pro hardens to con" true
-        (G.Mempool.add_vote m
-           (vote ~voter:1 ~stance:G.Mempool.Con ~why:"trip:app-errors" "a")
-        = `Hardened);
-      (* a stale re-delivered Pro must NOT talk the voter back *)
-      Alcotest.(check bool) "con is sticky" true
-        (G.Mempool.add_vote m (vote ~voter:1 "a") = `Stale);
+      ignore (G.Mempool.add_vote m ~prop:"a" ~voter:1 G.Mempool.Pro);
+      (* hardening Pro -> Trip (a guard trip) moves the voter's bit *)
+      Alcotest.(check bool) "pro hardens to trip" true
+        (G.Mempool.add_vote m ~prop:"a" ~voter:1 G.Mempool.Trip);
+      (* a stale re-delivered Pro or Con must NOT talk the voter back *)
+      Alcotest.(check bool) "trip is sticky against pro" false
+        (G.Mempool.add_vote m ~prop:"a" ~voter:1 G.Mempool.Pro);
+      Alcotest.(check bool) "trip is sticky against con" false
+        (G.Mempool.add_vote m ~prop:"a" ~voter:1 G.Mempool.Con);
       let pro, con, trip = G.Mempool.tally m ~prop:"a" in
       Alcotest.(check (triple int int int)) "trip vote counted" (0, 1, 1)
-        (pro, con, trip))
+        (pro, con, trip);
+      Alcotest.(check (list string)) "voter 1 in the trip map only"
+        [ "-"; "-"; "02" ]
+        (G.Mempool.tally_maps m ~prop:"a"))
 
 let test_mempool_lock_discipline () =
   let m = G.Mempool.create () in
@@ -95,12 +95,12 @@ let test_mempool_lock_discipline () =
       Alcotest.(check int) "lock released after an exception" 0
         (G.Mempool.size m))
 
-(* A reference spelling of a Pro bitmap, built apart from the pool's:
+(* A reference spelling of a voter bitmap, built apart from the pool's:
    voter v is bit [v mod 8] of byte [v / 8], bytes in order, trailing
-   zero bytes dropped. *)
+   zero bytes dropped, "-" when empty. *)
 let ref_hex voters =
   match voters with
-  | [] -> ""
+  | [] -> "-"
   | _ ->
       let top = List.fold_left max 0 voters in
       let bytes = Array.make ((top / 8) + 1) 0 in
@@ -110,23 +110,34 @@ let ref_hex voters =
       String.concat ""
         (Array.to_list (Array.map (Printf.sprintf "%02x") bytes))
 
+(* The TALLY fields of a reference state: [stance_of v] is each voter's
+   stance, if any; trailing empty maps dropped. *)
+let ref_maps stance_of voters =
+  let map s = ref_hex (List.filter (fun v -> stance_of v = Some s) voters) in
+  let rec trim = function "-" :: rest -> trim rest | rest -> rest in
+  List.rev
+    (trim [ map G.Mempool.Trip; map G.Mempool.Con; map G.Mempool.Pro ])
+
 (* The incremental state against a full rebuild: after every step of a
-   random add_proposal/add_vote/merge_tally sequence (duplicates, orphan
-   votes ahead of their proposal, Pro -> Con hardening, stale Pro after
-   Con, re-delivered Pro bits of a Con voter, trip and non-trip Cons),
-   each tally equals a fold over a reference model of every voter's
-   state, the cached key list equals one built from that model, every
-   stored Con keeps its reason, and the generation moved iff the pool
-   changed. *)
+   random add_proposal/add_vote/merge sequence (duplicates, orphan votes
+   ahead of their proposal, Pro -> Con -> Trip hardening in any order,
+   stale votes below a voter's stance, re-delivered maps), each tally
+   equals a fold over a reference model of every voter's stance, the
+   cached key list equals one built from that model, and the generation
+   moved iff the pool changed. *)
 type pool_op =
   | Add_prop of string
-  | Add_vote of string * int * [ `Pro | `Con | `Trip ]
-  | Merge of string * int list
+  | Add_vote of string * int * G.Mempool.stance
+  | Merge of string * (int * G.Mempool.stance) list
 
 let prop_ids = [ "a"; "b"; "c" ]
 
 (* voters past 7 and 15 put bits in later bitmap bytes *)
 let voters = [ 0; 1; 2; 3; 9; 17 ]
+
+let stance_gen pro =
+  QCheck.Gen.frequencyl
+    [ (pro, G.Mempool.Pro); (1, G.Mempool.Con); (1, G.Mempool.Trip) ]
 
 let pool_op_gen =
   QCheck.Gen.(
@@ -135,29 +146,47 @@ let pool_op_gen =
       [
         (1, map (fun i -> Add_prop i) id);
         ( 4,
-          map3
-            (fun i v s -> Add_vote (i, v, s))
-            id (oneofl voters)
-            (frequencyl [ (3, `Pro); (1, `Con); (1, `Trip) ]) );
+          map3 (fun i v s -> Add_vote (i, v, s)) id (oneofl voters)
+            (stance_gen 3) );
         ( 2,
           map2
-            (fun i vs -> Merge (i, List.sort_uniq compare vs))
+            (fun i vs ->
+              (* a voter sits in one map of a tally *)
+              Merge
+                ( i,
+                  List.sort_uniq
+                    (fun (a, _) (b, _) -> compare a b)
+                    vs ))
             id
-            (list_size (int_range 1 3) (oneofl voters)) );
+            (list_size (int_range 1 3) (pair (oneofl voters) (stance_gen 3)))
+        );
       ])
+
+let stance_name = function
+  | G.Mempool.Pro -> "pro"
+  | G.Mempool.Con -> "con"
+  | G.Mempool.Trip -> "trip"
 
 let pp_pool_op = function
   | Add_prop i -> "prop " ^ i
-  | Add_vote (i, v, s) ->
-      Printf.sprintf "vote %s/%d %s" i v
-        (match s with `Pro -> "pro" | `Con -> "con" | `Trip -> "trip")
+  | Add_vote (i, v, s) -> Printf.sprintf "vote %s/%d %s" i v (stance_name s)
   | Merge (i, vs) ->
       Printf.sprintf "tally %s {%s}" i
-        (String.concat "," (List.map string_of_int vs))
+        (String.concat ","
+           (List.map
+              (fun (v, s) -> Printf.sprintf "%d %s" v (stance_name s))
+              vs))
 
-let con_vote ~trip ~voter id =
-  if trip then vote ~voter ~stance:G.Mempool.Con ~why:"trip:errors" id
-  else vote ~voter ~stance:G.Mempool.Con ~why:"base" id
+(* A reference tally: (pro, con, trip), [con] counting trips too. *)
+let fold_tally stance_of =
+  List.fold_left
+    (fun (pro, con, trip) v ->
+      match stance_of v with
+      | None -> (pro, con, trip)
+      | Some G.Mempool.Pro -> (pro + 1, con, trip)
+      | Some G.Mempool.Con -> (pro, con + 1, trip)
+      | Some G.Mempool.Trip -> (pro, con + 1, trip + 1))
+    (0, 0, 0) voters
 
 let prop_incremental_pool_state =
   QCheck.Test.make ~name:"mempool tallies and cached keys match a rebuild"
@@ -168,17 +197,18 @@ let prop_incremental_pool_state =
         Gen.(list_size (int_range 0 40) pool_op_gen))
     (fun ops ->
       let m = G.Mempool.create () in
-      (* the reference model: each (proposal, voter)'s state, the ids in
-         the order an op first named them, the Cons in insertion order *)
+      (* the reference model: each (proposal, voter)'s stance, and the
+         ids in the order an op first named them *)
       let state = Hashtbl.create 16 in
-      let ids = ref [] and cons = ref [] in
+      let ids = ref [] in
       let name id = if not (List.mem id !ids) then ids := !ids @ [ id ] in
-      let pro id v =
+      (* raise (id, v) to [s]; true iff that raised it *)
+      let raise_to id v s =
         match Hashtbl.find_opt state (id, v) with
-        | None ->
-            Hashtbl.replace state (id, v) `Pro;
+        | Some old when old >= s -> false
+        | _ ->
+            Hashtbl.replace state (id, v) s;
             true
-        | Some _ -> false
       in
       G.Mempool.with_lock m (fun () ->
           List.for_all
@@ -189,81 +219,43 @@ let prop_incremental_pool_state =
                 | Add_prop id -> G.Mempool.add_proposal m (prop id) = `Fresh
                 | Add_vote (id, voter, s) ->
                     name id;
-                    let expect =
-                      match (s, Hashtbl.find_opt state (id, voter)) with
-                      | `Pro, _ -> if pro id voter then `Fresh else `Stale
-                      | (`Con | `Trip), Some (`Con _) -> `Stale
-                      | (`Con | `Trip), old ->
-                          let v = con_vote ~trip:(s = `Trip) ~voter id in
-                          Hashtbl.replace state (id, voter) (`Con v);
-                          cons := !cons @ [ v ];
-                          if old = None then `Fresh else `Hardened
-                    in
-                    let v =
-                      match s with
-                      | `Pro -> vote ~voter id
-                      | `Con | `Trip -> con_vote ~trip:(s = `Trip) ~voter id
-                    in
-                    let got = G.Mempool.add_vote m v in
-                    if got <> expect then
+                    let expect = raise_to id voter s in
+                    if G.Mempool.add_vote m ~prop:id ~voter s <> expect then
                       QCheck.Test.fail_reportf "%s answered wrongly"
                         (pp_pool_op op);
-                    got <> `Stale
+                    expect
                 | Merge (id, vs) ->
                     name id;
-                    let fresh = List.filter (pro id) vs in
-                    let got =
-                      G.Mempool.merge_tally m ~prop:id ~hex:(ref_hex vs)
+                    let maps = ref_maps (fun v -> List.assoc_opt v vs) voters in
+                    let rose =
+                      List.filter_map
+                        (fun (v, s) -> if raise_to id v s then Some v else None)
+                        vs
                     in
-                    if got <> fresh then
-                      QCheck.Test.fail_reportf "%s set the wrong bits"
+                    if G.Mempool.merge m ~prop:id ~maps <> rose then
+                      QCheck.Test.fail_reportf "%s raised the wrong voters"
                         (pp_pool_op op);
-                    fresh <> []
+                    rose <> []
               in
-              let pros id =
-                List.filter
-                  (fun v -> Hashtbl.find_opt state (id, v) = Some `Pro)
-                  voters
-              in
-              let fold id =
-                List.fold_left
-                  (fun (pro, con, trip) v ->
-                    match Hashtbl.find_opt state (id, v) with
-                    | None -> (pro, con, trip)
-                    | Some `Pro -> (pro + 1, con, trip)
-                    | Some (`Con c) ->
-                        ( pro,
-                          con + 1,
-                          if G.Mempool.is_trip_vote c then trip + 1 else trip ))
-                  (0, 0, 0) voters
-              in
+              let stance_of id v = Hashtbl.find_opt state (id, v) in
               let rebuilt =
                 List.map (fun p -> "P:" ^ p.G.Mempool.p_id)
                   (G.Mempool.proposals m)
-                @ List.filter_map
-                    (fun id ->
-                      match pros id with
-                      | [] -> None
-                      | vs -> Some (Printf.sprintf "T:%s:%s" id (ref_hex vs)))
-                    !ids
                 @ List.map
-                    (fun (v : G.Mempool.vote) ->
-                      Printf.sprintf "V:%s:%d:C" v.G.Mempool.v_prop
-                        v.G.Mempool.v_voter)
-                    !cons
+                    (fun id ->
+                      String.concat ":"
+                        ("T" :: id :: ref_maps (stance_of id) voters))
+                    !ids
               in
               let ok =
                 List.for_all
                   (fun id ->
-                    G.Mempool.tally m ~prop:id = fold id
-                    && G.Mempool.tally_hex m ~prop:id = ref_hex (pros id))
+                    G.Mempool.tally m ~prop:id = fold_tally (stance_of id)
+                    && G.Mempool.tally_maps m ~prop:id
+                       = (if List.mem id !ids then
+                            ref_maps (stance_of id) voters
+                          else []))
                   prop_ids
-                && List.for_all
-                     (fun (v : G.Mempool.vote) ->
-                       G.Mempool.vote_for m ~prop:v.G.Mempool.v_prop
-                         ~voter:v.G.Mempool.v_voter
-                       = Some v)
-                     !cons
                 && G.Mempool.keys m = rebuilt
                 && G.Mempool.size m = List.length rebuilt
                 && changed = (G.Mempool.generation m <> gen0)
@@ -274,22 +266,23 @@ let prop_incremental_pool_state =
               ok)
             ops))
 
-(* Votes form a join-semilattice (absent < Pro < Con per voter), so
-   pools that see one history's votes in any order, any number of times,
-   over any path end in one state.  A random history (Pro votes, trip and
-   non-trip Cons at most one per voter, stale Pros after a Con, votes on
-   proposals no pool holds) is cast across 2-4 pools; the pools then
-   swap what they hold as PROP/TALLY/VOTE lines through the codec, in
-   random orders, with duplicates, first between random pairs and then
-   all to all twice.  Every pool must end with the tallies and key set of
-   a from-scratch fold of the history; re-delivering every Pro bit after
-   that must not raise any [pro] (a Con is sticky); and every delivery
-   must move a pool's generation exactly when its key set changed. *)
+(* Votes form a join-semilattice (absent < Pro < Con < Trip per voter),
+   so pools that see one history's votes in any order, any number of
+   times, over any path end in one state.  A random history (Pro, Con
+   and Trip votes, a voter's stances in any order, votes on proposals no
+   pool holds) is cast across 2-4 pools; the pools then swap what they
+   hold as PROP/TALLY lines through the codec, in random orders, with
+   duplicates, first between random pairs and then all to all twice.
+   Every pool must end with the tallies and key set of a from-scratch
+   fold of the history; re-delivering every voter's Pro bit after that
+   must not raise any [pro] (Con and Trip are sticky); and every
+   delivery must move a pool's generation exactly when its key set
+   changed. *)
 type cast = {
   c_pool : int;
   c_id : string;
   c_voter : int;
-  c_what : [ `Pro | `Con | `Trip ];
+  c_what : G.Mempool.stance;
 }
 
 (* "orphan" is voted on but never proposed *)
@@ -303,19 +296,8 @@ let history_gen =
          (fun c_pool c_id (c_voter, c_what) -> { c_pool; c_id; c_voter; c_what })
          (int_bound (pools - 1))
          (oneofl history_ids)
-         (pair (oneofl voters)
-            (frequencyl [ (4, `Pro); (1, `Con); (1, `Trip) ])))
-    >>= fun casts ->
-    (* a voter casts at most one Con per proposal: keep the first *)
-    let _, casts =
-      List.fold_left
-        (fun (seen, acc) c ->
-          if c.c_what = `Pro then (seen, acc @ [ c ])
-          else if List.mem (c.c_id, c.c_voter) seen then (seen, acc)
-          else ((c.c_id, c.c_voter) :: seen, acc @ [ c ]))
-        ([], []) casts
-    in
-    map (fun seed -> (pools, casts, seed)) (int_bound 1_000_000))
+         (pair (oneofl voters) (stance_gen 4)))
+    >>= fun casts -> map (fun seed -> (pools, casts, seed)) (int_bound 1_000_000))
 
 let pp_history (pools, casts, seed) =
   Printf.sprintf "%d pools, seed %d: %s" pools seed
@@ -323,10 +305,7 @@ let pp_history (pools, casts, seed) =
        (List.map
           (fun c ->
             Printf.sprintf "%d:%s/%d %s" c.c_pool c.c_id c.c_voter
-              (match c.c_what with
-              | `Pro -> "pro"
-              | `Con -> "con"
-              | `Trip -> "trip"))
+              (stance_name c.c_what))
           casts))
 
 let prop_tally_semilattice =
@@ -337,9 +316,6 @@ let prop_tally_semilattice =
       let rng = Random.State.make [| seed |] in
       let pools = Array.init npools (fun _ -> G.Mempool.create ()) in
       let locked p f = G.Mempool.with_lock p (fun () -> f p) in
-      let con_of c =
-        con_vote ~trip:(c.c_what = `Trip) ~voter:c.c_voter c.c_id
-      in
       locked pools.(0) (fun p ->
           ignore (G.Mempool.add_proposal p (prop "a"));
           ignore (G.Mempool.add_proposal p (prop "b")));
@@ -347,21 +323,16 @@ let prop_tally_semilattice =
         (fun c ->
           locked pools.(c.c_pool) (fun p ->
               ignore
-                (G.Mempool.add_vote p
-                   (if c.c_what = `Pro then vote ~voter:c.c_voter c.c_id
-                    else con_of c))))
+                (G.Mempool.add_vote p ~prop:c.c_id ~voter:c.c_voter c.c_what)))
         casts;
       (* what a pool holds, as the lines a digest answer would carry *)
       let lines p =
         locked p (fun p ->
-            let props, tallies, cons =
-              G.Mempool.missing_from p ~remote_keys:[]
-            in
+            let props, tallies = G.Mempool.missing_from p ~remote_keys:[] in
             List.map (fun pr -> G.Wire.Prop pr) props
             @ List.map
-                (fun (id, bits) -> G.Wire.Tally { t_prop = id; t_bits = bits })
+                (fun (id, maps) -> G.Wire.Tally { t_prop = id; t_maps = maps })
                 tallies
-            @ List.map (fun v -> G.Wire.Vote v) cons
             |> List.map G.Wire.encode)
       in
       let state p =
@@ -374,9 +345,8 @@ let prop_tally_semilattice =
         locked p (fun p ->
             match G.Wire.decode line with
             | Ok (G.Wire.Prop pr) -> ignore (G.Mempool.add_proposal p pr)
-            | Ok (G.Wire.Tally { t_prop; t_bits }) ->
-                ignore (G.Mempool.merge_tally p ~prop:t_prop ~hex:t_bits)
-            | Ok (G.Wire.Vote v) -> ignore (G.Mempool.add_vote p v)
+            | Ok (G.Wire.Tally { t_prop; t_maps }) ->
+                ignore (G.Mempool.merge p ~prop:t_prop ~maps:t_maps)
             | _ -> QCheck.Test.fail_reportf "line %S did not decode" line);
         let moved = locked p G.Mempool.generation <> gen0 in
         if moved <> (state p <> before) then
@@ -406,44 +376,26 @@ let prop_tally_semilattice =
           done
         done
       done;
-      (* the from-scratch fold: per (id, voter), Con over Pro over absent *)
+      (* the from-scratch fold: per (id, voter), the highest stance cast *)
       let final id v =
-        let mine =
-          List.filter (fun c -> c.c_id = id && c.c_voter = v) casts
-        in
-        match List.find_opt (fun c -> c.c_what <> `Pro) mine with
-        | Some c -> Some (`Con (con_of c))
-        | None -> if mine = [] then None else Some `Pro
-      in
-      let is_con id v =
-        match final id v with Some (`Con _) -> true | _ -> false
-      in
-      let fold_tally id =
         List.fold_left
-          (fun (pro, con, trip) v ->
-            match final id v with
-            | None -> (pro, con, trip)
-            | Some `Pro -> (pro + 1, con, trip)
-            | Some (`Con c) ->
-                ( pro,
-                  con + 1,
-                  if G.Mempool.is_trip_vote c then trip + 1 else trip ))
-          (0, 0, 0) voters
+          (fun top c ->
+            if c.c_id = id && c.c_voter = v && Some c.c_what > top then
+              Some c.c_what
+            else top)
+          None casts
       in
       let fold_keys id =
-        let pros = List.filter (fun v -> final id v = Some `Pro) voters in
-        (if pros = [] then []
-         else [ Printf.sprintf "T:%s:%s" id (ref_hex pros) ])
-        @ List.map
-            (Printf.sprintf "V:%s:%d:C" id)
-            (List.filter (is_con id) voters)
+        match ref_maps (final id) voters with
+        | [] -> []
+        | maps -> [ String.concat ":" ("T" :: id :: maps) ]
       in
       let expected =
         ( List.sort compare
             (("P:" ^ (prop "a").G.Mempool.p_id)
             :: ("P:" ^ (prop "b").G.Mempool.p_id)
             :: List.concat_map fold_keys history_ids),
-          List.map fold_tally history_ids )
+          List.map (fun id -> fold_tally (final id)) history_ids )
       in
       Array.iteri
         (fun i p ->
@@ -454,13 +406,16 @@ let prop_tally_semilattice =
             (fun id ->
               deliver p
                 (G.Wire.encode
-                   (G.Wire.Tally { t_prop = id; t_bits = ref_hex voters })))
+                   (G.Wire.Tally { t_prop = id; t_maps = [ ref_hex voters ] })))
             history_ids;
           List.iter
             (fun id ->
               let pro, _, _ = locked p (fun p -> G.Mempool.tally p ~prop:id) in
               let not_con =
-                List.length (List.filter (fun v -> not (is_con id v)) voters)
+                List.length
+                  (List.filter
+                     (fun v -> final id v <= Some G.Mempool.Pro)
+                     voters)
               in
               if pro <> not_con then
                 QCheck.Test.fail_reportf "pool %d: %s has %d Pro votes, not %d"
@@ -480,30 +435,27 @@ let test_wire_roundtrip () =
           (G.Wire.encode m')
   in
   check_rt (G.Wire.Prop (prop ~epoch:3 ~origin:17 "deadbeef"));
+  check_rt (G.Wire.Tally { t_prop = "deadbeef"; t_maps = [ "0f0001" ] });
+  check_rt (G.Wire.Tally { t_prop = "deadbeef"; t_maps = [ "0e"; "-"; "01" ] });
+  check_rt (G.Wire.Tally { t_prop = "deadbeef"; t_maps = [ "-"; "10" ] });
   check_rt
-    (G.Wire.Vote
-       (vote ~voter:42 ~stance:G.Mempool.Con
-          ~why:"trip:app-errors 5% over budget" "deadbeef"));
-  check_rt (G.Wire.Tally { t_prop = "deadbeef"; t_bits = "0f0001" });
+    (G.Wire.Tally { t_prop = "deadbeef"; t_maps = [ "01"; "0002"; "fc" ] });
   check_rt
     (G.Wire.Digest
-       { d_sender = 3; d_epoch = 1; d_keys = [ "P:a"; "T:a:05"; "V:a:2:C" ] });
+       {
+         d_sender = 3;
+         d_epoch = 1;
+         d_keys = [ "P:a"; "T:a:05"; "T:b:-:02:01" ];
+       });
   check_rt (G.Wire.Digest { d_sender = 0; d_epoch = 0; d_keys = [] });
   check_rt (G.Wire.Want [ "P:a" ]);
   check_rt G.Wire.Bye;
-  (* the escaped why survives with its spaces *)
-  (match
-     G.Wire.decode
-       (G.Wire.encode
-          (G.Wire.Vote (vote ~voter:1 ~stance:G.Mempool.Con ~why:"a b %c" "x")))
-   with
-  | Ok (G.Wire.Vote v) ->
-      Alcotest.(check string) "why unescaped" "a b %c" v.G.Mempool.v_why
-  | _ -> Alcotest.fail "vote did not round-trip");
-  (* Pro votes travel only as tallies *)
-  Alcotest.check_raises "a Pro vote has no VOTE line"
-    (Invalid_argument "Wire.encode: Pro votes travel as TALLY lines")
-    (fun () -> ignore (G.Wire.encode (G.Wire.Vote (vote ~voter:1 "x"))));
+  (* a Con and a Trip map decode into their places *)
+  (match G.Wire.decode "TALLY x 0e - 01" with
+  | Ok (G.Wire.Tally { t_prop = "x"; t_maps }) ->
+      Alcotest.(check (list string)) "maps in order" [ "0e"; "-"; "01" ]
+        t_maps
+  | _ -> Alcotest.fail "tally did not decode");
   List.iter
     (fun line ->
       match G.Wire.decode line with
@@ -511,13 +463,54 @@ let test_wire_roundtrip () =
       | Ok _ -> Alcotest.failf "%S decoded" line)
     [
       "FROB x y";
+      (* votes travel only as tallies *)
+      "VOTE x 1 C why";
       "VOTE x 1 P ok";
-      "VOTE x -1 C why";
+      (* bad hex, in each map *)
       "TALLY x 0g";
       "TALLY x abc";
       "TALLY x 0F";
+      "TALLY x 01 0g";
+      "TALLY x 01 - zz";
+      "TALLY x 01 - 1";
+      (* non-canonical spellings of votes with a canonical line *)
       "TALLY x";
+      "TALLY x -";
+      "TALLY x 0f -";
+      "TALLY x 0f - -";
+      "TALLY x - - -";
+      "TALLY x 0f00";
+      "TALLY x 01 00";
+      "TALLY x 01 02 04 08";
+      (* a voter set in two maps *)
+      "TALLY x 01 01";
+      "TALLY x 03 - 02";
+      "TALLY x - 0001 0001";
     ]
+
+(* A line [decode] rejects is counted on the fleet sink and changes no
+   pool. *)
+let test_serve_counts_bad_lines () =
+  let fleet = boot_fleet ~size:2 () in
+  let g = G.Gossip.create ~params:test_params ~fleet () in
+  let net = g.G.Gossip.net in
+  let bad () = Jv_obs.Obs.counter_value (F.Fleet.obs fleet) "gossip.bad_lines" in
+  let bad0 = bad () in
+  let cid =
+    match Jv_simnet.Simnet.connect net ~port:G.Gossip.default_base_port with
+    | Some cid -> cid
+    | None -> Alcotest.fail "connect refused"
+  in
+  List.iter
+    (Jv_simnet.Simnet.client_send net ~conn_id:cid)
+    [ "VOTE x 1 C why"; "TALLY x 01 01"; "TALLY x 0f - -" ];
+  Jv_simnet.Simnet.client_close net ~conn_id:cid;
+  let ps = g.G.Gossip.peers.(0) in
+  G.Gossip.serve g ps;
+  Alcotest.(check int) "three rejected lines counted" 3 (bad () - bad0);
+  let pool = G.Node.pool ps.G.Gossip.ps_node in
+  Alcotest.(check int) "the pool holds nothing" 0
+    (G.Mempool.with_lock pool (fun () -> G.Mempool.size pool))
 
 (* --- quorum apply ------------------------------------------------------- *)
 
@@ -917,6 +910,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incremental_pool_state;
     QCheck_alcotest.to_alcotest prop_tally_semilattice;
     Alcotest.test_case "wire: codec round-trips" `Quick test_wire_roundtrip;
+    Alcotest.test_case "wire: serve counts rejected lines" `Quick
+      test_serve_counts_bad_lines;
     Alcotest.test_case "quorum: fleet applies at ceil(qN) pro votes" `Slow
       test_quorum_apply_and_convergence;
     Alcotest.test_case "quorum: unanimous threshold still converges" `Slow

@@ -267,13 +267,15 @@ let golden_gossip_fence =
     {|node 1: epoch 0 idle 5.1.10/in-service applies=0 trips=0 reverts=0 fences=1|};
     {|node 2: epoch 0 idle 5.1.10/in-service applies=1 trips=1 reverts=0 fences=0|};
     {|node 3: epoch 0 idle 5.1.10/in-service applies=1 trips=1 reverts=0 fences=1|};
-    {|CONVERGED in 22 rounds: epoch 0, 0 applied, 0 stuck | FENCED (3 guard trip(s), 0 inverse updates) | mixed window 10 rounds | 144 pushes, 0 reconciliations, 21 votes seen, 41 KiB gossiped|};
+    {|CONVERGED in 22 rounds: epoch 0, 0 applied, 0 stuck | FENCED (3 guard trip(s), 0 inverse updates) | mixed window 10 rounds | 144 pushes, 0 reconciliations, 21 votes seen, 12 KiB gossiped|};
     {|trips 3, reverts 0, votes seen 21|};
   ]
 
 (* Four gossip nodes take miniweb 5.1.11 under guard: the first trip
    vote fences the proposal, appliers revert (in-VM or by the inverse
-   spec) and the fleet converges back on epoch 0. *)
+   spec) and the fleet converges back on epoch 0.  Each node that
+   tripped keeps its guard verdict as one trip vote event on its own
+   VM's sink; no pool holds it. *)
 let test_golden_gossip_fence () =
   let fleet = boot ~size:4 ~version:"5.1.10" () in
   let params =
@@ -311,7 +313,49 @@ let test_golden_gossip_fence () =
         Printf.sprintf "trips %d, reverts %d, votes seen %d"
           r.G.Gossip.gr_guard_trips r.G.Gossip.gr_reverts
           r.G.Gossip.gr_votes_seen;
-      ])
+      ]);
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  let keys =
+    List.concat
+      (List.init (G.Gossip.size g) (fun id ->
+           let pool = G.Node.pool (G.Gossip.node g id) in
+           G.Mempool.with_lock pool (fun () -> G.Mempool.keys pool)))
+  in
+  List.iter
+    (fun id ->
+      let vm_obs = VM.Vm.obs (F.Fleet.instance fleet id).F.Instance.i_vm in
+      if Obs.counter_value vm_obs "gossip.guard_trips" > 0 then begin
+        let trips =
+          List.filter_map
+            (fun (ev : Obs.event) ->
+              match ev.Obs.ev_fields with
+              | [ ("prop", _); ("stance", Obs.Str "trip"); ("why", Obs.Str why) ]
+                when ev.Obs.ev_scope = "gossip" && ev.Obs.ev_name = "vote" ->
+                  Some why
+              | _ -> None)
+            (Obs.events vm_obs)
+        in
+        match trips with
+        | [ why ] ->
+            Alcotest.(check bool)
+              (Printf.sprintf "node %d's trip vote carries the verdict" id)
+              true
+              (contains why "guard tripped on");
+            Alcotest.(check bool)
+              (Printf.sprintf "no pool key holds node %d's verdict" id)
+              false
+              (List.exists (fun k -> contains k why) keys)
+        | _ ->
+            Alcotest.failf "node %d holds %d trip vote events, not 1" id
+              (List.length trips)
+      end)
+    (List.init (G.Gossip.size g) Fun.id)
 
 (* --- one directed case per verdict ---------------------------------------- *)
 
