@@ -293,7 +293,7 @@ let serve t (ps : peer_state) =
     match Wire.decode line with
     | Error _ -> Obs.incr (obs t) "gossip.bad_lines"
     | Ok ((Wire.Prop _ | Wire.Tally _) as m) -> Node.learn ps.ps_node m
-    | Ok (Wire.Digest { d_keys; _ }) ->
+    | Ok (Wire.Digest d_keys) ->
         let props, tallies, want =
           Mempool.with_lock (Node.pool ps.ps_node) (fun () ->
               let pool = Node.pool ps.ps_node in
@@ -405,14 +405,7 @@ let start_digest t ~self (ps : peer_state) =
             Mempool.with_lock (Node.pool ps.ps_node) (fun () ->
                 Mempool.keys (Node.pool ps.ps_node))
           in
-          Simnet.client_send t.net ~conn_id:cid
-            (Wire.encode
-               (Wire.Digest
-                  {
-                    d_sender = self;
-                    d_epoch = Node.epoch ps.ps_node;
-                    d_keys = keys;
-                  }));
+          Simnet.client_send t.net ~conn_id:cid (Wire.encode (Wire.Digest keys));
           ps.ps_digests <-
             ps.ps_digests @ [ (cid, 2 * t.params.g_digest_every) ])
 

@@ -3,8 +3,8 @@
 
      PROP   <id> <epoch> <from-version> <to-version> <digest> <origin>
      TALLY  <proposal-id> <pro> [<con> [<trip>]]
-     DIGEST <sender> <epoch> <key,key,...>      (or "-" when empty)
-     WANT   <key,key,...>                        (or "-")
+     DIGEST <key,key,...>                       (or "-" when empty)
+     WANT   <key,key,...>                       (or "-")
      BYE
 
    PROP and TALLY are rumor payloads.  A TALLY carries every vote a node
@@ -28,7 +28,7 @@
 type msg =
   | Prop of Mempool.proposal
   | Tally of { t_prop : string; t_maps : string list (* [Mempool.tally_maps] *) }
-  | Digest of { d_sender : int; d_epoch : int; d_keys : string list }
+  | Digest of string list
   | Want of string list
   | Bye
 
@@ -41,8 +41,7 @@ let encode = function
         p.Mempool.p_from_version p.Mempool.p_to_version p.Mempool.p_digest
         p.Mempool.p_origin
   | Tally { t_prop; t_maps } -> String.concat " " ("TALLY" :: t_prop :: t_maps)
-  | Digest { d_sender; d_epoch; d_keys } ->
-      Printf.sprintf "DIGEST %d %d %s" d_sender d_epoch (keys_field d_keys)
+  | Digest ks -> Printf.sprintf "DIGEST %s" (keys_field ks)
   | Want ks -> Printf.sprintf "WANT %s" (keys_field ks)
   | Bye -> "BYE"
 
@@ -64,11 +63,7 @@ let decode line : (msg, string) result =
       | _ -> Error ("bad PROP: " ^ line))
   | "TALLY" :: prop :: maps when Mempool.valid_maps maps ->
       Ok (Tally { t_prop = prop; t_maps = maps })
-  | [ "DIGEST"; sender; epoch; keys ] -> (
-      match (int_of_string_opt sender, int_of_string_opt epoch) with
-      | Some s, Some e ->
-          Ok (Digest { d_sender = s; d_epoch = e; d_keys = parse_keys keys })
-      | _ -> Error ("bad DIGEST: " ^ line))
+  | [ "DIGEST"; keys ] -> Ok (Digest (parse_keys keys))
   | [ "WANT"; keys ] -> Ok (Want (parse_keys keys))
   | [ "BYE" ] -> Ok Bye
   | _ -> Error ("unparseable gossip line: " ^ line)

@@ -267,7 +267,7 @@ let golden_gossip_fence =
     {|node 1: epoch 0 idle 5.1.10/in-service applies=0 trips=0 reverts=0 fences=1|};
     {|node 2: epoch 0 idle 5.1.10/in-service applies=1 trips=1 reverts=0 fences=0|};
     {|node 3: epoch 0 idle 5.1.10/in-service applies=1 trips=1 reverts=0 fences=1|};
-    {|CONVERGED in 22 rounds: epoch 0, 0 applied, 0 stuck | FENCED (3 guard trip(s), 0 inverse updates) | mixed window 10 rounds | 144 pushes, 0 reconciliations, 21 votes seen, 12 KiB gossiped|};
+    {|CONVERGED in 22 rounds: epoch 0, 0 applied, 0 stuck | FENCED (3 guard trip(s), 0 inverse updates) | mixed window 10 rounds | 144 pushes, 0 reconciliations, 21 votes seen, 11 KiB gossiped|};
     {|trips 3, reverts 0, votes seen 21|};
   ]
 
