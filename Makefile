@@ -66,7 +66,8 @@ guard-smoke:
 # fence by trip-vote quorum and converge back to epoch 0.  The healthy
 # rollout must count exactly 64 x 63 votes seen: every node learns every
 # other node's vote once, so a tally that drops or double-counts a vote
-# fails here.
+# fails here.  The 16-node fence wave must gossip fewer bytes than the
+# 64-node healthy rollout: its Con and trip votes ride the same tallies.
 gossip-smoke:
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe -- fleet --gossip \
 	  | tee _build/gossip-smoke.out
@@ -77,6 +78,7 @@ gossip-smoke:
 	! grep -q "DID NOT FENCE" _build/gossip-smoke.out
 	grep -q "central decisions:.*0 (all" _build/gossip-smoke.out
 	grep -q "tripped and converged back to epoch 0" _build/gossip-smoke.out
+	grep -q "fence-wave wire:.* -- LEANER" _build/gossip-smoke.out
 
 # Stateful-workload probe: ministore's schema-migration ladder (field
 # split, index re-key, value re-encoding) walks end to end on a loaded

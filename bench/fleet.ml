@@ -286,7 +286,8 @@ let gossip_rollout () =
   let r = show_gossip_result g ol ~rounds in
   Printf.printf "    %-44s 0 (all %d applies were local quorum reads)\n"
     "central decisions:" r.G.Gossip.gr_applied;
-  ignore req0
+  ignore req0;
+  (size, r)
 
 (* Mid-rollout guard trip, no orchestrator: 5.1.11 passes admission on
    every node but 404s real traffic, so the first guards to see app
@@ -313,7 +314,8 @@ let gossip_fence () =
          "tripped and converged back to epoch 0 (%d guard trip(s), %d \
           inverse updates)"
          r.G.Gossip.gr_guard_trips r.G.Gossip.gr_reverts
-     else "DID NOT FENCE")
+     else "DID NOT FENCE");
+  (size, r)
 
 (* --- self-healing: supervised recovery under a kill storm --------------- *)
 
@@ -543,9 +545,18 @@ let run_heal () =
   heal_durability ();
   heal_determinism ()
 
+(* A fence wave carries a proposal's whole vote state in its tallies,
+   so it should cost less wire than a healthy rollout four times its
+   size. *)
 let run_gossip () =
-  gossip_rollout ();
-  gossip_fence ()
+  let healthy_size, healthy = gossip_rollout () in
+  let fence_size, fence = gossip_fence () in
+  let kib (r : G.Gossip.report) = r.G.Gossip.gr_rumor_bytes / 1024 in
+  Printf.printf "  %-46s %d KiB for %d nodes vs healthy %d KiB for %d -- %s\n"
+    "fence-wave wire:" (kib fence) fence_size (kib healthy) healthy_size
+    (if fence.G.Gossip.gr_rumor_bytes < healthy.G.Gossip.gr_rumor_bytes then
+       "LEANER"
+     else "HEAVIER")
 
 let run () =
   rolling ();
