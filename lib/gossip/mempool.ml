@@ -75,9 +75,6 @@ let proposal_id ~epoch ~from_version ~to_version ~digest =
    dropped, and an empty map is "-", so one set of voters has one
    spelling. *)
 
-(* byte [i] of [b], 0 past its end *)
-let byte b i = if i < Bytes.length b then Bytes.get_uint8 b i else 0
-
 (* [b] widened to at least [n] bytes *)
 let widen b n =
   if Bytes.length b >= n then b
@@ -103,19 +100,16 @@ let to_hex b =
         let byte = Bytes.get_uint8 b (i / 2) in
         hex_digit.[if i land 1 = 0 then byte lsr 4 else byte land 15])
 
-let hex_value c =
+let[@inline] hex_value c =
   match c with
   | '0' .. '9' -> Char.code c - 48
   | 'a' .. 'f' -> Char.code c - 87
   | _ -> invalid_arg "Mempool: bad bitmap hex"
 
-let of_hex s =
-  if s = "-" then Bytes.empty
-  else
-    Bytes.init
-      (String.length s / 2)
-      (fun i ->
-        Char.chr ((hex_value s.[2 * i] lsl 4) lor hex_value s.[(2 * i) + 1]))
+(* byte [i] of a map spelled [s], 0 past its end (so all of "-") *)
+let[@inline] hex_byte s i =
+  if (2 * i) + 1 >= String.length s then 0
+  else (hex_value s.[2 * i] lsl 4) lor hex_value s.[(2 * i) + 1]
 
 (* One map's canonical spelling: "-", or even-length lowercase hex whose
    last byte is not zero. *)
@@ -131,11 +125,11 @@ let valid_map s =
 
 (* No voter's bit is set in two of [maps]. *)
 let disjoint maps =
-  let n = List.fold_left (fun n b -> max n (Bytes.length b)) 0 maps in
+  let n = List.fold_left (fun n s -> max n (String.length s / 2)) 0 maps in
   let rec from i =
     i >= n
     ||
-    let xs = List.map (fun b -> byte b i) maps in
+    let xs = List.map (fun s -> hex_byte s i) maps in
     popcount (List.fold_left ( lor ) 0 xs)
     = List.fold_left (fun sum x -> sum + popcount x) 0 xs
     && from (i + 1)
@@ -145,13 +139,11 @@ let disjoint maps =
 (* A canonical TALLY spelling of a non-empty set of votes: one to three
    maps, the last not empty, no voter in two maps. *)
 let valid_maps maps =
-  match List.rev maps with
-  | [] -> false
-  | last :: _ ->
-      last <> "-"
-      && List.length maps <= 3
-      && List.for_all valid_map maps
-      && (List.length maps = 1 || disjoint (List.map of_hex maps))
+  match maps with
+  | [ pro ] -> pro <> "-" && valid_map pro
+  | [ _; last ] | [ _; _; last ] ->
+      last <> "-" && List.for_all valid_map maps && disjoint maps
+  | _ -> false
 
 (* --- the pool ----------------------------------------------------------- *)
 
@@ -220,28 +212,36 @@ let tally_for t prop =
       t.tally_ids <- prop :: t.tally_ids;
       c
 
-(* Byte [i] of map [k] goes from [was] to [now]. *)
+(* Byte [i] of map [k], widened past [i], goes from [was] to [now]. *)
 let store c k i ~was ~now =
   if now <> was then begin
-    c.maps.(k) <- widen c.maps.(k) (i + 1);
     Bytes.set_uint8 c.maps.(k) i now;
     c.counts.(k) <- c.counts.(k) + popcount now - popcount was
   end
 
-(* Join [incoming] (Pro, Con, Trip maps; at least one voter) into
+(* Join a tally, its maps spelled as [valid_maps] accepts, into
    [prop]'s tally.  Returns the voters whose stance rose, lowest first;
    [] when the pool did not change. *)
-let join t ~prop incoming =
+let merge t ~prop ~maps =
+  require_lock t;
+  let map k = match List.nth_opt maps k with Some s -> s | None -> "-" in
+  let in_pro = map 0 and in_con = map 1 and in_trip = map 2 in
   let c = tally_for t prop in
   let rose = ref [] in
-  let n = Array.fold_left (fun n b -> max n (Bytes.length b)) 0 incoming in
-  for i = n - 1 downto 0 do
-    let op = byte c.maps.(0) i
-    and oc = byte c.maps.(1) i
-    and ot = byte c.maps.(2) i in
-    let trip = ot lor byte incoming.(2) i in
-    let con = (oc lor byte incoming.(1) i) land lnot trip in
-    let pro = (op lor byte incoming.(0) i) land lnot (con lor trip) in
+  let len =
+    max (String.length in_pro)
+      (max (String.length in_con) (String.length in_trip))
+    / 2
+  in
+  Array.iteri (fun k b -> c.maps.(k) <- widen b len) c.maps;
+  let pm = c.maps.(0) and cm = c.maps.(1) and tm = c.maps.(2) in
+  for i = len - 1 downto 0 do
+    let op = Bytes.get_uint8 pm i
+    and oc = Bytes.get_uint8 cm i
+    and ot = Bytes.get_uint8 tm i in
+    let trip = ot lor hex_byte in_trip i in
+    let con = (oc lor hex_byte in_con i) land lnot trip in
+    let pro = (op lor hex_byte in_pro i) land lnot (con lor trip) in
     (* a bit new to its map is a voter that rose: higher maps never
        lose one *)
     let up =
@@ -262,23 +262,17 @@ let join t ~prop incoming =
   end;
   !rose
 
-(* Join a received tally, its maps spelled as [valid_maps] accepts. *)
-let merge t ~prop ~maps =
-  require_lock t;
-  let incoming = Array.make 3 Bytes.empty in
-  List.iteri (fun k s -> incoming.(k) <- of_hex s) maps;
-  join t ~prop incoming
-
-(* One voter's vote, as the join of a one-voter tally; [true] iff its
+(* One voter's vote, as the merge of a one-voter tally; [true] iff its
    stance rose. *)
 let add_vote t ~prop ~voter stance =
-  require_lock t;
   if voter < 0 then invalid_arg "Mempool.add_vote: negative voter";
-  let incoming = Array.make 3 Bytes.empty in
-  let b = Bytes.make ((voter lsr 3) + 1) '\000' in
-  Bytes.set_uint8 b (voter lsr 3) (1 lsl (voter land 7));
-  incoming.(index stance) <- b;
-  join t ~prop incoming <> []
+  let hex =
+    String.make (2 * (voter lsr 3)) '0'
+    ^ Printf.sprintf "%02x" (1 lsl (voter land 7))
+  in
+  let k = index stance in
+  merge t ~prop ~maps:(List.init (k + 1) (fun k' -> if k' = k then hex else "-"))
+  <> []
 
 (* --- reads (lock required) --------------------------------------------- *)
 

@@ -135,6 +135,13 @@ let prop_ids = [ "a"; "b"; "c" ]
 (* voters past 7 and 15 put bits in later bitmap bytes *)
 let voters = [ 0; 1; 2; 3; 9; 17 ]
 
+(* a voter's stance only rises: absent < Pro < Con < Trip *)
+let rank = function
+  | None -> 0
+  | Some G.Mempool.Pro -> 1
+  | Some G.Mempool.Con -> 2
+  | Some G.Mempool.Trip -> 3
+
 let stance_gen pro =
   QCheck.Gen.frequencyl
     [ (pro, G.Mempool.Pro); (1, G.Mempool.Con); (1, G.Mempool.Trip) ]
@@ -205,7 +212,7 @@ let prop_incremental_pool_state =
       (* raise (id, v) to [s]; true iff that raised it *)
       let raise_to id v s =
         match Hashtbl.find_opt state (id, v) with
-        | Some old when old >= s -> false
+        | old when rank old >= rank (Some s) -> false
         | _ ->
             Hashtbl.replace state (id, v) s;
             true
@@ -380,7 +387,8 @@ let prop_tally_semilattice =
       let final id v =
         List.fold_left
           (fun top c ->
-            if c.c_id = id && c.c_voter = v && Some c.c_what > top then
+            if c.c_id = id && c.c_voter = v && rank (Some c.c_what) > rank top
+            then
               Some c.c_what
             else top)
           None casts
@@ -414,7 +422,7 @@ let prop_tally_semilattice =
               let not_con =
                 List.length
                   (List.filter
-                     (fun v -> final id v <= Some G.Mempool.Pro)
+                     (fun v -> rank (final id v) <= 1)
                      voters)
               in
               if pro <> not_con then
