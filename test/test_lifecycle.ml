@@ -314,13 +314,6 @@ let test_golden_gossip_fence () =
           r.G.Gossip.gr_guard_trips r.G.Gossip.gr_reverts
           r.G.Gossip.gr_votes_seen;
       ]);
-  let contains s sub =
-    let n = String.length sub in
-    let rec at i =
-      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
-    in
-    at 0
-  in
   let keys =
     List.concat
       (List.init (G.Gossip.size g) (fun id ->
@@ -346,11 +339,11 @@ let test_golden_gossip_fence () =
             Alcotest.(check bool)
               (Printf.sprintf "node %d's trip vote carries the verdict" id)
               true
-              (contains why "guard tripped on");
+              (Helpers.contains why "guard tripped on");
             Alcotest.(check bool)
               (Printf.sprintf "no pool key holds node %d's verdict" id)
               false
-              (List.exists (fun k -> contains k why) keys)
+              (List.exists (fun k -> Helpers.contains k why) keys)
         | _ ->
             Alcotest.failf "node %d holds %d trip vote events, not 1" id
               (List.length trips)
