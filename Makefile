@@ -33,7 +33,7 @@ bench-smoke:
 # transaction or the orchestrator's retry path fails deterministically;
 # the convergence section runs with guard windows on, so retained update
 # logs and the watchdog sit in the fault path too.
-chaos-smoke:
+chaos-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe chaos | tee _build/chaos-smoke.out
 	grep -q "half-installed tables:   0" _build/chaos-smoke.out
 	grep -q "rate  20%: converged" _build/chaos-smoke.out
@@ -42,7 +42,7 @@ chaos-smoke:
 # three apps must be contained by the fuel budget, the sandbox write
 # guard and the heap verifier — a clean, re-verified rollback while the
 # VM keeps serving.
-safety-smoke:
+safety-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe safety | tee _build/safety-smoke.out
 	grep -q "gauntlet: 9/9 contained" _build/safety-smoke.out
 	grep -q "0 dirty rollbacks" _build/safety-smoke.out
@@ -53,7 +53,7 @@ safety-smoke:
 # window costs <= 2% of steady-state throughput, and the semantically-bad
 # miniweb 5.1.11 release is auto-reverted by the error-budget watchdog
 # with zero dropped connections.
-guard-smoke:
+guard-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe guard | tee _build/guard-smoke.out
 	grep -q "auto-reverted: guard tripped on app-errors" _build/guard-smoke.out
 	grep -q "dropped connections: 0" _build/guard-smoke.out
@@ -68,7 +68,7 @@ guard-smoke:
 # other node's vote once, so a tally that drops or double-counts a vote
 # fails here.  The 16-node fence wave must gossip fewer bytes than the
 # 64-node healthy rollout: its Con and trip votes ride the same tallies.
-gossip-smoke:
+gossip-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe -- fleet --gossip \
 	  | tee _build/gossip-smoke.out
 	grep -q "CONVERGED in" _build/gossip-smoke.out
@@ -86,7 +86,7 @@ gossip-smoke:
 # window reverts a committed migration by inverse transformers, and a
 # 16-instance gossip rollout of a migration converges with every
 # instance heap green and zero dropped connections.
-store-smoke:
+store-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe store | tee _build/store-smoke.out
 	grep -q "1.0->1.1" _build/store-smoke.out
 	grep -q "1.2->1.3" _build/store-smoke.out
@@ -106,7 +106,7 @@ store-smoke:
 # transformer (a refused write or trap would read ROLLBACK, a drain that
 # never finishes would hang the target) — and a guarded lazy migration
 # must revert cleanly when tripped mid-sweep.
-lazy-smoke:
+lazy-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe -- store --lazy | tee _build/lazy-smoke.out
 	grep -q "lazy pause flat: PASS" _build/lazy-smoke.out
 	grep -Eq "^ *10000 .* drained$$" _build/lazy-smoke.out
@@ -119,7 +119,7 @@ lazy-smoke:
 # and must time out with it off — and the analysis must shrink the
 # restricted set (6 changed methods, 5 proven, 1 left restricted), with
 # the blocker diagnostics naming why each restricted frame has no proof.
-confree-smoke:
+confree-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe confree | tee _build/confree-smoke.out
 	grep -Eq "^on +1 +5 " _build/confree-smoke.out
 	grep -E "^on " _build/confree-smoke.out | grep -q " yes "
@@ -132,7 +132,7 @@ confree-smoke:
 # residual errors, a restarted ministore serving its pre-crash records
 # bit-for-bit at the current schema, and the whole recovery transcript
 # byte-identical across two runs of the same (plan, seed).
-heal-smoke:
+heal-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe -- fleet --heal \
 	  | tee _build/heal-smoke.out
 	grep -q "full strength:" _build/heal-smoke.out
@@ -147,7 +147,7 @@ heal-smoke:
 # indirection-mode row — and the lazily updated minimail row must have
 # migrated at least one object on first touch; the design-space example
 # must apply the same update through the baseline.
-baseline-smoke:
+baseline-smoke: | _build
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe overhead \
 	  | tee _build/baseline-smoke.out
 	grep -Eq "^miniweb, Jvolve mode \(no checks\) +[0-9]+ +0$$" \
@@ -164,7 +164,7 @@ baseline-smoke:
 # serve with zero protocol errors, minimail must keep answering SMTP
 # after the update, and the FTP session must finish on the updated
 # server with zero errors.
-examples-smoke:
+examples-smoke: | _build
 	dune exec examples/web_live_update.exe | tee _build/examples-web.out
 	grep -q "with 0 protocol errors" _build/examples-web.out
 	dune exec examples/email_update.exe | tee _build/examples-email.out
@@ -172,7 +172,8 @@ examples-smoke:
 	dune exec examples/ftp_update.exe | tee _build/examples-ftp.out
 	grep -q "(0 errors: true)" _build/examples-ftp.out
 
-# Benchmark-workload probe: one short run of the Table 1 migrate
+# Benchmark-workload probe: one short run of the serve workload (miniweb
+# walks its update ladder under load), one of the Table 1 migrate
 # workload (default transformers run as copy plans), one of the lazy
 # ministore migration (custom transformers on the interpreter), and one
 # each of the two fleet workloads (a healed rolling rollout over shared
@@ -181,6 +182,7 @@ examples-smoke:
 # ok", "no errors after the storm", convergence) exits non-zero and
 # fails the target.
 perf-smoke:
+	dune exec perf/main.exe -- run serve --seed 1 --seconds 1
 	dune exec perf/main.exe -- run migrate --seed 1 --seconds 1
 	dune exec perf/main.exe -- run store-lazy --seed 1 --seconds 1
 	dune exec perf/main.exe -- run fleet-heal --seed 1 --seconds 1
@@ -207,6 +209,11 @@ profile:
 	  _build/default/perf/main.exe --workload $(W) --seed 1 --seconds 15 \
 	  --trace 0
 	gprofng display text -functions _build/profile-$(W).er | head -40
+
+# The smoke targets tee their output into _build/, which a fresh
+# checkout does not have until dune makes it: tee opens its file first.
+_build:
+	mkdir -p $@
 
 clean:
 	dune clean

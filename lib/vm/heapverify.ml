@@ -18,7 +18,9 @@
    - no reference field reaches a superseded object: the update log must
      be the only path to old-version metadata;
    - array elements that look like references point at object starts;
-   - every valid class's static slots are well-typed the same way.
+   - every valid class's static slots are well-typed the same way;
+   - every String object's one field is an int-tagged sid naming a slot
+     of the string table (below [State.n_strings]).
 
    Classes that are invalid but have no valid replacement (deleted
    classes, the unloaded transformer class) are tolerated: their
@@ -215,6 +217,18 @@ let run_once ~stale_ok ~guard_pending ~lazy_pending (vm : State.t) :
               ~declared:None
               (Heap.get heap ~addr ~off:(Heap.array_header_words + i))
           done
+        end
+        else if cid = vm.State.string_cid then begin
+          let w = Heap.get heap ~addr ~off:Heap.header_words in
+          if
+            not
+              (Value.is_int w
+              && Value.to_int w >= 0
+              && Value.to_int w < vm.State.n_strings)
+          then
+            flag addr cls.Rt.name
+              "string id %s names no string-table slot (%d strings)"
+              (Value.to_string w) vm.State.n_strings
         end
         else
           Array.iter

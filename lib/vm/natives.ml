@@ -12,16 +12,33 @@
 
 module Simnet = Jv_simnet.Simnet
 
-let str vm w =
-  if Value.is_null w then None
-  else Some (State.string_of_obj vm (Value.to_ref w))
+(* The sid of a String argument; [str_exn] reads its contents. *)
+let sid_exn vm w what =
+  if Value.is_null w then
+    raise (Interp.Trap (Printf.sprintf "null string in %s" what))
+  else State.sid_of_obj vm (Value.to_ref w)
 
-let str_exn vm w what =
-  match str vm w with
-  | Some s -> s
-  | None -> raise (Interp.Trap (Printf.sprintf "null string in %s" what))
+let str_exn vm w what = vm.State.strings.(sid_exn vm w what)
 
 let ret_string vm s = State.N_val (Value.of_ref (State.alloc_string vm s))
+
+(* [p] occurs in [s] at [i]: compared in place, char by char. *)
+let matches_at s i p =
+  let m = String.length p in
+  let rec go k =
+    k = m
+    || Char.equal (String.unsafe_get s (i + k)) (String.unsafe_get p k)
+       && go (k + 1)
+  in
+  i >= 0 && i + m <= String.length s && go 0
+
+(* The first position >= [i] where [p] occurs in [s], or -1. *)
+let find_from s p i =
+  let last = String.length s - String.length p in
+  let rec go i =
+    if i > last then -1 else if matches_at s i p then i else go (i + 1)
+  in
+  go i
 
 (* --- String ---------------------------------------------------------- *)
 
@@ -34,15 +51,16 @@ let string_natives vm0 =
     );
     ( "String.concat(LString;)LString;",
       fun vm _t args ->
-        let a = str_exn vm args.(0) "concat" in
-        let b = str_exn vm args.(1) "concat" in
-        ret_string vm (a ^ b) );
+        let a = sid_exn vm args.(0) "concat" in
+        let b = sid_exn vm args.(1) "concat" in
+        State.N_val
+          (Value.of_ref (State.alloc_string_sid vm (State.concat_sid vm a b)))
+    );
     ( "String.equals(LString;)Z",
       fun vm _t args ->
-        let a = str_exn vm args.(0) "equals" in
-        match str vm args.(1) with
-        | None -> State.N_val Value.false_w
-        | Some b -> State.N_val (Value.of_bool (String.equal a b)) );
+        let a = sid_exn vm args.(0) "equals" in
+        if Value.is_null args.(1) then State.N_val Value.false_w
+        else State.N_val (Value.of_bool (a = sid_exn vm args.(1) "equals")) );
     ( "String.substring(II)LString;",
       fun vm _t args ->
         let s = str_exn vm args.(0) "substring" in
@@ -56,13 +74,7 @@ let string_natives vm0 =
       fun vm _t args ->
         let s = str_exn vm args.(0) "indexOf" in
         let p = str_exn vm args.(1) "indexOf" in
-        let n = String.length s and m = String.length p in
-        let rec go i =
-          if i + m > n then -1
-          else if String.sub s i m = p then i
-          else go (i + 1)
-        in
-        State.N_val (Value.of_int (go 0)) );
+        State.N_val (Value.of_int (find_from s p 0)) );
     ( "String.charAt(I)I",
       fun vm _t args ->
         let s = str_exn vm args.(0) "charAt" in
@@ -75,27 +87,18 @@ let string_natives vm0 =
         let s = str_exn vm args.(0) "split" in
         let sep = str_exn vm args.(1) "split" in
         let limit = Value.to_int args.(2) in
-        let parts =
-          if String.length sep = 0 then [ s ]
-          else begin
-            let out = ref [] and start = ref 0 and count = ref 1 in
-            let n = String.length s and m = String.length sep in
-            let i = ref 0 in
-            let continue_ = ref true in
-            while !continue_ && !i + m <= n do
-              if (limit <= 0 || !count < limit) && String.sub s !i m = sep
-              then begin
-                out := String.sub s !start (!i - !start) :: !out;
-                incr count;
-                start := !i + m;
-                i := !i + m
-              end
-              else incr i;
-              if limit > 0 && !count >= limit then continue_ := false
-            done;
-            List.rev (String.sub s !start (n - !start) :: !out)
-          end
+        let n = String.length s and m = String.length sep in
+        (* at most [limit] parts when [limit] > 0; the last part is the
+           rest of [s] *)
+        let rec parts start count =
+          let j =
+            if m = 0 || (limit > 0 && count >= limit) then -1
+            else find_from s sep start
+          in
+          if j < 0 then [ String.sub s start (n - start) ]
+          else String.sub s start (j - start) :: parts (j + m) (count + 1)
         in
+        let parts = parts 0 1 in
         (* reserve everything up front: the array, then one String object
            per part (see the GC-safety rule above) *)
         let nparts = List.length parts in
@@ -117,16 +120,14 @@ let string_natives vm0 =
       fun vm _t args ->
         let s = str_exn vm args.(0) "startsWith" in
         let p = str_exn vm args.(1) "startsWith" in
-        State.N_val
-          (Value.of_bool
-             (String.length p <= String.length s
-             && String.sub s 0 (String.length p) = p)) );
+        State.N_val (Value.of_bool (matches_at s 0 p)) );
     ( "String.endsWith(LString;)Z",
       fun vm _t args ->
         let s = str_exn vm args.(0) "endsWith" in
         let p = str_exn vm args.(1) "endsWith" in
-        let n = String.length s and m = String.length p in
-        State.N_val (Value.of_bool (m <= n && String.sub s (n - m) m = p)) );
+        State.N_val
+          (Value.of_bool
+             (matches_at s (String.length s - String.length p) p)) );
     ( "String.trim()LString;",
       fun vm _t args -> ret_string vm (String.trim (str_exn vm args.(0) "trim"))
     );
@@ -134,12 +135,7 @@ let string_natives vm0 =
       fun vm _t args ->
         let s = str_exn vm args.(0) "contains" in
         let p = str_exn vm args.(1) "contains" in
-        let n = String.length s and m = String.length p in
-        let rec go i =
-          if i + m > n then false
-          else String.sub s i m = p || go (i + 1)
-        in
-        State.N_val (Value.of_bool (go 0)) );
+        State.N_val (Value.of_bool (find_from s p 0 >= 0)) );
     ( "String.toInt()I",
       fun vm _t args ->
         let s = String.trim (str_exn vm args.(0) "toInt") in

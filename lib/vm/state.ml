@@ -71,6 +71,12 @@ module Strtbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* A concat memo for a table of [n] strings: the smallest power of two
+   >= 2n slots, at least 64, all empty (sid -1). *)
+let concat_memo_for n =
+  let rec slots s = if s >= 2 * n then s else slots (2 * s) in
+  Array.make (3 * slots 64) (-1)
+
 (* --- threads --- *)
 
 type block_reason =
@@ -200,6 +206,10 @@ and t = {
   mutable strings : string array;
   mutable n_strings : int;
   string_ids : int Strtbl.t;
+  (* direct-mapped memo of [String.concat]: (sid a, sid b, sid of a ^ b)
+     triples, three words per slot, sized from the table
+     ([concat_memo_for]) *)
+  mutable concat_memo : int array;
   (* native implementations by dispatch key; read only to link a class's
      native methods when it is installed ([link_natives]) *)
   natives : (string, native_fn) Hashtbl.t;
@@ -316,6 +326,7 @@ let create ?(config = default_config) () =
     strings = Array.make 256 "";
     n_strings = 0;
     string_ids = Strtbl.create 256;
+    concat_memo = concat_memo_for 0;
     natives = Hashtbl.create 64;
     native_fns = [||];
     net = Simnet.create ();
@@ -377,6 +388,12 @@ let jtoc_set vm slot v = vm.jtoc.(slot) <- v
 
 (* --- string table -------------------------------------------------- *)
 
+(* Intern [s]: its sid, the slot of [vm.strings] that holds it.  Sids are
+   never reused: the table only grows, and nothing else writes a slot.
+   So a sid names one string for the life of the VM, which makes equal
+   contents equal sids ([String.equals] compares sids) and makes a
+   concatenation a pure function of its operands' sids ([concat_sid]
+   memoises it). *)
 let intern_string vm s =
   match Strtbl.find_opt vm.string_ids s with
   | Some sid -> sid
@@ -390,11 +407,35 @@ let intern_string vm s =
       vm.strings.(sid) <- s;
       vm.n_strings <- sid + 1;
       Strtbl.replace vm.string_ids s sid;
+      if 2 * vm.n_strings > Array.length vm.concat_memo / 3 then
+        vm.concat_memo <- concat_memo_for vm.n_strings;
       sid
 
 let string_of_sid vm sid =
   if sid < 0 || sid >= vm.n_strings then fatal "bad string id %d" sid;
   vm.strings.(sid)
+
+(* The memo slot of the pair ([sa], [sb]): the index of its first word. *)
+let concat_slot memo sa sb =
+  let h = ((sa * 0x9E3779B1) + sb) * 0x2545F491 in
+  3 * ((h lxor (h lsr 23)) land ((Array.length memo / 3) - 1))
+
+(* The sid of [string_of_sid sa ^ string_of_sid sb], interning it on a
+   memo miss. *)
+let concat_sid vm sa sb =
+  let memo = vm.concat_memo in
+  let i = concat_slot memo sa sb in
+  if memo.(i) = sa && memo.(i + 1) = sb then memo.(i + 2)
+  else begin
+    let sid = intern_string vm (string_of_sid vm sa ^ string_of_sid vm sb) in
+    (* interning may have replaced the memo *)
+    let memo = vm.concat_memo in
+    let i = concat_slot memo sa sb in
+    memo.(i) <- sa;
+    memo.(i + 1) <- sb;
+    memo.(i + 2) <- sid;
+    sid
+  end
 
 (* --- native dispatch ------------------------------------------------- *)
 
@@ -548,9 +589,12 @@ let alloc_string_sid vm sid =
 
 let alloc_string vm s = alloc_string_sid vm (intern_string vm s)
 
-let string_of_obj vm addr =
+let sid_of_obj vm addr =
   let sid = Value.to_int (Heap.get vm.heap ~addr ~off:Heap.header_words) in
-  string_of_sid vm sid
+  if sid < 0 || sid >= vm.n_strings then fatal "bad string id %d" sid;
+  sid
+
+let string_of_obj vm addr = vm.strings.(sid_of_obj vm addr)
 
 (* --- threads -------------------------------------------------------- *)
 

@@ -594,6 +594,42 @@ let verifier_catches_corruption () =
       Alcotest.failf "update on a corrupted heap should abort, got %s"
         (J.Jvolve.outcome_to_string o)
 
+(* A String object's one field is its string-table index (sid): the
+   verifier reports a sid past the table, once, naming the field's
+   word. *)
+let verifier_catches_bad_string_id () =
+  let vm =
+    boot_payload
+      {|
+class Keeper { static String s; }
+class Main {
+  static void main() {
+    Keeper.s = "k" + Sys.time();
+    for (int i = 0; i < 2000; i = i + 1) { Thread.yieldNow(); }
+  }
+}
+|}
+  in
+  VM.Vm.run vm ~rounds:10;
+  Alcotest.(check bool)
+    "healthy heap verifies" true (VM.Heapverify.run vm).VM.Heapverify.hv_ok;
+  let s = find_instance vm "String" in
+  let n = vm.VM.State.n_strings in
+  VM.Heap.set vm.VM.State.heap ~addr:s ~off:VM.Heap.header_words
+    (VM.Value.of_int n);
+  let rep = VM.Heapverify.run vm in
+  Alcotest.(check bool) "corruption detected" false rep.VM.Heapverify.hv_ok;
+  Alcotest.(check int) "one issue" 1 rep.VM.Heapverify.hv_total_issues;
+  match rep.VM.Heapverify.hv_issues with
+  | [ i ] ->
+      Alcotest.(check string)
+        "issue names the sid"
+        (Printf.sprintf
+           "String@%d: string id %d names no string-table slot (%d strings)" s
+           n n)
+        (VM.Heapverify.issue_to_string i)
+  | _ -> Alcotest.fail "expected one issue"
+
 (* --- quarantine in a fleet ----------------------------------------------- *)
 
 let fleet_quarantines_corrupted_instance () =
@@ -685,6 +721,8 @@ let suite =
       copy_path_gauntlet;
     Alcotest.test_case "verifier: corrupted ref field sinks the update"
       `Quick verifier_catches_corruption;
+    Alcotest.test_case "verifier: corrupted string id is reported" `Quick
+      verifier_catches_bad_string_id;
     Alcotest.test_case "fleet: unreliable rollback is quarantined" `Quick
       fleet_quarantines_corrupted_instance;
   ]
