@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke examples-smoke perf-smoke table1-smoke profile clean
+.PHONY: all check test bench bench-smoke experience-smoke chaos-smoke safety-smoke guard-smoke gossip-smoke store-smoke lazy-smoke confree-smoke heal-smoke baseline-smoke examples-smoke perf-smoke table1-smoke profile clean
 
 all:
 	dune build @all
@@ -23,6 +23,20 @@ bench-smoke:
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe fleet
 	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe fig5 \
 	  | grep -q "core_update_pause_ms_count"
+
+# Update-experience probe (paper §4, Tables 2-5): every release of the
+# four apps is applied as a dynamic update under load, one boot per rung
+# from the shared app descriptors.  Exactly one rung (miniftp 1.07 ->
+# 1.08, whose sessions keep the changed handler on stack) needs the idle
+# retry, and a method-body-only system supports 10 of the 26; an app
+# missing from the list, or a rung whose outcome moved, changes these
+# counts.
+experience-smoke: | _build
+	JVOLVE_BENCH_QUICK=1 dune exec bench/main.exe experience \
+	  | tee _build/experience-smoke.out
+	grep -q "Jvolve applied 25 of 26 updates under load; 1 more applied when idle -> 26 of 26 total" \
+	  _build/experience-smoke.out
+	grep -q "supports 10 of 26" _build/experience-smoke.out
 
 # Fixed-seed chaos probe: inject a fault into every update phase and a
 # 20% fault rate into a rolling rollout, then check that every abort

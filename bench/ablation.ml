@@ -18,24 +18,21 @@ module A = Jv_apps
 
 let osr_cases =
   [
-    (A.Experience.web_desc, "5.1.4", "5.1.5");
-    (A.Experience.mail_desc, "1.3.1", "1.3.2");
-    (A.Experience.mail_desc, "1.3.3", "1.3.4");
-    (A.Experience.ftp_desc, "1.06", "1.07");
+    (A.App.miniweb, "5.1.4", "5.1.5");
+    (A.App.minimail, "1.3.1", "1.3.2");
+    (A.App.minimail, "1.3.3", "1.3.4");
+    (A.App.miniftp, "1.06", "1.07");
   ]
 
 let try_update ?(use_osr = true) ?(use_barriers = true) desc ~from_version
     ~to_version =
-  let vm = A.Experience.boot_version desc ~version:from_version in
-  let loads = A.Experience.attach_loads vm desc ~concurrency:4 in
+  let vm = A.App.boot desc (A.App.compile desc ~version:from_version) in
+  let loads = A.App.attach vm desc ~concurrency:4 in
   VM.Vm.run vm ~rounds:40;
   let spec =
-    A.Common.spec
-      ~overrides:(desc.A.Experience.d_overrides ~to_version)
-      ~version_tag:(A.Common.version_tag from_version)
-      ~old_program:(Support.compile_version desc.A.Experience.d_versioned ~version:from_version)
-      ~new_program:(Support.compile_version desc.A.Experience.d_versioned ~version:to_version)
-      ()
+    A.App.spec desc ~from_version ~to_version
+      ~old_program:(A.App.compile desc ~version:from_version)
+      ~new_program:(A.App.compile desc ~version:to_version)
   in
   let t_req = vm.VM.State.ticks in
   let h = J.Jvolve.update_now ~use_osr ~use_barriers ~timeout_rounds:120 vm spec in
@@ -60,7 +57,7 @@ let rec osr_ablation () =
         | J.Jvolve.Pending -> "pending"
       in
       Printf.printf "%-34s %-24s %-24s\n"
-        (Printf.sprintf "%s %s->%s" desc.A.Experience.d_name f t)
+        (Printf.sprintf "%s %s->%s" desc.A.App.pr_name f t)
         (s on) (s off))
     osr_cases;
   Printf.printf
@@ -107,7 +104,7 @@ class Main {
   let run_mode ~opt_osr =
     let config =
       {
-        A.Experience.default_config with
+        A.App.default_config with
         VM.State.opt_threshold = 3;
         opt_osr;
       }
@@ -143,7 +140,7 @@ let barrier_ablation () =
      its handle() returns, ratcheting the system toward the safe point;
      without them the update needs every thread clear *simultaneously*,
      which staggered load never offers *)
-  let case = (A.Experience.web_desc, "5.1.4", "5.1.5") in
+  let case = (A.App.miniweb, "5.1.4", "5.1.5") in
   let desc, f, t = case in
   let h_on, rounds_on = try_update desc ~from_version:f ~to_version:t in
   let h_off, rounds_off =
@@ -217,16 +214,15 @@ let eager_vs_lazy () =
 let warmup () =
   Support.section
     "Ablation 4: post-update recompilation warm-up (adaptive system)";
-  let vm = A.Experience.boot_version A.Experience.web_desc ~version:"5.1.5" in
-  let w =
-    A.Workload.attach vm ~port:A.Miniweb.protocol_port
-      ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:6 ()
+  let vm =
+    A.App.boot A.App.miniweb (A.App.compile A.App.miniweb ~version:"5.1.5")
   in
+  let w = List.hd (A.App.attach vm A.App.miniweb ~concurrency:6) in
   VM.Vm.run vm ~rounds:300;
   let spec =
     J.Spec.make ~version_tag:"515"
-      ~old_program:(Support.compile_version A.Miniweb.app ~version:"5.1.5")
-      ~new_program:(Support.compile_version A.Miniweb.app ~version:"5.1.6")
+      ~old_program:(A.App.compile A.App.miniweb ~version:"5.1.5")
+      ~new_program:(A.App.compile A.App.miniweb ~version:"5.1.6")
       ()
   in
   let base0 = vm.VM.State.compile_count

@@ -33,19 +33,19 @@ let phases =
    verifier on: a fault-induced rollback that corrupts the heap fails
    the abort audit instead of passing silently *)
 let chaos_config =
-  { A.Experience.default_config with VM.State.verify_heap = true }
+  { A.App.default_config with VM.State.verify_heap = true }
 
 let boot_web_loaded ?(config = chaos_config) ?(version = "5.1.1") () =
-  let d = A.Experience.web_desc in
-  let vm = A.Experience.boot_version ~config d ~version in
-  let loads = A.Experience.attach_loads vm d ~concurrency:4 in
+  let d = A.App.miniweb in
+  let vm = A.App.boot ~config d (A.App.compile d ~version) in
+  let loads = A.App.attach vm d ~concurrency:4 in
   VM.Vm.run vm ~rounds:80;
   (vm, loads)
 
 let web_spec ?(from = "5.1.1") ?(to_ = "5.1.2") ~tag () =
   J.Spec.make ~version_tag:tag
-    ~old_program:(Support.compile_version A.Miniweb.app ~version:from)
-    ~new_program:(Support.compile_version A.Miniweb.app ~version:to_)
+    ~old_program:(A.App.compile A.App.miniweb ~version:from)
+    ~new_program:(A.App.compile A.App.miniweb ~version:to_)
     ()
 
 (* The lazy row: 5.1.2 -> 5.1.3 (5.1.2 changes no class layout) commits
@@ -150,8 +150,8 @@ let rates = if Support.quick then [ 0.0; 0.2 ] else [ 0.0; 0.05; 0.1; 0.2 ]
 let boot_fleet ~size =
   let fleet =
     F.Fleet.create
-      ~config:{ F.Instance.default_config with VM.State.verify_heap = true }
-      ~policy:F.Lb.Round_robin ~profile:F.Profile.miniweb ~version:"5.1.1"
+      ~config:{ A.App.default_config with VM.State.verify_heap = true }
+      ~policy:F.Lb.Round_robin ~profile:A.App.miniweb ~version:"5.1.1"
       ~size ()
   in
   F.Fleet.run fleet ~rounds:30;

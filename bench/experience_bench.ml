@@ -17,7 +17,7 @@
 module A = Jv_apps
 module J = Jvolve_core
 
-let table_for (desc : A.Experience.app_desc) ~title =
+let table_for (desc : A.App.t) ~title =
   Support.section title;
   let attempts =
     A.Experience.run_app ~loaded:true desc
@@ -53,34 +53,36 @@ let table_for (desc : A.Experience.app_desc) ~title =
     attempts;
   attempts
 
+(* What each app stands for in the paper's tables. *)
+let analogues =
+  [
+    ("miniweb", "Jetty analogue");
+    ("minimail", "JavaEmailServer analogue");
+    ("miniftp", "CrossFTP analogue");
+    ("ministore", "stateful KV store, schema-migration ladder");
+  ]
+
 let run () =
-  let web =
-    table_for A.Experience.web_desc
-      ~title:"Table 2: summary of updates to miniweb (Jetty analogue)"
-  in
-  let mail =
-    table_for A.Experience.mail_desc
-      ~title:"Table 3: summary of updates to minimail (JavaEmailServer \
-              analogue)"
-  in
-  let ftp =
-    table_for A.Experience.ftp_desc
-      ~title:"Table 4: summary of updates to miniftp (CrossFTP analogue)"
-  in
-  let store =
-    table_for A.Experience.store_desc
-      ~title:"Table 5: summary of updates to ministore (stateful KV store, \
-              schema-migration ladder)"
+  let tables =
+    List.concat
+      (List.mapi
+         (fun i (d : A.App.t) ->
+           table_for d
+             ~title:
+               (Printf.sprintf "Table %d: summary of updates to %s (%s)"
+                  (i + 2) d.A.App.pr_name
+                  (List.assoc d.A.App.pr_name analogues)))
+         A.App.all)
   in
   Support.section "Experience summary (paper §4)";
-  let all = List.map fst (web @ mail @ ftp @ store) in
+  let all = List.map fst tables in
   let idle_rescued =
     List.concat_map
       (fun (_, i) -> match i with
         | Some ({ A.Experience.a_outcome = A.Experience.Applied _; _ } as x) ->
             [ x ]
         | _ -> [])
-      (web @ mail @ ftp @ store)
+      tables
   in
   let applied, hotswap, total = A.Experience.summary all in
   let applied_counting_idle = applied + List.length idle_rescued in

@@ -33,10 +33,7 @@ type trial = { mbps : float; lat_ms : float }
 
 let measure_window vm ~rounds : trial =
   Jv_simnet.Simnet.reset_stats vm.VM.State.net;
-  let w =
-    A.Workload.attach vm ~port:A.Miniweb.protocol_port
-      ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:8 ()
-  in
+  let w = List.hd (A.App.attach vm A.App.miniweb ~concurrency:8) in
   let t0 = Support.now () in
   VM.Vm.run vm ~rounds;
   let wall = Support.now () -. t0 in
@@ -53,23 +50,23 @@ let measure_window vm ~rounds : trial =
   }
 
 let trial_stock ~rounds () =
-  let vm = A.Experience.boot_version A.Experience.web_desc ~version:to_version in
+  let vm =
+    A.App.boot A.App.miniweb (A.App.compile A.App.miniweb ~version:to_version)
+  in
   measure_window vm ~rounds
 
 let trial_updated ~rounds () =
   let vm =
-    A.Experience.boot_version A.Experience.web_desc ~version:from_version
+    A.App.boot A.App.miniweb
+      (A.App.compile A.App.miniweb ~version:from_version)
   in
   (* run under a warmup load, apply the dynamic update, then measure *)
-  let w =
-    A.Workload.attach vm ~port:A.Miniweb.protocol_port
-      ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:8 ()
-  in
+  let w = List.hd (A.App.attach vm A.App.miniweb ~concurrency:8) in
   VM.Vm.run vm ~rounds:50;
   let spec =
     J.Spec.make ~version_tag:"515"
-      ~old_program:(Support.compile_version A.Miniweb.app ~version:from_version)
-      ~new_program:(Support.compile_version A.Miniweb.app ~version:to_version)
+      ~old_program:(A.App.compile A.App.miniweb ~version:from_version)
+      ~new_program:(A.App.compile A.App.miniweb ~version:to_version)
       ()
   in
   let h = J.Jvolve.update_now vm spec in

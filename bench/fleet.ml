@@ -13,6 +13,7 @@
      blacklist on one instance) reverts the already-updated instances
      with inverse specs *)
 
+module A = Jv_apps
 module F = Jv_fleet
 module G = Jv_gossip
 module J = Jvolve_core
@@ -77,7 +78,7 @@ let rolling () =
   List.iter
     (fun size ->
       let fleet =
-        boot_under_load ~profile:F.Profile.miniweb ~version:"5.1.1" ~size ()
+        boot_under_load ~profile:A.App.miniweb ~version:"5.1.1" ~size ()
       in
       let req0 = F.Fleet.total_requests fleet in
       let r =
@@ -94,7 +95,9 @@ let canary () =
     "FLEET: canary deployment (miniweb 5.1.4 -> 5.1.5, 2 canaries)";
   let size = if Support.quick then 4 else 6 in
   let observe_rounds = if Support.quick then 150 else 300 in
-  let fleet = boot_under_load ~profile:F.Profile.miniweb ~version:"5.1.4" ~size () in
+  let fleet =
+    boot_under_load ~profile:A.App.miniweb ~version:"5.1.4" ~size ()
+  in
   let req0 = F.Fleet.total_requests fleet in
   let r =
     F.Orchestrator.run
@@ -116,8 +119,8 @@ let halt_on_abort () =
   let fleet =
     boot_under_load
       ~config:
-        { F.Instance.default_config with Jv_vm.State.confree = false }
-      ~profile:F.Profile.miniweb ~version:"5.1.2" ~size ()
+        { A.App.default_config with Jv_vm.State.confree = false }
+      ~profile:A.App.miniweb ~version:"5.1.2" ~size ()
   in
   let req0 = F.Fleet.total_requests fleet in
   let params =
@@ -137,7 +140,9 @@ let rollback_mid_rollout () =
   Support.section
     "FLEET: automatic rollback (abort injected on instance 2 mid-rollout)";
   let size = 4 in
-  let fleet = boot_under_load ~profile:F.Profile.miniweb ~version:"5.1.1" ~size () in
+  let fleet =
+    boot_under_load ~profile:A.App.miniweb ~version:"5.1.1" ~size ()
+  in
   let req0 = F.Fleet.total_requests fleet in
   (* instance 2's safe-point check is poisoned with a blacklist on
      ThreadedServer.run (the accept loop — always on stack), so
@@ -196,7 +201,7 @@ let open_loop_quantile fleet q =
 (* Boot a fleet on [version] and put it under open-loop load at
    [rate] arrivals per round; returns (fleet, open-loop client). *)
 let boot_open_loop ~version ~size ~rate =
-  let profile = F.Profile.miniweb in
+  let profile = A.App.miniweb in
   let fleet =
     F.Fleet.create ~policy:F.Lb.Round_robin ~profile ~version ~size ()
   in
@@ -205,8 +210,8 @@ let boot_open_loop ~version ~size ~rate =
     Client.create
       ~net:(F.Lb.front (F.Fleet.lb fleet))
       ~port:F.Fleet.default_lb_port
-      ~script:[ List.hd profile.F.Profile.pr_script ]
-      ~ok:profile.F.Profile.pr_ok
+      ~script:[ List.hd profile.A.App.pr_script ]
+      ~ok:profile.A.App.pr_ok
       ~arrivals:(Client.Open { rate })
       ~on_reply:(fun rounds _ ->
         Obs.observe_int (F.Fleet.obs fleet) open_loop_histogram rounds)
@@ -460,7 +465,7 @@ let heal_durability () =
      catch-up through a missed 1.0 -> 1.1 hop)";
   let size = 4 in
   let fleet =
-    boot_under_load ~profile:F.Profile.ministore ~version:"1.0" ~size ()
+    boot_under_load ~profile:A.App.ministore ~version:"1.0" ~size ()
   in
   let req0 = F.Fleet.total_requests fleet in
   let r =

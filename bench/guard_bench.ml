@@ -114,14 +114,14 @@ let overhead () =
      conditions)";
   let rounds = if Support.quick then 400 else 1500 in
   let measure ~guarded =
-    let d = A.Experience.web_desc in
-    let vm = A.Experience.boot_version d ~version:"5.1.1" in
-    let loads = A.Experience.attach_loads vm d ~concurrency:4 in
+    let d = A.App.miniweb in
+    let vm = A.App.boot d (A.App.compile d ~version:"5.1.1") in
+    let loads = A.App.attach vm d ~concurrency:4 in
     VM.Vm.run vm ~rounds:80;
     let spec =
       J.Spec.make ~version_tag:"511"
-        ~old_program:(Support.compile_version A.Miniweb.app ~version:"5.1.1")
-        ~new_program:(Support.compile_version A.Miniweb.app ~version:"5.1.2")
+        ~old_program:(A.App.compile A.App.miniweb ~version:"5.1.1")
+        ~new_program:(A.App.compile A.App.miniweb ~version:"5.1.2")
         ()
     in
     let h =
@@ -159,15 +159,15 @@ let bad_update () =
     (Printf.sprintf
        "GUARD: end-to-end bad update (miniweb 5.1.10 -> %s, auto-revert)"
        A.Miniweb.bad_update);
-  let d = A.Experience.web_desc in
-  let vm = A.Experience.boot_version d ~version:"5.1.10" in
-  let w = List.hd (A.Experience.attach_loads vm d ~concurrency:4) in
+  let d = A.App.miniweb in
+  let vm = A.App.boot d (A.App.compile d ~version:"5.1.10") in
+  let w = List.hd (A.App.attach vm d ~concurrency:4) in
   VM.Vm.run vm ~rounds:120;
   let spec =
     J.Spec.make ~version_tag:"5110"
-      ~old_program:(Support.compile_version A.Miniweb.app ~version:"5.1.10")
+      ~old_program:(A.App.compile A.App.miniweb ~version:"5.1.10")
       ~new_program:
-        (Support.compile_version A.Miniweb.app ~version:A.Miniweb.bad_update)
+        (A.App.compile A.App.miniweb ~version:A.Miniweb.bad_update)
       ()
   in
   let h =

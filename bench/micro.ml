@@ -60,10 +60,10 @@ class Main {
   vm
 
 let web_vm () =
-  let vm = A.Experience.boot_version A.Experience.web_desc ~version:"5.1.6" in
-  ignore
-    (A.Workload.attach vm ~port:A.Miniweb.protocol_port
-       ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:4 ());
+  let vm =
+    A.App.boot A.App.miniweb (A.App.compile A.App.miniweb ~version:"5.1.6")
+  in
+  ignore (A.App.attach vm A.App.miniweb ~concurrency:4);
   vm
 
 let transformer_vm () =
@@ -94,8 +94,8 @@ let tests () =
   let vm_unchecked = loop_vm ~indirection:false in
   let web = web_vm () in
   let tvm, tm, ta, tb = transformer_vm () in
-  let web_old = Support.compile_version A.Miniweb.app ~version:"5.1.4" in
-  let web_new = Support.compile_version A.Miniweb.app ~version:"5.1.5" in
+  let web_old = A.App.compile A.App.miniweb ~version:"5.1.4" in
+  let web_new = A.App.compile A.App.miniweb ~version:"5.1.5" in
   [
     Test.make ~name:"table1.gc-collect"
       (Staged.stage (fun () -> ignore (VM.Gc.collect gc_vm)));

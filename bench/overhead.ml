@@ -26,15 +26,15 @@ module B = Jv_baseline
 let run_mode ~indirection ~target =
   let config =
     {
-      A.Experience.default_config with
+      A.App.default_config with
       VM.State.indirection_mode = indirection;
     }
   in
-  let vm = A.Experience.boot_version ~config A.Experience.web_desc ~version:"5.1.6" in
-  let w =
-    A.Workload.attach vm ~port:A.Miniweb.protocol_port
-      ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:6 ()
+  let vm =
+    A.App.boot ~config A.App.miniweb
+      (A.App.compile A.App.miniweb ~version:"5.1.6")
   in
+  let w = List.hd (A.App.attach vm A.App.miniweb ~concurrency:6) in
   VM.Vm.run vm ~rounds:200 (* warm-up *);
   let base_reqs = w.A.Workload.load.completed_requests in
   let checks0 = vm.VM.State.deref_checks in
@@ -51,7 +51,7 @@ let run_mode ~indirection ~target =
 let run_lazy ~target =
   let config =
     {
-      A.Experience.default_config with
+      A.App.default_config with
       VM.State.indirection_mode = true;
     }
   in
@@ -59,13 +59,14 @@ let run_lazy ~target =
      objects in the store migrate lazily when the delivery path first
      touches them *)
   let vm =
-    A.Experience.boot_version ~config A.Experience.mail_desc ~version:"1.3.3"
+    A.App.boot ~config A.App.minimail
+      (A.App.compile A.App.minimail ~version:"1.3.3")
   in
   VM.Vm.run vm ~rounds:10;
   let spec =
     J.Spec.make ~version_tag:"133"
-      ~old_program:(Support.compile_version A.Minimail.app ~version:"1.3.3")
-      ~new_program:(Support.compile_version A.Minimail.app ~version:"1.3.4")
+      ~old_program:(A.App.compile A.App.minimail ~version:"1.3.3")
+      ~new_program:(A.App.compile A.App.minimail ~version:"1.3.4")
       ()
   in
   let prepared = J.Transformers.prepare spec in
@@ -98,16 +99,15 @@ let run_lazy ~target =
 
 let update_phase_breakdown () =
   (* one representative update; report the paper's phase claims *)
-  let vm = A.Experience.boot_version A.Experience.web_desc ~version:"5.1.5" in
-  let w =
-    A.Workload.attach vm ~port:A.Miniweb.protocol_port
-      ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:4 ()
+  let vm =
+    A.App.boot A.App.miniweb (A.App.compile A.App.miniweb ~version:"5.1.5")
   in
+  let w = List.hd (A.App.attach vm A.App.miniweb ~concurrency:4) in
   VM.Vm.run vm ~rounds:40;
   let spec =
     J.Spec.make ~version_tag:"515"
-      ~old_program:(Support.compile_version A.Miniweb.app ~version:"5.1.5")
-      ~new_program:(Support.compile_version A.Miniweb.app ~version:"5.1.6")
+      ~old_program:(A.App.compile A.App.miniweb ~version:"5.1.5")
+      ~new_program:(A.App.compile A.App.miniweb ~version:"5.1.6")
       ()
   in
   let h = J.Jvolve.update_now vm spec in

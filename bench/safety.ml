@@ -78,20 +78,13 @@ let admission_latency () =
   Printf.printf "    %-10s %-18s %8s %8s %8s %10s\n" "app" "update" "checks"
     "rejects" "warns" "review ms";
   List.iter
-    (fun (d : A.Experience.app_desc) ->
-      A.Patching.update_pairs d.A.Experience.d_versioned
+    (fun (d : A.App.t) ->
+      A.Patching.update_pairs d.A.App.pr_versioned
       |> List.iter (fun ((from_v, _), (to_v, _)) ->
              let spec =
-               A.Common.spec
-                 ~overrides:(d.A.Experience.d_overrides ~to_version:to_v)
-                 ~version_tag:(A.Common.version_tag to_v)
-                 ~old_program:
-                   (Support.compile_version d.A.Experience.d_versioned
-                      ~version:from_v)
-                 ~new_program:
-                   (Support.compile_version d.A.Experience.d_versioned
-                      ~version:to_v)
-                 ()
+               A.App.spec d ~from_version:from_v ~to_version:to_v
+                 ~old_program:(A.App.compile d ~version:from_v)
+                 ~new_program:(A.App.compile d ~version:to_v)
              in
              let p = J.Transformers.prepare spec in
              let rep = J.Admission.review p in
@@ -102,11 +95,11 @@ let admission_latency () =
                     rep.J.Admission.a_verdicts)
              in
              Printf.printf "    %-10s %-18s %8d %8d %8d %10.3f\n"
-               d.A.Experience.d_name
+               d.A.App.pr_name
                (from_v ^ " -> " ^ to_v)
                rep.J.Admission.a_checks (count J.Admission.Reject)
                (count J.Admission.Warn) rep.J.Admission.a_ms))
-    A.Experience.all_apps
+    A.App.all
 
 (* --- section 3: the fault gauntlet -------------------------------------- *)
 
@@ -114,9 +107,9 @@ let admission_latency () =
    transformers actually run (same pairs the chaos suite uses). *)
 let gauntlet_pairs =
   [
-    (A.Experience.web_desc, "5.1.4", "5.1.5");
-    (A.Experience.mail_desc, "1.3.1", "1.3.2");
-    (A.Experience.ftp_desc, "1.06", "1.07");
+    (A.App.miniweb, "5.1.4", "5.1.5");
+    (A.App.minimail, "1.3.1", "1.3.2");
+    (A.App.miniftp, "1.06", "1.07");
   ]
 
 let gauntlet_points = [ "transformer.loop"; "transformer.throw";
@@ -127,12 +120,12 @@ let gauntlet () =
     "SAFETY: fault gauntlet (looping / throwing / bad-write transformers)";
   let contained = ref 0 and dirty = ref 0 and total = ref 0 in
   List.iter
-    (fun ((d : A.Experience.app_desc), from_v, to_v) ->
+    (fun ((d : A.App.t), from_v, to_v) ->
       let config =
-        { A.Experience.default_config with VM.State.verify_heap = true }
+        { A.App.default_config with VM.State.verify_heap = true }
       in
-      let vm = A.Experience.boot_version ~config d ~version:from_v in
-      let loads = A.Experience.attach_loads vm d ~concurrency:3 in
+      let vm = A.App.boot ~config d (A.App.compile d ~version:from_v) in
+      let loads = A.App.attach vm d ~concurrency:3 in
       VM.Vm.run vm ~rounds:60;
       List.iteri
         (fun k point ->
@@ -142,15 +135,10 @@ let gauntlet () =
           VM.Vm.set_faults vm (Some plan);
           let spec =
             A.Common.spec
-              ~overrides:(d.A.Experience.d_overrides ~to_version:to_v)
+              ~overrides:(d.A.App.pr_overrides ~to_version:to_v)
               ~version_tag:(Printf.sprintf "g%d" k)
-              ~old_program:
-                (Support.compile_version d.A.Experience.d_versioned
-                   ~version:from_v)
-              ~new_program:
-                (Support.compile_version d.A.Experience.d_versioned
-                   ~version:to_v)
-              ()
+              ~old_program:(A.App.compile d ~version:from_v)
+              ~new_program:(A.App.compile d ~version:to_v) ()
           in
           let h = J.Jvolve.update_now ~timeout_rounds:400 vm spec in
           VM.Vm.set_faults vm None;
@@ -169,14 +157,14 @@ let gauntlet () =
               then incr contained;
               Printf.printf
                 "    %-10s %-22s -> aborted [%s] %s, heap %s, %s\n"
-                d.A.Experience.d_name point
+                d.A.App.pr_name point
                 (J.Updater.phase_to_string a.J.Updater.a_phase)
                 (if clean then "rolled back" else "ROLLBACK DIRTY")
                 (if rep.VM.Heapverify.hv_ok then "verified" else "CORRUPT")
                 (if serving then "still serving" else "NOT SERVING")
           | o ->
               Printf.printf "    %-10s %-22s -> UNEXPECTED: %s\n"
-                d.A.Experience.d_name point
+                d.A.App.pr_name point
                 (J.Jvolve.outcome_to_string o)))
         gauntlet_points)
     gauntlet_pairs;
@@ -192,20 +180,17 @@ let gauntlet () =
 let guard_window_verify () =
   Support.section
     "SAFETY: heap verifier across an open guard window (retained update log)";
-  let d = A.Experience.web_desc in
+  let d = A.App.miniweb in
   let config =
-    { A.Experience.default_config with VM.State.verify_heap = true }
+    { A.App.default_config with VM.State.verify_heap = true }
   in
-  let vm = A.Experience.boot_version ~config d ~version:"5.1.4" in
-  ignore (A.Experience.attach_loads vm d ~concurrency:3);
+  let vm = A.App.boot ~config d (A.App.compile d ~version:"5.1.4") in
+  ignore (A.App.attach vm d ~concurrency:3);
   VM.Vm.run vm ~rounds:60;
   let spec =
     J.Spec.make ~version_tag:"514"
-      ~old_program:
-        (Support.compile_version d.A.Experience.d_versioned ~version:"5.1.4")
-      ~new_program:
-        (Support.compile_version d.A.Experience.d_versioned ~version:"5.1.5")
-      ()
+      ~old_program:(A.App.compile d ~version:"5.1.4")
+      ~new_program:(A.App.compile d ~version:"5.1.5") ()
   in
   let budget =
     {

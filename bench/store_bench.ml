@@ -24,16 +24,12 @@ module F = Jv_fleet
 module G = Jv_gossip
 module Faults = Jv_faults.Faults
 
-let compile ~version =
-  Jv_lang.Compile.compile_program (A.Patching.source A.Ministore.app ~version)
+let compile ~version = A.App.compile A.App.ministore ~version
 
 let spec_for ~from_version ~to_version =
-  A.Common.spec
-    ~overrides:(A.Ministore.overrides ~to_version)
-    ~version_tag:(A.Common.version_tag from_version)
+  A.App.spec A.App.ministore ~from_version ~to_version
     ~old_program:(compile ~version:from_version)
     ~new_program:(compile ~version:to_version)
-    ()
 
 let ladder = [ ("1.0", "1.1"); ("1.1", "1.2"); ("1.2", "1.3") ]
 
@@ -43,9 +39,9 @@ let run_ladder () =
   Support.section
     "STORE: schema-migration ladder (1.0 -> 1.1 -> 1.2 -> 1.3) on one \
      loaded VM";
-  let d = A.Experience.store_desc in
-  let vm = A.Experience.boot_version d ~version:"1.0" in
-  let loads = A.Experience.attach_loads vm d ~concurrency:3 in
+  let d = A.App.ministore in
+  let vm = A.App.boot d (A.App.compile d ~version:"1.0") in
+  let loads = A.App.attach vm d ~concurrency:3 in
   VM.Vm.run vm ~rounds:60;
   Printf.printf "    %-12s %10s %12s %12s %8s %8s\n" "migration" "objects"
     "pause ms" "served" "heap" "drops";
@@ -150,13 +146,16 @@ let populate vm ~n =
 let boot_store ?(words_per_rec = 18) ?(lazy_mode = false) ~n () =
   let config =
     {
-      A.Experience.default_config with
+      A.App.default_config with
       VM.State.heap_words = max (1 lsl 18) (n * words_per_rec);
       VM.State.lazy_update = lazy_mode;
       VM.State.lazy_sweep_budget = 256;
     }
   in
-  let vm = A.Experience.boot_version ~config A.Experience.store_desc ~version:"1.0" in
+  let vm =
+    A.App.boot ~config A.App.ministore
+      (A.App.compile A.App.ministore ~version:"1.0")
+  in
   VM.Vm.run vm ~rounds:20;
   populate vm ~n;
   (* warm both semi-spaces and quiesce the host GC so neither pollutes
@@ -264,7 +263,7 @@ let run_gossip_rollout () =
        "STORE: decentralized gossip rollout of a schema migration \
         (ministore 1.0 -> 1.1, %d instances, 10%% control-plane drop)"
        size);
-  let profile = F.Profile.ministore in
+  let profile = A.App.ministore in
   let fleet =
     F.Fleet.create ~policy:F.Lb.Round_robin ~profile ~version:"1.0" ~size ()
   in

@@ -24,7 +24,3 @@ let section title =
 (* Scale factor for quick runs: [JVOLVE_BENCH_QUICK=1] shrinks the long
    experiments so the whole suite finishes in well under a minute. *)
 let quick = Sys.getenv_opt "JVOLVE_BENCH_QUICK" <> None
-
-let compile_version versioned ~version =
-  Jv_lang.Compile.compile_program
-    (Jv_apps.Patching.source versioned ~version)

@@ -241,21 +241,16 @@ let fractions = [ 0; 10; 20; 30; 40; 50; 60; 70; 80; 90; 100 ]
 let confree_row ~confree =
   let module A = Jv_apps in
   let config =
-    { A.Experience.default_config with VM.State.confree }
+    { A.App.default_config with VM.State.confree }
   in
-  let d = A.Experience.web_desc in
-  let vm = A.Experience.boot_version ~config d ~version:"5.1.2" in
-  let loads = A.Experience.attach_loads vm d ~concurrency:4 in
+  let d = A.App.miniweb in
+  let vm = A.App.boot ~config d (A.App.compile d ~version:"5.1.2") in
+  let loads = A.App.attach vm d ~concurrency:4 in
   VM.Vm.run vm ~rounds:60;
-  let compile v =
-    Jv_lang.Compile.compile_program
-      (A.Patching.source d.A.Experience.d_versioned ~version:v)
-  in
   let spec =
-    A.Common.spec
-      ~overrides:(d.A.Experience.d_overrides ~to_version:"5.1.3")
-      ~version_tag:(A.Common.version_tag "5.1.2")
-      ~old_program:(compile "5.1.2") ~new_program:(compile "5.1.3") ()
+    A.App.spec d ~from_version:"5.1.2" ~to_version:"5.1.3"
+      ~old_program:(A.App.compile d ~version:"5.1.2")
+      ~new_program:(A.App.compile d ~version:"5.1.3")
   in
   let h = J.Jvolve.update_now ~timeout_rounds:150 vm spec in
   VM.Vm.run vm ~rounds:40;

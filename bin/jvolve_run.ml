@@ -21,30 +21,19 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-(* --trace          -> human-readable update/GC/OSR timeline on stderr
-   --trace=FILE     -> full JSONL event dump to FILE *)
-let emit_trace obs = function
-  | None -> ()
-  | Some "" ->
+(* Common tail: program output, trace/metrics export, stats, exit code.
+   --trace prints the update/GC/OSR timeline on stderr. *)
+let finish vm (o : Cli.t) ~failed =
+  print_string (VM.Vm.output vm);
+  let obs = VM.Vm.obs vm in
+  Cli.emit_trace o obs ~timeline:(fun () ->
       prerr_string
         (Jv_obs.Export.timeline
            ~scopes:[ "core.update"; "vm.gc"; "vm.osr"; "vm.dsu" ]
-           obs)
-  | Some file -> write_file file (Jv_obs.Export.jsonl obs)
-
-(* Common tail: program output, trace/metrics export, stats, exit code. *)
-let finish vm ~trace ~metrics ~verbose ~failed =
-  print_string (VM.Vm.output vm);
-  emit_trace (VM.Vm.obs vm) trace;
-  if metrics then print_string (Jv_obs.Export.prometheus (VM.Vm.obs vm));
+           obs));
+  if o.metrics then print_string (Jv_obs.Export.prometheus obs);
   let stats = VM.Vm.stats vm in
-  if verbose then begin
+  if o.verbose then begin
     Printf.eprintf
       "[jvolve] %d instructions, %d base compiles, %d opt compiles, %d \
        GCs, %d OSRs\n"
@@ -63,24 +52,10 @@ let finish vm ~trace ~metrics ~verbose ~failed =
    using the app's own transformer overrides (ministore's rungs are all
    schema migrations with custom forward and inverse transformers). *)
 let run_app_ladder ~app_name ~from_v ~to_v ~config ~plan ~guard
-    ~timeout_rounds ~admit_strict ~trace ~metrics ~verbose =
+    (o : Cli.t) =
   let lazy_mode = config.VM.State.lazy_update in
-  let d =
-    match
-      List.find_opt
-        (fun (d : A.Experience.app_desc) -> d.A.Experience.d_name = app_name)
-        A.Experience.all_apps
-    with
-    | Some d -> d
-    | None ->
-        Printf.eprintf "unknown app %s (have: %s)\n" app_name
-          (String.concat ", "
-             (List.map
-                (fun (d : A.Experience.app_desc) -> d.A.Experience.d_name)
-                A.Experience.all_apps));
-        exit 1
-  in
-  let versions = List.map fst d.A.Experience.d_versioned.A.Patching.versions in
+  let d = Cli.app app_name in
+  let versions = A.App.versions d in
   let index_of v =
     let rec go i = function
       | [] -> None
@@ -103,26 +78,22 @@ let run_app_ladder ~app_name ~from_v ~to_v ~config ~plan ~guard
           (String.concat ", " versions);
         exit 1
   in
-  let vm = A.Experience.boot_version ~config d ~version:from_v in
+  let vm = A.App.boot ~config d (A.App.compile d ~version:from_v) in
   VM.Vm.set_faults vm plan;
-  let loads = A.Experience.attach_loads vm d ~concurrency:4 in
+  let loads = A.App.attach vm d ~concurrency:4 in
   VM.Vm.run vm ~rounds:60;
-  let compile v =
-    Jv_lang.Compile.compile_program
-      (A.Patching.source d.A.Experience.d_versioned ~version:v)
-  in
+  let compile v = A.App.compile d ~version:v in
   let failures = ref 0 in
   List.iter
     (fun (f, t) ->
       let before = A.Experience.total_requests loads in
       let spec =
-        A.Common.spec
-          ~overrides:(d.A.Experience.d_overrides ~to_version:t)
-          ~version_tag:(A.Common.version_tag f)
-          ~old_program:(compile f) ~new_program:(compile t) ()
+        A.App.spec d ~from_version:f ~to_version:t ~old_program:(compile f)
+          ~new_program:(compile t)
       in
       let h =
-        J.Jvolve.update_now ~timeout_rounds ~admit_strict ?guard vm spec
+        J.Jvolve.update_now ~timeout_rounds:o.timeout_rounds
+          ~admit_strict:o.admit_strict ?guard vm spec
       in
       Printf.eprintf "[jvolve] %s %s -> %s: %s\n" app_name f t
         (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome);
@@ -164,49 +135,20 @@ let run_app_ladder ~app_name ~from_v ~to_v ~config ~plan ~guard
     "[jvolve] ladder complete: %d rung(s), %d failure(s), %d requests served\n"
     (List.length rungs) !failures
     (A.Experience.total_requests loads);
-  finish vm ~trace ~metrics ~verbose ~failed:(!failures > 0)
+  finish vm o ~failed:(!failures > 0)
 
 let run app from_v to_v path main_class rounds update_path at tag
-    transformers_path timeout_rounds admit_strict verify_heap
-    transformer_fuel lazy_update lazy_sweep_budget confree guard_rounds
-    guard_budget no_guard faults fault_seed trace metrics verbose =
+    transformers_path lazy_update lazy_sweep_budget (o : Cli.t) =
   try
-    let plan =
-      match faults with
-      | None -> None
-      | Some p -> (
-          match Jv_faults.Faults.parse ~seed:fault_seed p with
-          | Ok plan -> Some plan
-          | Error e ->
-              Printf.eprintf "bad fault plan: %s\n" e;
-              exit 1)
-    in
-    let guard =
-      if no_guard then None
-      else
-        match J.Guard.budget_of_string guard_budget with
-        | Error e ->
-            Printf.eprintf "bad --guard-budget: %s\n" e;
-            exit 1
-        | Ok b ->
-            Some
-              (J.Guard.config
-                 ~budget:{ b with J.Guard.b_rounds = guard_rounds }
-                 ())
+    let plan = Cli.plan o in
+    let guard = Cli.guard o in
+    let config base =
+      { (Cli.config o base) with VM.State.lazy_update; lazy_sweep_budget }
     in
     match app with
     | Some app_name ->
         run_app_ladder ~app_name ~from_v ~to_v
-          ~config:
-            {
-              A.Experience.default_config with
-              VM.State.verify_heap;
-              transformer_fuel;
-              lazy_update;
-              lazy_sweep_budget;
-              confree;
-            }
-          ~plan ~guard ~timeout_rounds ~admit_strict ~trace ~metrics ~verbose
+          ~config:(config A.App.default_config) ~plan ~guard o
     | None ->
     let path =
       match path with
@@ -216,17 +158,7 @@ let run app from_v to_v path main_class rounds update_path at tag
           exit 1
     in
     let old_program = Jv_lang.Compile.compile_program (read_file path) in
-    let config =
-      {
-        VM.State.default_config with
-        VM.State.verify_heap;
-        transformer_fuel;
-        lazy_update;
-        lazy_sweep_budget;
-        confree;
-      }
-    in
-    let vm = VM.Vm.create ~config () in
+    let vm = VM.Vm.create ~config:(config VM.State.default_config) () in
     VM.Vm.set_faults vm plan;
     VM.Vm.boot vm old_program;
     ignore (VM.Vm.spawn_main vm ~main_class);
@@ -241,7 +173,8 @@ let run app from_v to_v path main_class rounds update_path at tag
             ~new_program ()
         in
         let h =
-          J.Jvolve.update_now ~timeout_rounds ~admit_strict ?guard vm spec
+          J.Jvolve.update_now ~timeout_rounds:o.timeout_rounds
+            ~admit_strict:o.admit_strict ?guard vm spec
         in
         Printf.eprintf "[jvolve] update at round %d: %s\n" at
           (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome);
@@ -257,7 +190,7 @@ let run app from_v to_v path main_class rounds update_path at tag
         | Some pt -> Printf.eprintf "[jvolve] VM killed at %s\n" pt
         | None -> ());
         ignore (VM.Vm.run_to_quiescence ~max_rounds:(max 0 (rounds - at)) vm));
-    finish vm ~trace ~metrics ~verbose ~failed:false
+    finish vm o ~failed:false
   with
   | Jv_lang.Compile.Error e ->
       Printf.eprintf "compile error: %s\n" e;
@@ -314,30 +247,6 @@ let transformers_path =
   Arg.(value & opt (some file) None & info [ "transformers" ] ~docv:"FILE"
          ~doc:"Customized JvolveTransformers source (default: generated).")
 
-let timeout_rounds =
-  Arg.(value & opt int Jvolve_core.Jvolve.default_timeout_rounds
-         & info [ "timeout-rounds" ] ~docv:"N"
-             ~doc:"Abort the update if no safe point is reached within $(docv) \
-                   scheduler rounds (the paper's 15s abort timeout).")
-
-let admit_strict =
-  Arg.(value & flag & info [ "admit-strict" ]
-         ~doc:"Promote admission-control warnings (e.g. a field silently \
-               changing type across the update) to rejections.")
-
-let verify_heap =
-  Arg.(value & flag & info [ "verify-heap" ]
-         ~doc:"Walk the whole heap after the transform phase (and after \
-               any rollback) checking headers, reference-field types and \
-               statics; a failed verify aborts the update.")
-
-let transformer_fuel =
-  Arg.(value & opt int VM.State.default_config.VM.State.transformer_fuel
-         & info [ "transformer-fuel" ] ~docv:"N"
-             ~doc:"Machine-instruction budget per transformer invocation; \
-                   a transformer that exceeds it traps and the update \
-                   aborts.")
-
 let lazy_update =
   Arg.(value & flag & info [ "lazy" ]
          ~doc:"Commit updates lazily: the pause covers only metadata, \
@@ -352,84 +261,58 @@ let lazy_sweep_budget =
              ~doc:"With --lazy: heap objects the background sweeper visits \
                    per scheduler round.")
 
-let confree =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "confree" ]
-              ~doc:
-                "Run the static con-freeness (backward-compatibility) \
-                 analysis at admission time: changed methods whose old \
-                 bodies are proven safe to keep running across the commit \
-                 are subtracted from the restricted set, so always-on-stack \
-                 run() loops no longer block the safe point.  This is the \
-                 default." );
-          ( false,
-            info [ "no-confree" ]
-              ~doc:
-                "Disable the con-freeness analysis: every changed method \
-                 blocks the safe point wherever it is on stack (the \
-                 paper's baseline behaviour)." );
-        ])
-
-let guard_rounds =
-  Arg.(value & opt int J.Guard.default_budget.J.Guard.b_rounds
-         & info [ "guard-rounds" ] ~docv:"N"
-             ~doc:"Length of the post-commit guard window in scheduler \
-                   rounds: after a successful update the VM watches trap \
-                   rate, app errors, probe failures and p99 latency \
-                   against pre-update baselines, auto-reverting (inverse \
-                   update, replaying the retained update log) if a budget \
-                   trips.")
-
-let guard_budget =
-  Arg.(value & opt string "" & info [ "guard-budget" ] ~docv:"SPEC"
-         ~doc:"Guard error budget, comma-separated key=value pairs: \
-               rounds, traps, errors, probes, latency (factor), samples. \
-               E.g. 'traps=0,errors=2,latency=3'.  Unset keys keep their \
-               defaults.")
-
-let no_guard =
-  Arg.(value & flag & info [ "no-guard" ]
-         ~doc:"Commit updates immediately: no guard window, no retained \
-               update log, no automatic revert.")
-
-let faults =
-  Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"PLAN"
-         ~doc:"Arm a deterministic fault plan: comma-separated \
-               POINT=ACTION[@RATE][xCOUNT] rules, e.g. \
-               'updater.transform=raise', 'updater.*=raise@0.2', \
-               'net.link=delay:3@0.1x5'.  Actions: raise, kill, drop, \
-               delay:N.  A trailing * in POINT matches by prefix.")
-
-let fault_seed =
-  Arg.(value & opt int 42 & info [ "fault-seed" ] ~docv:"N"
-         ~doc:"Seed for the fault plan's RNG (same seed, same schedule).")
-
-let trace =
-  Arg.(value & opt ~vopt:(Some "") (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Print the update/GC/OSR flight-recorder timeline on \
-                   stderr; with $(docv), write the full JSON-lines event \
-                   dump there instead.")
-
-let metrics =
-  Arg.(value & flag & info [ "metrics" ]
-         ~doc:"Print a Prometheus-style snapshot of the VM's metrics.")
-
-let verbose =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print VM statistics.")
+let options =
+  Cli.term ~timeout_default:Jvolve_core.Jvolve.default_timeout_rounds
+    ~timeout_doc:
+      "Abort the update if no safe point is reached within $(docv) \
+       scheduler rounds (the paper's 15s abort timeout)."
+    ~verify_heap_doc:
+      "Walk the whole heap after the transform phase (and after any \
+       rollback) checking headers, reference-field types and statics; a \
+       failed verify aborts the update."
+    ~fuel_doc:
+      "Machine-instruction budget per transformer invocation; a \
+       transformer that exceeds it traps and the update aborts."
+    ~confree_doc:
+      "Run the static con-freeness (backward-compatibility) analysis at \
+       admission time: changed methods whose old bodies are proven safe to \
+       keep running across the commit are subtracted from the restricted \
+       set, so always-on-stack run() loops no longer block the safe point. \
+       \ This is the default."
+    ~no_confree_doc:
+      "Disable the con-freeness analysis: every changed method blocks the \
+       safe point wherever it is on stack (the paper's baseline \
+       behaviour)."
+    ~guard_rounds_doc:
+      "Length of the post-commit guard window in scheduler rounds: after a \
+       successful update the VM watches trap rate, app errors, probe \
+       failures and p99 latency against pre-update baselines, \
+       auto-reverting (inverse update, replaying the retained update log) \
+       if a budget trips."
+    ~guard_budget_doc:
+      "Guard error budget, comma-separated key=value pairs: rounds, traps, \
+       errors, probes, latency (factor), samples. E.g. \
+       'traps=0,errors=2,latency=3'.  Unset keys keep their defaults."
+    ~no_guard_doc:
+      "Commit updates immediately: no guard window, no retained update \
+       log, no automatic revert."
+    ~faults_doc:
+      "Arm a deterministic fault plan: comma-separated \
+       POINT=ACTION[@RATE][xCOUNT] rules, e.g. 'updater.transform=raise', \
+       'updater.*=raise@0.2', 'net.link=delay:3@0.1x5'.  Actions: raise, \
+       kill, drop, delay:N.  A trailing * in POINT matches by prefix."
+    ~trace_doc:
+      "Print the update/GC/OSR flight-recorder timeline on stderr; with \
+       $(docv), write the full JSON-lines event dump there instead."
+    ~metrics_doc:"Print a Prometheus-style snapshot of the VM's metrics."
+    ~verbose_doc:"Print VM statistics."
 
 let cmd =
   Cmd.v
     (Cmd.info "jvolve_run" ~doc:"Run MiniJava programs with dynamic updates")
     Term.(
       const run $ app_arg $ from_v $ to_v $ path $ main_class $ rounds
-      $ update_path $ at $ tag $ transformers_path $ timeout_rounds
-      $ admit_strict $ verify_heap $ transformer_fuel $ lazy_update
-      $ lazy_sweep_budget $ confree $ guard_rounds $ guard_budget $ no_guard
-      $ faults $ fault_seed $ trace $ metrics $ verbose)
+      $ update_path $ at $ tag $ transformers_path $ lazy_update
+      $ lazy_sweep_budget $ options)
 
 let () = exit (Cmd.eval' cmd)

@@ -21,7 +21,9 @@ module A = Jv_apps
 
 let () =
   (* boot minimail 1.3.1 and put it under load *)
-  let vm = A.Experience.boot_version A.Experience.mail_desc ~version:"1.3.1" in
+  let vm =
+    A.App.boot A.App.minimail (A.App.compile A.App.minimail ~version:"1.3.1")
+  in
   let smtp =
     A.Workload.attach vm ~port:A.Minimail.smtp_port
       ~script:A.Workload.smtp_script ~concurrency:3 ()
@@ -41,11 +43,9 @@ let () =
       ~object_overrides:[ ("User", A.Minimail.user_transformer_132) ]
       ~version_tag:"131"
       ~old_program:
-        (Jv_lang.Compile.compile_program
-           (A.Patching.source A.Minimail.app ~version:"1.3.1"))
+        (A.App.compile A.App.minimail ~version:"1.3.1")
       ~new_program:
-        (Jv_lang.Compile.compile_program
-           (A.Patching.source A.Minimail.app ~version:"1.3.2"))
+        (A.App.compile A.App.minimail ~version:"1.3.2")
       ()
   in
   Printf.printf "\nUPT: %s\n" (J.Diff.summary spec.J.Spec.diff);

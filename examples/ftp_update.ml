@@ -17,11 +17,9 @@ module A = Jv_apps
 let spec () =
   J.Spec.make ~version_tag:"107"
     ~old_program:
-      (Jv_lang.Compile.compile_program
-         (A.Patching.source A.Miniftp.app ~version:"1.07"))
+      (A.App.compile A.App.miniftp ~version:"1.07")
     ~new_program:
-      (Jv_lang.Compile.compile_program
-         (A.Patching.source A.Miniftp.app ~version:"1.08"))
+      (A.App.compile A.App.miniftp ~version:"1.08")
     ()
 
 (* a long-lived session: login, then many transfers *)
@@ -29,7 +27,9 @@ let persistent_script =
   [ "USER admin"; "PASS ftp" ] @ List.init 400 (fun _ -> "LIST")
 
 let busy_attempt () =
-  let vm = A.Experience.boot_version A.Experience.ftp_desc ~version:"1.07" in
+  let vm =
+    A.App.boot A.App.miniftp (A.App.compile A.App.miniftp ~version:"1.07")
+  in
   let w =
     A.Workload.attach vm ~port:A.Miniftp.port ~script:persistent_script
       ~concurrency:3 ()
@@ -45,7 +45,9 @@ let busy_attempt () =
     h.J.Jvolve.h_barriers_installed
 
 let idle_attempt () =
-  let vm = A.Experience.boot_version A.Experience.ftp_desc ~version:"1.07" in
+  let vm =
+    A.App.boot A.App.miniftp (A.App.compile A.App.miniftp ~version:"1.07")
+  in
   VM.Vm.run vm ~rounds:40;
   let h = J.Jvolve.update_now ~timeout_rounds:100 vm (spec ()) in
   Printf.printf "update when idle -> %s\n"

@@ -15,7 +15,9 @@ module J = Jvolve_core
 module A = Jv_apps
 
 let () =
-  let vm = A.Experience.boot_version A.Experience.web_desc ~version:"5.1.4" in
+  let vm =
+    A.App.boot A.App.miniweb (A.App.compile A.App.miniweb ~version:"5.1.4")
+  in
   let w =
     A.Workload.attach vm ~port:A.Miniweb.protocol_port
       ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:8 ()
@@ -28,11 +30,9 @@ let () =
   let spec =
     J.Spec.make ~version_tag:"514"
       ~old_program:
-        (Jv_lang.Compile.compile_program
-           (A.Patching.source A.Miniweb.app ~version:"5.1.4"))
+        (A.App.compile A.App.miniweb ~version:"5.1.4")
       ~new_program:
-        (Jv_lang.Compile.compile_program
-           (A.Patching.source A.Miniweb.app ~version:"5.1.5"))
+        (A.App.compile A.App.miniweb ~version:"5.1.5")
       ()
   in
   Printf.printf "\nUPT: %s\n" (J.Diff.summary spec.J.Spec.diff);

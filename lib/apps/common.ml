@@ -35,9 +35,9 @@ type overrides = {
 let no_overrides =
   { ov_object = []; ov_class = []; ov_inverse_object = []; ov_inverse_class = [] }
 
-(* Build an update spec carrying all four override directions — the one
-   place app harnesses (experience, fleet, gossip, benches) construct
-   specs from app descriptors. *)
+(* Build an update spec carrying all four override directions.  App
+   harnesses reach it through [App.spec]; it stays apart for callers that
+   pick their own version tag. *)
 let spec ?blacklist ?(overrides = no_overrides) ~version_tag ~old_program
     ~new_program () =
   J.Spec.make ?blacklist ~object_overrides:overrides.ov_object

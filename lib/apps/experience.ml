@@ -30,85 +30,8 @@ type attempt = {
   a_errors : int;
 }
 
-(* Application descriptors: how to boot and load each app. *)
-type app_desc = {
-  d_name : string;
-  d_versioned : Patching.versioned;
-  d_loads : (int * string list * (string -> bool)) list;
-      (* (port, script, ok) — one workload per protocol the app serves *)
-  d_overrides : to_version:string -> Common.overrides;
-      (* custom transformer bodies (both directions) per update step *)
-}
-
-let web_desc =
-  {
-    d_name = "miniweb";
-    d_versioned = Miniweb.app;
-    d_loads = [ (Miniweb.protocol_port, Workload.web_script, Workload.web_ok) ];
-    d_overrides = (fun ~to_version:_ -> Common.no_overrides);
-  }
-
-let mail_desc =
-  {
-    d_name = "minimail";
-    d_versioned = Minimail.app;
-    d_loads =
-      [
-        (Minimail.smtp_port, Workload.smtp_script, Workload.default_ok);
-        (Minimail.pop_port, Workload.pop_script, Workload.default_ok);
-      ];
-    d_overrides = (fun ~to_version -> Minimail.overrides ~to_version);
-  }
-
-let ftp_desc =
-  {
-    d_name = "miniftp";
-    d_versioned = Miniftp.app;
-    d_loads = [ (Miniftp.port, Workload.ftp_script, Workload.default_ok) ];
-    d_overrides = (fun ~to_version:_ -> Common.no_overrides);
-  }
-
-let store_desc =
-  {
-    d_name = "ministore";
-    d_versioned = Ministore.app;
-    d_loads =
-      [ (Ministore.port, Workload.store_script, Workload.store_ok) ];
-    d_overrides = (fun ~to_version -> Ministore.overrides ~to_version);
-  }
-
-let all_apps = [ web_desc; mail_desc; ftp_desc; store_desc ]
-
-(* High opt threshold keeps the per-session run() methods base-compiled
-   (in Jikes RVM they are never sample-hot either); the per-request
-   handler methods still cross it and exercise the opt compiler. *)
-let default_config =
-  {
-    VM.State.default_config with
-    VM.State.heap_words = 1 lsl 19;
-    opt_threshold = 150;
-  }
-
-let boot_version ?(config = default_config) (d : app_desc) ~version =
-  let src = Patching.source d.d_versioned ~version in
-  let classes = Jv_lang.Compile.compile_program src in
-  let vm = VM.Vm.create ~config () in
-  VM.Vm.boot vm classes;
-  (* server responses any of the app's protocols would reject count as
-     app-level errors, charged to the code epoch that sent them (the
-     guard watchdog's 5xx signal) *)
-  VM.Vm.set_response_classifier vm
-    (Some (fun s -> List.exists (fun (_, _, ok) -> ok s) d.d_loads));
-  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
-  (* let the server boot and open its listeners *)
-  VM.Vm.run vm ~rounds:5;
-  vm
-
-let attach_loads vm (d : app_desc) ~concurrency =
-  List.map
-    (fun (port, script, ok) ->
-      Workload.attach vm ~port ~script ~ok ~concurrency ())
-    d.d_loads
+(* [App.default_config], kept under this name for the benchmark. *)
+let default_config = App.default_config
 
 let total_requests loads =
   List.fold_left
@@ -120,22 +43,15 @@ let total_errors loads =
 
 (* Attempt one dynamic update under load (or idle). *)
 let run_one ?(config = default_config) ?(concurrency = 4) ?(warmup = 60)
-    ?(cooldown = 200) ?(timeout_rounds = 250) ?(loaded = true) (d : app_desc)
+    ?(cooldown = 200) ?(timeout_rounds = 250) ?(loaded = true) (d : App.t)
     ~from_version ~to_version : attempt =
-  let old_src = Patching.source d.d_versioned ~version:from_version in
-  let new_src = Patching.source d.d_versioned ~version:to_version in
-  let old_program = Jv_lang.Compile.compile_program old_src in
-  let new_program = Jv_lang.Compile.compile_program new_src in
-  let vm = boot_version ~config d ~version:from_version in
-  let loads = if loaded then attach_loads vm d ~concurrency else [] in
+  let old_program = App.compile d ~version:from_version in
+  let new_program = App.compile d ~version:to_version in
+  let vm = App.boot ~config d old_program in
+  let loads = if loaded then App.attach vm d ~concurrency else [] in
   VM.Vm.run vm ~rounds:warmup;
   let before = total_requests loads in
-  let spec =
-    Common.spec
-      ~overrides:(d.d_overrides ~to_version)
-      ~version_tag:(Common.version_tag from_version)
-      ~old_program ~new_program ()
-  in
+  let spec = App.spec d ~from_version ~to_version ~old_program ~new_program in
   let outcome, osr, barriers =
     match J.Jvolve.update_now ~timeout_rounds vm spec with
     | h -> (
@@ -158,7 +74,7 @@ let run_one ?(config = default_config) ?(concurrency = 4) ?(warmup = 60)
   let after = total_requests loads in
   List.iter (fun w -> Workload.detach vm w) loads;
   {
-    a_app = d.d_name;
+    a_app = d.App.pr_name;
     a_from = from_version;
     a_to = to_version;
     a_stats = spec.J.Spec.diff.J.Diff.stats;
@@ -172,14 +88,11 @@ let run_one ?(config = default_config) ?(concurrency = 4) ?(warmup = 60)
   }
 
 (* Walk an app's whole release history. *)
-let run_app ?config ?concurrency ?loaded (d : app_desc) : attempt list =
-  Patching.update_pairs d.d_versioned
+let run_app ?config ?concurrency ?loaded (d : App.t) : attempt list =
+  Patching.update_pairs d.App.pr_versioned
   |> List.map (fun ((from_v, _), (to_v, _)) ->
          run_one ?config ?concurrency ?loaded d ~from_version:from_v
            ~to_version:to_v)
-
-let run_all ?config ?concurrency ?loaded () : attempt list =
-  List.concat_map (fun d -> run_app ?config ?concurrency ?loaded d) all_apps
 
 (* --- reporting ----------------------------------------------------------- *)
 

@@ -40,7 +40,16 @@ let program_to_list (p : program) =
 
 let find_class (p : program) name = Hashtbl.find_opt p name
 
-let method_key m = m.md_name ^ Types.msig_descriptor m.md_sig
+(* A method's dispatch key, name plus signature descriptor: what a
+   vslot table is keyed by. *)
+let method_key name msig = name ^ Types.msig_descriptor msig
+
+(* Dispatched through a vslot: an instance method that is neither a
+   constructor nor private. *)
+let is_virtual m =
+  (not m.md_access.Access.is_static)
+  && m.md_name <> ctor_name
+  && m.md_access.Access.visibility <> Access.Private
 
 let find_method (c : t) name msig =
   List.find_opt
@@ -59,6 +68,15 @@ let rec ancestry (p : program) (c : t) acc =
     match find_class p c.c_super with
     | None -> List.rev acc (* dangling super: caught by well-formedness *)
     | Some s -> ancestry p s acc
+
+(* The instance fields of [c] in runtime layout order: inherited fields
+   first (root-most ancestor first), then declared fields in declaration
+   order.  The VM's class install builds the same layout by appending to
+   the superclass's. *)
+let instance_fields (p : program) (c : t) =
+  ancestry p c [] |> List.rev
+  |> List.concat_map (fun a ->
+         List.filter (fun f -> not f.fd_access.Access.is_static) a.c_fields)
 
 let is_subclass (p : program) ~sub ~super =
   if String.equal sub super then true
@@ -143,7 +161,7 @@ let well_formed (p : program) : string list =
       let seen_m = Hashtbl.create 8 in
       List.iter
         (fun m ->
-          let key = method_key m in
+          let key = method_key m.md_name m.md_sig in
           if Hashtbl.mem seen_m key then
             err "class %s: duplicate method %s" c.c_name key;
           Hashtbl.add seen_m key ();

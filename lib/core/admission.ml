@@ -196,7 +196,7 @@ let run_review ~confree (p : Transformers.prepared) : report =
                   (fun (f : CF.Cls.field) ->
                     ( f.CF.Cls.fd_name,
                       Transformers.map_old_ty spec f.CF.Cls.fd_ty ))
-                  (Transformers.flattened_fields oldp oc)
+                  (CF.Cls.instance_fields oldp oc)
               in
               List.iter
                 (fun (f : CF.Cls.field) ->
@@ -209,7 +209,7 @@ let run_review ~confree (p : Transformers.prepared) : report =
                         cname f.CF.Cls.fd_name (CF.Types.to_string oty)
                         (CF.Types.to_string f.CF.Cls.fd_ty)
                   | _ -> ())
-                (Transformers.flattened_fields newp nc)
+                (CF.Cls.instance_fields newp nc)
           | _ -> ())
         spec.Spec.diff.Diff.class_updates_closure);
   (* 8: blacklist entries that resolve to nothing are typos *)

@@ -141,27 +141,18 @@ let mref_key (r : Diff.mref) =
 let meth_mref cname (m : CF.Cls.meth) =
   { Diff.r_class = cname; r_name = m.CF.Cls.md_name; r_sig = m.CF.Cls.md_sig }
 
-(* Instance-field layout, mirroring [Rt.install_class]: inherited fields
-   first (root-most ancestor first), then declared fields in declaration
-   order.  The word offset of a field is a constant plus its index here. *)
-let flat_fields p (c : CF.Cls.t) : (string * CF.Cls.field) list =
-  CF.Cls.ancestry p c [] |> List.rev
-  |> List.concat_map (fun (a : CF.Cls.t) ->
-         a.CF.Cls.c_fields
-         |> List.filter (fun (f : CF.Cls.field) ->
-                not f.CF.Cls.fd_access.CF.Access.is_static)
-         |> List.map (fun f -> (a.CF.Cls.c_name, f)))
-
 (* Resolve an instance field the way the JIT burns it: position of the
-   most-derived declaration in the flattened layout. *)
+   most-derived declaration in the flattened layout ([CF.Cls.instance_fields],
+   the layout [Rt.install_class] builds; the word offset of a field is a
+   constant plus its index there). *)
 let field_slot p cname fname : (int * CF.Cls.field) option =
   match CF.Cls.find_class p cname with
   | None -> None
   | Some c ->
-      let flat = flat_fields p c in
+      let flat = CF.Cls.instance_fields p c in
       let best = ref None in
       List.iteri
-        (fun i (_, (f : CF.Cls.field)) ->
+        (fun i (f : CF.Cls.field) ->
           if String.equal f.CF.Cls.fd_name fname then best := Some (i, f))
         flat;
       !best
@@ -183,11 +174,6 @@ let static_decl p cname fname : string option =
              then Some a.CF.Cls.c_name
              else None)
 
-let is_virtual (m : CF.Cls.meth) =
-  (not m.CF.Cls.md_access.CF.Access.is_static)
-  && m.CF.Cls.md_name <> CF.Cls.ctor_name
-  && m.CF.Cls.md_access.CF.Access.visibility <> CF.Access.Private
-
 (* The vslot table a class would get from [Rt.install_class]: the
    superclass's table, then each declared virtual method either overrides
    an inherited slot or appends a new one.  Superclass tables are prefixes
@@ -203,8 +189,8 @@ let rec vslot_table p (c : CF.Cls.t) : (string * int) list =
   in
   List.fold_left
     (fun acc (m : CF.Cls.meth) ->
-      if is_virtual m then
-        let key = CF.Cls.method_key m in
+      if CF.Cls.is_virtual m then
+        let key = CF.Cls.method_key m.CF.Cls.md_name m.CF.Cls.md_sig in
         if List.mem_assoc key acc then acc
         else acc @ [ (key, List.length acc) ]
       else acc)

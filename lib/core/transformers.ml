@@ -30,16 +30,6 @@ let rec map_old_ty spec (t : CF.Types.ty) : CF.Types.ty =
   | CF.Types.TArray e -> CF.Types.TArray (map_old_ty spec e)
   | t -> t
 
-(* Flattened instance fields of a class in declaration (= layout) order,
-   superclass fields first: exactly the runtime object layout. *)
-let flattened_fields (prog : CF.Cls.program) (c : CF.Cls.t) :
-    CF.Cls.field list =
-  CF.Cls.ancestry prog c [] |> List.rev
-  |> List.concat_map (fun (a : CF.Cls.t) ->
-         List.filter
-           (fun (f : CF.Cls.field) -> not f.CF.Cls.fd_access.CF.Access.is_static)
-           a.CF.Cls.c_fields)
-
 (* The stub class file for an old class: fields only, extends Object.  The
    field order matches the old runtime layout, which is what lets the JIT
    resolve stub field references against the renamed old [rt_class]. *)
@@ -51,7 +41,7 @@ let old_class_stub spec (oldp : CF.Cls.program) (c : CF.Cls.t) : CF.Cls.t =
       List.map
         (fun (f : CF.Cls.field) ->
           { f with CF.Cls.fd_ty = map_old_ty spec f.CF.Cls.fd_ty })
-        (flattened_fields oldp c);
+        (CF.Cls.instance_fields oldp c);
     c_methods = [];
   }
 
@@ -78,9 +68,9 @@ let default_field_pairs spec (cls : string) : string list =
         List.map
           (fun (f : CF.Cls.field) ->
             (f.CF.Cls.fd_name, map_old_ty spec f.CF.Cls.fd_ty))
-          (flattened_fields oldp oldc)
+          (CF.Cls.instance_fields oldp oldc)
       in
-      flattened_fields newp newc
+      CF.Cls.instance_fields newp newc
       |> List.filter_map (fun (f : CF.Cls.field) ->
              match List.assoc_opt f.CF.Cls.fd_name old_fields with
              | Some oty when CF.Types.equal_ty oty f.CF.Cls.fd_ty ->

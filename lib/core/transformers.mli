@@ -27,9 +27,6 @@ val stubs_for : Spec.t -> CF.Cls.t list
     which is what lets the JIT resolve stub references against the
     renamed old class metadata. *)
 
-val flattened_fields : CF.Cls.program -> CF.Cls.t -> CF.Cls.field list
-(** Instance fields in runtime layout order (superclass fields first). *)
-
 val transformer_method_sigs : Spec.t -> (string * CF.Types.ty list) list
 (** The (name, parameter types) pairs the transformer class must define
     for this update: a [jvolveClass]/[jvolveObject] pair per

@@ -16,11 +16,12 @@
 module VM = Jv_vm
 module CF = Jv_classfile
 module Client = Jv_simnet.Client
+module App = Jv_apps.App
 
 let default_lb_port = 80
 
 type t = {
-  profile : Profile.t;
+  profile : App.t;
   config : VM.State.config;
   instances : Instance.t array;
   lb : Lb.t;
@@ -33,16 +34,16 @@ type t = {
 }
 
 (* [version] compiled, once per fleet (counted in [fleet.compiles]). *)
-let compile_once (profile : Profile.t) obs programs ~version =
+let compile_once (profile : App.t) obs programs ~version =
   match Hashtbl.find_opt programs version with
   | Some p -> p
   | None ->
-      let p = Profile.compile profile ~version in
+      let p = App.compile profile ~version in
       Jv_obs.Obs.incr obs "fleet.compiles";
       Hashtbl.replace programs version p;
       p
 
-let create ?(config = Instance.default_config) ?(policy = Lb.Round_robin)
+let create ?(config = App.default_config) ?(policy = Lb.Round_robin)
     ?(lb_port = default_lb_port) ~profile ~version ~size () =
   if size < 1 then invalid_arg "Fleet.create: size must be >= 1";
   let obs = Jv_obs.Obs.create () in
@@ -53,7 +54,7 @@ let create ?(config = Instance.default_config) ?(policy = Lb.Round_robin)
     Array.init size (fun id ->
         Instance.boot ~config profile ~id ~version program)
   in
-  let lb = Lb.create ~policy ~ok:profile.Profile.pr_ok ~obs ~port:lb_port () in
+  let lb = Lb.create ~policy ~ok:profile.App.pr_ok ~obs ~port:lb_port () in
   Array.iter
     (fun (inst : Instance.t) ->
       Lb.register lb ~id:inst.Instance.i_id ~net:(Instance.net inst)
@@ -75,7 +76,7 @@ let hop t ~from_version ~to_version =
   | None ->
       let h =
         Lifecycle.hop t.obs ~from_version ~to_version
-          (Profile.spec t.profile ~from_version ~to_version
+          (App.spec t.profile ~from_version ~to_version
              ~old_program:(program t ~version:from_version)
              ~new_program:(program t ~version:to_version))
       in
@@ -105,7 +106,7 @@ let attach_load ?(concurrency = 4) ?(max_sessions = max_int)
     ?(request_timeout = default_request_timeout) t =
   let d =
     Client.create ~net:(Lb.front t.lb) ~port:t.lb.Lb.port
-      ~script:t.profile.Profile.pr_script ~ok:t.profile.Profile.pr_ok
+      ~script:t.profile.App.pr_script ~ok:t.profile.App.pr_ok
       ~arrivals:(Client.Closed { concurrency; max_sessions })
       ~timeout:request_timeout ()
   in

@@ -5,6 +5,7 @@
 
 module VM = Jv_vm
 module CF = Jv_classfile
+module App = Jv_apps.App
 
 type status =
   | In_service (* taking new connections through the LB *)
@@ -30,35 +31,18 @@ type t = {
   mutable i_program : CF.Cls.t list; (* classfiles currently running *)
 }
 
-(* Fleet boot mirrors the experience harness: a high opt threshold keeps
-   the per-session run() loops base-compiled, as in the paper's setup. *)
-let default_config =
-  {
-    VM.State.default_config with
-    VM.State.heap_words = 1 lsl 19;
-    opt_threshold = 150;
-  }
-
-let boot_vm ~config (profile : Profile.t) program =
-  let vm = VM.Vm.create ~config () in
-  VM.Vm.boot vm program;
-  (* responses the profile's protocol rejects count as app-level errors,
-     charged to the sending code epoch (the guard watchdog's 5xx feed) *)
-  VM.Vm.set_response_classifier vm (Some profile.Profile.pr_ok);
-  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
-  (* let the server open its listeners before the LB registers it *)
-  VM.Vm.run vm ~rounds:5;
-  vm
+(* [Jv_apps.App.default_config], kept under this name for the
+   benchmark. *)
+let default_config = App.default_config
 
 (* [program] is the fleet's compiled [version]: every instance on a
    version boots from the one list. *)
-let boot ?(config = default_config) (profile : Profile.t) ~id ~version program
-    : t =
-  let vm = boot_vm ~config profile program in
+let boot ?config (app : App.t) ~id ~version program : t =
+  let vm = App.boot ?config app program in
   {
     i_id = id;
     i_vm = vm;
-    i_port = profile.Profile.pr_port;
+    i_port = app.App.pr_port;
     i_base_version = version;
     i_version = version;
     i_status = In_service;
@@ -71,8 +55,8 @@ let boot ?(config = default_config) (profile : Profile.t) ~id ~version program
    the simnet, heap and code world are brand new, so the caller must
    re-register the net with the LB and drive version catch-up before
    readmitting. *)
-let reboot ?(config = default_config) (profile : Profile.t) inst program =
-  let vm = boot_vm ~config profile program in
+let reboot ?config (app : App.t) inst program =
+  let vm = App.boot ?config app program in
   inst.i_vm <- vm;
   inst.i_version <- inst.i_base_version;
   inst.i_program <- program;

@@ -19,6 +19,7 @@
 
 module J = Jvolve_core
 module VM = Jv_vm
+module App = Jv_apps.App
 
 (* --- status and admission ------------------------------------------------ *)
 
@@ -73,7 +74,7 @@ let on_old (i : Instance.t) h =
 
 (* A guard config without a probe gets the profile's health probe on the
    instance's own port. *)
-let guard_for ~probe_deadline (profile : Profile.t) (i : Instance.t) = function
+let guard_for ~probe_deadline (profile : App.t) (i : Instance.t) = function
   | None -> None
   | Some cfg ->
       Some
@@ -86,8 +87,8 @@ let guard_for ~probe_deadline (profile : Profile.t) (i : Instance.t) = function
                 Some
                   (J.Guard.probe_config ~every:20 ~deadline:probe_deadline
                      ~port:i.Instance.i_port
-                     ~line:profile.Profile.pr_health_probe
-                     ~ok:profile.Profile.pr_health_ok ());
+                     ~line:profile.App.pr_health_probe
+                     ~ok:profile.App.pr_health_ok ());
             })
 
 (* --- one attempt --------------------------------------------------------- *)
@@ -217,10 +218,10 @@ type probing = {
   mutable pg_needed : int;
 }
 
-let probing (profile : Profile.t) (i : Instance.t) ~deadline ~required ~now =
+let probing (profile : App.t) (i : Instance.t) ~deadline ~required ~now =
   let start ~now =
     Health.start ~net:(Instance.net i) ~port:i.Instance.i_port
-      ~line:profile.Profile.pr_health_probe ~ok:profile.Profile.pr_health_ok
+      ~line:profile.App.pr_health_probe ~ok:profile.App.pr_health_ok
       ~now ~deadline_rounds:deadline
   in
   { pg_start = start; pg_probe = start ~now; pg_needed = required }

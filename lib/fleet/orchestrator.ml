@@ -232,7 +232,7 @@ let create ?(mutate_spec = fun _id spec -> spec) ~params ~fleet ~to_version
           mutate_spec id
             (if i.Instance.i_program == shared.J.Spec.old_program then shared
              else
-               Profile.spec (Fleet.profile fleet) ~from_version ~to_version
+               Jv_apps.App.spec (Fleet.profile fleet) ~from_version ~to_version
                  ~old_program:i.Instance.i_program
                  ~new_program:shared.J.Spec.new_program)
         in

@@ -37,6 +37,7 @@
    old version, not the suspect one. *)
 
 module VM = Jv_vm
+module App = Jv_apps.App
 module J = Jvolve_core
 module Faults = Jv_faults.Faults
 module Obs = Jv_obs.Obs
@@ -136,7 +137,7 @@ let ladder_index t v =
     | [] -> -1
     | x :: rest -> if x = v then i else go (i + 1) rest
   in
-  go 0 (Profile.versions (Fleet.profile t.fleet))
+  go 0 (App.versions (Fleet.profile t.fleet))
 
 (* Plurality version among alive in-service peers; ties break toward the
    earlier rung (catching up too little is recoverable, too much is
@@ -170,7 +171,7 @@ let target_version t ~excluding =
 
 let take_snapshot t id =
   let i = inst t id in
-  match (Fleet.profile t.fleet).Profile.pr_snapshot with
+  match (Fleet.profile t.fleet).App.pr_snapshot with
   | None -> ()
   | Some scrape -> (
       match scrape i.Instance.i_vm with
@@ -185,7 +186,7 @@ let take_snapshot t id =
 let maybe_snapshot t =
   if
     t.params.s_snapshot_every > 0
-    && (Fleet.profile t.fleet).Profile.pr_snapshot <> None
+    && (Fleet.profile t.fleet).App.pr_snapshot <> None
     && now t mod t.params.s_snapshot_every = 0
   then
     Array.iteri
@@ -239,7 +240,7 @@ let detect t id =
    fleet's current one. *)
 let catchup_path t id ~target =
   let i = inst t id in
-  let versions = Profile.versions (Fleet.profile t.fleet) in
+  let versions = App.versions (Fleet.profile t.fleet) in
   let rec hops from = function
     | [] -> []
     | v :: rest ->
@@ -301,7 +302,7 @@ let try_restart t id =
          ladder migrations reinterpret the restored heap exactly as they
          would have live data *)
       let restored =
-        match ((Fleet.profile t.fleet).Profile.pr_restore, t.snapshots.(id)) with
+        match ((Fleet.profile t.fleet).App.pr_restore, t.snapshots.(id)) with
         | Some replay, Some snap -> (
             match replay i.Instance.i_vm snap with
             | Ok () ->

@@ -125,7 +125,8 @@ let count_epoch t ~old_epoch ~new_epoch =
   | Some e -> Hashtbl.replace t.epoch_counts e (get e + 1)
 
 let spec_digest profile ~to_version =
-  Digest.to_hex (Digest.string (F.Profile.source profile ~version:to_version))
+  Digest.to_hex
+    (Digest.string (Jv_apps.App.source profile ~version:to_version))
 
 (* Build the [Node] for instance [id], drawing its backoff jitter from
    the shared schedule stream.  Used by [create] for every instance and

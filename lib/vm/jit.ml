@@ -202,7 +202,7 @@ let rec emit_body vm b (code : CF.Instr.t array) ~base_local ~bc_of ~depth
           emit b (M_putstatic (resolve_static vm f).Rt.si_slot) ~bc
       | Invoke_virtual mr ->
           let cls = resolve_class vm mr.CF.Instr.m_class in
-          let key = Rt.mangle mr.CF.Instr.m_name mr.CF.Instr.m_sig in
+          let key = CF.Cls.method_key mr.CF.Instr.m_name mr.CF.Instr.m_sig in
           let slot =
             match Rt.find_vslot cls key with
             | Some s -> s

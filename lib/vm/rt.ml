@@ -65,8 +65,6 @@ and rt_method = {
   mutable m_valid : bool; (* false once invalidated by an update *)
 }
 
-let mangle name msig = name ^ CF.Types.msig_descriptor msig
-
 let method_qname (c : rt_class) (m : rt_method) =
   Printf.sprintf "%s.%s%s" c.name m.m_name (CF.Types.msig_descriptor m.m_sig)
 
@@ -184,11 +182,6 @@ let add_method reg ~owner ~cname ~(md : CF.Cls.meth) =
   reg.n_methods <- reg.n_methods + 1;
   m
 
-let is_virtual (md : CF.Cls.meth) =
-  (not md.CF.Cls.md_access.CF.Access.is_static)
-  && md.CF.Cls.md_name <> CF.Cls.ctor_name
-  && md.CF.Cls.md_access.CF.Access.visibility <> CF.Access.Private
-
 (* The word offsets of a layout's reference-typed fields: the slots the
    collector forwards.  The test is the one the heap verifier enforces on
    every field ([CF.Types.is_reference]), so on a heap that verifies no
@@ -267,8 +260,8 @@ let install_class reg ~(defn : CF.Cls.t) ~alloc_static ~replace : rt_class =
   in
   List.iteri
     (fun i (md : CF.Cls.meth) ->
-      if is_virtual md then begin
-        let key = mangle md.CF.Cls.md_name md.CF.Cls.md_sig in
+      if CF.Cls.is_virtual md then begin
+        let key = CF.Cls.method_key md.CF.Cls.md_name md.CF.Cls.md_sig in
         let uid = methods.(i).uid in
         match List.assoc_opt key !vslots with
         | Some slot ->

@@ -4,37 +4,35 @@ module VM = Jv_vm
 module J = Jvolve_core
 module A = Jv_apps
 
-let all_apps =
-  [ A.Miniweb.app; A.Minimail.app; A.Miniftp.app; A.Ministore.app ]
-
 (* every version of every app compiles and verifies *)
 let all_versions_compile () =
   List.iter
-    (fun (v : A.Patching.versioned) ->
+    (fun (d : A.App.t) ->
       List.iter
-        (fun (ver, src) ->
-          match Jv_lang.Compile.compile_program src with
+        (fun ver ->
+          match A.App.compile d ~version:ver with
           | _ -> ()
           | exception Jv_lang.Compile.Error e ->
-              Alcotest.failf "%s %s does not compile: %s"
-                v.A.Patching.app_name ver e)
-        v.A.Patching.versions)
-    all_apps
+              Alcotest.failf "%s %s does not compile: %s" d.A.App.pr_name ver
+                e)
+        (A.App.versions d))
+    A.App.all
 
 let expected_version_counts () =
-  Alcotest.(check int) "miniweb versions" 12
-    (List.length A.Miniweb.app.A.Patching.versions);
-  Alcotest.(check int) "minimail versions" 10
-    (List.length A.Minimail.app.A.Patching.versions);
-  Alcotest.(check int) "miniftp versions" 4
-    (List.length A.Miniftp.app.A.Patching.versions);
-  Alcotest.(check int) "ministore versions" 4
-    (List.length A.Ministore.app.A.Patching.versions)
+  Alcotest.(check (list (pair string int)))
+    "apps and their version counts"
+    [ ("miniweb", 12); ("minimail", 10); ("miniftp", 4); ("ministore", 4) ]
+    (List.map
+       (fun (d : A.App.t) -> (d.A.App.pr_name, List.length (A.App.versions d)))
+       A.App.all)
 
 (* boot each app's base version under load and watch sessions complete *)
 let serve_app desc port_script_count () =
-  let vm = A.Experience.boot_version desc ~version:(List.hd desc.A.Experience.d_versioned.A.Patching.versions |> fst) in
-  let loads = A.Experience.attach_loads vm desc ~concurrency:3 in
+  let vm =
+    A.App.boot desc
+      (A.App.compile desc ~version:(List.hd (A.App.versions desc)))
+  in
+  let loads = A.App.attach vm desc ~concurrency:3 in
   VM.Vm.run vm ~rounds:120;
   let sessions =
     List.fold_left
@@ -45,21 +43,21 @@ let serve_app desc port_script_count () =
     List.fold_left (fun acc w -> acc + w.A.Workload.load.errors) 0 loads
   in
   if sessions < port_script_count then
-    Alcotest.failf "%s served only %d sessions" desc.A.Experience.d_name
+    Alcotest.failf "%s served only %d sessions" desc.A.App.pr_name
       sessions;
   Alcotest.(check int)
-    (desc.A.Experience.d_name ^ " protocol errors")
+    (desc.A.App.pr_name ^ " protocol errors")
     0 errors;
   (* no thread may have trapped *)
   Alcotest.(check int)
-    (desc.A.Experience.d_name ^ " traps")
+    (desc.A.App.pr_name ^ " traps")
     0
     (List.length (VM.Vm.stats vm).VM.Vm.traps)
 
-let web_serves () = serve_app A.Experience.web_desc 5 ()
-let mail_serves () = serve_app A.Experience.mail_desc 5 ()
-let ftp_serves () = serve_app A.Experience.ftp_desc 5 ()
-let store_serves () = serve_app A.Experience.store_desc 5 ()
+let web_serves () = serve_app A.App.miniweb 5 ()
+let mail_serves () = serve_app A.App.minimail 5 ()
+let ftp_serves () = serve_app A.App.miniftp 5 ()
+let store_serves () = serve_app A.App.ministore 5 ()
 
 (* the per-update outcomes the paper reports *)
 
@@ -83,7 +81,7 @@ let check_aborted (a : A.Experience.attempt) =
    are proven backward-compatible and the update lands first attempt. *)
 let web_513_applies_with_confree () =
   let a =
-    A.Experience.run_one ~timeout_rounds:80 A.Experience.web_desc
+    A.Experience.run_one ~timeout_rounds:80 A.App.miniweb
       ~from_version:"5.1.2" ~to_version:"5.1.3"
   in
   ignore (check_applied a);
@@ -92,15 +90,15 @@ let web_513_applies_with_confree () =
 let web_513_fails_without_confree () =
   let a =
     A.Experience.run_one
-      ~config:{ A.Experience.default_config with VM.State.confree = false }
-      ~timeout_rounds:80 A.Experience.web_desc ~from_version:"5.1.2"
+      ~config:{ A.App.default_config with VM.State.confree = false }
+      ~timeout_rounds:80 A.App.miniweb ~from_version:"5.1.2"
       ~to_version:"5.1.3"
   in
   check_aborted a
 
 let web_515_applies_with_osr () =
   let a =
-    A.Experience.run_one A.Experience.web_desc ~from_version:"5.1.4"
+    A.Experience.run_one A.App.miniweb ~from_version:"5.1.4"
       ~to_version:"5.1.5"
   in
   let t = check_applied a in
@@ -116,7 +114,7 @@ let web_515_applies_with_osr () =
    references the deleted AdminTool — but it is never on stack) *)
 let mail_13_applies_with_confree () =
   let a =
-    A.Experience.run_one ~timeout_rounds:80 A.Experience.mail_desc
+    A.Experience.run_one ~timeout_rounds:80 A.App.minimail
       ~from_version:"1.2.4" ~to_version:"1.3"
   in
   ignore (check_applied a);
@@ -125,15 +123,15 @@ let mail_13_applies_with_confree () =
 let mail_13_fails_without_confree () =
   let a =
     A.Experience.run_one
-      ~config:{ A.Experience.default_config with VM.State.confree = false }
-      ~timeout_rounds:80 A.Experience.mail_desc ~from_version:"1.2.4"
+      ~config:{ A.App.default_config with VM.State.confree = false }
+      ~timeout_rounds:80 A.App.minimail ~from_version:"1.2.4"
       ~to_version:"1.3"
   in
   check_aborted a
 
 let mail_132_paper_example () =
   let a =
-    A.Experience.run_one A.Experience.mail_desc ~from_version:"1.3.1"
+    A.Experience.run_one A.App.minimail ~from_version:"1.3.1"
       ~to_version:"1.3.2"
   in
   let t = check_applied a in
@@ -158,19 +156,19 @@ let persistent_ftp_script =
 let ftp_108_busy_vs_idle () =
   (* under load with long-lived sessions, RequestHandler.run frames block
      the update *)
-  let vm = A.Experience.boot_version A.Experience.ftp_desc ~version:"1.07" in
+  let vm =
+    A.App.boot A.App.miniftp (A.App.compile A.App.miniftp ~version:"1.07")
+  in
   let w =
     A.Workload.attach vm ~port:A.Miniftp.port ~script:persistent_ftp_script
       ~concurrency:3 ()
   in
   VM.Vm.run vm ~rounds:40;
   let old_program =
-    Jv_lang.Compile.compile_program
-      (A.Patching.source A.Miniftp.app ~version:"1.07")
+    A.App.compile A.App.miniftp ~version:"1.07"
   in
   let new_program =
-    Jv_lang.Compile.compile_program
-      (A.Patching.source A.Miniftp.app ~version:"1.08")
+    A.App.compile A.App.miniftp ~version:"1.08"
   in
   let spec =
     J.Spec.make ~version_tag:"107" ~old_program ~new_program ()
@@ -187,7 +185,7 @@ let ftp_108_busy_vs_idle () =
   A.Workload.detach vm w;
   (* idle, it applies *)
   let idle =
-    A.Experience.run_one ~loaded:false A.Experience.ftp_desc
+    A.Experience.run_one ~loaded:false A.App.miniftp
       ~from_version:"1.07" ~to_version:"1.08"
   in
   ignore (check_applied idle)
@@ -195,7 +193,7 @@ let ftp_108_busy_vs_idle () =
 let hotswap_counts () =
   (* which updates a method-body-only system supports, per app *)
   let count desc =
-    A.Patching.update_pairs desc.A.Experience.d_versioned
+    A.Patching.update_pairs desc.A.App.pr_versioned
     |> List.filter (fun ((_, s1), (_, s2)) ->
            let d =
              J.Diff.compute
@@ -207,14 +205,14 @@ let hotswap_counts () =
   in
   (* 5.1.11 (the guard demo's bad release) is body-only too *)
   Alcotest.(check int) "miniweb body-only updates" 6
-    (count A.Experience.web_desc);
+    (count A.App.miniweb);
   Alcotest.(check int) "minimail body-only updates" 4
-    (count A.Experience.mail_desc);
+    (count A.App.minimail);
   Alcotest.(check int) "miniftp body-only updates" 0
-    (count A.Experience.ftp_desc);
+    (count A.App.miniftp);
   (* every ministore rung is a schema migration *)
   Alcotest.(check int) "ministore body-only updates" 0
-    (count A.Experience.store_desc)
+    (count A.App.ministore)
 
 let suite =
   [

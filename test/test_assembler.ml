@@ -113,11 +113,11 @@ let roundtrip_handwritten () =
 let roundtrip_compiler_output () =
   (* every class file of every app version round-trips *)
   List.iter
-    (fun (v : Jv_apps.Patching.versioned) ->
+    (fun app ->
       List.iter
-        (fun (_, src) -> roundtrip (Jv_lang.Compile.compile_program src))
-        v.Jv_apps.Patching.versions)
-    [ Jv_apps.Miniweb.app; Jv_apps.Minimail.app; Jv_apps.Miniftp.app ]
+        (fun version -> roundtrip (Jv_apps.App.compile app ~version))
+        (Jv_apps.App.versions app))
+    Jv_apps.App.all
 
 let roundtrip_builtins () = roundtrip CF.Builtins.all
 

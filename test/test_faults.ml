@@ -22,21 +22,18 @@ let compile = Jv_lang.Compile.compile_program
 
 (* --- seeded per-phase aborts on the benchmark apps --------------------- *)
 
-let boot_loaded (d : A.Experience.app_desc) ~version =
-  let vm = A.Experience.boot_version d ~version in
-  let loads = A.Experience.attach_loads vm d ~concurrency:3 in
+let boot_loaded (d : A.App.t) ~version =
+  let vm = A.App.boot d (A.App.compile d ~version) in
+  let loads = A.App.attach vm d ~concurrency:3 in
   VM.Vm.run vm ~rounds:60;
   (vm, loads)
 
-let spec_of (d : A.Experience.app_desc) ~from_v ~to_v ~tag =
+let spec_of (d : A.App.t) ~from_v ~to_v ~tag =
   A.Common.spec
-    ~overrides:(d.A.Experience.d_overrides ~to_version:to_v)
+    ~overrides:(d.A.App.pr_overrides ~to_version:to_v)
     ~version_tag:tag
-    ~old_program:
-      (compile (A.Patching.source d.A.Experience.d_versioned ~version:from_v))
-    ~new_program:
-      (compile (A.Patching.source d.A.Experience.d_versioned ~version:to_v))
-    ()
+    ~old_program:(A.App.compile d ~version:from_v)
+    ~new_program:(A.App.compile d ~version:to_v) ()
 
 let live_count vm = (VM.Gc.collect vm).VM.Gc.copied_objects
 
@@ -47,7 +44,7 @@ let phases =
     ("updater.transform", J.Updater.P_transform);
   ]
 
-let chaos_app (d : A.Experience.app_desc) ~from_v ~to_v () =
+let chaos_app (d : A.App.t) ~from_v ~to_v () =
   let vm, loads = boot_loaded d ~version:from_v in
   List.iteri
     (fun k (point, want_phase) ->
@@ -67,7 +64,7 @@ let chaos_app (d : A.Experience.app_desc) ~from_v ~to_v () =
             true a.J.Updater.a_rolled_back
       | o ->
           Alcotest.failf "%s %s: expected injected abort, got %s"
-            d.A.Experience.d_name point
+            d.A.App.pr_name point
             (J.Jvolve.outcome_to_string o));
       Alcotest.(check int) (point ^ ": fired once") 1 (Faults.fired plan);
       (* the VM still answers requests on the old version *)
@@ -75,7 +72,7 @@ let chaos_app (d : A.Experience.app_desc) ~from_v ~to_v () =
       VM.Vm.run vm ~rounds:150;
       if A.Experience.total_requests loads <= before then
         Alcotest.failf "%s %s: server stopped serving after abort"
-          d.A.Experience.d_name point;
+          d.A.App.pr_name point;
       Alcotest.(check int)
         (point ^ ": no protocol errors")
         0
@@ -101,35 +98,35 @@ let chaos_app (d : A.Experience.app_desc) ~from_v ~to_v () =
   | J.Jvolve.Applied _ -> ()
   | o ->
       Alcotest.failf "%s: clean update should apply, got %s"
-        d.A.Experience.d_name
+        d.A.App.pr_name
         (J.Jvolve.outcome_to_string o));
   let before = A.Experience.total_requests loads in
   VM.Vm.run vm ~rounds:150;
   if A.Experience.total_requests loads <= before then
     Alcotest.failf "%s: server stopped serving after the applied update"
-      d.A.Experience.d_name;
+      d.A.App.pr_name;
   Alcotest.(check int)
     "no protocol errors after applied update" 0
     (A.Experience.total_errors loads);
   List.iter (fun w -> A.Workload.detach vm w) loads
 
 let web_chaos () =
-  chaos_app A.Experience.web_desc ~from_v:"5.1.1" ~to_v:"5.1.2" ()
+  chaos_app A.App.miniweb ~from_v:"5.1.1" ~to_v:"5.1.2" ()
 
 let mail_chaos () =
-  chaos_app A.Experience.mail_desc ~from_v:"1.3.1" ~to_v:"1.3.2" ()
+  chaos_app A.App.minimail ~from_v:"1.3.1" ~to_v:"1.3.2" ()
 
 (* 1.07 -> 1.08 reworks RequestHandler.run, which is always on stack
    under load (the paper's restricted-method timeout, exercised in
    test_apps); chaos-test the field-adding 1.06 -> 1.07 instead so every
    injection reaches its phase. *)
 let ftp_chaos () =
-  chaos_app A.Experience.ftp_desc ~from_v:"1.06" ~to_v:"1.07" ()
+  chaos_app A.App.miniftp ~from_v:"1.06" ~to_v:"1.07" ()
 
 (* --- kill: rollback first, then the VM dies ---------------------------- *)
 
 let kill_takes_vm_down () =
-  let d = A.Experience.web_desc in
+  let d = A.App.miniweb in
   let vm, loads = boot_loaded d ~version:"5.1.1" in
   let plan = Faults.create ~seed:3 () in
   Faults.arm plan ~point:"updater.gc" ~max_fires:1 Faults.Kill;

@@ -11,7 +11,7 @@ let fleet_config =
   { Jv_vm.State.default_config with Jv_vm.State.heap_words = 1 lsl 18 }
 
 let boot_under_load ?(policy = F.Lb.Round_robin) ?(size = 4)
-    ?(version = "5.1.1") ?(profile = F.Profile.miniweb) () =
+    ?(version = "5.1.1") ?(profile = Apps.App.miniweb) () =
   let fleet =
     F.Fleet.create ~config:fleet_config ~policy ~profile ~version ~size ()
   in
@@ -139,10 +139,10 @@ let test_rollback_on_update_abort () =
 (* A new version that applies cleanly but answers the health probe with
    an error never rejoins the pool: the failed probe rolls it back. *)
 let test_rollback_on_failed_health_check () =
-  let profile = F.Profile.miniweb in
+  let profile = Apps.App.miniweb in
   let fleet = boot_under_load ~profile ~size:3 () in
   let sick_program =
-    let src = F.Profile.source profile ~version:"5.1.2" in
+    let src = Apps.App.source profile ~version:"5.1.2" in
     let healthy = {|new HttpResponse(200, "OK", "text/plain", "healthy")|} in
     let sick = {|new HttpResponse(503, "Unavailable", "text/plain", "sick")|} in
     Jv_lang.Compile.compile_program
@@ -178,35 +178,47 @@ let test_rollback_on_failed_health_check () =
 
 (* --- health probes across apps ----------------------------------------- *)
 
+(* The descriptor promises every release answers its probe, so every
+   version of every app is booted and probed. *)
 let test_health_probes_all_apps () =
-  List.iter
-    (fun (profile : F.Profile.t) ->
-      let version = List.hd (F.Profile.versions profile) in
-      let fleet =
-        F.Fleet.create ~config:fleet_config ~profile ~version ~size:1 ()
-      in
-      F.Fleet.run fleet ~rounds:30;
-      let inst = F.Fleet.instance fleet 0 in
-      let probe =
-        F.Health.start
-          ~net:(F.Instance.net inst)
-          ~port:inst.F.Instance.i_port ~line:profile.F.Profile.pr_health_probe
-          ~ok:profile.F.Profile.pr_health_ok ~now:(F.Fleet.ticks fleet)
-          ~deadline_rounds:60
-      in
-      let rec drive n =
-        F.Fleet.round fleet;
-        F.Health.step probe ~now:(F.Fleet.ticks fleet);
-        match F.Health.outcome probe with
-        | F.Health.Pending when n > 0 -> drive (n - 1)
-        | o -> o
-      in
-      match drive 80 with
-      | F.Health.Healthy _ -> ()
-      | F.Health.Pending -> Alcotest.failf "%s: probe still pending" profile.F.Profile.pr_name
-      | F.Health.Unhealthy why ->
-          Alcotest.failf "%s: probe unhealthy: %s" profile.F.Profile.pr_name why)
-    F.Profile.all
+  let probe (app : Apps.App.t) version =
+    let fleet =
+      F.Fleet.create ~config:fleet_config ~profile:app ~version ~size:1 ()
+    in
+    F.Fleet.run fleet ~rounds:30;
+    let inst = F.Fleet.instance fleet 0 in
+    let probe =
+      F.Health.start
+        ~net:(F.Instance.net inst)
+        ~port:inst.F.Instance.i_port ~line:app.Apps.App.pr_health_probe
+        ~ok:app.Apps.App.pr_health_ok ~now:(F.Fleet.ticks fleet)
+        ~deadline_rounds:60
+    in
+    let rec drive n =
+      F.Fleet.round fleet;
+      F.Health.step probe ~now:(F.Fleet.ticks fleet);
+      match F.Health.outcome probe with
+      | F.Health.Pending when n > 0 -> drive (n - 1)
+      | o -> o
+    in
+    match drive 80 with
+    | F.Health.Healthy _ -> None
+    | F.Health.Pending ->
+        Some
+          (Printf.sprintf "%s %s: probe still pending" app.Apps.App.pr_name
+             version)
+    | F.Health.Unhealthy why ->
+        Some
+          (Printf.sprintf "%s %s: probe unhealthy: %s" app.Apps.App.pr_name
+             version why)
+  in
+  match
+    List.concat_map
+      (fun app -> List.filter_map (probe app) (Apps.App.versions app))
+      Apps.App.all
+  with
+  | [] -> ()
+  | failures -> Alcotest.fail (String.concat "; " failures)
 
 (* --- lossy links must not wedge the closed-loop driver ------------------ *)
 
@@ -219,7 +231,7 @@ let test_health_probes_all_apps () =
    timeouts actually observed, and nothing leaked once the link heals. *)
 let test_driver_survives_lossy_links () =
   let fleet =
-    F.Fleet.create ~config:fleet_config ~profile:F.Profile.miniweb
+    F.Fleet.create ~config:fleet_config ~profile:Apps.App.miniweb
       ~version:"5.1.1" ~size:3 ()
   in
   F.Fleet.run fleet ~rounds:30;
@@ -349,7 +361,7 @@ let test_health_probe_outcomes () =
    its 2^19-word cap. *)
 let test_heaps_commit_floor () =
   let fleet =
-    F.Fleet.create ~profile:F.Profile.miniweb ~version:"5.1.1" ~size:16 ()
+    F.Fleet.create ~profile:Apps.App.miniweb ~version:"5.1.1" ~size:16 ()
   in
   F.Fleet.run fleet ~rounds:30;
   ignore (F.Fleet.attach_load ~concurrency:8 fleet);

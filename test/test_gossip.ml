@@ -15,7 +15,7 @@ let fleet_config =
 let boot_fleet ?(size = 4) ?(version = "5.1.1") () =
   let fleet =
     F.Fleet.create ~config:fleet_config ~policy:F.Lb.Round_robin
-      ~profile:F.Profile.miniweb ~version ~size ()
+      ~profile:A.App.miniweb ~version ~size ()
   in
   F.Fleet.run fleet ~rounds:30;
   fleet

@@ -102,18 +102,16 @@ let test_trip_on_probe_failures () =
    loop bound) but 404s most static traffic.  Under load the app-error
    budget must trip and auto-revert with zero dropped connections. *)
 let test_trip_on_app_errors () =
-  let d = A.Experience.web_desc in
-  let vm = A.Experience.boot_version d ~version:"5.1.10" in
-  let w = List.hd (A.Experience.attach_loads vm d ~concurrency:4) in
+  let d = A.App.miniweb in
+  let vm = A.App.boot d (A.App.compile d ~version:"5.1.10") in
+  let w = List.hd (A.App.attach vm d ~concurrency:4) in
   VM.Vm.run vm ~rounds:80;
   let spec =
     J.Spec.make ~version_tag:"5110"
       ~old_program:
-        (Jv_lang.Compile.compile_program
-           (A.Patching.source A.Miniweb.app ~version:"5.1.10"))
+        (A.App.compile A.App.miniweb ~version:"5.1.10")
       ~new_program:
-        (Jv_lang.Compile.compile_program
-           (A.Patching.source A.Miniweb.app ~version:A.Miniweb.bad_update))
+        (A.App.compile A.App.miniweb ~version:A.Miniweb.bad_update)
       ()
   in
   let h =
@@ -324,7 +322,7 @@ let fleet_config =
 let boot_fleet ~size ~version =
   let fleet =
     F.Fleet.create ~config:fleet_config ~policy:F.Lb.Round_robin
-      ~profile:F.Profile.miniweb ~version ~size ()
+      ~profile:A.App.miniweb ~version ~size ()
   in
   F.Fleet.run fleet ~rounds:30;
   ignore (F.Fleet.attach_load ~concurrency:6 fleet);
@@ -430,9 +428,6 @@ let test_describe_names_open_guard_windows () =
    that applied the update under guard, was force-tripped, and reverted.
    The response transcripts must be identical, for all three apps. *)
 
-let probe_scripts (d : A.Experience.app_desc) =
-  List.map (fun (port, script, _) -> (port, script)) d.A.Experience.d_loads
-
 let collect_responses vm ~port ~script =
   let net = vm.Jv_vm.State.net in
   match Simnet.connect net ~port with
@@ -465,28 +460,21 @@ let collect_responses vm ~port ~script =
 
 let app_pairs =
   [|
-    (A.Experience.web_desc, "5.1.4", "5.1.5");
-    (A.Experience.mail_desc, "1.3.1", "1.3.2");
-    (A.Experience.ftp_desc, "1.06", "1.07");
+    (A.App.miniweb, "5.1.4", "5.1.5");
+    (A.App.minimail, "1.3.1", "1.3.2");
+    (A.App.miniftp, "1.06", "1.07");
   |]
 
 let transcript ~updated (d, from_v, to_v) ~warm =
   (* no background load: both scenarios see a server whose state depends
      only on its code, not on how many rounds have elapsed *)
-  let vm = A.Experience.boot_version d ~version:from_v in
+  let vm = A.App.boot d (A.App.compile d ~version:from_v) in
   VM.Vm.run vm ~rounds:warm;
   if updated then begin
     let spec =
-      A.Common.spec
-        ~overrides:(d.A.Experience.d_overrides ~to_version:to_v)
-        ~version_tag:(A.Common.version_tag from_v)
-        ~old_program:
-          (Jv_lang.Compile.compile_program
-             (A.Patching.source d.A.Experience.d_versioned ~version:from_v))
-        ~new_program:
-          (Jv_lang.Compile.compile_program
-             (A.Patching.source d.A.Experience.d_versioned ~version:to_v))
-        ()
+      A.App.spec d ~from_version:from_v ~to_version:to_v
+        ~old_program:(A.App.compile d ~version:from_v)
+        ~new_program:(A.App.compile d ~version:to_v)
     in
     let h =
       J.Jvolve.update_now ~timeout_rounds:400 ~guard:(J.Guard.config ()) vm
@@ -494,7 +482,7 @@ let transcript ~updated (d, from_v, to_v) ~warm =
     in
     if not (J.Jvolve.succeeded h) then
       QCheck.Test.fail_reportf "%s: update did not apply: %s"
-        d.A.Experience.d_name
+        d.A.App.pr_name
         (J.Jvolve.outcome_to_string h.J.Jvolve.h_outcome);
     let plan = Faults.create ~seed:9 () in
     Faults.arm plan ~point:"guard.trip" ~max_fires:1 Faults.Raise;
@@ -503,13 +491,13 @@ let transcript ~updated (d, from_v, to_v) ~warm =
     | J.Jvolve.Reverted _ -> ()
     | o ->
         QCheck.Test.fail_reportf "%s: expected a revert, got %s"
-          d.A.Experience.d_name
+          d.A.App.pr_name
           (J.Jvolve.outcome_to_string o));
     VM.Vm.set_faults vm None
   end;
   List.concat_map
     (fun (port, script) -> collect_responses vm ~port ~script)
-    (probe_scripts d)
+    (A.App.loads d)
 
 let prop_revert_observationally_identical =
   QCheck.Test.make
@@ -528,7 +516,7 @@ let prop_revert_observationally_identical =
         QCheck.Test.fail_reportf
           "transcripts diverge for %s:\n  never-updated: %s\n  reverted:      %s"
           (let d, _, _ = pair in
-           d.A.Experience.d_name)
+           d.A.App.pr_name)
           (String.concat " | " baseline)
           (String.concat " | " reverted);
       true)

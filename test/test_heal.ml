@@ -17,6 +17,7 @@
      back to N alive on one version, with every store bit-for-bit equal
      to a never-killed control fleet. *)
 
+module A = Jv_apps
 module F = Jv_fleet
 module J = Jvolve_core
 module VM = Jv_vm
@@ -31,7 +32,7 @@ let fleet_config =
 (* request timeouts on the closed-loop drivers: a kill severs that VM's
    in-flight lines and the sessions must recycle, not wedge *)
 let boot_under_load ?(size = 3) ?(version = "5.1.1")
-    ?(profile = F.Profile.miniweb) () =
+    ?(profile = A.App.miniweb) () =
   let fleet =
     F.Fleet.create ~config:fleet_config ~policy:F.Lb.Round_robin ~profile
       ~version ~size ()
@@ -236,7 +237,7 @@ let test_catchup_abort_retried () =
 let test_snapshot_roundtrip () =
   let fleet =
     F.Fleet.create ~config:fleet_config ~policy:F.Lb.Round_robin
-      ~profile:F.Profile.ministore ~version:"1.0" ~size:1 ()
+      ~profile:A.App.ministore ~version:"1.0" ~size:1 ()
   in
   F.Fleet.run fleet ~rounds:30;
   let vm = (F.Fleet.instance fleet 0).F.Instance.i_vm in
@@ -275,7 +276,9 @@ let test_snapshot_roundtrip () =
 (* --- durable recovery through a missed schema hop ----------------------- *)
 
 let test_ministore_durable_recovery () =
-  let fleet = boot_under_load ~size:2 ~profile:F.Profile.ministore ~version:"1.0" () in
+  let fleet =
+    boot_under_load ~size:2 ~profile:A.App.ministore ~version:"1.0" ()
+  in
   let r =
     F.Orchestrator.run
       ~params:
@@ -340,7 +343,7 @@ let prop_kill_schedule_heals =
       let boot () =
         let fleet =
           F.Fleet.create ~config:fleet_config ~policy:F.Lb.Round_robin
-            ~profile:F.Profile.ministore ~version:"1.0" ~size ()
+            ~profile:A.App.ministore ~version:"1.0" ~size ()
         in
         F.Fleet.run fleet ~rounds:30;
         write_batches fleet ~seed;

@@ -948,24 +948,18 @@ let ref_offsets_match_types () =
   in
   let classes = ref 0 in
   List.iter
-    (fun (d : A.Experience.app_desc) ->
+    (fun (d : A.App.t) ->
       List.iter
         (fun ((from_version, _), (to_version, _)) ->
-          let vm = A.Experience.boot_version d ~version:from_version in
+          let vm = A.App.boot d (A.App.compile d ~version:from_version) in
           VM.Vm.run vm ~rounds:20;
-          let compile v =
-            Jv_lang.Compile.compile_program
-              (A.Patching.source d.A.Experience.d_versioned ~version:v)
-          in
           let spec =
-            A.Common.spec
-              ~overrides:(d.A.Experience.d_overrides ~to_version)
-              ~version_tag:(A.Common.version_tag from_version)
-              ~old_program:(compile from_version)
-              ~new_program:(compile to_version) ()
+            A.App.spec d ~from_version ~to_version
+              ~old_program:(A.App.compile d ~version:from_version)
+              ~new_program:(A.App.compile d ~version:to_version)
           in
           let where =
-            Printf.sprintf "%s %s->%s" d.A.Experience.d_name from_version
+            Printf.sprintf "%s %s->%s" d.A.App.pr_name from_version
               to_version
           in
           Alcotest.(check bool) (where ^ ": applied") true
@@ -980,8 +974,8 @@ let ref_offsets_match_types () =
           ignore (VM.Gc.collect vm);
           Alcotest.(check bool) (where ^ ": heap verifies") true
             (VM.Heapverify.run vm).VM.Heapverify.hv_ok)
-        (A.Patching.update_pairs d.A.Experience.d_versioned))
-    A.Experience.all_apps;
+        (A.Patching.update_pairs d.A.App.pr_versioned))
+    A.App.all;
   Alcotest.(check bool) "classes checked" true (!classes > 0)
 
 let suite =

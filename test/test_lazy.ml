@@ -343,26 +343,19 @@ let guard_closes_before_drain () =
 
 (* --- guard revert over a half-transformed ministore heap ---------------- *)
 
-let store = A.Experience.store_desc
+let store = A.App.ministore
 
 let store_config =
   {
-    A.Experience.default_config with
+    A.App.default_config with
     VM.State.lazy_update = true;
     VM.State.lazy_sweep_budget = 4;
   }
 
 let store_spec ~from_version ~to_version =
-  A.Common.spec
-    ~overrides:(A.Ministore.overrides ~to_version)
-    ~version_tag:(A.Common.version_tag from_version)
-    ~old_program:
-      (Jv_lang.Compile.compile_program
-         (A.Patching.source A.Ministore.app ~version:from_version))
-    ~new_program:
-      (Jv_lang.Compile.compile_program
-         (A.Patching.source A.Ministore.app ~version:to_version))
-    ()
+  A.App.spec store ~from_version ~to_version
+    ~old_program:(A.App.compile store ~version:from_version)
+    ~new_program:(A.App.compile store ~version:to_version)
 
 let session vm lines : string list =
   let net = vm.VM.State.net in
@@ -400,7 +393,9 @@ let session vm lines : string list =
    update sees a uniformly new-layout heap), then restore every record
    bit-for-bit. *)
 let guard_revert_half_transformed () =
-  let vm = A.Experience.boot_version ~config:store_config store ~version:"1.0" in
+  let vm =
+    A.App.boot ~config:store_config store (A.App.compile store ~version:"1.0")
+  in
   let reads = [ "GET 1000"; "GET 1013"; "GET 5"; "SCAN 0"; "STAT"; "QUIT" ] in
   let before = session vm reads in
   let spec = store_spec ~from_version:"1.0" ~to_version:"1.1" in
@@ -434,7 +429,9 @@ let guard_revert_half_transformed () =
    the retained log outlives the window it was built in, rides through
    the drain's collection and more traffic, and then feeds the revert. *)
 let guard_trips_after_drain () =
-  let vm = A.Experience.boot_version ~config:store_config store ~version:"1.0" in
+  let vm =
+    A.App.boot ~config:store_config store (A.App.compile store ~version:"1.0")
+  in
   let reads = [ "GET 1000"; "GET 1013"; "GET 5"; "SCAN 0"; "STAT"; "QUIT" ] in
   let before = session vm reads in
   let spec = store_spec ~from_version:"1.0" ~to_version:"1.1" in

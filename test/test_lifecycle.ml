@@ -12,6 +12,7 @@
    - one build per hop: a healed rollout shares one compiled program per
      version and one prepared hop across every instance. *)
 
+module A = Jv_apps
 module F = Jv_fleet
 module G = Jv_gossip
 module J = Jvolve_core
@@ -25,7 +26,7 @@ let fleet_config =
 let boot ?(size = 4) ?(version = "5.1.1") ?(concurrency = 4) () =
   let fleet =
     F.Fleet.create ~config:fleet_config ~policy:F.Lb.Round_robin
-      ~profile:F.Profile.miniweb ~version ~size ()
+      ~profile:A.App.miniweb ~version ~size ()
   in
   F.Fleet.run fleet ~rounds:30;
   ignore (F.Fleet.attach_load ~concurrency ~request_timeout:40 fleet);
@@ -365,7 +366,7 @@ let show = function
 (* one idle miniweb instance on 5.1.1, no load *)
 let one () =
   let fleet =
-    F.Fleet.create ~config:fleet_config ~profile:F.Profile.miniweb
+    F.Fleet.create ~config:fleet_config ~profile:A.App.miniweb
       ~version:"5.1.1" ~size:1 ()
   in
   F.Fleet.run fleet ~rounds:30;
@@ -558,7 +559,7 @@ let test_override_keeps_own_build () =
       F.Orchestrator.update_timeout = 250;
     }
   in
-  let own_512 = F.Profile.compile (F.Fleet.profile fleet) ~version:"5.1.2" in
+  let own_512 = A.App.compile (F.Fleet.profile fleet) ~version:"5.1.2" in
   let mutate_spec id (spec : J.Spec.t) =
     if id = 0 then
       J.Spec.make ~version_tag:spec.J.Spec.version_tag

@@ -474,6 +474,7 @@ let admitted_specs_verify =
    in-flight connection count stays bounded by the work the rollout
    actually attempted. *)
 
+module A = Jv_apps
 module F = Jv_fleet
 module Faults = Jv_faults.Faults
 
@@ -499,7 +500,7 @@ let rollout_converges =
       let size = 3 in
       let fleet =
         F.Fleet.create ~config:fleet_config ~policy:F.Lb.Round_robin
-          ~profile:F.Profile.miniweb ~version:"5.1.1" ~size ()
+          ~profile:A.App.miniweb ~version:"5.1.1" ~size ()
       in
       F.Fleet.run fleet ~rounds:30;
       ignore (F.Fleet.attach_load ~concurrency:(2 * size) fleet);
@@ -567,8 +568,6 @@ let rollout_converges =
    observable one.  Afterwards the lazy VM drains its window, collects,
    and must show a verified heap with zero mixed-epoch residue. *)
 
-module A = Jv_apps
-
 let diff_session vm ~port lines : string list =
   let module Simnet = Jv_simnet.Simnet in
   let net = vm.VM.State.net in
@@ -601,15 +600,15 @@ let diff_session vm ~port lines : string list =
       Simnet.reap net ~conn_id:cid;
       resps
 
-let diff_drive vm (d : A.Experience.app_desc) buf =
+let diff_drive vm (d : A.App.t) buf =
   List.iter
-    (fun (port, script, _) ->
+    (fun (port, script) ->
       List.iter
         (fun r ->
           Buffer.add_string buf r;
           Buffer.add_char buf '\n')
         (diff_session vm ~port script))
-    d.A.Experience.d_loads
+    (A.App.loads d)
 
 (* The spec's own generated transformer source, handed over as a
    complete custom source: the same bundle, but every object transformer
@@ -622,32 +621,25 @@ let all_interpreted (spec : J.Spec.t) =
    [interpret] runs every object transformer on the interpreter
    ([all_interpreted]).  Returns the transcript and the VM. *)
 let diff_run ?(confree = true) ?(interpret = false) ~lazy_mode ~warmup
-    (d : A.Experience.app_desc) (from_version, to_version) =
+    (d : A.App.t) (from_version, to_version) =
   let config =
     if lazy_mode then
       {
-        A.Experience.default_config with
+        A.App.default_config with
         VM.State.lazy_update = true;
         VM.State.lazy_sweep_budget = 16;
         confree;
       }
-    else { A.Experience.default_config with VM.State.confree = confree }
+    else { A.App.default_config with VM.State.confree = confree }
   in
-  let vm = A.Experience.boot_version ~config d ~version:from_version in
+  let vm = A.App.boot ~config d (A.App.compile d ~version:from_version) in
   VM.Vm.run vm ~rounds:warmup;
   let buf = Buffer.create 1024 in
   diff_drive vm d buf;
   let spec =
-    A.Common.spec
-      ~overrides:(d.A.Experience.d_overrides ~to_version)
-      ~version_tag:(A.Common.version_tag from_version)
-      ~old_program:
-        (Jv_lang.Compile.compile_program
-           (A.Patching.source d.A.Experience.d_versioned ~version:from_version))
-      ~new_program:
-        (Jv_lang.Compile.compile_program
-           (A.Patching.source d.A.Experience.d_versioned ~version:to_version))
-      ()
+    A.App.spec d ~from_version ~to_version
+      ~old_program:(A.App.compile d ~version:from_version)
+      ~new_program:(A.App.compile d ~version:to_version)
   in
   let spec = if interpret then all_interpreted spec else spec in
   let h = J.Jvolve.update_now ~timeout_rounds:400 vm spec in
@@ -659,26 +651,26 @@ let diff_run ?(confree = true) ?(interpret = false) ~lazy_mode ~warmup
   if lazy_mode then begin
     if Result.is_error (VM.State.drain_window vm) then
       QCheck.Test.fail_reportf "%s %s->%s: lazy drain rolled back"
-        d.A.Experience.d_name from_version to_version;
+        d.A.App.pr_name from_version to_version;
     ignore (VM.Gc.collect vm);
     let residue = Test_lazy.residue_count vm in
     if residue <> 0 then
       QCheck.Test.fail_reportf "%s %s->%s: %d lazy-residue objects"
-        d.A.Experience.d_name from_version to_version residue;
+        d.A.App.pr_name from_version to_version residue;
     let rep = VM.Heapverify.run vm in
     if not rep.VM.Heapverify.hv_ok then
       QCheck.Test.fail_reportf "%s %s->%s: lazy heap fails verification"
-        d.A.Experience.d_name from_version to_version
+        d.A.App.pr_name from_version to_version
   end;
   (Buffer.contents buf, vm)
 
 let diff_rung ?confree ~lazy_mode ~warmup d rung =
   fst (diff_run ?confree ~lazy_mode ~warmup d rung)
 
-let ladder_rungs (d : A.Experience.app_desc) =
+let ladder_rungs (d : A.App.t) =
   List.map
     (fun ((fv, _), (tv, _)) -> (fv, tv))
-    (A.Patching.update_pairs d.A.Experience.d_versioned)
+    (A.Patching.update_pairs d.A.App.pr_versioned)
 
 (* The live heap, word for word, after a full collection. *)
 let heap_words vm =
@@ -700,11 +692,11 @@ let lazy_eager_differential =
               if not (String.equal eager lz) then
                 QCheck.Test.fail_reportf
                   "%s %s->%s: transcripts diverge\n--- eager ---\n%s\n--- lazy ---\n%s"
-                  d.A.Experience.d_name (fst rung) (snd rung) eager lz)
+                  d.A.App.pr_name (fst rung) (snd rung) eager lz)
             (List.map
                (fun ((fv, _), (tv, _)) -> (fv, tv))
-               (A.Patching.update_pairs d.A.Experience.d_versioned)))
-        A.Experience.all_apps;
+               (A.Patching.update_pairs d.A.App.pr_versioned)))
+        A.App.all;
       true)
 
 (* --- copy plans vs the interpreter over the app ladders -----------------------
@@ -725,13 +717,13 @@ let plan_interp_differential =
     (fun warmup ->
       let planned = ref 0 in
       List.iter
-        (fun (d : A.Experience.app_desc) ->
+        (fun (d : A.App.t) ->
           List.iter
             (fun rung ->
               List.iter
                 (fun lazy_mode ->
                   let where =
-                    Printf.sprintf "%s %s->%s (%s)" d.A.Experience.d_name
+                    Printf.sprintf "%s %s->%s (%s)" d.A.App.pr_name
                       (fst rung) (snd rung)
                       (if lazy_mode then "lazy" else "eager")
                   in
@@ -752,7 +744,7 @@ let plan_interp_differential =
                   planned := !planned + planned_pairs vm_p)
                 [ false; true ])
             (ladder_rungs d))
-        A.Experience.all_apps;
+        A.App.all;
       if !planned = 0 then
         QCheck.Test.fail_reportf "no rung ran a copy plan: nothing compared";
       true)
@@ -899,19 +891,19 @@ let confree_differential =
               | false, true ->
                   QCheck.Test.fail_reportf
                     "%s %s->%s: applies without con-freeness but not with it"
-                    d.A.Experience.d_name (fst rung) (snd rung)
+                    d.A.App.pr_name (fst rung) (snd rung)
               | true, true ->
                   if not (String.equal on off) then
                     QCheck.Test.fail_reportf
                       "%s %s->%s: transcripts diverge\n--- on ---\n%s\n--- \
                        off ---\n%s"
-                      d.A.Experience.d_name (fst rung) (snd rung) on off
+                      d.A.App.pr_name (fst rung) (snd rung) on off
               | true, false -> incr unlocked
               | false, false -> ())
             (List.map
                (fun ((fv, _), (tv, _)) -> (fv, tv))
-               (A.Patching.update_pairs d.A.Experience.d_versioned)))
-        A.Experience.all_apps;
+               (A.Patching.update_pairs d.A.App.pr_versioned)))
+        A.App.all;
       if !unlocked < 1 then
         QCheck.Test.fail_reportf
           "expected at least one rung only the analysis unlocks, found none";

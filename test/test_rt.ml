@@ -129,6 +129,42 @@ let method_resolution_order () =
       Alcotest.(check string) "most-derived wins" "B" owner.VM.Rt.name
   | None -> Alcotest.fail "no getA1"
 
+(* The static layout walks the update analyses reason with
+   ([CF.Cls.instance_fields], [Confree.vslot_table]) must agree with the
+   classes the VM installs: con-freeness proofs reason about burned field
+   offsets and vslots through them, and are sound only while they do. *)
+let static_layout_mirrors_installed () =
+  List.iter
+    (fun (app : Jv_apps.App.t) ->
+      List.iter
+        (fun version ->
+          let classes = Jv_apps.App.compile app ~version in
+          let vm = VM.Vm.create ~config:Helpers.test_config () in
+          VM.Vm.boot vm classes;
+          let p = CF.Builtins.program_with classes in
+          List.iter
+            (fun (c : CF.Cls.t) ->
+              let where =
+                Printf.sprintf "%s %s %s" app.Jv_apps.App.pr_name version
+                  c.CF.Cls.c_name
+              in
+              let rt = VM.Rt.require_class vm.VM.State.reg c.CF.Cls.c_name in
+              Alcotest.(check (list string))
+                (where ^ " instance fields")
+                (List.map
+                   (fun (f : CF.Cls.field) -> f.CF.Cls.fd_name)
+                   (CF.Cls.instance_fields p c))
+                (Array.to_list
+                   (Array.map (fun fi -> fi.VM.Rt.fi_name)
+                      rt.VM.Rt.instance_fields));
+              Alcotest.(check (list (pair string int)))
+                (where ^ " vslots")
+                (Jvolve_core.Confree.vslot_table p c)
+                (Array.to_list rt.VM.Rt.vslots))
+            classes)
+        (Jv_apps.App.versions app))
+    Jv_apps.App.all
+
 let suite =
   [
     Alcotest.test_case "field layouts" `Quick layouts;
@@ -138,4 +174,6 @@ let suite =
     Alcotest.test_case "rename rebinds" `Quick rename_rebinds;
     Alcotest.test_case "method resolution order" `Quick
       method_resolution_order;
+    Alcotest.test_case "static layout mirrors installed classes" `Quick
+      static_layout_mirrors_installed;
   ]

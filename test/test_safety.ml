@@ -17,6 +17,7 @@
 
 module VM = Jv_vm
 module J = Jvolve_core
+module A = Jv_apps
 module F = Jv_fleet
 module CF = Jv_classfile
 module Faults = Jv_faults.Faults
@@ -635,8 +636,8 @@ class Main {
 let fleet_quarantines_corrupted_instance () =
   let fleet =
     F.Fleet.create
-      ~config:{ F.Instance.default_config with Jv_vm.State.verify_heap = true }
-      ~policy:F.Lb.Round_robin ~profile:F.Profile.miniweb ~version:"5.1.1"
+      ~config:{ A.App.default_config with Jv_vm.State.verify_heap = true }
+      ~policy:F.Lb.Round_robin ~profile:A.App.miniweb ~version:"5.1.1"
       ~size:4 ()
   in
   F.Fleet.run fleet ~rounds:30;

@@ -13,20 +13,16 @@ module J = Jvolve_core
 module A = Jv_apps
 module Simnet = Jv_simnet.Simnet
 
-let store = A.Experience.store_desc
+let store = A.App.ministore
 
-let boot ~version = A.Experience.boot_version store ~version
+let boot ~version = A.App.boot store (A.App.compile store ~version)
 
-let compile ~version =
-  Jv_lang.Compile.compile_program (A.Patching.source A.Ministore.app ~version)
+let compile ~version = A.App.compile A.App.ministore ~version
 
 let spec_for ~from_version ~to_version =
-  A.Common.spec
-    ~overrides:(A.Ministore.overrides ~to_version)
-    ~version_tag:(A.Common.version_tag from_version)
+  A.App.spec A.App.ministore ~from_version ~to_version
     ~old_program:(compile ~version:from_version)
     ~new_program:(compile ~version:to_version)
-    ()
 
 let ladder = [ ("1.0", "1.1"); ("1.1", "1.2"); ("1.2", "1.3") ]
 
@@ -90,11 +86,7 @@ let apply vm spec label =
    old copies in each retained update log. *)
 let ladder_walks_under_load () =
   let vm = boot ~version:"1.0" in
-  let w =
-    A.Workload.attach vm ~port:A.Ministore.port
-      ~script:A.Workload.store_script ~ok:A.Workload.store_ok ~concurrency:3
-      ()
-  in
+  let w = List.hd (A.App.attach vm A.App.ministore ~concurrency:3) in
   VM.Vm.run vm ~rounds:60;
   List.iter
     (fun (from_v, to_v) ->
@@ -190,11 +182,7 @@ let inverse_roundtrip =
    — with zero dropped connections and a green heap. *)
 let guard_revert_restores_store () =
   let vm = boot ~version:"1.0" in
-  let w =
-    A.Workload.attach vm ~port:A.Ministore.port
-      ~script:A.Workload.store_script ~ok:A.Workload.store_ok ~concurrency:3
-      ()
-  in
+  let w = List.hd (A.App.attach vm A.App.ministore ~concurrency:3) in
   VM.Vm.run vm ~rounds:60;
   let reads = [ "GET 1000"; "GET 1013"; "GET 5"; "SCAN 0"; "QUIT" ] in
   let before = session vm reads in

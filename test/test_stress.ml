@@ -156,15 +156,15 @@ let web_long_haul () =
      collections under live connections *)
   let config =
     {
-      A.Experience.default_config with
+      A.App.default_config with
       VM.State.heap_words = 1 lsl 15;
     }
   in
-  let vm = A.Experience.boot_version ~config A.Experience.web_desc ~version:"5.1.10" in
-  let w =
-    A.Workload.attach vm ~port:A.Miniweb.protocol_port
-      ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:6 ()
+  let vm =
+    A.App.boot ~config A.App.miniweb
+      (A.App.compile A.App.miniweb ~version:"5.1.10")
   in
+  let w = List.hd (A.App.attach vm A.App.miniweb ~concurrency:6) in
   VM.Vm.run vm ~rounds:2500;
   Alcotest.(check bool) "thousands served" true
     (w.A.Workload.load.completed_requests > 2000);

@@ -95,7 +95,9 @@ let sequential_updates () =
 (* the whole miniweb release history rolled through one living server *)
 let miniweb_rolling_upgrade () =
   let module A = Jv_apps in
-  let vm = A.Experience.boot_version A.Experience.web_desc ~version:"5.1.0" in
+  let vm =
+    A.App.boot A.App.miniweb (A.App.compile A.App.miniweb ~version:"5.1.0")
+  in
   let w =
     A.Workload.attach vm ~port:A.Miniweb.protocol_port
       ~script:A.Workload.web_script ~ok:A.Workload.web_ok ~concurrency:4 ()

@@ -226,20 +226,20 @@ let structure () =
 
 let compiler_output_verifies () =
   (* every test app version must verify — several hundred methods across
-     25 program versions *)
+     30 program versions *)
   List.iter
-    (fun (v : Jv_apps.Patching.versioned) ->
+    (fun app ->
       List.iter
-        (fun (_, src) ->
+        (fun version ->
           (* compile_program itself verifies; also re-verify explicitly *)
-          let classes = Jv_lang.Compile.compile_program src in
+          let classes = Jv_apps.App.compile app ~version in
           match
             Verifier.verify_program (Cls.program_of_list (Builtins.all @ classes))
           with
           | [] -> ()
           | errs -> Alcotest.failf "verifier: %s" (String.concat "|" errs))
-        v.Jv_apps.Patching.versions)
-    [ Jv_apps.Miniweb.app; Jv_apps.Minimail.app; Jv_apps.Miniftp.app ]
+        (Jv_apps.App.versions app))
+    Jv_apps.App.all
 
 let suite =
   [
