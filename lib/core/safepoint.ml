@@ -154,7 +154,7 @@ let check ?(allow_osr = true) vm (r : restricted) : check_result =
          would go *)
       let top_restricted = ref None in
       let stuck_at = ref None in
-      List.iter
+      State.iter_frames
         (fun fr ->
           match frame_class vm ~allow_osr r fr with
           | `Blocking ->
@@ -164,7 +164,7 @@ let check ?(allow_osr = true) vm (r : restricted) : check_result =
               if Option.is_none !top_restricted then top_restricted := Some fr;
               osr_frames := fr :: !osr_frames
           | `Clear -> ())
-        t.State.frames;
+        t;
       Option.iter (fun fr -> stuck := (t, fr) :: !stuck) !stuck_at)
     (State.live_threads vm);
   Jv_obs.Obs.incr vm.State.obs "core.safepoint.checks";
@@ -188,7 +188,7 @@ let install_barriers (stuck : (State.vthread * State.frame) list) : int =
 let clear_barriers vm =
   List.iter
     (fun (t : State.vthread) ->
-      List.iter (fun fr -> fr.State.barrier <- false) t.State.frames)
+      State.iter_frames (fun fr -> fr.State.barrier <- false) t)
     vm.State.threads
 
 (* Release every thread parked by a fired return barrier (when the update

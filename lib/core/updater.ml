@@ -451,7 +451,7 @@ let object_transformer vm (s : session) ~new_cid ~old_cid =
    Jvolve.transform native) arrive while the carrier is mid-call and
    take a fresh temporary thread. *)
 let invoke vm (s : session) m args =
-  if s.carrier.State.frames = [] then begin
+  if s.carrier.State.depth = 0 then begin
     if not (List.memq s.carrier vm.State.threads) then
       vm.State.threads <- vm.State.threads @ [ s.carrier ];
     Interp.call_on vm s.carrier m args
@@ -1149,29 +1149,14 @@ let open_window vm txn (s : session) ~plan ~guarded ~proofs =
 
 (* What OSR mutates per frame, for restoration when a later frame's
    replacement (or an injected fault) aborts the update. *)
-type frame_snap = {
-  fs_code : Jv_vm.Machine.compiled;
-  fs_pc : int;
-  fs_locals : int array;
-  fs_ostack : int array;
-  fs_sp : int;
-}
+type frame_snap = { fs_code : Jv_vm.Machine.compiled; fs_pc : int }
 
 let snap_frame (fr : State.frame) =
-  {
-    fs_code = fr.State.code;
-    fs_pc = fr.State.pc;
-    fs_locals = Array.copy fr.State.locals;
-    fs_ostack = Array.copy fr.State.ostack;
-    fs_sp = fr.State.sp;
-  }
+  { fs_code = fr.State.code; fs_pc = fr.State.pc }
 
 let restore_frame (fr : State.frame) s =
   fr.State.code <- s.fs_code;
-  fr.State.pc <- s.fs_pc;
-  fr.State.locals <- s.fs_locals;
-  fr.State.ostack <- s.fs_ostack;
-  fr.State.sp <- s.fs_sp
+  fr.State.pc <- s.fs_pc
 
 (* The whole installation runs inside a [Txn]: any failure in the load /
    GC / transform / OSR phases — including the armed fault plan's
@@ -1283,7 +1268,7 @@ let apply ?(retain_log = false) ?replay vm (p : Transformers.prepared)
         vm.State.heap.Heap.epoch <- vm.State.heap.Heap.epoch + 1;
         (* idle between invocations: marked done so the scheduler never
            slices it; [invoke] re-registers it per call *)
-        s.carrier.State.tstate <- State.T_done;
+        State.finish vm s.carrier State.T_done;
         let lctx =
           open_window vm txn s ~plan ~guarded:retain_log ~proofs:(fun () ->
               Transformers.proofs p)

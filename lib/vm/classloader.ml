@@ -100,5 +100,6 @@ let spawn_main vm ~main_class : State.vthread =
         State.fatal "%s.main() must be static" main_class;
       let code = Jit.ensure_base vm m in
       m.Rt.invocations <- m.Rt.invocations + 1;
-      let fr = State.make_frame m code [||] in
-      State.new_thread vm [ fr ]
+      let t = State.new_thread vm in
+      State.start_frame t m code [||];
+      t

@@ -186,17 +186,25 @@ let collect ?plan ?redirect (vm : State.t) : result =
   in
   (* --- roots --- *)
   forward_array vm.State.jtoc 0 vm.State.jtoc_n;
+  (* each thread's frames, top first, locals before operands; a blocked
+     native's arguments (the top frame's top operands) after them all *)
   List.iter
     (fun (t : State.vthread) ->
-      List.iter
-        (fun (fr : State.frame) ->
-          forward_array fr.State.locals 0 (Array.length fr.State.locals);
-          forward_array fr.State.ostack 0 fr.State.sp)
-        t.State.frames;
-      match t.State.pending with
-      | Some pn ->
-          forward_array pn.State.pn_args 0 (Array.length pn.State.pn_args)
-      | None -> ())
+      let stack = t.State.stack in
+      let held =
+        match t.State.pending with Some pn -> pn.State.pn_argc | None -> 0
+      in
+      for d = t.State.depth - 1 downto 0 do
+        let fr = t.State.frames.(d) in
+        let hi =
+          if d = t.State.depth - 1 then fr.State.sp - held else fr.State.sp
+        in
+        forward_array stack fr.State.base hi
+      done;
+      if held > 0 then begin
+        let sp = (State.top_frame t).State.sp in
+        forward_array stack (sp - held) sp
+      end)
     vm.State.threads;
   let forward_log log = Update_log.forward log forward in
   Option.iter forward_log vm.State.update_log;

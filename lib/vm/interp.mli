@@ -31,10 +31,6 @@ val retry_pending : State.t -> State.vthread -> unit
 (** Re-run the native call a blocked thread is parked on (called by the
     scheduler once the block reason looks ready). *)
 
-val do_return : State.t -> State.vthread -> value:int option -> bool
-(** Complete a method return (pop frame, deliver result, advance caller);
-    returns whether a DSU return barrier fired. *)
-
 exception Sync_trap of string
 
 val make_carrier : State.t -> State.vthread

@@ -250,7 +250,7 @@ let rec emit_body vm b (code : CF.Instr.t array) ~base_local ~bc_of ~depth
         | M_if_true _ -> M_if_true t
         | M_if_false _ -> M_if_false t
         | M_goto _ -> M_goto t
-        | _ -> assert false))
+        | i -> cerr "branch patch at %d hit %s" idx (Machine.to_string i)))
     !patches;
   !inlined
 
@@ -272,8 +272,15 @@ let compile vm (m : Rt.rt_method) (level : level) : compiled =
       let bc_map = Array.sub b.bc 0 b.n in
       if level = Base then begin
         (* the base compiler must be exactly 1:1 — OSR relies on it *)
-        assert (Array.length mcode = Array.length code);
-        Array.iteri (fun i bcpc -> assert (bcpc = i)) bc_map
+        if Array.length mcode <> Array.length code then
+          cerr "base code for %s is %d instructions for %d bytecodes"
+            m.Rt.m_name (Array.length mcode) (Array.length code);
+        Array.iteri
+          (fun i bcpc ->
+            if bcpc <> i then
+              cerr "base code for %s maps pc %d to bytecode %d" m.Rt.m_name i
+                bcpc)
+          bc_map
       end;
       (match level with
       | Base ->

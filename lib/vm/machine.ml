@@ -75,6 +75,20 @@ type compiled = {
   frame_locals : int; (* local slots needed (method locals + inlined bodies) *)
 }
 
+(* A placeholder body for frame records not yet filled. *)
+let no_code =
+  {
+    code = [||];
+    bc_map = [||];
+    level = Base;
+    inlined = [];
+    inline_spans = [];
+    owner_uid = -1;
+    epoch = 0;
+    max_stack = 0;
+    frame_locals = 0;
+  }
+
 let pc_in_inlined_span (c : compiled) pc =
   List.exists (fun (lo, hi) -> pc >= lo && pc < hi) c.inline_spans
 

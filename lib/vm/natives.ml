@@ -4,8 +4,11 @@
    data *before* the first heap allocation, and when allocating several
    objects, [State.ensure_free] the total size up front so later
    allocations in the sequence cannot trigger a collection that moves the
-   earlier ones.  (Native frames are invisible to the collector, exactly as
-   in a real VM without handle support.)  An allocation may still grow the
+   earlier ones.  (A native's arguments lie on the calling thread's stack,
+   just above its frame's operands, where the collector does not look
+   while the native runs; what a native holds in OCaml locals is
+   invisible to it too, exactly as in a real VM without handle
+   support.)  An allocation may still grow the
    heap's semi-spaces to their cap: that keeps every address but swaps
    [heap.space] for a new array, so hold addresses across an allocation,
    never the array; [Heap.get]/[Heap.set] always reach the current one. *)
@@ -46,47 +49,47 @@ let string_natives vm0 =
   ignore vm0;
   [
     ( "String.length()I",
-      fun vm _t args ->
-        State.N_val (Value.of_int (String.length (str_exn vm args.(0) "length")))
+      fun vm _t args at ->
+        State.N_val (Value.of_int (String.length (str_exn vm args.(at) "length")))
     );
     ( "String.concat(LString;)LString;",
-      fun vm _t args ->
-        let a = sid_exn vm args.(0) "concat" in
-        let b = sid_exn vm args.(1) "concat" in
+      fun vm _t args at ->
+        let a = sid_exn vm args.(at) "concat" in
+        let b = sid_exn vm args.(at + 1) "concat" in
         State.N_val
           (Value.of_ref (State.alloc_string_sid vm (State.concat_sid vm a b)))
     );
     ( "String.equals(LString;)Z",
-      fun vm _t args ->
-        let a = sid_exn vm args.(0) "equals" in
-        if Value.is_null args.(1) then State.N_val Value.false_w
-        else State.N_val (Value.of_bool (a = sid_exn vm args.(1) "equals")) );
+      fun vm _t args at ->
+        let a = sid_exn vm args.(at) "equals" in
+        if Value.is_null args.(at + 1) then State.N_val Value.false_w
+        else State.N_val (Value.of_bool (a = sid_exn vm args.(at + 1) "equals")) );
     ( "String.substring(II)LString;",
-      fun vm _t args ->
-        let s = str_exn vm args.(0) "substring" in
-        let a = Value.to_int args.(1) and b = Value.to_int args.(2) in
+      fun vm _t args at ->
+        let s = str_exn vm args.(at) "substring" in
+        let a = Value.to_int args.(at + 1) and b = Value.to_int args.(at + 2) in
         if a < 0 || b > String.length s || a > b then
           State.N_trap
             (Printf.sprintf "substring(%d,%d) out of range (length %d)" a b
                (String.length s))
         else ret_string vm (String.sub s a (b - a)) );
     ( "String.indexOf(LString;)I",
-      fun vm _t args ->
-        let s = str_exn vm args.(0) "indexOf" in
-        let p = str_exn vm args.(1) "indexOf" in
+      fun vm _t args at ->
+        let s = str_exn vm args.(at) "indexOf" in
+        let p = str_exn vm args.(at + 1) "indexOf" in
         State.N_val (Value.of_int (find_from s p 0)) );
     ( "String.charAt(I)I",
-      fun vm _t args ->
-        let s = str_exn vm args.(0) "charAt" in
-        let i = Value.to_int args.(1) in
+      fun vm _t args at ->
+        let s = str_exn vm args.(at) "charAt" in
+        let i = Value.to_int args.(at + 1) in
         if i < 0 || i >= String.length s then
           State.N_trap (Printf.sprintf "charAt(%d) out of range" i)
         else State.N_val (Value.of_int (Char.code s.[i])) );
     ( "String.split(LString;I)[LString;",
-      fun vm _t args ->
-        let s = str_exn vm args.(0) "split" in
-        let sep = str_exn vm args.(1) "split" in
-        let limit = Value.to_int args.(2) in
+      fun vm _t args at ->
+        let s = str_exn vm args.(at) "split" in
+        let sep = str_exn vm args.(at + 1) "split" in
+        let limit = Value.to_int args.(at + 2) in
         let n = String.length s and m = String.length sep in
         (* at most [limit] parts when [limit] > 0; the last part is the
            rest of [s] *)
@@ -117,37 +120,37 @@ let string_natives vm0 =
           parts;
         State.N_val (Value.of_ref arr) );
     ( "String.startsWith(LString;)Z",
-      fun vm _t args ->
-        let s = str_exn vm args.(0) "startsWith" in
-        let p = str_exn vm args.(1) "startsWith" in
+      fun vm _t args at ->
+        let s = str_exn vm args.(at) "startsWith" in
+        let p = str_exn vm args.(at + 1) "startsWith" in
         State.N_val (Value.of_bool (matches_at s 0 p)) );
     ( "String.endsWith(LString;)Z",
-      fun vm _t args ->
-        let s = str_exn vm args.(0) "endsWith" in
-        let p = str_exn vm args.(1) "endsWith" in
+      fun vm _t args at ->
+        let s = str_exn vm args.(at) "endsWith" in
+        let p = str_exn vm args.(at + 1) "endsWith" in
         State.N_val
           (Value.of_bool
              (matches_at s (String.length s - String.length p) p)) );
     ( "String.trim()LString;",
-      fun vm _t args -> ret_string vm (String.trim (str_exn vm args.(0) "trim"))
+      fun vm _t args at -> ret_string vm (String.trim (str_exn vm args.(at) "trim"))
     );
     ( "String.contains(LString;)Z",
-      fun vm _t args ->
-        let s = str_exn vm args.(0) "contains" in
-        let p = str_exn vm args.(1) "contains" in
+      fun vm _t args at ->
+        let s = str_exn vm args.(at) "contains" in
+        let p = str_exn vm args.(at + 1) "contains" in
         State.N_val (Value.of_bool (find_from s p 0 >= 0)) );
     ( "String.toInt()I",
-      fun vm _t args ->
-        let s = String.trim (str_exn vm args.(0) "toInt") in
+      fun vm _t args at ->
+        let s = String.trim (str_exn vm args.(at) "toInt") in
         match int_of_string_opt s with
         | Some i -> State.N_val (Value.of_int i)
         | None -> State.N_val (Value.of_int 0) );
     ( "String.toLowerCase()LString;",
-      fun vm _t args ->
+      fun vm _t args at ->
         ret_string vm
-          (String.lowercase_ascii (str_exn vm args.(0) "toLowerCase")) );
+          (String.lowercase_ascii (str_exn vm args.(at) "toLowerCase")) );
     ( "String.ofInt(I)LString;",
-      fun vm _t args -> ret_string vm (string_of_int (Value.to_int args.(0)))
+      fun vm _t args at -> ret_string vm (string_of_int (Value.to_int args.(at)))
     );
   ]
 
@@ -156,21 +159,21 @@ let string_natives vm0 =
 let sys_natives =
   [
     ( "Sys.print(LString;)V",
-      fun vm _t args ->
-        Buffer.add_string vm.State.out (str_exn vm args.(0) "print");
+      fun vm _t args at ->
+        Buffer.add_string vm.State.out (str_exn vm args.(at) "print");
         State.N_void );
     ( "Sys.println(LString;)V",
-      fun vm _t args ->
-        Buffer.add_string vm.State.out (str_exn vm args.(0) "println");
+      fun vm _t args at ->
+        Buffer.add_string vm.State.out (str_exn vm args.(at) "println");
         Buffer.add_char vm.State.out '\n';
         State.N_void );
-    ("Sys.time()I", fun vm _t _args -> State.N_val (Value.of_int vm.State.ticks));
+    ("Sys.time()I", fun vm _t _ _ -> State.N_val (Value.of_int vm.State.ticks));
     ( "Sys.fail(LString;)V",
-      fun vm _t args -> State.N_trap ("Sys.fail: " ^ str_exn vm args.(0) "fail")
+      fun vm _t args at -> State.N_trap ("Sys.fail: " ^ str_exn vm args.(at) "fail")
     );
     ( "Sys.random(I)I",
-      fun vm _t args ->
-        State.N_val (Value.of_int (State.next_random vm (Value.to_int args.(0))))
+      fun vm _t args at ->
+        State.N_val (Value.of_int (State.next_random vm (Value.to_int args.(at))))
     );
   ]
 
@@ -182,25 +185,25 @@ let sys_natives =
 let net_natives =
   [
     ( "Net.listen(I)I",
-      fun vm _t args ->
-        match Simnet.listen vm.State.net ~port:(Value.to_int args.(0)) with
+      fun vm _t args at ->
+        match Simnet.listen vm.State.net ~port:(Value.to_int args.(at)) with
         | id -> State.N_val (Value.of_int id)
         | exception Simnet.Net_error e -> State.N_trap e );
     ( "Net.accept(I)I",
-      fun vm _t args ->
-        let lid = Value.to_int args.(0) in
+      fun vm _t args at ->
+        let lid = Value.to_int args.(at) in
         match Simnet.accept vm.State.net ~listener_id:lid with
         | Some conn -> State.N_val (Value.of_int conn)
         | None -> State.N_block (State.B_accept lid)
         | exception Simnet.Net_error e -> State.N_trap e );
     ( "Net.connectLoopback(I)I",
-      fun vm _t args ->
-        match Simnet.connect vm.State.net ~port:(Value.to_int args.(0)) with
+      fun vm _t args at ->
+        match Simnet.connect vm.State.net ~port:(Value.to_int args.(at)) with
         | Some cid -> State.N_val (Value.of_int (-cid))
         | None -> State.N_val (Value.of_int 0) );
     ( "Net.recvLine(I)LString;",
-      fun vm _t args ->
-        let cid = Value.to_int args.(0) in
+      fun vm _t args at ->
+        let cid = Value.to_int args.(at) in
         let r =
           if cid < 0 then Simnet.client_recv vm.State.net ~conn_id:(-cid)
           else Simnet.recv_line vm.State.net ~conn_id:cid
@@ -211,9 +214,9 @@ let net_natives =
         | `Wait -> State.N_block (State.B_recv cid)
         | exception Simnet.Net_error e -> State.N_trap e );
     ( "Net.send(ILString;)V",
-      fun vm _t args ->
-        let cid = Value.to_int args.(0) in
-        let s = str_exn vm args.(1) "Net.send" in
+      fun vm _t args at ->
+        let cid = Value.to_int args.(at) in
+        let s = str_exn vm args.(at + 1) "Net.send" in
         (* server-side responses feed the guard's error budget: a line the
            classifier rejects is an app-level 5xx, charged to the epoch of
            the code that produced it *)
@@ -226,8 +229,8 @@ let net_natives =
          with Simnet.Net_error _ -> ());
         State.N_void );
     ( "Net.close(I)V",
-      fun vm _t args ->
-        let cid = Value.to_int args.(0) in
+      fun vm _t args at ->
+        let cid = Value.to_int args.(at) in
         if cid < 0 then Simnet.client_close vm.State.net ~conn_id:(-cid)
         else Simnet.close_server vm.State.net ~conn_id:cid;
         State.N_void );
@@ -238,10 +241,10 @@ let net_natives =
 let thread_natives =
   [
     ( "Thread.spawn(LObject;)V",
-      fun vm _t args ->
-        if Value.is_null args.(0) then State.N_trap "Thread.spawn(null)"
+      fun vm _t args at ->
+        if Value.is_null args.(at) then State.N_trap "Thread.spawn(null)"
         else begin
-          let addr = Value.to_ref args.(0) in
+          let addr = Value.to_ref args.(at) in
           let cls =
             Rt.class_by_id vm.State.reg (Heap.class_id vm.State.heap addr)
           in
@@ -258,22 +261,21 @@ let thread_natives =
                   raise (Interp.Trap ("jit: " ^ e))
               in
               m.Rt.invocations <- m.Rt.invocations + 1;
-              let fr = State.make_frame m code [| args.(0) |] in
-              ignore (State.new_thread vm [ fr ]);
+              State.start_frame (State.new_thread vm) m code [| args.(at) |];
               State.N_void
         end );
     ( "Thread.yieldNow()V",
-      fun vm t _args ->
+      fun vm t _ _ ->
         (* yield = sleep until the next scheduler round; on retry
            ([pending] set) the call completes *)
         if t.State.pending <> None then State.N_void
         else State.N_block (State.B_sleep (vm.State.ticks + 1)) );
     ( "Thread.sleep(I)V",
-      fun vm t args ->
+      fun vm t args at ->
         if t.State.pending <> None then State.N_void
         else
           State.N_block
-            (State.B_sleep (vm.State.ticks + max 1 (Value.to_int args.(0)))) );
+            (State.B_sleep (vm.State.ticks + max 1 (Value.to_int args.(at)))) );
   ]
 
 (* --- Jvolve ------------------------------------------------------------- *)
@@ -281,10 +283,10 @@ let thread_natives =
 let jvolve_natives =
   [
     ( "Jvolve.transform(LObject;)V",
-      fun vm _t args ->
-        (if not (Value.is_null args.(0)) then
+      fun vm _t args at ->
+        (if not (Value.is_null args.(at)) then
            match vm.State.force_transform with
-           | Some f -> f vm (Value.to_ref args.(0))
+           | Some f -> f vm (Value.to_ref args.(at))
            | None -> ());
         State.N_void );
   ]

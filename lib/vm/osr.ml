@@ -44,6 +44,13 @@ let replace_frame vm (fr : State.frame) =
     try Jit.compile vm m Machine.Base
     with Jit.Compile_error e -> raise (Osr_failed ("recompile: " ^ e))
   in
+  (* recompiled unchanged bytecode keeps its layout, so it fits the
+     frame's window: the locals it has, the operand stack reserved for
+     the code it replaces *)
+  if
+    fresh.Machine.frame_locals > fr.State.obase - fr.State.base
+    || fresh.Machine.max_stack > fr.State.code.Machine.max_stack
+  then raise (Osr_failed "fresh code needs a larger frame window");
   m.Rt.base_code <- Some fresh;
   (* find the machine pc whose bytecode pc matches; base code is 1:1 so
      this is exact *)
@@ -56,13 +63,6 @@ let replace_frame vm (fr : State.frame) =
     in
     go 0
   in
-  (* base-compiled frames keep the bytecode's local layout; grow the slots
-     array if the fresh code wants more (it cannot want fewer) *)
-  if fresh.Machine.frame_locals > Array.length fr.State.locals then begin
-    let l = Array.make fresh.Machine.frame_locals 0 in
-    Array.blit fr.State.locals 0 l 0 (Array.length fr.State.locals);
-    fr.State.locals <- l
-  end;
   fr.State.code <- fresh;
   fr.State.pc <- new_pc;
   vm.State.osr_count <- vm.State.osr_count + 1;

@@ -28,16 +28,20 @@ let wake_blocked vm =
       | _ -> ())
     vm.State.threads
 
-(* Drop finished/trapped threads whose frames are gone, to keep root scans
-   and scheduling cheap on long runs. *)
+(* Drop finished/trapped threads, to keep root scans and scheduling cheap
+   on long runs.  Threads end only through [State.finish], so a round in
+   which none did (an idle VM's) leaves the list as it is. *)
 let reap vm =
-  vm.State.threads <-
-    List.filter
-      (fun (t : State.vthread) ->
-        match t.State.tstate with
-        | State.T_done | State.T_trapped _ -> false
-        | _ -> true)
-      vm.State.threads
+  if vm.State.ended then begin
+    vm.State.ended <- false;
+    vm.State.threads <-
+      List.filter
+        (fun (t : State.vthread) ->
+          match t.State.tstate with
+          | State.T_done | State.T_trapped _ -> false
+          | _ -> true)
+        vm.State.threads
+  end
 
 (* Steady-state crash point: an armed [vm.crash] rule turns this round
    into the VM's last.  The kill is recorded directly (no exception

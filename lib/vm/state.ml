@@ -158,38 +158,50 @@ type lazy_info = {
   mutable li_swept : int; (* sweeper-triggered transforms *)
   mutable li_chases : int; (* barrier chases of lazy-forward markers *)
   li_barrier : t -> int array -> int -> unit;
-      (* the read barrier on a reference slot of a rooted word array (an
-         operand stack, the scratch root): chases lazy-forward markers,
-         transforms a pending old-epoch object, rewrites the slot *)
+      (* the read barrier on a reference slot of a rooted word array (a
+         thread's stack at an absolute index, the scratch root): chases
+         lazy-forward markers, transforms a pending old-epoch object,
+         rewrites the slot *)
   li_sweep : t -> unit; (* per round: visit [lazy_sweep_budget] objects *)
   li_drain : t -> (unit, rollback) result;
       (* force every residual transform now; [Error] when a residual
          transformer trapped and the window rolled back instead *)
 }
 
+(* A frame is a window over its thread's word stack: locals at
+   [base, obase), operands at [obase, sp).  A call leaves the arguments
+   where the caller pushed them, so the callee's first locals are the
+   caller's top operands, and reserves [frame_locals + max_stack] words
+   on entry, so a push never checks capacity.  Records are reused by
+   depth: one pushed at depth [d] overwrites every field of the last
+   one there. *)
 and frame = {
-  f_method : int; (* uid *)
+  mutable f_method : int; (* uid *)
   mutable code : Machine.compiled;
   mutable pc : int;
-  mutable locals : int array; (* encoded words *)
-  mutable ostack : int array;
-  mutable sp : int;
+  mutable base : int; (* local [i] is [stack.(base + i)] *)
+  mutable obase : int; (* first operand slot *)
+  mutable sp : int; (* next free operand slot *)
   mutable barrier : bool; (* a DSU return barrier is installed here *)
 }
 
-(* A blocked native call: its linked function + already-popped argument
-   words, re-executed when the block reason clears.  [pn_ret] records
-   whether the call pushes a result on completion. *)
+(* A blocked native call: its linked function, re-executed when the
+   block reason clears.  Its [pn_argc] argument words stay on the top
+   frame's operand stack, as its top operands, until then.  [pn_ret]
+   records whether the call pushes a result on completion. *)
 and pending_native = {
   pn_fn : native_fn;
-  pn_args : int array;
+  pn_argc : int;
   pn_ret : bool;
 }
 
 and vthread = {
   tid : int;
-  mutable frames : frame list; (* top of stack first *)
-  mutable depth : int; (* [List.length frames] *)
+  mutable stack : int array; (* encoded words: every frame's window *)
+  mutable frames : frame array;
+      (* by depth: [frames.(depth - 1)] is the top; the records past
+         [depth] are spare *)
+  mutable depth : int; (* live frames *)
   mutable tstate : thread_state;
   mutable pending : pending_native option;
   mutable last_result : int; (* bottom-frame return value, for sync calls *)
@@ -218,6 +230,9 @@ and t = {
   mutable native_fns : native_fn option array;
   net : Simnet.t;
   mutable threads : vthread list; (* spawn order *)
+  mutable ended : bool;
+      (* a thread finished or trapped since [Sched.reap] last dropped
+         them ([finish]) *)
   mutable next_tid : int;
   mutable ticks : int; (* logical clock: one tick per scheduler round *)
   mutable rng : int; (* Sys.random state (deterministic) *)
@@ -288,7 +303,9 @@ and t = {
   mutable pollers : (t -> unit) list;
 }
 
-and native_fn = t -> vthread -> int array -> native_result
+(* A native reads its [n] arguments at [args.(base) .. args.(base + n - 1)]:
+   called from the interpreter, [args] is the calling thread's stack. *)
+and native_fn = t -> vthread -> int array -> int -> native_result
 
 (* The class an open window transforms instances of [cid] into, or -1
    when they are not pending. *)
@@ -331,6 +348,7 @@ let create ?(config = default_config) () =
     native_fns = [||];
     net = Simnet.create ();
     threads = [];
+    ended = false;
     next_tid = 1;
     ticks = 0;
     rng = 123456789;
@@ -598,12 +616,27 @@ let string_of_obj vm addr = vm.strings.(sid_of_obj vm addr)
 
 (* --- threads -------------------------------------------------------- *)
 
-let new_thread vm frames =
+(* A frame record to fill: [enter] sets every field. *)
+let spare_frame () =
+  {
+    f_method = -1;
+    code = Machine.no_code;
+    pc = 0;
+    base = 0;
+    obase = 0;
+    sp = 0;
+    barrier = false;
+  }
+
+(* A thread with no frames.  Stacks start small (a fleet runs many VMs
+   of several threads each) and double as calls need. *)
+let new_thread vm =
   let t =
     {
       tid = vm.next_tid;
-      frames;
-      depth = List.length frames;
+      stack = Array.make 64 0;
+      frames = Array.init 4 (fun _ -> spare_frame ());
+      depth = 0;
       tstate = T_runnable;
       pending = None;
       last_result = 0;
@@ -612,6 +645,12 @@ let new_thread vm frames =
   vm.next_tid <- vm.next_tid + 1;
   vm.threads <- vm.threads @ [ t ];
   t
+
+(* End [t] with [st], [T_done] or [T_trapped]: every thread ends here,
+   so [Sched.reap] filters the thread list only after one did. *)
+let finish vm t st =
+  t.tstate <- st;
+  vm.ended <- true
 
 let live_threads vm =
   List.filter
@@ -627,23 +666,67 @@ let runnable_threads vm =
 
 (* --- frames --------------------------------------------------------- *)
 
-(* A fresh frame whose locals start with the [argc] argument words at
-   [src.(pos)]. *)
-let frame_of_words (m : Rt.rt_method) (code : Machine.compiled) src pos argc
-    =
-  let locals = Array.make (max 1 (max code.Machine.frame_locals argc)) 0 in
-  Array.blit src pos locals 0 argc;
-  {
-    f_method = m.Rt.uid;
-    code;
-    pc = 0;
-    locals;
-    ostack = Array.make (max code.Machine.max_stack 4) 0;
-    sp = 0;
-    barrier = false;
-  }
+let top_frame t = t.frames.(t.depth - 1)
 
-let make_frame m code args = frame_of_words m code args 0 (Array.length args)
+(* Apply [f] to [t]'s frames, top first. *)
+let iter_frames f t =
+  for d = t.depth - 1 downto 0 do
+    f t.frames.(d)
+  done
+
+(* [t]'s frames, top first. *)
+let frame_list t = List.init t.depth (fun i -> t.frames.(t.depth - 1 - i))
+
+(* Make [t]'s stack at least [words] long, by doubling: growth moves no
+   index, so frames keep their windows. *)
+let grow_stack t words =
+  let n = ref (2 * Array.length t.stack) in
+  while !n < words do
+    n := 2 * !n
+  done;
+  let a = Array.make !n 0 in
+  Array.blit t.stack 0 a 0 (Array.length t.stack);
+  t.stack <- a
+
+let grow_frames t =
+  let n = Array.length t.frames in
+  t.frames <-
+    Array.init (2 * n) (fun i -> if i < n then t.frames.(i) else spare_frame ())
+
+(* Push a frame running [code] for [m] whose first [argc] locals are the
+   words already at [stack.(base) ..]: zero the rest of its locals and
+   reserve its operand stack.  Returns the frame. *)
+let enter t (m : Rt.rt_method) (code : Machine.compiled) ~base ~argc =
+  let d = t.depth in
+  if d = Array.length t.frames then grow_frames t;
+  let nlocals = max code.Machine.frame_locals argc in
+  let obase = base + nlocals in
+  let limit = obase + code.Machine.max_stack in
+  if limit > Array.length t.stack then grow_stack t limit;
+  let stack = t.stack in
+  for i = base + argc to obase - 1 do
+    stack.(i) <- 0
+  done;
+  let fr = t.frames.(d) in
+  fr.f_method <- m.Rt.uid;
+  fr.code <- code;
+  fr.pc <- 0;
+  fr.base <- base;
+  fr.obase <- obase;
+  fr.sp <- obase;
+  fr.barrier <- false;
+  t.depth <- d + 1;
+  fr
+
+(* Make [t]'s only frame one running [code] for [m] on [args]. *)
+let start_frame t m code (args : int array) =
+  let argc = Array.length args in
+  if argc > Array.length t.stack then grow_stack t argc;
+  for i = 0 to argc - 1 do
+    t.stack.(i) <- args.(i)
+  done;
+  t.depth <- 0;
+  ignore (enter t m code ~base:0 ~argc : frame)
 
 (* --- misc ----------------------------------------------------------- *)
 

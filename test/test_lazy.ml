@@ -811,7 +811,7 @@ let boot_idle ~config =
   let vm = Helpers.run_source ~config (identity_src ~v2:false) in
   Alcotest.(check bool) "main returned" true
     (List.for_all
-       (fun (t : VM.State.vthread) -> t.VM.State.frames = [])
+       (fun (t : VM.State.vthread) -> t.VM.State.depth = 0)
        vm.VM.State.threads);
   vm
 

@@ -315,8 +315,8 @@ let call vm key args =
         | I i -> VM.Value.of_int i)
       args
   in
-  let t = VM.State.new_thread vm [] in
-  (Hashtbl.find vm.VM.State.natives key) vm t (Array.of_list words)
+  let t = VM.State.new_thread vm in
+  (Hashtbl.find vm.VM.State.natives key) vm t (Array.of_list words) 0
 
 let value = function
   | VM.State.N_val w -> w
