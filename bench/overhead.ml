@@ -50,7 +50,7 @@ let pass (vm, (w : A.Workload.t)) ~target =
 
 (* Steady-state req/s and dereference checks with checks off and on:
    the median of alternating passes, so machine noise hits both modes
-   alike (one short sample per mode read the taxed mode faster). *)
+   alike; the tax per request is far below one pass's spread. *)
 let steady_state ~target =
   let off = boot_mode ~indirection:false in
   let on = boot_mode ~indirection:true in
@@ -170,7 +170,9 @@ let run () =
      baseline (JDrums/DVM-style)";
   let target = if Support.quick then 2_000 else 10_000 in
   let (normal_rps, checks0), (indirect_rps, checks1) = steady_state ~target in
-  let lazy_rps, migrated = run_lazy ~target:(if Support.quick then 1_000 else 15_000) in
+  let lazy_rps, migrated =
+    run_lazy ~target:(if Support.quick then 1_000 else 15_000)
+  in
   Printf.printf "%-48s %12s %16s\n" "mode (req/s: median of 5 passes)" "req/s"
     "deref checks";
   Printf.printf "%-48s %12.0f %16d\n" "miniweb, Jvolve mode (no checks)"

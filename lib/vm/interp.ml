@@ -513,6 +513,7 @@ let call_on vm (t : State.vthread) (m : Rt.rt_method) (args : int array) : int
     | S_parked -> loop ()
     | S_blocked ->
         t.State.depth <- 0;
+        t.State.pending <- None;
         State.finish vm t State.T_done;
         raise (Sync_trap "synchronous VM call blocked on I/O")
     | S_trapped msg ->

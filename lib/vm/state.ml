@@ -674,9 +674,6 @@ let iter_frames f t =
     f t.frames.(d)
   done
 
-(* [t]'s frames, top first. *)
-let frame_list t = List.init t.depth (fun i -> t.frames.(t.depth - 1 - i))
-
 (* Make [t]'s stack at least [words] long, by doubling: growth moves no
    index, so frames keep their windows. *)
 let grow_stack t words =
@@ -699,7 +696,10 @@ let grow_frames t =
 let enter t (m : Rt.rt_method) (code : Machine.compiled) ~base ~argc =
   let d = t.depth in
   if d = Array.length t.frames then grow_frames t;
-  let nlocals = max code.Machine.frame_locals argc in
+  let nlocals =
+    if code.Machine.frame_locals > argc then code.Machine.frame_locals
+    else argc
+  in
   let obase = base + nlocals in
   let limit = obase + code.Machine.max_stack in
   if limit > Array.length t.stack then grow_stack t limit;

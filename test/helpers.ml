@@ -26,6 +26,11 @@ let check_output ?config ?main ?rounds ~expected src =
   Alcotest.(check string) "program output" expected
     (output_of ?config ?main ?rounds src)
 
+(* [t]'s frames, top first. *)
+let frame_list (t : VM.State.vthread) =
+  let d = t.VM.State.depth in
+  List.init d (fun i -> t.VM.State.frames.(d - 1 - i))
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in

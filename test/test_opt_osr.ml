@@ -66,7 +66,7 @@ let run_case ~opt_osr =
   let t = VM.Vm.spawn_main vm ~main_class:"Main" in
   VM.Vm.run vm ~rounds:40;
   (* sanity: the parked work() frame must be opt-compiled by now *)
-  (match VM.State.frame_list t with
+  (match Helpers.frame_list t with
   | fr :: _ ->
       let m = VM.Rt.method_by_uid vm.VM.State.reg fr.VM.State.f_method in
       Alcotest.(check string) "top frame" "work" m.VM.Rt.m_name;
@@ -150,7 +150,7 @@ class Main {
   VM.Vm.boot vm (Jv_lang.Compile.compile_program v1');
   let t = VM.Vm.spawn_main vm ~main_class:"Main" in
   VM.Vm.run vm ~rounds:50;
-  match VM.State.frame_list t with
+  match Helpers.frame_list t with
   | fr :: _ ->
       let m = VM.Rt.method_by_uid vm.VM.State.reg fr.VM.State.f_method in
       if

@@ -148,6 +148,48 @@ class Main {
   Alcotest.(check string) "retry read the string" "echo arg7\n"
     (VM.Vm.output vm)
 
+(* A synchronous call that blocks is abandoned: its carrier keeps no
+   frame and no held native arguments, so a collection while the
+   carrier is still registered scans nothing of it, and the carrier
+   takes the next call. *)
+let blocked_sync_call_holds_nothing () =
+  let vm =
+    Helpers.run_source
+      {|
+class Main {
+  static void nap(String s) { Thread.sleep(5); }
+  static int seven() { return 7; }
+  static void main() { }
+}
+|}
+  in
+  let cls = VM.Rt.require_class vm.VM.State.reg "Main" in
+  let meth name params ret =
+    match
+      VM.Rt.resolve_method vm.VM.State.reg cls name
+        { Jv_classfile.Types.params; ret }
+    with
+    | Some m -> m
+    | None -> Alcotest.failf "no %s" name
+  in
+  let carrier = VM.Interp.make_carrier vm in
+  let s = VM.Value.of_ref (VM.State.alloc_string vm "held") in
+  (match
+     VM.Interp.call_on vm carrier
+       (meth "nap" [ Jv_classfile.Types.TRef "String" ] Jv_classfile.Types.TVoid)
+       [| s |]
+   with
+  | _ -> Alcotest.fail "expected the call to block"
+  | exception VM.Interp.Sync_trap _ -> ());
+  Alcotest.(check bool) "no pending native" true
+    (carrier.VM.State.pending = None);
+  ignore (VM.Vm.gc vm);
+  Alcotest.(check int) "the carrier takes the next call" 7
+    (VM.Value.to_int
+       (VM.Interp.call_on vm carrier
+          (meth "seven" [] Jv_classfile.Types.TInt)
+          [||]))
+
 (* --- OSR ------------------------------------------------------------------- *)
 
 (* [inner] is too long to inline, so an opt-compiled [work] parks at
@@ -193,7 +235,7 @@ let park_opt_work ~opt_osr =
   VM.Vm.boot vm (compile osr_src);
   let t = VM.Vm.spawn_main vm ~main_class:"Main" in
   let parked () =
-    match VM.State.frame_list t with
+    match Helpers.frame_list t with
     | top :: below :: _ ->
         method_name vm top = "inner"
         && method_name vm below = "work"
@@ -201,7 +243,7 @@ let park_opt_work ~opt_osr =
     | _ -> false
   in
   run_until vm parked;
-  (vm, t, List.nth (VM.State.frame_list t) 1)
+  (vm, t, List.nth (Helpers.frame_list t) 1)
 
 let window (t : VM.State.vthread) (fr : VM.State.frame) =
   Array.sub t.VM.State.stack fr.VM.State.base
@@ -232,7 +274,7 @@ let osr_below_top_keeps_window () =
    (not replaceable without [opt_osr]) fails it. *)
 let osr_abort_restores_frames () =
   let vm, t, fr = park_opt_work ~opt_osr:false in
-  let main_fr = List.nth (VM.State.frame_list t) 2 in
+  let main_fr = List.nth (Helpers.frame_list t) 2 in
   Alcotest.(check string) "main frame" "main" (method_name vm main_fr);
   let code = main_fr.VM.State.code and pc = main_fr.VM.State.pc in
   let words = window t main_fr in
@@ -297,7 +339,7 @@ class Main {
   VM.Vm.boot vm (compile v1);
   let t = VM.Vm.spawn_main vm ~main_class:"Main" in
   let in_read () =
-    match VM.State.frame_list t with
+    match Helpers.frame_list t with
     | top :: _ -> method_name vm top = "read" && t.VM.State.pending <> None
     | [] -> false
   in
@@ -350,6 +392,8 @@ let suite =
       collection_in_callee_keeps_windows;
     Alcotest.test_case "a blocked native's String argument survives a GC"
       `Quick blocked_native_string_survives_collection;
+    Alcotest.test_case "a blocked synchronous call holds nothing" `Quick
+      blocked_sync_call_holds_nothing;
     Alcotest.test_case "opt-OSR below the top keeps its window" `Quick
       osr_below_top_keeps_window;
     Alcotest.test_case "an OSR abort restores code and pc" `Quick

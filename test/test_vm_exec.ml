@@ -240,7 +240,7 @@ class Main {
   VM.Vm.boot vm classes;
   let t = VM.Vm.spawn_main vm ~main_class:"Main" in
   VM.Vm.run vm ~rounds:10;
-  (match VM.State.frame_list t with
+  (match Helpers.frame_list t with
   | [ fr ] ->
       let pc_before = fr.VM.State.pc in
       VM.Osr.replace_frame vm fr;
@@ -276,7 +276,7 @@ class Main {
   VM.Vm.boot vm classes;
   let t = VM.Vm.spawn_main vm ~main_class:"Main" in
   VM.Vm.run vm ~rounds:10;
-  match VM.State.frame_list t with
+  match Helpers.frame_list t with
   | [ fr ] ->
       (* hand the frame opt-compiled code, then try to OSR it *)
       let m = VM.Rt.method_by_uid vm.VM.State.reg fr.VM.State.f_method in
