@@ -187,24 +187,14 @@ let collect ?plan ?redirect (vm : State.t) : result =
   (* --- roots --- *)
   forward_array vm.State.jtoc 0 vm.State.jtoc_n;
   (* each thread's frames, top first, locals before operands; a blocked
-     native's arguments (the top frame's top operands) after them all *)
+     native's arguments are the top frame's top operands *)
   List.iter
     (fun (t : State.vthread) ->
       let stack = t.State.stack in
-      let held =
-        match t.State.pending with Some pn -> pn.State.pn_argc | None -> 0
-      in
       for d = t.State.depth - 1 downto 0 do
         let fr = t.State.frames.(d) in
-        let hi =
-          if d = t.State.depth - 1 then fr.State.sp - held else fr.State.sp
-        in
-        forward_array stack fr.State.base hi
-      done;
-      if held > 0 then begin
-        let sp = (State.top_frame t).State.sp in
-        forward_array stack (sp - held) sp
-      end)
+        forward_array stack fr.State.base fr.State.sp
+      done)
     vm.State.threads;
   let forward_log log = Update_log.forward log forward in
   Option.iter forward_log vm.State.update_log;

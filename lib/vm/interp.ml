@@ -457,22 +457,22 @@ let retry_pending vm (t : State.vthread) =
     match t.State.pending with
     | Some pn when t.State.depth > 0 -> (
         let fr = State.top_frame t in
-        let argc = pn.State.pn_argc in
-        let base = fr.State.sp - argc in
-        fr.State.sp <- base;
+        let base = fr.State.sp - pn.State.pn_argc in
+        (* the arguments stay below [sp], rooted, while the native runs:
+           it may allocate, and [pending] is still set *)
         match pn.State.pn_fn vm t t.State.stack base with
         | State.N_val v ->
             t.State.pending <- None;
+            fr.State.sp <- base;
             if pn.State.pn_ret then push_op t.State.stack fr v;
             advance fr;
             t.State.tstate <- State.T_runnable
         | State.N_void ->
             t.State.pending <- None;
+            fr.State.sp <- base;
             advance fr;
             t.State.tstate <- State.T_runnable
-        | State.N_block reason ->
-            fr.State.sp <- base + argc;
-            t.State.tstate <- State.T_blocked reason
+        | State.N_block reason -> t.State.tstate <- State.T_blocked reason
         | State.N_trap msg ->
             t.State.pending <- None;
             State.finish vm t (State.T_trapped msg);

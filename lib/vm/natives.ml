@@ -6,7 +6,8 @@
    allocations in the sequence cannot trigger a collection that moves the
    earlier ones.  (A native's arguments lie on the calling thread's stack,
    just above its frame's operands, where the collector does not look
-   while the native runs; what a native holds in OCaml locals is
+   while the native first runs (a retry of a blocked call finds them
+   still rooted as the frame's top operands); what a native holds in OCaml locals is
    invisible to it too, exactly as in a real VM without handle
    support.)  An allocation may still grow the
    heap's semi-spaces to their cap: that keeps every address but swaps

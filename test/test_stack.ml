@@ -148,6 +148,77 @@ class Main {
   Alcotest.(check string) "retry read the string" "echo arg7\n"
     (VM.Vm.output vm)
 
+(* A retried native that starts a collection before it reads its
+   argument: the argument is still the top frame's top operand while it
+   runs, so the collection moves it once and nothing below it.  [get]
+   has no parameters and no locals, so its window holds only the
+   argument; in [bottom] it is the bottom frame, in [caller] a frame
+   above [main]'s reference locals. *)
+let retried_native_collects main_src expected () =
+  let wait =
+    match
+      Jv_classfile.Assembler.parse_program
+        {|
+class Wait extends Object {
+  method public static native echo (LString;)LString; locals=1
+}
+|}
+    with
+    | [ c ] -> c
+    | _ -> Alcotest.fail "expected one class"
+  in
+  let main = Jv_lang.Compile.compile ~extra:[ wait ] main_src in
+  let vm = VM.Vm.create ~config:Helpers.test_config () in
+  let collections = ref 0 in
+  Hashtbl.replace vm.VM.State.natives "Wait.echo(LString;)LString;"
+    (fun vm t args at ->
+      if t.VM.State.pending = None then
+        VM.State.N_block (VM.State.B_sleep (vm.VM.State.ticks + 2))
+      else begin
+        ignore (VM.Vm.gc vm);
+        incr collections;
+        let s = VM.State.string_of_obj vm (VM.Value.to_ref args.(at)) in
+        VM.State.N_val
+          (VM.Value.of_ref (VM.State.alloc_string vm ("echo " ^ s)))
+      end);
+  VM.Vm.boot vm (wait :: main);
+  ignore (VM.Vm.spawn_main vm ~main_class:"Main");
+  ignore (VM.Vm.run_to_quiescence vm);
+  Alcotest.(check int) "one collection in the retry" 1 !collections;
+  Alcotest.(check string) "output" expected (VM.Vm.output vm);
+  Alcotest.(check int) "no traps" 0 (List.length (VM.Vm.stats vm).VM.Vm.traps);
+  let r = VM.Heapverify.run vm in
+  Alcotest.(check bool) "heap verifies" true r.VM.Heapverify.hv_ok
+
+let retried_native_collects_bottom =
+  retried_native_collects
+    {|
+class Reg { static String s; }
+class Main {
+  static void main() {
+    Reg.s = "arg" + 7;
+    Sys.println(Wait.echo(Reg.s));
+  }
+}
+|}
+    "echo arg7\n"
+
+let retried_native_collects_caller =
+  retried_native_collects
+    {|
+class Reg { static String s; }
+class Main {
+  static String get() { return Wait.echo(Reg.s); }
+  static void main() {
+    String keep = "keep" + 1;
+    Reg.s = "arg" + 7;
+    String got = get();
+    Sys.println(got + " " + keep);
+  }
+}
+|}
+    "echo arg7 keep1\n"
+
 (* A synchronous call that blocks is abandoned: its carrier keeps no
    frame and no held native arguments, so a collection while the
    carrier is still registered scans nothing of it, and the carrier
@@ -392,6 +463,10 @@ let suite =
       collection_in_callee_keeps_windows;
     Alcotest.test_case "a blocked native's String argument survives a GC"
       `Quick blocked_native_string_survives_collection;
+    Alcotest.test_case "a retried native collects in the bottom frame" `Quick
+      retried_native_collects_bottom;
+    Alcotest.test_case "a retried native collects above a caller" `Quick
+      retried_native_collects_caller;
     Alcotest.test_case "a blocked synchronous call holds nothing" `Quick
       blocked_sync_call_holds_nothing;
     Alcotest.test_case "opt-OSR below the top keeps its window" `Quick
